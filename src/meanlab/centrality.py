@@ -214,8 +214,7 @@ def remark1_identity_chain(A: PdMatrix, B: PdMatrix) -> ChainReport:
     Ba = B.mat
     dim = Aa.shape[0]
     I = np.eye(dim)
-    Ah = _pow_arr(Aa, 0.5)
-    Aih = _pow_arr(Aa, -0.5)
+    Ah, Aih = _pow_arr(Aa, 0.5, -0.5)
     S = _pow_arr(Ah @ Ba @ Ah, 0.5)
     N = Aih @ Ba @ Aih
     A2 = Aa @ Aa

@@ -67,7 +67,7 @@ from .preserver import (
     solve_coefficients,
     trace_power_functional,
 )
-from .report import CheckItem, CheckReport
+from .report import CheckItem
 from .sampling import random_pd, rng_for
 from .verification import CRITERIA, run_all
 
@@ -109,27 +109,38 @@ def _kind_from(name: str, p):
     return _FIXED_KINDS[name]
 
 
-def _emit(args, command: str, parameters: dict, checks, result=None) -> int:
-    items = tuple(checks)
-    all_pass = all(item.passed for item in items)
+def _emit(args, command: str, parameters: dict, checks=(), result=None, reports=None) -> int:
+    """Print the report, also to --out, and return the exit code.
+
+    Subcommands report check items and an optional result; verify passes
+    whole criterion ``reports`` instead.
+    """
+    if reports is None:
+        items = tuple(checks)
+        all_pass = all(item.passed for item in items)
+        body = {"checks": [item.to_json() for item in items]}
+        lines = [f"meanlab {command}"]
+        if result is not None:
+            body["result"] = result
+            lines.append(json.dumps(result, sort_keys=True))
+        lines.extend(item.line() for item in items)
+        lines.append("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
+    else:
+        all_pass = all(rep.all_pass for rep in reports)
+        body = {"reports": [rep.to_json() for rep in reports]}
+        lines = [line for rep in reports for line in rep.lines()]
+        lines.append("all criteria passed" if all_pass else "CRITERIA FAILURES PRESENT")
     if args.json:
         payload = {
             "schema": SCHEMA,
             "command": command,
             "parameters": parameters,
-            "checks": [item.to_json() for item in items],
             "all_pass": all_pass,
             "elapsed_ms": int((time.monotonic() - args._t0) * 1000),
+            **body,
         }
-        if result is not None:
-            payload["result"] = result
         text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        lines = [f"meanlab {command}"]
-        if result is not None:
-            lines.append(json.dumps(result, sort_keys=True))
-        lines.extend(item.line() for item in items)
-        lines.append("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
         text = "\n".join(lines)
     print(text)
     if args.out:
@@ -181,38 +192,16 @@ def _cmd_mean(args) -> int:
     return _emit(args, "mean", params, checks, result)
 
 
-def _rescale(items, scale: float):
-    """Re-judge compare and bound items under a scaled tolerance.
-
-    Floor items are separations, not tolerances, and stay fixed.
-    """
-    if scale == 1.0:
-        return list(items)
-    out = []
-    for item in items:
-        if item.mode == "bound":
-            out.append(CheckItem.bound(item.name, item.observed, item.tolerance * scale))
-        elif item.mode == "compare":
-            out.append(
-                CheckItem.compare(
-                    item.name, item.expected, item.observed, item.tolerance * scale
-                )
-            )
-        else:
-            out.append(item)
-    return out
-
-
 def _cmd_expand(args) -> int:
     grid = args.grid if args.grid is not None else DEFAULT_GRID
     if args.mean == "kubo-ando":
         if args.p is None:
             raise MeanlabError("--p is required for the power family")
-        report = check_power_mean_expansion(args.p, grid)
+        report = check_power_mean_expansion(args.p, grid, args.tol_scale)
         kind = kubo_ando_power(args.p)
         fit = fit_series(lambda e: mean(kind, *pauli_pair(e)), grid)
     else:
-        report = check_wasserstein_expansion(grid)
+        report = check_wasserstein_expansion(grid, args.tol_scale)
         fit = fit_series(lambda e: mean(WASSERSTEIN, *pauli_pair(e)), grid)
     result = {
         "title": report.title,
@@ -222,7 +211,7 @@ def _cmd_expand(args) -> int:
         "residual_bound": fit.residual_bound,
     }
     params = {"mean": args.mean, "p": args.p, "grid": list(grid.eps_grid)}
-    return _emit(args, "expand", params, _rescale(report.items, args.tol_scale), result)
+    return _emit(args, "expand", params, report.items, result)
 
 
 def _cmd_preserver(args) -> int:
@@ -297,6 +286,8 @@ def _cmd_centrality(args) -> int:
             B = _load_pd(args.b)
             rep = commutator_report(kind, A, B)
             return _emit(args, "centrality", params, (), rep.to_json())
+        if args.samples < 1:
+            raise MeanlabError("--samples must be at least 1")
         pair_reports = []
         central = True
         worst = 0.0
@@ -377,28 +368,8 @@ def _cmd_verify(args) -> int:
         reports = run_all(seed=args.seed, tol_scale=args.tol_scale)
     else:
         raise MeanlabError("pass --all or --criterion N")
-    all_pass = all(rep.all_pass for rep in reports)
-    if args.json:
-        payload = {
-            "schema": SCHEMA,
-            "command": "verify",
-            "parameters": {"all": args.all, "criterion": args.criterion},
-            "reports": [rep.to_json() for rep in reports],
-            "all_pass": all_pass,
-            "elapsed_ms": int((time.monotonic() - args._t0) * 1000),
-        }
-        text = json.dumps(payload, indent=2, sort_keys=True)
-    else:
-        lines = []
-        for rep in reports:
-            lines.extend(rep.lines())
-        lines.append("all criteria passed" if all_pass else "CRITERIA FAILURES PRESENT")
-        text = "\n".join(lines)
-    print(text)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    return 0 if all_pass else 1
+    params = {"all": args.all, "criterion": args.criterion}
+    return _emit(args, "verify", params, reports=reports)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -70,8 +70,7 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     if A.dim != B.dim:
         raise DimMismatch(f"dimensions {A.dim} and {B.dim} differ")
     if kind.tag == TAG_TRACE:
-        Ah = _pow_arr(A.mat, 0.5)
-        Aih = _pow_arr(A.mat, -0.5)
+        Ah, Aih = _pow_arr(A.mat, 0.5, -0.5)
         N = Aih @ B.mat @ Aih
         return PdMatrix.certify(HermitianMatrix(Ah @ _pow_arr(N, t) @ Ah))
     Q = mean(GEOMETRIC, mpow(A, -1.0), B).mat

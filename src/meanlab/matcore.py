@@ -310,17 +310,14 @@ def eig(X) -> Spectrum:
     return Spectrum(w, V)
 
 
-def _apply_spectral(arr: np.ndarray, fvals: np.ndarray, V: np.ndarray) -> np.ndarray:
+def _apply_spectral(fvals: np.ndarray, V: np.ndarray) -> np.ndarray:
     return (V * fvals) @ V.conj().T
 
 
-def func_calc(A: PdMatrix, f: Callable[[float], float]) -> HermitianMatrix:
-    """Spectral calculus f(A) for a real scalar function.
-
-    ``f`` is evaluated once per eigenvalue. Any exception it raises, or any
-    non-finite value it returns, surfaces as DomainError.
-    """
-    w, V = _eig_array(A.mat)
+def _spectral_values(arr: np.ndarray, f: Callable[[float], float]):
+    # One eigendecomposition, then f once per eigenvalue; returns (w, f(w), V).
+    # Any exception f raises, or any non-finite value, surfaces as DomainError.
+    w, V = _eig_array(arr)
     vals = np.empty(len(w))
     for i, lam in enumerate(w):
         try:
@@ -330,42 +327,51 @@ def func_calc(A: PdMatrix, f: Callable[[float], float]) -> HermitianMatrix:
         if not math.isfinite(y):
             raise DomainError(f"scalar function returned non-finite value at {lam!r}")
         vals[i] = y
-    return HermitianMatrix._wrap(_apply_spectral(A.mat, vals, V))
+    return w, vals, V
 
 
-def _pow_arr(arr: np.ndarray, p: float) -> np.ndarray:
-    # Fractional power of Hermitian data assumed positive definite; raises
-    # when the spectrum computed here says otherwise.
+def func_calc(A: PdMatrix, f: Callable[[float], float]) -> HermitianMatrix:
+    """Spectral calculus f(A) for a real scalar function.
+
+    ``f`` is evaluated once per eigenvalue. Any exception it raises, or any
+    non-finite value it returns, surfaces as DomainError.
+    """
+    _, vals, V = _spectral_values(A.mat, f)
+    return HermitianMatrix._wrap(_apply_spectral(vals, V))
+
+
+def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
+    # Powers arr**p, one per p, from a single eigendecomposition of Hermitian
+    # data assumed positive definite. Fractional and negative powers raise
+    # when the spectrum computed here says otherwise; with ``certify`` every
+    # power does, and each result is paired with its exact certificate
+    # min(lambda_i ** p). One p gives one result, several give a tuple.
     w, V = _eig_array(arr)
     lam_min = float(w[0])
-    if lam_min <= 0.0 and (p != round(p) or p < 0.0):
-        raise PositivityError(
-            f"power {p} of a matrix with minimum eigenvalue {lam_min:.3e}"
-        )
-    for lam in (w[0], w[-1]):
-        if lam > 0.0 and abs(p * math.log(lam)) > _POW_LOG_LIMIT:
-            raise DomainError(f"power {p} overflows at eigenvalue {lam:.3e}")
-    return _apply_spectral(arr, np.power(w, p), V)
+    out = []
+    for p in ps:
+        if lam_min <= 0.0 and (certify or p != round(p) or p < 0.0):
+            raise PositivityError(
+                f"power {p} of a matrix with minimum eigenvalue {lam_min:.3e}"
+            )
+        for lam in (w[0], w[-1]):
+            if lam > 0.0 and abs(p * math.log(lam)) > _POW_LOG_LIMIT:
+                raise DomainError(f"power {p} overflows at eigenvalue {lam:.3e}")
+        vals = np.power(w, p)
+        P = _apply_spectral(vals, V)
+        out.append((P, float(vals.min())) if certify else P)
+    return out[0] if len(out) == 1 else tuple(out)
 
 
 def mpow(A: PdMatrix, p: float) -> PdMatrix:
     """Matrix power A**p through the spectral decomposition.
 
     The result carries the exact certificate min(lambda_i ** p); DomainError
-    fires before float64 overflow can.
+    fires before float64 overflow can, PositivityError on a spectrum that is
+    not positive.
     """
-    p = float(p)
-    w, V = _eig_array(A.mat)
-    if float(w[0]) <= 0.0:
-        raise PositivityError(
-            f"matrix power needs a positive spectrum, found {float(w[0]):.3e}"
-        )
-    for lam in (float(w[0]), float(w[-1])):
-        if abs(p * math.log(lam)) > _POW_LOG_LIMIT:
-            raise DomainError(f"power {p} overflows at eigenvalue {lam:.3e}")
-    vals = np.power(w, p)
-    H = HermitianMatrix._wrap(_apply_spectral(A.mat, vals, V))
-    return PdMatrix(H, float(vals.min()))
+    P, cert = _pow_arr(A.mat, float(p), certify=True)
+    return PdMatrix(HermitianMatrix._wrap(P), cert)
 
 
 def congruence(C, A) -> HermitianMatrix:
@@ -374,17 +380,23 @@ def congruence(C, A) -> HermitianMatrix:
     ``C`` must be numerically invertible: sigma_min > 1e-12 sigma_max,
     checked on the Gram matrix C*C. SingularError otherwise.
     """
+    return _congruences(C, A)[0]
+
+
+def _congruences(C, *mats) -> tuple[HermitianMatrix, ...]:
+    # C X C* for each X, behind one invertibility check of C.
     Carr = as_array(C)
-    Aarr = as_array(A)
-    if Carr.shape != Aarr.shape:
-        raise DimMismatch(
-            f"congruence shapes differ: {Carr.shape} vs {Aarr.shape}"
-        )
+    arrs = [as_array(X) for X in mats]
+    for Xarr in arrs:
+        if Carr.shape != Xarr.shape:
+            raise DimMismatch(
+                f"congruence shapes differ: {Carr.shape} vs {Xarr.shape}"
+            )
     gram = Carr.conj().T @ Carr
     w, _ = _eig_array((gram + gram.conj().T) / 2.0)
     if float(w[0]) <= (1e-12) ** 2 * float(w[-1]):
         raise SingularError("congruence transform is numerically singular")
-    return HermitianMatrix._wrap(Carr @ Aarr @ Carr.conj().T)
+    return tuple(HermitianMatrix._wrap(Carr @ Xarr @ Carr.conj().T) for Xarr in arrs)
 
 
 def loewner_leq(A, B, tol: float | None = None) -> bool:

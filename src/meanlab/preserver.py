@@ -153,14 +153,6 @@ class MasaFunctional:
         object.__setattr__(self, "c_I", c_I)
         object.__setattr__(self, "directions", tuple(canon))
 
-    def with_direction(self, G, c_G: float) -> "MasaFunctional":
-        key = canonical_direction(G)
-        kept = tuple(
-            (H, c) for H, c in self.directions
-            if float(np.max(np.abs(H.mat - key.mat))) > DIRECTION_MATCH_TOL
-        )
-        return MasaFunctional(self.c_I, kept + ((key, float(c_G)),))
-
     def coefficient_for(self, G) -> float:
         key = canonical_direction(G)
         for H, c in self.directions:

@@ -106,6 +106,21 @@ def test_axioms_battery(capsys):
     assert code == 0
 
 
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_axioms_reject_an_empty_battery(capsys, samples):
+    assert main(["axioms", "--kind", "geometric", "--samples", samples]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_probe_rejects_an_empty_sample(capsys, matrix_file, samples):
+    a = matrix_file("a.json", np.diag([1.0, 4.0]))
+    assert main(["centrality", "--a", a, "--samples", samples, "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err
+
+
 def test_probe_reports_verdict_without_failing(capsys, matrix_file):
     a = matrix_file("nonscalar.json", np.diag([1.0, 4.0]))
     assert main(["centrality", "--kind", "harmonic", "--a", a, "--samples", "10"]) == 0
@@ -165,6 +180,26 @@ def test_out_file_matches_stdout(capsys, tmp_path, scalar_pair):
     assert main(["mean", "--kind", "harmonic", "--a", a, "--b", b,
                  "--out", str(dest)]) == 0
     assert dest.read_text() == capsys.readouterr().out
+
+
+def test_verify_out_file_matches_stdout(capsys, tmp_path):
+    dest = tmp_path / "verify.json"
+    assert main(["verify", "--criterion", "6", "--json", "--out", str(dest)]) == 0
+    assert dest.read_text() == capsys.readouterr().out
+
+
+def test_tol_scale_multiplies_every_expansion_tolerance(capsys):
+    code, base = run_json(capsys, ["expand", "--mean", "wasserstein"])
+    assert code == 1
+    code, scaled = run_json(capsys, ["expand", "--mean", "wasserstein", "--tol-scale", "1e6"])
+    assert code == 0
+    assert [i["name"] for i in scaled["checks"]] == [i["name"] for i in base["checks"]]
+    for b, s in zip(base["checks"], scaled["checks"]):
+        assert s["tolerance"] == b["tolerance"] * 1e6
+        assert s["observed"] == b["observed"]
+    tabulated = [i for i in scaled["checks"] if "tabulated" in i["name"]]
+    assert tabulated and all(i["passed"] for i in tabulated)
+    assert not all(i["passed"] for i in base["checks"] if "tabulated" in i["name"])
 
 
 def test_tol_scale_loosens_a_pin(capsys):

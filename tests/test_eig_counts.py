@@ -1,0 +1,82 @@
+"""Eigendecompositions per public call.
+
+Every meanlab module imports ``_eig_array`` by name, so the counter rebinds
+it in each loaded module. A matrix frame A^(1/2), A^(-1/2) costs one
+eigendecomposition of A, and every result costs one more to certify.
+"""
+
+import sys
+
+import pytest
+
+from meanlab import (
+    ARITHMETIC,
+    GEODESIC_BW,
+    GEODESIC_TRACE,
+    GEOMETRIC,
+    HARMONIC,
+    SPECTRAL_GEOMETRIC,
+    WASSERSTEIN,
+    conventional_power,
+    d_bw,
+    geodesic,
+    kubo_ando_power,
+    mean,
+    random_pd,
+    rng_for,
+)
+from meanlab import matcore
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    original = matcore._eig_array
+
+    def counting(arr):
+        calls.append(arr.shape[0])
+        return original(arr)
+
+    for name, mod in list(sys.modules.items()):
+        if name.split(".")[0] == "meanlab" and getattr(mod, "_eig_array", None) is original:
+            monkeypatch.setattr(mod, "_eig_array", counting)
+    return calls
+
+
+def _pair(dim):
+    rng = rng_for(11, dim)
+    return random_pd(rng, dim), random_pd(rng, dim)
+
+
+MEAN_COUNTS = [
+    (ARITHMETIC, 1),
+    (HARMONIC, 4),
+    (conventional_power(0.5), 4),
+    (GEOMETRIC, 3),
+    (kubo_ando_power(0.5), 4),
+    (kubo_ando_power(-0.5), 4),
+    (SPECTRAL_GEOMETRIC, 5),
+    (WASSERSTEIN, 4),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind, expected", MEAN_COUNTS, ids=lambda x: getattr(x, "label", str(x)))
+def test_eigendecompositions_per_mean(kind, expected, dim, eig_calls):
+    A, B = _pair(dim)
+    eig_calls.clear()
+    mean(kind, A, B)
+    assert eig_calls == [dim] * expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
+    A, B = _pair(dim)
+    for call, expected in (
+        (lambda: d_bw(A, B), 2),
+        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 5),
+        (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 3),
+    ):
+        eig_calls.clear()
+        call()
+        assert eig_calls == [dim] * expected

@@ -29,6 +29,7 @@ from meanlab import (
     random_unitary,
     rng_for,
 )
+from meanlab.matcore import _pow_arr
 
 ORACLE_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-12
@@ -135,6 +136,36 @@ def test_mpow_overflow_raises(pd):
     A = pd(np.diag([1e10, 1.0]))
     with pytest.raises(DomainError):
         mpow(A, 40.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_multi_power_equals_separate_calls(dim, rng):
+    X = random_pd(rng, dim).mat
+    Xh, Xih = _pow_arr(X, 0.5, -0.5)
+    assert np.array_equal(Xh, _pow_arr(X, 0.5))
+    assert np.array_equal(Xih, _pow_arr(X, -0.5))
+
+
+@pytest.mark.parametrize("arr", [[[1.0, 1.0], [1.0, 1.0]], np.diag([2.0, 0.0, 1.0])])
+def test_multi_power_rejects_a_zero_eigenvalue(arr):
+    with pytest.raises(PositivityError):
+        _pow_arr(np.asarray(arr, dtype=complex), 0.5, -0.5)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("p", [0.5, -0.5, 2.0])
+def test_mpow_certificate_is_the_powered_minimum(dim, p, rng):
+    A = random_pd(rng, dim)
+    w = eig(A).eigenvalues
+    assert mpow(A, p).min_eigenvalue == float(np.min(w**p))
+
+
+def test_mpow_rejects_a_false_certificate():
+    # The certificate claims positivity; the spectrum computed by mpow does
+    # not, and even an integer power must refuse.
+    bad = PdMatrix(HermitianMatrix(np.diag([-1.0, 2.0]).astype(complex)), 1.0)
+    with pytest.raises(PositivityError):
+        mpow(bad, 2.0)
 
 
 def test_congruence_rotates_sigma_z_to_sigma_x(pauli):

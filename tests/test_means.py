@@ -187,6 +187,12 @@ def test_axiom_battery_clean(kind):
         assert check.failures == 0, f"{check.axiom}: worst {check.worst_violation:.3e}"
 
 
+@pytest.mark.parametrize("samples", [0, -3])
+def test_axiom_battery_needs_a_sample(samples):
+    with pytest.raises(DomainError):
+        check_kubo_ando_axioms(GEOMETRIC, samples=samples)
+
+
 def test_wasserstein_fails_transformer_axiom():
     """The transport mean is not Kubo-Ando; the battery reports where."""
     rep = check_kubo_ando_axioms(WASSERSTEIN, samples=20, rng_seed=0, dim=2)
