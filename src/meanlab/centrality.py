@@ -106,7 +106,10 @@ def commutator_report(kind: MeanKind, A: PdMatrix, B: PdMatrix, pair_id: str = "
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of sampling the hypothesis over random partners."""
+    """Outcome of sampling the hypothesis over random partners.
+
+    ``pairs`` holds the report for each partner; ``to_json`` summarizes them.
+    """
 
     kind_label: str
     samples: int
@@ -114,6 +117,7 @@ class ProbeReport:
     failures: int
     worst_gap: float
     central: bool
+    pairs: tuple[CommutatorReport, ...]
 
     def to_json(self) -> dict:
         return {
@@ -130,21 +134,19 @@ def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) 
     _validate_probe_kind(kind)
     if samples < 1:
         raise DomainError("at least one sample is required")
-    failures = 0
-    worst = 0.0
-    for i in range(samples):
-        B = random_pd(rng_for(seed, i), A.dim)
-        gap = arith_mean_commutator(kind, A, B)
-        worst = max(worst, gap)
-        if gap > comm_tol(A, B):
-            failures += 1
+    pairs = tuple(
+        commutator_report(kind, A, random_pd(rng_for(seed, i), A.dim), pair_id=f"sample-{i}")
+        for i in range(samples)
+    )
+    failures = sum(r.verdict != "commutes" for r in pairs)
     return ProbeReport(
         kind_label=kind.label,
         samples=samples,
         seed=seed,
         failures=failures,
-        worst_gap=worst,
+        worst_gap=max(r.commutator_norm for r in pairs),
         central=failures == 0,
+        pairs=pairs,
     )
 
 

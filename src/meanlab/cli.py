@@ -18,6 +18,7 @@ import numpy as np
 
 from .centrality import (
     commutator_report,
+    probe_report,
     remark1_identity_chain,
     remark2_identity_chain,
 )
@@ -286,18 +287,12 @@ def _cmd_centrality(args) -> int:
             B = _load_pd(args.b)
             rep = commutator_report(kind, A, B)
             return _emit(args, "centrality", params, (), rep.to_json())
-        if args.samples < 1:
-            raise MeanlabError("--samples must be at least 1")
-        pair_reports = []
-        central = True
-        worst = 0.0
-        for i in range(args.samples):
-            B = random_pd(rng_for(args.seed, i), A.dim)
-            r = commutator_report(kind, A, B, pair_id=f"sample-{i}")
-            pair_reports.append(r.to_json())
-            worst = max(worst, r.commutator_norm)
-            central = central and r.verdict == "commutes"
-        result = {"central": central, "worst_gap": worst, "pairs": pair_reports}
+        probe = probe_report(A, kind, args.samples, args.seed)
+        result = {
+            "central": probe.central,
+            "worst_gap": probe.worst_gap,
+            "pairs": [r.to_json() for r in probe.pairs],
+        }
         return _emit(args, "centrality", params, (), result)
 
     if args.b is None:

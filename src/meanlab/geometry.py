@@ -61,8 +61,9 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
 
     The Bures-Wasserstein curve is
     (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B, and Q is
-    computed once per call through the geometric-mean routine so that a
-    single validated code path produces it.
+    computed through the geometric-mean routine so that a single validated
+    code path produces it; check_geodesic_metric computes it once for all
+    its points.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
@@ -73,13 +74,22 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
         Ah, Aih = _pow_arr(A.mat, 0.5, -0.5)
         N = Aih @ B.mat @ Aih
         return PdMatrix.certify(HermitianMatrix(Ah @ _pow_arr(N, t) @ Ah))
+    return _bw_points(A, B, [t])[0]
+
+
+def _bw_points(A: PdMatrix, B: PdMatrix, ts) -> list[PdMatrix]:
+    # Certified points of the Bures-Wasserstein curve at each t, from one Q.
     Q = mean(GEOMETRIC, mpow(A, -1.0), B).mat
-    G = (
-        (1.0 - t) ** 2 * A.mat
-        + t**2 * B.mat
-        + t * (1.0 - t) * (A.mat @ Q + Q @ A.mat)
-    )
-    return PdMatrix.certify(HermitianMatrix(G))
+    return [
+        PdMatrix.certify(
+            HermitianMatrix(
+                (1.0 - t) ** 2 * A.mat
+                + t**2 * B.mat
+                + t * (1.0 - t) * (A.mat @ Q + Q @ A.mat)
+            )
+        )
+        for t in ts
+    ]
 
 
 def check_geodesic_metric(A: PdMatrix, B: PdMatrix, partition) -> float:
@@ -95,7 +105,7 @@ def check_geodesic_metric(A: PdMatrix, B: PdMatrix, partition) -> float:
     if ts[0] != 0.0 or ts[-1] != 1.0:
         raise DomainError("partition must start at 0 and end at 1")
     total = d_bw(A, B)
-    points = [geodesic(GEODESIC_BW, A, B, t) for t in ts]
+    points = _bw_points(A, B, ts)
     worst = 0.0
     for (s, P), (t, Qp) in zip(zip(ts, points), zip(ts[1:], points[1:])):
         worst = max(worst, abs(d_bw(P, Qp) - (t - s) * total))

@@ -2,9 +2,10 @@
 
 Value types (:class:`HermitianMatrix`, :class:`PdMatrix`, :class:`Spectrum`)
 are frozen dataclasses wrapping complex128 arrays. The eigensolver is local
-to the package: a closed form for 2x2 blocks and a cyclic complex Jacobi
-iteration built on those blocks for larger sizes. Spectral functions, powers,
-congruences and the Loewner order test all route through it.
+to the package: a closed form for 2x2 matrices, and for larger sizes a cyclic
+complex Jacobi iteration that runs on Python complex scalars, rotating by
+the same closed form and exploiting Hermitian symmetry. Spectral functions,
+powers, congruences and the Loewner order test all route through it.
 
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
 stored on value types are non-writeable copies, so instances can be shared
@@ -228,53 +229,99 @@ def _eig2_closed(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lam, _canonical_phases(V)
 
 
+def _rotation(a: float, d: float, b: complex):
+    # The closed form of _eig2_closed in scalars, for b != 0: eigenvalues
+    # m -+ r, and eigenvector columns (-t, conj b) and (b, t) over their norm,
+    # with t = lam2 - a. Each column is phased as in _canonical_phases: its
+    # first largest-modulus entry becomes real and positive.
+    babs = abs(b)
+    m = (a + d) / 2.0
+    r = math.hypot((a - d) / 2.0, babs)
+    hi = m + r
+    t = hi - a
+    nrm = math.hypot(babs, t)
+    tabs = abs(t)
+    if tabs >= babs:
+        w00 = tabs / nrm
+        w10 = (-b.conjugate() if t > 0.0 else b.conjugate()) / nrm
+    else:
+        w00 = -t * (b / babs) / nrm
+        w10 = babs / nrm
+    if babs >= tabs:
+        w01 = babs / nrm
+        w11 = t * (b.conjugate() / babs) / nrm
+    else:
+        w01 = (b if t > 0.0 else -b) / nrm
+        w11 = tabs / nrm
+    return m - r, hi, w00, w10, w01, w11
+
+
 def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Cyclic complex Jacobi: sweep all upper pairs, diagonalize each embedded
-    # 2x2 block exactly, accumulate the rotations. Quadratic convergence makes
-    # the 100 sweep budget generous for the sizes this package touches.
-    A = arr.astype(np.complex128, copy=True)
-    n = A.shape[0]
-    fro = np.linalg.norm(A)
-    V = np.eye(n, dtype=np.complex128)
+    # Cyclic complex Jacobi on Python scalars: sweep all upper pairs, rotate
+    # each embedded 2x2 block onto its closed-form eigenvalues, accumulate the
+    # rotations. Like the 2x2 closed form it reads the diagonal and the upper
+    # triangle; every rotation keeps the lower triangle the exact conjugate,
+    # so only rows and columns p and q outside the block are computed.
+    # Quadratic convergence makes the 100 sweep budget generous for the sizes
+    # this package touches.
+    n = arr.shape[0]
+    A = arr.tolist()
+    for i in range(n):
+        A[i][i] = A[i][i].real
+        for j in range(i):
+            A[i][j] = A[j][i].conjugate()
+    V = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    # hypot scales, so neither norm overflows or underflows on extreme inputs.
+    fro = math.hypot(*[abs(z) for row in A for z in row])
     if fro == 0.0:
-        return np.zeros(n), V
+        return np.zeros(n), np.eye(n, dtype=np.complex128)
     thresh = JACOBI_OFF_RTOL * fro
     skip = thresh / n
+    plan = [
+        (p, q, [k for k in range(n) if k != p and k != q])
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    ]
     for _ in range(JACOBI_MAX_SWEEPS):
         # Summed directly: the difference ||A||^2 - ||diag||^2 cancels
         # catastrophically once the off-diagonal mass nears machine epsilon.
-        off = float(np.linalg.norm(A - np.diag(np.diag(A))))
+        # The lower triangle mirrors the upper one, hence the sqrt(2).
+        off = math.sqrt(2.0) * math.hypot(*[abs(A[p][q]) for p, q, _ in plan])
         if off <= thresh:
             break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                if abs(A[p, q]) <= skip:
-                    continue
-                block = np.array(
-                    [[A[p, p].real, A[p, q]], [A[p, q].conjugate(), A[q, q].real]],
-                    dtype=np.complex128,
-                )
-                _, W = _eig2_closed(block)
-                cols = A[:, [p, q]] @ W
-                A[:, p] = cols[:, 0]
-                A[:, q] = cols[:, 1]
-                rows = W.conj().T @ A[[p, q], :]
-                A[p, :] = rows[0]
-                A[q, :] = rows[1]
-                A[p, q] = 0.0
-                A[q, p] = 0.0
-                A[p, p] = A[p, p].real
-                A[q, q] = A[q, q].real
-                cols = V[:, [p, q]] @ W
-                V[:, p] = cols[:, 0]
-                V[:, q] = cols[:, 1]
+        for p, q, rest in plan:
+            Ap, Aq = A[p], A[q]
+            b = Ap[q]
+            if abs(b) <= skip:
+                continue
+            lo, hi, w00, w10, w01, w11 = _rotation(Ap[p], Aq[q], b)
+            for k in rest:
+                Ak = A[k]
+                x, y = Ak[p], Ak[q]
+                Ak[p] = u = x * w00 + y * w10
+                Ak[q] = v = x * w01 + y * w11
+                Ap[k] = u.conjugate()
+                Aq[k] = v.conjugate()
+            Ap[p], Aq[q] = lo, hi
+            Ap[q] = Aq[p] = 0j
+            for Vk in V:
+                x, y = Vk[p], Vk[q]
+                Vk[p] = x * w00 + y * w10
+                Vk[q] = x * w01 + y * w11
     else:
         raise ConvergenceFailure(
             f"Jacobi did not reach the off-diagonal threshold in {JACOBI_MAX_SWEEPS} sweeps"
         )
-    w = np.diag(A).real.copy()
-    order = np.argsort(w, kind="stable")
-    return w[order], _canonical_phases(V[:, order])
+    # Stable ascending sort, then the rule of _canonical_phases once per
+    # column, on the scalars.
+    order = sorted(range(n), key=lambda i: A[i][i])
+    cols = []
+    for j in order:
+        col = [Vk[j] for Vk in V]
+        piv = max(col, key=abs)
+        u = piv.conjugate() / abs(piv)
+        cols.append([z * u for z in col])
+    return np.array([A[j][j] for j in order]), np.array(cols).T.copy()
 
 
 def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

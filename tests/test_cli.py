@@ -1,16 +1,20 @@
 """Command-line surface: exit codes, JSON report shape, determinism.
 
 Exit convention: 0 all checks pass, 1 at least one check fails, 2 usage or
-input error. Commands run in-process through main(argv); one subprocess
-smoke test covers the installed entry point.
+input error. Commands run in-process through main(argv); subprocess smoke
+tests cover the installed entry point and ``python -m meanlab``.
 """
 
 import json
+import os
 import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import meanlab
 from meanlab import HermitianMatrix, matrix_to_json
 from meanlab.cli import main
 
@@ -208,6 +212,21 @@ def test_tol_scale_loosens_a_pin(capsys):
                  "--tol-scale", "1e6"])
     assert code == 0
     capsys.readouterr()
+
+
+def test_module_entry_point():
+    src = Path(meanlab.__file__).resolve().parent.parent
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    proc = subprocess.run(
+        [sys.executable, "-m", "meanlab", "verify", "--criterion", "1", "--json"],
+        capture_output=True,
+        text=True,
+        timeout=120,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    assert report["schema"] == SCHEMA and report["command"] == "verify"
 
 
 def test_installed_entry_point():

@@ -17,6 +17,7 @@ from meanlab import (
     HARMONIC,
     SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
+    check_geodesic_metric,
     conventional_power,
     d_bw,
     geodesic,
@@ -76,6 +77,8 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
         (lambda: d_bw(A, B), 2),
         (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 5),
         (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 3),
+        # d_bw(A, B), Q once, five certified points, four interval distances.
+        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 19),
     ):
         eig_calls.clear()
         call()

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    ConvergenceFailure,
     DomainError,
     HermitianMatrix,
     PdMatrix,
@@ -29,6 +30,7 @@ from meanlab import (
     random_unitary,
     rng_for,
 )
+from meanlab import matcore
 from meanlab.matcore import _pow_arr
 
 ORACLE_TOL = 1e-12
@@ -95,6 +97,98 @@ def test_eig_phase_is_deterministic(rng):
     second = eig(H)
     assert np.array_equal(first.vectors, second.vectors)
     assert np.array_equal(first.eigenvalues, second.eigenvalues)
+
+
+JACOBI_DIMS = [3, 4, 8]
+JACOBI_TOL = 1e-13
+
+
+def _with_spectrum(rng, spectrum) -> np.ndarray:
+    U = random_unitary(rng, len(spectrum))
+    arr = (U * np.asarray(spectrum, dtype=float)) @ U.conj().T
+    return (arr + arr.conj().T) / 2.0
+
+
+def _assert_solves(arr, eigh_oracle):
+    # Against LAPACK, relative to the spectral radius so that extreme scales
+    # are judged alike: eigenvalues ascending and matching, an orthonormal
+    # basis that rebuilds arr, and the phase rule on every column.
+    w, V = matcore._eig_array(arr)
+    ref = eigh_oracle(arr)[0]
+    scale = np.max(np.abs(ref))
+    n = arr.shape[0]
+    assert np.all(np.diff(w) >= 0)
+    assert np.max(np.abs(w - ref)) <= JACOBI_TOL * scale
+    assert np.linalg.norm(((V * w) @ V.conj().T - arr) / scale) <= JACOBI_TOL
+    assert np.linalg.norm(V.conj().T @ V - np.eye(n)) <= JACOBI_TOL
+    for j in range(n):
+        piv = V[np.argmax(np.abs(V[:, j])), j]
+        assert piv.real > 0.0 and abs(piv.imag) <= 1e-15 * piv.real
+
+
+def test_jacobi_rotation_is_the_2x2_closed_form(rng):
+    # Same eigenvalues bit for bit, same phased columns to rounding. Equal
+    # diagonals are left out: there |b| = lam2 - a, and which entry rounding
+    # makes the larger modulus decides the phase.
+    for _ in range(2000):
+        a, d = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+        b = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-6, 2)
+        lam, W = matcore._eig2_closed(np.array([[a, b], [b.conjugate(), d]]))
+        lo, hi, w00, w10, w01, w11 = matcore._rotation(float(a), float(d), b)
+        assert (lo, hi) == (lam[0], lam[1])
+        assert np.max(np.abs(np.array([[w00, w01], [w10, w11]]) - W)) <= 4e-16
+
+
+@pytest.mark.parametrize("dim", JACOBI_DIMS)
+def test_jacobi_leaves_a_diagonal_alone(dim, rng, monkeypatch):
+    def no_rotation(*args):
+        raise AssertionError("a diagonal input needs no rotation")
+
+    monkeypatch.setattr(matcore, "_rotation", no_rotation)
+    diag = rng.permutation(np.arange(1.0, dim + 1.0))
+    w, V = matcore._eig_array(np.diag(diag).astype(complex))
+    order = np.argsort(diag)
+    assert np.array_equal(w, diag[order])
+    assert np.array_equal(V, np.eye(dim)[:, order])
+
+
+@pytest.mark.parametrize("dim", JACOBI_DIMS)
+def test_jacobi_zero_matrix(dim):
+    w, V = matcore._eig_array(np.zeros((dim, dim), dtype=complex))
+    assert np.array_equal(w, np.zeros(dim))
+    assert np.array_equal(V, np.eye(dim))
+
+
+@pytest.mark.parametrize("dim", JACOBI_DIMS)
+def test_jacobi_exactly_repeated_eigenvalues(dim, rng, eigh_oracle):
+    _assert_solves(_with_spectrum(rng, [1.0, 1.0] + [5.0] * (dim - 2)), eigh_oracle)
+
+
+@pytest.mark.parametrize("dim", JACOBI_DIMS)
+def test_jacobi_tight_cluster(dim, rng, eigh_oracle):
+    spectrum = [1.0, 1.0 + 1e-12] + [float(k) for k in range(2, dim)]
+    _assert_solves(_with_spectrum(rng, spectrum), eigh_oracle)
+
+
+@pytest.mark.parametrize("dim", JACOBI_DIMS)
+@pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
+def test_jacobi_extreme_scales(dim, scale, rng, eigh_oracle):
+    # At 1e+-200 the squared Frobenius norm leaves the float64 range; the
+    # stopping threshold must still be a true multiple of ||A||_F.
+    _assert_solves(random_pd(rng, dim).mat * scale, eigh_oracle)
+
+
+@pytest.mark.parametrize("dim", JACOBI_DIMS)
+def test_jacobi_random_input_meets_the_phase_rule(dim, rng, eigh_oracle):
+    for _ in range(5):
+        _assert_solves(random_hermitian(rng, dim).mat, eigh_oracle)
+
+
+@pytest.mark.parametrize("dim", JACOBI_DIMS)
+def test_jacobi_raises_when_the_sweep_budget_runs_out(dim, rng, monkeypatch):
+    monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 0)
+    with pytest.raises(ConvergenceFailure):
+        eig(random_hermitian(rng, dim))
 
 
 def test_func_calc_exponential_matches_oracle(rng, eigh_oracle):
