@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 
@@ -46,14 +47,12 @@ from .matcore import (
     mpow,
 )
 from .means import (
-    ARITHMETIC,
-    GEOMETRIC,
-    HARMONIC,
-    SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
+    MeanKind,
+    _POWER_TAGS,
+    _rel_gap,
     ando_variational_certificate,
     check_kubo_ando_axioms,
-    conventional_power,
     kubo_ando_from_function,
     kubo_ando_power,
     mean,
@@ -74,13 +73,10 @@ from .verification import CRITERIA, run_all
 
 SCHEMA = "meanlab-report/1"
 
-_FIXED_KINDS = {
-    "arithmetic": ARITHMETIC,
-    "harmonic": HARMONIC,
-    "geometric": GEOMETRIC,
-    "spectral-geometric": SPECTRAL_GEOMETRIC,
-    "wasserstein": WASSERSTEIN,
-}
+_MEAN_KINDS = (
+    "arithmetic", "geometric", "harmonic", "spectral-geometric", "wasserstein",
+    "kubo-ando-power", "conventional-power",
+)
 
 
 def _parse_grid(text: str) -> EpsFamily:
@@ -98,16 +94,24 @@ def _load_pd(path: str) -> PdMatrix:
     return PdMatrix.certify(HermitianMatrix(matrix_from_json(obj)))
 
 
-def _kind_from(name: str, p):
-    if name == "kubo-ando-power":
-        if p is None:
-            raise MeanlabError("--p is required for kubo-ando-power")
-        return kubo_ando_power(p)
-    if name == "conventional-power":
-        if p is None:
-            raise MeanlabError("--p is required for conventional-power")
-        return conventional_power(p)
-    return _FIXED_KINDS[name]
+def _kind_from(name: str, p) -> MeanKind:
+    # Kinds without a parameter ignore --p: centrality --chain remark2 reads it
+    # as the chain's own exponent.
+    if name not in _POWER_TAGS:
+        return MeanKind(name)
+    if p is None:
+        raise MeanlabError(f"--p is required for {name}")
+    return MeanKind(name, p=p)
+
+
+def _tol_scale(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not (math.isfinite(value) and value > 0.0):
+        raise argparse.ArgumentTypeError(f"must be a positive finite number, got {text!r}")
+    return value
 
 
 def _emit(args, command: str, parameters: dict, checks=(), result=None, reports=None) -> int:
@@ -162,7 +166,7 @@ def _cmd_mean(args) -> int:
         checks.append(
             CheckItem.bound(
                 "two Wasserstein formulas agree",
-                float(np.linalg.norm(M.mat - alt.mat)),
+                _rel_gap(alt.mat, M.mat),
                 1e-11 * args.tol_scale,
             )
         )
@@ -175,7 +179,7 @@ def _cmd_mean(args) -> int:
         checks.append(
             CheckItem.bound(
                 "functional-calculus route agrees",
-                float(np.linalg.norm(M.mat - M2.mat)),
+                _rel_gap(M2.mat, M.mat),
                 1e-10 * args.tol_scale,
             )
         )
@@ -264,14 +268,7 @@ def _cmd_preserver(args) -> int:
 
 
 def _cmd_centrality(args) -> int:
-    if args.kind == "kubo-ando-power":
-        if args.p is None:
-            raise MeanlabError("--p is required for kubo-ando-power")
-        kind = kubo_ando_power(args.p)
-    elif args.kind == "harmonic":
-        kind = HARMONIC
-    else:
-        kind = WASSERSTEIN
+    kind = _kind_from(args.kind, args.p)
     A = _load_pd(args.a)
     params = {
         "kind": args.kind,
@@ -357,12 +354,10 @@ def _cmd_axioms(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    if args.criterion is not None:
-        reports = [CRITERIA[args.criterion](seed=args.seed, tol_scale=args.tol_scale)]
-    elif args.all:
+    if args.all:
         reports = run_all(seed=args.seed, tol_scale=args.tol_scale)
     else:
-        raise MeanlabError("pass --all or --criterion N")
+        reports = [CRITERIA[args.criterion](seed=args.seed, tol_scale=args.tol_scale)]
     params = {"all": args.all, "criterion": args.criterion}
     return _emit(args, "verify", params, reports=reports)
 
@@ -374,9 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument(
         "--tol-scale",
         dest="tol_scale",
-        type=float,
+        type=_tol_scale,
         default=1.0,
-        help="multiplies all default tolerances",
+        help="multiplies all default tolerances (positive and finite)",
     )
     common.add_argument("--out", default=None, help="also write the report to this file")
 
@@ -387,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_mean = sub.add_parser("mean", parents=[common], help="evaluate a mean of two PD matrices")
-    p_mean.add_argument("--kind", required=True, choices=sorted(_FIXED_KINDS) + ["kubo-ando-power", "conventional-power"])
+    p_mean.add_argument("--kind", required=True, choices=_MEAN_KINDS)
     p_mean.add_argument("--p", type=float, default=None)
     p_mean.add_argument("--a", required=True)
     p_mean.add_argument("--b", required=True)
@@ -436,15 +431,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_dbw.set_defaults(func=_cmd_dbw)
 
     p_ax = sub.add_parser("axioms", parents=[common], help="Kubo-Ando axiom battery")
-    p_ax.add_argument("--kind", required=True, choices=sorted(_FIXED_KINDS) + ["kubo-ando-power", "conventional-power"])
+    p_ax.add_argument("--kind", required=True, choices=_MEAN_KINDS)
     p_ax.add_argument("--p", type=float, default=None)
     p_ax.add_argument("--samples", type=int, default=50)
     p_ax.add_argument("--dim", type=int, default=2)
     p_ax.set_defaults(func=_cmd_axioms)
 
     p_ver = sub.add_parser("verify", parents=[common], help="acceptance criteria batteries")
-    p_ver.add_argument("--all", action="store_true")
-    p_ver.add_argument("--criterion", type=int, choices=sorted(CRITERIA), default=None)
+    selector = p_ver.add_mutually_exclusive_group(required=True)
+    selector.add_argument("--all", action="store_true")
+    selector.add_argument("--criterion", type=int, choices=sorted(CRITERIA), default=None)
     p_ver.set_defaults(func=_cmd_verify)
     return parser
 

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError, FitFailure, IllConditioned
 from .matcore import HermitianMatrix, PdMatrix, _pow_arr, as_array, mpow, pauli_basis
-from .means import P_MIN, WASSERSTEIN, _transport_arr, kubo_ando_power, mean
+from .means import WASSERSTEIN, _transport_arr, kubo_ando_power, mean, power_parameter
 from .report import CheckItem, CheckReport
 
 EPS_MAX = 0.2
@@ -174,28 +174,23 @@ def fit_series_general(family: Callable[[float], object], grid=DEFAULT_GRID) -> 
     return GeneralSeriesFit(coeffs[0], coeffs[1], coeffs[2], resid2)
 
 
-def _check_p(p: float) -> float:
-    p = float(p)
-    if not (P_MIN <= abs(p) <= 1.0):
-        raise DomainError(f"power parameter must satisfy {P_MIN} <= |p| <= 1, got {p}")
-    return p
+def _gp_args(p: float, x: float) -> tuple[float, float]:
+    p = power_parameter(p)
+    x = float(x)
+    if not (x > 0.0) or not math.isfinite(x):
+        raise DomainError(f"g_p is defined on x > 0, got {x}")
+    return p, x
 
 
 def gp_eval(p: float, x: float) -> float:
     """g_p(x) = ((1 + x^p)/2)^(1/p)."""
-    p = _check_p(p)
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"g_p is defined on x > 0, got {x}")
+    p, x = _gp_args(p, x)
     return ((1.0 + x**p) / 2.0) ** (1.0 / p)
 
 
 def gp_d1(p: float, x: float) -> float:
     """First derivative of g_p; gp_d1(p, 1) = 1/2 for every admissible p."""
-    p = _check_p(p)
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"g_p is defined on x > 0, got {x}")
+    p, x = _gp_args(p, x)
     h = (1.0 + x**p) / 2.0
     return 0.5 * h ** (1.0 / p - 1.0) * x ** (p - 1.0)
 
@@ -213,10 +208,7 @@ def gp_d2(p: float, x: float) -> float:
     differences of gp_eval side with the value computed here, and
     gp_d2_tabulated_anchor keeps the reference available for comparison.
     """
-    p = _check_p(p)
-    x = float(x)
-    if not (x > 0.0) or not math.isfinite(x):
-        raise DomainError(f"g_p is defined on x > 0, got {x}")
+    p, x = _gp_args(p, x)
     h = (1.0 + x**p) / 2.0
     term1 = ((1.0 - p) / 4.0) * h ** (1.0 / p - 2.0) * x ** (2.0 * p - 2.0)
     term2 = ((p - 1.0) / 2.0) * h ** (1.0 / p - 1.0) * x ** (p - 2.0)
@@ -225,25 +217,25 @@ def gp_d2(p: float, x: float) -> float:
 
 def gp_d2_tabulated_anchor(p: float) -> float:
     """The tabulated value for g_p''(1): (1/4)(1/p - 1) + (p - 1)/2."""
-    p = _check_p(p)
+    p = power_parameter(p)
     return 0.25 * (1.0 / p - 1.0) + (p - 1.0) / 2.0
 
 
 def power_mean_c2_tabulated(p: float) -> float:
     """Tabulated eps^2 coefficient of the power-mean family: p/2 + 1/(4p) - 3/4."""
-    p = _check_p(p)
+    p = power_parameter(p)
     return p / 2.0 + 1.0 / (4.0 * p) - 3.0 / 4.0
 
 
 def pth_power_c2_consolidated(p: float) -> float:
     """Tabulated bracket p^2/2 + 1/4 - 3p/4 + p(p-1)/4 for the p-th power family."""
-    p = _check_p(p)
+    p = power_parameter(p)
     return p * p / 2.0 + 0.25 - 0.75 * p + p * (p - 1.0) / 4.0
 
 
 def pth_power_c2_inproof(p: float) -> float:
     """The other tabulated variant, p^2/2 + 1/p - 3p/4 + p(p-1)/4."""
-    p = _check_p(p)
+    p = power_parameter(p)
     return p * p / 2.0 + 1.0 / p - 0.75 * p + p * (p - 1.0) / 4.0
 
 
@@ -254,13 +246,13 @@ def pth_power_c2_composed(p: float) -> float:
     eps^2 I, raising to the p-th power contributes p g_p''(1) plus the
     binomial cross term p(p-1)/4, totalling p(p-1)/2.
     """
-    p = _check_p(p)
+    p = power_parameter(p)
     return p * (p - 1.0) / 2.0
 
 
 def check_unitary_invariance(p: float, eps: float) -> float:
     """Frobenius norm of [U, A_eps m_p B_eps]; an exact identity, near zero."""
-    p = _check_p(p)
+    p = power_parameter(p)
     A, B = pauli_pair(eps)
     M = mean(kubo_ando_power(p), A, B).mat
     _, _, U = pauli_basis()
@@ -280,7 +272,7 @@ def check_power_mean_expansion(p: float, grid=DEFAULT_GRID, tol_scale: float = 1
     construction; both are reported on purpose. ``tol_scale`` multiplies
     every tolerance.
     """
-    p = _check_p(p)
+    p = power_parameter(p)
     c1_tol = C1_TOL * tol_scale
     c2_tol = C2_TOL * tol_scale
     g = _coerce_grid(grid)
@@ -289,8 +281,10 @@ def check_power_mean_expansion(p: float, grid=DEFAULT_GRID, tol_scale: float = 1
     w_half = (sz.mat + sx.mat) / 2.0
     eye = np.eye(2)
 
-    fit_mean = fit_series(lambda e: mean(kind, *pauli_pair(e)), g)
-    fit_pow = fit_series(lambda e: mpow(mean(kind, *pauli_pair(e)), p), g)
+    # One mean per grid point; the p-th power is fitted from the same values.
+    means = {e: mean(kind, *pauli_pair(e)) for e in g.eps_grid}
+    fit_mean = fit_series(means.__getitem__, g)
+    fit_pow = fit_series(lambda e: mpow(means[e], p), g)
     tr_half = float(np.trace(fit_pow.c2.mat).real) / 2.0
 
     items = (
@@ -349,8 +343,9 @@ def check_wasserstein_expansion(grid=DEFAULT_GRID, tol_scale: float = 1.0) -> Ch
     eye = np.eye(2)
     sxsz = sx.mat @ sz.mat
 
-    fit_mean = fit_series(lambda e: mean(WASSERSTEIN, *pauli_pair(e)), g)
-    fit_sqrt = fit_series(lambda e: _pow_arr(mean(WASSERSTEIN, *pauli_pair(e)).mat, 0.5), g)
+    means = {e: mean(WASSERSTEIN, *pauli_pair(e)).mat for e in g.eps_grid}
+    fit_mean = fit_series(means.__getitem__, g)
+    fit_sqrt = fit_series(lambda e: _pow_arr(means[e], 0.5), g)
     fit_transport = fit_series_general(lambda e: _transport(e), g)
 
     eps_comm = 0.4

@@ -179,8 +179,7 @@ class Spectrum:
     vectors: np.ndarray
 
     def reconstruct(self) -> np.ndarray:
-        V = self.vectors
-        return (V * self.eigenvalues) @ V.conj().T
+        return _apply_spectral(self.eigenvalues, self.vectors)
 
 
 def identity_pd(dim: int) -> PdMatrix:

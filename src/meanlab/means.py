@@ -45,6 +45,15 @@ from .sampling import (
 # Power parameters are kept away from 0, where g_p degenerates.
 P_MIN = 1e-6
 
+
+def power_parameter(p: float) -> float:
+    """float(p) when P_MIN <= |p| <= 1, the range of the power family; DomainError otherwise."""
+    p = float(p)
+    if not (P_MIN <= abs(p) <= 1.0):
+        raise DomainError(f"power parameter must satisfy {P_MIN} <= |p| <= 1, got {p}")
+    return p
+
+
 # Tolerances for the axiom battery. Equality checks are relative to
 # max(1, scale of the matrices involved).
 AXIOM_EQ_TOL = 1e-10
@@ -108,12 +117,7 @@ class MeanKind:
         if self.tag in _POWER_TAGS:
             if self.p is None:
                 raise DomainError(f"{self.tag} requires a power parameter")
-            p = float(self.p)
-            if not (P_MIN <= abs(p) <= 1.0):
-                raise DomainError(
-                    f"power parameter must satisfy {P_MIN} <= |p| <= 1, got {p}"
-                )
-            object.__setattr__(self, "p", p)
+            object.__setattr__(self, "p", power_parameter(self.p))
         elif self.p is not None:
             raise DomainError(f"{self.tag} takes no power parameter")
         if self.tag == TAG_FROM_FUNCTION:

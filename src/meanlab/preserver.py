@@ -19,15 +19,15 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimMismatch, DomainError, NotInCone
-from .expansion import DEFAULT_GRID, _coerce_grid, _poly_fit, pauli_pair
+from .expansion import DEFAULT_GRID, _coerce_grid, fit_series_general, pauli_pair
 from .matcore import HermitianMatrix, PdMatrix, as_array, mpow, pauli_basis
 from .means import (
-    P_MIN,
     TAG_ARITHMETIC,
     TAG_POWER,
     TAG_WASSERSTEIN,
     MeanKind,
     mean,
+    power_parameter,
 )
 from .report import CheckItem, CheckReport
 
@@ -76,9 +76,7 @@ def linear_functional(W: HermitianMatrix) -> ScalarFunctional:
 
 def trace_power_functional(p: float) -> ScalarFunctional:
     """f(A) = (tr(A^p)/dim)^(1/p); at p = 1/2 on M2 this is (tr(A^(1/2))/2)^2."""
-    p = float(p)
-    if not (P_MIN <= abs(p) <= 1.0):
-        raise DomainError(f"power must satisfy {P_MIN} <= |p| <= 1, got {p}")
+    p = power_parameter(p)
     return ScalarFunctional(
         lambda A: (float(np.trace(mpow(A, p).mat).real) / A.dim) ** (1.0 / p),
         f"trace-power[p={p:g}]",
@@ -90,9 +88,7 @@ def phi_of(f: ScalarFunctional, p: float) -> ScalarFunctional:
 
     Composing back, (.)^(1/p) o phi o (.)^p recovers f on the cone.
     """
-    p = float(p)
-    if not (P_MIN <= abs(p) <= 1.0):
-        raise DomainError(f"power must satisfy {P_MIN} <= |p| <= 1, got {p}")
+    p = power_parameter(p)
     return ScalarFunctional(
         lambda X: f(mpow(X, 1.0 / p)) ** p,
         f"phi[p={p:g}]({f.label})",
@@ -210,12 +206,11 @@ def preserver_residual(f: ScalarFunctional, kind: MeanKind, A: PdMatrix, B: PdMa
     return abs(f(M) - _scalar_mean(kind, f(A), f(B)))
 
 
-def _fit_scalar(values: list[float], eps: np.ndarray) -> tuple[list[float], float]:
-    samples = [np.array([v], dtype=np.complex128) for v in values]
-    degree = min(len(eps) - 1, 5)
-    coeffs, _ = _poly_fit(samples, eps, degree)
-    _, resid2 = _poly_fit(samples, eps, 2)
-    return [float(c[0].real) for c in coeffs], resid2
+def _fit_scalar(values: list[float], grid) -> tuple[list[float], float]:
+    # The series fit of one scalar per grid point, as a 1x1 family.
+    by_eps = dict(zip(grid.eps_grid, values))
+    fit = fit_series_general(lambda e: [[by_eps[e]]], grid)
+    return [float(c[0, 0].real) for c in (fit.c0, fit.c1, fit.c2)], fit.residual_bound
 
 
 @dataclass(frozen=True)
@@ -314,13 +309,12 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
         raise DomainError(f"solve_coefficients supports m_p and the Wasserstein mean, not {kind.label}")
 
     g = _coerce_grid(grid)
-    eps = np.array(g.eps_grid)
     sz, sx, U = pauli_basis()
 
     t_L, s_L, t_A, s_A, t_B, s_B = [], [], [], [], [], []
     mats = []
-    for e in eps:
-        A, B = pauli_pair(float(e))
+    for e in g.eps_grid:
+        A, B = pauli_pair(e)
         L = mpow(mean(kind, A, B), outer)
         Ap = mpow(A, outer)
         Bp = mpow(B, outer)
@@ -333,10 +327,10 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
         s_B.append(float(np.trace(sx.mat @ Bp.mat).real) / 2.0)
 
     delta_t = [tl - (ta + tb) / 2.0 for tl, ta, tb in zip(t_L, t_A, t_B)]
-    k, resid_k = _fit_scalar(delta_t, eps)
-    sig, resid_s = _fit_scalar(s_L, eps)
-    a, resid_a = _fit_scalar(s_A, eps)
-    b, resid_b = _fit_scalar(s_B, eps)
+    k, resid_k = _fit_scalar(delta_t, g)
+    sig, resid_s = _fit_scalar(s_L, g)
+    a, resid_a = _fit_scalar(s_A, g)
+    b, resid_b = _fit_scalar(s_B, g)
     fit_residual = max(resid_k, resid_s, resid_a, resid_b)
 
     rows = (

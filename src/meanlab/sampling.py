@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import HermitianMatrix, PdMatrix
+from .matcore import HermitianMatrix, PdMatrix, _apply_spectral, _eig_array
 
 # Random PD draws get at least this much identity added, keeping condition
 # numbers benign across large sample counts.
@@ -41,10 +41,6 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 def random_invertible_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
     """Hermitian with spectrum pushed away from zero on both sides."""
-    H = random_hermitian(rng, dim).mat
-    from .matcore import _eig_array
-
-    w, V = _eig_array(H)
+    w, V = _eig_array(random_hermitian(rng, dim).mat)
     signs = np.where(w >= 0.0, 1.0, -1.0)
-    shifted = w + signs * 0.2
-    return HermitianMatrix._wrap((V * shifted) @ V.conj().T)
+    return HermitianMatrix._wrap(_apply_spectral(w + signs * 0.2, V))

@@ -10,6 +10,7 @@ relax a comparison to make it pass.
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
@@ -20,19 +21,18 @@ from .centrality import (
 )
 from .expansion import (
     DEFAULT_GRID,
+    check_power_mean_expansion,
     check_unitary_invariance,
+    check_wasserstein_expansion,
     fit_series,
-    fit_series_general,
     gp_d1,
     gp_d2,
     gp_d2_tabulated_anchor,
     gp_eval,
     pauli_pair,
-    power_mean_c2_tabulated,
-    _transport,
 )
 from .geometry import GEODESIC_BW, GEODESIC_TRACE, check_geodesic_metric, d_bw, geodesic
-from .matcore import HermitianMatrix, PdMatrix, identity_pd, mpow, pauli_basis
+from .matcore import HermitianMatrix, PdMatrix, identity_pd, pauli_basis
 from .means import (
     ARITHMETIC,
     GEOMETRIC,
@@ -67,10 +67,6 @@ def _fro(arr) -> float:
     return float(np.linalg.norm(np.asarray(arr)))
 
 
-def _maxabs(arr) -> float:
-    return float(np.max(np.abs(np.asarray(arr))))
-
-
 def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     """Perturbed means commute with the symmetrizing unitary U."""
     tol = 1e-11 * tol_scale
@@ -88,59 +84,30 @@ def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
 
 
 def criterion_2(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
-    """Power-mean expansion coefficients against the tabulated displays."""
-    c1_tol = 1e-6 * tol_scale
-    c2_tol = 1e-4 * tol_scale
-    sz, sx, _ = pauli_basis()
-    w_half = (sz.mat + sx.mat) / 2.0
-    I2 = np.eye(2)
+    """Power-mean expansion coefficients against the tabulated displays.
+
+    Items 0 and 1 of the expansion check, renamed.
+    """
     items = []
     for p in P_VALUES:
-        kind = kubo_ando_power(p)
-        fit = fit_series(lambda e: mean(kind, *pauli_pair(e)), DEFAULT_GRID)
-        items.append(
-            CheckItem.bound(
-                f"c1 = (sigma_z + sigma_x)/2, p = {p:g}",
-                _maxabs(fit.c1.mat - w_half),
-                c1_tol,
-            )
-        )
-        items.append(
-            CheckItem.bound(
-                f"c2 = (p/2 + 1/(4p) - 3/4) I (tabulated), p = {p:g}",
-                _maxabs(fit.c2.mat - power_mean_c2_tabulated(p) * I2),
-                c2_tol,
-            )
-        )
+        c1, c2 = check_power_mean_expansion(p, tol_scale=tol_scale).items[:2]
+        items.append(replace(c1, name=f"c1 = (sigma_z + sigma_x)/2, p = {p:g}"))
+        items.append(replace(c2, name=f"c2 = (p/2 + 1/(4p) - 3/4) I (tabulated), p = {p:g}"))
     return CheckReport("criterion 2: power-mean expansion coefficients", tuple(items))
 
 
 def criterion_3(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
-    """Wasserstein expansion coefficients against the tabulated displays."""
-    tol = 1e-4 * tol_scale
-    sz, sx, _ = pauli_basis()
-    I2 = np.eye(2)
-    fit_mean = fit_series(lambda e: mean(WASSERSTEIN, *pauli_pair(e)), DEFAULT_GRID)
-    fit_sqrt = fit_series(
-        lambda e: mpow(mean(WASSERSTEIN, *pauli_pair(e)), 0.5), DEFAULT_GRID
+    """Wasserstein expansion coefficients against the tabulated displays.
+
+    Items 1, 4 and 7 of the expansion check, renamed.
+    """
+    check = check_wasserstein_expansion(tol_scale=tol_scale).items
+    names = (
+        (1, "Wasserstein c2 norm vanishes (tabulated)"),
+        (4, "sqrt-of-Wasserstein c2 = -I/16 (tabulated)"),
+        (7, "transport-factor c2 = sigma_x sigma_z / 2 (tabulated)"),
     )
-    fit_tr = fit_series_general(lambda e: _transport(e), DEFAULT_GRID)
-    sxz = sx.mat @ sz.mat
-    items = (
-        CheckItem.bound(
-            "Wasserstein c2 norm vanishes (tabulated)", _fro(fit_mean.c2.mat), tol
-        ),
-        CheckItem.bound(
-            "sqrt-of-Wasserstein c2 = -I/16 (tabulated)",
-            _maxabs(fit_sqrt.c2.mat + I2 / 16.0),
-            tol,
-        ),
-        CheckItem.bound(
-            "transport-factor c2 = sigma_x sigma_z / 2 (tabulated)",
-            _maxabs(fit_tr.c2 - sxz / 2.0),
-            tol,
-        ),
-    )
+    items = tuple(replace(check[i], name=name) for i, name in names)
     return CheckReport("criterion 3: Wasserstein expansion coefficients", items)
 
 

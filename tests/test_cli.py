@@ -68,6 +68,49 @@ def test_mean_json_payload(capsys, scalar_pair):
     assert "two Wasserstein formulas agree" in names
 
 
+# One random pair, scaled. The absolute gaps of the parent's cross-route
+# checks crossed their tolerances at scale 1e3 (dim 3) and 1e5.
+CROSS_ROUTES = {
+    "wasserstein": ["--kind", "wasserstein"],
+    "via-function": ["--kind", "kubo-ando-power", "--p", "0.5", "--via-function"],
+}
+
+
+def _scaled_pair(matrix_file, dim, scale):
+    rng = meanlab.rng_for(7, dim)
+    A, B = meanlab.random_pd(rng, dim), meanlab.random_pd(rng, dim)
+    return matrix_file("a.json", scale * A.mat), matrix_file("b.json", scale * B.mat)
+
+
+@pytest.mark.parametrize("route", sorted(CROSS_ROUTES))
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+def test_mean_cross_routes_agree_at_any_scale(capsys, matrix_file, route, dim, scale):
+    a, b = _scaled_pair(matrix_file, dim, scale)
+    code, payload = run_json(capsys, ["mean", *CROSS_ROUTES[route], "--a", a, "--b", b])
+    assert code == 0, payload["checks"]
+
+
+@pytest.mark.parametrize(
+    "route, target",
+    [("wasserstein", "wasserstein_alt"), ("via-function", "kubo_ando_from_function")],
+)
+def test_mean_cross_routes_catch_a_relative_offset(capsys, monkeypatch, matrix_file, route, target):
+    import meanlab.cli as cli
+
+    original = getattr(cli, target)
+
+    def off(*args, **kwargs):
+        M = original(*args, **kwargs)
+        return meanlab.PdMatrix.certify(HermitianMatrix(M.mat * (1.0 + 1e-9)))
+
+    monkeypatch.setattr(cli, target, off)
+    a, b = _scaled_pair(matrix_file, 2, 1e5)
+    code, payload = run_json(capsys, ["mean", *CROSS_ROUTES[route], "--a", a, "--b", b])
+    assert code == 1
+    assert [c["passed"] for c in payload["checks"]] == [False]
+
+
 def test_dbw_scalar_value(capsys, scalar_pair):
     a, b = scalar_pair
     assert main(["dbw", "--a", a, "--b", b]) == 0
@@ -166,6 +209,19 @@ def test_certificate_needs_the_geometric_kind(capsys, scalar_pair):
 
 def test_verify_needs_a_selector(capsys):
     assert main(["verify"]) == 2
+
+
+def test_verify_selectors_are_exclusive(capsys):
+    assert main(["verify", "--all", "--criterion", "4", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "not allowed with" in captured.err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "0", "-1", "-1e6", "abc"])
+def test_tol_scale_must_be_positive_and_finite(capsys, value):
+    assert main(["verify", "--criterion", "4", "--json", f"--tol-scale={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "--tol-scale" in captured.err
 
 
 def test_json_output_is_deterministic(capsys):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    CRITERIA,
     DEFAULT_GRID,
     DomainError,
     EpsFamily,
@@ -190,6 +191,41 @@ def test_wasserstein_expansion_report_pattern():
     assert not by_name["mean c2 norm (tabulated: vanishes)"].passed
     assert not by_name["sqrt c2 deviation from -I/16 (tabulated)"].passed
     assert not rep.all_pass
+
+
+@pytest.mark.parametrize("tol_scale", [1.0, 1e6])
+def test_criteria_2_and_3_are_expansion_check_items(tol_scale):
+    # Each criterion item: (source check item name, criterion name, tolerance).
+    crit2 = CRITERIA[2](tol_scale=tol_scale).items
+    for k, p in enumerate(P_VALUES):
+        source = check_power_mean_expansion(p, tol_scale=tol_scale).items
+        pinned = (
+            (source[0], "mean c1 deviation from (sigma_z + sigma_x)/2",
+             f"c1 = (sigma_z + sigma_x)/2, p = {p:g}", 1e-6),
+            (source[1], f"mean c2 deviation from ({p / 2 + 1 / (4 * p) - 0.75:+.6f}) I (tabulated)",
+             f"c2 = (p/2 + 1/(4p) - 3/4) I (tabulated), p = {p:g}", 1e-4),
+        )
+        for item, (src, src_name, name, tol) in zip(crit2[2 * k: 2 * k + 2], pinned):
+            assert src.name == src_name
+            assert (item.name, item.mode, item.tolerance) == (name, "bound", tol * tol_scale)
+            assert (item.observed, item.passed) == (src.observed, src.passed)
+    assert len(crit2) == 2 * len(P_VALUES)
+
+    source = check_wasserstein_expansion(tol_scale=tol_scale).items
+    pinned = (
+        (source[1], "mean c2 norm (tabulated: vanishes)",
+         "Wasserstein c2 norm vanishes (tabulated)"),
+        (source[4], "sqrt c2 deviation from -I/16 (tabulated)",
+         "sqrt-of-Wasserstein c2 = -I/16 (tabulated)"),
+        (source[7], "transport c2 deviation from sigma_x sigma_z / 2 (tabulated)",
+         "transport-factor c2 = sigma_x sigma_z / 2 (tabulated)"),
+    )
+    crit3 = CRITERIA[3](tol_scale=tol_scale).items
+    assert len(crit3) == len(pinned)
+    for item, (src, src_name, name) in zip(crit3, pinned):
+        assert src.name == src_name
+        assert (item.name, item.mode, item.tolerance) == (name, "bound", 1e-4 * tol_scale)
+        assert (item.observed, item.passed) == (src.observed, src.passed)
 
 
 def test_report_json_shape():

@@ -4,6 +4,8 @@ Commuting pairs reduce every mean to a scalar formula, which gives exact
 oracles; non-commuting checks lean on structural identities instead.
 """
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,18 +22,22 @@ from meanlab import (
     NotKuboAndo,
     ando_variational_certificate,
     check_kubo_ando_axioms,
+    constant_functional,
     conventional_power,
     frobenius,
     from_function,
+    gp_eval,
     identity_pd,
     kubo_ando_from_function,
     kubo_ando_power,
     mean,
     mpow,
     pauli_pair,
+    phi_of,
     random_pd,
     representing_function_of,
     rng_for,
+    trace_power_functional,
     wasserstein_alt,
 )
 
@@ -223,6 +229,22 @@ def test_power_parameter_validation():
         kubo_ando_power(1.5)
     with pytest.raises(DomainError):
         conventional_power(-2.0)
+
+
+@pytest.mark.parametrize(
+    "entry",
+    [
+        kubo_ando_power,
+        lambda p: gp_eval(p, 1.0),
+        trace_power_functional,
+        lambda p: phi_of(constant_functional(1.0), p),
+    ],
+    ids=["kubo_ando_power", "gp_eval", "trace_power_functional", "phi_of"],
+)
+def test_power_entry_points_share_one_rule(entry):
+    want = "power parameter must satisfy 1e-06 <= |p| <= 1, got 2.0"
+    with pytest.raises(DomainError, match=re.escape(want)):
+        entry(2.0)
 
 
 def test_mean_rejects_dimension_mismatch(rng):
