@@ -13,7 +13,6 @@ the point.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np

@@ -27,10 +27,8 @@ from .errors import MeanlabError
 from .expansion import (
     DEFAULT_GRID,
     EpsFamily,
-    check_power_mean_expansion,
-    check_wasserstein_expansion,
-    fit_series,
-    pauli_pair,
+    _power_mean_expansion,
+    _wasserstein_expansion,
 )
 from .geometry import (
     GEODESIC_BW,
@@ -202,12 +200,9 @@ def _cmd_expand(args) -> int:
     if args.mean == "kubo-ando":
         if args.p is None:
             raise MeanlabError("--p is required for the power family")
-        report = check_power_mean_expansion(args.p, grid, args.tol_scale)
-        kind = kubo_ando_power(args.p)
-        fit = fit_series(lambda e: mean(kind, *pauli_pair(e)), grid)
+        report, fit = _power_mean_expansion(args.p, grid, args.tol_scale)
     else:
-        report = check_wasserstein_expansion(grid, args.tol_scale)
-        fit = fit_series(lambda e: mean(WASSERSTEIN, *pauli_pair(e)), grid)
+        report, fit = _wasserstein_expansion(grid, args.tol_scale)
     result = {
         "title": report.title,
         "c0": matrix_to_json(fit.c0),

@@ -272,6 +272,11 @@ def check_power_mean_expansion(p: float, grid=DEFAULT_GRID, tol_scale: float = 1
     construction; both are reported on purpose. ``tol_scale`` multiplies
     every tolerance.
     """
+    return _power_mean_expansion(p, grid, tol_scale)[0]
+
+
+def _power_mean_expansion(p: float, grid, tol_scale: float) -> tuple[CheckReport, SeriesFit]:
+    # The check's report together with its fit of the mean family.
     p = power_parameter(p)
     c1_tol = C1_TOL * tol_scale
     c2_tol = C2_TOL * tol_scale
@@ -327,7 +332,7 @@ def check_power_mean_expansion(p: float, grid=DEFAULT_GRID, tol_scale: float = 1
             c2_tol,
         ),
     )
-    return CheckReport(f"power-mean expansion, p = {p:g}", items)
+    return CheckReport(f"power-mean expansion, p = {p:g}", items), fit_mean
 
 
 def check_wasserstein_expansion(grid=DEFAULT_GRID, tol_scale: float = 1.0) -> CheckReport:
@@ -335,6 +340,11 @@ def check_wasserstein_expansion(grid=DEFAULT_GRID, tol_scale: float = 1.0) -> Ch
 
     ``tol_scale`` multiplies every tolerance.
     """
+    return _wasserstein_expansion(grid, tol_scale)[0]
+
+
+def _wasserstein_expansion(grid, tol_scale: float) -> tuple[CheckReport, SeriesFit]:
+    # The check's report together with its fit of the mean family.
     c1_tol = C1_TOL * tol_scale
     c2_tol = C2_TOL * tol_scale
     g = _coerce_grid(grid)
@@ -405,7 +415,7 @@ def check_wasserstein_expansion(grid=DEFAULT_GRID, tol_scale: float = 1.0) -> Ch
             UNITARY_COMM_TOL * tol_scale,
         ),
     )
-    return CheckReport("Wasserstein expansions", items)
+    return CheckReport("Wasserstein expansions", items), fit_mean
 
 
 def _transport(eps: float) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Value types (:class:`HermitianMatrix`, :class:`PdMatrix`, :class:`Spectrum`)
 are frozen dataclasses wrapping complex128 arrays. The eigensolver is local
-to the package: a closed form for 2x2 matrices, and for larger sizes a cyclic
-complex Jacobi iteration that runs on Python complex scalars, rotating by
-the same closed form and exploiting Hermitian symmetry. Spectral functions,
+to the package. One 2x2 closed form, computed without cancellation, solves
+2x2 matrices outright and is the rotation of the cyclic complex Jacobi
+iteration used for larger sizes, which runs on Python complex scalars and
+exploits Hermitian symmetry. Eigenvector phases are deterministic: the first
+largest-modulus entry of each column is real and positive. Spectral functions,
 powers, congruences and the Loewner order test all route through it.
 
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 import numpy as np
 
@@ -178,81 +180,49 @@ class Spectrum:
     eigenvalues: np.ndarray
     vectors: np.ndarray
 
-    def reconstruct(self) -> np.ndarray:
-        return _apply_spectral(self.eigenvalues, self.vectors)
-
 
 def identity_pd(dim: int) -> PdMatrix:
     """The identity, pre-certified."""
     return PdMatrix(HermitianMatrix._wrap(np.eye(dim, dtype=np.complex128)), 1.0)
 
 
-def _canonical_phases(V: np.ndarray) -> np.ndarray:
-    # Deterministic eigenvector phases: the largest-modulus entry of each
-    # column is made real and positive.
-    for j in range(V.shape[1]):
-        col = V[:, j]
-        k = int(np.argmax(np.abs(col)))
-        piv = col[k]
-        mag = abs(piv)
-        if mag > 0.0:
-            V[:, j] = col * (piv.conjugate() / mag)
-    return V
-
-
 def _eig2_closed(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Closed form for the 2x2 Hermitian case. With m the mean of the diagonal
-    # and r = hypot((a-d)/2, |b|), the eigenvalues are m -+ r. The eigenvector
-    # for the upper eigenvalue is (b, lam2 - a); lam2 - a >= 0 always, so the
-    # pair (b, lam2 - a) only degenerates when b = 0, which is handled apart.
-    a = arr[0, 0].real
-    d = arr[1, 1].real
-    b = arr[0, 1]
-    babs = abs(b)
-    if babs == 0.0:
+    # The 2x2 case: _rotation as arrays, with b = 0 (no rotation) apart.
+    (a, b), (_, d) = arr.tolist()
+    a, d = a.real, d.real
+    if b == 0.0:
         V = np.eye(2, dtype=np.complex128)
         if a <= d:
             return np.array([a, d]), V
         return np.array([d, a]), V[:, ::-1].copy()
-    half_gap = (a - d) / 2.0
-    m = (a + d) / 2.0
-    r = math.hypot(half_gap, babs)
-    lam = np.array([m - r, m + r])
-    t = lam[1] - a
-    nrm = math.hypot(babs, t)
-    V = np.empty((2, 2), dtype=np.complex128)
-    V[0, 0] = -t / nrm
-    V[1, 0] = b.conjugate() / nrm
-    V[0, 1] = b / nrm
-    V[1, 1] = t / nrm
-    return lam, _canonical_phases(V)
+    lo, hi, w00, w10, w01, w11 = _rotation(a, d, b)
+    return np.array([lo, hi]), np.array([[w00, w01], [w10, w11]], dtype=np.complex128)
 
 
 def _rotation(a: float, d: float, b: complex):
-    # The closed form of _eig2_closed in scalars, for b != 0: eigenvalues
-    # m -+ r, and eigenvector columns (-t, conj b) and (b, t) over their norm,
-    # with t = lam2 - a. Each column is phased as in _canonical_phases: its
-    # first largest-modulus entry becomes real and positive.
+    # The 2x2 Hermitian closed form [[a, b], [conj b, d]] for b != 0. With
+    # h = (a - d)/2 and r = hypot(h, |b|) the eigenvalues are m -+ r about the
+    # diagonal mean m, with eigenvector columns (-t, conj b) and (b, t) over
+    # their norm, where t = lam2 - a = r - h >= 0. For h > 0 that difference
+    # cancels, so t is taken in the equal form |b|^2 / (r + h), with |b|
+    # factored so that |b|^2 cannot underflow (Golub & Van Loan, 4th ed.,
+    # 8.5.2). Each column is phased by the rule _eig_jacobi states; equal
+    # diagonals give t = |b| exactly, so the tie goes to the first entry.
     babs = abs(b)
+    h = (a - d) / 2.0
     m = (a + d) / 2.0
-    r = math.hypot((a - d) / 2.0, babs)
-    hi = m + r
-    t = hi - a
+    r = math.hypot(h, babs)
+    t = babs * (babs / (r + h)) if h > 0.0 else r - h
     nrm = math.hypot(babs, t)
-    tabs = abs(t)
-    if tabs >= babs:
-        w00 = tabs / nrm
-        w10 = (-b.conjugate() if t > 0.0 else b.conjugate()) / nrm
+    if t >= babs:
+        w00, w10 = t / nrm, -b.conjugate() / nrm
     else:
-        w00 = -t * (b / babs) / nrm
-        w10 = babs / nrm
-    if babs >= tabs:
-        w01 = babs / nrm
-        w11 = t * (b.conjugate() / babs) / nrm
+        w00, w10 = -t * (b / babs) / nrm, babs / nrm
+    if babs >= t:
+        w01, w11 = babs / nrm, t * (b.conjugate() / babs) / nrm
     else:
-        w01 = (b if t > 0.0 else -b) / nrm
-        w11 = tabs / nrm
-    return m - r, hi, w00, w10, w01, w11
+        w01, w11 = b / nrm, t / nrm
+    return m - r, m + r, w00, w10, w01, w11
 
 
 def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -311,8 +281,8 @@ def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise ConvergenceFailure(
             f"Jacobi did not reach the off-diagonal threshold in {JACOBI_MAX_SWEEPS} sweeps"
         )
-    # Stable ascending sort, then the rule of _canonical_phases once per
-    # column, on the scalars.
+    # Stable ascending sort, then the phase rule once per column: the first
+    # largest-modulus entry is made real and positive.
     order = sorted(range(n), key=lambda i: A[i][i])
     cols = []
     for j in order:

@@ -100,6 +100,8 @@ def test_eig_phase_is_deterministic(rng):
 
 
 JACOBI_DIMS = [3, 4, 8]
+# The edge cases that apply to the 2x2 closed form as well.
+EIG_DIMS = [2] + JACOBI_DIMS
 JACOBI_TOL = 1e-13
 
 
@@ -112,7 +114,10 @@ def _with_spectrum(rng, spectrum) -> np.ndarray:
 def _assert_solves(arr, eigh_oracle):
     # Against LAPACK, relative to the spectral radius so that extreme scales
     # are judged alike: eigenvalues ascending and matching, an orthonormal
-    # basis that rebuilds arr, and the phase rule on every column.
+    # basis that rebuilds arr, and the phase rule on every column. Moduli
+    # within rounding of the largest count as tied, and the first of them is
+    # the pivot: equal diagonals at n = 2 tie exactly, and the phased
+    # entries then differ by an ulp either way.
     w, V = matcore._eig_array(arr)
     ref = eigh_oracle(arr)[0]
     scale = np.max(np.abs(ref))
@@ -122,24 +127,42 @@ def _assert_solves(arr, eigh_oracle):
     assert np.linalg.norm(((V * w) @ V.conj().T - arr) / scale) <= JACOBI_TOL
     assert np.linalg.norm(V.conj().T @ V - np.eye(n)) <= JACOBI_TOL
     for j in range(n):
-        piv = V[np.argmax(np.abs(V[:, j])), j]
+        mod = np.abs(V[:, j])
+        piv = V[np.flatnonzero(mod >= mod.max() * (1.0 - 4e-16))[0], j]
         assert piv.real > 0.0 and abs(piv.imag) <= 1e-15 * piv.real
 
 
-def test_jacobi_rotation_is_the_2x2_closed_form(rng):
-    # Same eigenvalues bit for bit, same phased columns to rounding. Equal
-    # diagonals are left out: there |b| = lam2 - a, and which entry rounding
-    # makes the larger modulus decides the phase.
-    for _ in range(2000):
+def test_closed_form_2x2_matches_lapack(rng, eigh_oracle):
+    # |b| log-uniform from 1e-12 |a| up, where lam2 - a cancels unless it is
+    # taken in its stable form; every fourth draw has equal diagonals, where
+    # the phase tie-break decides.
+    for i in range(2000):
         a, d = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
-        b = complex(*rng.standard_normal(2)) * 10.0 ** rng.uniform(-6, 2)
-        lam, W = matcore._eig2_closed(np.array([[a, b], [b.conjugate(), d]]))
-        lo, hi, w00, w10, w01, w11 = matcore._rotation(float(a), float(d), b)
-        assert (lo, hi) == (lam[0], lam[1])
-        assert np.max(np.abs(np.array([[w00, w01], [w10, w11]]) - W)) <= 4e-16
+        if i % 4 == 0:
+            d = a
+        b = complex(*rng.standard_normal(2))
+        b *= abs(a) * 10.0 ** rng.uniform(-12, 2) / abs(b)
+        _assert_solves(np.array([[a, b], [b.conjugate(), d]]), eigh_oracle)
 
 
-@pytest.mark.parametrize("dim", JACOBI_DIMS)
+@pytest.mark.parametrize(
+    "arr",
+    [
+        [[1.0, 1e-8], [1e-8, 0.0]],
+        [[1.0, 0.0, 1e-8], [0.0, 0.5, 0.0], [1e-8, 0.0, 0.0]],
+        [[1.0, 1e-8, 0.0], [1e-8, 0.5, 0.0], [0.0, 0.0, 0.0]],
+    ],
+    ids=["2x2", "3x3-02", "3x3-01"],
+)
+def test_small_coupling_keeps_the_residual_at_rounding(arr):
+    # |b| far below |a - d|: the rotation must not degenerate to a swap
+    # that drops b.
+    arr = np.array(arr, dtype=complex)
+    w, V = matcore._eig_array(arr)
+    assert np.linalg.norm((V * w) @ V.conj().T - arr) <= 1e-15
+
+
+@pytest.mark.parametrize("dim", EIG_DIMS)
 def test_jacobi_leaves_a_diagonal_alone(dim, rng, monkeypatch):
     def no_rotation(*args):
         raise AssertionError("a diagonal input needs no rotation")
@@ -152,25 +175,25 @@ def test_jacobi_leaves_a_diagonal_alone(dim, rng, monkeypatch):
     assert np.array_equal(V, np.eye(dim)[:, order])
 
 
-@pytest.mark.parametrize("dim", JACOBI_DIMS)
+@pytest.mark.parametrize("dim", EIG_DIMS)
 def test_jacobi_zero_matrix(dim):
     w, V = matcore._eig_array(np.zeros((dim, dim), dtype=complex))
     assert np.array_equal(w, np.zeros(dim))
     assert np.array_equal(V, np.eye(dim))
 
 
-@pytest.mark.parametrize("dim", JACOBI_DIMS)
+@pytest.mark.parametrize("dim", EIG_DIMS)
 def test_jacobi_exactly_repeated_eigenvalues(dim, rng, eigh_oracle):
     _assert_solves(_with_spectrum(rng, [1.0, 1.0] + [5.0] * (dim - 2)), eigh_oracle)
 
 
-@pytest.mark.parametrize("dim", JACOBI_DIMS)
+@pytest.mark.parametrize("dim", EIG_DIMS)
 def test_jacobi_tight_cluster(dim, rng, eigh_oracle):
     spectrum = [1.0, 1.0 + 1e-12] + [float(k) for k in range(2, dim)]
     _assert_solves(_with_spectrum(rng, spectrum), eigh_oracle)
 
 
-@pytest.mark.parametrize("dim", JACOBI_DIMS)
+@pytest.mark.parametrize("dim", EIG_DIMS)
 @pytest.mark.parametrize("scale", [1e-200, 1e-100, 1e100, 1e200])
 def test_jacobi_extreme_scales(dim, scale, rng, eigh_oracle):
     # At 1e+-200 the squared Frobenius norm leaves the float64 range; the
@@ -178,7 +201,7 @@ def test_jacobi_extreme_scales(dim, scale, rng, eigh_oracle):
     _assert_solves(random_pd(rng, dim).mat * scale, eigh_oracle)
 
 
-@pytest.mark.parametrize("dim", JACOBI_DIMS)
+@pytest.mark.parametrize("dim", EIG_DIMS)
 def test_jacobi_random_input_meets_the_phase_rule(dim, rng, eigh_oracle):
     for _ in range(5):
         _assert_solves(random_hermitian(rng, dim).mat, eigh_oracle)
