@@ -28,7 +28,8 @@ from .means import (
     kubo_ando_power,
     mean,
 )
-from .sampling import random_pd, rng_for
+from .report import worst
+from .sampling import draws, random_pd
 
 # Separates true identities (observed <= 1e-11) from generic failure
 # (observed >= 1e-3) by orders of magnitude.
@@ -133,9 +134,9 @@ def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) 
     _validate_probe_kind(kind)
     if samples < 1:
         raise DomainError("at least one sample is required")
+    partners = draws(lambda rng: random_pd(rng, A.dim), seed, count=samples)
     pairs = tuple(
-        commutator_report(kind, A, random_pd(rng_for(seed, i), A.dim), pair_id=f"sample-{i}")
-        for i in range(samples)
+        commutator_report(kind, A, B, pair_id=f"sample-{i}") for i, B in enumerate(partners)
     )
     failures = sum(r.verdict != "commutes" for r in pairs)
     return ProbeReport(
@@ -143,7 +144,7 @@ def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) 
         samples=samples,
         seed=seed,
         failures=failures,
-        worst_gap=max(r.commutator_norm for r in pairs),
+        worst_gap=worst(r.commutator_norm for r in pairs),
         central=failures == 0,
         pairs=pairs,
     )

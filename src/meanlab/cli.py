@@ -65,8 +65,8 @@ from .preserver import (
     solve_coefficients,
     trace_power_functional,
 )
-from .report import CheckItem
-from .sampling import random_pd, rng_for
+from .report import CheckItem, worst
+from .sampling import draws, pd_pair
 from .verification import CRITERIA, run_all
 
 SCHEMA = "meanlab-report/1"
@@ -89,7 +89,7 @@ def _parse_grid(text: str) -> EpsFamily:
 def _load_pd(path: str) -> PdMatrix:
     with open(path, encoding="utf-8") as fh:
         obj = json.load(fh)
-    return PdMatrix.certify(HermitianMatrix(matrix_from_json(obj)))
+    return PdMatrix.certify(matrix_from_json(obj))
 
 
 def _kind_from(name: str, p) -> MeanKind:
@@ -184,7 +184,7 @@ def _cmd_mean(args) -> int:
     if args.certificate:
         if kind.tag != "geometric":
             raise MeanlabError("--certificate applies to the geometric mean only")
-        ok = ando_variational_certificate(A, B, M.matrix)
+        ok = ando_variational_certificate(A, B, M)
         checks.append(
             CheckItem.bound("variational certificate accepts the mean", 0.0 if ok else 1.0, 0.0)
         )
@@ -233,18 +233,13 @@ def _cmd_preserver(args) -> int:
     if args.functional == "constant":
         f = constant_functional(1.7)
     elif args.functional == "linear":
-        dim = 2
-        f = linear_functional(HermitianMatrix(np.eye(dim) / dim))
+        f = linear_functional(HermitianMatrix(np.eye(2) / 2))
     else:
         f = trace_power_functional(p)
     kind = WASSERSTEIN if args.mean == "wasserstein" else kubo_ando_power(p)
-    worst = 0.0
-    A = B = None
-    for i in range(args.pairs):
-        rng = rng_for(args.seed, i)
-        A = random_pd(rng, 2)
-        B = random_pd(rng, 2)
-        worst = max(worst, preserver_residual(f, kind, A, B))
+    pairs = draws(pd_pair, args.seed, count=args.pairs)
+    residual = worst(preserver_residual(f, kind, A, B) for A, B in pairs)
+    A = pairs[-1][0]
     phi = phi_of(f, p)
     roundtrip = abs(f(A) - phi(mpow(A, p)))
     checks = (
@@ -256,7 +251,7 @@ def _cmd_preserver(args) -> int:
         "functional": f.label,
         "mean": kind.label,
         "pairs": args.pairs,
-        "worst_residual": worst,
+        "worst_residual": residual,
     }
     params = {"functional": args.functional, "mean": args.mean, "p": p, "pairs": args.pairs}
     return _emit(args, "preserver", params, checks, result)

@@ -16,7 +16,8 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError, NegativeRadicand
 from .matcore import HermitianMatrix, PdMatrix, _pow_arr, mpow
-from .means import GEOMETRIC, mean
+from .means import _geometric_arr
+from .report import worst
 
 # Radicand dips below zero by at most this before it signals a bug.
 RADICAND_FLOOR = 1e-10
@@ -61,9 +62,9 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
 
     The Bures-Wasserstein curve is
     (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B, and Q is
-    computed through the geometric-mean routine so that a single validated
-    code path produces it; check_geodesic_metric computes it once for all
-    its points.
+    computed by the geometric mean's own array routine, uncertified: only
+    the curve points are certified. check_geodesic_metric computes Q once
+    for all its points.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
@@ -73,20 +74,18 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     if kind.tag == TAG_TRACE:
         Ah, Aih = _pow_arr(A.mat, 0.5, -0.5)
         N = Aih @ B.mat @ Aih
-        return PdMatrix.certify(HermitianMatrix(Ah @ _pow_arr(N, t) @ Ah))
+        return PdMatrix.certify(Ah @ _pow_arr(N, t) @ Ah)
     return _bw_points(A, B, [t])[0]
 
 
 def _bw_points(A: PdMatrix, B: PdMatrix, ts) -> list[PdMatrix]:
     # Certified points of the Bures-Wasserstein curve at each t, from one Q.
-    Q = mean(GEOMETRIC, mpow(A, -1.0), B).mat
+    Q = HermitianMatrix._wrap(_geometric_arr(mpow(A, -1.0).mat, B.mat)).mat
     return [
         PdMatrix.certify(
-            HermitianMatrix(
-                (1.0 - t) ** 2 * A.mat
-                + t**2 * B.mat
-                + t * (1.0 - t) * (A.mat @ Q + Q @ A.mat)
-            )
+            (1.0 - t) ** 2 * A.mat
+            + t**2 * B.mat
+            + t * (1.0 - t) * (A.mat @ Q + Q @ A.mat)
         )
         for t in ts
     ]
@@ -106,7 +105,7 @@ def check_geodesic_metric(A: PdMatrix, B: PdMatrix, partition) -> float:
         raise DomainError("partition must start at 0 and end at 1")
     total = d_bw(A, B)
     points = _bw_points(A, B, ts)
-    worst = 0.0
-    for (s, P), (t, Qp) in zip(zip(ts, points), zip(ts[1:], points[1:])):
-        worst = max(worst, abs(d_bw(P, Qp) - (t - s) * total))
-    return worst
+    return worst(
+        abs(d_bw(P, Qp) - (t - s) * total)
+        for (s, P), (t, Qp) in zip(zip(ts, points), zip(ts[1:], points[1:]))
+    )

@@ -1,11 +1,12 @@
 """Hermitian and positive definite matrix core.
 
 Value types (:class:`HermitianMatrix`, :class:`PdMatrix`, :class:`Spectrum`)
-are frozen dataclasses wrapping complex128 arrays. The eigensolver is local
-to the package. One 2x2 closed form, computed without cancellation, solves
-2x2 matrices outright and is the rotation of the cyclic complex Jacobi
-iteration used for larger sizes, which runs on Python complex scalars and
-exploits Hermitian symmetry. Eigenvector phases are deterministic: the first
+are frozen dataclasses wrapping complex128 arrays; a PdMatrix is a
+HermitianMatrix carrying its certificate (it has no ``.matrix`` field). The
+eigensolver is local to the package. One 2x2 closed form, computed without
+cancellation, solves 2x2 matrices outright and is the rotation of the cyclic
+complex Jacobi iteration used for larger sizes, which runs on Python complex
+scalars and exploits Hermitian symmetry. Eigenvector phases are deterministic: the first
 largest-modulus entry of each column is real and positive. Spectral functions,
 powers, congruences and the Loewner order test all route through it.
 
@@ -64,9 +65,7 @@ def frobenius(entries) -> float:
 
 
 def as_array(X) -> np.ndarray:
-    """Unwrap a HermitianMatrix or PdMatrix to its ndarray, pass arrays through."""
-    if isinstance(X, PdMatrix):
-        return X.matrix.mat
+    """Unwrap a HermitianMatrix (a PdMatrix included) to its ndarray, pass arrays through."""
     if isinstance(X, HermitianMatrix):
         return X.mat
     return np.asarray(X, dtype=np.complex128)
@@ -130,22 +129,24 @@ def pd_tolerance(entries) -> float:
 
 
 @dataclass(frozen=True)
-class PdMatrix:
-    """A Hermitian matrix certified positive definite.
+class PdMatrix(HermitianMatrix):
+    """A HermitianMatrix carrying its certificate ``min_eigenvalue``; there is no ``.matrix``.
 
-    ``min_eigenvalue`` is the certificate; construction re-checks it against
-    the scaled tolerance, so a PdMatrix in hand is always safely invertible.
-    Use :meth:`certify` to go from a plain matrix to a certified one.
+    A HermitianMatrix passed as ``mat`` is taken as validated, other input is
+    validated as HermitianMatrix does. Construction re-checks the certificate
+    against the scaled tolerance, so a PdMatrix in hand is always safely
+    invertible; :meth:`certify` goes from a plain matrix to a certified one.
     """
 
-    matrix: HermitianMatrix
     min_eigenvalue: float
 
     def __post_init__(self) -> None:
-        if not isinstance(self.matrix, HermitianMatrix):
-            object.__setattr__(self, "matrix", HermitianMatrix(self.matrix))
+        if isinstance(self.mat, HermitianMatrix):
+            object.__setattr__(self, "mat", self.mat.mat)
+        else:
+            super().__post_init__()
         lam = float(self.min_eigenvalue)
-        if not math.isfinite(lam) or lam <= pd_tolerance(self.matrix):
+        if not math.isfinite(lam) or lam <= pd_tolerance(self.mat):
             raise PositivityError(
                 f"minimum eigenvalue {lam:.3e} does not clear the positivity tolerance"
             )
@@ -153,24 +154,10 @@ class PdMatrix:
 
     @classmethod
     def certify(cls, matrix) -> "PdMatrix":
-        """Diagonalize and certify, raising PositivityError when not PD."""
+        """Validate, diagonalize and certify, raising PositivityError when not PD."""
         H = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
         w, _ = _eig_array(H.mat)
         return cls(H, float(w[0]))
-
-    @property
-    def mat(self) -> np.ndarray:
-        return self.matrix.mat
-
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
-    def trace(self) -> float:
-        return self.matrix.trace()
-
-    def norm(self) -> float:
-        return self.matrix.norm()
 
 
 @dataclass(frozen=True)
@@ -307,7 +294,7 @@ def eig(X) -> Spectrum:
 
     Parameters
     ----------
-    X : HermitianMatrix, PdMatrix or array_like
+    X : HermitianMatrix (a PdMatrix included) or array_like
         Raw arrays are validated (and symmetrized) first.
 
     Returns
@@ -316,12 +303,7 @@ def eig(X) -> Spectrum:
         Eigenvalues ascending; ``vectors`` columns orthonormal with
         deterministic phases.
     """
-    if isinstance(X, PdMatrix):
-        arr = X.matrix.mat
-    elif isinstance(X, HermitianMatrix):
-        arr = X.mat
-    else:
-        arr = HermitianMatrix(X).mat
+    arr = X.mat if isinstance(X, HermitianMatrix) else HermitianMatrix(X).mat
     w, V = _eig_array(arr)
     return Spectrum(w, V)
 
@@ -429,10 +411,8 @@ def loewner_leq(A, B, tol: float | None = None) -> bool:
     return float(w[0]) >= -tol
 
 
-def pauli_basis(dim: int = 2) -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:
+def pauli_basis() -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:
     """The pair sigma_z, sigma_x and the symmetric unitary (sigma_z + sigma_x)/sqrt(2)."""
-    if dim != 2:
-        raise DimMismatch("the Pauli basis is two dimensional")
     sz = HermitianMatrix._wrap(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128))
     sx = HermitianMatrix._wrap(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128))
     u = HermitianMatrix._wrap((sz.mat + sx.mat) / math.sqrt(2.0))

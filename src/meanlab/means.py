@@ -36,6 +36,7 @@ from .matcore import (
     as_array,
     identity_pd,
 )
+from .report import worst
 from .sampling import (
     random_invertible_hermitian,
     random_pd,
@@ -330,7 +331,7 @@ def _order_violation(M1: PdMatrix, M2: PdMatrix) -> float:
     # How far M1 <= M2 fails, as the most negative eigenvalue of M2 - M1.
     D = M2.mat - M1.mat
     w, _ = _eig_array((D + D.conj().T) / 2.0)
-    return max(0.0, -float(w[0]))
+    return worst((-float(w[0]),))
 
 
 def check_kubo_ando_axioms(
@@ -349,20 +350,21 @@ def check_kubo_ando_axioms(
     as Loewner-monotone decrease plus norm convergence consistent with a 1/k
     envelope.
 
-    Each axiom failure counts once per sample; worst violations are recorded
-    in absolute Frobenius or eigenvalue units. Normalization does not depend
-    on the draw, so it is evaluated once and counted against every sample.
-    DomainError when ``samples`` < 1: a verdict needs at least one draw.
+    Each axiom failure, a NaN violation included, counts once per sample;
+    worst violations (NaN if any was) are in absolute Frobenius or eigenvalue
+    units. Normalization does not depend on the draw, so it is evaluated once
+    and counted against every sample. DomainError when ``samples`` < 1: a
+    verdict needs at least one draw.
     """
     samples = int(samples)
     if samples < 1:
         raise DomainError("at least one sample is required")
     counts = {name: 0 for name in ("normalization", "monotonicity", "transformer", "continuity")}
-    worsts = {name: 0.0 for name in counts}
+    violations = {name: [] for name in counts}
     I_pd = identity_pd(dim)
     v = float(np.linalg.norm(mean(kind, I_pd, I_pd).mat - np.eye(dim)))
-    worsts["normalization"] = max(0.0, v)
-    if v > AXIOM_NORMALIZATION_TOL:
+    violations["normalization"].append(v)
+    if not v <= AXIOM_NORMALIZATION_TOL:
         counts["normalization"] = samples
     ks = (1, 2, 4, 8, 16, 32)
     for i in range(samples):
@@ -377,19 +379,19 @@ def check_kubo_ando_axioms(
         lo = mean(kind, A, C)
         hi = mean(kind, B, D)
         v = _order_violation(lo, hi)
-        worsts["monotonicity"] = max(worsts["monotonicity"], v)
-        if v > AXIOM_ORDER_TOL * max(1.0, hi.norm()):
+        violations["monotonicity"].append(v)
+        if not v <= AXIOM_ORDER_TOL * max(1.0, hi.norm()):
             counts["monotonicity"] += 1
 
         if i % 2 == 0:
             T = random_invertible_hermitian(rng, dim).mat
         else:
             T = random_pd(rng, dim).mat
-        lhs, TA, TC = _congruences(T, lo.matrix, A.matrix, C.matrix)
+        lhs, TA, TC = _congruences(T, lo, A, C)
         rhs = mean(kind, PdMatrix.certify(TA), PdMatrix.certify(TC))
         v = _rel_gap(lhs.mat, rhs.mat)
-        worsts["transformer"] = max(worsts["transformer"], v)
-        if v > AXIOM_EQ_TOL:
+        violations["transformer"].append(v)
+        if not v <= AXIOM_EQ_TOL:
             counts["transformer"] += 1
 
         shifts = [
@@ -401,22 +403,19 @@ def check_kubo_ando_axioms(
             for k in ks
         ]
         limit = lo
-        mono_bad = 0.0
-        for j in range(len(ks) - 1):
-            mono_bad = max(mono_bad, _order_violation(shifts[j + 1], shifts[j]))
+        mono_bad = worst(_order_violation(S1, S0) for S0, S1 in zip(shifts, shifts[1:]))
         dists = [float(np.linalg.norm(S.mat - limit.mat)) for S in shifts]
         envelope = 10.0 * max(1.0, limit.norm()) / ks[-1]
         converged = (
             dists[-1] <= envelope
             and dists[-1] <= dists[0] / 4.0 + AXIOM_EQ_TOL
         )
-        v = max(mono_bad, 0.0 if converged else dists[-1])
-        worsts["continuity"] = max(worsts["continuity"], v)
-        if mono_bad > AXIOM_ORDER_TOL * max(1.0, shifts[0].norm()) or not converged:
+        violations["continuity"].append(worst((mono_bad, 0.0 if converged else dists[-1])))
+        if not mono_bad <= AXIOM_ORDER_TOL * max(1.0, shifts[0].norm()) or not converged:
             counts["continuity"] += 1
 
     checks = tuple(
-        AxiomCheck(name, samples, counts[name], worsts[name]) for name in counts
+        AxiomCheck(name, samples, counts[name], worst(violations[name])) for name in counts
     )
     return AxiomReport(kind.label, dim, int(rng_seed), checks)
 

@@ -29,7 +29,7 @@ from .means import (
     mean,
     power_parameter,
 )
-from .report import CheckItem, CheckReport
+from .report import CheckItem, CheckReport, worst
 
 # Entrywise tolerance when matching a derived direction to a stored one.
 DIRECTION_MATCH_TOL = 1e-9
@@ -360,7 +360,7 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
             (U, 0.8 / math.sqrt(2.0)),
         ),
     )
-    cross = 0.0
+    gaps = []
     for (L, Ap, Bp), tl, sl, ta, sa, tb, sb in zip(mats, t_L, s_L, t_A, s_A, t_B, s_B):
         via_masa = masa_eval(probe, L) - (masa_eval(probe, Ap) + masa_eval(probe, Bp)) / 2.0
         direct = (
@@ -368,7 +368,7 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
             + probe.coefficient_for(U) * sl
             - (probe.coefficient_for(sz) * sa + probe.coefficient_for(sx) * sb) / 2.0
         )
-        cross = max(cross, abs(via_masa - direct))
+        gaps.append(abs(via_masa - direct))
 
     return CoefficientSolveReport(
         kind_label=kind.label,
@@ -385,5 +385,5 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
         c_i_projection=proj,
         c_i_forced=proj <= C_I_FORCE_TOL,
         fit_residual=fit_residual,
-        masa_crosscheck=cross,
+        masa_crosscheck=worst(gaps),
     )

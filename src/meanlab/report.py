@@ -6,6 +6,17 @@ import math
 from dataclasses import dataclass
 
 
+def worst(values) -> float:
+    """max(0.0, *values), keeping the first of ties, but NaN when any value is NaN."""
+    out = 0.0
+    for v in values:
+        if math.isnan(v):
+            return math.nan
+        if v > out:
+            out = v
+    return out
+
+
 @dataclass(frozen=True)
 class CheckItem:
     """One named comparison with its tolerance and verdict.

@@ -25,11 +25,21 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
     return HermitianMatrix._wrap((M + M.conj().T) / 2.0)
 
 
-def random_pd(rng: np.random.Generator, dim: int, floor: float = PD_FLOOR) -> PdMatrix:
-    """Draw M*M + floor*I, certified."""
+def draws(make, seed, *stream, count: int) -> list:
+    """make(rng_for(seed, *stream, i)) for each i < count, each draw on its own generator."""
+    return [make(rng_for(seed, *stream, i)) for i in range(count)]
+
+
+def random_pd(rng: np.random.Generator, dim: int) -> PdMatrix:
+    """Draw M*M + PD_FLOOR*I, certified."""
     M = random_complex(rng, dim)
-    G = M.conj().T @ M + floor * np.eye(dim)
+    G = M.conj().T @ M + PD_FLOOR * np.eye(dim)
     return PdMatrix.certify(HermitianMatrix._wrap(G))
+
+
+def pd_pair(rng: np.random.Generator) -> tuple[PdMatrix, PdMatrix]:
+    """Two 2x2 random_pd draws from one generator."""
+    return random_pd(rng, 2), random_pd(rng, 2)
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

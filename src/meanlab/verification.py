@@ -51,8 +51,8 @@ from .preserver import (
     solve_coefficients,
     trace_power_functional,
 )
-from .report import CheckItem, CheckReport
-from .sampling import random_pd, random_unitary, rng_for
+from .report import CheckItem, CheckReport, worst
+from .sampling import draws, pd_pair, random_complex, random_pd, random_unitary
 
 P_VALUES = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
 
@@ -73,13 +73,11 @@ def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     _, _, U = pauli_basis()
     items = []
     for p in P_VALUES:
-        worst = max(check_unitary_invariance(p, e) for e in (0.1, 0.3, 0.5))
-        items.append(CheckItem.bound(f"[U, A m_p B] vanishes, p = {p:g}", worst, tol))
-    worst_w = 0.0
-    for e in (0.1, 0.4):
-        M = mean(WASSERSTEIN, *pauli_pair(e)).mat
-        worst_w = max(worst_w, _fro(U.mat @ M - M @ U.mat))
-    items.append(CheckItem.bound("[U, Wasserstein mean] vanishes", worst_w, tol))
+        gap = worst(check_unitary_invariance(p, e) for e in (0.1, 0.3, 0.5))
+        items.append(CheckItem.bound(f"[U, A m_p B] vanishes, p = {p:g}", gap, tol))
+    means_w = [mean(WASSERSTEIN, *pauli_pair(e)).mat for e in (0.1, 0.4)]
+    gap = worst(_fro(U.mat @ M - M @ U.mat) for M in means_w)
+    items.append(CheckItem.bound("[U, Wasserstein mean] vanishes", gap, tol))
     return CheckReport("criterion 1: unitary commutation of perturbed means", tuple(items))
 
 
@@ -181,6 +179,14 @@ def criterion_5(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     return CheckReport("criterion 5: forced constancy of the affine model", tuple(items))
 
 
+def _linear_case(rng):
+    # A trace-normalized PSD weight W for f = tr(W .), then its pair.
+    G = random_complex(rng, 2)
+    W = G.conj().T @ G
+    W = W / float(np.trace(W).real)
+    return linear_functional(HermitianMatrix(W)), pd_pair(rng)
+
+
 def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     """Residual separation: constants preserve, a genuine functional does not."""
     const_tol = 1e-13 * tol_scale
@@ -193,17 +199,11 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         ("m_-0.5", kubo_ando_power(-0.5)),
         ("Wasserstein", WASSERSTEIN),
     )
+    pairs = draws(pd_pair, seed, 60, count=100)
     items = []
     for name, kind in kinds:
-        worst = 0.0
-        for i in range(100):
-            rng = rng_for(seed, 60, i)
-            A = random_pd(rng, 2)
-            B = random_pd(rng, 2)
-            worst = max(worst, preserver_residual(f_const, kind, A, B))
-        items.append(
-            CheckItem.bound(f"constants preserve {name} (100 pairs)", worst, const_tol)
-        )
+        residual = worst(preserver_residual(f_const, kind, A, B) for A, B in pairs)
+        items.append(CheckItem.bound(f"constants preserve {name} (100 pairs)", residual, const_tol))
 
     f_tp = trace_power_functional(0.5)
     A5, B5 = pauli_pair(0.5)
@@ -215,18 +215,12 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         )
     )
 
-    worst = 0.0
-    for i in range(100):
-        rng = rng_for(seed, 61, i)
-        G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        W = G.conj().T @ G
-        W = W / float(np.trace(W).real)
-        f_lin = linear_functional(HermitianMatrix(W))
-        A = random_pd(rng, 2)
-        B = random_pd(rng, 2)
-        worst = max(worst, preserver_residual(f_lin, ARITHMETIC, A, B))
+    residual = worst(
+        preserver_residual(f_lin, ARITHMETIC, A, B)
+        for f_lin, (A, B) in draws(_linear_case, seed, 61, count=100)
+    )
     items.append(
-        CheckItem.bound("positive linear functionals preserve the arithmetic mean", worst, linear_tol)
+        CheckItem.bound("positive linear functionals preserve the arithmetic mean", residual, linear_tol)
     )
     return CheckReport("criterion 6: preserver residual separation", tuple(items))
 
@@ -250,12 +244,12 @@ def criterion_7(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     return CheckReport("criterion 7: Kubo-Ando axiom battery", tuple(items))
 
 
-def _commuting_pair(rng, dim: int = 2, spread=(0.5, 3.0)):
-    V = random_unitary(rng, dim)
-    d1 = rng.uniform(*spread, size=dim)
-    d2 = rng.uniform(*spread, size=dim)
-    A = PdMatrix.certify(HermitianMatrix(V @ np.diag(d1) @ V.conj().T))
-    B = PdMatrix.certify(HermitianMatrix(V @ np.diag(d2) @ V.conj().T))
+def _commuting_pair(rng):
+    V = random_unitary(rng, 2)
+    d1 = rng.uniform(0.5, 3.0, size=2)
+    d2 = rng.uniform(0.5, 3.0, size=2)
+    A = PdMatrix.certify(V @ np.diag(d1) @ V.conj().T)
+    B = PdMatrix.certify(V @ np.diag(d2) @ V.conj().T)
     return A, B
 
 
@@ -263,33 +257,37 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     """Commuting-case coincidences and the two Wasserstein formulas."""
     tol_c = 1e-10 * tol_scale
     tol_w = 1e-11 * tol_scale
+    pairs = draws(_commuting_pair, seed, 80, count=100)
     items = []
     for p in (0.5, -0.5):
         ka = kubo_ando_power(p)
         cp = conventional_power(p)
-        worst = 0.0
-        for i in range(100):
-            A, B = _commuting_pair(rng_for(seed, 80, i))
-            worst = max(worst, _fro(mean(ka, A, B).mat - mean(cp, A, B).mat))
+        gap = worst(_fro(mean(ka, A, B).mat - mean(cp, A, B).mat) for A, B in pairs)
         items.append(
-            CheckItem.bound(f"m_p vs conventional power on commuting pairs, p = {p:g}", worst, tol_c)
+            CheckItem.bound(f"m_p vs conventional power on commuting pairs, p = {p:g}", gap, tol_c)
         )
     cp_half = conventional_power(0.5)
-    worst = 0.0
-    for i in range(100):
-        A, B = _commuting_pair(rng_for(seed, 81, i))
-        worst = max(worst, _fro(mean(WASSERSTEIN, A, B).mat - mean(cp_half, A, B).mat))
-    items.append(
-        CheckItem.bound("Wasserstein vs conventional power 1/2 on commuting pairs", worst, tol_c)
+    gap = worst(
+        _fro(mean(WASSERSTEIN, A, B).mat - mean(cp_half, A, B).mat)
+        for A, B in draws(_commuting_pair, seed, 81, count=100)
     )
-    worst = 0.0
-    for i in range(100):
-        rng = rng_for(seed, 82, i)
-        A = random_pd(rng, 2)
-        B = random_pd(rng, 2)
-        worst = max(worst, _fro(mean(WASSERSTEIN, A, B).mat - wasserstein_alt(A, B).mat))
-    items.append(CheckItem.bound("two Wasserstein formulas agree", worst, tol_w))
+    items.append(
+        CheckItem.bound("Wasserstein vs conventional power 1/2 on commuting pairs", gap, tol_c)
+    )
+    gap = worst(
+        _fro(mean(WASSERSTEIN, A, B).mat - wasserstein_alt(A, B).mat)
+        for A, B in draws(pd_pair, seed, 82, count=100)
+    )
+    items.append(CheckItem.bound("two Wasserstein formulas agree", gap, tol_w))
     return CheckReport("criterion 8: mean coincidences", tuple(items))
+
+
+def _non_scalar_pd(rng):
+    # A 2x2 draw at least 0.05 from the scalars, redrawn from rng until it is.
+    A = random_pd(rng, 2)
+    while _fro(A.mat - (A.trace() / 2.0) * np.eye(2)) < 0.05:
+        A = random_pd(rng, 2)
+    return A
 
 
 def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
@@ -299,8 +297,7 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     large = 1e-3
     deriv_tol = 1e-5 * tol_scale
     sz, sx, _ = pauli_basis()
-    I2 = identity_pd(2)
-    scalar = PdMatrix.certify(HermitianMatrix(3.0 * np.eye(2)))
+    scalar = PdMatrix.certify(3.0 * np.eye(2))
     items = [
         CheckItem.bound(
             "scalar passes the probe, Wasserstein",
@@ -314,11 +311,7 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         ),
     ]
     fails = 0
-    for i in range(10):
-        rng = rng_for(seed, 90, i)
-        A = random_pd(rng, 2)
-        while _fro(A.mat - (A.trace() / 2.0) * np.eye(2)) < 0.05:
-            A = random_pd(rng, 2)
+    for i, A in enumerate(draws(_non_scalar_pd, seed, 90, count=10)):
         kind = WASSERSTEIN if i % 2 == 0 else kubo_ando_power(0.5)
         if not centrality_probe(A, kind, 50, seed + i):
             fails += 1
@@ -326,11 +319,11 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         CheckItem.compare("non-scalar matrices failing the probe (of 10)", 10.0, float(fails), 0.0)
     )
 
-    Ac = PdMatrix.certify(HermitianMatrix(np.diag([1.0, 4.0])))
-    Bc = PdMatrix.certify(HermitianMatrix(np.diag([9.0, 16.0])))
+    Ac = PdMatrix.certify(np.diag([1.0, 4.0]))
+    Bc = PdMatrix.certify(np.diag([9.0, 16.0]))
     ch = remark1_identity_chain(Ac, Bc)
     items.append(
-        CheckItem.bound("chain gaps on a commuting pair (Wasserstein route)", max(g for _, g in ch.gaps), small)
+        CheckItem.bound("chain gaps on a commuting pair (Wasserstein route)", worst(g for _, g in ch.gaps), small)
     )
     items.append(
         CheckItem.bound("chain derivative step on a commuting pair (Wasserstein route)", ch.derivative_error, deriv_tol)
@@ -340,7 +333,7 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         items.append(
             CheckItem.bound(
                 f"chain gaps on a commuting pair (power route, p = {p:g})",
-                max(g for _, g in ch.gaps),
+                worst(g for _, g in ch.gaps),
                 small,
             )
         )
@@ -353,8 +346,8 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
                 )
             )
 
-    Ag = PdMatrix.certify(HermitianMatrix(np.diag([1.0, 4.0])))
-    Bg = PdMatrix.certify(HermitianMatrix(np.eye(2) + 0.6 * sx.mat))
+    Ag = PdMatrix.certify(np.diag([1.0, 4.0]))
+    Bg = PdMatrix.certify(np.eye(2) + 0.6 * sx.mat)
     ch = remark1_identity_chain(Ag, Bg)
     items.append(
         CheckItem.floor("all gaps large on the generic pair (Wasserstein route)", min(g for _, g in ch.gaps), large)
@@ -376,8 +369,8 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
             )
         )
 
-    Am = PdMatrix.certify(HermitianMatrix(np.eye(2) + 0.5 * sz.mat))
-    Bm = PdMatrix.certify(HermitianMatrix(np.eye(2) + 0.5 * sx.mat))
+    Am = PdMatrix.certify(np.eye(2) + 0.5 * sz.mat)
+    Bm = PdMatrix.certify(np.eye(2) + 0.5 * sx.mat)
     ch = remark1_identity_chain(Am, Bm)
     items.append(
         CheckItem.bound("matched family satisfies the hypothesis link", ch.gap("hypothesis-identity"), small)
@@ -397,56 +390,44 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     add_rtol = 1e-8 * tol_scale
     exact_tol = 1e-12 * tol_scale
 
-    worst_sym = worst_id = worst_tri = 0.0
-    for i in range(200):
-        rng = rng_for(seed, 100, i)
-        A = random_pd(rng, 2)
-        B = random_pd(rng, 2)
-        C = random_pd(rng, 2)
+    triples = draws(lambda rng: pd_pair(rng) + (random_pd(rng, 2),), seed, 100, count=200)
+    sym, ident, tri = [], [], []
+    for A, B, C in triples:
         dab = d_bw(A, B)
-        worst_sym = max(worst_sym, abs(dab - d_bw(B, A)))
-        worst_id = max(worst_id, d_bw(A, A))
-        violation = d_bw(A, C) - (dab + d_bw(B, C))
-        worst_tri = max(worst_tri, violation)
+        sym.append(abs(dab - d_bw(B, A)))
+        ident.append(d_bw(A, A))
+        tri.append(d_bw(A, C) - (dab + d_bw(B, C)))
     items = [
-        CheckItem.bound("distance symmetry (200 triples)", worst_sym, sym_tol),
+        CheckItem.bound("distance symmetry (200 triples)", worst(sym), sym_tol),
         # The square root amplifies ~1e-14 trace roundoff in the radicand to
         # ~1e-7 in the distance, so exact self-coincidence gets a looser bound.
-        CheckItem.bound("self-distance vanishes (200 triples)", worst_id, 1e-6 * tol_scale),
-        CheckItem.bound("triangle inequality violation (200 triples)", max(0.0, worst_tri), tri_slack),
+        CheckItem.bound("self-distance vanishes (200 triples)", worst(ident), 1e-6 * tol_scale),
+        CheckItem.bound("triangle inequality violation (200 triples)", worst(tri), tri_slack),
     ]
 
-    worst_end = worst_mid_tr = worst_mid_bw = 0.0
-    for i in range(20):
-        rng = rng_for(seed, 101, i)
-        A = random_pd(rng, 2)
-        B = random_pd(rng, 2)
-        for kind in (GEODESIC_TRACE, GEODESIC_BW):
-            worst_end = max(worst_end, _fro(geodesic(kind, A, B, 0.0).mat - A.mat))
-            worst_end = max(worst_end, _fro(geodesic(kind, A, B, 1.0).mat - B.mat))
-        worst_mid_tr = max(
-            worst_mid_tr,
-            _fro(geodesic(GEODESIC_TRACE, A, B, 0.5).mat - mean(GEOMETRIC, A, B).mat),
-        )
-        worst_mid_bw = max(
-            worst_mid_bw,
-            _fro(geodesic(GEODESIC_BW, A, B, 0.5).mat - mean(WASSERSTEIN, A, B).mat),
-        )
-    items.append(CheckItem.bound("geodesic endpoints (both kinds, 20 pairs)", worst_end, end_tol))
-    items.append(CheckItem.bound("trace-metric midpoint is the geometric mean", worst_mid_tr, mid_tol))
-    items.append(CheckItem.bound("Bures-Wasserstein midpoint is the Wasserstein mean", worst_mid_bw, mid_tol))
+    pairs = draws(pd_pair, seed, 101, count=20)
+    ends = worst(
+        _fro(geodesic(kind, A, B, t).mat - E.mat)
+        for A, B in pairs
+        for kind in (GEODESIC_TRACE, GEODESIC_BW)
+        for t, E in ((0.0, A), (1.0, B))
+    )
+    items.append(CheckItem.bound("geodesic endpoints (both kinds, 20 pairs)", ends, end_tol))
+    for geo, kind, name in (
+        (GEODESIC_TRACE, GEOMETRIC, "trace-metric midpoint is the geometric mean"),
+        (GEODESIC_BW, WASSERSTEIN, "Bures-Wasserstein midpoint is the Wasserstein mean"),
+    ):
+        gap = worst(_fro(geodesic(geo, A, B, 0.5).mat - mean(kind, A, B).mat) for A, B in pairs)
+        items.append(CheckItem.bound(name, gap, mid_tol))
 
-    worst_ratio = 0.0
     partition = (0.0, 0.25, 0.5, 0.75, 1.0)
-    for i in range(50):
-        rng = rng_for(seed, 102, i)
-        A = random_pd(rng, 2)
-        B = random_pd(rng, 2)
-        dev = check_geodesic_metric(A, B, partition)
-        worst_ratio = max(worst_ratio, dev / d_bw(A, B))
-    items.append(CheckItem.bound("distance accrues proportionally along the curve", worst_ratio, add_rtol))
+    ratio = worst(
+        check_geodesic_metric(A, B, partition) / d_bw(A, B)
+        for A, B in draws(pd_pair, seed, 102, count=50)
+    )
+    items.append(CheckItem.bound("distance accrues proportionally along the curve", ratio, add_rtol))
 
-    four = PdMatrix.certify(HermitianMatrix(4.0 * np.eye(2)))
+    four = PdMatrix.certify(4.0 * np.eye(2))
     items.append(
         CheckItem.compare("d_bw(I, 4I) = sqrt(2)", math.sqrt(2.0), d_bw(identity_pd(2), four), exact_tol)
     )

@@ -1,4 +1,4 @@
-"""Eigendecompositions per public call.
+"""Eigendecompositions per public call and per sampled criterion.
 
 Every meanlab module imports ``_eig_array`` by name, so the counter rebinds
 it in each loaded module. A matrix frame A^(1/2), A^(-1/2) costs one
@@ -27,6 +27,7 @@ from meanlab import (
     rng_for,
 )
 from meanlab import matcore
+from meanlab.verification import criterion_6, criterion_8, criterion_10
 
 
 @pytest.fixture
@@ -75,11 +76,25 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
     A, B = _pair(dim)
     for call, expected in (
         (lambda: d_bw(A, B), 2),
-        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 5),
+        # A^(-1), then Q = A^(-1) # B (a frame and a square root), one certified point.
+        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 4),
         (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 3),
         # d_bw(A, B), Q once, five certified points, four interval distances.
-        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 19),
+        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 18),
     ):
         eig_calls.clear()
         call()
         assert eig_calls == [dim] * expected
+
+
+# Criterion 6 draws its 100 pairs once for all three kinds, and criterion 8
+# its 100 commuting pairs once for both powers; redrawing them per kind or
+# per power would cost 2107 and 3900.
+@pytest.mark.parametrize(
+    "criterion, expected",
+    [(criterion_6, 1707), (criterion_8, 3700), (criterion_10, 4303)],
+    ids=lambda x: getattr(x, "__name__", str(x)),
+)
+def test_eigendecompositions_per_sampled_criterion(criterion, expected, eig_calls):
+    criterion(seed=0)
+    assert len(eig_calls) == expected

@@ -4,6 +4,8 @@ Scalar pairs give exact oracles: for aI and bI in dimension two the distance
 is sqrt(2) |sqrt(b) - sqrt(a)| and both geodesics are scalar curves.
 """
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -26,6 +28,7 @@ from meanlab import (
     random_unitary,
     rng_for,
 )
+from meanlab import verification
 
 ENDPOINT_TOL = 1e-11
 MIDPOINT_TOL = 1e-10
@@ -147,3 +150,19 @@ def test_scalar_distance_closed_form(a, b):
     B = PdMatrix.certify(HermitianMatrix(b * np.eye(2, dtype=complex)))
     want = np.sqrt(2.0) * abs(np.sqrt(b) - np.sqrt(a))
     assert d_bw(A, B) == pytest.approx(want, abs=1e-7)
+
+
+def test_criterion_10_fails_on_one_nan_distance(monkeypatch):
+    # The first distance is d_bw(A, B) of the first triple, which feeds the
+    # symmetry and triangle items; a NaN there must fail both.
+    real = verification.d_bw
+    calls = []
+
+    def nan_once(A, B):
+        calls.append(1)
+        return math.nan if len(calls) == 1 else real(A, B)
+
+    monkeypatch.setattr(verification, "d_bw", nan_once)
+    rep = verification.criterion_10(seed=0)
+    failed = {item.name for item in rep.items if not item.passed}
+    assert failed == {"distance symmetry (200 triples)", "triangle inequality violation (200 triples)"}

@@ -32,6 +32,7 @@ from meanlab import (
 )
 from meanlab import matcore
 from meanlab.matcore import _pow_arr
+from meanlab.sampling import draws, pd_pair
 
 ORACLE_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-12
@@ -277,6 +278,17 @@ def test_mpow_certificate_is_the_powered_minimum(dim, p, rng):
     assert mpow(A, p).min_eigenvalue == float(np.min(w**p))
 
 
+def test_pd_matrix_is_a_certified_hermitian_matrix(rng):
+    A = random_pd(rng, 2)
+    assert isinstance(A, HermitianMatrix)
+    assert not hasattr(A, "matrix")
+    H = HermitianMatrix(A.mat)
+    assert PdMatrix(H, A.min_eigenvalue).mat is H.mat
+    assert PdMatrix.certify(A.mat.tolist()).min_eigenvalue == A.min_eigenvalue
+    with pytest.raises(ValueError):
+        PdMatrix([[2.0, 1.0], [0.0, 2.0]], 1.0)
+
+
 def test_mpow_rejects_a_false_certificate():
     # The certificate claims positivity; the spectrum computed by mpow does
     # not, and even an integer power must refuse.
@@ -341,6 +353,13 @@ def test_rng_for_streams_are_stable():
     c = rng_for(7, 1, 3).standard_normal(4)
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
+
+
+def test_draws_keep_one_generator_per_draw():
+    for i, (A, B) in enumerate(draws(pd_pair, 3, 60, count=4)):
+        rng = rng_for(3, 60, i)
+        assert np.array_equal(A.mat, random_pd(rng, 2).mat)
+        assert np.array_equal(B.mat, random_pd(rng, 2).mat)
 
 
 def test_json_round_trip(rng):

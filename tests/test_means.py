@@ -4,6 +4,7 @@ Commuting pairs reduce every mean to a scalar formula, which gives exact
 oracles; non-commuting checks lean on structural identities instead.
 """
 
+import math
 import re
 
 import numpy as np
@@ -40,6 +41,7 @@ from meanlab import (
     trace_power_functional,
     wasserstein_alt,
 )
+from meanlab import means
 
 COMMUTING_TOL = 1e-10
 DUALITY_TOL = 1e-10
@@ -197,6 +199,23 @@ def test_axiom_battery_clean(kind):
 def test_axiom_battery_needs_a_sample(samples):
     with pytest.raises(DomainError):
         check_kubo_ando_axioms(GEOMETRIC, samples=samples)
+
+
+def test_axiom_battery_counts_a_nan_violation(monkeypatch):
+    # One NaN order violation must fail the battery, not vanish in a max.
+    real = means._order_violation
+    calls = []
+
+    def nan_once(M1, M2):
+        calls.append(1)
+        return math.nan if len(calls) == 1 else real(M1, M2)
+
+    monkeypatch.setattr(means, "_order_violation", nan_once)
+    rep = check_kubo_ando_axioms(GEOMETRIC, samples=5, rng_seed=0, dim=2)
+    mono = {c.axiom: c for c in rep.checks}["monotonicity"]
+    assert mono.failures == 1
+    assert math.isnan(mono.worst_violation)
+    assert not rep.all_pass
 
 
 def test_wasserstein_fails_transformer_axiom():
