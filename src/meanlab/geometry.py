@@ -91,13 +91,8 @@ def _bw_points(A: PdMatrix, B: PdMatrix, ts) -> list[PdMatrix]:
     ]
 
 
-def check_geodesic_metric(A: PdMatrix, B: PdMatrix, partition) -> float:
-    """Worst deviation from proportional distance accrual along the BW curve.
-
-    ``partition`` must be sorted within [0, 1] and contain both endpoints.
-    Returns max over consecutive (s, t) of
-    |d_bw(gamma(s), gamma(t)) - (t - s) d_bw(A, B)|.
-    """
+def _accrual(A: PdMatrix, B: PdMatrix, partition) -> tuple[float, float]:
+    # check_geodesic_metric's deviation, with the d_bw(A, B) it is measured against.
     ts = [float(t) for t in partition]
     if len(ts) < 2 or ts != sorted(ts):
         raise DomainError("partition must be sorted with at least two points")
@@ -105,7 +100,18 @@ def check_geodesic_metric(A: PdMatrix, B: PdMatrix, partition) -> float:
         raise DomainError("partition must start at 0 and end at 1")
     total = d_bw(A, B)
     points = _bw_points(A, B, ts)
-    return worst(
+    deviation = worst(
         abs(d_bw(P, Qp) - (t - s) * total)
         for (s, P), (t, Qp) in zip(zip(ts, points), zip(ts[1:], points[1:]))
     )
+    return deviation, total
+
+
+def check_geodesic_metric(A: PdMatrix, B: PdMatrix, partition) -> float:
+    """Worst deviation from proportional distance accrual along the BW curve.
+
+    ``partition`` must be sorted within [0, 1] and contain both endpoints.
+    Returns max over consecutive (s, t) of
+    |d_bw(gamma(s), gamma(t)) - (t - s) d_bw(A, B)|.
+    """
+    return _accrual(A, B, partition)[0]

@@ -10,6 +10,13 @@ scalars and exploits Hermitian symmetry. Eigenvector phases are deterministic: t
 largest-modulus entry of each column is real and positive. Spectral functions,
 powers, congruences and the Loewner order test all route through it.
 
+The private array layer also takes stacks of shape (N, n, n), for batteries
+that evaluate many samples at once. A stack of 2x2 matrices runs a
+vectorized copy of the closed form, a stack of larger ones the scalar Jacobi
+once per matrix; a 2-D input always stays on the scalar kernels, which cost
+far less than a stack of one. Powers, certification and the congruence
+invertibility check apply their guards to every matrix of a stack.
+
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
 stored on value types are non-writeable copies, so instances can be shared
 freely.
@@ -89,7 +96,7 @@ class HermitianMatrix:
             raise ValueError(
                 f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds tolerance"
             )
-        sym = (arr + arr.conj().T) / 2.0
+        sym = _sym(arr)
         sym.setflags(write=False)
         object.__setattr__(self, "mat", sym)
 
@@ -97,7 +104,7 @@ class HermitianMatrix:
     def _wrap(cls, arr: np.ndarray) -> "HermitianMatrix":
         # Fast path for arrays produced internally; symmetrizes without the
         # asymmetry check.
-        sym = (arr + arr.conj().T) / 2.0
+        sym = _sym(arr)
         sym.setflags(write=False)
         out = object.__new__(cls)
         object.__setattr__(out, "mat", sym)
@@ -121,6 +128,11 @@ class HermitianMatrix:
 
     def __rmul__(self, scalar: float) -> "HermitianMatrix":
         return HermitianMatrix._wrap(float(scalar) * self.mat)
+
+
+def _sym(arr: np.ndarray) -> np.ndarray:
+    # (X + X*)/2 over the last two axes: one matrix or each matrix of a stack.
+    return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
 
 
 def pd_tolerance(entries) -> float:
@@ -280,13 +292,59 @@ def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([A[j][j] for j in order]), np.array(cols).T.copy()
 
 
+def _eig2_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _eig2_closed over a stack of 2x2 matrices: _rotation's formulas, its two
+    # phase branches as masks, and b = 0 apart (no rotation, a swap when
+    # a > d). Rows with b = 0 rotate a stand-in b = 1 that is then dropped.
+    # Complex entries are built from real and imaginary parts, each divided
+    # as Python divides a complex by a float, and |b| is taken as Python's
+    # abs takes it, with hypot; so the result mostly matches _eig2_closed bit
+    # for bit, and otherwise within a few ulp.
+    a, d = arr[:, 0, 0].real, arr[:, 1, 1].real
+    b = arr[:, 0, 1]
+    still = b == 0.0
+    re, im = np.where(still, 1.0, b.real), b.imag
+    babs = np.hypot(re, im)
+    h = (a - d) / 2.0
+    m = (a + d) / 2.0
+    r = np.hypot(h, babs)
+    # r + max(h, 0) is r + h wherever that branch is taken, and never 0.
+    t = np.where(h > 0.0, babs * (babs / (r + np.maximum(h, 0.0))), r - h)
+    nrm = np.hypot(babs, t)
+    ur, ui = re / babs, im / babs
+    first, second = t >= babs, babs >= t
+    V = np.zeros(arr.shape, dtype=np.complex128)
+    V.real[:, 0, 0] = np.where(first, t, -t * ur) / nrm
+    V.imag[:, 0, 0] = np.where(first, 0.0, -t * ui) / nrm
+    V.real[:, 1, 0] = np.where(first, -re, babs) / nrm
+    V.imag[:, 1, 0] = np.where(first, im, 0.0) / nrm
+    V.real[:, 0, 1] = np.where(second, babs, re) / nrm
+    V.imag[:, 0, 1] = np.where(second, 0.0, im) / nrm
+    V.real[:, 1, 1] = np.where(second, t * ur, t) / nrm
+    V.imag[:, 1, 1] = np.where(second, t * -ui, 0.0) / nrm
+    w = np.stack((m - r, m + r), axis=-1)
+    if still.any():
+        swap = a > d
+        w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
+        E = np.eye(2, dtype=np.complex128)
+        V[still] = np.where(swap[:, None, None], E[:, ::-1], E)[still]
+    return w, V
+
+
 def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    n = arr.shape[0]
+    # One Hermitian matrix, or a stack (N, n, n) giving (N, n) eigenvalues and
+    # (N, n, n) vectors. A lone 2x2 keeps the scalar closed form, which is
+    # cheaper than a stack of one; a stack of 2x2s is vectorized, and larger
+    # stacks run the scalar Jacobi once per matrix.
+    n = arr.shape[-1]
     if n == 1:
-        return np.array([arr[0, 0].real]), np.ones((1, 1), dtype=np.complex128)
+        return arr[..., 0].real.copy(), np.ones(arr.shape, dtype=np.complex128)
+    if arr.ndim == 2:
+        return _eig2_closed(arr) if n == 2 else _eig_jacobi(arr)
     if n == 2:
-        return _eig2_closed(arr)
-    return _eig_jacobi(arr)
+        return _eig2_stack(arr)
+    solved = [_eig_jacobi(X) for X in arr]
+    return np.array([w for w, _ in solved]), np.array([V for _, V in solved])
 
 
 def eig(X) -> Spectrum:
@@ -309,22 +367,23 @@ def eig(X) -> Spectrum:
 
 
 def _apply_spectral(fvals: np.ndarray, V: np.ndarray) -> np.ndarray:
-    return (V * fvals) @ V.conj().T
+    # V diag(f) V*, for one matrix or each matrix of a stack.
+    return (V * fvals[..., None, :]) @ V.conj().swapaxes(-1, -2)
 
 
 def _spectral_values(arr: np.ndarray, f: Callable[[float], float]):
     # One eigendecomposition, then f once per eigenvalue; returns (w, f(w), V).
     # Any exception f raises, or any non-finite value, surfaces as DomainError.
     w, V = _eig_array(arr)
-    vals = np.empty(len(w))
-    for i, lam in enumerate(w):
+    vals = np.empty(w.shape)
+    for i, lam in enumerate(w.flat):
         try:
             y = float(f(float(lam)))
         except Exception as exc:
             raise DomainError(f"scalar function failed at eigenvalue {lam!r}: {exc}") from exc
         if not math.isfinite(y):
             raise DomainError(f"scalar function returned non-finite value at {lam!r}")
-        vals[i] = y
+        vals.flat[i] = y
     return w, vals, V
 
 
@@ -338,27 +397,63 @@ def func_calc(A: PdMatrix, f: Callable[[float], float]) -> HermitianMatrix:
     return HermitianMatrix._wrap(_apply_spectral(vals, V))
 
 
-def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
-    # Powers arr**p, one per p, from a single eigendecomposition of Hermitian
-    # data assumed positive definite. Fractional and negative powers raise
-    # when the spectrum computed here says otherwise; with ``certify`` every
-    # power does, and each result is paired with its exact certificate
-    # min(lambda_i ** p). One p gives one result, several give a tuple.
-    w, V = _eig_array(arr)
-    lam_min = float(w[0])
-    out = []
-    for p in ps:
-        if lam_min <= 0.0 and (certify or p != round(p) or p < 0.0):
-            raise PositivityError(
-                f"power {p} of a matrix with minimum eigenvalue {lam_min:.3e}"
-            )
+def _power_guard(w: np.ndarray, p: float, certify: bool) -> None:
+    # Raise when the ascending spectrum w (one row per matrix of a stack)
+    # does not take the power p: PositivityError for a lambda_min <= 0 under
+    # a fractional, negative or certified power, DomainError where
+    # |p log lambda| at a positive end would overflow. A lone matrix is
+    # checked on its two ends, a stack at once.
+    if w.ndim == 1:
+        if w[0] <= 0.0 and (certify or p != round(p) or p < 0.0):
+            raise PositivityError(f"power {p} of a matrix with minimum eigenvalue {w[0]:.3e}")
         for lam in (w[0], w[-1]):
             if lam > 0.0 and abs(p * math.log(lam)) > _POW_LOG_LIMIT:
                 raise DomainError(f"power {p} overflows at eigenvalue {lam:.3e}")
+        return
+    lows = w[:, 0][w[:, 0] <= 0.0]
+    if lows.size and (certify or p != round(p) or p < 0.0):
+        raise PositivityError(f"power {p} of a matrix with minimum eigenvalue {lows[0]:.3e}")
+    ends = w[:, [0, -1]]
+    ends = ends[ends > 0.0]
+    over = ends[np.abs(p * np.log(ends)) > _POW_LOG_LIMIT]
+    if over.size:
+        raise DomainError(f"power {p} overflows at eigenvalue {over[0]:.3e}")
+
+
+def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
+    # Powers arr**p, one per p, from a single eigendecomposition of Hermitian
+    # data assumed positive definite: one matrix, or each matrix of a stack.
+    # Fractional and negative powers raise when a spectrum computed here says
+    # otherwise; with ``certify`` every power does, and each result is paired
+    # with its exact certificate min(lambda_i ** p), one per matrix. One p
+    # gives one result, several give a tuple.
+    w, V = _eig_array(arr)
+    out = []
+    for p in ps:
+        _power_guard(w, p, certify)
         vals = np.power(w, p)
         P = _apply_spectral(vals, V)
-        out.append((P, float(vals.min())) if certify else P)
+        out.append((P, vals.min(axis=-1)) if certify else P)
     return out[0] if len(out) == 1 else tuple(out)
+
+
+def _check_certificates(arr: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    # PdMatrix's construction check for each matrix of a stack: lam[i] must
+    # be finite and clear pd_tolerance(arr[i]). Returns lam.
+    tol = PD_TOLERANCE * np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+    bad = ~(np.isfinite(lam) & (lam > tol))
+    if bad.any():
+        raise PositivityError(
+            f"minimum eigenvalue {lam[bad][0]:.3e} does not clear the positivity tolerance"
+        )
+    return lam
+
+
+def _certify_stack(arr: np.ndarray) -> np.ndarray:
+    # PdMatrix.certify for each matrix of a Hermitian stack: its lambda_min,
+    # checked against its own tolerance.
+    w, _ = _eig_array(arr)
+    return _check_certificates(arr, w[:, 0])
 
 
 def mpow(A: PdMatrix, p: float) -> PdMatrix:
@@ -378,11 +473,12 @@ def congruence(C, A) -> HermitianMatrix:
     ``C`` must be numerically invertible: sigma_min > 1e-12 sigma_max,
     checked on the Gram matrix C*C. SingularError otherwise.
     """
-    return _congruences(C, A)[0]
+    return HermitianMatrix._wrap(_congruences(C, A)[0])
 
 
-def _congruences(C, *mats) -> tuple[HermitianMatrix, ...]:
-    # C X C* for each X, behind one invertibility check of C.
+def _congruences(C, *mats) -> tuple[np.ndarray, ...]:
+    # C X C* for each X, unsymmetrized, behind one invertibility check of C:
+    # of each matrix of C when C and the X are stacks.
     Carr = as_array(C)
     arrs = [as_array(X) for X in mats]
     for Xarr in arrs:
@@ -390,11 +486,11 @@ def _congruences(C, *mats) -> tuple[HermitianMatrix, ...]:
             raise DimMismatch(
                 f"congruence shapes differ: {Carr.shape} vs {Xarr.shape}"
             )
-    gram = Carr.conj().T @ Carr
-    w, _ = _eig_array((gram + gram.conj().T) / 2.0)
-    if float(w[0]) <= (1e-12) ** 2 * float(w[-1]):
+    Ch = Carr.conj().swapaxes(-1, -2)
+    w, _ = _eig_array(_sym(Ch @ Carr))
+    if np.any(w[..., 0] <= (1e-12) ** 2 * w[..., -1]):
         raise SingularError("congruence transform is numerically singular")
-    return tuple(HermitianMatrix._wrap(Carr @ Xarr @ Carr.conj().T) for Xarr in arrs)
+    return tuple(Carr @ Xarr @ Ch for Xarr in arrs)
 
 
 def loewner_leq(A, B, tol: float | None = None) -> bool:
@@ -403,8 +499,7 @@ def loewner_leq(A, B, tol: float | None = None) -> bool:
     The default tolerance is LOEWNER_TOL scaled by max(1, ||B - A||_F); the
     difference may dip that far below zero and still count.
     """
-    D = as_array(B) - as_array(A)
-    D = (D + D.conj().T) / 2.0
+    D = _sym(as_array(B) - as_array(A))
     if tol is None:
         tol = LOEWNER_TOL * max(1.0, float(np.linalg.norm(D)))
     w, _ = _eig_array(D)

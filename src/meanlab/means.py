@@ -29,15 +29,20 @@ from .matcore import (
     HermitianMatrix,
     PdMatrix,
     _apply_spectral,
+    _certify_stack,
+    _check_certificates,
     _congruences,
     _eig_array,
     _pow_arr,
     _spectral_values,
+    _sym,
     as_array,
     identity_pd,
 )
 from .report import worst
 from .sampling import (
+    _pd_gram,
+    random_complex,
     random_invertible_hermitian,
     random_pd,
     rng_for,
@@ -166,8 +171,7 @@ def from_function(f: RepresentingFunction | Callable[[float], float], name: str 
 def _normalized_inner(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # The Kubo-Ando frame: A^(1/2) and N = A^(-1/2) B A^(-1/2), from one eig of A.
     Ah, Aih = _pow_arr(Aarr, 0.5, -0.5)
-    N = Aih @ Barr @ Aih
-    return Ah, (N + N.conj().T) / 2.0
+    return Ah, _sym(Aih @ Barr @ Aih)
 
 
 def _geometric_arr(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -178,12 +182,13 @@ def _geometric_arr(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
 def _transport_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     # T = A^(-1/2) (A^(1/2) B A^(1/2))^(1/2) A^(1/2), from one eig of A.
     Ah, Aih = _pow_arr(Aarr, 0.5, -0.5)
-    S = Ah @ Barr @ Ah
-    S = _pow_arr((S + S.conj().T) / 2.0, 0.5)
+    S = _pow_arr(_sym(Ah @ Barr @ Ah), 0.5)
     return Aih @ S @ Ah
 
 
 def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
+    # The selected mean, unsymmetrized and uncertified, of one pair or of
+    # each pair of two stacks (N, n, n).
     tag = kind.tag
     if tag == TAG_ARITHMETIC:
         return (Aarr + Barr) / 2.0
@@ -194,31 +199,42 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     if tag == TAG_POWER:
         p = kind.p
         Ah, N = _normalized_inner(Aarr, Barr)
-        inner = (np.eye(len(N)) + _pow_arr(N, p)) / 2.0
-        inner = (inner + inner.conj().T) / 2.0
+        inner = _sym((np.eye(N.shape[-1]) + _pow_arr(N, p)) / 2.0)
         return Ah @ _pow_arr(inner, 1.0 / p) @ Ah
     if tag == TAG_CONVENTIONAL_POWER:
         p = kind.p
         S = (_pow_arr(Aarr, p) + _pow_arr(Barr, p)) / 2.0
-        return _pow_arr((S + S.conj().T) / 2.0, 1.0 / p)
+        return _pow_arr(_sym(S), 1.0 / p)
     if tag == TAG_SPECTRAL_GEOMETRIC:
-        Q = _geometric_arr(_pow_arr(Aarr, -1.0), Barr)
-        R = _pow_arr((Q + Q.conj().T) / 2.0, 0.5)
+        R = _pow_arr(_sym(_geometric_arr(_pow_arr(Aarr, -1.0), Barr)), 0.5)
         return R @ Aarr @ R
     if tag == TAG_WASSERSTEIN:
-        Q = _geometric_arr(_pow_arr(Aarr, -1.0), Barr)
-        AQ = Aarr @ Q
-        return (Aarr + Barr + AQ + AQ.conj().T) / 4.0
+        AQ = Aarr @ _geometric_arr(_pow_arr(Aarr, -1.0), Barr)
+        return (Aarr + Barr + AQ + AQ.conj().swapaxes(-1, -2)) / 4.0
     if tag == TAG_FROM_FUNCTION:
         Ah, N = _normalized_inner(Aarr, Barr)
         w, vals, V = _spectral_values(N, kind.f)
-        for lam, y in zip(w, vals):
+        for lam, y in zip(w.flat, vals.flat):
             if y <= 0.0:
                 raise DomainError(
                     f"representing function must stay positive, got {float(y)!r} at {lam!r}"
                 )
         return Ah @ _apply_spectral(vals, V) @ Ah
     raise DomainError(f"unknown mean tag {tag!r}")
+
+
+def _wasserstein_alt_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
+    # wasserstein_alt, unsymmetrized and uncertified, of one pair or of stacks.
+    T = _transport_arr(Aarr, Barr)
+    return (Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0
+
+
+def _certified(arr: np.ndarray) -> np.ndarray:
+    # A stack of results, symmetrized, with each matrix certified as mean()
+    # certifies one.
+    M = _sym(arr)
+    _certify_stack(M)
+    return M
 
 
 def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
@@ -250,9 +266,7 @@ def wasserstein_alt(A: PdMatrix, B: PdMatrix) -> PdMatrix:
     """
     if A.dim != B.dim:
         raise DimMismatch(f"operands have dimensions {A.dim} and {B.dim}")
-    T = _transport_arr(A.mat, B.mat)
-    out = (A.mat + B.mat + T + T.conj().T) / 4.0
-    return PdMatrix.certify(HermitianMatrix._wrap(out))
+    return PdMatrix.certify(HermitianMatrix._wrap(_wasserstein_alt_arr(A.mat, B.mat)))
 
 
 def kubo_ando_from_function(f, A: PdMatrix, B: PdMatrix, name: str = "f") -> PdMatrix:
@@ -327,11 +341,16 @@ def _rel_gap(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.linalg.norm(X - Y)) / max(1.0, float(np.linalg.norm(Y)))
 
 
-def _order_violation(M1: PdMatrix, M2: PdMatrix) -> float:
-    # How far M1 <= M2 fails, as the most negative eigenvalue of M2 - M1.
-    D = M2.mat - M1.mat
-    w, _ = _eig_array((D + D.conj().T) / 2.0)
-    return worst((-float(w[0]),))
+def _norms(X: np.ndarray) -> np.ndarray:
+    # The Frobenius norm of each matrix of a stack.
+    return np.linalg.norm(X, axis=(-2, -1))
+
+
+def _order_violation(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
+    # How far M1 <= M2 fails for each pair of two stacks, as the most
+    # negative eigenvalue of M2 - M1: 0 where none is negative, NaN kept.
+    w, _ = _eig_array(_sym(M2 - M1))
+    return np.maximum(0.0, -w[:, 0])
 
 
 def check_kubo_ando_axioms(
@@ -350,6 +369,10 @@ def check_kubo_ando_axioms(
     as Loewner-monotone decrease plus norm convergence consistent with a 1/k
     envelope.
 
+    Sample i draws A, C, G1, G2 and T, in that order, from
+    ``rng_for(rng_seed, i)``. Every sample is drawn first; each axiom is then
+    evaluated over the stack of all samples, and every matrix a mean or a
+    check consumes is certified, as one sample at a time would certify it.
     Each axiom failure, a NaN violation included, counts once per sample;
     worst violations (NaN if any was) are in absolute Frobenius or eigenvalue
     units. Normalization does not depend on the draw, so it is evaluated once
@@ -359,65 +382,53 @@ def check_kubo_ando_axioms(
     samples = int(samples)
     if samples < 1:
         raise DomainError("at least one sample is required")
-    counts = {name: 0 for name in ("normalization", "monotonicity", "transformer", "continuity")}
-    violations = {name: [] for name in counts}
+    I = np.eye(dim)
     I_pd = identity_pd(dim)
-    v = float(np.linalg.norm(mean(kind, I_pd, I_pd).mat - np.eye(dim)))
-    violations["normalization"].append(v)
-    if not v <= AXIOM_NORMALIZATION_TOL:
-        counts["normalization"] = samples
-    ks = (1, 2, 4, 8, 16, 32)
+    v = float(np.linalg.norm(mean(kind, I_pd, I_pd).mat - I))
+    checks = [
+        AxiomCheck("normalization", samples, 0 if v <= AXIOM_NORMALIZATION_TOL else samples, worst((v,)))
+    ]
+
+    factors, T = [], []
     for i in range(samples):
         rng = rng_for(rng_seed, i)
+        factors.append(random_complex(rng, dim, 4))
+        T.append((random_invertible_hermitian if i % 2 == 0 else random_pd)(rng, dim).mat)
+    F = np.array(factors)
+    A, C = _sym(_pd_gram(F[:, 0])), _sym(_pd_gram(F[:, 1]))
+    lam_A, lam_C = _certify_stack(A), _certify_stack(C)
+    G1, G2 = F[:, 2], F[:, 3]
+    B = _certified(A + G1.conj().swapaxes(-1, -2) @ G1 + 0.05 * I)
+    D = _certified(C + G2.conj().swapaxes(-1, -2) @ G2 + 0.05 * I)
 
-        A = random_pd(rng, dim)
-        C = random_pd(rng, dim)
-        G1 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        G2 = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        B = PdMatrix.certify(HermitianMatrix._wrap(A.mat + G1.conj().T @ G1 + 0.05 * np.eye(dim)))
-        D = PdMatrix.certify(HermitianMatrix._wrap(C.mat + G2.conj().T @ G2 + 0.05 * np.eye(dim)))
-        lo = mean(kind, A, C)
-        hi = mean(kind, B, D)
-        v = _order_violation(lo, hi)
-        violations["monotonicity"].append(v)
-        if not v <= AXIOM_ORDER_TOL * max(1.0, hi.norm()):
-            counts["monotonicity"] += 1
+    lo = _certified(_mean_arr(kind, A, C))
+    hi = _certified(_mean_arr(kind, B, D))
+    mono = _order_violation(lo, hi)
 
-        if i % 2 == 0:
-            T = random_invertible_hermitian(rng, dim).mat
-        else:
-            T = random_pd(rng, dim).mat
-        lhs, TA, TC = _congruences(T, lo, A, C)
-        rhs = mean(kind, PdMatrix.certify(TA), PdMatrix.certify(TC))
-        v = _rel_gap(lhs.mat, rhs.mat)
-        violations["transformer"].append(v)
-        if not v <= AXIOM_EQ_TOL:
-            counts["transformer"] += 1
+    lhs, TA, TC = _congruences(np.array(T), lo, A, C)
+    rhs = _certified(_mean_arr(kind, _certified(TA), _certified(TC)))
+    trans = _norms(_sym(lhs) - rhs) / np.maximum(1.0, _norms(rhs))
 
-        shifts = [
-            mean(
-                kind,
-                PdMatrix(HermitianMatrix._wrap(A.mat + np.eye(dim) / k), A.min_eigenvalue),
-                PdMatrix(HermitianMatrix._wrap(C.mat + np.eye(dim) / k), C.min_eigenvalue),
-            )
-            for k in ks
-        ]
-        limit = lo
-        mono_bad = worst(_order_violation(S1, S0) for S0, S1 in zip(shifts, shifts[1:]))
-        dists = [float(np.linalg.norm(S.mat - limit.mat)) for S in shifts]
-        envelope = 10.0 * max(1.0, limit.norm()) / ks[-1]
-        converged = (
-            dists[-1] <= envelope
-            and dists[-1] <= dists[0] / 4.0 + AXIOM_EQ_TOL
-        )
-        violations["continuity"].append(worst((mono_bad, 0.0 if converged else dists[-1])))
-        if not mono_bad <= AXIOM_ORDER_TOL * max(1.0, shifts[0].norm()) or not converged:
-            counts["continuity"] += 1
+    ks = (1, 2, 4, 8, 16, 32)
+    shifts = []
+    for k in ks:
+        Ak, Ck = _sym(A + I / k), _sym(C + I / k)
+        _check_certificates(Ak, lam_A)
+        _check_certificates(Ck, lam_C)
+        shifts.append(_certified(_mean_arr(kind, Ak, Ck)))
+    mono_bad = np.max([_order_violation(S1, S0) for S0, S1 in zip(shifts, shifts[1:])], axis=0)
+    dists = [_norms(S - lo) for S in shifts]
+    envelope = 10.0 * np.maximum(1.0, _norms(lo)) / ks[-1]
+    converged = (dists[-1] <= envelope) & (dists[-1] <= dists[0] / 4.0 + AXIOM_EQ_TOL)
+    cont = np.maximum(mono_bad, np.where(converged, 0.0, dists[-1]))
 
-    checks = tuple(
-        AxiomCheck(name, samples, counts[name], worst(violations[name])) for name in counts
-    )
-    return AxiomReport(kind.label, dim, int(rng_seed), checks)
+    for name, values, ok in (
+        ("monotonicity", mono, mono <= AXIOM_ORDER_TOL * np.maximum(1.0, _norms(hi))),
+        ("transformer", trans, trans <= AXIOM_EQ_TOL),
+        ("continuity", cont, (mono_bad <= AXIOM_ORDER_TOL * np.maximum(1.0, _norms(shifts[0]))) & converged),
+    ):
+        checks.append(AxiomCheck(name, samples, int(np.count_nonzero(~ok)), worst(values.tolist())))
+    return AxiomReport(kind.label, dim, int(rng_seed), tuple(checks))
 
 
 def ando_variational_certificate(A: PdMatrix, B: PdMatrix, X) -> bool:
@@ -437,5 +448,5 @@ def ando_variational_certificate(A: PdMatrix, B: PdMatrix, X) -> bool:
     block[:n, n:] = Xarr
     block[n:, :n] = Xarr.conj().T
     block[n:, n:] = B.mat
-    w, _ = _eig_array((block + block.conj().T) / 2.0)
+    w, _ = _eig_array(_sym(block))
     return float(w[0]) >= -VARIATIONAL_TOL * max(1.0, float(np.linalg.norm(block)))

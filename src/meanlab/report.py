@@ -17,6 +17,17 @@ def worst(values) -> float:
     return out
 
 
+def least(values) -> float:
+    """min(*values), keeping the first of ties, but NaN when any value is NaN or there is none."""
+    out = math.nan
+    for v in values:
+        if math.isnan(v):
+            return math.nan
+        if math.isnan(out) or v < out:
+            out = v
+    return out
+
+
 @dataclass(frozen=True)
 class CheckItem:
     """One named comparison with its tolerance and verdict.

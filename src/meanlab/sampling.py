@@ -16,8 +16,12 @@ def rng_for(seed, *stream) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream)))
 
 
-def random_complex(rng: np.random.Generator, dim: int) -> np.ndarray:
-    return rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+def random_complex(rng: np.random.Generator, dim: int, *lead: int) -> np.ndarray:
+    """Complex Gaussian dim x dim matrices, the real part drawn before the
+    imaginary one; with ``lead`` a stack of that shape, drawn in order, so
+    each matrix equals the one a call per matrix would draw."""
+    Z = rng.standard_normal(lead + (2, dim, dim))
+    return Z[..., 0, :, :] + 1j * Z[..., 1, :, :]
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
@@ -30,11 +34,19 @@ def draws(make, seed, *stream, count: int) -> list:
     return [make(rng_for(seed, *stream, i)) for i in range(count)]
 
 
+def stacked(drawn: list) -> tuple[np.ndarray, ...]:
+    """The matrices at each position of the drawn tuples as one (N, n, n) stack."""
+    return tuple(np.array([X.mat for X in column]) for column in zip(*drawn))
+
+
+def _pd_gram(M: np.ndarray) -> np.ndarray:
+    # M*M + PD_FLOOR*I for one factor M or each factor of a stack.
+    return M.conj().swapaxes(-1, -2) @ M + PD_FLOOR * np.eye(M.shape[-1])
+
+
 def random_pd(rng: np.random.Generator, dim: int) -> PdMatrix:
     """Draw M*M + PD_FLOOR*I, certified."""
-    M = random_complex(rng, dim)
-    G = M.conj().T @ M + PD_FLOOR * np.eye(dim)
-    return PdMatrix.certify(HermitianMatrix._wrap(G))
+    return PdMatrix.certify(HermitianMatrix._wrap(_pd_gram(random_complex(rng, dim))))
 
 
 def pd_pair(rng: np.random.Generator) -> tuple[PdMatrix, PdMatrix]:

@@ -5,9 +5,13 @@ generic pairs must keep every gap visibly large, and the matched family
 separates the hypothesis identity from actual commutation.
 """
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from meanlab import verification
 from meanlab import (
     HARMONIC,
     WASSERSTEIN,
@@ -195,3 +199,21 @@ def test_probe_matches_square_root_transfer(pd, rng):
     B = mpow(A, 2.0)
     assert commutator_norm(mpow(A, 0.5), B) <= comm_tol(A, B)
     assert arith_mean_commutator(kubo_ando_power(0.5), A, B) <= comm_tol(A, B)
+
+
+def test_criterion_9_floor_fails_on_a_nan_gap(monkeypatch):
+    # A NaN in the second link of every Wasserstein-route chain: the generic
+    # pair's floor must fail instead of taking the minimum of the rest.
+    real = verification.remark1_identity_chain
+
+    def nan_second_gap(A, B):
+        ch = real(A, B)
+        gaps = list(ch.gaps)
+        gaps[1] = (gaps[1][0], math.nan)
+        return replace(ch, gaps=tuple(gaps))
+
+    monkeypatch.setattr(verification, "remark1_identity_chain", nan_second_gap)
+    rep = verification.criterion_9(seed=0)
+    item = {i.name: i for i in rep.items}["all gaps large on the generic pair (Wasserstein route)"]
+    assert math.isnan(item.observed)
+    assert not item.passed

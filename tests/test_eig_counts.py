@@ -1,7 +1,8 @@
 """Eigendecompositions per public call and per sampled criterion.
 
 Every meanlab module imports ``_eig_array`` by name, so the counter rebinds
-it in each loaded module. A matrix frame A^(1/2), A^(-1/2) costs one
+it in each loaded module. A call on a stack of N matrices counts as N
+eigendecompositions. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify.
 """
 
@@ -18,6 +19,7 @@ from meanlab import (
     SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
     check_geodesic_metric,
+    check_kubo_ando_axioms,
     conventional_power,
     d_bw,
     geodesic,
@@ -36,7 +38,7 @@ def eig_calls(monkeypatch):
     original = matcore._eig_array
 
     def counting(arr):
-        calls.append(arr.shape[0])
+        calls.extend([arr.shape[-1]] * (arr.shape[0] if arr.ndim == 3 else 1))
         return original(arr)
 
     for name, mod in list(sys.modules.items()):
@@ -89,12 +91,24 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
 
 # Criterion 6 draws its 100 pairs once for all three kinds, and criterion 8
 # its 100 commuting pairs once for both powers; redrawing them per kind or
-# per power would cost 2107 and 3900.
+# per power would cost 2107 and 3900. Criterion 10 divides each accrual
+# deviation by the d_bw(A, B) it was measured against; a fresh distance
+# per pair would cost 4303.
 @pytest.mark.parametrize(
     "criterion, expected",
-    [(criterion_6, 1707), (criterion_8, 3700), (criterion_10, 4303)],
+    [(criterion_6, 1707), (criterion_8, 3700), (criterion_10, 4203)],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_eigendecompositions_per_sampled_criterion(criterion, expected, eig_calls):
     criterion(seed=0)
     assert len(eig_calls) == expected
+
+
+def test_eigendecompositions_per_axiom_battery(eig_calls):
+    # Per sample: A, C, B and D certified (4), T drawn (1), lo and hi (3
+    # each, as geometric means), the order check (1), the invertibility of T
+    # (1), TA and TC certified (2), the transformed mean (3), six shifted
+    # means (18) and five order checks between them (5): 41. Normalization
+    # adds one mean (3). Evaluating per stack must not add or drop any.
+    check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
+    assert eig_calls == [2] * (8 * 41 + 3)

@@ -31,8 +31,8 @@ from meanlab import (
     rng_for,
 )
 from meanlab import matcore
-from meanlab.matcore import _pow_arr
-from meanlab.sampling import draws, pd_pair
+from meanlab.matcore import _pow_arr, _sym
+from meanlab.sampling import _pd_gram, draws, pd_pair, random_complex, stacked
 
 ORACLE_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-12
@@ -144,6 +144,96 @@ def test_closed_form_2x2_matches_lapack(rng, eigh_oracle):
         b = complex(*rng.standard_normal(2))
         b *= abs(a) * 10.0 ** rng.uniform(-12, 2) / abs(b)
         _assert_solves(np.array([[a, b], [b.conjugate(), d]]), eigh_oracle)
+
+
+def _closed_form_cases(rng) -> np.ndarray:
+    # The 2000 draws above, plus exact b = 0 with a < d, a = d and a > d.
+    cases = []
+    for i in range(2000):
+        a, d = rng.standard_normal(2) * 10.0 ** rng.uniform(-3, 3, 2)
+        if i % 4 == 0:
+            d = a
+        b = complex(*rng.standard_normal(2))
+        b *= abs(a) * 10.0 ** rng.uniform(-12, 2) / abs(b)
+        cases.append([[a, b], [b.conjugate(), d]])
+    cases += [np.diag(diag) for diag in ([1.0, 2.0], [1.5, 1.5], [2.0, 1.0])]
+    return np.array(cases, dtype=complex)
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
+def test_stacked_closed_form_matches_the_scalar_one(scale, rng):
+    # The vectorized closed form runs on stacks, the scalar one on lone 2x2
+    # inputs; they agree within 4 ulp, eigenvalues relative to the larger
+    # one in modulus and each vector entry relative to its own modulus.
+    arr = _closed_form_cases(rng) * scale
+    w, V = matcore._eig2_stack(arr)
+    assert w.shape == (len(arr), 2) and V.shape == arr.shape
+    eps = np.finfo(float).eps
+    for X, ws, Vs in zip(arr, w, V):
+        wc, Vc = matcore._eig2_closed(X)
+        assert np.all(np.abs(ws - wc) <= 4 * np.spacing(np.max(np.abs(wc))))
+        assert np.all(np.abs(Vs - Vc) <= 4 * eps * np.abs(Vc))
+
+
+def test_larger_stacks_run_the_scalar_jacobi_per_matrix(rng):
+    arr = np.array([random_pd(rng, 3).mat for _ in range(4)])
+    w, V = matcore._eig_array(arr)
+    for X, ws, Vs in zip(arr, w, V):
+        wc, Vc = matcore._eig_array(X)
+        assert np.array_equal(ws, wc) and np.array_equal(Vs, Vc)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_powers_and_certificates_match_one_matrix_at_a_time(dim, rng):
+    arr = np.array([random_pd(rng, dim).mat for _ in range(6)])
+    P, cert = _pow_arr(arr, -0.5, certify=True)
+    lam = matcore._certify_stack(arr)
+    for X, Pi, ci, li in zip(arr, P, cert, lam):
+        Pc, cc = _pow_arr(X, -0.5, certify=True)
+        assert frobenius(Pi - Pc) <= 1e-14 * frobenius(Pc)
+        assert ci == pytest.approx(cc, rel=1e-14)
+        assert li == pytest.approx(PdMatrix.certify(X).min_eigenvalue, rel=1e-14)
+
+
+def _stack_around(bad) -> np.ndarray:
+    good = random_pd(rng_for(3), 2).mat
+    return np.array([good, np.asarray(bad, dtype=complex), good])
+
+
+def test_stacked_power_and_certification_reject_one_bad_matrix():
+    indefinite = _stack_around(np.diag([-1.0, 2.0]))
+    with pytest.raises(PositivityError):
+        _pow_arr(indefinite, 0.5)
+    with pytest.raises(PositivityError):
+        _pow_arr(indefinite, 2.0, certify=True)
+    with pytest.raises(PositivityError):
+        matcore._certify_stack(indefinite)
+    with pytest.raises(DomainError):
+        _pow_arr(_stack_around(np.diag([1e10, 1.0])), 40.0)
+    # ||X||_F overflows, so no eigenvalue clears the tolerance, and the cube
+    # of 1e308 would overflow; numpy's overflow warnings are expected here.
+    huge = _stack_around(np.diag([1e308, 1e308]))
+    with np.errstate(over="ignore"):
+        with pytest.raises(PositivityError):
+            matcore._certify_stack(huge)
+        with pytest.raises(DomainError):
+            _pow_arr(huge, 3.0)
+
+
+def test_stacked_certificate_and_invertibility_checks_run_per_matrix(rng):
+    arr = np.array([random_pd(rng, 2).mat for _ in range(3)])
+    lam = matcore._certify_stack(arr)
+    assert np.array_equal(matcore._check_certificates(arr + np.eye(2), lam), lam)
+    for bad in (math.nan, -1.0):
+        with pytest.raises(PositivityError):
+            matcore._check_certificates(arr, np.array([lam[0], bad, lam[2]]))
+    C = arr.copy()
+    C[1] = [[1.0, 1.0], [1.0, 1.0]]
+    with pytest.raises(SingularError):
+        matcore._congruences(C, arr)
+    out = matcore._congruences(arr, arr)[0]
+    for X, Y in zip(arr, out):
+        assert np.array_equal(Y, X @ X @ X.conj().T)
 
 
 @pytest.mark.parametrize(
@@ -360,6 +450,24 @@ def test_draws_keep_one_generator_per_draw():
         rng = rng_for(3, 60, i)
         assert np.array_equal(A.mat, random_pd(rng, 2).mat)
         assert np.array_equal(B.mat, random_pd(rng, 2).mat)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_draws_equal_one_draw_at_a_time(dim):
+    # The axiom battery draws four factors at once and builds A and C as a
+    # stack; every matrix must equal the one drawn a call at a time.
+    factors = random_complex(rng_for(5, 1), dim, 4)
+    rng = rng_for(5, 1)
+    A, C = random_pd(rng, dim), random_pd(rng, dim)
+    assert np.array_equal(_sym(_pd_gram(factors[:2])), np.array([A.mat, C.mat]))
+    assert np.array_equal(factors[2:], np.array([random_complex(rng, dim) for _ in range(2)]))
+
+
+def test_stacked_puts_each_position_of_the_draws_in_one_stack():
+    pairs = draws(pd_pair, 3, 60, count=4)
+    A, B = stacked(pairs)
+    assert A.shape == B.shape == (4, 2, 2)
+    assert np.array_equal(A[2], pairs[2][0].mat) and np.array_equal(B[3], pairs[3][1].mat)
 
 
 def test_json_round_trip(rng):

@@ -202,13 +202,17 @@ def test_axiom_battery_needs_a_sample(samples):
 
 
 def test_axiom_battery_counts_a_nan_violation(monkeypatch):
-    # One NaN order violation must fail the battery, not vanish in a max.
+    # One NaN order violation must fail the battery, not vanish in a max:
+    # NaN in the first sample of the first (lo <= hi) stacked order check.
     real = means._order_violation
     calls = []
 
     def nan_once(M1, M2):
+        out = real(M1, M2)
         calls.append(1)
-        return math.nan if len(calls) == 1 else real(M1, M2)
+        if len(calls) == 1:
+            out[0] = math.nan
+        return out
 
     monkeypatch.setattr(means, "_order_violation", nan_once)
     rep = check_kubo_ando_axioms(GEOMETRIC, samples=5, rng_seed=0, dim=2)

@@ -1,0 +1,56 @@
+"""The change summary of scripts/verify_identity.py on synthetic payloads."""
+
+import importlib.util
+import math
+from pathlib import Path
+
+SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "verify_identity.py"
+_spec = importlib.util.spec_from_file_location("verify_identity", SCRIPT)
+verify_identity = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(verify_identity)
+
+
+def _payload(*reports):
+    return {
+        "reports": [
+            {"title": title, "items": [{"name": n, "observed": v, "passed": ok} for n, v, ok in items]}
+            for title, items in reports
+        ]
+    }
+
+
+def test_summary_names_flips_and_the_largest_relative_change():
+    old = _payload(
+        ("criterion 7", [("failures", 0.0, True)]),
+        ("criterion 8", [("gap a", 2.0e-15, True), ("gap b", 4.0e-15, True), ("gap c", 1.0, True)]),
+    )
+    new = _payload(
+        ("criterion 7", [("failures", 0.0, True)]),
+        ("criterion 8", [("gap a", 3.0e-15, True), ("gap b", 4.0e-15, True), ("gap c", 2.0, False)]),
+    )
+    assert verify_identity.summarize(old, new) == [
+        "criterion 7: 0 verdict flips; largest relative change 0.000e+00",
+        "criterion 8: 1 verdict flips; largest relative change 1.000e+00 (gap c)",
+        "  flipped: gap c (True -> False)",
+    ]
+
+
+def test_summary_reports_nan_zero_and_missing_items():
+    old = _payload(("criterion 9", [("floor", 2.5, True), ("bound", 0.0, True), ("gone", 1.0, True)]))
+    new = _payload(
+        ("criterion 9", [("floor", math.nan, False), ("bound", 0.0, True), ("new", 1.0, True)]),
+        ("criterion 12", []),
+    )
+    assert verify_identity.summarize(old, new) == [
+        "criterion 9: 1 verdict flips; largest relative change inf (floor)",
+        "  flipped: floor (True -> False)",
+        "  only at the ref: gone",
+        "  only here: new",
+        "criterion 12: only here",
+    ]
+
+
+def test_relative_change():
+    assert verify_identity.relative_change(2.0, 3.0) == 0.5
+    assert verify_identity.relative_change(math.nan, math.nan) == 0.0
+    assert verify_identity.relative_change(0.0, 1e-300) == math.inf
