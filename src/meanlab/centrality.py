@@ -9,6 +9,11 @@ visibly large. The chains report raw gaps and never enforce an
 all-or-nothing verdict themselves: specially matched pairs satisfy the
 hypothesis link while failing the commutator link, and that separation is
 the point.
+
+Remark 1 (the Wasserstein mean) has one chain. Remark 2 (the power means)
+shares one form between both signs of 0 < |p| < 1: with K = B^|p|,
+L(e) = (I + e K)^(1/p) and R(e) = R0 + e^(1/|p|) D, the resolvent identity
+is F(1) = 0 for F = L A R - R A L. The harmonic mean, p = -1, has its own.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import PdMatrix, _pow_arr, as_array
+from .matcore import PdMatrix, _pow_arr, commutator_norm, frobenius
 from .means import (
     P_MIN,
     TAG_HARMONIC,
@@ -45,12 +50,6 @@ def comm_tol(A: PdMatrix, B: PdMatrix) -> float:
     return COMM_TOL_SCALE * max(1.0, A.norm() * B.norm())
 
 
-def commutator_norm(A, B) -> float:
-    X = as_array(A)
-    Y = as_array(B)
-    return float(np.linalg.norm(X @ Y - Y @ X))
-
-
 def _validate_probe_kind(kind: MeanKind) -> None:
     if kind.tag == TAG_WASSERSTEIN or kind.tag == TAG_HARMONIC:
         return
@@ -67,9 +66,8 @@ def _validate_probe_kind(kind: MeanKind) -> None:
 def arith_mean_commutator(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> float:
     """Frobenius norm of [(A+B)/2, mean(kind, A, B)]."""
     _validate_probe_kind(kind)
-    M = mean(kind, A, B).mat
-    arith = (A.mat + B.mat) / 2.0
-    return float(np.linalg.norm(arith @ M - M @ arith))
+    M = mean(kind, A, B)  # first, so a size mismatch raises DimMismatch
+    return commutator_norm((A.mat + B.mat) / 2.0, M)
 
 
 @dataclass(frozen=True)
@@ -198,6 +196,11 @@ class ChainReport:
         }
 
 
+def _chain(A: PdMatrix, B: PdMatrix, label: str, case: str, gaps, derivative_error=None) -> ChainReport:
+    # A chain report at the pair's own commutation tolerance.
+    return ChainReport(label, case, gaps, derivative_error, comm_tol(A, B))
+
+
 def remark1_identity_chain(A: PdMatrix, B: PdMatrix) -> ChainReport:
     """Links of the Wasserstein-vs-arithmetic commutation argument.
 
@@ -214,8 +217,7 @@ def remark1_identity_chain(A: PdMatrix, B: PdMatrix) -> ChainReport:
     """
     Aa = A.mat
     Ba = B.mat
-    dim = Aa.shape[0]
-    I = np.eye(dim)
+    I = np.eye(Aa.shape[0])
     Ah, Aih = _pow_arr(Aa, 0.5, -0.5)
     S = _pow_arr(Ah @ Ba @ Ah, 0.5)
     N = Aih @ Ba @ Aih
@@ -230,137 +232,84 @@ def remark1_identity_chain(A: PdMatrix, B: PdMatrix) -> ChainReport:
     h = DERIVATIVE_STEP
     diff = (assembled(h) - assembled(-h)) / (2.0 * h)
     target = S @ A2 - A2 @ S
-    derivative_error = float(np.linalg.norm(diff - target))
 
     gaps = (
-        ("hypothesis-identity", float(np.linalg.norm(assembled(1.0)))),
-        ("square-root-commutator", float(np.linalg.norm(A2 @ S - S @ A2))),
-        ("square-commutator", float(np.linalg.norm(A2 @ Ba - Ba @ A2))),
-        ("commutator", float(np.linalg.norm(Aa @ Ba - Ba @ Aa))),
+        ("hypothesis-identity", frobenius(assembled(1.0))),
+        ("square-root-commutator", commutator_norm(A2, S)),
+        ("square-commutator", commutator_norm(A2, Ba)),
+        ("commutator", commutator_norm(Aa, Ba)),
     )
-    return ChainReport(
-        label="wasserstein-vs-arithmetic",
-        case="wasserstein",
-        gaps=gaps,
-        derivative_error=derivative_error,
-        tolerance=comm_tol(A, B),
-    )
+    return _chain(A, B, "wasserstein-vs-arithmetic", "wasserstein", gaps, frobenius(diff - target))
 
 
-def _remark2_positive(A: PdMatrix, B: PdMatrix, p: float) -> ChainReport:
+def _remark2_power(A: PdMatrix, B: PdMatrix, p: float, label: str) -> ChainReport:
+    # The chain for 0 < |p| < 1; the sign of p picks (R0, D) and the link.
     Aa = A.mat
     Ba = B.mat
     I = np.eye(Aa.shape[0])
-    Bp = _pow_arr(Ba, p)
-    X = _pow_arr(I + Bp, 1.0 / p)
-    hyp = arith_mean_commutator(kubo_ando_power(p), A, B)
-    ident = float(np.linalg.norm(X @ Aa @ (I + Ba) - (I + Ba) @ Aa @ X))
+    q = abs(p)
+    K = _pow_arr(Ba, q)
+    if p > 0.0:
+        case, R0, D, link = "positive-power", I, Ba, K
+    else:
+        case, R0, D, link = "negative-power", _pow_arr(Ba, -1.0), I, _pow_arr(Ba, p + 1.0)
 
     def F(e: float) -> np.ndarray:
-        L = _pow_arr(I + e * Bp, 1.0 / p)
-        R = I + e ** (1.0 / p) * Ba
+        L = _pow_arr(I + e * K, 1.0 / p)
+        R = R0 + e ** (1.0 / q) * D
         return L @ Aa @ R - R @ Aa @ L
 
+    ident = frobenius(F(1.0))
+    hyp = arith_mean_commutator(kubo_ando_power(p), A, B)
     h = DERIVATIVE_STEP
-    # One-sided stencil: the substituted parameter enters through e^(1/p),
+    # One-sided stencil: the substituted parameter enters through e^(1/|p|),
     # which has no left neighborhood at 0.
     diff = (4.0 * F(h) - F(2.0 * h) - 3.0 * F(0.0)) / (2.0 * h)
-    target = (Bp @ Aa - Aa @ Bp) / p
-    derivative_error = float(np.linalg.norm(diff - target))
+    target = (K @ Aa @ R0 - R0 @ Aa @ K) / p
 
     gaps = (
         ("hypothesis-commutator", hyp),
         ("resolvent-identity", ident),
-        ("power-commutator", float(np.linalg.norm(Aa @ Bp - Bp @ Aa))),
-        ("commutator", float(np.linalg.norm(Aa @ Ba - Ba @ Aa))),
+        ("power-commutator", commutator_norm(Aa, link)),
+        ("commutator", commutator_norm(Aa, Ba)),
     )
-    return ChainReport(
-        label=f"power-vs-arithmetic[p={p:g}]",
-        case="positive-power",
-        gaps=gaps,
-        derivative_error=derivative_error,
-        tolerance=comm_tol(A, B),
-    )
+    return _chain(A, B, label, case, gaps, frobenius(diff - target))
 
 
-def _remark2_negative(A: PdMatrix, B: PdMatrix, p: float) -> ChainReport:
-    q = -p
+def _remark2_harmonic(A: PdMatrix, B: PdMatrix, label: str) -> ChainReport:
     Aa = A.mat
     Ba = B.mat
-    I = np.eye(Aa.shape[0])
-    Bq = _pow_arr(Ba, q)
     Bi = _pow_arr(Ba, -1.0)
-    X = _pow_arr(I + Bq, -1.0 / q)
-    Bp1 = _pow_arr(Ba, p + 1.0)
-    hyp = arith_mean_commutator(kubo_ando_power(p), A, B)
-    ident = float(np.linalg.norm(X @ Aa @ (I + Bi) - (I + Bi) @ Aa @ X))
-
-    def F(e: float) -> np.ndarray:
-        L = _pow_arr(I + e * Bq, -1.0 / q)
-        R = e ** (1.0 / q) * I + Bi
-        return L @ Aa @ R - R @ Aa @ L
-
-    h = DERIVATIVE_STEP
-    diff = (4.0 * F(h) - F(2.0 * h) - 3.0 * F(0.0)) / (2.0 * h)
-    target = -(Bq @ Aa @ Bi - Bi @ Aa @ Bq) / q
-    derivative_error = float(np.linalg.norm(diff - target))
-
+    H = 2.0 * _pow_arr(_pow_arr(Aa, -1.0) + Bi, -1.0)
     gaps = (
-        ("hypothesis-commutator", hyp),
-        ("resolvent-identity", ident),
-        ("power-commutator", float(np.linalg.norm(Aa @ Bp1 - Bp1 @ Aa))),
-        ("commutator", float(np.linalg.norm(Aa @ Ba - Ba @ Aa))),
+        ("hypothesis-commutator", commutator_norm(H, (Aa + Ba) / 2.0)),
+        ("inverse-commutator", commutator_norm(Aa, Bi)),
+        ("commutator", commutator_norm(Aa, Ba)),
     )
-    return ChainReport(
-        label=f"power-vs-arithmetic[p={p:g}]",
-        case="negative-power",
-        gaps=gaps,
-        derivative_error=derivative_error,
-        tolerance=comm_tol(A, B),
-    )
-
-
-def _remark2_harmonic(A: PdMatrix, B: PdMatrix) -> ChainReport:
-    Aa = A.mat
-    Ba = B.mat
-    Ai = _pow_arr(Aa, -1.0)
-    Bi = _pow_arr(Ba, -1.0)
-    H = 2.0 * _pow_arr(Ai + Bi, -1.0)
-    arith = (Aa + Ba) / 2.0
-    gaps = (
-        ("hypothesis-commutator", float(np.linalg.norm(H @ arith - arith @ H))),
-        ("inverse-commutator", float(np.linalg.norm(Aa @ Bi - Bi @ Aa))),
-        ("commutator", float(np.linalg.norm(Aa @ Ba - Ba @ Aa))),
-    )
-    return ChainReport(
-        label="power-vs-arithmetic[p=-1]",
-        case="harmonic",
-        gaps=gaps,
-        derivative_error=None,
-        tolerance=comm_tol(A, B),
-    )
+    return _chain(A, B, label, "harmonic", gaps)
 
 
 def remark2_identity_chain(A: PdMatrix, B: PdMatrix, p: float) -> ChainReport:
     """Links of the power-vs-arithmetic commutation argument at exponent p.
 
-    Three cases. For 0 < p < 1 the resolvent identity is
-    (I + B^p)^(1/p) A (I + B) = (I + B) A (I + B^p)^(1/p) and the chain ends
-    at [A, B^p] = 0. For -1 < p < 0 the inverted identity
-    (I + B^q)^(-1/q) A (I + B^(-1)) with q = -p takes its place and the
-    power link is [A, B^(p+1)] = 0. At p = -1 the harmonic mean commutator
-    and [A, B^(-1)] = 0 carry the argument with no derivative step.
+    For 0 < |p| < 1 both signs share one form. With K = B^|p|,
+    L(e) = (I + e K)^(1/p), R(e) = R0 + e^(1/|p|) D and
+    F(e) = L(e) A R(e) - R(e) A L(e), where (R0, D) = (I, B) for p > 0 and
+    (B^(-1), I) for p < 0, the resolvent identity is F(1) = 0; for p > 0 it
+    reads (I + B^p)^(1/p) A (I + B) = (I + B) A (I + B^p)^(1/p). The
+    one-sided derivative of F at 0 must be (K A R0 - R0 A K)/p, and the
+    chain ends at [A, B^p] = 0 for p > 0, [A, B^(p+1)] = 0 for p < 0. At
+    p = -1 the harmonic mean commutator and [A, B^(-1)] = 0 carry the
+    argument with no derivative step.
 
-    The positive-case derivative is extracted one-sidedly; its accuracy
-    degrades like h^(1/p - 1) times the commutator norm on non-commuting
-    pairs, so the reported ``derivative_error`` is meaningful as a check on
-    commuting pairs and as a raw magnitude elsewhere.
+    The derivative's accuracy degrades like h^(1/|p| - 1) times the
+    commutator norm on non-commuting pairs, so ``derivative_error`` is a
+    check on commuting pairs and a raw magnitude elsewhere.
     """
     p = float(p)
     if not (-1.0 <= p < 1.0) or abs(p) < P_MIN:
         raise DomainError(f"exponent must lie in [-1, 1) with |p| >= {P_MIN}, got {p}")
+    label = f"power-vs-arithmetic[p={p:g}]"
     if p == -1.0:
-        return _remark2_harmonic(A, B)
-    if p > 0.0:
-        return _remark2_positive(A, B, p)
-    return _remark2_negative(A, B, p)
+        return _remark2_harmonic(A, B, label)
+    return _remark2_power(A, B, p, label)

@@ -24,7 +24,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FitFailure, IllConditioned
-from .matcore import HermitianMatrix, PdMatrix, _pow_arr, as_array, mpow, pauli_basis
+from .matcore import HermitianMatrix, PdMatrix, _pow_arr, as_array, commutator_norm, mpow, pauli_basis
 from .means import WASSERSTEIN, _transport_arr, kubo_ando_power, mean, power_parameter
 from .report import CheckItem, CheckReport
 
@@ -254,9 +254,8 @@ def check_unitary_invariance(p: float, eps: float) -> float:
     """Frobenius norm of [U, A_eps m_p B_eps]; an exact identity, near zero."""
     p = power_parameter(p)
     A, B = pauli_pair(eps)
-    M = mean(kubo_ando_power(p), A, B).mat
     _, _, U = pauli_basis()
-    return float(np.linalg.norm(U.mat @ M - M @ U.mat))
+    return commutator_norm(U, mean(kubo_ando_power(p), A, B))
 
 
 def _maxabs(arr: np.ndarray) -> float:
@@ -360,8 +359,7 @@ def _wasserstein_expansion(grid, tol_scale: float) -> tuple[CheckReport, SeriesF
 
     eps_comm = 0.4
     A, B = pauli_pair(eps_comm)
-    M = mean(WASSERSTEIN, A, B).mat
-    comm = float(np.linalg.norm(U.mat @ M - M @ U.mat))
+    comm = commutator_norm(U, mean(WASSERSTEIN, A, B))
 
     items = (
         CheckItem.bound(

@@ -71,6 +71,13 @@ def frobenius(entries) -> float:
     return float(np.linalg.norm(as_array(entries)))
 
 
+def commutator_norm(A, B) -> float:
+    """Frobenius norm of the commutator AB - BA of two arrays or wrapped matrices."""
+    X = as_array(A)
+    Y = as_array(B)
+    return frobenius(X @ Y - Y @ X)
+
+
 def as_array(X) -> np.ndarray:
     """Unwrap a HermitianMatrix (a PdMatrix included) to its ndarray, pass arrays through."""
     if isinstance(X, HermitianMatrix):
@@ -493,17 +500,15 @@ def _congruences(C, *mats) -> tuple[np.ndarray, ...]:
     return tuple(Carr @ Xarr @ Ch for Xarr in arrs)
 
 
-def loewner_leq(A, B, tol: float | None = None) -> bool:
+def loewner_leq(A, B) -> bool:
     """Test A <= B in the Loewner order.
 
-    The default tolerance is LOEWNER_TOL scaled by max(1, ||B - A||_F); the
+    The tolerance is LOEWNER_TOL scaled by max(1, ||B - A||_F); the
     difference may dip that far below zero and still count.
     """
     D = _sym(as_array(B) - as_array(A))
-    if tol is None:
-        tol = LOEWNER_TOL * max(1.0, float(np.linalg.norm(D)))
     w, _ = _eig_array(D)
-    return float(w[0]) >= -tol
+    return float(w[0]) >= -LOEWNER_TOL * max(1.0, frobenius(D))
 
 
 def pauli_basis() -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:

@@ -376,12 +376,15 @@ def check_kubo_ando_axioms(
     Each axiom failure, a NaN violation included, counts once per sample;
     worst violations (NaN if any was) are in absolute Frobenius or eigenvalue
     units. Normalization does not depend on the draw, so it is evaluated once
-    and counted against every sample. DomainError when ``samples`` < 1: a
-    verdict needs at least one draw.
+    and counted against every sample. DomainError when ``samples`` < 1, since
+    a verdict needs at least one draw, and when ``dim`` < 1.
     """
     samples = int(samples)
+    dim = int(dim)
     if samples < 1:
         raise DomainError("at least one sample is required")
+    if dim < 1:
+        raise DomainError(f"dimension must be at least 1, got {dim}")
     I = np.eye(dim)
     I_pd = identity_pd(dim)
     v = float(np.linalg.norm(mean(kind, I_pd, I_pd).mat - I))

@@ -19,7 +19,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimMismatch, DomainError, NotInCone
-from .expansion import DEFAULT_GRID, _coerce_grid, fit_series_general, pauli_pair
+from .expansion import DEFAULT_GRID, fit_series_general, pauli_pair
 from .matcore import HermitianMatrix, PdMatrix, as_array, mpow, pauli_basis
 from .means import (
     TAG_ARITHMETIC,
@@ -206,10 +206,10 @@ def preserver_residual(f: ScalarFunctional, kind: MeanKind, A: PdMatrix, B: PdMa
     return abs(f(M) - _scalar_mean(kind, f(A), f(B)))
 
 
-def _fit_scalar(values: list[float], grid) -> tuple[list[float], float]:
-    # The series fit of one scalar per grid point, as a 1x1 family.
-    by_eps = dict(zip(grid.eps_grid, values))
-    fit = fit_series_general(lambda e: [[by_eps[e]]], grid)
+def _fit_scalar(values: list[float]) -> tuple[list[float], float]:
+    # The series fit of one scalar per DEFAULT_GRID point, as a 1x1 family.
+    by_eps = dict(zip(DEFAULT_GRID.eps_grid, values))
+    fit = fit_series_general(lambda e: [[by_eps[e]]], DEFAULT_GRID)
     return [float(c[0, 0].real) for c in (fit.c0, fit.c1, fit.c2)], fit.residual_bound
 
 
@@ -288,7 +288,7 @@ class CoefficientSolveReport:
         return CheckReport(f"forced constancy, {self.kind_label}", items)
 
 
-def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveReport:
+def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
     """Assemble and solve the constraint system on (c_I, c_sigma_z, c_sigma_x, c_U).
 
     For the power family the equation compares phi((A_eps m_p B_eps)^p)
@@ -296,7 +296,7 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
     mean the outer power is 1/2. Each matrix is reduced to trace-pairing
     coordinates t = tr(M)/2 and s = tr(G M)/2 in its own subalgebra, the
     affine model turns the equation into a linear form in the four unknowns,
-    and the eps and eps^2 coefficients of that form (fitted over the grid)
+    and the eps and eps^2 coefficients of that form (fitted over ``DEFAULT_GRID``)
     are the two constraint rows.
     """
     if kind.tag == TAG_POWER:
@@ -308,12 +308,11 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
     else:
         raise DomainError(f"solve_coefficients supports m_p and the Wasserstein mean, not {kind.label}")
 
-    g = _coerce_grid(grid)
     sz, sx, U = pauli_basis()
 
     t_L, s_L, t_A, s_A, t_B, s_B = [], [], [], [], [], []
     mats = []
-    for e in g.eps_grid:
+    for e in DEFAULT_GRID.eps_grid:
         A, B = pauli_pair(e)
         L = mpow(mean(kind, A, B), outer)
         Ap = mpow(A, outer)
@@ -327,10 +326,10 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
         s_B.append(float(np.trace(sx.mat @ Bp.mat).real) / 2.0)
 
     delta_t = [tl - (ta + tb) / 2.0 for tl, ta, tb in zip(t_L, t_A, t_B)]
-    k, resid_k = _fit_scalar(delta_t, g)
-    sig, resid_s = _fit_scalar(s_L, g)
-    a, resid_a = _fit_scalar(s_A, g)
-    b, resid_b = _fit_scalar(s_B, g)
+    k, resid_k = _fit_scalar(delta_t)
+    sig, resid_s = _fit_scalar(s_L)
+    a, resid_a = _fit_scalar(s_A)
+    b, resid_b = _fit_scalar(s_B)
     fit_residual = max(resid_k, resid_s, resid_a, resid_b)
 
     rows = (
@@ -373,7 +372,7 @@ def solve_coefficients(kind: MeanKind, grid=DEFAULT_GRID) -> CoefficientSolveRep
     return CoefficientSolveReport(
         kind_label=kind.label,
         outer_power=outer,
-        grid=g.eps_grid,
+        grid=DEFAULT_GRID.eps_grid,
         unknowns=("c_I", "c_sigma_z", "c_sigma_x", "c_U"),
         rows=rows,
         kappa_observed=float(kappa),

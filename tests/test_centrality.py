@@ -169,6 +169,24 @@ def test_remark2_negative_case(p, commuting_pair, generic_pair):
     assert rep.derivative_error <= 1e-4
 
 
+@pytest.mark.parametrize("p, case, link", [(0.3, "positive-power", 0.3), (-0.3, "negative-power", 0.7)])
+def test_remark2_power_cases_share_one_form(p, case, link, generic_pair):
+    # One builder serves both signs; the sign picks the case and the power
+    # link, [A, B^p] for p > 0 and [A, B^(p+1)] for p < 0.
+    A, B = generic_pair
+    rep = remark2_identity_chain(A, B, p=p)
+    assert rep.label == f"power-vs-arithmetic[p={p:g}]"
+    assert rep.case == case
+    assert [name for name, _ in rep.gaps] == [
+        "hypothesis-commutator",
+        "resolvent-identity",
+        "power-commutator",
+        "commutator",
+    ]
+    assert rep.gap("power-commutator") == pytest.approx(commutator_norm(A, mpow(B, link)), rel=1e-12)
+    assert rep.gap("commutator") == commutator_norm(A, B)
+
+
 def test_remark2_harmonic_case(commuting_pair, generic_pair):
     rep = remark2_identity_chain(*commuting_pair, p=-1.0)
     assert rep.case == "harmonic"

@@ -160,6 +160,13 @@ def test_axioms_reject_an_empty_battery(capsys, samples):
     assert captured.out == "" and "error:" in captured.err
 
 
+@pytest.mark.parametrize("dim", ["0", "-1"])
+def test_axioms_reject_a_dimension_below_one(capsys, dim):
+    assert main(["axioms", "--kind", "geometric", "--samples", "3", "--dim", dim]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error: dimension must be at least 1" in captured.err
+
+
 @pytest.mark.parametrize("samples", ["0", "-3"])
 def test_probe_rejects_an_empty_sample(capsys, matrix_file, samples):
     a = matrix_file("a.json", np.diag([1.0, 4.0]))

@@ -26,6 +26,8 @@ from meanlab import (
     kubo_ando_power,
     mean,
     random_pd,
+    remark1_identity_chain,
+    remark2_identity_chain,
     rng_for,
 )
 from meanlab import matcore
@@ -87,6 +89,26 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
         eig_calls.clear()
         call()
         assert eig_calls == [dim] * expected
+
+
+# Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and
+# 0, and the m_p hypothesis commutator (4); p < 0 adds B^(-1) and B^(p+1).
+# The harmonic chain: A^(-1), B^(-1) and the inverse of their sum.
+CHAIN_COUNTS = [
+    pytest.param(remark1_identity_chain, (), 2, id="remark1"),
+    pytest.param(remark2_identity_chain, (0.5,), 9, id="remark2-p0.5"),
+    pytest.param(remark2_identity_chain, (-0.5,), 11, id="remark2-p-0.5"),
+    pytest.param(remark2_identity_chain, (-1.0,), 3, id="remark2-p-1"),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("chain, args, expected", CHAIN_COUNTS)
+def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_calls):
+    A, B = _pair(dim)
+    eig_calls.clear()
+    chain(A, B, *args)
+    assert eig_calls == [dim] * expected
 
 
 # Criterion 6 draws its 100 pairs once for all three kinds, and criterion 8

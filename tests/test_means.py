@@ -201,6 +201,12 @@ def test_axiom_battery_needs_a_sample(samples):
         check_kubo_ando_axioms(GEOMETRIC, samples=samples)
 
 
+@pytest.mark.parametrize("dim", [0, -1])
+def test_axiom_battery_needs_a_dimension(dim):
+    with pytest.raises(DomainError, match="dimension"):
+        check_kubo_ando_axioms(GEOMETRIC, samples=3, dim=dim)
+
+
 def test_axiom_battery_counts_a_nan_violation(monkeypatch):
     # One NaN order violation must fail the battery, not vanish in a max:
     # NaN in the first sample of the first (lo <= hi) stacked order check.
