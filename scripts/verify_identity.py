@@ -1,4 +1,4 @@
-"""Check that ``meanlab verify --all --json`` is unchanged against a git ref.
+"""Check that ``meanlab verify --all --json`` and other CLI runs are unchanged against a git ref.
 
 Usage, from anywhere inside the repository:
 
@@ -10,9 +10,16 @@ S = 0 and 1 on that tree and on this working tree. Standard output is
 compared with ``elapsed_ms`` masked, together with standard error and the
 exit code. When a seed differs, a summary follows the diff: for each
 criterion, the items whose verdict flipped and the largest relative change
-|new - old| / |old| over its observed values. The exit status is 0 when
-every run matches and 1 on any difference; the temporary directory is
-removed either way.
+|new - old| / |old| over its observed values.
+
+Then every argv of ``cli_runs`` runs on each tree, all of them in one
+subprocess per tree, against seeded 2x2 and 3x3 matrix files the script
+writes itself: ``mean`` with its cross-checks, ``expand``, ``preserver``,
+the ``centrality`` probe, ``geodesic``, ``dbw`` and ``axioms``, each in text
+and in ``--json``. Exit code, standard output and standard error must match,
+with ``elapsed_ms`` and the temporary directory masked. The exit status is
+0 when every run matches and 1 on any difference; the temporary directory
+is removed either way.
 """
 
 from __future__ import annotations
@@ -29,9 +36,54 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (0, 1)
 _ELAPSED = re.compile(r'"elapsed_ms": \d+')
+DIMS = (2, 3)
+
+# argv of the CLI runs compared beyond verify; each also runs with --json.
+# PAIR_RUNS get "--a A --b B" and PROBE_RUNS "--a A" at each of DIMS.
+PLAIN_RUNS = (
+    ("expand", "--mean", "kubo-ando", "--p", "0.5"),
+    ("expand", "--mean", "wasserstein"),
+    ("preserver", "--mean", "kubo-ando", "--p", "-0.5"),
+    ("preserver", "--mean", "wasserstein"),
+    ("preserver", "--functional", "trace-power", "--p", "0.5", "--pairs", "20"),
+    ("preserver", "--functional", "linear", "--mean", "wasserstein", "--pairs", "20"),
+    ("axioms", "--kind", "geometric", "--samples", "10", "--dim", "2"),
+    ("axioms", "--kind", "kubo-ando-power", "--p", "-0.5", "--samples", "10", "--dim", "3"),
+)
+PAIR_RUNS = (
+    ("mean", "--kind", "wasserstein"),
+    ("mean", "--kind", "kubo-ando-power", "--p", "0.5", "--via-function"),
+    ("mean", "--kind", "geometric", "--certificate", "--rep-at", "2.5"),
+    ("mean", "--kind", "spectral-geometric"),
+    ("centrality", "--kind", "harmonic"),
+    ("centrality", "--kind", "kubo-ando-power", "--p", "-0.5"),
+    ("geodesic", "--kind", "bw", "--t", "0.3", "--check-metric"),
+    ("geodesic", "--kind", "trace", "--check-metric"),
+    ("dbw",),
+)
+PROBE_RUNS = (
+    ("centrality", "--kind", "wasserstein", "--samples", "10"),
+    ("centrality", "--kind", "kubo-ando-power", "--p", "0.5", "--samples", "10"),
+)
+
+# Runs argv lists read from stdin through meanlab.cli.main, in-process, and
+# prints [exit code, stdout, stderr] for each as JSON.
+_RUNNER = """
+import contextlib, io, json, sys
+from meanlab.cli import main
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append([code, out.getvalue(), err.getvalue()])
+json.dump(results, sys.stdout)
+"""
 
 
 def run_verify(src: Path, seed: int) -> tuple[int, str, str]:
@@ -40,6 +92,40 @@ def run_verify(src: Path, seed: int) -> tuple[int, str, str]:
     argv = [sys.executable, "-m", "meanlab", "verify", "--all", "--json", "--seed", str(seed)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env, cwd=src)
     return proc.returncode, _ELAPSED.sub('"elapsed_ms": 0', proc.stdout), proc.stderr
+
+
+def write_matrices(folder: Path) -> None:
+    """Seeded complex PD matrix files A{n}.json and B{n}.json for each n in DIMS."""
+    rng = np.random.default_rng(20231)
+    for n in DIMS:
+        for name in "AB":
+            G = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+            M = G @ G.conj().T + 0.5 * np.eye(n)
+            blob = {"dim": n, "re": M.real.tolist(), "im": M.imag.tolist()}
+            (folder / f"{name}{n}.json").write_text(json.dumps(blob))
+
+
+def cli_runs(folder: Path) -> list[list[str]]:
+    """Every compared argv, reading the matrix files in ``folder``."""
+    runs = [list(r) for r in PLAIN_RUNS]
+    for n in DIMS:
+        a, b = str(folder / f"A{n}.json"), str(folder / f"B{n}.json")
+        runs += [[*r, "--a", a, "--b", b] for r in PAIR_RUNS]
+        runs += [[*r, "--a", a] for r in PROBE_RUNS]
+    return [r + mode for r in runs for mode in ([], ["--json"])]
+
+
+def run_cli(src: Path, runs: list[list[str]], folder: Path) -> list[tuple[int, str, str]]:
+    """Exit code, stdout and stderr of each run on a source tree, elapsed_ms and ``folder`` masked."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _RUNNER], input=json.dumps(runs),
+        capture_output=True, text=True, env=env, cwd=src, check=True,
+    )
+
+    def mask(text: str) -> str:
+        return _ELAPSED.sub('"elapsed_ms": 0', text.replace(str(folder), "<tmp>"))
+    return [(code, mask(out), mask(err)) for code, out, err in json.loads(proc.stdout)]
 
 
 def relative_change(old: float, new: float) -> float:
@@ -74,6 +160,16 @@ def summarize(old: dict, new: dict) -> list[str]:
     return lines
 
 
+def print_diff(ref: str, old: tuple[int, str, str], new: tuple[int, str, str]) -> None:
+    """The first 40 lines of the stdout and the stderr diff of two runs."""
+    for label, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
+        diff = difflib.unified_diff(
+            a.splitlines(), b.splitlines(), f"{ref}:{label}", f"worktree:{label}", lineterm=""
+        )
+        for line in list(diff)[:40]:
+            print(line)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 1:
         print(__doc__.strip(), file=sys.stderr)
@@ -98,12 +194,7 @@ def main(argv: list[str]) -> int:
                 continue
             same = False
             print(f"seed {seed}: DIFFERENT (exit {old[0]} at {ref}, {new[0]} here)")
-            for label, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
-                diff = difflib.unified_diff(
-                    a.splitlines(), b.splitlines(), f"{ref}:{label}", f"worktree:{label}", lineterm=""
-                )
-                for line in list(diff)[:40]:
-                    print(line)
+            print_diff(ref, old, new)
             try:
                 payloads = json.loads(old[1]), json.loads(new[1])
             except json.JSONDecodeError:
@@ -111,6 +202,19 @@ def main(argv: list[str]) -> int:
                 continue
             for line in summarize(*payloads):
                 print(line)
+        folder = Path(tmp) / "matrices"
+        folder.mkdir()
+        write_matrices(folder)
+        runs = cli_runs(folder)
+        old_runs = run_cli(Path(tmp) / "src", runs, folder)
+        new_runs = run_cli(ROOT / "src", runs, folder)
+        differ = [(argv, a, b) for argv, a, b in zip(runs, old_runs, new_runs) if a != b]
+        print(f"cli: {len(runs) - len(differ)} of {len(runs)} runs identical")
+        for argv, old, new in differ:
+            same = False
+            shown = " ".join(argv).replace(str(folder), "<tmp>")
+            print(f"cli: DIFFERENT: meanlab {shown} (exit {old[0]} at {ref}, {new[0]} here)")
+            print_diff(ref, old, new)
     return 0 if same else 1
 
 

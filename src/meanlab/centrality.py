@@ -18,14 +18,13 @@ is F(1) = 0 for F = L A R - R A L. The harmonic mean, p = -1, has its own.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .errors import DomainError
-from .matcore import PdMatrix, _pow_arr, commutator_norm, frobenius
+from .matcore import PdMatrix, _check_operands, _pow_arr, commutator_norm, frobenius
 from .means import (
-    P_MIN,
     TAG_HARMONIC,
     TAG_POWER,
     TAG_WASSERSTEIN,
@@ -75,7 +74,7 @@ class CommutatorReport:
     """Single-pair verdict on the mean-vs-arithmetic commutation hypothesis."""
 
     pair_id: str
-    kind_label: str
+    kind: str
     commutator_norm: float
     tolerance: float
 
@@ -84,19 +83,13 @@ class CommutatorReport:
         return "commutes" if self.commutator_norm <= self.tolerance else "does_not_commute"
 
     def to_json(self) -> dict:
-        return {
-            "pair_id": self.pair_id,
-            "kind": self.kind_label,
-            "commutator_norm": self.commutator_norm,
-            "tolerance": self.tolerance,
-            "verdict": self.verdict,
-        }
+        return {**asdict(self), "verdict": self.verdict}
 
 
 def commutator_report(kind: MeanKind, A: PdMatrix, B: PdMatrix, pair_id: str = "pair") -> CommutatorReport:
     return CommutatorReport(
         pair_id=pair_id,
-        kind_label=kind.label,
+        kind=kind.label,
         commutator_norm=arith_mean_commutator(kind, A, B),
         tolerance=comm_tol(A, B),
     )
@@ -104,28 +97,15 @@ def commutator_report(kind: MeanKind, A: PdMatrix, B: PdMatrix, pair_id: str = "
 
 @dataclass(frozen=True)
 class ProbeReport:
-    """Outcome of sampling the hypothesis over random partners.
+    """Outcome of sampling the hypothesis over random partners; ``pairs`` holds the report for each."""
 
-    ``pairs`` holds the report for each partner; ``to_json`` summarizes them.
-    """
-
-    kind_label: str
+    kind: str
     samples: int
     seed: int
     failures: int
     worst_gap: float
     central: bool
     pairs: tuple[CommutatorReport, ...]
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind_label,
-            "samples": self.samples,
-            "seed": self.seed,
-            "failures": self.failures,
-            "worst_gap": self.worst_gap,
-            "central": self.central,
-        }
 
 
 def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) -> ProbeReport:
@@ -138,7 +118,7 @@ def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) 
     )
     failures = sum(r.verdict != "commutes" for r in pairs)
     return ProbeReport(
-        kind_label=kind.label,
+        kind=kind.label,
         samples=samples,
         seed=seed,
         failures=failures,
@@ -187,13 +167,7 @@ class ChainReport:
         raise KeyError(name)
 
     def to_json(self) -> dict:
-        return {
-            "label": self.label,
-            "case": self.case,
-            "gaps": {n: g for n, g in self.gaps},
-            "derivative_error": self.derivative_error,
-            "tolerance": self.tolerance,
-        }
+        return {**asdict(self), "gaps": dict(self.gaps)}
 
 
 def _chain(A: PdMatrix, B: PdMatrix, label: str, case: str, gaps, derivative_error=None) -> ChainReport:
@@ -215,6 +189,7 @@ def remark1_identity_chain(A: PdMatrix, B: PdMatrix) -> ChainReport:
     checks that the central difference at 0 recovers the t-linear
     coefficient S A^2 - A^2 S.
     """
+    _check_operands(A, B)
     Aa = A.mat
     Ba = B.mat
     I = np.eye(Aa.shape[0])
@@ -242,11 +217,12 @@ def remark1_identity_chain(A: PdMatrix, B: PdMatrix) -> ChainReport:
     return _chain(A, B, "wasserstein-vs-arithmetic", "wasserstein", gaps, frobenius(diff - target))
 
 
-def _remark2_power(A: PdMatrix, B: PdMatrix, p: float, label: str) -> ChainReport:
-    # The chain for 0 < |p| < 1; the sign of p picks (R0, D) and the link.
+def _remark2_power(A: PdMatrix, B: PdMatrix, kind: MeanKind, label: str) -> ChainReport:
+    # The chain of m_p for 0 < |p| < 1; the sign of p picks (R0, D) and the link.
     Aa = A.mat
     Ba = B.mat
     I = np.eye(Aa.shape[0])
+    p = kind.p
     q = abs(p)
     K = _pow_arr(Ba, q)
     if p > 0.0:
@@ -260,7 +236,7 @@ def _remark2_power(A: PdMatrix, B: PdMatrix, p: float, label: str) -> ChainRepor
         return L @ Aa @ R - R @ Aa @ L
 
     ident = frobenius(F(1.0))
-    hyp = arith_mean_commutator(kubo_ando_power(p), A, B)
+    hyp = arith_mean_commutator(kind, A, B)
     h = DERIVATIVE_STEP
     # One-sided stencil: the substituted parameter enters through e^(1/|p|),
     # which has no left neighborhood at 0.
@@ -304,12 +280,13 @@ def remark2_identity_chain(A: PdMatrix, B: PdMatrix, p: float) -> ChainReport:
 
     The derivative's accuracy degrades like h^(1/|p| - 1) times the
     commutator norm on non-commuting pairs, so ``derivative_error`` is a
-    check on commuting pairs and a raw magnitude elsewhere.
+    check on commuting pairs and a raw magnitude elsewhere. ``p`` follows the
+    probes' rule for m_p: DomainError unless 1e-6 <= |p| and -1 <= p < 1.
     """
-    p = float(p)
-    if not (-1.0 <= p < 1.0) or abs(p) < P_MIN:
-        raise DomainError(f"exponent must lie in [-1, 1) with |p| >= {P_MIN}, got {p}")
-    label = f"power-vs-arithmetic[p={p:g}]"
-    if p == -1.0:
+    kind = kubo_ando_power(p)
+    _validate_probe_kind(kind)
+    _check_operands(A, B)
+    label = f"power-vs-arithmetic[p={kind.p:g}]"
+    if kind.p == -1.0:
         return _remark2_harmonic(A, B, label)
-    return _remark2_power(A, B, p, label)
+    return _remark2_power(A, B, kind, label)

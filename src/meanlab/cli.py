@@ -33,7 +33,7 @@ from .expansion import (
 from .geometry import (
     GEODESIC_BW,
     GEODESIC_TRACE,
-    check_geodesic_metric,
+    _accrual,
     d_bw,
     geodesic,
 )
@@ -45,6 +45,7 @@ from .matcore import (
     mpow,
 )
 from .means import (
+    HARMONIC,
     WASSERSTEIN,
     MeanKind,
     _POWER_TAGS,
@@ -93,8 +94,7 @@ def _load_pd(path: str) -> PdMatrix:
 
 
 def _kind_from(name: str, p) -> MeanKind:
-    # Kinds without a parameter ignore --p: centrality --chain remark2 reads it
-    # as the chain's own exponent.
+    # Kinds without a parameter ignore --p.
     if name not in _POWER_TAGS:
         return MeanKind(name)
     if p is None:
@@ -283,9 +283,10 @@ def _cmd_centrality(args) -> int:
         return _emit(args, "centrality", params, (), result)
 
     if args.b is None:
-        raise MeanlabError(f"--b is required for --chain {args.chain}")
+        raise MeanlabError("--b is required for --chain identity")
     B = _load_pd(args.b)
-    if args.chain == "remark1":
+    # Remark 1 for the Wasserstein mean, Remark 2 for m_p and for the harmonic mean as m_(-1).
+    if kind == WASSERSTEIN:
         chain = remark1_identity_chain(A, B)
         checks = (
             CheckItem.bound(
@@ -295,9 +296,7 @@ def _cmd_centrality(args) -> int:
             ),
         )
     else:
-        if args.p is None:
-            raise MeanlabError("--p is required for --chain remark2")
-        chain = remark2_identity_chain(A, B, args.p)
+        chain = remark2_identity_chain(A, B, -1.0 if kind == HARMONIC else kind.p)
         checks = ()
     return _emit(args, "centrality", params, checks, chain.to_json())
 
@@ -311,8 +310,7 @@ def _cmd_geodesic(args) -> int:
     result = {"point": matrix_to_json(G), "t": args.t}
     if args.check_metric:
         partition = (0.0, 0.25, 0.5, 0.75, 1.0)
-        dev = check_geodesic_metric(A, B, partition)
-        total = d_bw(A, B)
+        dev, total = _accrual(A, B, partition)
         result["metric_deviation"] = dev
         # Relative contract with an absolute floor for near-coincident pairs.
         checks.append(
@@ -402,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_cent.add_argument("--p", type=float, default=None)
     p_cent.add_argument("--a", required=True)
     p_cent.add_argument("--b", default=None)
-    p_cent.add_argument("--chain", choices=["probe", "remark1", "remark2"], default="probe")
+    p_cent.add_argument("--chain", choices=["probe", "identity"], default="probe",
+                        help="sample partners, or run the identity chain of --kind against --b")
     p_cent.add_argument("--samples", type=int, default=50)
     p_cent.set_defaults(func=_cmd_centrality)
 

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, NegativeRadicand
-from .matcore import HermitianMatrix, PdMatrix, _pow_arr, mpow
+from .errors import DomainError, NegativeRadicand
+from .matcore import PdMatrix, _check_operands, _pow_arr, _sym
 from .means import _geometric_arr
 from .report import worst
 
@@ -45,8 +45,7 @@ GEODESIC_BW = GeodesicKind(TAG_BW)
 
 def d_bw(A: PdMatrix, B: PdMatrix) -> float:
     """Bures-Wasserstein distance between PD matrices of equal dimension."""
-    if A.dim != B.dim:
-        raise DimMismatch(f"dimensions {A.dim} and {B.dim} differ")
+    _check_operands(A, B)
     Ah = _pow_arr(A.mat, 0.5)
     cross = _pow_arr(Ah @ B.mat @ Ah, 0.5)
     radicand = A.trace() + B.trace() - 2.0 * float(np.trace(cross).real)
@@ -61,16 +60,15 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     """Point at parameter t on the chosen geodesic from A to B.
 
     The Bures-Wasserstein curve is
-    (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B, and Q is
-    computed by the geometric mean's own array routine, uncertified: only
-    the curve points are certified. check_geodesic_metric computes Q once
-    for all its points.
+    (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B. A^(-1) and Q
+    are computed as the Wasserstein mean computes them, uncertified, by the
+    geometric mean's own array routine: only the curve points are certified.
+    check_geodesic_metric computes Q once for all its points.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"parameter must lie in [0, 1], got {t}")
-    if A.dim != B.dim:
-        raise DimMismatch(f"dimensions {A.dim} and {B.dim} differ")
+    _check_operands(A, B)
     if kind.tag == TAG_TRACE:
         Ah, Aih = _pow_arr(A.mat, 0.5, -0.5)
         N = Aih @ B.mat @ Aih
@@ -80,7 +78,7 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
 
 def _bw_points(A: PdMatrix, B: PdMatrix, ts) -> list[PdMatrix]:
     # Certified points of the Bures-Wasserstein curve at each t, from one Q.
-    Q = HermitianMatrix._wrap(_geometric_arr(mpow(A, -1.0).mat, B.mat)).mat
+    Q = _sym(_geometric_arr(_sym(_pow_arr(A.mat, -1.0)), B.mat))
     return [
         PdMatrix.certify(
             (1.0 - t) ** 2 * A.mat

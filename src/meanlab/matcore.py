@@ -78,6 +78,12 @@ def commutator_norm(A, B) -> float:
     return frobenius(X @ Y - Y @ X)
 
 
+def _check_operands(A, B) -> None:
+    # DimMismatch unless the two operands of a two-matrix call share a dimension.
+    if A.dim != B.dim:
+        raise DimMismatch(f"operands have dimensions {A.dim} and {B.dim}")
+
+
 def as_array(X) -> np.ndarray:
     """Unwrap a HermitianMatrix (a PdMatrix included) to its ndarray, pass arrays through."""
     if isinstance(X, HermitianMatrix):

@@ -19,7 +19,7 @@ Every public evaluation returns a freshly certified :class:`PdMatrix`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -31,6 +31,7 @@ from .matcore import (
     _apply_spectral,
     _certify_stack,
     _check_certificates,
+    _check_operands,
     _congruences,
     _eig_array,
     _pow_arr,
@@ -252,8 +253,7 @@ def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
         The result is re-certified positive definite; a certification failure
         here would indicate a genuine numerical breakdown, not a soft warning.
     """
-    if A.dim != B.dim:
-        raise DimMismatch(f"operands have dimensions {A.dim} and {B.dim}")
+    _check_operands(A, B)
     out = _mean_arr(kind, A.mat, B.mat)
     return PdMatrix.certify(HermitianMatrix._wrap(out))
 
@@ -264,8 +264,7 @@ def wasserstein_alt(A: PdMatrix, B: PdMatrix) -> PdMatrix:
     Agrees with the Q-form of the Wasserstein mean; kept separate so the two
     routes can be compared against each other.
     """
-    if A.dim != B.dim:
-        raise DimMismatch(f"operands have dimensions {A.dim} and {B.dim}")
+    _check_operands(A, B)
     return PdMatrix.certify(HermitianMatrix._wrap(_wasserstein_alt_arr(A.mat, B.mat)))
 
 
@@ -305,20 +304,14 @@ class AxiomCheck:
         return self.failures == 0
 
     def to_json(self) -> dict:
-        return {
-            "axiom": self.axiom,
-            "samples": self.samples,
-            "failures": self.failures,
-            "worst_violation": self.worst_violation,
-            "passed": self.passed,
-        }
+        return {**asdict(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
 class AxiomReport:
     """Battery outcome for one mean kind at one dimension."""
 
-    kind_label: str
+    kind: str
     dim: int
     seed: int
     checks: tuple[AxiomCheck, ...] = field(default=())
@@ -328,13 +321,7 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind_label,
-            "dim": self.dim,
-            "seed": self.seed,
-            "all_pass": self.all_pass,
-            "checks": [c.to_json() for c in self.checks],
-        }
+        return {**asdict(self), "all_pass": self.all_pass, "checks": [c.to_json() for c in self.checks]}
 
 
 def _rel_gap(X: np.ndarray, Y: np.ndarray) -> float:
@@ -440,8 +427,7 @@ def ando_variational_certificate(A: PdMatrix, B: PdMatrix, X) -> bool:
     This is the feasibility side of the variational description of the
     geometric mean: A # B is the largest Hermitian X passing this test.
     """
-    if A.dim != B.dim:
-        raise DimMismatch(f"operands have dimensions {A.dim} and {B.dim}")
+    _check_operands(A, B)
     Xarr = as_array(X)
     if Xarr.shape != A.mat.shape:
         raise DimMismatch(f"block X has shape {Xarr.shape}, expected {A.mat.shape}")

@@ -13,7 +13,7 @@ perturbed pair (I + eps sigma_z, I + eps sigma_x) imposes on
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -224,7 +224,7 @@ class CoefficientSolveReport:
     zero, 1 means it is completely unconstrained.
     """
 
-    kind_label: str
+    kind: str
     outer_power: float
     grid: tuple[float, ...]
     unknowns: tuple[str, str, str, str]
@@ -241,23 +241,7 @@ class CoefficientSolveReport:
     masa_crosscheck: float
 
     def to_json(self) -> dict:
-        return {
-            "kind": self.kind_label,
-            "outer_power": self.outer_power,
-            "grid": list(self.grid),
-            "unknowns": list(self.unknowns),
-            "rows": [list(r) for r in self.rows],
-            "kappa_observed": self.kappa_observed,
-            "kappa_expected": self.kappa_expected,
-            "second_order_coefficient": self.second_order_coefficient,
-            "second_order_reference": self.second_order_reference,
-            "null_dim": self.null_dim,
-            "null_space": [list(v) for v in self.null_space],
-            "c_i_projection": self.c_i_projection,
-            "c_i_forced": self.c_i_forced,
-            "fit_residual": self.fit_residual,
-            "masa_crosscheck": self.masa_crosscheck,
-        }
+        return asdict(self)
 
     def contract_report(self, tol_scale: float = 1.0) -> CheckReport:
         """The forced-constancy contract as pass/fail items."""
@@ -285,7 +269,7 @@ class CoefficientSolveReport:
                 1e-11 * tol_scale,
             ),
         )
-        return CheckReport(f"forced constancy, {self.kind_label}", items)
+        return CheckReport(f"forced constancy, {self.kind}", items)
 
 
 def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
@@ -370,7 +354,7 @@ def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
         gaps.append(abs(via_masa - direct))
 
     return CoefficientSolveReport(
-        kind_label=kind.label,
+        kind=kind.label,
         outer_power=outer,
         grid=DEFAULT_GRID.eps_grid,
         unknowns=("c_I", "c_sigma_z", "c_sigma_x", "c_U"),

@@ -1,9 +1,14 @@
-"""Check bookkeeping shared by the verification batteries and the CLI."""
+"""Check bookkeeping shared by the verification batteries and the CLI.
+
+A report's JSON is its dataclass fields, through ``dataclasses.asdict``,
+plus the verdicts it derives from them (``passed``, ``all_pass``,
+``verdict``); keys are never listed by hand a second time.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 
 def worst(values) -> float:
@@ -66,14 +71,7 @@ class CheckItem:
         return cls(name, float(threshold), float(observed), float(threshold), ok, "floor")
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "mode": self.mode,
-            "expected": self.expected,
-            "observed": self.observed,
-            "tolerance": self.tolerance,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -101,11 +99,7 @@ class CheckReport:
         return all(item.passed for item in self.items)
 
     def to_json(self) -> dict:
-        return {
-            "title": self.title,
-            "all_pass": self.all_pass,
-            "items": [item.to_json() for item in self.items],
-        }
+        return {**asdict(self), "all_pass": self.all_pass}
 
     def lines(self) -> list[str]:
         head = "PASS" if self.all_pass else "FAIL"

@@ -182,6 +182,37 @@ def test_probe_reports_verdict_without_failing(capsys, matrix_file):
     assert result["central"] is False
 
 
+IDENTITY_CHAINS = [
+    (["--kind", "wasserstein"], "wasserstein", "wasserstein-vs-arithmetic"),
+    (["--kind", "kubo-ando-power", "--p", "0.5"], "positive-power", "power-vs-arithmetic[p=0.5]"),
+    (["--kind", "kubo-ando-power", "--p", "-0.5"], "negative-power", "power-vs-arithmetic[p=-0.5]"),
+    (["--kind", "harmonic"], "harmonic", "power-vs-arithmetic[p=-1]"),
+    # The harmonic mean takes no parameter, so --p does not change its chain.
+    (["--kind", "harmonic", "--p", "0.5"], "harmonic", "power-vs-arithmetic[p=-1]"),
+]
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind_args, case, label", IDENTITY_CHAINS)
+def test_identity_chain_follows_the_kind(capsys, matrix_file, dim, kind_args, case, label):
+    a, b = _scaled_pair(matrix_file, dim, 1.0)
+    argv = ["centrality", *kind_args, "--chain", "identity", "--a", a, "--b", b]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert (payload["result"]["case"], payload["result"]["label"]) == (case, label)
+    assert payload["parameters"]["chain"] == "identity"
+
+
+@pytest.mark.parametrize("kind_args", [args for args, _, _ in IDENTITY_CHAINS[:4]])
+def test_identity_chain_rejects_a_dimension_mismatch(capsys, matrix_file, kind_args):
+    rng = meanlab.rng_for(7, 0)
+    a = matrix_file("a.json", meanlab.random_pd(rng, 2).mat)
+    b = matrix_file("b.json", meanlab.random_pd(rng, 3).mat)
+    assert main(["centrality", *kind_args, "--chain", "identity", "--a", a, "--b", b]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: operands have dimensions 2 and 3\n"
+
+
 def test_usage_error_on_unknown_kind(capsys, scalar_pair):
     a, b = scalar_pair
     assert main(["mean", "--kind", "nope", "--a", a, "--b", b]) == 2

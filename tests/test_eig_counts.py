@@ -6,6 +6,7 @@ eigendecompositions. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify.
 """
 
+import json
 import sys
 
 import pytest
@@ -24,6 +25,7 @@ from meanlab import (
     d_bw,
     geodesic,
     kubo_ando_power,
+    matrix_to_json,
     mean,
     random_pd,
     remark1_identity_chain,
@@ -31,6 +33,7 @@ from meanlab import (
     rng_for,
 )
 from meanlab import matcore
+from meanlab.cli import main
 from meanlab.verification import criterion_6, criterion_8, criterion_10
 
 
@@ -89,6 +92,20 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
         eig_calls.clear()
         call()
         assert eig_calls == [dim] * expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_path, capsys):
+    # Both inputs certified (2), the point at t (4) and the accrual (18),
+    # whose own d_bw(A, B) scales the contract: a second one would make 26.
+    paths = []
+    for name, M in zip("ab", _pair(dim)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(matrix_to_json(M)))
+    eig_calls.clear()
+    argv = ["geodesic", "--kind", "bw", "--a", str(paths[0]), "--b", str(paths[1]), "--check-metric"]
+    assert main(argv) == 0
+    assert eig_calls == [dim] * 24
 
 
 # Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and

@@ -104,6 +104,16 @@ def test_bw_midpoint_is_the_wasserstein_mean(rng):
     assert frobenius(mid.mat - mean(WASSERSTEIN, A, B).mat) <= MIDPOINT_TOL
 
 
+def test_bw_midpoint_is_the_wasserstein_mean_at_large_scale(pd):
+    # A^(-1) = diag(0.1, 5e-13) does not clear the certification tolerance
+    # itself; like the Wasserstein mean, the curve must certify only its points.
+    A = pd(np.diag([10.0, 2e12]))
+    B = pd(np.array([[2.0, 1.0], [1.0, 3.0]]))
+    W = mean(WASSERSTEIN, A, B)
+    mid = geodesic(GEODESIC_BW, A, B, 0.5)
+    assert frobenius(mid.mat - W.mat) <= 1e-12 * frobenius(W.mat)
+
+
 def test_bw_geodesic_scalar_oracle(pd):
     # Between 2I and 6I the curve is ((1-t) sqrt(2) + t sqrt(6))^2 I.
     got = geodesic(GEODESIC_BW, pd(2.0 * np.eye(2)), pd(6.0 * np.eye(2)), 0.5)

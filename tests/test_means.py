@@ -14,6 +14,8 @@ from hypothesis import strategies as st
 
 from meanlab import (
     ARITHMETIC,
+    GEODESIC_BW,
+    GEODESIC_TRACE,
     GEOMETRIC,
     HARMONIC,
     SPECTRAL_GEOMETRIC,
@@ -22,11 +24,15 @@ from meanlab import (
     DomainError,
     NotKuboAndo,
     ando_variational_certificate,
+    arith_mean_commutator,
+    check_geodesic_metric,
     check_kubo_ando_axioms,
     constant_functional,
     conventional_power,
+    d_bw,
     frobenius,
     from_function,
+    geodesic,
     gp_eval,
     identity_pd,
     kubo_ando_from_function,
@@ -36,6 +42,8 @@ from meanlab import (
     pauli_pair,
     phi_of,
     random_pd,
+    remark1_identity_chain,
+    remark2_identity_chain,
     representing_function_of,
     rng_for,
     trace_power_functional,
@@ -279,6 +287,30 @@ def test_power_entry_points_share_one_rule(entry):
 def test_mean_rejects_dimension_mismatch(rng):
     with pytest.raises(DimMismatch):
         mean(HARMONIC, random_pd(rng, 2), random_pd(rng, 3))
+
+
+TWO_OPERAND_CALLS = {
+    "mean": lambda A, B: mean(WASSERSTEIN, A, B),
+    "wasserstein_alt": wasserstein_alt,
+    "ando_variational_certificate": lambda A, B: ando_variational_certificate(A, B, A.mat),
+    "arith_mean_commutator": lambda A, B: arith_mean_commutator(HARMONIC, A, B),
+    "d_bw": d_bw,
+    "geodesic-bw": lambda A, B: geodesic(GEODESIC_BW, A, B, 0.5),
+    "geodesic-trace": lambda A, B: geodesic(GEODESIC_TRACE, A, B, 0.5),
+    "check_geodesic_metric": lambda A, B: check_geodesic_metric(A, B, [0.0, 1.0]),
+    "remark1_identity_chain": remark1_identity_chain,
+    "remark2_identity_chain-p0.5": lambda A, B: remark2_identity_chain(A, B, 0.5),
+    "remark2_identity_chain-p-0.5": lambda A, B: remark2_identity_chain(A, B, -0.5),
+    "remark2_identity_chain-p-1": lambda A, B: remark2_identity_chain(A, B, -1.0),
+}
+
+
+@pytest.mark.parametrize("dims", [(2, 3), (3, 2)])
+@pytest.mark.parametrize("call", sorted(TWO_OPERAND_CALLS))
+def test_two_operand_calls_name_both_dimensions(rng, call, dims):
+    A, B = (random_pd(rng, n) for n in dims)
+    with pytest.raises(DimMismatch, match=f"^operands have dimensions {dims[0]} and {dims[1]}$"):
+        TWO_OPERAND_CALLS[call](A, B)
 
 
 def test_mean_output_is_certified_positive(rng):

@@ -1,11 +1,24 @@
-"""Check bookkeeping: the worst-of and least-of reductions behind every sampled item."""
+"""Check bookkeeping: the worst-of and least-of reductions behind every sampled item, and report JSON."""
 
+import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from meanlab.report import CheckItem, least, worst
+from meanlab import (
+    GEOMETRIC,
+    WASSERSTEIN,
+    check_kubo_ando_axioms,
+    commutator_report,
+    random_pd,
+    remark2_identity_chain,
+    rng_for,
+    solve_coefficients,
+)
+from meanlab.centrality import ProbeReport
+from meanlab.report import CheckItem, CheckReport, least, worst
 
 
 def test_worst_of_nothing_is_zero():
@@ -48,3 +61,35 @@ def test_least_keeps_a_nan_wherever_it_sits(values):
 def test_least_ties_keep_the_first_minimal_value():
     first = np.float64(1.0)
     assert least([2.0, first, 1.0]) is first
+
+
+def _pair():
+    rng = rng_for(3, 2)
+    return random_pd(rng, 2), random_pd(rng, 2)
+
+
+# One report of each class, with the keys its JSON derives beyond its fields.
+REPORTS = {
+    "CheckItem": (lambda: CheckItem.bound("item", 0.5, 1.0), set()),
+    "CheckReport": (lambda: CheckReport("title", (CheckItem.floor("item", 2.0, 1.0),)), {"all_pass"}),
+    "AxiomCheck": (lambda: check_kubo_ando_axioms(GEOMETRIC, samples=2).checks[1], {"passed"}),
+    "AxiomReport": (lambda: check_kubo_ando_axioms(GEOMETRIC, samples=2), {"all_pass"}),
+    "CommutatorReport": (lambda: commutator_report(WASSERSTEIN, *_pair()), {"verdict"}),
+    "ChainReport": (lambda: remark2_identity_chain(*_pair(), 0.5), set()),
+    "CoefficientSolveReport": (lambda: solve_coefficients(WASSERSTEIN), set()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPORTS))
+def test_report_json_is_its_fields_plus_what_it_derives(name):
+    build, derived = REPORTS[name]
+    rep = build()
+    assert type(rep).__name__ == name
+    blob = rep.to_json()
+    assert set(blob) == {f.name for f in fields(rep)} | derived
+    json.dumps(blob, sort_keys=True)
+
+
+def test_probe_report_has_no_json_of_its_own():
+    # The CLI builds the probe's result itself from the report's fields.
+    assert not hasattr(ProbeReport, "to_json")

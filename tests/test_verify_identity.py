@@ -54,3 +54,14 @@ def test_relative_change():
     assert verify_identity.relative_change(2.0, 3.0) == 0.5
     assert verify_identity.relative_change(math.nan, math.nan) == 0.0
     assert verify_identity.relative_change(0.0, 1e-300) == math.inf
+
+
+def test_every_listed_cli_run_exits_zero_or_one(tmp_path):
+    # A usage or input error (exit 2) would compare identically on both trees
+    # and prove nothing, so every listed argv must run to a verdict.
+    verify_identity.write_matrices(tmp_path)
+    runs = verify_identity.cli_runs(tmp_path)
+    results = verify_identity.run_cli(SCRIPT.parent.parent / "src", runs, tmp_path)
+    bad = [(argv, code, err) for argv, (code, _, err) in zip(runs, results) if code not in (0, 1)]
+    assert not bad
+    assert {argv[0] for argv in runs} == {"mean", "expand", "preserver", "centrality", "geodesic", "dbw", "axioms"}
