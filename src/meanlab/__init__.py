@@ -8,7 +8,6 @@ from .errors import (
     FitFailure,
     IllConditioned,
     MeanlabError,
-    NegativeRadicand,
     NotInCone,
     NotKuboAndo,
     PositivityError,

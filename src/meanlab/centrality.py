@@ -29,6 +29,7 @@ from .means import (
     TAG_POWER,
     TAG_WASSERSTEIN,
     MeanKind,
+    _bw_frame,
     kubo_ando_power,
     mean,
 )
@@ -193,8 +194,7 @@ def remark1_identity_chain(A: PdMatrix, B: PdMatrix) -> ChainReport:
     Aa = A.mat
     Ba = B.mat
     I = np.eye(Aa.shape[0])
-    Ah, Aih = _pow_arr(Aa, 0.5, -0.5)
-    S = _pow_arr(Ah @ Ba @ Ah, 0.5)
+    _, Aih, S = _bw_frame(Aa, Ba)
     N = Aih @ Ba @ Aih
     A2 = Aa @ Aa
 

@@ -47,7 +47,3 @@ class NotKuboAndo(MeanlabError, ValueError):
 
 class NotInCone(MeanlabError, ValueError):
     """The matrix lies outside the positive definite cone."""
-
-
-class NegativeRadicand(MeanlabError, ValueError):
-    """A distance radicand is negative beyond the clamping band."""

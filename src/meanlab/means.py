@@ -180,10 +180,16 @@ def _geometric_arr(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return Xh @ _pow_arr(N, 0.5) @ Xh
 
 
-def _transport_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
-    # T = A^(-1/2) (A^(1/2) B A^(1/2))^(1/2) A^(1/2), from one eig of A.
+def _bw_frame(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The transport frame: A^(1/2), A^(-1/2) and S = (A^(1/2) B A^(1/2))^(1/2),
+    # from one eig of A and one of A^(1/2) B A^(1/2).
     Ah, Aih = _pow_arr(Aarr, 0.5, -0.5)
-    S = _pow_arr(_sym(Ah @ Barr @ Ah), 0.5)
+    return Ah, Aih, _pow_arr(_sym(Ah @ Barr @ Ah), 0.5)
+
+
+def _transport_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
+    # T = A^(-1/2) S A^(1/2) on the transport frame.
+    Ah, Aih, S = _bw_frame(Aarr, Barr)
     return Aih @ S @ Ah
 
 

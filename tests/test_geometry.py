@@ -6,6 +6,7 @@ is sqrt(2) |sqrt(b) - sqrt(a)| and both geodesics are scalar curves.
 
 import math
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -29,10 +30,12 @@ from meanlab import (
     rng_for,
 )
 from meanlab import verification
+from meanlab.geometry import _d_bw_arr
+from meanlab.sampling import draws, stacked
 
 ENDPOINT_TOL = 1e-11
 MIDPOINT_TOL = 1e-10
-SELF_DISTANCE_TOL = 1e-6
+SELF_DISTANCE_TOL = 1e-11
 UNITARY_TOL = 1e-10
 
 
@@ -53,8 +56,6 @@ def test_distance_is_symmetric(rng):
 
 
 def test_self_distance_is_roundoff_only(rng):
-    # The radicand cancels to ~1e-14 and the square root amplifies that
-    # to ~1e-7, so this cannot be pinned tighter.
     for _ in range(5):
         A = random_pd(rng, 2)
         assert d_bw(A, A) <= SELF_DISTANCE_TOL
@@ -159,20 +160,56 @@ def test_scalar_distance_closed_form(a, b):
     A = PdMatrix.certify(HermitianMatrix(a * np.eye(2, dtype=complex)))
     B = PdMatrix.certify(HermitianMatrix(b * np.eye(2, dtype=complex)))
     want = np.sqrt(2.0) * abs(np.sqrt(b) - np.sqrt(a))
-    assert d_bw(A, B) == pytest.approx(want, abs=1e-7)
+    assert d_bw(A, B) == pytest.approx(want, abs=1e-12)
 
 
 def test_criterion_10_fails_on_one_nan_distance(monkeypatch):
-    # The first distance is d_bw(A, B) of the first triple, which feeds the
-    # symmetry and triangle items; a NaN there must fail both.
-    real = verification.d_bw
+    # Entry 0 of the first stacked call is d_bw(A, B) of the first triple,
+    # which feeds the symmetry and triangle items; a NaN there must fail both.
+    real = verification._d_bw_arr
     calls = []
 
     def nan_once(A, B):
+        d = real(A, B)
         calls.append(1)
-        return math.nan if len(calls) == 1 else real(A, B)
+        if len(calls) == 1:
+            d[0] = math.nan
+        return d
 
-    monkeypatch.setattr(verification, "d_bw", nan_once)
+    monkeypatch.setattr(verification, "_d_bw_arr", nan_once)
     rep = verification.criterion_10(seed=0)
     failed = {item.name for item in rep.items if not item.passed}
     assert failed == {"distance symmetry (200 triples)", "triangle inequality violation (200 triples)"}
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_distance_matches_each_pair(dim):
+    pairs = draws(lambda rng: (random_pd(rng, dim), random_pd(rng, dim)), 5, dim, count=12)
+    A, B = stacked(pairs)
+    want = np.array([d_bw(P, Q) for P, Q in pairs])
+    assert np.all(np.abs(_d_bw_arr(A, B) - want) <= 1e-14 * want)
+
+
+def _mp_d_bw(A, B):
+    # The trace form at 50 digits, where its cancellation costs nothing.
+    def mat(X):
+        return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
+
+    with mp.workdps(50):
+        Am, Bm = mat(A), mat(B)
+        Ah = mp.sqrtm(Am)
+        S = mp.sqrtm(Ah * Bm * Ah)
+        radicand = sum(Am[i, i] + Bm[i, i] - 2 * S[i, i] for i in range(Am.rows))
+        return mp.sqrt(mp.re(radicand))
+
+
+def test_near_pair_distance_against_mpmath(pd):
+    A = pd([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
+    B = pd(A.mat + 1e-6 * np.array([[1.0, 0.5j], [-0.5j, -0.75]]))
+    want = _mp_d_bw(A.mat, B.mat)
+    assert float(abs(d_bw(A, B) - want) / want) <= 1e-8
+
+
+def test_self_distance_at_large_condition_number(pd):
+    A = pd(np.diag([10.0, 2e12]))
+    assert d_bw(A, A) <= 16.0 * np.finfo(float).eps * math.sqrt(2.0 * A.trace())
