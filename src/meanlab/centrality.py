@@ -23,18 +23,19 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import PdMatrix, _check_operands, _pow_arr, commutator_norm, frobenius
+from .matcore import PdMatrix, _check_operands, _norms, _pow_arr, commutator_norm, frobenius
 from .means import (
     TAG_HARMONIC,
     TAG_POWER,
     TAG_WASSERSTEIN,
     MeanKind,
     _bw_frame,
+    _certified,
+    _mean_arr,
     kubo_ando_power,
-    mean,
 )
 from .report import worst
-from .sampling import draws, random_pd
+from .sampling import pd_stacks
 
 # Separates true identities (observed <= 1e-11) from generic failure
 # (observed >= 1e-3) by orders of magnitude.
@@ -47,7 +48,12 @@ GENERIC_GAP_FLOOR = 1e-3
 
 
 def comm_tol(A: PdMatrix, B: PdMatrix) -> float:
-    return COMM_TOL_SCALE * max(1.0, A.norm() * B.norm())
+    return float(_comm_tol(A.norm(), B.norm()))
+
+
+def _comm_tol(a_norm: float, b_norms):
+    # The commutation tolerance from the Frobenius norms of A and of B, or of each partner.
+    return COMM_TOL_SCALE * np.maximum(1.0, a_norm * b_norms)
 
 
 def _validate_probe_kind(kind: MeanKind) -> None:
@@ -63,11 +69,19 @@ def _validate_probe_kind(kind: MeanKind) -> None:
     raise DomainError(f"commutation probes support the Wasserstein mean and m_p, not {kind.label}")
 
 
+def _arith_commutator_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray):
+    # ||[(A+B)/2, M(A, B)]||_F with the mean certified, for one pair or for A
+    # against each partner of a stack (A broadcast, so each pair costs what a
+    # pair on its own does).
+    Aarr = np.broadcast_to(Aarr, Barr.shape)
+    return commutator_norm((Aarr + Barr) / 2.0, _certified(_mean_arr(kind, Aarr, Barr)))
+
+
 def arith_mean_commutator(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> float:
-    """Frobenius norm of [(A+B)/2, mean(kind, A, B)]."""
+    """Frobenius norm of [(A+B)/2, mean(kind, A, B)], the mean certified."""
     _validate_probe_kind(kind)
-    M = mean(kind, A, B)  # first, so a size mismatch raises DimMismatch
-    return commutator_norm((A.mat + B.mat) / 2.0, M)
+    _check_operands(A, B)
+    return _arith_commutator_arr(kind, A.mat, B.mat)
 
 
 @dataclass(frozen=True)
@@ -110,12 +124,20 @@ class ProbeReport:
 
 
 def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) -> ProbeReport:
+    """Sample ``samples`` random_pd partners on rng_for(seed, i) and report each commutator.
+
+    The partners are drawn first and evaluated as one stack; each report
+    is, to roundoff, the commutator_report of its pair.
+    """
     _validate_probe_kind(kind)
     if samples < 1:
         raise DomainError("at least one sample is required")
-    partners = draws(lambda rng: random_pd(rng, A.dim), seed, count=samples)
+    (B,) = pd_stacks(seed, dim=A.dim, k=1, count=samples)
+    norms = _arith_commutator_arr(kind, A.mat, B)
+    tols = _comm_tol(A.norm(), _norms(B))
     pairs = tuple(
-        commutator_report(kind, A, B, pair_id=f"sample-{i}") for i, B in enumerate(partners)
+        CommutatorReport(f"sample-{i}", kind.label, float(c), float(t))
+        for i, (c, t) in enumerate(zip(norms, tols))
     )
     failures = sum(r.verdict != "commutes" for r in pairs)
     return ProbeReport(

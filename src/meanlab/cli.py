@@ -23,7 +23,7 @@ from .centrality import (
     remark1_identity_chain,
     remark2_identity_chain,
 )
-from .errors import MeanlabError
+from .errors import DomainError, MeanlabError
 from .expansion import (
     DEFAULT_GRID,
     EpsFamily,
@@ -302,6 +302,11 @@ def _cmd_centrality(args) -> int:
 
 
 def _cmd_geodesic(args) -> int:
+    if args.check_metric and args.kind != "bw":
+        raise DomainError(
+            "--check-metric checks distance accrual, which is defined for the "
+            "Bures-Wasserstein curve: use --kind bw"
+        )
     kind = GEODESIC_BW if args.kind == "bw" else GEODESIC_TRACE
     A = _load_pd(args.a)
     B = _load_pd(args.b)
@@ -310,7 +315,7 @@ def _cmd_geodesic(args) -> int:
     result = {"point": matrix_to_json(G), "t": args.t}
     if args.check_metric:
         partition = (0.0, 0.25, 0.5, 0.75, 1.0)
-        dev, total = _accrual(A, B, partition)
+        dev, total = (float(x) for x in _accrual(A.mat, B.mat, partition))
         result["metric_deviation"] = dev
         # Relative contract with an absolute floor for near-coincident pairs.
         checks.append(
@@ -411,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_geo.add_argument("--b", required=True)
     p_geo.add_argument("--t", type=float, default=0.5)
     p_geo.add_argument("--check-metric", dest="check_metric", action="store_true",
-                       help="also verify proportional distance accrual")
+                       help="also verify proportional distance accrual (--kind bw only)")
     p_geo.set_defaults(func=_cmd_geodesic)
 
     p_dbw = sub.add_parser("dbw", parents=[common], help="Bures-Wasserstein distance")

@@ -16,9 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import PdMatrix, _check_operands, _pow_arr, _sym
-from .means import _bw_frame, _geometric_arr, _normalized_inner
-from .report import worst
+from .matcore import HermitianMatrix, PdMatrix, _check_hermitian, _check_operands, _pow_arr, _sym
+from .means import _bw_frame, _certified, _geometric_arr, _normalized_inner
 
 TAG_TRACE = "geometric-trace"
 TAG_BW = "bures-wasserstein"
@@ -72,35 +71,49 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"parameter must lie in [0, 1], got {t}")
     _check_operands(A, B)
+    P = _curve_points(kind, A.mat, B.mat, t)
+    _check_hermitian(P)
+    return PdMatrix.certify(HermitianMatrix._wrap(P))
+
+
+def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, t) -> np.ndarray:
+    # Uncertified points of the chosen geodesic for one pair, or for each
+    # pair of two stacks, from one frame (trace) or one Q (Bures-Wasserstein)
+    # per pair: a float t gives one point per pair, a sequence of ts a
+    # leading axis with one entry per t.
+    one = isinstance(t, float)
     if kind.tag == TAG_TRACE:
-        Ah, N = _normalized_inner(A.mat, B.mat)
-        return PdMatrix.certify(Ah @ _pow_arr(N, t) @ Ah)
-    return _bw_points(A, B, [t])[0]
+        Ah, N = _normalized_inner(Aarr, Barr)
+        powers = _pow_arr(N, t) if one else np.reshape(_pow_arr(N, *t), (len(t),) + N.shape)
+        return Ah @ powers @ Ah
+    Q = _sym(_geometric_arr(_sym(_pow_arr(Aarr, -1.0)), Barr))
+    s = t if one else np.reshape(t, (-1,) + (1,) * Aarr.ndim)
+    return (1.0 - s) ** 2 * Aarr + s**2 * Barr + s * (1.0 - s) * (Aarr @ Q + Q @ Aarr)
 
 
-def _bw_points(A: PdMatrix, B: PdMatrix, ts) -> list[PdMatrix]:
-    # Certified points of the Bures-Wasserstein curve at each t, from one Q.
-    Q = _sym(_geometric_arr(_sym(_pow_arr(A.mat, -1.0)), B.mat))
-    return [
-        PdMatrix.certify(
-            (1.0 - t) ** 2 * A.mat
-            + t**2 * B.mat
-            + t * (1.0 - t) * (A.mat @ Q + Q @ A.mat)
-        )
-        for t in ts
-    ]
+def _certified_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) -> np.ndarray:
+    # _curve_points at each of ts, each point checked as geodesic checks one:
+    # Hermitian to HERMITICITY_RTOL (a NaN fails), then symmetrized and
+    # certified.
+    P = _curve_points(kind, Aarr, Barr, ts)
+    _check_hermitian(P)
+    return _certified(P)
 
 
-def _accrual(A: PdMatrix, B: PdMatrix, partition) -> tuple[float, float]:
-    # check_geodesic_metric's deviation, with the d_bw(A, B) it is measured against.
+def _accrual(Aarr: np.ndarray, Barr: np.ndarray, partition):
+    # check_geodesic_metric's deviation, with the d_bw(A, B) it is measured
+    # against, for one pair or for each pair of two (N, n, n) stacks.
     ts = [float(t) for t in partition]
     if len(ts) < 2 or ts != sorted(ts):
         raise DomainError("partition must be sorted with at least two points")
     if ts[0] != 0.0 or ts[-1] != 1.0:
         raise DomainError("partition must start at 0 and end at 1")
-    total = d_bw(A, B)
-    P = np.array([point.mat for point in _bw_points(A, B, ts)])
-    deviation = worst(np.abs(_d_bw_arr(P[:-1], P[1:]) - np.diff(ts) * total).tolist())
+    total = _d_bw_arr(Aarr, Barr)
+    P = _certified_points(GEODESIC_BW, Aarr, Barr, ts)
+    n = Aarr.shape[-1]
+    steps = _d_bw_arr(P[:-1].reshape(-1, n, n), P[1:].reshape(-1, n, n)).reshape((-1,) + total.shape)
+    # max keeps a NaN, as report.worst does.
+    deviation = np.abs(steps - np.multiply.outer(np.diff(ts), total)).max(axis=0)
     return deviation, total
 
 
@@ -111,4 +124,5 @@ def check_geodesic_metric(A: PdMatrix, B: PdMatrix, partition) -> float:
     Returns max over consecutive (s, t) of
     |d_bw(gamma(s), gamma(t)) - (t - s) d_bw(A, B)|.
     """
-    return _accrual(A, B, partition)[0]
+    _check_operands(A, B)
+    return float(_accrual(A.mat, B.mat, partition)[0])

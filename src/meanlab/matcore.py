@@ -14,8 +14,9 @@ The private array layer also takes stacks of shape (N, n, n), for batteries
 that evaluate many samples at once. A stack of 2x2 matrices runs a
 vectorized copy of the closed form, a stack of larger ones the scalar Jacobi
 once per matrix; a 2-D input always stays on the scalar kernels, which cost
-far less than a stack of one. Powers, certification and the congruence
-invertibility check apply their guards to every matrix of a stack.
+far less than a stack of one. Powers, certification, the Hermiticity check
+and the congruence invertibility check apply their guards to every matrix of
+a stack.
 
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
 stored on value types are non-writeable copies, so instances can be shared
@@ -71,11 +72,22 @@ def frobenius(entries) -> float:
     return float(np.linalg.norm(as_array(entries)))
 
 
-def commutator_norm(A, B) -> float:
-    """Frobenius norm of the commutator AB - BA of two arrays or wrapped matrices."""
+def _norms(X: np.ndarray):
+    # The Frobenius norm of one matrix, as frobenius takes it, or of each
+    # matrix of a stack.
+    return np.linalg.norm(X) if X.ndim == 2 else np.linalg.norm(X, axis=(-2, -1))
+
+
+def commutator_norm(A, B):
+    """Frobenius norm of the commutator AB - BA of two arrays or wrapped matrices.
+
+    A float for two matrices; for stacks (a lone matrix broadcasts against
+    one), an array with the norm of each commutator.
+    """
     X = as_array(A)
     Y = as_array(B)
-    return frobenius(X @ Y - Y @ X)
+    C = X @ Y - Y @ X
+    return float(_norms(C)) if C.ndim == 2 else _norms(C)
 
 
 def _check_operands(A, B) -> None:
@@ -104,11 +116,7 @@ class HermitianMatrix:
 
     def __post_init__(self) -> None:
         arr = _to_complex_array(self.mat)
-        asym = np.linalg.norm(arr - arr.conj().T)
-        if asym > HERMITICITY_RTOL * max(1.0, np.linalg.norm(arr)):
-            raise ValueError(
-                f"matrix is not Hermitian: asymmetry {asym:.3e} exceeds tolerance"
-            )
+        _check_hermitian(arr)
         sym = _sym(arr)
         sym.setflags(write=False)
         object.__setattr__(self, "mat", sym)
@@ -146,6 +154,17 @@ class HermitianMatrix:
 def _sym(arr: np.ndarray) -> np.ndarray:
     # (X + X*)/2 over the last two axes: one matrix or each matrix of a stack.
     return (arr + arr.conj().swapaxes(-1, -2)) / 2.0
+
+
+def _check_hermitian(arr: np.ndarray) -> None:
+    # ValueError unless ||X - X*||_F <= HERMITICITY_RTOL * max(1, ||X||_F)
+    # for the matrix, or for each matrix of a stack; a NaN fails.
+    asym = _norms(arr - arr.conj().swapaxes(-1, -2))
+    ok = asym <= HERMITICITY_RTOL * np.maximum(1.0, _norms(arr))
+    if not ok.all():
+        raise ValueError(
+            f"matrix is not Hermitian: asymmetry {np.extract(~ok, asym)[0]:.3e} exceeds tolerance"
+        )
 
 
 def pd_tolerance(entries) -> float:
@@ -453,20 +472,23 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
 def _check_certificates(arr: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # PdMatrix's construction check for each matrix of a stack: lam[i] must
     # be finite and clear pd_tolerance(arr[i]). Returns lam.
-    tol = PD_TOLERANCE * np.maximum(1.0, np.linalg.norm(arr, axis=(-2, -1)))
+    tol = PD_TOLERANCE * np.maximum(1.0, _norms(arr))
     bad = ~(np.isfinite(lam) & (lam > tol))
     if bad.any():
         raise PositivityError(
-            f"minimum eigenvalue {lam[bad][0]:.3e} does not clear the positivity tolerance"
+            f"minimum eigenvalue {np.extract(bad, lam)[0]:.3e} does not clear the positivity tolerance"
         )
     return lam
 
 
 def _certify_stack(arr: np.ndarray) -> np.ndarray:
-    # PdMatrix.certify for each matrix of a Hermitian stack: its lambda_min,
-    # checked against its own tolerance.
-    w, _ = _eig_array(arr)
-    return _check_certificates(arr, w[:, 0])
+    # PdMatrix.certify for a Hermitian matrix, or for each matrix of a stack
+    # with any leading shape: its lambda_min, checked against its own
+    # tolerance. A lone matrix keeps the scalar kernel; deeper stacks are
+    # solved as one (N, n, n) stack.
+    n = arr.shape[-1]
+    w, _ = _eig_array(arr if arr.ndim <= 3 else arr.reshape(-1, n, n))
+    return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
 
 
 def mpow(A: PdMatrix, p: float) -> PdMatrix:

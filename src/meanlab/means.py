@@ -34,6 +34,7 @@ from .matcore import (
     _check_operands,
     _congruences,
     _eig_array,
+    _norms,
     _pow_arr,
     _spectral_values,
     _sym,
@@ -237,8 +238,8 @@ def _wasserstein_alt_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
 
 
 def _certified(arr: np.ndarray) -> np.ndarray:
-    # A stack of results, symmetrized, with each matrix certified as mean()
-    # certifies one.
+    # A result or a stack of results, symmetrized, with each matrix
+    # certified as mean() certifies one.
     M = _sym(arr)
     _certify_stack(M)
     return M
@@ -332,11 +333,6 @@ class AxiomReport:
 
 def _rel_gap(X: np.ndarray, Y: np.ndarray) -> float:
     return float(np.linalg.norm(X - Y)) / max(1.0, float(np.linalg.norm(Y)))
-
-
-def _norms(X: np.ndarray) -> np.ndarray:
-    # The Frobenius norm of each matrix of a stack.
-    return np.linalg.norm(X, axis=(-2, -1))
 
 
 def _order_violation(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:

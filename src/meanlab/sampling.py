@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import HermitianMatrix, PdMatrix, _apply_spectral, _eig_array
+from .matcore import HermitianMatrix, PdMatrix, _apply_spectral, _certify_stack, _eig_array, _sym
 
 # Random PD draws get at least this much identity added, keeping condition
 # numbers benign across large sample counts.
@@ -52,6 +52,20 @@ def random_pd(rng: np.random.Generator, dim: int) -> PdMatrix:
 def pd_pair(rng: np.random.Generator) -> tuple[PdMatrix, PdMatrix]:
     """Two 2x2 random_pd draws from one generator."""
     return random_pd(rng, 2), random_pd(rng, 2)
+
+
+def pd_stacks(seed, *stream, dim: int, k: int, count: int) -> tuple[np.ndarray, ...]:
+    """k certified (count, dim, dim) stacks: draw i is k random_pd draws on rng_for(seed, *stream, i).
+
+    Each draw takes its k factors at once with random_complex(rng, dim, k),
+    which gives the factors k single draws would, so every matrix is the
+    one random_pd returns; each stack is certified as one.
+    """
+    F = np.array([random_complex(rng_for(seed, *stream, i), dim, k) for i in range(count)])
+    out = tuple(_sym(_pd_gram(F[:, j])) for j in range(k))
+    for S in out:
+        _certify_stack(S)
+    return out
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

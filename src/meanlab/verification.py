@@ -31,8 +31,8 @@ from .expansion import (
     gp_eval,
     pauli_pair,
 )
-from .geometry import GEODESIC_BW, GEODESIC_TRACE, _accrual, _d_bw_arr, d_bw, geodesic
-from .matcore import HermitianMatrix, PdMatrix, commutator_norm, frobenius, identity_pd, pauli_basis
+from .geometry import GEODESIC_BW, GEODESIC_TRACE, _accrual, _certified_points, _d_bw_arr, d_bw
+from .matcore import HermitianMatrix, PdMatrix, _norms, commutator_norm, frobenius, identity_pd, pauli_basis
 from .means import (
     ARITHMETIC,
     GEOMETRIC,
@@ -40,7 +40,6 @@ from .means import (
     WASSERSTEIN,
     _certified,
     _mean_arr,
-    _norms,
     _wasserstein_alt_arr,
     check_kubo_ando_axioms,
     conventional_power,
@@ -55,7 +54,7 @@ from .preserver import (
     trace_power_functional,
 )
 from .report import CheckItem, CheckReport, least, worst
-from .sampling import draws, pd_pair, random_complex, random_pd, random_unitary, stacked
+from .sampling import draws, pd_pair, pd_stacks, random_complex, random_pd, random_unitary, stacked
 
 P_VALUES = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
 
@@ -277,7 +276,7 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     items.append(
         CheckItem.bound("Wasserstein vs conventional power 1/2 on commuting pairs", gap(W, cp), tol_c)
     )
-    A, B = stacked(draws(pd_pair, seed, 82, count=100))
+    A, B = pd_stacks(seed, 82, dim=2, k=2, count=100)
     W = _certified(_mean_arr(WASSERSTEIN, A, B))
     alt = _certified(_wasserstein_alt_arr(A, B))
     items.append(CheckItem.bound("two Wasserstein formulas agree", gap(W, alt), tol_w))
@@ -370,7 +369,7 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     add_rtol = 1e-8 * tol_scale
     exact_tol = 1e-12 * tol_scale
 
-    A, B, C = stacked(draws(lambda rng: pd_pair(rng) + (random_pd(rng, 2),), seed, 100, count=200))
+    A, B, C = pd_stacks(seed, 100, dim=2, k=3, count=200)
     dab = _d_bw_arr(A, B)
     sym = np.abs(dab - _d_bw_arr(B, A))
     ident = _d_bw_arr(A, A)
@@ -381,26 +380,24 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         CheckItem.bound("triangle inequality violation (200 triples)", worst(tri.tolist()), tri_slack),
     ]
 
-    pairs = draws(pd_pair, seed, 101, count=20)
-    ends = worst(
-        frobenius(geodesic(kind, A, B, t).mat - E.mat)
-        for A, B in pairs
-        for kind in (GEODESIC_TRACE, GEODESIC_BW)
-        for t, E in ((0.0, A), (1.0, B))
-    )
-    items.append(CheckItem.bound("geodesic endpoints (both kinds, 20 pairs)", ends, end_tol))
+    # Both curves at t = 0, 1 and 1/2 over the 20 pairs, from one frame or Q per pair.
+    A, B = pd_stacks(seed, 101, dim=2, k=2, count=20)
+    end_gaps, mids = [], []
     for geo, kind, name in (
         (GEODESIC_TRACE, GEOMETRIC, "trace-metric midpoint is the geometric mean"),
         (GEODESIC_BW, WASSERSTEIN, "Bures-Wasserstein midpoint is the Wasserstein mean"),
     ):
-        gap = worst(frobenius(geodesic(geo, A, B, 0.5).mat - mean(kind, A, B).mat) for A, B in pairs)
-        items.append(CheckItem.bound(name, gap, mid_tol))
+        P = _certified_points(geo, A, B, (0.0, 1.0, 0.5))
+        end_gaps += [_norms(P[0] - A), _norms(P[1] - B)]
+        gap = _norms(P[2] - _certified(_mean_arr(kind, A, B)))
+        mids.append(CheckItem.bound(name, worst(gap.tolist()), mid_tol))
+    ends = worst(np.concatenate(end_gaps).tolist())
+    items.append(CheckItem.bound("geodesic endpoints (both kinds, 20 pairs)", ends, end_tol))
+    items += mids
 
     partition = (0.0, 0.25, 0.5, 0.75, 1.0)
-    ratio = worst(
-        deviation / total
-        for deviation, total in (_accrual(A, B, partition) for A, B in draws(pd_pair, seed, 102, count=50))
-    )
+    deviation, total = _accrual(*pd_stacks(seed, 102, dim=2, k=2, count=50), partition)
+    ratio = worst((deviation / total).tolist())
     items.append(CheckItem.bound("distance accrues proportionally along the curve", ratio, add_rtol))
 
     four = PdMatrix.certify(4.0 * np.eye(2))

@@ -11,7 +11,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from meanlab import verification
+from meanlab import centrality, verification
 from meanlab import (
     HARMONIC,
     WASSERSTEIN,
@@ -32,6 +32,7 @@ from meanlab import (
     remark2_identity_chain,
     rng_for,
 )
+from meanlab.sampling import draws
 
 SZ, SX, U = pauli_basis()
 I2 = np.eye(2, dtype=complex)
@@ -98,6 +99,38 @@ def test_probe_report_carries_the_evidence(pd):
     assert rep.failures > 0
     assert rep.samples == 10
     assert rep.worst_gap > GENERIC_GAP_FLOOR
+
+
+@pytest.mark.parametrize("kind", [WASSERSTEIN, kubo_ando_power(0.5), HARMONIC], ids=lambda k: k.label)
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_probe_matches_one_pair_at_a_time(kind, dim):
+    # The probe evaluates its partners as one stack; each report must be the
+    # commutator_report of its pair, partners drawn as random_pd draws them.
+    A = random_pd(rng_for(17, dim), dim)
+    rep = probe_report(A, kind, samples=12, seed=4)
+    partners = draws(lambda rng: random_pd(rng, dim), 4, count=12)
+    singles = [commutator_report(kind, A, B) for B in partners]
+    for got, want in zip(rep.pairs, singles, strict=True):
+        assert abs(got.commutator_norm - want.commutator_norm) <= 1e-14 * want.commutator_norm
+        assert got.tolerance == pytest.approx(want.tolerance, rel=1e-15)
+        assert got.verdict == want.verdict
+    assert rep.failures == sum(r.verdict != "commutes" for r in singles)
+
+
+def test_probe_counts_a_nan_norm_as_a_failure(monkeypatch):
+    # Every partner commutes with a scalar, so one NaN norm is the one failure.
+    real = centrality._arith_commutator_arr
+
+    def nan_at_three(kind, A, B):
+        norms = real(kind, A, B)
+        norms[3] = math.nan
+        return norms
+
+    monkeypatch.setattr(centrality, "_arith_commutator_arr", nan_at_three)
+    rep = probe_report(identity_pd(2), WASSERSTEIN, samples=10, seed=0)
+    assert rep.failures == 1
+    assert math.isnan(rep.worst_gap)
+    assert not rep.central
 
 
 def test_probe_kind_validation(pd):

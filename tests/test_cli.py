@@ -127,6 +127,16 @@ def test_geodesic_midpoint_checks(capsys, scalar_pair):
     assert code == 0
 
 
+def test_geodesic_check_metric_needs_the_bw_curve(capsys, scalar_pair):
+    # The accrual check measures the Bures-Wasserstein curve, so it is
+    # refused for the trace-metric point rather than run on the other curve.
+    a, b = scalar_pair
+    assert main(["geodesic", "--kind", "trace", "--a", a, "--b", b, "--check-metric"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "defined for the Bures-Wasserstein curve" in captured.err
+
+
 def test_expand_exits_one_while_tabulated_pins_fail(capsys):
     code, payload = run_json(capsys, ["expand", "--mean", "kubo-ando", "--p", "0.5"])
     assert code == 1

@@ -27,6 +27,7 @@ from meanlab import (
     kubo_ando_power,
     matrix_to_json,
     mean,
+    probe_report,
     random_pd,
     remark1_identity_chain,
     remark2_identity_chain,
@@ -34,7 +35,7 @@ from meanlab import (
 )
 from meanlab import matcore
 from meanlab.cli import main
-from meanlab.verification import criterion_6, criterion_8, criterion_10
+from meanlab.verification import criterion_6, criterion_8, criterion_9, criterion_10
 
 
 @pytest.fixture
@@ -108,6 +109,17 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
     assert eig_calls == [dim] * 24
 
 
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind", [WASSERSTEIN, kubo_ando_power(0.5), HARMONIC], ids=lambda k: k.label)
+def test_eigendecompositions_per_probe(kind, dim, eig_calls):
+    # 50 partners certified, then per partner a mean (3) and its certificate:
+    # the partners are evaluated as one stack at a pair's own cost.
+    A, _ = _pair(dim)
+    eig_calls.clear()
+    probe_report(A, kind, samples=50)
+    assert eig_calls == [dim] * 250
+
+
 # Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and
 # 0, and the m_p hypothesis commutator (4); p < 0 adds B^(-1) and B^(p+1).
 # The harmonic chain: A^(-1), B^(-1) and the inverse of their sum.
@@ -132,10 +144,13 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
 # its 100 commuting pairs once for both powers; redrawing them per kind or
 # per power would cost 2107 and 3900. Criterion 10 divides each accrual
 # deviation by the d_bw(A, B) it was measured against; a fresh distance
-# per pair would cost 4303.
+# per pair would cost 4103. Its curve points at t = 0, 1 and 1/2 share one
+# frame (trace, 5 per pair) or one Q (Bures-Wasserstein, 6 per pair); a
+# geodesic call per point would cost 4203. Criterion 9's twelve probes cost
+# 250 each, the chains and the redraws of its non-scalar matrices the rest.
 @pytest.mark.parametrize(
     "criterion, expected",
-    [(criterion_6, 1707), (criterion_8, 3700), (criterion_10, 4203)],
+    [(criterion_6, 1707), (criterion_8, 3700), (criterion_9, 3057), (criterion_10, 4003)],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_eigendecompositions_per_sampled_criterion(criterion, expected, eig_calls):

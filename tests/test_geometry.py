@@ -29,8 +29,8 @@ from meanlab import (
     random_unitary,
     rng_for,
 )
-from meanlab import verification
-from meanlab.geometry import _d_bw_arr
+from meanlab import geometry, verification
+from meanlab.geometry import _accrual, _certified_points, _d_bw_arr
 from meanlab.sampling import draws, stacked
 
 ENDPOINT_TOL = 1e-11
@@ -180,6 +180,47 @@ def test_criterion_10_fails_on_one_nan_distance(monkeypatch):
     rep = verification.criterion_10(seed=0)
     failed = {item.name for item in rep.items if not item.passed}
     assert failed == {"distance symmetry (200 triples)", "triangle inequality violation (200 triples)"}
+
+
+def test_criterion_10_fails_on_one_nan_accrual_distance(monkeypatch):
+    # The accrual takes its 4 x 50 interval distances in one stacked call; a
+    # NaN in one of them must fail the accrual item and nothing else.
+    real = geometry._d_bw_arr
+
+    def nan_in_intervals(A, B):
+        d = real(A, B)
+        if d.shape == (200,):
+            d[77] = math.nan
+        return d
+
+    monkeypatch.setattr(geometry, "_d_bw_arr", nan_in_intervals)
+    rep = verification.criterion_10(seed=0)
+    failed = {item.name: item for item in rep.items if not item.passed}
+    assert set(failed) == {"distance accrues proportionally along the curve"}
+    assert math.isnan(failed["distance accrues proportionally along the curve"].observed)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_accrual_matches_each_pair(dim):
+    partition = [0.0, 0.25, 0.5, 0.75, 1.0]
+    pairs = draws(lambda rng: (random_pd(rng, dim), random_pd(rng, dim)), 6, dim, count=12)
+    deviation, total = _accrual(*stacked(pairs), partition)
+    for (A, B), dev, d in zip(pairs, deviation, total, strict=True):
+        assert abs(dev - check_geodesic_metric(A, B, partition)) <= 1e-14 * d
+        assert abs(d - d_bw(A, B)) <= 1e-14 * d
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_curve_points_match_each_geodesic(dim):
+    ts = (0.0, 0.3, 1.0)
+    pairs = draws(lambda rng: (random_pd(rng, dim), random_pd(rng, dim)), 7, dim, count=6)
+    for kind in (GEODESIC_TRACE, GEODESIC_BW):
+        P = _certified_points(kind, *stacked(pairs), ts)
+        assert P.shape == (len(ts), len(pairs), dim, dim)
+        for j, (A, B) in enumerate(pairs):
+            for i, t in enumerate(ts):
+                G = geodesic(kind, A, B, t).mat
+                assert frobenius(P[i, j] - G) <= 1e-14 * frobenius(G)
 
 
 @pytest.mark.parametrize("dim", [2, 3])

@@ -32,7 +32,7 @@ from meanlab import (
 )
 from meanlab import matcore
 from meanlab.matcore import _pow_arr, _sym
-from meanlab.sampling import _pd_gram, draws, pd_pair, random_complex, stacked
+from meanlab.sampling import _pd_gram, draws, pd_pair, pd_stacks, random_complex, stacked
 
 ORACLE_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-12
@@ -52,6 +52,19 @@ def test_hermitian_accepts_roundoff_asymmetry():
     arr = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]], dtype=complex)
     H = HermitianMatrix(arr)
     assert frobenius(H.mat - H.mat.conj().T) == 0.0
+
+
+def test_hermiticity_check_runs_per_matrix_of_a_stack():
+    # The check HermitianMatrix applies, over a stack: one asymmetric matrix
+    # or one NaN among Hermitian ones is refused, roundoff asymmetry is not.
+    good = np.array([[1.0, 0.5], [0.5 + 1e-12, 1.0]], dtype=complex)
+    matcore._check_hermitian(np.array([good, good]))
+    for bad in (np.array([[1.0, 2.0], [0.0, 1.0]]), np.full((2, 2), math.nan)):
+        stack = np.array([good, bad, good], dtype=complex)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            matcore._check_hermitian(stack)
+        with pytest.raises(ValueError, match="not Hermitian"):
+            matcore._check_hermitian(stack[None].repeat(2, axis=0))
 
 
 def test_hermitian_storage_is_immutable():
@@ -218,6 +231,24 @@ def test_stacked_power_and_certification_reject_one_bad_matrix():
             matcore._certify_stack(huge)
         with pytest.raises(DomainError):
             _pow_arr(huge, 3.0)
+
+
+def test_certification_takes_a_lone_matrix_or_any_leading_shape(rng):
+    arr = np.array([random_pd(rng, 2).mat for _ in range(6)])
+    lam = matcore._certify_stack(arr)
+    assert matcore._certify_stack(arr[4]) == pytest.approx(lam[4], rel=1e-14)
+    assert np.array_equal(matcore._certify_stack(arr.reshape(2, 3, 2, 2)), lam.reshape(2, 3))
+    with pytest.raises(PositivityError):
+        matcore._certify_stack(np.diag([-1.0, 2.0]).astype(complex))
+
+
+def test_commutator_norm_of_a_stack_is_each_commutator_norm(rng):
+    A = random_pd(rng, 3).mat
+    B = np.array([random_pd(rng, 3).mat for _ in range(4)])
+    norms = matcore.commutator_norm(A, B)
+    assert norms.shape == (4,)
+    for got, Bi in zip(norms, B):
+        assert got == pytest.approx(matcore.commutator_norm(A, Bi), rel=1e-14)
 
 
 def test_stacked_certificate_and_invertibility_checks_run_per_matrix(rng):
@@ -461,6 +492,18 @@ def test_stacked_draws_equal_one_draw_at_a_time(dim):
     A, C = random_pd(rng, dim), random_pd(rng, dim)
     assert np.array_equal(_sym(_pd_gram(factors[:2])), np.array([A.mat, C.mat]))
     assert np.array_equal(factors[2:], np.array([random_complex(rng, dim) for _ in range(2)]))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_pd_stacks_equal_random_pd_draws(k, dim):
+    # Draw i takes its k factors at once on rng_for(seed, *stream, i); every
+    # matrix must be bit for bit the one k random_pd calls there return (at
+    # k = 2 and dim 2, draws(pd_pair, ...)).
+    want = stacked(draws(lambda rng: tuple(random_pd(rng, dim) for _ in range(k)), 2, 102, count=9))
+    got = pd_stacks(2, 102, dim=dim, k=k, count=9)
+    assert len(got) == k
+    assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
 def test_stacked_puts_each_position_of_the_draws_in_one_stack():
