@@ -2,14 +2,13 @@
 
 Usage, from anywhere inside the repository:
 
-    python3 scripts/bench.py REF --out BENCH_<n>.json [--pairs 10] [--seconds S]
+    python3 scripts/bench.py REF --out BENCH_<n>.json
 
 The committed tree at REF is unpacked as ``verify_identity.py`` unpacks it.
-For each workload in BENCHMARK.json and each pair i < --pairs, with seed
-i + 1, ``perfbench/run.py --trace 0`` runs once on REF's tree and once on the
-working tree, each tree its own copy of perfbench, REF first in even pairs
-and the working tree first in odd ones. --seconds defaults to BENCHMARK.json's
-``run_seconds``.
+For each workload in BENCHMARK.json and each of 10 pairs i, with seed i + 1,
+``perfbench/run.py --trace 0`` runs for BENCHMARK.json's ``run_seconds`` once
+on REF's tree and once on the working tree, each tree its own copy of
+perfbench, REF first in even pairs and the working tree first in odd ones.
 
 The output holds every run's result line; for each workload and end-to-end
 metric, each side's median and quartiles, the relative change of the
@@ -36,6 +35,7 @@ from pathlib import Path
 from verify_identity import ROOT, unpack
 
 SIDES = ("ref", "worktree")
+PAIRS = 10
 
 
 def git(*args: str) -> str:
@@ -96,11 +96,8 @@ def main(argv: list[str]) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("ref")
     parser.add_argument("--out", required=True, type=Path)
-    parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=float, default=float(spec["run_seconds"]))
     args = parser.parse_args(argv)
-    if args.pairs < 1 or args.seconds <= 0:
-        parser.error("--pairs must be >= 1 and --seconds > 0")
+    seconds = float(spec["run_seconds"])
     try:
         ref_commit = git("rev-parse", "--verify", f"{args.ref}^{{commit}}").strip()
     except subprocess.CalledProcessError as exc:
@@ -114,7 +111,7 @@ def main(argv: list[str]) -> int:
             "untracked": git("ls-files", "--others", "--exclude-standard").split(),
         },
         "host": {"python": platform.python_version(), "machine": platform.machine(), "nproc": os.cpu_count()},
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "seeds": list(range(1, args.pairs + 1))},
+        "settings": {"pairs": PAIRS, "seconds": seconds},
     }
     runs = []
     with tempfile.TemporaryDirectory(prefix="bench-") as tmp:
@@ -125,9 +122,9 @@ def main(argv: list[str]) -> int:
             return 2
         trees = {"ref": Path(tmp), "worktree": ROOT}
         for workload in (w["name"] for w in spec["workloads"]):
-            for pair in range(args.pairs):
+            for pair in range(PAIRS):
                 for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                    result = run_once(trees[side], workload, pair + 1, args.seconds)
+                    result = run_once(trees[side], workload, pair + 1, seconds)
                     runs.append({"workload": workload, "pair": pair, "seed": pair + 1, "side": side, "result": result})
                     pass_s = result.get("metrics", {}).get("pass_s", {}).get("value")
                     print(f"{workload} pair {pair} {side}: pass_s {pass_s}", file=sys.stderr, flush=True)

@@ -70,18 +70,18 @@ def _validate_probe_kind(kind: MeanKind) -> None:
 
 
 def _arith_commutator_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray):
-    # ||[(A+B)/2, M(A, B)]||_F with the mean certified, for one pair or for A
-    # against each partner of a stack (A broadcast, so each pair costs what a
-    # pair on its own does).
-    Aarr = np.broadcast_to(Aarr, Barr.shape)
-    return commutator_norm((Aarr + Barr) / 2.0, _certified(_mean_arr(kind, Aarr, Barr)))
+    # ||[(A+B)/2, M(A, B)]||_F with the mean certified, for one pair or for
+    # one A against each partner of a stack, A's side of the mean taken once.
+    X = (Aarr + Barr) / 2.0
+    M = _certified(_mean_arr(kind, Aarr, Barr))
+    return _norms(X @ M - M @ X)
 
 
 def arith_mean_commutator(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> float:
     """Frobenius norm of [(A+B)/2, mean(kind, A, B)], the mean certified."""
     _validate_probe_kind(kind)
     _check_operands(A, B)
-    return _arith_commutator_arr(kind, A.mat, B.mat)
+    return float(_arith_commutator_arr(kind, A.mat, B.mat))
 
 
 @dataclass(frozen=True)

@@ -71,31 +71,29 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"parameter must lie in [0, 1], got {t}")
     _check_operands(A, B)
-    P = _curve_points(kind, A.mat, B.mat, t)
+    P = _curve_points(kind, A.mat, B.mat, (t,))[0]
     _check_hermitian(P)
     return PdMatrix.certify(HermitianMatrix._wrap(P))
 
 
-def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, t) -> np.ndarray:
-    # Uncertified points of the chosen geodesic for one pair, or for each
-    # pair of two stacks, from one frame (trace) or one Q (Bures-Wasserstein)
-    # per pair: a float t gives one point per pair, a sequence of ts a
-    # leading axis with one entry per t.
-    one = isinstance(t, float)
+def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) -> list[np.ndarray]:
+    # Uncertified points of the chosen geodesic, one entry per t of ts: a
+    # matrix for one pair, a stack for two stacks of pairs. Each pair's
+    # frame (trace) or Q (Bures-Wasserstein) is taken once for all ts, and
+    # each t enters as a float, so a lone point costs what it did alone.
     if kind.tag == TAG_TRACE:
         Ah, N = _normalized_inner(Aarr, Barr)
-        powers = _pow_arr(N, t) if one else np.reshape(_pow_arr(N, *t), (len(t),) + N.shape)
-        return Ah @ powers @ Ah
+        return [Ah @ P @ Ah for P in np.reshape(_pow_arr(N, *ts), (len(ts),) + N.shape)]
     Q = _sym(_geometric_arr(_sym(_pow_arr(Aarr, -1.0)), Barr))
-    s = t if one else np.reshape(t, (-1,) + (1,) * Aarr.ndim)
-    return (1.0 - s) ** 2 * Aarr + s**2 * Barr + s * (1.0 - s) * (Aarr @ Q + Q @ Aarr)
+    AQ = Aarr @ Q + Q @ Aarr
+    return [(1.0 - t) ** 2 * Aarr + t**2 * Barr + t * (1.0 - t) * AQ for t in ts]
 
 
 def _certified_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) -> np.ndarray:
-    # _curve_points at each of ts, each point checked as geodesic checks one:
-    # Hermitian to HERMITICITY_RTOL (a NaN fails), then symmetrized and
-    # certified.
-    P = _curve_points(kind, Aarr, Barr, ts)
+    # _curve_points at each of ts, with a leading axis for t, each point
+    # checked as geodesic checks one: Hermitian to HERMITICITY_RTOL (a NaN
+    # fails), then symmetrized and certified.
+    P = np.stack(_curve_points(kind, Aarr, Barr, ts))
     _check_hermitian(P)
     return _certified(P)
 

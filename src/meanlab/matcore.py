@@ -78,16 +78,11 @@ def _norms(X: np.ndarray):
     return np.linalg.norm(X) if X.ndim == 2 else np.linalg.norm(X, axis=(-2, -1))
 
 
-def commutator_norm(A, B):
-    """Frobenius norm of the commutator AB - BA of two arrays or wrapped matrices.
-
-    A float for two matrices; for stacks (a lone matrix broadcasts against
-    one), an array with the norm of each commutator.
-    """
+def commutator_norm(A, B) -> float:
+    """Frobenius norm of the commutator AB - BA of two arrays or wrapped matrices."""
     X = as_array(A)
     Y = as_array(B)
-    C = X @ Y - Y @ X
-    return float(_norms(C)) if C.ndim == 2 else _norms(C)
+    return frobenius(X @ Y - Y @ X)
 
 
 def _check_operands(A, B) -> None:

@@ -91,6 +91,18 @@ def test_geodesic_endpoints(kind, rng):
     assert frobenius(geodesic(kind, A, B, 1.0).mat - B.mat) <= ENDPOINT_TOL
 
 
+@pytest.mark.parametrize("kind", [GEODESIC_TRACE, GEODESIC_BW], ids=lambda k: k.tag)
+def test_geodesic_takes_any_real_parameter(kind, rng):
+    # An int or a numpy scalar t gives the point a float t gives, bit for bit.
+    A = random_pd(rng, 2)
+    B = random_pd(rng, 2)
+    for t, want in ((0, A), (1, B), (np.float32(0.5), None)):
+        got = geodesic(kind, A, B, t)
+        assert np.array_equal(got.mat, geodesic(kind, A, B, float(t)).mat)
+        if want is not None:
+            assert frobenius(got.mat - want.mat) <= ENDPOINT_TOL
+
+
 def test_trace_midpoint_is_the_geometric_mean(rng):
     A = random_pd(rng, 2)
     B = random_pd(rng, 2)

@@ -242,15 +242,6 @@ def test_certification_takes_a_lone_matrix_or_any_leading_shape(rng):
         matcore._certify_stack(np.diag([-1.0, 2.0]).astype(complex))
 
 
-def test_commutator_norm_of_a_stack_is_each_commutator_norm(rng):
-    A = random_pd(rng, 3).mat
-    B = np.array([random_pd(rng, 3).mat for _ in range(4)])
-    norms = matcore.commutator_norm(A, B)
-    assert norms.shape == (4,)
-    for got, Bi in zip(norms, B):
-        assert got == pytest.approx(matcore.commutator_norm(A, Bi), rel=1e-14)
-
-
 def test_stacked_certificate_and_invertibility_checks_run_per_matrix(rng):
     arr = np.array([random_pd(rng, 2).mat for _ in range(3)])
     lam = matcore._certify_stack(arr)
