@@ -20,6 +20,11 @@ and in ``--json``. Exit code, standard output and standard error must match,
 with ``elapsed_ms`` and the temporary directory masked. The exit status is
 0 when every run matches and 1 on any difference; the temporary directory
 is removed either way.
+
+Last, the script prints the number of source lines, as
+``cat src/meanlab/*.py | wc -l`` counts them, at REF and here. A refactor
+should lower it; the count is only reported and never changes the exit
+status, since a change that moves bits on purpose may add lines.
 """
 
 from __future__ import annotations
@@ -142,6 +147,11 @@ def run_cli(src: Path, runs: list[list[str]], folder: Path) -> list[tuple[int, s
     return [(code, mask(out), mask(err)) for code, out, err in json.loads(proc.stdout)]
 
 
+def source_lines(src: Path) -> int:
+    """Newlines in the package's modules, as ``cat src/meanlab/*.py | wc -l`` counts them."""
+    return sum(path.read_bytes().count(b"\n") for path in (src / "meanlab").glob("*.py"))
+
+
 def relative_change(old: float, new: float) -> float:
     """|new - old| / |old|: 0 when both are equal or both NaN, inf from an old 0 or one NaN."""
     if old == new or (math.isnan(old) and math.isnan(new)):
@@ -225,6 +235,8 @@ def main(argv: list[str]) -> int:
             shown = " ".join(argv).replace(str(folder), "<tmp>")
             print(f"cli: DIFFERENT: meanlab {shown} (exit {old[0]} at {ref}, {new[0]} here)")
             print_diff(ref, old, new)
+        before, after = source_lines(Path(tmp) / "src"), source_lines(ROOT / "src")
+        print(f"source lines: {before} at {ref}, {after} here ({after - before:+d})")
     return 0 if same else 1
 
 

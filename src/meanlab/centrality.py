@@ -23,14 +23,13 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import PdMatrix, _check_operands, _norms, _pow_arr, commutator_norm, frobenius
+from .matcore import PdMatrix, _certified, _check_operands, _norms, _pow_arr, commutator_norm, frobenius
 from .means import (
     TAG_HARMONIC,
     TAG_POWER,
     TAG_WASSERSTEIN,
     MeanKind,
     _bw_frame,
-    _certified,
     _mean_arr,
     kubo_ando_power,
 )

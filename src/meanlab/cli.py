@@ -40,6 +40,7 @@ from .geometry import (
 from .matcore import (
     HermitianMatrix,
     PdMatrix,
+    _rel_gap,
     matrix_from_json,
     matrix_to_json,
     mpow,
@@ -49,7 +50,6 @@ from .means import (
     WASSERSTEIN,
     MeanKind,
     _POWER_TAGS,
-    _rel_gap,
     ando_variational_certificate,
     check_kubo_ando_axioms,
     kubo_ando_from_function,
@@ -100,6 +100,15 @@ def _kind_from(name: str, p) -> MeanKind:
     if p is None:
         raise MeanlabError(f"--p is required for {name}")
     return MeanKind(name, p=p)
+
+
+def _family_from(name: str, p) -> MeanKind:
+    # --mean kubo-ando|wasserstein of expand and preserver: m_p needs --p.
+    if name == "wasserstein":
+        return WASSERSTEIN
+    if p is None:
+        raise MeanlabError("--p is required for the power family")
+    return kubo_ando_power(p)
 
 
 def _tol_scale(text: str) -> float:
@@ -197,12 +206,11 @@ def _cmd_mean(args) -> int:
 
 def _cmd_expand(args) -> int:
     grid = args.grid if args.grid is not None else DEFAULT_GRID
-    if args.mean == "kubo-ando":
-        if args.p is None:
-            raise MeanlabError("--p is required for the power family")
-        report, fit = _power_mean_expansion(args.p, grid, args.tol_scale)
-    else:
+    kind = _family_from(args.mean, args.p)
+    if kind == WASSERSTEIN:
         report, fit = _wasserstein_expansion(grid, args.tol_scale)
+    else:
+        report, fit = _power_mean_expansion(kind.p, grid, args.tol_scale)
     result = {
         "title": report.title,
         "c0": matrix_to_json(fit.c0),
@@ -216,13 +224,7 @@ def _cmd_expand(args) -> int:
 
 def _cmd_preserver(args) -> int:
     if args.functional is None:
-        if args.mean == "kubo-ando":
-            if args.p is None:
-                raise MeanlabError("--p is required for the power family")
-            kind = kubo_ando_power(args.p)
-        else:
-            kind = WASSERSTEIN
-        rep = solve_coefficients(kind)
+        rep = solve_coefficients(_family_from(args.mean, args.p))
         report = rep.contract_report(args.tol_scale)
         params = {"mean": args.mean, "p": args.p}
         return _emit(args, "preserver", params, report.items, rep.to_json())
@@ -236,7 +238,7 @@ def _cmd_preserver(args) -> int:
         f = linear_functional(HermitianMatrix(np.eye(2) / 2))
     else:
         f = trace_power_functional(p)
-    kind = WASSERSTEIN if args.mean == "wasserstein" else kubo_ando_power(p)
+    kind = _family_from(args.mean, p)
     pairs = draws(pd_pair, args.seed, count=args.pairs)
     residual = worst(preserver_residual(f, kind, A, B) for A, B in pairs)
     A = pairs[-1][0]

@@ -24,7 +24,9 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, FitFailure, IllConditioned
-from .matcore import HermitianMatrix, PdMatrix, _pow_arr, as_array, commutator_norm, mpow, pauli_basis
+from .matcore import (
+    HermitianMatrix, PdMatrix, _check_hermitian, _pow_arr, as_array, commutator_norm, mpow, pauli_basis,
+)
 from .means import WASSERSTEIN, _transport_arr, kubo_ando_power, mean, power_parameter
 from .report import CheckItem, CheckReport
 
@@ -63,8 +65,9 @@ class EpsFamily:
             raise DomainError(f"grid needs at least {MIN_GRID_POINTS} points, got {len(grid)}")
         if len(set(grid)) != len(grid):
             raise DomainError("grid points must be distinct")
-        if grid[0] <= 0.0 or grid[-1] > EPS_MAX:
-            raise DomainError(f"grid must lie in (0, {EPS_MAX}], got [{grid[0]}, {grid[-1]}]")
+        # Every point is tested, so that a NaN fails too.
+        if not all(0.0 < e <= EPS_MAX for e in grid):
+            raise DomainError(f"grid must lie in (0, {EPS_MAX}], got {list(grid)}")
         object.__setattr__(self, "eps_grid", grid)
 
     def scaled(self, factor: float) -> "EpsFamily":
@@ -129,17 +132,15 @@ def _fit_impl(family, grid, hermitian: bool):
     g = _coerce_grid(grid)
     eps, samples, scale = _collect(family, g)
     if hermitian:
-        for s, e in zip(samples, eps):
-            asym = float(np.linalg.norm(s - s.conj().T))
-            if asym > 1e-8 * max(1.0, float(np.linalg.norm(s))):
-                raise DomainError(
-                    f"family is not Hermitian at eps = {e} (asymmetry {asym:.3e});"
-                    " use the general fit"
-                )
+        try:
+            _check_hermitian(np.array(samples))
+        except ValueError as exc:
+            raise DomainError(f"family is not Hermitian on the grid ({exc}); use the general fit") from exc
     degree = min(len(eps) - 1, FIT_DEGREE_CAP)
     coeffs, _ = _poly_fit(samples, eps, degree)
     _, resid2 = _poly_fit(samples, eps, 2)
-    if resid2 > FIT_SANITY * scale:
+    # Written so that a NaN residual fails too.
+    if not resid2 <= FIT_SANITY * scale:
         raise FitFailure(
             f"degree-2 residual {resid2:.3e} exceeds the sanity bound on this grid"
         )

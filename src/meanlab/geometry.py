@@ -16,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import HermitianMatrix, PdMatrix, _check_hermitian, _check_operands, _pow_arr, _sym
-from .means import _bw_frame, _certified, _geometric_arr, _normalized_inner
+from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _pow_arr, _sym
+from .means import _bw_frame, _geometric_arr, _normalized_inner
 
 TAG_TRACE = "geometric-trace"
 TAG_BW = "bures-wasserstein"
@@ -62,10 +62,10 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     """Point at parameter t on the chosen geodesic from A to B.
 
     The Bures-Wasserstein curve is
-    (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B. A^(-1) and Q
-    are computed as the Wasserstein mean computes them, uncertified, by the
-    geometric mean's own array routine: only the curve points are certified.
-    check_geodesic_metric computes Q once for all its points.
+    (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B, Q taken by the
+    geometric mean's array routine. A^(-1) and Q are symmetrized, unlike in
+    the Wasserstein mean, and uncertified: only the curve points are
+    certified. check_geodesic_metric computes Q once for all its points.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):

@@ -14,9 +14,13 @@ The private array layer also takes stacks of shape (N, n, n), for batteries
 that evaluate many samples at once. A stack of 2x2 matrices runs a
 vectorized copy of the closed form, a stack of larger ones the scalar Jacobi
 once per matrix; a 2-D input always stays on the scalar kernels, which cost
-far less than a stack of one. Powers, certification, the Hermiticity check
-and the congruence invertibility check apply their guards to every matrix of
-a stack.
+far less than a stack of one. Powers and the congruence invertibility check
+guard every matrix of a stack.
+
+Four checks are decided here and nowhere else, each by one function for a
+matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
+``_certified``), the Loewner order (``_order_violation``), Hermiticity
+(``_check_hermitian``) and relative size (``_rel_gap``).
 
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
 stored on value types are non-writeable copies, so instances can be shared
@@ -162,9 +166,11 @@ def _check_hermitian(arr: np.ndarray) -> None:
         )
 
 
-def pd_tolerance(entries) -> float:
-    """Certification threshold for the matrix at hand."""
-    return PD_TOLERANCE * max(1.0, frobenius(entries))
+def pd_tolerance(entries):
+    """Certification threshold PD_TOLERANCE * max(1, ||X||_F), for a matrix or each matrix of a stack."""
+    # A lone matrix takes Python's max, which costs a fifth of np.maximum's.
+    norm = _norms(as_array(entries))
+    return PD_TOLERANCE * (max(1.0, float(norm)) if norm.ndim == 0 else np.maximum(1.0, norm))
 
 
 @dataclass(frozen=True)
@@ -467,8 +473,7 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
 def _check_certificates(arr: np.ndarray, lam: np.ndarray) -> np.ndarray:
     # PdMatrix's construction check for each matrix of a stack: lam[i] must
     # be finite and clear pd_tolerance(arr[i]). Returns lam.
-    tol = PD_TOLERANCE * np.maximum(1.0, _norms(arr))
-    bad = ~(np.isfinite(lam) & (lam > tol))
+    bad = ~(np.isfinite(lam) & (lam > pd_tolerance(arr)))
     if bad.any():
         raise PositivityError(
             f"minimum eigenvalue {np.extract(bad, lam)[0]:.3e} does not clear the positivity tolerance"
@@ -484,6 +489,14 @@ def _certify_stack(arr: np.ndarray) -> np.ndarray:
     n = arr.shape[-1]
     w, _ = _eig_array(arr if arr.ndim <= 3 else arr.reshape(-1, n, n))
     return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
+
+
+def _certified(arr: np.ndarray) -> np.ndarray:
+    # A result or a stack of results, symmetrized, with each matrix
+    # certified as mean() certifies one.
+    M = _sym(arr)
+    _certify_stack(M)
+    return M
 
 
 def mpow(A: PdMatrix, p: float) -> PdMatrix:
@@ -523,15 +536,27 @@ def _congruences(C, *mats) -> tuple[np.ndarray, ...]:
     return tuple(Carr @ Xarr @ Ch for Xarr in arrs)
 
 
+def _order_violation(M1: np.ndarray, M2: np.ndarray):
+    # How far M1 <= M2 fails, for one pair or each pair of two stacks: the
+    # most negative eigenvalue of M2 - M1, negated; 0 where none is negative,
+    # NaN kept.
+    w, _ = _eig_array(_sym(M2 - M1))
+    return np.maximum(0.0, -w[..., 0])
+
+
 def loewner_leq(A, B) -> bool:
     """Test A <= B in the Loewner order.
 
     The tolerance is LOEWNER_TOL scaled by max(1, ||B - A||_F); the
     difference may dip that far below zero and still count.
     """
-    D = _sym(as_array(B) - as_array(A))
-    w, _ = _eig_array(D)
-    return float(w[0]) >= -LOEWNER_TOL * max(1.0, frobenius(D))
+    X, Y = as_array(A), as_array(B)
+    return bool(_order_violation(X, Y) <= LOEWNER_TOL * max(1.0, frobenius(Y - X)))
+
+
+def _rel_gap(X: np.ndarray, Y: np.ndarray):
+    # ||X - Y||_F / max(1, ||Y||_F) for one pair, or for each pair of two stacks.
+    return _norms(X - Y) / np.maximum(1.0, _norms(Y))
 
 
 def pauli_basis() -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:
@@ -566,7 +591,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"matrix payload shapes {re.shape}, {im.shape} do not match dim {dim}"
         )
-    arr = re + 1j * im
-    if not np.all(np.isfinite(re)) or not np.all(np.isfinite(im)):
+    if not (np.all(np.isfinite(re)) and np.all(np.isfinite(im))):
         raise ValueError("matrix payload entries must be finite")
-    return arr
+    return re + 1j * im

@@ -29,17 +29,20 @@ from .matcore import (
     HermitianMatrix,
     PdMatrix,
     _apply_spectral,
+    _certified,
     _certify_stack,
     _check_certificates,
     _check_operands,
     _congruences,
-    _eig_array,
     _norms,
+    _order_violation,
     _pow_arr,
+    _rel_gap,
     _spectral_values,
     _sym,
     as_array,
     identity_pd,
+    loewner_leq,
 )
 from .report import worst
 from .sampling import (
@@ -67,7 +70,6 @@ def power_parameter(p: float) -> float:
 AXIOM_EQ_TOL = 1e-10
 AXIOM_NORMALIZATION_TOL = 1e-11
 AXIOM_ORDER_TOL = 1e-10
-VARIATIONAL_TOL = 1e-10
 
 TAG_ARITHMETIC = "arithmetic"
 TAG_HARMONIC = "harmonic"
@@ -237,14 +239,6 @@ def _wasserstein_alt_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     return (Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0
 
 
-def _certified(arr: np.ndarray) -> np.ndarray:
-    # A result or a stack of results, symmetrized, with each matrix
-    # certified as mean() certifies one.
-    M = _sym(arr)
-    _certify_stack(M)
-    return M
-
-
 def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
     """Evaluate the selected mean at (A, B).
 
@@ -331,17 +325,6 @@ class AxiomReport:
         return {**asdict(self), "all_pass": self.all_pass, "checks": [c.to_json() for c in self.checks]}
 
 
-def _rel_gap(X: np.ndarray, Y: np.ndarray) -> float:
-    return float(np.linalg.norm(X - Y)) / max(1.0, float(np.linalg.norm(Y)))
-
-
-def _order_violation(M1: np.ndarray, M2: np.ndarray) -> np.ndarray:
-    # How far M1 <= M2 fails for each pair of two stacks, as the most
-    # negative eigenvalue of M2 - M1: 0 where none is negative, NaN kept.
-    w, _ = _eig_array(_sym(M2 - M1))
-    return np.maximum(0.0, -w[:, 0])
-
-
 def check_kubo_ando_axioms(
     kind: MeanKind,
     samples: int = 50,
@@ -387,7 +370,7 @@ def check_kubo_ando_axioms(
         factors.append(random_complex(rng, dim, 4))
         T.append((random_invertible_hermitian if i % 2 == 0 else random_pd)(rng, dim).mat)
     F = np.array(factors)
-    A, C = _sym(_pd_gram(F[:, 0])), _sym(_pd_gram(F[:, 1]))
+    A, C = _pd_gram(F[:, 0]), _pd_gram(F[:, 1])
     lam_A, lam_C = _certify_stack(A), _certify_stack(C)
     G1, G2 = F[:, 2], F[:, 3]
     B = _certified(A + G1.conj().swapaxes(-1, -2) @ G1 + 0.05 * I)
@@ -399,12 +382,12 @@ def check_kubo_ando_axioms(
 
     lhs, TA, TC = _congruences(np.array(T), lo, A, C)
     rhs = _certified(_mean_arr(kind, _certified(TA), _certified(TC)))
-    trans = _norms(_sym(lhs) - rhs) / np.maximum(1.0, _norms(rhs))
+    trans = _rel_gap(_sym(lhs), rhs)
 
     ks = (1, 2, 4, 8, 16, 32)
     shifts = []
     for k in ks:
-        Ak, Ck = _sym(A + I / k), _sym(C + I / k)
+        Ak, Ck = A + I / k, C + I / k
         _check_certificates(Ak, lam_A)
         _check_certificates(Ck, lam_C)
         shifts.append(_certified(_mean_arr(kind, Ak, Ck)))
@@ -433,11 +416,4 @@ def ando_variational_certificate(A: PdMatrix, B: PdMatrix, X) -> bool:
     Xarr = as_array(X)
     if Xarr.shape != A.mat.shape:
         raise DimMismatch(f"block X has shape {Xarr.shape}, expected {A.mat.shape}")
-    n = A.dim
-    block = np.empty((2 * n, 2 * n), dtype=np.complex128)
-    block[:n, :n] = A.mat
-    block[:n, n:] = Xarr
-    block[n:, :n] = Xarr.conj().T
-    block[n:, n:] = B.mat
-    w, _ = _eig_array(_sym(block))
-    return float(w[0]) >= -VARIATIONAL_TOL * max(1.0, float(np.linalg.norm(block)))
+    return loewner_leq(0, np.block([[A.mat, Xarr], [Xarr.conj().T, B.mat]]))

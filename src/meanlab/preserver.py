@@ -143,7 +143,8 @@ class MasaFunctional:
         canon = []
         for G, c in self.directions:
             c = float(c)
-            if abs(c) > c_I + 1e-12:
+            # Written so that a NaN coefficient fails too.
+            if not abs(c) <= c_I + 1e-12:
                 raise DomainError(f"|c_G| = {abs(c)} exceeds c_I = {c_I}")
             canon.append((canonical_direction(G), c))
         object.__setattr__(self, "c_I", c_I)
@@ -188,14 +189,14 @@ def masa_eval(m: MasaFunctional, X) -> float:
 
 
 def _scalar_mean(kind: MeanKind, x: float, y: float) -> float:
+    # The scalar mean of each kind preserver_residual admits: arithmetic,
+    # m_p, and otherwise Wasserstein.
     if kind.tag == TAG_ARITHMETIC:
         return (x + y) / 2.0
     if kind.tag == TAG_POWER:
         p = kind.p
         return ((x**p + y**p) / 2.0) ** (1.0 / p)
-    if kind.tag == TAG_WASSERSTEIN:
-        return ((math.sqrt(x) + math.sqrt(y)) / 2.0) ** 2
-    raise DomainError(f"no scalar mean for kind {kind.label}")
+    return ((math.sqrt(x) + math.sqrt(y)) / 2.0) ** 2
 
 
 def preserver_residual(f: ScalarFunctional, kind: MeanKind, A: PdMatrix, B: PdMatrix) -> float:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .matcore import HermitianMatrix, PdMatrix, _apply_spectral, _certify_stack, _eig_array, _sym
+from .matcore import HermitianMatrix, PdMatrix, _apply_spectral, _certified, _eig_array, _sym
 
 # Random PD draws get at least this much identity added, keeping condition
 # numbers benign across large sample counts.
@@ -40,8 +40,8 @@ def stacked(drawn: list) -> tuple[np.ndarray, ...]:
 
 
 def _pd_gram(M: np.ndarray) -> np.ndarray:
-    # M*M + PD_FLOOR*I for one factor M or each factor of a stack.
-    return M.conj().swapaxes(-1, -2) @ M + PD_FLOOR * np.eye(M.shape[-1])
+    # M*M + PD_FLOOR*I, symmetrized, for one factor M or each factor of a stack.
+    return _sym(M.conj().swapaxes(-1, -2) @ M + PD_FLOOR * np.eye(M.shape[-1]))
 
 
 def random_pd(rng: np.random.Generator, dim: int) -> PdMatrix:
@@ -62,10 +62,7 @@ def pd_stacks(seed, *stream, dim: int, k: int, count: int) -> tuple[np.ndarray, 
     one random_pd returns; each stack is certified as one.
     """
     F = np.array([random_complex(rng_for(seed, *stream, i), dim, k) for i in range(count)])
-    out = tuple(_sym(_pd_gram(F[:, j])) for j in range(k))
-    for S in out:
-        _certify_stack(S)
-    return out
+    return tuple(_certified(_pd_gram(F[:, j])) for j in range(k))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

@@ -13,7 +13,10 @@ import pytest
 
 from meanlab import centrality, verification
 from meanlab import (
+    ARITHMETIC,
+    GEOMETRIC,
     HARMONIC,
+    SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
     DomainError,
     arith_mean_commutator,
@@ -137,6 +140,21 @@ def test_probe_kind_validation(pd):
     A = identity_pd(2)
     with pytest.raises(DomainError):
         centrality_probe(A, kubo_ando_power(1.0), samples=5, seed=0)
+
+
+@pytest.mark.parametrize("kind", [ARITHMETIC, GEOMETRIC, SPECTRAL_GEOMETRIC], ids=lambda k: k.label)
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda kind, A, B: arith_mean_commutator(kind, A, B),
+        lambda kind, A, B: probe_report(A, kind, samples=3),
+        lambda kind, A, B: centrality_probe(A, kind, samples=3),
+    ],
+    ids=["commutator", "probe-report", "probe"],
+)
+def test_probes_refuse_an_unsupported_kind(call, kind, commuting_pair):
+    with pytest.raises(DomainError, match="support the Wasserstein mean and m_p"):
+        call(kind, *commuting_pair)
 
 
 def test_commutator_report_verdicts(commuting_pair, generic_pair):

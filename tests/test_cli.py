@@ -244,15 +244,96 @@ def test_input_error_on_malformed_matrix(tmp_path, capsys):
 
 
 def test_usage_error_on_bad_grid(capsys):
-    code = main(["expand", "--mean", "kubo-ando", "--p", "0.5", "--grid", "0.01:0.9:6"])
-    assert code == 2
-    capsys.readouterr()
+    for grid in ("0.01:0.9:6", "0.01:nan:6"):
+        code = main(["expand", "--mean", "kubo-ando", "--p", "0.5", "--grid", grid])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "bad grid" in captured.err
 
 
 def test_certificate_needs_the_geometric_kind(capsys, scalar_pair):
     a, b = scalar_pair
     code = main(["mean", "--kind", "harmonic", "--a", a, "--b", b, "--certificate"])
     assert code == 2
+
+
+def test_geometric_certificate_accepts_the_mean(capsys, matrix_file):
+    a, b = _scaled_pair(matrix_file, 2, 1.0)
+    code, payload = run_json(capsys, ["mean", "--kind", "geometric", "--certificate", "--a", a, "--b", b])
+    assert code == 0
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [
+        ("variational certificate accepts the mean", True)
+    ]
+
+
+def test_rep_at_reports_the_representing_function(capsys, scalar_pair):
+    # The geometric mean's representing function is sqrt(t).
+    a, b = scalar_pair
+    code, payload = run_json(capsys, ["mean", "--kind", "geometric", "--rep-at", "4", "--a", a, "--b", b])
+    assert code == 0
+    assert payload["result"]["representing_function"] == {"t": 4.0, "value": pytest.approx(2.0, rel=1e-15)}
+
+
+def test_probe_with_b_reports_the_one_pair(capsys, matrix_file):
+    a = matrix_file("a.json", np.diag([1.0, 4.0]))
+    b = matrix_file("b.json", np.diag([9.0, 16.0]))
+    code, payload = run_json(capsys, ["centrality", "--a", a, "--b", b])
+    assert code == 0
+    result = payload["result"]
+    assert (result["pair_id"], result["kind"], result["verdict"]) == ("pair", "wasserstein", "commutes")
+
+
+def test_identity_chain_needs_b(capsys, matrix_file):
+    a = matrix_file("a.json", np.diag([1.0, 4.0]))
+    assert main(["centrality", "--chain", "identity", "--a", a]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: --b is required for --chain identity\n"
+
+
+@pytest.mark.parametrize(
+    "argv, kind",
+    [
+        (["--mean", "kubo-ando", "--p", "0.5"], "kubo-ando-power(p=0.5)"),
+        (["--mean", "wasserstein"], "wasserstein"),
+    ],
+)
+def test_preserver_solve_reports_the_contract(capsys, argv, kind):
+    # The forced-constancy contract fails on purpose, as criterion 5 does.
+    code, payload = run_json(capsys, ["preserver", *argv])
+    assert code == 1
+    assert payload["result"]["kind"] == kind
+    assert payload["result"]["c_i_forced"] is False
+    assert payload["parameters"]["mean"] == argv[1]
+
+
+@pytest.mark.parametrize(
+    "functional, mean, label",
+    [
+        ("constant", "kubo-ando", "kubo-ando-power(p=0.5)"),
+        ("linear", "wasserstein", "wasserstein"),
+        ("trace-power", "kubo-ando", "kubo-ando-power(p=0.5)"),
+    ],
+)
+def test_preserver_functional_mode_samples_pairs(capsys, functional, mean, label):
+    # --p defaults to 0.5 in this mode.
+    code, payload = run_json(capsys, ["preserver", "--functional", functional, "--mean", mean, "--pairs", "3"])
+    assert code in (0, 1)
+    assert payload["result"]["mean"] == label and payload["result"]["pairs"] == 3
+    assert payload["parameters"]["p"] == 0.5
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["preserver", "--mean", "kubo-ando"], "error: --p is required for the power family\n"),
+        (["expand", "--mean", "kubo-ando"], "error: --p is required for the power family\n"),
+        (["preserver", "--functional", "linear", "--pairs", "0"], "error: --pairs must be at least 1\n"),
+    ],
+)
+def test_preserver_and_expand_input_errors(capsys, argv, message):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == message
 
 
 def test_verify_needs_a_selector(capsys):

@@ -134,6 +134,9 @@ def test_grid_range_is_enforced():
         EpsFamily((0.01, 0.02, 0.04, 0.3))
     with pytest.raises(DomainError):
         EpsFamily((0.0, 0.02, 0.04, 0.1))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="grid must lie in"):
+            EpsFamily((0.01, 0.02, 0.04, bad))
 
 
 def test_grid_points_must_be_distinct():
@@ -170,6 +173,15 @@ def test_non_hermitian_family_is_routed_to_the_general_fit():
         fit_series(lambda e: I2 + e * N, DEFAULT_GRID)
     fit = fit_series_general(lambda e: I2 + e * N, DEFAULT_GRID)
     assert frobenius(fit.c1 - N) <= EXACT_TOL
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_a_non_finite_family_is_a_fit_failure(value):
+    # A NaN residual must fail the sanity bound, not slip past it.
+    with pytest.raises(FitFailure):
+        fit_series_general(lambda e: np.full((2, 2), value), DEFAULT_GRID)
+    with pytest.raises(DomainError, match="general fit"):
+        fit_series(lambda e: np.full((2, 2), value), DEFAULT_GRID)
 
 
 def test_power_expansion_report_separates_the_two_references():

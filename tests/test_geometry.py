@@ -19,6 +19,7 @@ from meanlab import (
     WASSERSTEIN,
     DimMismatch,
     DomainError,
+    GeodesicKind,
     check_geodesic_metric,
     d_bw,
     frobenius,
@@ -81,6 +82,13 @@ def test_unitary_invariance(pd, rng):
 def test_distance_rejects_dimension_mismatch(rng):
     with pytest.raises(DimMismatch):
         d_bw(random_pd(rng, 2), random_pd(rng, 3))
+
+
+@pytest.mark.parametrize("tag", ["nope", "", "trace", "bw"])
+def test_unknown_geodesic_kind_is_refused(tag):
+    # The CLI's --kind names are not tags.
+    with pytest.raises(DomainError, match="unknown geodesic kind"):
+        GeodesicKind(tag)
 
 
 @pytest.mark.parametrize("kind", [GEODESIC_TRACE, GEODESIC_BW], ids=lambda k: k.tag)

@@ -9,6 +9,7 @@ import pytest
 
 from meanlab import (
     ConvergenceFailure,
+    DimMismatch,
     DomainError,
     HermitianMatrix,
     PdMatrix,
@@ -514,6 +515,41 @@ def test_json_round_trip(rng):
 def test_json_rejects_malformed():
     with pytest.raises(ValueError):
         matrix_from_json({"re": [[1.0]]})
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: congruence(np.eye(2), np.eye(3)), DimMismatch, "congruence shapes differ"),
+        (lambda: matrix_from_json([[1.0]]), ValueError, "must be a JSON object"),
+        (lambda: matrix_from_json({"dim": 2, "re": [[1.0]]}), ValueError, "do not match dim 2"),
+        (lambda: matrix_from_json({"dim": 1, "re": [[math.nan]]}), ValueError, "must be finite"),
+        (lambda: func_calc(identity_pd(2), lambda x: 1.0 / 0.0), DomainError, "scalar function failed"),
+    ],
+    ids=["congruence-shapes", "json-not-an-object", "json-shape", "json-non-finite", "func-calc-raises"],
+)
+def test_matcore_error_branches(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
+def test_check_primitives_take_a_matrix_or_a_stack():
+    # pd_tolerance, the order violation and the relative gap give each matrix
+    # (or pair) of a stack the value they give it alone, to roundoff; the
+    # Loewner test is the violation against LOEWNER_TOL * max(1, ||B - A||_F).
+    A, B = pd_stacks(3, dim=2, k=2, count=6)
+    B[::2] = A[::2] + 0.5 * np.eye(2)
+    tol, viol, gap = matcore.pd_tolerance(A), matcore._order_violation(A, B), matcore._rel_gap(A, B)
+    assert tol.shape == viol.shape == gap.shape == (6,)
+    for i in range(6):
+        assert tol[i] == pytest.approx(matcore.pd_tolerance(A[i]), rel=1e-15)
+        assert gap[i] == pytest.approx(matcore._rel_gap(A[i], B[i]), rel=1e-15)
+        assert viol[i] == pytest.approx(matcore._order_violation(A[i], B[i]), rel=1e-12, abs=1e-15)
+        leq = viol[i] <= matcore.LOEWNER_TOL * max(1.0, frobenius(B[i] - A[i]))
+        assert loewner_leq(A[i], B[i]) is bool(leq)
+    assert np.all(viol[::2] == 0.0) and np.all(viol[1::2] > 0.0)
+    assert matcore.pd_tolerance(np.zeros((2, 2))) == matcore.PD_TOLERANCE
+    assert type(matcore.pd_tolerance(A[0])) is float
 
 
 def test_frobenius_of_known_matrix():

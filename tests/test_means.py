@@ -22,7 +22,10 @@ from meanlab import (
     WASSERSTEIN,
     DimMismatch,
     DomainError,
+    MeanKind,
     NotKuboAndo,
+    PdMatrix,
+    RepresentingFunction,
     ando_variational_certificate,
     arith_mean_commutator,
     check_geodesic_metric,
@@ -257,6 +260,40 @@ def test_ando_certificate_rejects_inflation(rng):
     B = random_pd(rng, 2)
     G = mean(GEOMETRIC, A, B)
     assert not ando_variational_certificate(A, B, 1.05 * G.mat)
+
+
+THREE = PdMatrix.certify(3.0 * np.eye(2))
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: RepresentingFunction(lambda x: 1.0 / 0.0), ValueError, "failed at 1"),
+        (lambda: RepresentingFunction(lambda x: 2.0 * x), ValueError, "must satisfy f\\(1\\) = 1"),
+        (lambda: MeanKind("nope"), DomainError, "unknown mean tag"),
+        (lambda: MeanKind("kubo-ando-power"), DomainError, "requires a power parameter"),
+        (lambda: MeanKind("geometric", p=0.5), DomainError, "takes no power parameter"),
+        (lambda: MeanKind("from-function"), DomainError, "require a RepresentingFunction"),
+        (
+            lambda: MeanKind("geometric", f=RepresentingFunction(lambda x: x)),
+            DomainError,
+            "takes no representing function",
+        ),
+        # f(1) = 1, but f(3) = -1 on N = 3I.
+        (lambda: mean(from_function(lambda x: 2.0 - x), identity_pd(2), THREE), DomainError, "stay positive"),
+        (lambda: representing_function_of(GEOMETRIC, 0.0), DomainError, "t > 0"),
+        (lambda: representing_function_of(GEOMETRIC, -1.0), DomainError, "t > 0"),
+        (lambda: ando_variational_certificate(THREE, THREE, np.eye(3)), DimMismatch, "block X has shape"),
+    ],
+    ids=[
+        "rep-fn-raises", "rep-fn-not-normalized", "unknown-tag", "power-needs-p", "p-on-a-plain-kind",
+        "from-function-needs-f", "f-on-a-plain-kind", "f-goes-non-positive", "rep-at-zero",
+        "rep-at-negative", "certificate-block-shape",
+    ],
+)
+def test_means_error_branches(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_power_parameter_validation():

@@ -6,7 +6,9 @@ import pytest
 
 from meanlab import (
     ARITHMETIC,
+    GEOMETRIC,
     HARMONIC,
+    DimMismatch,
     WASSERSTEIN,
     DomainError,
     HermitianMatrix,
@@ -167,12 +169,30 @@ def test_masa_validation():
         MasaFunctional(-0.1, ())
     with pytest.raises(DomainError):
         MasaFunctional(1.0, ((SZ, 1.5),))
+    for c in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            MasaFunctional(0.5, ((SZ, c),))
     with pytest.raises(DomainError):
         canonical_direction(HermitianMatrix(I2))
     with pytest.raises(DomainError):
         canonical_direction(
             HermitianMatrix(np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex))
         )
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: canonical_direction(np.eye(3)), DimMismatch, "directions live in M2"),
+        (lambda: masa_split(np.eye(3)), DimMismatch, "defined on M2"),
+        (lambda: solve_coefficients(HARMONIC), DomainError, "supports m_p and the Wasserstein mean"),
+        (lambda: solve_coefficients(GEOMETRIC), DomainError, "supports m_p and the Wasserstein mean"),
+    ],
+    ids=["direction-outside-m2", "split-outside-m2", "solve-harmonic", "solve-geometric"],
+)
+def test_preserver_error_branches(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 def test_canonical_direction_fixes_the_sign():

@@ -56,6 +56,30 @@ def test_relative_change():
     assert verify_identity.relative_change(0.0, 1e-300) == math.inf
 
 
+def test_source_lines_count_newlines_as_wc_does(tmp_path):
+    package = tmp_path / "meanlab"
+    package.mkdir()
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3")  # no final newline, so wc -l counts 0 here
+    (package / "notes.txt").write_text("\n\n\n")
+    assert verify_identity.source_lines(tmp_path) == 2
+
+
+def test_line_count_is_printed_and_leaves_the_exit_status_alone(tmp_path, monkeypatch, capsys):
+    # A tree at the ref with 1 source line against this one: every run
+    # matches, so the exit status is 0 whatever the two counts are.
+    def unpack(ref, dest):
+        (dest / "src" / "meanlab").mkdir(parents=True)
+        (dest / "src" / "meanlab" / "m.py").write_text("pass\n")
+
+    monkeypatch.setattr(verify_identity, "unpack", unpack)
+    monkeypatch.setattr(verify_identity, "run_verify", lambda src, seed: (1, "{}", ""))
+    monkeypatch.setattr(verify_identity, "run_cli", lambda src, runs, folder: [(0, "", "")] * len(runs))
+    assert verify_identity.main(["REF"]) == 0
+    here = verify_identity.source_lines(verify_identity.ROOT / "src")
+    assert capsys.readouterr().out.splitlines()[-1] == f"source lines: 1 at REF, {here} here ({here - 1:+d})"
+
+
 def test_every_listed_cli_run_exits_zero_or_one(tmp_path):
     # A usage or input error (exit 2) would compare identically on both trees
     # and prove nothing, so every listed argv must run to a verdict.
