@@ -12,10 +12,11 @@ powers, congruences and the Loewner order test all route through it.
 
 The private array layer also takes stacks of shape (N, n, n), for batteries
 that evaluate many samples at once. A stack of 2x2 matrices runs a
-vectorized copy of the closed form, a stack of larger ones the scalar Jacobi
-once per matrix; a 2-D input always stays on the scalar kernels, which cost
-far less than a stack of one. Powers and the congruence invertibility check
-guard every matrix of a stack.
+vectorized copy of the closed form, a stack of larger ones a stacked Jacobi
+that vectorizes over the matrices and matches the scalar one bit for bit; a
+2-D input always stays on the scalar kernels, which cost far less than a
+stack of one. Powers and the congruence invertibility check guard every
+matrix of a stack.
 
 Four checks are decided here and nowhere else, each by one function for a
 matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
@@ -29,6 +30,7 @@ freely.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -240,12 +242,14 @@ def _rotation(a: float, d: float, b: complex):
     # factored so that |b|^2 cannot underflow (Golub & Van Loan, 4th ed.,
     # 8.5.2). Each column is phased by the rule _eig_jacobi states; equal
     # diagonals give t = |b| exactly, so the tie goes to the first entry.
+    # Every hypot is libm's, as abs takes it, so that _rotation_stack can
+    # match this bit for bit.
     babs = abs(b)
     h = (a - d) / 2.0
     m = (a + d) / 2.0
-    r = math.hypot(h, babs)
+    r = abs(complex(h, babs))
     t = babs * (babs / (r + h)) if h > 0.0 else r - h
-    nrm = math.hypot(babs, t)
+    nrm = abs(complex(babs, t))
     if t >= babs:
         w00, w10 = t / nrm, -b.conjugate() / nrm
     else:
@@ -255,6 +259,59 @@ def _rotation(a: float, d: float, b: complex):
     else:
         w01, w11 = b / nrm, t / nrm
     return m - r, m + r, w00, w10, w01, w11
+
+
+def _rotation_stack(a: np.ndarray, d: np.ndarray, re: np.ndarray, im: np.ndarray):
+    # _rotation over (N,) arrays: real a and d, b = re + i im != 0, its
+    # branches as masks. Every complex product and quotient is formed from
+    # real and imaginary parts as Python forms it, and every modulus with
+    # hypot, so each row matches _rotation bit for bit (up to the sign of a
+    # zero). Returns lo, hi and the rotation as one (8, N) array: the real
+    # and imaginary parts of w00, w10, w01 and w11.
+    babs = np.hypot(re, im)
+    h = (a - d) / 2.0
+    m = (a + d) / 2.0
+    r = np.hypot(h, babs)
+    # r + max(h, 0) is r + h wherever that branch is taken, and never 0.
+    t = np.where(h > 0.0, babs * (babs / (r + np.maximum(h, 0.0))), r - h)
+    nrm = np.hypot(babs, t)
+    tur, tui = t * (re / babs), t * (im / babs)
+    zero = np.zeros(t.shape)
+    # Row by row: w00 = t or -t b/|b| and w10 = -conj(b) or |b| as
+    # t >= |b| or not; w01 = |b| or b and w11 = t conj(b)/|b| or t as
+    # |b| >= t or not; each over nrm.
+    yes = np.array((t, zero, -re, im, babs, zero, tur, -tui)).reshape(2, 4, -1)
+    no = np.array((-tur, -tui, babs, zero, re, im, t, zero)).reshape(2, 4, -1)
+    first = np.array((t >= babs, babs >= t))[:, None]
+    return m - r, m + r, np.where(first, yes, no).reshape(8, -1) / nrm
+
+
+# Which part of a rotation W multiplies xr, yr, xi and yi in each of ur, vr,
+# ui and vi, for (u, v) = (x w00 + y w10, x w01 + y w11), and its sign:
+# Python forms the real part of a product as xr wr - xi wi, which equals
+# xr wr + xi (-wi) bit for bit.
+_ROTATE_TERMS = np.array([[0, 2, 1, 3], [4, 6, 5, 7], [1, 3, 0, 2], [5, 7, 4, 6]])
+_ROTATE_SIGNS = np.array([[1.0, 1.0, -1.0, -1.0]] * 2 + [[1.0] * 4] * 2)[..., None]
+# The sign a conjugate puts on (real, imaginary) parts.
+_CONJUGATE = np.array([1.0, -1.0])[:, None, None, None]
+
+
+def _rotate(X: np.ndarray, W: np.ndarray) -> np.ndarray:
+    # X = (xr, yr, xi, yi), each (R, N), rotated by W (8, N) from
+    # _rotation_stack into (ur, vr, ui, vi): each sum is
+    # (x part + x part) + (y part + y part), in Python's order.
+    P = X * (W[_ROTATE_TERMS] * _ROTATE_SIGNS)[:, :, None, :]
+    P = P[:, :2] + P[:, 2:]
+    return P[:, 0] + P[:, 1]
+
+
+def _jacobi_plan(n: int) -> list[tuple[int, int, list[int]]]:
+    # The cyclic order of the upper pairs (p, q), each with the other indices.
+    return [
+        (p, q, [k for k in range(n) if k != p and k != q])
+        for p in range(n - 1)
+        for q in range(p + 1, n)
+    ]
 
 
 def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -278,11 +335,7 @@ def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.zeros(n), np.eye(n, dtype=np.complex128)
     thresh = JACOBI_OFF_RTOL * fro
     skip = thresh / n
-    plan = [
-        (p, q, [k for k in range(n) if k != p and k != q])
-        for p in range(n - 1)
-        for q in range(p + 1, n)
-    ]
+    plan = _jacobi_plan(n)
     for _ in range(JACOBI_MAX_SWEEPS):
         # Summed directly: the difference ||A||^2 - ||diag||^2 cancels
         # catastrophically once the off-diagonal mass nears machine epsilon.
@@ -325,37 +378,98 @@ def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([A[j][j] for j in order]), np.array(cols).T.copy()
 
 
+def _eig_jacobi_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # _eig_jacobi over a stack (N, n, n), vectorized over the matrices, not
+    # the rotations: Z[j, 0 or 1, i] holds the real or imaginary parts of
+    # entry (i, j) of A for i < n and of V for i >= n, one (N,) array per
+    # entry, with A's lower triangle kept the conjugate of its upper one.
+    # Each matrix keeps its own Frobenius threshold, skip rule, convergence
+    # test and sweep budget. At each pair only the matrices that rotate
+    # there are read and written; the others, the converged ones among
+    # them, keep their bits. So each matrix comes out as _eig_jacobi gives
+    # it, bit for bit (up to the sign of a zero); only the norms behind its
+    # thresholds are np.hypot chains, which can differ from math.hypot in
+    # the last bit.
+    N, n = arr.shape[0], arr.shape[-1]
+    diag, (iu, ju) = np.arange(n), np.triu_indices(n, 1)
+    upper = arr[:, iu, ju].T
+    Z = np.zeros((n, 2, 2 * n, N))
+    Z[diag, 0, diag] = arr[:, diag, diag].real.T
+    Z[ju, 0, iu] = Z[iu, 0, ju] = upper.real
+    Z[ju, 1, iu], Z[iu, 1, ju] = upper.imag, -upper.imag
+    Z[diag, 0, n + diag] = 1.0
+    thresh = JACOBI_OFF_RTOL * np.hypot.reduce(np.hypot(Z[:, 0, :n], Z[:, 1, :n]).reshape(n * n, N))
+    skip = thresh / n
+    for _ in range(JACOBI_MAX_SWEEPS):
+        U = Z[ju, :, iu]
+        live = ~(math.sqrt(2.0) * np.hypot.reduce(np.hypot(U[:, 0], U[:, 1])) <= thresh)
+        if not live.any():
+            break
+        for p, q, every, some in _stack_plan(n):
+            turn = live & (np.hypot(Z[q, 0, p], Z[q, 1, p]) > skip)
+            m = np.count_nonzero(turn)
+            if not m:
+                continue
+            # A slice where every matrix turns, which numpy indexes faster.
+            rows, ix = (slice(None), every) if m == N else (np.flatnonzero(turn), some)
+            cols, rest, mirror, block = (i + (rows,) for i in ix)
+            lo, hi, W = _rotation_stack(Z[p, 0, p, rows], Z[q, 0, q, rows], Z[q, 0, p, rows], Z[q, 1, p, rows])
+            # Columns p and q of A outside the block and of V, then A's
+            # rows p and q as their conjugates, then the block itself.
+            Z[cols] = _rotate(Z[cols].reshape(4, -1, m), W).reshape(2, 2, -1, m)
+            Z[mirror] = Z[rest] * _CONJUGATE
+            Z[p, 0, p, rows], Z[q, 0, q, rows] = lo, hi
+            Z[block] = 0.0
+    else:
+        raise ConvergenceFailure(
+            f"Jacobi did not reach the off-diagonal threshold in {JACOBI_MAX_SWEEPS} sweeps"
+        )
+    # _eig_jacobi's stable sort and phase rule, per matrix: with columns
+    # in ascending order, u = conj(piv) / |piv| for the first
+    # largest-modulus entry piv of each, and each entry times u.
+    w = Z[diag, 0, diag].T
+    order = np.argsort(w, axis=1, kind="stable")[:, None, :]
+    VR, VI = (np.take_along_axis(Z[:, k, n:].transpose(2, 1, 0), order, axis=2) for k in (0, 1))
+    mod = np.hypot(VR, VI)
+    piv = np.argmax(mod, axis=1)[:, None, :]
+    size = np.take_along_axis(mod, piv, axis=1)
+    ur = np.take_along_axis(VR, piv, axis=1) / size
+    ui = -np.take_along_axis(VI, piv, axis=1) / size
+    V = np.empty((N, n, n), dtype=np.complex128)
+    V.real, V.imag = VR * ur - VI * ui, VR * ui + VI * ur
+    return np.take_along_axis(w, order[:, 0], axis=1), V
+
+
+@functools.lru_cache
+def _stack_plan(n: int) -> list[tuple]:
+    # _jacobi_plan(n) with, per pair, the indices of Z that _eig_jacobi_stack
+    # rotates: columns p and q of A's other rows and of V; A's other rows in
+    # columns p and q; rows p and q of A in those columns, their mirror; and
+    # the off-diagonal of the block. The first three give (part, column,
+    # row) axes. Each set comes twice, to be completed by a slice over every
+    # matrix and, with a trailing axis, by an index array of some.
+    part = np.array([0, 1])[:, None, None]
+    plan = []
+    for p, q, rest in _jacobi_plan(n):
+        pq, k = np.array([p, q])[:, None], np.array(rest)
+        rows = np.array(rest + list(range(n, 2 * n)))
+        every = ((pq, part, rows), (pq, part, k), (k, part, pq), (pq[::-1], part[:, 0, 0], pq))
+        plan.append((p, q, every, tuple(tuple(a[..., None] for a in ix) for ix in every)))
+    return plan
+
+
 def _eig2_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # _eig2_closed over a stack of 2x2 matrices: _rotation's formulas, its two
-    # phase branches as masks, and b = 0 apart (no rotation, a swap when
-    # a > d). Rows with b = 0 rotate a stand-in b = 1 that is then dropped.
-    # Complex entries are built from real and imaginary parts, each divided
-    # as Python divides a complex by a float, and |b| is taken as Python's
-    # abs takes it, with hypot; so the result mostly matches _eig2_closed bit
-    # for bit, and otherwise within a few ulp.
+    # _eig2_closed over a stack of 2x2 matrices: _rotation_stack, with b = 0
+    # (no rotation, a swap when a > d) apart. Rows with b = 0 rotate a
+    # stand-in b = 1 that is then dropped.
     a, d = arr[:, 0, 0].real, arr[:, 1, 1].real
     b = arr[:, 0, 1]
     still = b == 0.0
-    re, im = np.where(still, 1.0, b.real), b.imag
-    babs = np.hypot(re, im)
-    h = (a - d) / 2.0
-    m = (a + d) / 2.0
-    r = np.hypot(h, babs)
-    # r + max(h, 0) is r + h wherever that branch is taken, and never 0.
-    t = np.where(h > 0.0, babs * (babs / (r + np.maximum(h, 0.0))), r - h)
-    nrm = np.hypot(babs, t)
-    ur, ui = re / babs, im / babs
-    first, second = t >= babs, babs >= t
-    V = np.zeros(arr.shape, dtype=np.complex128)
-    V.real[:, 0, 0] = np.where(first, t, -t * ur) / nrm
-    V.imag[:, 0, 0] = np.where(first, 0.0, -t * ui) / nrm
-    V.real[:, 1, 0] = np.where(first, -re, babs) / nrm
-    V.imag[:, 1, 0] = np.where(first, im, 0.0) / nrm
-    V.real[:, 0, 1] = np.where(second, babs, re) / nrm
-    V.imag[:, 0, 1] = np.where(second, 0.0, im) / nrm
-    V.real[:, 1, 1] = np.where(second, t * ur, t) / nrm
-    V.imag[:, 1, 1] = np.where(second, t * -ui, 0.0) / nrm
-    w = np.stack((m - r, m + r), axis=-1)
+    lo, hi, W = _rotation_stack(a, d, np.where(still, 1.0, b.real), b.imag)
+    w = np.stack((lo, hi), axis=-1)
+    V = np.empty(arr.shape, dtype=np.complex128)
+    # W's parts, column by column, as V[:, i, j] = (real, imaginary).
+    V.view(np.float64).reshape(-1, 2, 2, 2)[:] = W.reshape(2, 2, 2, -1).transpose(3, 1, 0, 2)
     if still.any():
         swap = a > d
         w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
@@ -366,9 +480,9 @@ def _eig2_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # One Hermitian matrix, or a stack (N, n, n) giving (N, n) eigenvalues and
-    # (N, n, n) vectors. A lone 2x2 keeps the scalar closed form, which is
-    # cheaper than a stack of one; a stack of 2x2s is vectorized, and larger
-    # stacks run the scalar Jacobi once per matrix.
+    # (N, n, n) vectors. A lone matrix keeps the scalar kernels, which cost
+    # far less than a stack of one; a stack of 2x2s runs the vectorized
+    # closed form, and a stack of larger ones the stacked Jacobi.
     n = arr.shape[-1]
     if n == 1:
         return arr[..., 0].real.copy(), np.ones(arr.shape, dtype=np.complex128)
@@ -376,8 +490,7 @@ def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return _eig2_closed(arr) if n == 2 else _eig_jacobi(arr)
     if n == 2:
         return _eig2_stack(arr)
-    solved = [_eig_jacobi(X) for X in arr]
-    return np.array([w for w, _ in solved]), np.array([V for _, V in solved])
+    return _eig_jacobi_stack(arr)
 
 
 def eig(X) -> Spectrum:

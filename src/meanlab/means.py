@@ -342,8 +342,10 @@ def check_kubo_ando_axioms(
     envelope.
 
     Sample i draws A, C, G1, G2 and T, in that order, from
-    ``rng_for(rng_seed, i)``. Every sample is drawn first; each axiom is then
-    evaluated over the stack of all samples, and every matrix a mean or a
+    ``rng_for(rng_seed, i)``. Every sample is drawn first. The nine means of
+    each sample (lo = A sigma C, hi = B sigma D, the transformed mean and the
+    six shifted means) are then evaluated as one stack over all samples and
+    certified as one, and so are the order checks; every matrix a mean or a
     check consumes is certified, as one sample at a time would certify it.
     Each axiom failure, a NaN violation included, counts once per sample;
     worst violations (NaN if any was) are in absolute Frobenius or eigenvalue
@@ -364,34 +366,38 @@ def check_kubo_ando_axioms(
         AxiomCheck("normalization", samples, 0 if v <= AXIOM_NORMALIZATION_TOL else samples, worst((v,)))
     ]
 
-    factors, T = [], []
+    factors, transforms = [], []
     for i in range(samples):
         rng = rng_for(rng_seed, i)
         factors.append(random_complex(rng, dim, 4))
-        T.append((random_invertible_hermitian if i % 2 == 0 else random_pd)(rng, dim).mat)
-    F = np.array(factors)
+        transforms.append((random_invertible_hermitian if i % 2 == 0 else random_pd)(rng, dim).mat)
+    F, T = np.array(factors), np.array(transforms)
     A, C = _pd_gram(F[:, 0]), _pd_gram(F[:, 1])
-    lam_A, lam_C = _certify_stack(A), _certify_stack(C)
+    lam_A, lam_C = _certify_stack(np.array([A, C]))
     G1, G2 = F[:, 2], F[:, 3]
-    B = _certified(A + G1.conj().swapaxes(-1, -2) @ G1 + 0.05 * I)
-    D = _certified(C + G2.conj().swapaxes(-1, -2) @ G2 + 0.05 * I)
-
-    lo = _certified(_mean_arr(kind, A, C))
-    hi = _certified(_mean_arr(kind, B, D))
-    mono = _order_violation(lo, hi)
-
-    lhs, TA, TC = _congruences(np.array(T), lo, A, C)
-    rhs = _certified(_mean_arr(kind, _certified(TA), _certified(TC)))
-    trans = _rel_gap(_sym(lhs), rhs)
-
+    B, D, TA, TC = _certified(np.concatenate([
+        A + G1.conj().swapaxes(-1, -2) @ G1 + 0.05 * I,
+        C + G2.conj().swapaxes(-1, -2) @ G2 + 0.05 * I,
+        *_congruences(T, A, C),
+    ])).reshape(4, samples, dim, dim)
     ks = (1, 2, 4, 8, 16, 32)
-    shifts = []
-    for k in ks:
-        Ak, Ck = A + I / k, C + I / k
+    As, Cs = [A + I / k for k in ks], [C + I / k for k in ks]
+    for Ak, Ck in zip(As, Cs):
         _check_certificates(Ak, lam_A)
         _check_certificates(Ck, lam_C)
-        shifts.append(_certified(_mean_arr(kind, Ak, Ck)))
-    mono_bad = np.max([_order_violation(S1, S0) for S0, S1 in zip(shifts, shifts[1:])], axis=0)
+
+    # The nine means of every sample as one stack, certified as one: lo,
+    # hi, the transformed mean and the six shifted means. T's invertibility
+    # was checked with TA and TC, so lhs = T lo T* is taken directly.
+    firsts = np.concatenate([A, B, TA, *As])
+    seconds = np.concatenate([C, D, TC, *Cs])
+    lo, hi, rhs, *shifts = _certified(_mean_arr(kind, firsts, seconds)).reshape(9, samples, dim, dim)
+    trans = _rel_gap(_sym(T @ lo @ T.conj().swapaxes(-1, -2)), rhs)
+    # The order checks as one stack: lo <= hi, and each shift below the one before.
+    order = _order_violation(
+        np.concatenate([lo, *shifts[1:]]), np.concatenate([hi, *shifts[:-1]])
+    ).reshape(6, samples)
+    mono, mono_bad = order[0], order[1:].max(axis=0)
     dists = [_norms(S - lo) for S in shifts]
     envelope = 10.0 * np.maximum(1.0, _norms(lo)) / ks[-1]
     converged = (dists[-1] <= envelope) & (dists[-1] <= dists[0] / 4.0 + AXIOM_EQ_TOL)

@@ -189,12 +189,77 @@ def test_stacked_closed_form_matches_the_scalar_one(scale, rng):
         assert np.all(np.abs(Vs - Vc) <= 4 * eps * np.abs(Vc))
 
 
-def test_larger_stacks_run_the_scalar_jacobi_per_matrix(rng):
-    arr = np.array([random_pd(rng, 3).mat for _ in range(4)])
+def _assert_matches_one_at_a_time(arr):
+    # The stacked route against the scalar one, run per matrix: bit for bit,
+    # else within 4 ulp as the 2x2 stack is held.
     w, V = matcore._eig_array(arr)
+    assert w.shape == arr.shape[:2] and V.shape == arr.shape
+    eps = np.finfo(float).eps
     for X, ws, Vs in zip(arr, w, V):
         wc, Vc = matcore._eig_array(X)
-        assert np.array_equal(ws, wc) and np.array_equal(Vs, Vc)
+        if not (np.array_equal(ws, wc) and np.array_equal(Vs, Vc)):
+            assert np.all(np.abs(ws - wc) <= 4 * np.spacing(np.max(np.abs(wc))))
+            assert np.all(np.abs(Vs - Vc) <= 4 * eps * np.abs(Vc))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_stacked_jacobi_matches_the_scalar_one(dim, rng):
+    # Indefinite and PD inputs, the latter at scales from 1e-200 to 1e200.
+    arr = [random_hermitian(rng, dim).mat for _ in range(60)]
+    arr += [random_pd(rng, dim).mat * 10.0 ** rng.uniform(-200, 200) for _ in range(60)]
+    _assert_matches_one_at_a_time(np.array(arr))
+
+
+def test_stacked_jacobi_solves_unlike_matrices_side_by_side(rng):
+    # Each matrix keeps its own threshold and converges in its own number of
+    # sweeps: a zero matrix, a diagonal one, a repeated eigenvalue, a
+    # D^(1/2) H D^(1/2) graded by D = (1e12, 1e6, 1), and a complex-phased one.
+    H = random_pd(rng, 3).mat
+    graded = np.sqrt([1e12, 1e6, 1.0])
+    phases = np.exp(2j * np.pi * rng.uniform(size=3))
+    arr = np.array([
+        np.zeros((3, 3)),
+        np.diag([3.0, 1.0, 2.0]),
+        _with_spectrum(rng, [1.0, 1.0, 5.0]),
+        graded[:, None] * H * graded,
+        phases[:, None] * H * phases.conj(),
+    ], dtype=complex)
+    _assert_matches_one_at_a_time(arr)
+    w, V = matcore._eig_array(arr)
+    assert np.array_equal(w[0], np.zeros(3)) and np.array_equal(V[0], np.eye(3))
+    assert np.array_equal(w[1], [1.0, 2.0, 3.0]) and np.array_equal(V[1], np.eye(3)[:, [1, 2, 0]])
+
+
+def test_stacked_jacobi_raises_when_one_matrix_runs_out_of_sweeps(rng, monkeypatch):
+    # Diagonal matrices need no sweep; a random one needs more than two.
+    monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 2)
+    easy = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 2.0, 1.0])], dtype=complex)
+    matcore._eig_array(easy)
+    with pytest.raises(ConvergenceFailure):
+        matcore._eig_array(np.concatenate([easy, random_hermitian(rng, 3).mat[None]]))
+
+
+@pytest.mark.parametrize("dim", [3, 4])
+def test_stacked_jacobi_rotates_as_often_as_the_scalar_one(dim, rng, monkeypatch):
+    # A rotation counts once per matrix it turns, on either route.
+    arr = np.array([random_pd(rng, dim).mat for _ in range(40)])
+    counts = {"scalar": 0, "stacked": 0}
+    rotation, rotation_stack = matcore._rotation, matcore._rotation_stack
+
+    def scalar(*args):
+        counts["scalar"] += 1
+        return rotation(*args)
+
+    def stacked(a, *args):
+        counts["stacked"] += a.size
+        return rotation_stack(a, *args)
+
+    monkeypatch.setattr(matcore, "_rotation", scalar)
+    monkeypatch.setattr(matcore, "_rotation_stack", stacked)
+    matcore._eig_array(arr)
+    for X in arr:
+        matcore._eig_array(X)
+    assert counts["stacked"] == counts["scalar"] > 0
 
 
 @pytest.mark.parametrize("dim", [2, 3])
