@@ -54,6 +54,7 @@ PLAIN_RUNS = (
     ("preserver", "--mean", "kubo-ando", "--p", "-0.5"),
     ("preserver", "--mean", "wasserstein"),
     ("preserver", "--functional", "trace-power", "--p", "0.5", "--pairs", "20"),
+    ("preserver", "--functional", "constant", "--mean", "kubo-ando", "--p", "-0.5", "--pairs", "20"),
     ("preserver", "--functional", "linear", "--mean", "wasserstein", "--pairs", "20"),
     ("axioms", "--kind", "geometric", "--samples", "10", "--dim", "2"),
     ("axioms", "--kind", "kubo-ando-power", "--p", "-0.5", "--samples", "10", "--dim", "3"),

@@ -38,12 +38,10 @@ from .geometry import (
     geodesic,
 )
 from .matcore import (
-    HermitianMatrix,
     PdMatrix,
     _rel_gap,
     matrix_from_json,
     matrix_to_json,
-    mpow,
 )
 from .means import (
     HARMONIC,
@@ -59,15 +57,16 @@ from .means import (
     wasserstein_alt,
 )
 from .preserver import (
+    _certified_power,
+    _residual_arr,
     constant_functional,
     linear_functional,
     phi_of,
-    preserver_residual,
     solve_coefficients,
     trace_power_functional,
 )
 from .report import CheckItem, worst
-from .sampling import draws, pd_pair
+from .sampling import pd_stacks
 from .verification import CRITERIA, run_all
 
 SCHEMA = "meanlab-report/1"
@@ -235,15 +234,14 @@ def _cmd_preserver(args) -> int:
     if args.functional == "constant":
         f = constant_functional(1.7)
     elif args.functional == "linear":
-        f = linear_functional(HermitianMatrix(np.eye(2) / 2))
+        f = linear_functional(np.eye(2) / 2)
     else:
         f = trace_power_functional(p)
     kind = _family_from(args.mean, p)
-    pairs = draws(pd_pair, args.seed, count=args.pairs)
-    residual = worst(preserver_residual(f, kind, A, B) for A, B in pairs)
-    A = pairs[-1][0]
-    # phi(X) = f(X^(1/p))^p, so phi(A^p)^(1/p) = f(A).
-    roundtrip = abs(f(A) - phi_of(f, p)(mpow(A, p)) ** (1.0 / p))
+    A, B = pd_stacks(args.seed, dim=2, k=2, count=args.pairs)
+    residual = worst(_residual_arr(f, kind, A, B).tolist())
+    # phi(X) = f(X^(1/p))^p, so phi(A^p)^(1/p) = f(A), here for the last A.
+    roundtrip = abs(f(A[-1]) - phi_of(f, p)(_certified_power(A[-1], p)) ** (1.0 / p))
     checks = (
         CheckItem.bound(
             "transform round-trip recovers the functional", roundtrip, 1e-12 * args.tol_scale

@@ -20,16 +20,20 @@ import numpy as np
 
 from .errors import DimMismatch, DomainError, NotInCone
 from .expansion import DEFAULT_GRID, fit_series_general, pauli_pair
-from .matcore import HermitianMatrix, PdMatrix, as_array, mpow, pauli_basis
+from .matcore import (
+    HermitianMatrix, PdMatrix, _certified, _check_certificates, _check_hermitian, _check_operands,
+    _pow_arr, _sym, as_array, pauli_basis,
+)
 from .means import (
     TAG_ARITHMETIC,
     TAG_POWER,
     TAG_WASSERSTEIN,
     MeanKind,
-    mean,
+    _mean_arr,
     power_parameter,
 )
 from .report import CheckItem, CheckReport, worst
+from .sampling import stacked
 
 # Entrywise tolerance when matching a derived direction to a stored one.
 DIRECTION_MATCH_TOL = 1e-9
@@ -49,38 +53,72 @@ KAPPA_EXPECTED = 1.0 / math.sqrt(2.0)
 
 @dataclass(frozen=True)
 class ScalarFunctional:
-    """A positive scalar functional on PD matrices, with a display label."""
+    """A positive scalar functional on PD matrices, with a display label.
 
-    fn: Callable[[PdMatrix], float]
+    ``fn`` takes an array: one matrix, giving one value, or an (N, n, n)
+    stack, giving one value per matrix. A call takes a PdMatrix or such an
+    array and checks that every value is finite and positive.
+    """
+
+    fn: Callable[[np.ndarray], object]
     label: str = "f"
 
-    def __call__(self, A: PdMatrix) -> float:
-        y = float(self.fn(A))
-        if not math.isfinite(y) or y <= 0.0:
-            raise DomainError(f"functional {self.label} returned non-positive {y!r}")
-        return y
+    def __call__(self, A: PdMatrix | np.ndarray) -> float | np.ndarray:
+        y = np.asarray(self.fn(as_array(A)), dtype=float)
+        bad = ~(np.isfinite(y) & (y > 0.0))
+        if bad.any():
+            raise DomainError(
+                f"functional {self.label} returned non-positive {float(np.extract(bad, y)[0])!r}"
+            )
+        return float(y) if y.ndim == 0 else y
+
+
+def _pow_each(x, p: float):
+    # x ** p by Python's pow, for a float or each value of an array, so that
+    # a stack's values match one matrix's bit for bit: numpy's vectorized
+    # power can differ from it in the last bit.
+    return np.reshape([v**p for v in np.ravel(x).tolist()], np.shape(x))
+
+
+def _certified_power(X: np.ndarray, p: float) -> np.ndarray:
+    # X**p for one matrix or each matrix of a stack, symmetrized and
+    # certified as mpow certifies it.
+    P, cert = _pow_arr(X, p, certify=True)
+    P = _sym(P)
+    _check_certificates(P, cert)
+    return P
 
 
 def constant_functional(c: float) -> ScalarFunctional:
     c = float(c)
     if not (c > 0.0) or not math.isfinite(c):
         raise DomainError(f"constant must be positive, got {c}")
-    return ScalarFunctional(lambda A: c, f"const[{c:g}]")
+    return ScalarFunctional(lambda X: np.full(X.shape[:-2], c), f"const[{c:g}]")
 
 
-def linear_functional(W: HermitianMatrix) -> ScalarFunctional:
-    """f(A) = tr(W A); positive on the cone when W is PSD and nonzero."""
+def linear_functional(W) -> ScalarFunctional:
+    """f(A) = tr(W A); positive on the cone when W is PSD and nonzero.
+
+    W is one Hermitian matrix, or an (N, n, n) stack of them that weighs
+    the matrices of an (N, n, n) stack one each.
+    """
     Warr = as_array(W)
-    return ScalarFunctional(lambda A: float(np.trace(Warr @ A.mat).real), "linear[tr(W.)]")
+    _check_hermitian(Warr)
+    Warr = _sym(Warr)
+    return ScalarFunctional(
+        lambda X: np.trace(Warr @ X, axis1=-2, axis2=-1).real, "linear[tr(W.)]"
+    )
 
 
 def trace_power_functional(p: float) -> ScalarFunctional:
     """f(A) = (tr(A^p)/dim)^(1/p); at p = 1/2 on M2 this is (tr(A^(1/2))/2)^2."""
     p = power_parameter(p)
-    return ScalarFunctional(
-        lambda A: (float(np.trace(mpow(A, p).mat).real) / A.dim) ** (1.0 / p),
-        f"trace-power[p={p:g}]",
-    )
+
+    def fn(X: np.ndarray):
+        traces = np.trace(_certified_power(X, p), axis1=-2, axis2=-1).real
+        return _pow_each(traces / X.shape[-1], 1.0 / p)
+
+    return ScalarFunctional(fn, f"trace-power[p={p:g}]")
 
 
 def phi_of(f: ScalarFunctional, p: float) -> ScalarFunctional:
@@ -90,7 +128,7 @@ def phi_of(f: ScalarFunctional, p: float) -> ScalarFunctional:
     """
     p = power_parameter(p)
     return ScalarFunctional(
-        lambda X: f(mpow(X, 1.0 / p)) ** p,
+        lambda X: _pow_each(f(_certified_power(X, 1.0 / p)), p),
         f"phi[p={p:g}]({f.label})",
     )
 
@@ -151,7 +189,15 @@ class MasaFunctional:
         object.__setattr__(self, "directions", tuple(canon))
 
     def coefficient_for(self, G) -> float:
-        key = canonical_direction(G)
+        """c_G for a direction G, canonicalized first; 0 for one not stored.
+
+        A key that is already canonical, such as the G that masa_split
+        returns, is matched by masa_eval without being canonicalized again.
+        """
+        return self._coefficient(canonical_direction(G))
+
+    def _coefficient(self, key: HermitianMatrix) -> float:
+        # The c_G stored for a canonical key, matched entrywise.
         for H, c in self.directions:
             if float(np.max(np.abs(H.mat - key.mat))) <= DIRECTION_MATCH_TOL:
                 return c
@@ -179,32 +225,43 @@ def masa_split(X) -> tuple[float, float, HermitianMatrix | None]:
 
 
 def masa_eval(m: MasaFunctional, X) -> float:
-    """Evaluate the affine model at X = tI + sG; requires X inside the cone."""
+    """Evaluate the affine model at X = tI + sG; requires X inside the cone.
+
+    The G that masa_split returns is already canonical, so its coefficient
+    is matched without canonicalizing G again.
+    """
     t, s, G = masa_split(X)
     if t - abs(s) <= 0.0:
         raise NotInCone(f"matrix with eigenvalues {t - abs(s):.3e}, {t + abs(s):.3e}")
     if G is None:
         return m.c_I * t + (1.0 - m.c_I)
-    return m.c_I * t + m.coefficient_for(G) * s + (1.0 - m.c_I)
+    return m.c_I * t + m._coefficient(G) * s + (1.0 - m.c_I)
 
 
-def _scalar_mean(kind: MeanKind, x: float, y: float) -> float:
-    # The scalar mean of each kind preserver_residual admits: arithmetic,
-    # m_p, and otherwise Wasserstein.
+def _scalar_mean(kind: MeanKind, x, y):
+    # The scalar mean of each kind _residual_arr admits, for two floats or
+    # elementwise for two arrays: arithmetic, m_p, and otherwise Wasserstein.
     if kind.tag == TAG_ARITHMETIC:
         return (x + y) / 2.0
     if kind.tag == TAG_POWER:
         p = kind.p
-        return ((x**p + y**p) / 2.0) ** (1.0 / p)
-    return ((math.sqrt(x) + math.sqrt(y)) / 2.0) ** 2
+        return _pow_each((_pow_each(x, p) + _pow_each(y, p)) / 2.0, 1.0 / p)
+    return _pow_each((np.sqrt(x) + np.sqrt(y)) / 2.0, 2)
+
+
+def _residual_arr(f: ScalarFunctional, kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray):
+    # |f(A sigma B) - f(A) sigma f(B)| for one pair, or for each pair of two
+    # (N, n, n) stacks, every mean certified as mean() certifies one.
+    if kind.tag not in (TAG_ARITHMETIC, TAG_POWER, TAG_WASSERSTEIN):
+        raise DomainError(f"preserver residuals support m_p, arithmetic and Wasserstein, not {kind.label}")
+    M = _certified(_mean_arr(kind, Aarr, Barr))
+    return np.abs(f(M) - _scalar_mean(kind, f(Aarr), f(Barr)))
 
 
 def preserver_residual(f: ScalarFunctional, kind: MeanKind, A: PdMatrix, B: PdMatrix) -> float:
     """|f(A sigma B) - f(A) sigma f(B)| with the right side the scalar mean."""
-    if kind.tag not in (TAG_ARITHMETIC, TAG_POWER, TAG_WASSERSTEIN):
-        raise DomainError(f"preserver residuals support m_p, arithmetic and Wasserstein, not {kind.label}")
-    M = mean(kind, A, B)
-    return abs(f(M) - _scalar_mean(kind, f(A), f(B)))
+    _check_operands(A, B)
+    return float(_residual_arr(f, kind, A.mat, B.mat))
 
 
 def _fit_scalar(values: list[float]) -> tuple[list[float], float]:
@@ -295,20 +352,15 @@ def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
 
     sz, sx, U = pauli_basis()
 
-    t_L, s_L, t_A, s_A, t_B, s_B = [], [], [], [], [], []
-    mats = []
-    for e in DEFAULT_GRID.eps_grid:
-        A, B = pauli_pair(e)
-        L = mpow(mean(kind, A, B), outer)
-        Ap = mpow(A, outer)
-        Bp = mpow(B, outer)
-        mats.append((L, Ap, Bp))
-        t_L.append(float(np.trace(L.mat).real) / 2.0)
-        s_L.append(float(np.trace(U.mat @ L.mat).real) / 2.0)
-        t_A.append(float(np.trace(Ap.mat).real) / 2.0)
-        s_A.append(float(np.trace(sz.mat @ Ap.mat).real) / 2.0)
-        t_B.append(float(np.trace(Bp.mat).real) / 2.0)
-        s_B.append(float(np.trace(sx.mat @ Bp.mat).real) / 2.0)
+    # The grid's pairs as two stacks and their means; then the outer power
+    # of each mean and each matrix of the pairs, certified as mean and mpow
+    # certify one, and its trace-pairing coordinates.
+    A, B = stacked([pauli_pair(e) for e in DEFAULT_GRID.eps_grid])
+    M = _certified(_mean_arr(kind, A, B))
+    mats = _certified_power(np.concatenate([M, A, B]), outer).reshape(3, -1, 2, 2)
+    t_L, t_A, t_B = (np.trace(mats, axis1=-2, axis2=-1).real / 2.0).tolist()
+    paulis = np.array([U.mat, sz.mat, sx.mat])[:, None]
+    s_L, s_A, s_B = (np.trace(paulis @ mats, axis1=-2, axis2=-1).real / 2.0).tolist()
 
     delta_t = [tl - (ta + tb) / 2.0 for tl, ta, tb in zip(t_L, t_A, t_B)]
     k, resid_k = _fit_scalar(delta_t)
@@ -344,14 +396,11 @@ def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
             (U, 0.8 / math.sqrt(2.0)),
         ),
     )
+    c_z, c_x, c_u = (probe.coefficient_for(G) for G in (sz, sx, U))
     gaps = []
-    for (L, Ap, Bp), tl, sl, ta, sa, tb, sb in zip(mats, t_L, s_L, t_A, s_A, t_B, s_B):
+    for L, Ap, Bp, tl, sl, ta, sa, tb, sb in zip(*mats, t_L, s_L, t_A, s_A, t_B, s_B):
         via_masa = masa_eval(probe, L) - (masa_eval(probe, Ap) + masa_eval(probe, Bp)) / 2.0
-        direct = (
-            probe.c_I * (tl - (ta + tb) / 2.0)
-            + probe.coefficient_for(U) * sl
-            - (probe.coefficient_for(sz) * sa + probe.coefficient_for(sx) * sb) / 2.0
-        )
+        direct = probe.c_I * (tl - (ta + tb) / 2.0) + c_u * sl - (c_z * sa + c_x * sb) / 2.0
         gaps.append(abs(via_masa - direct))
 
     return CoefficientSolveReport(

@@ -49,11 +49,6 @@ def random_pd(rng: np.random.Generator, dim: int) -> PdMatrix:
     return PdMatrix.certify(HermitianMatrix._wrap(_pd_gram(random_complex(rng, dim))))
 
 
-def pd_pair(rng: np.random.Generator) -> tuple[PdMatrix, PdMatrix]:
-    """Two 2x2 random_pd draws from one generator."""
-    return random_pd(rng, 2), random_pd(rng, 2)
-
-
 def pd_stacks(seed, *stream, dim: int, k: int, count: int) -> tuple[np.ndarray, ...]:
     """k certified (count, dim, dim) stacks: draw i is k random_pd draws on rng_for(seed, *stream, i).
 
@@ -67,9 +62,15 @@ def pd_stacks(seed, *stream, dim: int, k: int, count: int) -> tuple[np.ndarray, 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Gaussian matrix."""
-    Q, R = np.linalg.qr(random_complex(rng, dim))
-    d = np.diag(R)
-    return Q * (d / np.abs(d))
+    return _unitary_factor(random_complex(rng, dim))
+
+
+def _unitary_factor(Z: np.ndarray) -> np.ndarray:
+    # The Q of Z = QR with the phases of R's diagonal moved into Q, for one
+    # matrix or each matrix of a stack.
+    Q, R = np.linalg.qr(Z)
+    d = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (d / np.abs(d))[..., None, :]
 
 
 def random_invertible_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:

@@ -33,7 +33,7 @@ from .expansion import (
 )
 from .geometry import GEODESIC_BW, GEODESIC_TRACE, _accrual, _certified_points, _d_bw_arr, d_bw
 from .matcore import (
-    HermitianMatrix, PdMatrix, _certified, _norms, commutator_norm, frobenius, identity_pd, pauli_basis,
+    PdMatrix, _certified, _check_hermitian, _norms, commutator_norm, frobenius, identity_pd, pauli_basis,
 )
 from .means import (
     ARITHMETIC,
@@ -48,6 +48,7 @@ from .means import (
     mean,
 )
 from .preserver import (
+    _residual_arr,
     constant_functional,
     linear_functional,
     preserver_residual,
@@ -55,7 +56,7 @@ from .preserver import (
     trace_power_functional,
 )
 from .report import CheckItem, CheckReport, least, worst
-from .sampling import draws, pd_pair, pd_stacks, random_complex, random_pd, random_unitary, stacked
+from .sampling import _pd_gram, _unitary_factor, draws, pd_stacks, random_complex, random_pd, rng_for
 
 P_VALUES = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
 
@@ -177,12 +178,15 @@ def criterion_5(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     return CheckReport("criterion 5: forced constancy of the affine model", tuple(items))
 
 
-def _linear_case(rng):
-    # A trace-normalized PSD weight W for f = tr(W .), then its pair.
-    G = random_complex(rng, 2)
-    W = G.conj().T @ G
-    W = W / float(np.trace(W).real)
-    return linear_functional(HermitianMatrix(W)), pd_pair(rng)
+def _weighted_pairs(seed):
+    # Criterion 6's 100 linear cases as stacks: a trace-normalized PSD
+    # weight W = G*G / tr(G*G) for f = tr(W .), then a certified pair. Draw
+    # i takes G, then the pair's factors as random_pd takes them, from
+    # rng_for(seed, 61, i).
+    G, FA, FB = np.array([random_complex(rng_for(seed, 61, i), 2, 3) for i in range(100)]).swapaxes(0, 1)
+    W = G.conj().swapaxes(-1, -2) @ G
+    W = W / np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
+    return W, _certified(_pd_gram(FA)), _certified(_pd_gram(FB))
 
 
 def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
@@ -197,10 +201,10 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         ("m_-0.5", kubo_ando_power(-0.5)),
         ("Wasserstein", WASSERSTEIN),
     )
-    pairs = draws(pd_pair, seed, 60, count=100)
+    A, B = pd_stacks(seed, 60, dim=2, k=2, count=100)
     items = []
     for name, kind in kinds:
-        residual = worst(preserver_residual(f_const, kind, A, B) for A, B in pairs)
+        residual = worst(_residual_arr(f_const, kind, A, B).tolist())
         items.append(CheckItem.bound(f"constants preserve {name} (100 pairs)", residual, const_tol))
 
     f_tp = trace_power_functional(0.5)
@@ -213,10 +217,8 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         )
     )
 
-    residual = worst(
-        preserver_residual(f_lin, ARITHMETIC, A, B)
-        for f_lin, (A, B) in draws(_linear_case, seed, 61, count=100)
-    )
+    W, A, B = _weighted_pairs(seed)
+    residual = worst(_residual_arr(linear_functional(W), ARITHMETIC, A, B).tolist())
     items.append(
         CheckItem.bound("positive linear functionals preserve the arithmetic mean", residual, linear_tol)
     )
@@ -242,11 +244,19 @@ def criterion_7(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     return CheckReport("criterion 7: Kubo-Ando axiom battery", tuple(items))
 
 
-def _commuting_pair(rng):
-    V = random_unitary(rng, 2)
-    d1 = rng.uniform(0.5, 3.0, size=2)
-    d2 = rng.uniform(0.5, 3.0, size=2)
-    return tuple(HermitianMatrix(V @ np.diag(d) @ V.conj().T) for d in (d1, d2))
+def _commuting_stacks(seed, stream):
+    # 100 commuting pairs (V diag(d1) V*, V diag(d2) V*) as two certified
+    # stacks. Draw i takes V's Gaussian factor, then d1 and d2, from
+    # rng_for(seed, stream, i); the factors then go through one stacked QR.
+    Z, d = [], []
+    for i in range(100):
+        rng = rng_for(seed, stream, i)
+        Z.append(random_complex(rng, 2))
+        d.append(rng.uniform(0.5, 3.0, size=(2, 2)))
+    V = _unitary_factor(np.array(Z))[:, None]
+    pairs = (V * np.array(d)[..., None, :]) @ V.conj().swapaxes(-1, -2)
+    _check_hermitian(pairs)
+    return _certified(pairs[:, 0]), _certified(pairs[:, 1])
 
 
 def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
@@ -261,7 +271,7 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     def gap(X, Y) -> float:
         return worst(_norms(X - Y).tolist())
 
-    A, B = (_certified(S) for S in stacked(draws(_commuting_pair, seed, 80, count=100)))
+    A, B = _commuting_stacks(seed, 80)
     items = []
     for p in (0.5, -0.5):
         ka = _certified(_mean_arr(kubo_ando_power(p), A, B))
@@ -269,7 +279,7 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         items.append(
             CheckItem.bound(f"m_p vs conventional power on commuting pairs, p = {p:g}", gap(ka, cp), tol_c)
         )
-    A, B = (_certified(S) for S in stacked(draws(_commuting_pair, seed, 81, count=100)))
+    A, B = _commuting_stacks(seed, 81)
     W = _certified(_mean_arr(WASSERSTEIN, A, B))
     cp = _certified(_mean_arr(conventional_power(0.5), A, B))
     items.append(

@@ -33,7 +33,8 @@ from meanlab import (
 )
 from meanlab import matcore
 from meanlab.matcore import _pow_arr, _sym
-from meanlab.sampling import _pd_gram, draws, pd_pair, pd_stacks, random_complex, stacked
+from meanlab.sampling import _pd_gram, draws, pd_stacks, random_complex, stacked
+from meanlab.verification import _commuting_stacks, _weighted_pairs
 
 ORACLE_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-12
@@ -533,8 +534,12 @@ def test_rng_for_streams_are_stable():
     assert not np.array_equal(a, c)
 
 
+def _pd_pair(rng):
+    return random_pd(rng, 2), random_pd(rng, 2)
+
+
 def test_draws_keep_one_generator_per_draw():
-    for i, (A, B) in enumerate(draws(pd_pair, 3, 60, count=4)):
+    for i, (A, B) in enumerate(draws(_pd_pair, 3, 60, count=4)):
         rng = rng_for(3, 60, i)
         assert np.array_equal(A.mat, random_pd(rng, 2).mat)
         assert np.array_equal(B.mat, random_pd(rng, 2).mat)
@@ -556,15 +561,44 @@ def test_stacked_draws_equal_one_draw_at_a_time(dim):
 def test_pd_stacks_equal_random_pd_draws(k, dim):
     # Draw i takes its k factors at once on rng_for(seed, *stream, i); every
     # matrix must be bit for bit the one k random_pd calls there return (at
-    # k = 2 and dim 2, draws(pd_pair, ...)).
+    # k = 2 and dim 2, draws(_pd_pair, ...)).
     want = stacked(draws(lambda rng: tuple(random_pd(rng, dim) for _ in range(k)), 2, 102, count=9))
     got = pd_stacks(2, 102, dim=dim, k=k, count=9)
     assert len(got) == k
     assert all(np.array_equal(g, w) for g, w in zip(got, want, strict=True))
 
 
+@pytest.mark.parametrize("seed", [0, 1])
+def test_criterion_6_stacks_equal_random_pd_draws(seed):
+    # Stream 60 holds the pairs of the constant cases, stream 61 the linear
+    # cases: a weight factor G first, then the pair.
+    A, B = pd_stacks(seed, 60, dim=2, k=2, count=100)
+    W, C, D = _weighted_pairs(seed)
+    for i in range(100):
+        rng = rng_for(seed, 60, i)
+        assert np.array_equal(A[i], random_pd(rng, 2).mat) and np.array_equal(B[i], random_pd(rng, 2).mat)
+        rng = rng_for(seed, 61, i)
+        G = random_complex(rng, 2)
+        Wi = G.conj().T @ G
+        assert np.array_equal(W[i], Wi / float(np.trace(Wi).real))
+        assert np.array_equal(C[i], random_pd(rng, 2).mat) and np.array_equal(D[i], random_pd(rng, 2).mat)
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("stream", [80, 81])
+def test_criterion_8_commuting_stacks_equal_each_draw(seed, stream):
+    # One stacked QR and (V * d) @ V* over the stack against a unitary and
+    # V diag(d) V* per draw, bit for bit.
+    A, B = _commuting_stacks(seed, stream)
+    for i in range(100):
+        rng = rng_for(seed, stream, i)
+        V = random_unitary(rng, 2)
+        for d, got in ((rng.uniform(0.5, 3.0, size=2), A[i]), (rng.uniform(0.5, 3.0, size=2), B[i])):
+            assert np.array_equal(got, HermitianMatrix(V @ np.diag(d) @ V.conj().T).mat)
+
+
 def test_stacked_puts_each_position_of_the_draws_in_one_stack():
-    pairs = draws(pd_pair, 3, 60, count=4)
+    pairs = draws(_pd_pair, 3, 60, count=4)
     A, B = stacked(pairs)
     assert A.shape == B.shape == (4, 2, 2)
     assert np.array_equal(A[2], pairs[2][0].mat) and np.array_equal(B[3], pairs[3][1].mat)

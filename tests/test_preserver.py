@@ -4,6 +4,7 @@ and the coefficient solver for the preservation equation."""
 import numpy as np
 import pytest
 
+from meanlab import preserver
 from meanlab import (
     ARITHMETIC,
     GEOMETRIC,
@@ -14,6 +15,7 @@ from meanlab import (
     HermitianMatrix,
     MasaFunctional,
     NotInCone,
+    ScalarFunctional,
     canonical_direction,
     constant_functional,
     identity_pd,
@@ -32,6 +34,8 @@ from meanlab import (
     solve_coefficients,
     trace_power_functional,
 )
+from meanlab.preserver import _residual_arr
+from meanlab.sampling import draws, stacked
 
 SZ, SX, U = pauli_basis()
 I2 = np.eye(2, dtype=complex)
@@ -52,8 +56,85 @@ def test_constant_functional_preserves_every_mean(rng):
 
 def test_residual_supports_only_the_studied_kinds(rng):
     f = constant_functional(1.0)
+    A, B = random_pd(rng, 2), random_pd(rng, 2)
     with pytest.raises(DomainError, match="not harmonic"):
-        preserver_residual(f, HARMONIC, random_pd(rng, 2), random_pd(rng, 2))
+        preserver_residual(f, HARMONIC, A, B)
+    with pytest.raises(DomainError, match="not harmonic"):
+        _residual_arr(f, HARMONIC, np.array([A.mat] * 3), np.array([B.mat] * 3))
+
+
+def _weights(count):
+    # One trace-normalized PSD weight per pair, for f = tr(W .).
+    G = np.array([random_pd(rng_for(8, i), 2).mat for i in range(count)])
+    return G / np.trace(G, axis1=-2, axis2=-1).real[:, None, None]
+
+
+@pytest.mark.parametrize("kind", [ARITHMETIC, kubo_ando_power(0.5), kubo_ando_power(-0.5), WASSERSTEIN],
+                         ids=lambda k: k.label)
+@pytest.mark.parametrize("name", ["constant", "linear", "trace-power"])
+def test_stacked_residual_matches_each_pair_bit_for_bit(name, kind):
+    # Every functional admits every kind the residual takes. The stacked
+    # route runs the stacked kernels, which match the lone-matrix ones bit
+    # for bit, and Python's pow where a lone pair uses it, so the match is
+    # exact. The linear functional weighs each pair with its own W.
+    pairs = draws(lambda rng: (random_pd(rng, 2), random_pd(rng, 2)), 7, count=20)
+    W = _weights(len(pairs))
+    if name == "linear":
+        f, each = linear_functional(W), [linear_functional(HermitianMatrix(w)) for w in W]
+    else:
+        f = constant_functional(1.7) if name == "constant" else trace_power_functional(0.5)
+        each = [f] * len(pairs)
+    got = _residual_arr(f, kind, *stacked(pairs))
+    want = [preserver_residual(g, kind, A, B) for g, (A, B) in zip(each, pairs)]
+    assert got.shape == (len(pairs),)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5])
+def test_trace_power_residual_matches_the_python_float_route(p):
+    # The functional's outer power and the scalar m_p are taken with
+    # Python's pow, value by value, as the lone-matrix route took them;
+    # numpy's vectorized power can differ from it in the last bit.
+    kind = kubo_ando_power(p)
+    pairs = draws(lambda rng: (random_pd(rng, 2), random_pd(rng, 2)), 9, count=50)
+
+    def f(X):
+        return (float(np.trace(mpow(X, p).mat).real) / X.dim) ** (1.0 / p)
+
+    want = [abs(f(mean(kind, A, B)) - ((f(A) ** p + f(B) ** p) / 2.0) ** (1.0 / p)) for A, B in pairs]
+    assert np.array_equal(_residual_arr(trace_power_functional(p), kind, *stacked(pairs)), want)
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, np.nan])
+def test_functional_checks_every_value_of_a_stack(bad):
+    X = np.array([np.eye(2, dtype=complex)] * 4)
+    f = ScalarFunctional(lambda X: np.where(np.arange(len(X)) == 2, bad, 1.0), label="one bad")
+    with pytest.raises(DomainError, match="one bad"):
+        f(X)
+    # Through the residual: one weight of the stack is negative definite.
+    W = np.array([np.eye(2) / 2.0] * 4)
+    W[1] = -W[1]
+    with pytest.raises(DomainError, match="non-positive"):
+        _residual_arr(linear_functional(W), ARITHMETIC, X, X)
+
+
+@pytest.mark.parametrize("kind", [kubo_ando_power(0.5), WASSERSTEIN], ids=lambda k: k.label)
+def test_solve_canonicalizes_each_direction_once(kind, monkeypatch):
+    # Three directions at construction of the probe functional, one per
+    # matrix masa_split reduces (3 per grid point, 6 points) and three
+    # coefficient lookups for the cross-check: 24. Canonicalizing
+    # masa_split's key again per evaluation, and looking the three up per
+    # grid point, would make 57.
+    calls = []
+    original = preserver.canonical_direction
+
+    def counting(G):
+        calls.append(G)
+        return original(G)
+
+    monkeypatch.setattr(preserver, "canonical_direction", counting)
+    solve_coefficients(kind)
+    assert len(calls) == 24
 
 
 def test_constant_functional_rejects_nonpositive():
@@ -122,8 +203,6 @@ def test_jensen_routes_vanish_together(pd):
 
 
 def test_functional_rejects_nonpositive_output():
-    from meanlab import ScalarFunctional
-
     bad = ScalarFunctional(lambda X: -1.0, label="negative")
     with pytest.raises(DomainError):
         bad(identity_pd(2))
