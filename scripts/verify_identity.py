@@ -58,6 +58,10 @@ PLAIN_RUNS = (
     ("preserver", "--functional", "linear", "--mean", "wasserstein", "--pairs", "20"),
     ("axioms", "--kind", "geometric", "--samples", "10", "--dim", "2"),
     ("axioms", "--kind", "kubo-ando-power", "--p", "-0.5", "--samples", "10", "--dim", "3"),
+    # One sample leaves the stack of odd-i transforms empty.
+    ("axioms", "--kind", "geometric", "--samples", "1", "--dim", "3"),
+    # A seed of three 32-bit words.
+    ("axioms", "--kind", "harmonic", "--samples", "7", "--dim", "2", "--seed", "18446744073709551623"),
 )
 PAIR_RUNS = (
     ("mean", "--kind", "wasserstein"),

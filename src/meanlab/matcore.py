@@ -15,8 +15,15 @@ that evaluate many samples at once. A stack of 2x2 matrices runs a
 vectorized copy of the closed form, a stack of larger ones a stacked Jacobi
 that vectorizes over the matrices and matches the scalar one bit for bit; a
 2-D input always stays on the scalar kernels, which cost far less than a
-stack of one. Powers and the congruence invertibility check guard every
-matrix of a stack.
+stack of one, and so does each matrix of a stack at n >= 3 smaller than a
+crossover measured per mode (``_LOOP_BELOW``). Powers and the congruence
+invertibility check guard every matrix of a stack.
+
+Every kernel has a values-only mode, reached through ``_eig_values``, for
+the callers that need no vectors: certification, the Loewner order and the
+congruence invertibility check. The closed forms then form only m -+ r
+(keeping the b = 0 sort) and the Jacobi kernels rotate A alone, so the
+eigenvalues are the bits ``_eig_array`` returns.
 
 Four checks are decided here and nowhere else, each by one function for a
 matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
@@ -203,8 +210,7 @@ class PdMatrix(HermitianMatrix):
     def certify(cls, matrix) -> "PdMatrix":
         """Validate, diagonalize and certify, raising PositivityError when not PD."""
         H = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
-        w, _ = _eig_array(H.mat)
-        return cls(H, float(w[0]))
+        return cls(H, float(_eig_values(H.mat)[0]))
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,20 @@ def _eig2_closed(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return np.array([d, a]), V[:, ::-1].copy()
     lo, hi, w00, w10, w01, w11 = _rotation(a, d, b)
     return np.array([lo, hi]), np.array([[w00, w01], [w10, w11]], dtype=np.complex128)
+
+
+def _eig2_values(arr: np.ndarray) -> np.ndarray:
+    # _eig2_closed's eigenvalues alone, by its arithmetic: the sorted
+    # diagonal when b = 0, else m -+ r as _rotation forms them. A separate
+    # name, since perfbench/tracing.py wraps _eig2_closed as a one-argument
+    # function.
+    (a, b), (_, d) = arr.tolist()
+    a, d = a.real, d.real
+    if b == 0.0:
+        return np.array([a, d] if a <= d else [d, a])
+    h, m = (a - d) / 2.0, (a + d) / 2.0
+    r = abs(complex(h, abs(b)))
+    return np.array([m - r, m + r])
 
 
 def _rotation(a: float, d: float, b: complex):
@@ -314,25 +334,26 @@ def _jacobi_plan(n: int) -> list[tuple[int, int, list[int]]]:
     ]
 
 
-def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eig_jacobi(arr: np.ndarray, vectors: bool = True):
     # Cyclic complex Jacobi on Python scalars: sweep all upper pairs, rotate
     # each embedded 2x2 block onto its closed-form eigenvalues, accumulate the
     # rotations. Like the 2x2 closed form it reads the diagonal and the upper
     # triangle; every rotation keeps the lower triangle the exact conjugate,
     # so only rows and columns p and q outside the block are computed.
     # Quadratic convergence makes the 100 sweep budget generous for the sizes
-    # this package touches.
+    # this package touches. Without ``vectors`` no rotation is accumulated
+    # and only the eigenvalues are returned, the same bits.
     n = arr.shape[0]
     A = arr.tolist()
     for i in range(n):
         A[i][i] = A[i][i].real
         for j in range(i):
             A[i][j] = A[j][i].conjugate()
-    V = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
+    V = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)] if vectors else []
     # hypot scales, so neither norm overflows or underflows on extreme inputs.
     fro = math.hypot(*[abs(z) for row in A for z in row])
     if fro == 0.0:
-        return np.zeros(n), np.eye(n, dtype=np.complex128)
+        return (np.zeros(n), np.eye(n, dtype=np.complex128)) if vectors else np.zeros(n)
     thresh = JACOBI_OFF_RTOL * fro
     skip = thresh / n
     plan = _jacobi_plan(n)
@@ -369,16 +390,19 @@ def _eig_jacobi(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # Stable ascending sort, then the phase rule once per column: the first
     # largest-modulus entry is made real and positive.
     order = sorted(range(n), key=lambda i: A[i][i])
+    w = np.array([A[j][j] for j in order])
+    if not vectors:
+        return w
     cols = []
     for j in order:
         col = [Vk[j] for Vk in V]
         piv = max(col, key=abs)
         u = piv.conjugate() / abs(piv)
         cols.append([z * u for z in col])
-    return np.array([A[j][j] for j in order]), np.array(cols).T.copy()
+    return w, np.array(cols).T.copy()
 
 
-def _eig_jacobi_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eig_jacobi_stack(arr: np.ndarray, vectors: bool = True):
     # _eig_jacobi over a stack (N, n, n), vectorized over the matrices, not
     # the rotations: Z[j, 0 or 1, i] holds the real or imaginary parts of
     # entry (i, j) of A for i < n and of V for i >= n, one (N,) array per
@@ -389,15 +413,17 @@ def _eig_jacobi_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # them, keep their bits. So each matrix comes out as _eig_jacobi gives
     # it, bit for bit (up to the sign of a zero); only the norms behind its
     # thresholds are np.hypot chains, which can differ from math.hypot in
-    # the last bit.
+    # the last bit. Without ``vectors`` Z holds A alone, the plan rotates
+    # no V rows, and only the eigenvalues are returned.
     N, n = arr.shape[0], arr.shape[-1]
     diag, (iu, ju) = np.arange(n), np.triu_indices(n, 1)
     upper = arr[:, iu, ju].T
-    Z = np.zeros((n, 2, 2 * n, N))
+    Z = np.zeros((n, 2, 2 * n if vectors else n, N))
     Z[diag, 0, diag] = arr[:, diag, diag].real.T
     Z[ju, 0, iu] = Z[iu, 0, ju] = upper.real
     Z[ju, 1, iu], Z[iu, 1, ju] = upper.imag, -upper.imag
-    Z[diag, 0, n + diag] = 1.0
+    if vectors:
+        Z[diag, 0, n + diag] = 1.0
     thresh = JACOBI_OFF_RTOL * np.hypot.reduce(np.hypot(Z[:, 0, :n], Z[:, 1, :n]).reshape(n * n, N))
     skip = thresh / n
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -405,7 +431,7 @@ def _eig_jacobi_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         live = ~(math.sqrt(2.0) * np.hypot.reduce(np.hypot(U[:, 0], U[:, 1])) <= thresh)
         if not live.any():
             break
-        for p, q, every, some in _stack_plan(n):
+        for p, q, every, some in _stack_plan(n, vectors):
             turn = live & (np.hypot(Z[q, 0, p], Z[q, 1, p]) > skip)
             m = np.count_nonzero(turn)
             if not m:
@@ -428,6 +454,8 @@ def _eig_jacobi_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # in ascending order, u = conj(piv) / |piv| for the first
     # largest-modulus entry piv of each, and each entry times u.
     w = Z[diag, 0, diag].T
+    if not vectors:
+        return np.sort(w, axis=1, kind="stable")
     order = np.argsort(w, axis=1, kind="stable")[:, None, :]
     VR, VI = (np.take_along_axis(Z[:, k, n:].transpose(2, 1, 0), order, axis=2) for k in (0, 1))
     mod = np.hypot(VR, VI)
@@ -441,56 +469,97 @@ def _eig_jacobi_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 @functools.lru_cache
-def _stack_plan(n: int) -> list[tuple]:
+def _stack_plan(n: int, vectors: bool) -> list[tuple]:
     # _jacobi_plan(n) with, per pair, the indices of Z that _eig_jacobi_stack
-    # rotates: columns p and q of A's other rows and of V; A's other rows in
-    # columns p and q; rows p and q of A in those columns, their mirror; and
-    # the off-diagonal of the block. The first three give (part, column,
-    # row) axes. Each set comes twice, to be completed by a slice over every
-    # matrix and, with a trailing axis, by an index array of some.
+    # rotates: columns p and q of A's other rows and, with ``vectors``, of V;
+    # A's other rows in columns p and q; rows p and q of A in those columns,
+    # their mirror; and the off-diagonal of the block. The first three give
+    # (part, column, row) axes. Each set comes twice, to be completed by a
+    # slice over every matrix and, with a trailing axis, by an index array
+    # of some.
     part = np.array([0, 1])[:, None, None]
     plan = []
     for p, q, rest in _jacobi_plan(n):
         pq, k = np.array([p, q])[:, None], np.array(rest)
-        rows = np.array(rest + list(range(n, 2 * n)))
+        rows = np.array(rest + (list(range(n, 2 * n)) if vectors else []))
         every = ((pq, part, rows), (pq, part, k), (k, part, pq), (pq[::-1], part[:, 0, 0], pq))
         plan.append((p, q, every, tuple(tuple(a[..., None] for a in ix) for ix in every)))
     return plan
 
 
-def _eig2_stack(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _eig2_stack(arr: np.ndarray, vectors: bool = True):
     # _eig2_closed over a stack of 2x2 matrices: _rotation_stack, with b = 0
     # (no rotation, a swap when a > d) apart. Rows with b = 0 rotate a
-    # stand-in b = 1 that is then dropped.
+    # stand-in b = 1 that is then dropped. Without ``vectors`` only m -+ r
+    # is formed, as _rotation_stack forms it, with the same b = 0 sort.
     a, d = arr[:, 0, 0].real, arr[:, 1, 1].real
     b = arr[:, 0, 1]
     still = b == 0.0
-    lo, hi, W = _rotation_stack(a, d, np.where(still, 1.0, b.real), b.imag)
+    if vectors:
+        lo, hi, W = _rotation_stack(a, d, np.where(still, 1.0, b.real), b.imag)
+    else:
+        h, m = (a - d) / 2.0, (a + d) / 2.0
+        r = np.hypot(h, np.hypot(b.real, b.imag))
+        lo, hi = m - r, m + r
     w = np.stack((lo, hi), axis=-1)
+    swap = a > d
+    if still.any():
+        w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
+    if not vectors:
+        return w
     V = np.empty(arr.shape, dtype=np.complex128)
     # W's parts, column by column, as V[:, i, j] = (real, imaginary).
     V.view(np.float64).reshape(-1, 2, 2, 2)[:] = W.reshape(2, 2, 2, -1).transpose(3, 1, 0, 2)
     if still.any():
-        swap = a > d
-        w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
         E = np.eye(2, dtype=np.complex128)
         V[still] = np.where(swap[:, None, None], E[:, ::-1], E)[still]
     return w, V
 
 
-def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # One Hermitian matrix, or a stack (N, n, n) giving (N, n) eigenvalues and
-    # (N, n, n) vectors. A lone matrix keeps the scalar kernels, which cost
-    # far less than a stack of one; a stack of 2x2s runs the vectorized
-    # closed form, and a stack of larger ones the stacked Jacobi.
+# Below this many matrices a stack at n >= 3 runs the scalar Jacobi once per
+# matrix: the stacked kernel pays a fixed cost per pair and sweep that a
+# small stack does not earn back. One crossover per mode, keyed by whether
+# vectors are wanted, measured at n = 3 and 4 (see CHANGES.md).
+_LOOP_BELOW = {True: 20, False: 32}
+
+
+def _eig(arr: np.ndarray, vectors: bool):
+    # _eig_array, or with ``vectors`` False _eig_values: the kernels in the
+    # matching mode. A lone matrix keeps the scalar kernels, which cost far
+    # less than a stack of one; a stack of 2x2s runs the vectorized closed
+    # form; a stack of larger ones the stacked Jacobi, or below the
+    # crossover the scalar one per matrix. Both routes give the same bits.
     n = arr.shape[-1]
     if n == 1:
-        return arr[..., 0].real.copy(), np.ones(arr.shape, dtype=np.complex128)
+        w = arr[..., 0].real.copy()
+        return (w, np.ones(arr.shape, dtype=np.complex128)) if vectors else w
     if arr.ndim == 2:
-        return _eig2_closed(arr) if n == 2 else _eig_jacobi(arr)
+        if n == 2:
+            return _eig2_closed(arr) if vectors else _eig2_values(arr)
+        return _eig_jacobi(arr, vectors)
     if n == 2:
-        return _eig2_stack(arr)
-    return _eig_jacobi_stack(arr)
+        return _eig2_stack(arr, vectors)
+    if len(arr) >= _LOOP_BELOW[vectors]:
+        return _eig_jacobi_stack(arr, vectors)
+    out = [_eig_jacobi(X, vectors) for X in arr]
+    if not vectors:
+        return np.array(out).reshape(arr.shape[:-1])
+    return (
+        np.array([w for w, _ in out]).reshape(arr.shape[:-1]),
+        np.array([V for _, V in out], dtype=np.complex128).reshape(arr.shape),
+    )
+
+
+def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One Hermitian matrix, or a stack (N, n, n) giving (N, n) eigenvalues and
+    # (N, n, n) vectors.
+    return _eig(arr, True)
+
+
+def _eig_values(arr: np.ndarray) -> np.ndarray:
+    # _eig_array's eigenvalues alone, bit for bit, for callers that would
+    # throw the vectors away: no kernel forms or rotates them.
+    return _eig(arr, False)
 
 
 def eig(X) -> Spectrum:
@@ -600,7 +669,7 @@ def _certify_stack(arr: np.ndarray) -> np.ndarray:
     # tolerance. A lone matrix keeps the scalar kernel; deeper stacks are
     # solved as one (N, n, n) stack.
     n = arr.shape[-1]
-    w, _ = _eig_array(arr if arr.ndim <= 3 else arr.reshape(-1, n, n))
+    w = _eig_values(arr if arr.ndim <= 3 else arr.reshape(-1, n, n))
     return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
 
 
@@ -643,7 +712,7 @@ def _congruences(C, *mats) -> tuple[np.ndarray, ...]:
                 f"congruence shapes differ: {Carr.shape} vs {Xarr.shape}"
             )
     Ch = Carr.conj().swapaxes(-1, -2)
-    w, _ = _eig_array(_sym(Ch @ Carr))
+    w = _eig_values(_sym(Ch @ Carr))
     if np.any(w[..., 0] <= (1e-12) ** 2 * w[..., -1]):
         raise SingularError("congruence transform is numerically singular")
     return tuple(Carr @ Xarr @ Ch for Xarr in arrs)
@@ -653,7 +722,7 @@ def _order_violation(M1: np.ndarray, M2: np.ndarray):
     # How far M1 <= M2 fails, for one pair or each pair of two stacks: the
     # most negative eigenvalue of M2 - M1, negated; 0 where none is negative,
     # NaN kept.
-    w, _ = _eig_array(_sym(M2 - M1))
+    w = _eig_values(_sym(M2 - M1))
     return np.maximum(0.0, -w[..., 0])
 
 

@@ -45,13 +45,7 @@ from .matcore import (
     loewner_leq,
 )
 from .report import worst
-from .sampling import (
-    _pd_gram,
-    random_complex,
-    random_invertible_hermitian,
-    random_pd,
-    rng_for,
-)
+from .sampling import _invertible_hermitian, _pd_gram, complex_draws
 
 # Power parameters are kept away from 0, where g_p degenerates.
 P_MIN = 1e-6
@@ -325,6 +319,16 @@ class AxiomReport:
         return {**asdict(self), "all_pass": self.all_pass, "checks": [c.to_json() for c in self.checks]}
 
 
+def _transforms(M: np.ndarray) -> np.ndarray:
+    # The axiom battery's T from their (N, n, n) Gaussian factors, each
+    # parity as one stack: random_invertible_hermitian's matrix for even i
+    # and random_pd's certified one for odd i.
+    T = np.empty(M.shape, dtype=np.complex128)
+    T[0::2] = _sym(_invertible_hermitian(M[0::2]))
+    T[1::2] = _certified(_pd_gram(M[1::2]))
+    return T
+
+
 def check_kubo_ando_axioms(
     kind: MeanKind,
     samples: int = 50,
@@ -342,7 +346,10 @@ def check_kubo_ando_axioms(
     envelope.
 
     Sample i draws A, C, G1, G2 and T, in that order, from
-    ``rng_for(rng_seed, i)``. Every sample is drawn first. The nine means of
+    ``rng_for(rng_seed, i)``: T is ``random_invertible_hermitian`` for even
+    i and ``random_pd`` for odd i. Every sample is drawn first, its five
+    factors at once, and each parity's T are built and checked as one
+    stack, bit for bit the matrices a draw at a time gives. The nine means of
     each sample (lo = A sigma C, hi = B sigma D, the transformed mean and the
     six shifted means) are then evaluated as one stack over all samples and
     certified as one, and so are the order checks; every matrix a mean or a
@@ -366,12 +373,8 @@ def check_kubo_ando_axioms(
         AxiomCheck("normalization", samples, 0 if v <= AXIOM_NORMALIZATION_TOL else samples, worst((v,)))
     ]
 
-    factors, transforms = [], []
-    for i in range(samples):
-        rng = rng_for(rng_seed, i)
-        factors.append(random_complex(rng, dim, 4))
-        transforms.append((random_invertible_hermitian if i % 2 == 0 else random_pd)(rng, dim).mat)
-    F, T = np.array(factors), np.array(transforms)
+    F = complex_draws(rng_seed, dim=dim, k=5, count=samples)
+    T = _transforms(F[:, 4])
     A, C = _pd_gram(F[:, 0]), _pd_gram(F[:, 1])
     lam_A, lam_C = _certify_stack(np.array([A, C]))
     G1, G2 = F[:, 2], F[:, 3]

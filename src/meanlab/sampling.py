@@ -1,6 +1,22 @@
-"""Seeded random matrix generators used by the check batteries."""
+"""Seeded random matrix generators used by the check batteries.
+
+Every sampled battery draws sample i of a stream on its own generator,
+``rng_for(seed, *stream, i)``: numpy's PCG64 seeded by the SeedSequence of
+the integers (seed, *stream, i). :func:`rng_batch` builds those generators
+for every i < count at once. It runs the SeedSequence algorithm itself, the
+seed_seq entropy mixing of O'Neill's PCG paper (hash each 32-bit word of
+entropy into a pool of four words, mix every pool word into every other,
+then hash the pool out into the generator's state), as uint32 array
+arithmetic over i. NEP 19 keeps SeedSequence's output stable across numpy
+versions, so the batch gives the bits ``rng_for`` gives;
+``tests/test_sampling.py`` checks the draws stream for stream, across
+seeds and streams of one and several words.
+"""
 
 from __future__ import annotations
+
+import functools
+from typing import Iterator
 
 import numpy as np
 
@@ -16,12 +32,126 @@ def rng_for(seed, *stream) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence((int(seed),) + tuple(int(s) for s in stream)))
 
 
+# SeedSequence's constants (numpy/random/bit_generator.pyx): the multipliers
+# of the entropy hash, of the pool mix and of the state hash.
+_POOL_SIZE = 4
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_MASK32 = 0xFFFFFFFF
+
+
+def _words(n: int) -> list[int]:
+    # The 32-bit words SeedSequence takes from a non-negative integer, least
+    # significant first; 0 is one word. Negative integers raise its error.
+    if n < 0:
+        raise ValueError("expected non-negative integer")
+    words = [n & _MASK32]
+    while n > _MASK32:
+        n >>= 32
+        words.append(n & _MASK32)
+    return words
+
+
+def _seed_states(entropy: np.ndarray) -> np.ndarray:
+    # SeedSequence(words).generate_state(4, np.uint64) for each column of
+    # the (L, count) uint32 entropy: the pool of four words hashed from the
+    # first words (zeros past the end), each pool word mixed into every
+    # other, each word past the fourth mixed into every pool word, then
+    # eight words hashed out of the pool and paired little-endian. The hash
+    # constants step the same way whatever the data, so one pass serves
+    # every column; uint32 arithmetic wraps as the C code does.
+    const = _INIT_A
+
+    def hashmix(value):
+        nonlocal const
+        value = value ^ const
+        const = const * _MULT_A & _MASK32
+        value = value * const
+        return value ^ (value >> 16)
+
+    def mix(x, y):
+        r = x * _MIX_L - y * _MIX_R
+        return r ^ (r >> 16)
+
+    zeros = np.zeros(entropy.shape[1], dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    state = np.empty((entropy.shape[1], 2 * _POOL_SIZE), dtype=np.uint32)
+    const = _INIT_B
+    for k in range(2 * _POOL_SIZE):
+        value = pool[k % _POOL_SIZE] ^ const
+        const = const * _MULT_B & _MASK32
+        value = value * const
+        state[:, k] = value ^ (value >> 16)
+    return state.astype("<u4").view("<u8").astype(np.uint64)
+
+
+@functools.cache
+def _seed_state_type() -> type:
+    # A seed sequence handing PCG64 one row of _seed_states, as a
+    # SeedSequence would hand it. Built on first use, so that importing
+    # meanlab does not load numpy.random.
+    from numpy.random.bit_generator import ISeedSequence
+
+    class SeedState(ISeedSequence):
+        def __init__(self, state: np.ndarray) -> None:
+            self.state = state
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL_SIZE or np.dtype(dtype) != np.uint64:
+                raise ValueError("only PCG64's request, four uint64 words, is served")
+            return self.state
+
+    return SeedState
+
+
+def rng_batch(seed, *stream, count: int) -> Iterator[np.random.Generator]:
+    """Yield rng_for(seed, *stream, i) for each i < count, seeded as one batch.
+
+    The SeedSequence hash runs at the call, once over every i (see the
+    module docstring); each generator is built when it is reached, its
+    PCG64 taking its row through a seed sequence that serves it, so only
+    the one in use is held. Arguments are taken with int() and checked as
+    SeedSequence checks them, so a negative one raises its ValueError at
+    the call, even at count 0.
+    """
+    prefix = [w for n in (seed, *stream) for w in _words(int(n))]
+    count = max(int(count), 0)
+    entropy = np.empty((len(prefix) + 1, count), dtype=np.uint32)
+    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
+    # i < 2**32 is a single word.
+    entropy[-1] = np.arange(count)
+    seeded = _seed_state_type()
+    return (np.random.Generator(np.random.PCG64(seeded(s))) for s in _seed_states(entropy))
+
+
 def random_complex(rng: np.random.Generator, dim: int, *lead: int) -> np.ndarray:
     """Complex Gaussian dim x dim matrices, the real part drawn before the
     imaginary one; with ``lead`` a stack of that shape, drawn in order, so
     each matrix equals the one a call per matrix would draw."""
-    Z = rng.standard_normal(lead + (2, dim, dim))
+    return _complex(rng.standard_normal(lead + (2, dim, dim)))
+
+
+def _complex(Z: np.ndarray) -> np.ndarray:
+    # Real parts from index 0 of axis -3 of Z, imaginary parts from index 1.
     return Z[..., 0, :, :] + 1j * Z[..., 1, :, :]
+
+
+def complex_draws(seed, *stream, dim: int, k: int, count: int) -> np.ndarray:
+    """(count, k, dim, dim): draw i is random_complex(rng_for(seed, *stream, i), dim, k).
+
+    Each generator draws its normals as random_complex does, and the complex
+    matrices are then formed once for the whole stack, the same bits.
+    """
+    Z = np.array([rng.standard_normal((k, 2, dim, dim)) for rng in rng_batch(seed, *stream, count=count)])
+    return _complex(Z.reshape(-1, k, 2, dim, dim))
 
 
 def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
@@ -31,7 +161,7 @@ def random_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
 
 def draws(make, seed, *stream, count: int) -> list:
     """make(rng_for(seed, *stream, i)) for each i < count, each draw on its own generator."""
-    return [make(rng_for(seed, *stream, i)) for i in range(count)]
+    return [make(rng) for rng in rng_batch(seed, *stream, count=count)]
 
 
 def stacked(drawn: list) -> tuple[np.ndarray, ...]:
@@ -52,11 +182,11 @@ def random_pd(rng: np.random.Generator, dim: int) -> PdMatrix:
 def pd_stacks(seed, *stream, dim: int, k: int, count: int) -> tuple[np.ndarray, ...]:
     """k certified (count, dim, dim) stacks: draw i is k random_pd draws on rng_for(seed, *stream, i).
 
-    Each draw takes its k factors at once with random_complex(rng, dim, k),
+    Each draw takes its k factors at once with complex_draws,
     which gives the factors k single draws would, so every matrix is the
     one random_pd returns; each stack is certified as one.
     """
-    F = np.array([random_complex(rng_for(seed, *stream, i), dim, k) for i in range(count)])
+    F = complex_draws(seed, *stream, dim=dim, k=k, count=count)
     return tuple(_certified(_pd_gram(F[:, j])) for j in range(k))
 
 
@@ -75,6 +205,13 @@ def _unitary_factor(Z: np.ndarray) -> np.ndarray:
 
 def random_invertible_hermitian(rng: np.random.Generator, dim: int) -> HermitianMatrix:
     """Hermitian with spectrum pushed away from zero on both sides."""
-    w, V = _eig_array(random_hermitian(rng, dim).mat)
-    signs = np.where(w >= 0.0, 1.0, -1.0)
-    return HermitianMatrix._wrap(_apply_spectral(w + signs * 0.2, V))
+    return HermitianMatrix._wrap(_invertible_hermitian(random_complex(rng, dim)))
+
+
+def _invertible_hermitian(M: np.ndarray) -> np.ndarray:
+    # random_invertible_hermitian's matrix, unsymmetrized, from its Gaussian
+    # factor M, or from each factor of a stack: random_hermitian's matrix
+    # (M symmetrized, then again as wrapping does) with each eigenvalue
+    # pushed 0.2 away from zero.
+    w, V = _eig_array(_sym(_sym(M)))
+    return _apply_spectral(w + np.where(w >= 0.0, 1.0, -1.0) * 0.2, V)

@@ -56,7 +56,16 @@ from .preserver import (
     trace_power_functional,
 )
 from .report import CheckItem, CheckReport, least, worst
-from .sampling import _pd_gram, _unitary_factor, draws, pd_stacks, random_complex, random_pd, rng_for
+from .sampling import (
+    _pd_gram,
+    _unitary_factor,
+    complex_draws,
+    draws,
+    pd_stacks,
+    random_complex,
+    random_pd,
+    rng_batch,
+)
 
 P_VALUES = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
 
@@ -183,7 +192,7 @@ def _weighted_pairs(seed):
     # weight W = G*G / tr(G*G) for f = tr(W .), then a certified pair. Draw
     # i takes G, then the pair's factors as random_pd takes them, from
     # rng_for(seed, 61, i).
-    G, FA, FB = np.array([random_complex(rng_for(seed, 61, i), 2, 3) for i in range(100)]).swapaxes(0, 1)
+    G, FA, FB = complex_draws(seed, 61, dim=2, k=3, count=100).swapaxes(0, 1)
     W = G.conj().swapaxes(-1, -2) @ G
     W = W / np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
     return W, _certified(_pd_gram(FA)), _certified(_pd_gram(FB))
@@ -249,8 +258,7 @@ def _commuting_stacks(seed, stream):
     # stacks. Draw i takes V's Gaussian factor, then d1 and d2, from
     # rng_for(seed, stream, i); the factors then go through one stacked QR.
     Z, d = [], []
-    for i in range(100):
-        rng = rng_for(seed, stream, i)
+    for rng in rng_batch(seed, stream, count=100):
         Z.append(random_complex(rng, 2))
         d.append(rng.uniform(0.5, 3.0, size=(2, 2)))
     V = _unitary_factor(np.array(Z))[:, None]

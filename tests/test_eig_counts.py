@@ -1,8 +1,10 @@
 """Eigendecompositions per public call and per sampled criterion.
 
 Every meanlab module imports ``_eig_array`` by name, so the counter rebinds
-it in each loaded module. A call on a stack of N matrices counts as N
-eigendecompositions. A matrix frame A^(1/2), A^(-1/2) costs one
+it in each loaded module, and ``_eig_values``, the eigenvalues-only entry
+that certification and the order and invertibility checks take, with it.
+A call on a stack of N matrices counts as N eigendecompositions, whichever
+entry it goes through. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify.
 """
 
@@ -38,18 +40,32 @@ from meanlab.cli import main
 from meanlab.verification import criterion_6, criterion_8, criterion_9, criterion_10
 
 
-@pytest.fixture
-def eig_calls(monkeypatch):
-    calls = []
-    original = matcore._eig_array
+def _count_eigs(monkeypatch, entry, calls):
+    # Rebind ``entry`` in every meanlab module that holds it with a wrapper
+    # appending the size of each matrix it solves to ``calls``.
+    original = getattr(matcore, entry)
 
     def counting(arr):
         calls.extend([arr.shape[-1]] * (arr.shape[0] if arr.ndim == 3 else 1))
         return original(arr)
 
     for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "meanlab" and getattr(mod, "_eig_array", None) is original:
-            monkeypatch.setattr(mod, "_eig_array", counting)
+        if name.split(".")[0] == "meanlab" and getattr(mod, entry, None) is original:
+            monkeypatch.setattr(mod, entry, counting)
+
+
+@pytest.fixture
+def eig_calls(monkeypatch):
+    calls = []
+    for entry in ("_eig_array", "_eig_values"):
+        _count_eigs(monkeypatch, entry, calls)
+    return calls
+
+
+@pytest.fixture
+def values_calls(monkeypatch):
+    calls = []
+    _count_eigs(monkeypatch, "_eig_values", calls)
     return calls
 
 
@@ -176,3 +192,13 @@ def test_eigendecompositions_per_axiom_battery(eig_calls):
     # adds one mean (3). Evaluating per stack must not add or drop any.
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
     assert eig_calls == [2] * (8 * 41 + 3)
+
+
+def test_eigenvalues_only_share_of_the_axiom_battery(values_calls):
+    # Of the 41 per sample, the certificates of A, C, B, D, TA and TC, of
+    # lo, hi, the transformed mean and the six shifted means (15), the
+    # invertibility of T (1) and the six order checks (6) need no vectors:
+    # 22. So does T's certificate for odd samples (4 of 8). Normalization's
+    # mean adds its certificate (1).
+    check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
+    assert values_calls == [2] * (8 * 22 + 4 + 1)

@@ -191,9 +191,10 @@ def test_stacked_closed_form_matches_the_scalar_one(scale, rng):
 
 
 def _assert_matches_one_at_a_time(arr):
-    # The stacked route against the scalar one, run per matrix: bit for bit,
-    # else within 4 ulp as the 2x2 stack is held.
-    w, V = matcore._eig_array(arr)
+    # The stacked Jacobi against the scalar one, run per matrix: bit for
+    # bit, else within 4 ulp as the 2x2 stack is held. The kernel is called
+    # directly, since _eig_array loops over a stack below the crossover.
+    w, V = matcore._eig_jacobi_stack(arr)
     assert w.shape == arr.shape[:2] and V.shape == arr.shape
     eps = np.finfo(float).eps
     for X, ws, Vs in zip(arr, w, V):
@@ -226,7 +227,7 @@ def test_stacked_jacobi_solves_unlike_matrices_side_by_side(rng):
         phases[:, None] * H * phases.conj(),
     ], dtype=complex)
     _assert_matches_one_at_a_time(arr)
-    w, V = matcore._eig_array(arr)
+    w, V = matcore._eig_jacobi_stack(arr)
     assert np.array_equal(w[0], np.zeros(3)) and np.array_equal(V[0], np.eye(3))
     assert np.array_equal(w[1], [1.0, 2.0, 3.0]) and np.array_equal(V[1], np.eye(3)[:, [1, 2, 0]])
 
@@ -235,9 +236,9 @@ def test_stacked_jacobi_raises_when_one_matrix_runs_out_of_sweeps(rng, monkeypat
     # Diagonal matrices need no sweep; a random one needs more than two.
     monkeypatch.setattr(matcore, "JACOBI_MAX_SWEEPS", 2)
     easy = np.array([np.diag([1.0, 2.0, 3.0]), np.diag([2.0, 2.0, 1.0])], dtype=complex)
-    matcore._eig_array(easy)
+    matcore._eig_jacobi_stack(easy)
     with pytest.raises(ConvergenceFailure):
-        matcore._eig_array(np.concatenate([easy, random_hermitian(rng, 3).mat[None]]))
+        matcore._eig_jacobi_stack(np.concatenate([easy, random_hermitian(rng, 3).mat[None]]))
 
 
 @pytest.mark.parametrize("dim", [3, 4])
@@ -257,10 +258,102 @@ def test_stacked_jacobi_rotates_as_often_as_the_scalar_one(dim, rng, monkeypatch
 
     monkeypatch.setattr(matcore, "_rotation", scalar)
     monkeypatch.setattr(matcore, "_rotation_stack", stacked)
-    matcore._eig_array(arr)
+    matcore._eig_jacobi_stack(arr)
     for X in arr:
         matcore._eig_array(X)
     assert counts["stacked"] == counts["scalar"] > 0
+
+
+def _values_cases(rng, n):
+    # Indefinite draws, PD draws at scales 1e-200 to 1e200, the zero matrix
+    # and two diagonals, one ascending and one to be swapped or sorted (at
+    # n = 2, rows with b = 0 on both sides of the a <= d test).
+    arr = [random_hermitian(rng, n).mat for _ in range(20)]
+    arr += [random_pd(rng, n).mat * 10.0**s for s in (-200, -100, 0, 100, 200) for _ in range(4)]
+    arr += [np.zeros((n, n)), np.diag(np.arange(1.0, n + 1.0)), np.diag(np.arange(n, 0.0, -1.0))]
+    return np.array(arr, dtype=complex)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_eigenvalues_only_equal_the_full_solve_bit_for_bit(n, rng):
+    # Each lone matrix on the scalar kernels; the 43-matrix stack on the
+    # stacked ones (past both crossovers); its first five on the scalar
+    # loop at n >= 3; and each stacked kernel called in both modes.
+    arr = _values_cases(rng, n)
+    for X in arr:
+        assert np.array_equal(matcore._eig_values(X), matcore._eig_array(X)[0])
+    for stack in (arr, arr[:5]):
+        assert np.array_equal(matcore._eig_values(stack), matcore._eig_array(stack)[0])
+    if n == 2:
+        assert np.array_equal(matcore._eig2_stack(arr, False), matcore._eig2_stack(arr)[0])
+    if n >= 3:
+        assert np.array_equal(matcore._eig_jacobi_stack(arr, False), matcore._eig_jacobi_stack(arr)[0])
+
+
+# Rotations over the 40 random_pd draws of rng_for(16, n): the count every
+# route and mode must turn, pinned so that a change of the rotation rule
+# shows.
+ROTATIONS = {3: 399, 4: 935}
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_eigenvalues_only_rotate_as_often_as_the_full_solve(n, monkeypatch):
+    # A rotation counts once per matrix it turns: scalar and stacked Jacobi,
+    # with and without vectors.
+    rng = rng_for(16, n)
+    arr = np.array([random_pd(rng, n).mat for _ in range(40)])
+    count = [0]
+    rotation, rotation_stack = matcore._rotation, matcore._rotation_stack
+
+    def scalar(*args):
+        count[0] += 1
+        return rotation(*args)
+
+    def stacked(a, *args):
+        count[0] += a.size
+        return rotation_stack(a, *args)
+
+    monkeypatch.setattr(matcore, "_rotation", scalar)
+    monkeypatch.setattr(matcore, "_rotation_stack", stacked)
+    counts = []
+    for vectors in (True, False):
+        for route in (lambda: [matcore._eig_jacobi(X, vectors) for X in arr],
+                      lambda: matcore._eig_jacobi_stack(arr, vectors)):
+            count[0] = 0
+            route()
+            counts.append(count[0])
+    assert counts == [ROTATIONS[n]] * 4
+
+
+@pytest.mark.parametrize("vectors", [True, False])
+def test_small_stacks_loop_over_the_scalar_jacobi(vectors, rng, monkeypatch):
+    # Below the crossover of its mode a stack at n >= 3 never reaches the
+    # stacked kernel; at the crossover it does.
+    below = matcore._LOOP_BELOW[vectors]
+    entry = matcore._eig_array if vectors else matcore._eig_values
+    kernel, sizes = matcore._eig_jacobi_stack, []
+
+    def stacked(arr, mode):
+        sizes.append(len(arr))
+        return kernel(arr, mode)
+
+    monkeypatch.setattr(matcore, "_eig_jacobi_stack", stacked)
+    arr = np.array([random_pd(rng, 3).mat for _ in range(below)])
+    entry(arr[:-1])
+    assert sizes == []
+    entry(arr)
+    assert sizes == [below]
+
+
+def test_an_empty_stack_has_empty_spectra():
+    # The axiom battery certifies its odd-i transforms as one stack, which
+    # one sample leaves empty.
+    for n in (1, 2, 3):
+        arr = np.zeros((0, n, n), dtype=complex)
+        w, V = matcore._eig_array(arr)
+        assert w.shape == (0, n) and V.shape == (0, n, n)
+        assert matcore._eig_values(arr).shape == (0, n)
+        assert matcore._certify_stack(arr).shape == (0,)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
