@@ -51,7 +51,12 @@ DIMS = (2, 3)
 PLAIN_RUNS = (
     ("expand", "--mean", "kubo-ando", "--p", "0.5"),
     ("expand", "--mean", "wasserstein"),
+    # A custom grid through the Vandermonde cache, and a negative p.
+    ("expand", "--mean", "kubo-ando", "--p", "-0.9", "--grid", "0.02:0.2:6"),
+    ("expand", "--mean", "wasserstein", "--grid", "0.02:0.2:6"),
     ("preserver", "--mean", "kubo-ando", "--p", "-0.5"),
+    # The p = 1 row, where the second-order constraint vanishes.
+    ("preserver", "--mean", "kubo-ando", "--p", "1"),
     ("preserver", "--mean", "wasserstein"),
     ("preserver", "--functional", "trace-power", "--p", "0.5", "--pairs", "20"),
     ("preserver", "--functional", "constant", "--mean", "kubo-ando", "--p", "-0.5", "--pairs", "20"),

@@ -1,7 +1,10 @@
 """Series extraction for the perturbed pair A_eps = I + eps sigma_z, B_eps = I + eps sigma_x.
 
 Matrix families indexed by eps are fitted entrywise by least squares on a
-scaled Vandermonde system. Coefficients c0, c1, c2 come from a fit of degree
+scaled Vandermonde system, built with its condition number once per process
+for each grid and degree (an lru_cache keyed by the grid's tuple); the
+families of one check are evaluated over the grid as one stack and fitted in
+one solve. Coefficients c0, c1, c2 come from a fit of degree
 min(npoints - 1, 5): the extra orders absorb the cubic and higher tail that
 would otherwise bias c2 by roughly 0.17 per unit of third-order coefficient
 on the default grid, far above the 1e-4 tolerance used here. The quoted
@@ -17,6 +20,7 @@ check reports both comparisons rather than folding them together.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -25,9 +29,10 @@ import numpy as np
 
 from .errors import DomainError, FitFailure, IllConditioned
 from .matcore import (
-    HermitianMatrix, PdMatrix, _check_hermitian, _pow_arr, as_array, commutator_norm, mpow, pauli_basis,
+    HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _frobenius_each, _pow_arr,
+    _sym, as_array, commutator_norm, pauli_basis,
 )
-from .means import WASSERSTEIN, _transport_arr, kubo_ando_power, mean, power_parameter
+from .means import WASSERSTEIN, MeanKind, _mean_arr, _transport_arr, kubo_ando_power, mean, power_parameter
 from .report import CheckItem, CheckReport
 
 EPS_MAX = 0.2
@@ -40,17 +45,22 @@ FIT_DEGREE_CAP = 5
 FIT_SANITY = 1e-2
 
 
+def _pauli_stacks(eps) -> tuple[np.ndarray, np.ndarray]:
+    # The pairs (I + e sigma_z, I + e sigma_x), e in eps, as two (N, 2, 2) stacks.
+    e = np.array(eps, dtype=float)[:, None, None]
+    bad = ~(np.abs(e) < 1.0)
+    if bad.any():
+        raise DomainError(f"the pair stays positive definite only for |eps| < 1, got {np.extract(bad, e)[0]}")
+    sz, sx, _ = pauli_basis()
+    I = np.eye(2, dtype=np.complex128)
+    return _sym(I + e * sz.mat), _sym(I + e * sx.mat)
+
+
 def pauli_pair(eps: float) -> tuple[PdMatrix, PdMatrix]:
     """The pair (I + eps sigma_z, I + eps sigma_x) with exact certificates."""
     eps = float(eps)
-    if not (abs(eps) < 1.0):
-        raise DomainError(f"the pair stays positive definite only for |eps| < 1, got {eps}")
-    sz, sx, _ = pauli_basis()
     cert = 1.0 - abs(eps)
-    I = np.eye(2, dtype=np.complex128)
-    A = PdMatrix(HermitianMatrix._wrap(I + eps * sz.mat), cert)
-    B = PdMatrix(HermitianMatrix._wrap(I + eps * sx.mat), cert)
-    return A, B
+    return tuple(PdMatrix(HermitianMatrix._wrap(X[0]), cert) for X in _pauli_stacks([eps]))
 
 
 @dataclass(frozen=True)
@@ -103,48 +113,68 @@ class GeneralSeriesFit:
     residual_bound: float
 
 
-def _poly_fit(
-    samples: list[np.ndarray], eps: np.ndarray, degree: int
-) -> tuple[list[np.ndarray], float]:
-    smax = float(eps.max())
-    V = np.vander(eps / smax, degree + 1, increasing=True)
-    cond = float(np.linalg.cond(V))
+@functools.lru_cache(maxsize=64)
+def _vandermonde(grid: tuple[float, ...], degree: int) -> tuple[np.ndarray, float]:
+    # The read-only Vandermonde matrix of a sorted grid scaled by its largest
+    # point, and its 2-norm condition, once per process for each grid and
+    # degree; keyed by the tuple, as EpsFamily.scaled makes a new instance.
+    eps = np.array(grid)
+    V = np.vander(eps / eps.max(), degree + 1, increasing=True)
+    V.setflags(write=False)
+    return V, float(np.linalg.cond(V))
+
+
+def _poly_fit(data: np.ndarray, grid: tuple[float, ...], degree: int) -> tuple[list[np.ndarray], np.ndarray]:
+    # Least squares of one degree through data (npoints, F, E), F families
+    # of E entries, on the cached V: the coefficients per order, (F, E)
+    # each, and each family's worst Frobenius residual over the grid. One
+    # lstsq gives each column the bits a solve of it alone gives; each
+    # family's residual takes its own product with V, as a fit of it alone.
+    V, cond = _vandermonde(grid, degree)
     if cond > COND_LIMIT:
         raise IllConditioned(f"Vandermonde condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
-    shape = samples[0].shape
-    data = np.stack([s.reshape(-1) for s in samples])
-    coef, _, _, _ = np.linalg.lstsq(V, data, rcond=None)
-    resid = float(np.max(np.linalg.norm(V @ coef - data, axis=1)))
-    coeffs = [(coef[k] / smax**k).reshape(shape) for k in range(degree + 1)]
-    return coeffs, resid
+    n, F, E = data.shape
+    coef = np.linalg.lstsq(V, data.reshape(n, F * E), rcond=None)[0].reshape(-1, F, E)
+    resid = np.linalg.norm(V @ coef.transpose(1, 0, 2) - data.transpose(1, 0, 2), axis=2).max(axis=1)
+    smax = grid[-1]
+    return [coef[k] / smax**k for k in range(degree + 1)], resid
 
 
-def _collect(
-    family: Callable[[float], object], g: EpsFamily
-) -> tuple[np.ndarray, list[np.ndarray], float]:
-    eps = np.array(g.eps_grid)
-    samples = [as_array(family(float(e))) for e in eps]
-    scale = max(1.0, max(float(np.linalg.norm(s)) for s in samples))
-    return eps, samples, scale
+def _fit(g: EpsFamily, data: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
+    # The series of each family of data (npoints, F, E) over g: c0, c1 and
+    # c2, (F, E) each, from the fit of degree min(npoints - 1, 5), and each
+    # family's degree-2 residual, checked against FIT_SANITY times the
+    # family's largest sample norm.
+    degree = min(len(g.eps_grid) - 1, FIT_DEGREE_CAP)
+    coeffs, _ = _poly_fit(data, g.eps_grid, degree)
+    _, resid2 = _poly_fit(data, g.eps_grid, 2)
+    scale = np.maximum(1.0, _frobenius_each(data[:, :, None]).max(axis=0))
+    # Written so that a NaN residual fails too.
+    bad = ~(resid2 <= FIT_SANITY * scale)
+    if bad.any():
+        raise FitFailure(
+            f"degree-2 residual {np.extract(bad, resid2)[0]:.3e} exceeds the sanity bound on this grid"
+        )
+    return coeffs[:3], resid2
 
 
-def _fit_impl(family, grid, hermitian: bool):
-    g = _coerce_grid(grid)
-    eps, samples, scale = _collect(family, g)
+def _fit_stacks(g: EpsFamily, stacks, hermitian: bool = True) -> list:
+    # fit_series (fit_series_general without ``hermitian``) of each family of
+    # its values over g, (npoints, r, c) stacks of one shape, in one solve.
     if hermitian:
         try:
-            _check_hermitian(np.array(samples))
+            _check_hermitian(np.array(stacks))
         except ValueError as exc:
             raise DomainError(f"family is not Hermitian on the grid ({exc}); use the general fit") from exc
-    degree = min(len(eps) - 1, FIT_DEGREE_CAP)
-    coeffs, _ = _poly_fit(samples, eps, degree)
-    _, resid2 = _poly_fit(samples, eps, 2)
-    # Written so that a NaN residual fails too.
-    if not resid2 <= FIT_SANITY * scale:
-        raise FitFailure(
-            f"degree-2 residual {resid2:.3e} exceeds the sanity bound on this grid"
-        )
-    return coeffs, resid2
+    coeffs, resid2 = _fit(g, np.stack([S.reshape(len(S), -1) for S in stacks], axis=1))
+    fit, wrap = (SeriesFit, HermitianMatrix._wrap) if hermitian else (GeneralSeriesFit, np.asarray)
+    shape = stacks[0].shape[1:]
+    return [fit(*(wrap(c[f].reshape(shape)) for c in coeffs), float(r)) for f, r in enumerate(resid2)]
+
+
+def _grid_means(kind: MeanKind, eps) -> np.ndarray:
+    # mean(kind, *pauli_pair(e)).mat for each e in eps, as one certified stack.
+    return _certified(_mean_arr(kind, *_pauli_stacks(eps)))
 
 
 def fit_series(family: Callable[[float], object], grid=DEFAULT_GRID) -> SeriesFit:
@@ -164,15 +194,14 @@ def fit_series(family: Callable[[float], object], grid=DEFAULT_GRID) -> SeriesFi
         ``residual_bound`` is the worst Frobenius residual of the degree-2
         fit over the grid.
     """
-    coeffs, resid2 = _fit_impl(family, grid, hermitian=True)
-    c = [HermitianMatrix._wrap(coeffs[k]) for k in range(3)]
-    return SeriesFit(c[0], c[1], c[2], resid2)
+    g = _coerce_grid(grid)
+    return _fit_stacks(g, [np.array([as_array(family(e)) for e in g.eps_grid])])[0]
 
 
 def fit_series_general(family: Callable[[float], object], grid=DEFAULT_GRID) -> GeneralSeriesFit:
     """As fit_series, for families with non-Hermitian values."""
-    coeffs, resid2 = _fit_impl(family, grid, hermitian=False)
-    return GeneralSeriesFit(coeffs[0], coeffs[1], coeffs[2], resid2)
+    g = _coerce_grid(grid)
+    return _fit_stacks(g, [np.array([as_array(family(e)) for e in g.eps_grid])], hermitian=False)[0]
 
 
 def _gp_args(p: float, x: float) -> tuple[float, float]:
@@ -254,9 +283,8 @@ def pth_power_c2_composed(p: float) -> float:
 def check_unitary_invariance(p: float, eps: float) -> float:
     """Frobenius norm of [U, A_eps m_p B_eps]; an exact identity, near zero."""
     p = power_parameter(p)
-    A, B = pauli_pair(eps)
     _, _, U = pauli_basis()
-    return commutator_norm(U, mean(kubo_ando_power(p), A, B))
+    return float(commutator_norm(U, _grid_means(kubo_ando_power(p), (float(eps),)))[0])
 
 
 def _maxabs(arr: np.ndarray) -> float:
@@ -286,10 +314,10 @@ def _power_mean_expansion(p: float, grid, tol_scale: float) -> tuple[CheckReport
     w_half = (sz.mat + sx.mat) / 2.0
     eye = np.eye(2)
 
-    # One mean per grid point; the p-th power is fitted from the same values.
-    means = {e: mean(kind, *pauli_pair(e)) for e in g.eps_grid}
-    fit_mean = fit_series(means.__getitem__, g)
-    fit_pow = fit_series(lambda e: mpow(means[e], p), g)
+    # The means over the grid as one stack, and their p-th powers; both
+    # families are fitted in one solve.
+    means = _grid_means(kind, g.eps_grid)
+    fit_mean, fit_pow = _fit_stacks(g, [means, _certified_power(means, p)])
     tr_half = float(np.trace(fit_pow.c2.mat).real) / 2.0
 
     items = (
@@ -353,10 +381,10 @@ def _wasserstein_expansion(grid, tol_scale: float) -> tuple[CheckReport, SeriesF
     eye = np.eye(2)
     sxsz = sx.mat @ sz.mat
 
-    means = {e: mean(WASSERSTEIN, *pauli_pair(e)).mat for e in g.eps_grid}
-    fit_mean = fit_series(means.__getitem__, g)
-    fit_sqrt = fit_series(lambda e: _pow_arr(means[e], 0.5), g)
-    fit_transport = fit_series_general(lambda e: _transport(e), g)
+    A, B = _pauli_stacks(g.eps_grid)
+    means = _certified(_mean_arr(WASSERSTEIN, A, B))
+    fit_mean, fit_sqrt = _fit_stacks(g, [means, _pow_arr(means, 0.5)])
+    (fit_transport,) = _fit_stacks(g, [_transport_arr(A, B)], hermitian=False)
 
     eps_comm = 0.4
     A, B = pauli_pair(eps_comm)
@@ -415,8 +443,3 @@ def _wasserstein_expansion(grid, tol_scale: float) -> tuple[CheckReport, SeriesF
         ),
     )
     return CheckReport("Wasserstein expansions", items), fit_mean
-
-
-def _transport(eps: float) -> np.ndarray:
-    A, B = pauli_pair(eps)
-    return _transport_arr(A.mat, B.mat)

@@ -91,11 +91,21 @@ def _norms(X: np.ndarray):
     return np.linalg.norm(X) if X.ndim == 2 else np.linalg.norm(X, axis=(-2, -1))
 
 
-def commutator_norm(A, B) -> float:
-    """Frobenius norm of the commutator AB - BA of two arrays or wrapped matrices."""
+def _frobenius_each(X: np.ndarray) -> np.ndarray:
+    # frobenius of each matrix of a stack, bit for bit: np.linalg.norm takes
+    # one matrix as BLAS dots of its flattened real and imaginary parts, and
+    # a (1, k) @ (k, 1) matmul runs the same dots with the same strides.
+    flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
+    re, im = flat.real, flat.imag
+    return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def commutator_norm(A, B):
+    """Frobenius norm of AB - BA for two arrays or wrapped matrices; per matrix for a stack."""
     X = as_array(A)
     Y = as_array(B)
-    return frobenius(X @ Y - Y @ X)
+    C = X @ Y - Y @ X
+    return frobenius(C) if C.ndim == 2 else _frobenius_each(C)
 
 
 def _check_operands(A, B) -> None:
@@ -681,6 +691,15 @@ def _certified(arr: np.ndarray) -> np.ndarray:
     return M
 
 
+def _certified_power(X: np.ndarray, p: float) -> np.ndarray:
+    # X**p for one matrix or each matrix of a stack, symmetrized and
+    # certified as mpow certifies it.
+    P, cert = _pow_arr(X, p, certify=True)
+    P = _sym(P)
+    _check_certificates(P, cert)
+    return P
+
+
 def mpow(A: PdMatrix, p: float) -> PdMatrix:
     """Matrix power A**p through the spectral decomposition.
 
@@ -741,8 +760,9 @@ def _rel_gap(X: np.ndarray, Y: np.ndarray):
     return _norms(X - Y) / np.maximum(1.0, _norms(Y))
 
 
+@functools.cache
 def pauli_basis() -> tuple[HermitianMatrix, HermitianMatrix, HermitianMatrix]:
-    """The pair sigma_z, sigma_x and the symmetric unitary (sigma_z + sigma_x)/sqrt(2)."""
+    """The pair sigma_z, sigma_x and the symmetric unitary (sigma_z + sigma_x)/sqrt(2), built once."""
     sz = HermitianMatrix._wrap(np.array([[1.0, 0.0], [0.0, -1.0]], dtype=np.complex128))
     sx = HermitianMatrix._wrap(np.array([[0.0, 1.0], [1.0, 0.0]], dtype=np.complex128))
     u = HermitianMatrix._wrap((sz.mat + sx.mat) / math.sqrt(2.0))

@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from .errors import DimMismatch, DomainError, NotInCone
-from .expansion import DEFAULT_GRID, fit_series_general, pauli_pair
+from .expansion import DEFAULT_GRID, _fit, _pauli_stacks
 from .matcore import (
-    HermitianMatrix, PdMatrix, _certified, _check_certificates, _check_hermitian, _check_operands,
-    _pow_arr, _sym, as_array, pauli_basis,
+    HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _check_operands,
+    _frobenius_each, _norms, _sym, as_array, pauli_basis,
 )
 from .means import (
     TAG_ARITHMETIC,
@@ -33,7 +33,6 @@ from .means import (
     power_parameter,
 )
 from .report import CheckItem, CheckReport, worst
-from .sampling import stacked
 
 # Entrywise tolerance when matching a derived direction to a stored one.
 DIRECTION_MATCH_TOL = 1e-9
@@ -80,15 +79,6 @@ def _pow_each(x, p: float):
     return np.reshape([v**p for v in np.ravel(x).tolist()], np.shape(x))
 
 
-def _certified_power(X: np.ndarray, p: float) -> np.ndarray:
-    # X**p for one matrix or each matrix of a stack, symmetrized and
-    # certified as mpow certifies it.
-    P, cert = _pow_arr(X, p, certify=True)
-    P = _sym(P)
-    _check_certificates(P, cert)
-    return P
-
-
 def constant_functional(c: float) -> ScalarFunctional:
     c = float(c)
     if not (c > 0.0) or not math.isfinite(c):
@@ -133,6 +123,21 @@ def phi_of(f: ScalarFunctional, p: float) -> ScalarFunctional:
     )
 
 
+def _canonical(arr: np.ndarray) -> np.ndarray:
+    # canonical_direction's shape checks and sign rule for a symmetrized 2x2
+    # array or each matrix of an (N, 2, 2) stack.
+    if np.any(np.abs(np.trace(arr, axis1=-2, axis2=-1).real) > DIRECTION_SHAPE_TOL):
+        raise DomainError("direction must be traceless")
+    if np.any(_norms(arr @ arr - np.eye(2)) > DIRECTION_SHAPE_TOL):
+        raise DomainError("direction must be a self-adjoint unitary")
+    # The parts in row-major order, each real part before its imaginary one.
+    parts = np.stack([arr.real, arr.imag], axis=-1).reshape(*arr.shape[:-2], 8)
+    big = np.abs(parts) > DIRECTION_SHAPE_TOL
+    sign = np.take_along_axis(parts, big.argmax(axis=-1)[..., None], axis=-1)[..., 0]
+    flip = big.any(axis=-1) & (sign < 0.0)
+    return np.where(flip[..., None, None], -arr, arr)
+
+
 def canonical_direction(G) -> HermitianMatrix:
     """Validate and sign-normalize a traceless self-adjoint unitary direction.
 
@@ -142,23 +147,7 @@ def canonical_direction(G) -> HermitianMatrix:
     arr = as_array(G)
     if arr.shape != (2, 2):
         raise DimMismatch("directions live in M2")
-    H = HermitianMatrix(arr)
-    arr = H.mat
-    if abs(float(np.trace(arr).real)) > DIRECTION_SHAPE_TOL:
-        raise DomainError("direction must be traceless")
-    if float(np.linalg.norm(arr @ arr - np.eye(2))) > DIRECTION_SHAPE_TOL:
-        raise DomainError("direction must be a self-adjoint unitary")
-    sign = 0.0
-    for entry in arr.reshape(-1):
-        for part in (entry.real, entry.imag):
-            if abs(part) > DIRECTION_SHAPE_TOL:
-                sign = part
-                break
-        if sign != 0.0:
-            break
-    if sign < 0.0:
-        arr = -arr
-    return HermitianMatrix._wrap(arr)
+    return HermitianMatrix._wrap(_canonical(HermitianMatrix(arr).mat))
 
 
 @dataclass(frozen=True)
@@ -194,48 +183,61 @@ class MasaFunctional:
         A key that is already canonical, such as the G that masa_split
         returns, is matched by masa_eval without being canonicalized again.
         """
-        return self._coefficient(canonical_direction(G))
+        return float(self._coefficient(canonical_direction(G).mat))
 
-    def _coefficient(self, key: HermitianMatrix) -> float:
-        # The c_G stored for a canonical key, matched entrywise.
-        for H, c in self.directions:
-            if float(np.max(np.abs(H.mat - key.mat))) <= DIRECTION_MATCH_TOL:
-                return c
-        return 0.0
+    def _coefficient(self, keys: np.ndarray):
+        # The c_G stored for a canonical key, or for each key of a stack,
+        # matched entrywise; the first stored match wins, 0 where none does.
+        c = np.zeros(keys.shape[:-2])
+        for H, c_G in reversed(self.directions):
+            c = np.where(np.max(np.abs(H.mat - keys), axis=(-2, -1)) <= DIRECTION_MATCH_TOL, c_G, c)
+        return c
 
 
-def masa_split(X) -> tuple[float, float, HermitianMatrix | None]:
+def masa_split(X) -> tuple:
     """Coordinates (t, s, G) of X = tI + sG with canonical G; G is None when s = 0.
 
     The sign convention lives in G: s is signed so that s * G reproduces the
-    traceless part exactly.
+    traceless part exactly. X may be an (N, 2, 2) stack: t and s are then
+    (N,) arrays and G an (N, 2, 2) array, zero where s = 0; each matrix
+    splits bit for bit as it would alone.
     """
     arr = as_array(X)
-    if arr.shape != (2, 2):
+    if arr.shape[-2:] != (2, 2) or arr.ndim not in (2, 3):
         raise DimMismatch("the affine model is defined on M2")
-    t = float(np.trace(arr).real) / 2.0
-    D = arr - t * np.eye(2)
-    s = float(np.linalg.norm(D)) / math.sqrt(2.0)
-    if s <= 1e-13 * max(1.0, float(np.linalg.norm(arr))):
-        return t, 0.0, None
-    G = canonical_direction(D / s)
-    if float(np.max(np.abs(D - s * G.mat))) > float(np.max(np.abs(D + s * G.mat))):
-        s = -s
-    return t, s, G
+    stack = arr.reshape(-1, 2, 2)
+    t = np.trace(stack, axis1=-2, axis2=-1).real / 2.0
+    D = stack - t[:, None, None] * np.eye(2)
+    s = _frobenius_each(D) / math.sqrt(2.0)
+    split = ~(s <= 1e-13 * np.maximum(1.0, _frobenius_each(stack)))
+    s = np.where(split, s, 0.0)
+    G = np.zeros_like(D)
+    if split.any():
+        unit = D[split] / s[split, None, None]
+        _check_hermitian(unit)
+        G[split] = _canonical(_sym(unit))
+    sG = s[:, None, None] * G
+    s = np.where(np.max(np.abs(D - sG), axis=(-2, -1)) > np.max(np.abs(D + sG), axis=(-2, -1)), -s, s)
+    if arr.ndim == 3:
+        return t, s, G
+    return float(t[0]), float(s[0]), HermitianMatrix._wrap(G[0]) if split[0] else None
 
 
-def masa_eval(m: MasaFunctional, X) -> float:
+def masa_eval(m: MasaFunctional, X):
     """Evaluate the affine model at X = tI + sG; requires X inside the cone.
 
-    The G that masa_split returns is already canonical, so its coefficient
-    is matched without canonicalizing G again.
+    X may be an (N, 2, 2) stack, giving one value per matrix. The G that
+    masa_split returns is already canonical, so its coefficient is matched
+    without canonicalizing G again.
     """
-    t, s, G = masa_split(X)
-    if t - abs(s) <= 0.0:
-        raise NotInCone(f"matrix with eigenvalues {t - abs(s):.3e}, {t + abs(s):.3e}")
-    if G is None:
-        return m.c_I * t + (1.0 - m.c_I)
-    return m.c_I * t + m._coefficient(G) * s + (1.0 - m.c_I)
+    arr = as_array(X)
+    t, s, G = masa_split(arr if arr.ndim == 3 else arr[None])
+    bad = t - np.abs(s) <= 0.0
+    if bad.any():
+        i = int(bad.argmax())
+        raise NotInCone(f"matrix with eigenvalues {t[i] - abs(s[i]):.3e}, {t[i] + abs(s[i]):.3e}")
+    vals = m.c_I * t + m._coefficient(G) * s + (1.0 - m.c_I)
+    return vals if arr.ndim == 3 else float(vals[0])
 
 
 def _scalar_mean(kind: MeanKind, x, y):
@@ -262,13 +264,6 @@ def preserver_residual(f: ScalarFunctional, kind: MeanKind, A: PdMatrix, B: PdMa
     """|f(A sigma B) - f(A) sigma f(B)| with the right side the scalar mean."""
     _check_operands(A, B)
     return float(_residual_arr(f, kind, A.mat, B.mat))
-
-
-def _fit_scalar(values: list[float]) -> tuple[list[float], float]:
-    # The series fit of one scalar per DEFAULT_GRID point, as a 1x1 family.
-    by_eps = dict(zip(DEFAULT_GRID.eps_grid, values))
-    fit = fit_series_general(lambda e: [[by_eps[e]]], DEFAULT_GRID)
-    return [float(c[0, 0].real) for c in (fit.c0, fit.c1, fit.c2)], fit.residual_bound
 
 
 @dataclass(frozen=True)
@@ -355,19 +350,20 @@ def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
     # The grid's pairs as two stacks and their means; then the outer power
     # of each mean and each matrix of the pairs, certified as mean and mpow
     # certify one, and its trace-pairing coordinates.
-    A, B = stacked([pauli_pair(e) for e in DEFAULT_GRID.eps_grid])
+    A, B = _pauli_stacks(DEFAULT_GRID.eps_grid)
     M = _certified(_mean_arr(kind, A, B))
-    mats = _certified_power(np.concatenate([M, A, B]), outer).reshape(3, -1, 2, 2)
-    t_L, t_A, t_B = (np.trace(mats, axis1=-2, axis2=-1).real / 2.0).tolist()
+    mats = _certified_power(np.concatenate([M, A, B]), outer)
+    t_L, t_A, t_B = np.trace(mats, axis1=-2, axis2=-1).real.reshape(3, -1) / 2.0
     paulis = np.array([U.mat, sz.mat, sx.mat])[:, None]
-    s_L, s_A, s_B = (np.trace(paulis @ mats, axis1=-2, axis2=-1).real / 2.0).tolist()
+    s_L, s_A, s_B = np.trace(paulis @ mats.reshape(3, -1, 2, 2), axis1=-2, axis2=-1).real / 2.0
 
-    delta_t = [tl - (ta + tb) / 2.0 for tl, ta, tb in zip(t_L, t_A, t_B)]
-    k, resid_k = _fit_scalar(delta_t)
-    sig, resid_s = _fit_scalar(s_L)
-    a, resid_a = _fit_scalar(s_A)
-    b, resid_b = _fit_scalar(s_B)
-    fit_residual = max(resid_k, resid_s, resid_a, resid_b)
+    # The four coordinates as four 1x1 families of one solve: each column
+    # gets the coefficients and the residual a fit of it alone gets.
+    delta_t = t_L - (t_A + t_B) / 2.0
+    data = np.stack([delta_t, s_L, s_A, s_B], axis=1).astype(complex)[:, :, None]
+    coeffs, resid = _fit(DEFAULT_GRID, data)
+    k, sig, a, b = np.array(coeffs)[:, :, 0].real.T.tolist()
+    fit_residual = float(resid.max())
 
     rows = (
         (k[1], -a[1] / 2.0, -b[1] / 2.0, sig[1]),
@@ -396,12 +392,13 @@ def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
             (U, 0.8 / math.sqrt(2.0)),
         ),
     )
-    c_z, c_x, c_u = (probe.coefficient_for(G) for G in (sz, sx, U))
-    gaps = []
-    for L, Ap, Bp, tl, sl, ta, sa, tb, sb in zip(*mats, t_L, s_L, t_A, s_A, t_B, s_B):
-        via_masa = masa_eval(probe, L) - (masa_eval(probe, Ap) + masa_eval(probe, Bp)) / 2.0
-        direct = probe.c_I * (tl - (ta + tb) / 2.0) + c_u * sl - (c_z * sa + c_x * sb) / 2.0
-        gaps.append(abs(via_masa - direct))
+    # The three keys are canonical as given, so the stored coefficients are
+    # read in order; the 18 matrices are evaluated as one stack.
+    (_, c_z), (_, c_x), (_, c_u) = probe.directions
+    v_L, v_A, v_B = masa_eval(probe, mats).reshape(3, -1)
+    via_masa = v_L - (v_A + v_B) / 2.0
+    direct = probe.c_I * delta_t + c_u * s_L - (c_z * s_A + c_x * s_B) / 2.0
+    gaps = np.abs(via_masa - direct).tolist()
 
     return CoefficientSolveReport(
         kind=kind.label,

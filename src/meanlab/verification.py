@@ -21,10 +21,10 @@ from .centrality import (
 )
 from .expansion import (
     DEFAULT_GRID,
+    _fit_stacks,
+    _grid_means,
     check_power_mean_expansion,
-    check_unitary_invariance,
     check_wasserstein_expansion,
-    fit_series,
     gp_d1,
     gp_d2,
     gp_d2_tabulated_anchor,
@@ -45,7 +45,6 @@ from .means import (
     check_kubo_ando_axioms,
     conventional_power,
     kubo_ando_power,
-    mean,
 )
 from .preserver import (
     _residual_arr,
@@ -82,9 +81,9 @@ def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     _, _, U = pauli_basis()
     items = []
     for p in P_VALUES:
-        gap = worst(check_unitary_invariance(p, e) for e in (0.1, 0.3, 0.5))
+        gap = worst(commutator_norm(U, _grid_means(kubo_ando_power(p), (0.1, 0.3, 0.5))).tolist())
         items.append(CheckItem.bound(f"[U, A m_p B] vanishes, p = {p:g}", gap, tol))
-    gap = worst(commutator_norm(U, mean(WASSERSTEIN, *pauli_pair(e))) for e in (0.1, 0.4))
+    gap = worst(commutator_norm(U, _grid_means(WASSERSTEIN, (0.1, 0.4))).tolist())
     items.append(CheckItem.bound("[U, Wasserstein mean] vanishes", gap, tol))
     return CheckReport("criterion 1: unitary commutation of perturbed means", tuple(items))
 
@@ -427,8 +426,9 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
 def criterion_11(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     """Degree-2 residual scales like eps_max cubed for the power family."""
     kind = kubo_ando_power(0.5)
-    base = fit_series(lambda e: mean(kind, *pauli_pair(e)), DEFAULT_GRID)
-    doubled = fit_series(lambda e: mean(kind, *pauli_pair(e)), DEFAULT_GRID.scaled(2.0))
+    base, doubled = (
+        _fit_stacks(g, [_grid_means(kind, g.eps_grid)])[0] for g in (DEFAULT_GRID, DEFAULT_GRID.scaled(2.0))
+    )
     factor = doubled.residual_bound / base.residual_bound
     item = CheckItem.compare(
         "log2 of residual growth under grid doubling",

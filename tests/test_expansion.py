@@ -18,20 +18,27 @@ from meanlab import (
     FitFailure,
     HermitianMatrix,
     IllConditioned,
+    WASSERSTEIN,
     check_power_mean_expansion,
+    check_unitary_invariance,
     check_wasserstein_expansion,
+    commutator_norm,
     fit_series,
     fit_series_general,
     frobenius,
     gp_d1,
     gp_d2,
     gp_eval,
+    kubo_ando_power,
     mean,
     mpow,
     pauli_basis,
     pauli_pair,
 )
-from meanlab import HARMONIC
+from meanlab import HARMONIC, expansion
+from meanlab.matcore import _certified_power, _pow_arr
+from meanlab.means import _transport_arr
+from meanlab.sampling import stacked
 
 SZ, SX, _U = pauli_basis()
 I2 = np.eye(2, dtype=complex)
@@ -248,3 +255,92 @@ def test_report_json_shape():
     assert {"name", "observed", "tolerance", "passed", "mode"} <= set(
         blob["items"][0]
     )
+
+
+# The fit layer: one Vandermonde per grid, several families per solve, and
+# every grid family evaluated as one stack.
+
+GRIDS = [DEFAULT_GRID, DEFAULT_GRID.scaled(2.0)]
+
+
+def _columns(seed, count, g):
+    # count smooth scalar families over g, (npoints, count, 1) complex: a
+    # random cubic each, plus a little noise so the residuals are not zero.
+    rng = np.random.default_rng(seed)
+    eps = np.array(g.eps_grid)[:, None]
+    coef = rng.standard_normal((4, count))
+    values = sum(coef[k] * eps**k for k in range(4)) + 1e-6 * rng.standard_normal((len(eps), count))
+    return values.astype(complex)[:, :, None]
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=["default", "doubled"])
+@pytest.mark.parametrize("seed", range(20))
+def test_four_columns_in_one_solve_equal_four_lone_fits(seed, g):
+    data = _columns(seed, 4, g)
+    coeffs, resid = expansion._fit(g, data)
+    for j in range(4):
+        by_eps = dict(zip(g.eps_grid, data[:, j, 0]))
+        lone = fit_series_general(lambda e: [[by_eps[e]]], g)
+        assert all(np.array_equal(c[j], lone_c[0]) for c, lone_c in zip(coeffs, (lone.c0, lone.c1, lone.c2)))
+        assert resid[j] == lone.residual_bound
+
+
+@pytest.mark.parametrize("bad", ["nan", "not-polynomial"])
+def test_one_failing_column_fails_the_solve(bad):
+    data = _columns(3, 4, DEFAULT_GRID)
+    expansion._fit(DEFAULT_GRID, data)
+    eps = np.array(DEFAULT_GRID.eps_grid)
+    data[:, 2, 0] = np.nan if bad == "nan" else 1.0 + np.sin(60.0 * eps)
+    with pytest.raises(FitFailure, match="degree-2 residual"):
+        expansion._fit(DEFAULT_GRID, data)
+
+
+@pytest.mark.parametrize("g", GRIDS, ids=["default", "doubled"])
+def test_two_families_in_one_solve_equal_two_lone_fits(g):
+    kind = kubo_ando_power(-0.5)
+    M = np.array([mean(kind, *pauli_pair(e)).mat for e in g.eps_grid])
+    P = np.array([mpow(mean(kind, *pauli_pair(e)), -0.5).mat for e in g.eps_grid])
+    for fit, S in zip(expansion._fit_stacks(g, [M, P]), (M, P)):
+        lone = fit_series(dict(zip(g.eps_grid, S)).__getitem__, g)
+        for c, lone_c in zip((fit.c0, fit.c1, fit.c2), (lone.c0, lone.c1, lone.c2)):
+            assert np.array_equal(c.mat, lone_c.mat)
+        assert fit.residual_bound == lone.residual_bound
+
+
+@pytest.mark.parametrize("eps", [DEFAULT_GRID.eps_grid, DEFAULT_GRID.scaled(2.0).eps_grid, (0.1, 0.3, 0.5)],
+                         ids=["default", "doubled", "criterion-1"])
+@pytest.mark.parametrize("kind", [kubo_ando_power(p) for p in P_VALUES] + [WASSERSTEIN],
+                         ids=lambda k: k.label)
+def test_grid_stacked_families_equal_the_lone_ones(kind, eps):
+    # The mean, its p-th power (its square root and the transport map for
+    # the Wasserstein mean) and [U, mean] over a grid, bit for bit the
+    # values of one pauli_pair at a time.
+    M = expansion._grid_means(kind, eps)
+    lone = [mean(kind, *pauli_pair(e)) for e in eps]
+    assert np.array_equal(M, [X.mat for X in lone])
+    assert np.array_equal(commutator_norm(_U, M), [commutator_norm(_U, X) for X in lone])
+    if kind.tag == WASSERSTEIN.tag:
+        assert np.array_equal(_pow_arr(M, 0.5), [_pow_arr(X.mat, 0.5) for X in lone])
+        A, B = stacked([pauli_pair(e) for e in eps])
+        assert np.array_equal(_transport_arr(A, B), [_transport_arr(a, b) for a, b in zip(A, B)])
+    else:
+        want = [mpow(X, kind.p).mat for X in lone]
+        assert np.array_equal(_certified_power(M, kind.p), want)
+        assert [check_unitary_invariance(kind.p, e) for e in eps] == [commutator_norm(_U, X) for X in lone]
+
+
+def test_each_vandermonde_is_built_and_conditioned_once(monkeypatch):
+    # Criteria 1-5 and 11 fit on DEFAULT_GRID and its doubling, each at
+    # degrees 5 and 2: four matrices for the process, however many runs.
+    built, conditioned = [], []
+    vander, cond = np.vander, np.linalg.cond
+    monkeypatch.setattr(np, "vander", lambda *a, **k: built.append(a[1]) or vander(*a, **k))
+    monkeypatch.setattr(np.linalg, "cond", lambda V: conditioned.append(V.shape) or cond(V))
+    expansion._vandermonde.cache_clear()
+    for _ in range(2):
+        for n in (1, 2, 3, 4, 5, 11):
+            CRITERIA[n]()
+    assert sorted(built) == [3, 3, 6, 6]
+    assert sorted(conditioned) == [(6, 3), (6, 3), (6, 6), (6, 6)]
+    V, _ = expansion._vandermonde(DEFAULT_GRID.eps_grid, 5)
+    assert not V.flags.writeable

@@ -15,6 +15,7 @@ from meanlab import (
     PdMatrix,
     PositivityError,
     SingularError,
+    commutator_norm,
     congruence,
     eig,
     frobenius,
@@ -31,7 +32,7 @@ from meanlab import (
     random_unitary,
     rng_for,
 )
-from meanlab import matcore
+from meanlab import expansion, matcore
 from meanlab.matcore import _pow_arr, _sym
 from meanlab.sampling import _pd_gram, draws, pd_stacks, random_complex, stacked
 from meanlab.verification import _commuting_stacks, _weighted_pairs
@@ -609,8 +610,28 @@ def test_pauli_pair_matches_definition(pauli):
 
 
 def test_pauli_pair_rejects_large_eps():
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match="got 1.0$"):
         pauli_pair(1.0)
+    with pytest.raises(DomainError, match="got nan$"):
+        pauli_pair(np.nan)
+    # A grid's pairs are built as stacks; one point outside fails them all.
+    with pytest.raises(DomainError, match="got -1.5$"):
+        expansion._pauli_stacks((0.1, -1.5, 0.2))
+
+
+@pytest.mark.parametrize("eps", [0.01, 0.1, 0.3, 0.5, -0.7, 0.999])
+def test_pauli_pair_is_the_symmetrized_definition_bit_for_bit(pauli, eps):
+    # Each matrix of the stacked grid pairs, and each pauli_pair, is
+    # I + eps sigma, symmetrized, as a lone matrix builds it.
+    sz, sx, _ = pauli
+    A, B = pauli_pair(eps)
+    assert np.array_equal(A.mat, _sym(np.eye(2, dtype=complex) + eps * sz.mat))
+    assert np.array_equal(B.mat, _sym(np.eye(2, dtype=complex) + eps * sx.mat))
+    assert A.min_eigenvalue == B.min_eigenvalue == 1.0 - abs(eps)
+    grid = (0.02, eps, 0.04)
+    SA, SB = expansion._pauli_stacks(grid)
+    assert np.array_equal(SA, [_sym(np.eye(2, dtype=complex) + e * sz.mat) for e in grid])
+    assert np.array_equal(SB, [_sym(np.eye(2, dtype=complex) + e * sx.mat) for e in grid])
 
 
 def test_random_unitary_is_unitary(rng):
@@ -746,3 +767,13 @@ def test_check_primitives_take_a_matrix_or_a_stack():
 
 def test_frobenius_of_known_matrix():
     assert frobenius(np.array([[3.0, 4.0], [0.0, 0.0]])) == pytest.approx(5.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_commutator_norm_equals_each_pair_bit_for_bit(dim):
+    # np.linalg.norm takes one matrix by BLAS dots; the stacked norm runs
+    # the same dots, so each value matches the lone call exactly.
+    pairs = [(random_pd(rng_for(5, i), dim).mat, random_pd(rng_for(6, i), dim).mat) for i in range(200)]
+    A, B = (np.array(side) for side in zip(*pairs))
+    assert np.array_equal(commutator_norm(A, B), [commutator_norm(a, b) for a, b in pairs])
+    assert np.array_equal(commutator_norm(A[0], B), [commutator_norm(A[0], b) for b in B])

@@ -1,12 +1,15 @@
 """Scalar functionals on the positive cone, the diagonal-subalgebra model,
 and the coefficient solver for the preservation equation."""
 
+import re
+
 import numpy as np
 import pytest
 
 from meanlab import preserver
 from meanlab import (
     ARITHMETIC,
+    CRITERIA,
     GEOMETRIC,
     HARMONIC,
     DimMismatch,
@@ -120,21 +123,22 @@ def test_functional_checks_every_value_of_a_stack(bad):
 
 @pytest.mark.parametrize("kind", [kubo_ando_power(0.5), WASSERSTEIN], ids=lambda k: k.label)
 def test_solve_canonicalizes_each_direction_once(kind, monkeypatch):
-    # Three directions at construction of the probe functional, one per
-    # matrix masa_split reduces (3 per grid point, 6 points) and three
-    # coefficient lookups for the cross-check: 24. Canonicalizing
-    # masa_split's key again per evaluation, and looking the three up per
-    # grid point, would make 57.
+    # Matrices canonicalized, a stack counted per matrix: three directions
+    # at construction of the probe functional, then one per matrix of the
+    # cross-check's stack (3 per grid point, 6 points), split in one call:
+    # 21. Looking the probe's three coefficients up by direction would make
+    # 24; canonicalizing masa_split's key again per evaluation, and looking
+    # the three up per grid point, 57.
     calls = []
-    original = preserver.canonical_direction
+    original = preserver._canonical
 
-    def counting(G):
-        calls.append(G)
-        return original(G)
+    def counting(arr):
+        calls.append(len(arr) if arr.ndim == 3 else 1)
+        return original(arr)
 
-    monkeypatch.setattr(preserver, "canonical_direction", counting)
+    monkeypatch.setattr(preserver, "_canonical", counting)
     solve_coefficients(kind)
-    assert len(calls) == 24
+    assert calls == [1, 1, 1, 18]
 
 
 def test_constant_functional_rejects_nonpositive():
@@ -318,3 +322,45 @@ def test_contract_report_item_pattern():
     assert by_name["affine model reproduces the sampled residual"].passed
     assert not by_name["c_I forced to zero (null-space projection)"].passed
     assert not rep.all_pass
+
+
+def _masa_stack():
+    # A stored direction and its negation (the sign flip), a scalar (s = 0),
+    # a direction not stored (c_G = 0), then random 2x2 PD draws.
+    drawn = [random_pd(rng_for(12, i), 2).mat for i in range(12)]
+    return np.array([I2 + 0.5 * SZ.mat, I2 - 0.5 * SZ.mat, 2.0 * I2, I2 + 0.3 * SX.mat, *drawn])
+
+
+def test_stacked_masa_split_and_eval_equal_one_matrix_at_a_time():
+    X = _masa_stack()
+    m = MasaFunctional(0.7, ((SZ, 0.4), (U, -0.5)))
+    t, s, G = masa_split(X)
+    for i, Xi in enumerate(X):
+        ti, si, Gi = masa_split(Xi)
+        assert (t[i], s[i]) == (ti, si)
+        assert np.array_equal(G[i], np.zeros((2, 2)) if Gi is None else Gi.mat)
+    assert s[1] == -s[0] and s[2] == 0.0
+    values = masa_eval(m, X)
+    assert np.array_equal(values, [masa_eval(m, Xi) for Xi in X])
+    assert values[2] == 0.7 * 2.0 + 0.3
+    assert values[3] == 0.7 * 1.0 + 0.3
+
+
+def test_stacked_masa_eval_raises_not_in_cone_as_the_matrix_alone():
+    X = _masa_stack()
+    X[5] = I2 + 2.0 * SX.mat
+    m = MasaFunctional(1.0, ())
+    with pytest.raises(NotInCone) as alone:
+        masa_eval(m, X[5])
+    with pytest.raises(NotInCone, match=f"^{re.escape(str(alone.value))}$"):
+        masa_eval(m, X)
+
+
+def test_criterion_5_makes_two_solves_per_coefficient_solve(monkeypatch):
+    # Eight solves, each fitting its four coordinates in one lstsq at degree
+    # 5 and one at degree 2: 16. One fit per coordinate would make 64.
+    calls = []
+    lstsq = np.linalg.lstsq
+    monkeypatch.setattr(np.linalg, "lstsq", lambda V, b, **k: calls.append(b.shape) or lstsq(V, b, **k))
+    CRITERIA[5]()
+    assert calls == [(6, 4)] * 16
