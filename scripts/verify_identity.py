@@ -17,9 +17,12 @@ subprocess per tree, against seeded 2x2 and 3x3 matrix files the script
 writes itself: ``mean`` with its cross-checks, ``expand``, ``preserver``,
 the ``centrality`` probe, ``geodesic``, ``dbw`` and ``axioms``, each in text
 and in ``--json``. Exit code, standard output and standard error must match,
-with ``elapsed_ms`` and the temporary directory masked. The exit status is
-0 when every run matches and 1 on any difference; the temporary directory
-is removed either way.
+with ``elapsed_ms`` and the temporary directory masked. When a ``--json``
+run differs, a summary follows its diff: the largest relative change over
+the numeric leaves of the two documents, paired by JSON path, and every
+``passed``, ``all_pass``, ``verdict`` or ``central`` leaf that flipped. The
+exit status is 0 when every run matches and 1 on any difference; the
+temporary directory is removed either way.
 
 Last, the script prints the number of source lines, as
 ``cat src/meanlab/*.py | wc -l`` counts them, at REF and here. A refactor
@@ -194,6 +197,41 @@ def summarize(old: dict, new: dict) -> list[str]:
     return lines
 
 
+# JSON keys whose values are verdicts: a change of one is a flip.
+_VERDICT_KEYS = ("passed", "all_pass", "verdict", "central")
+
+
+def json_leaves(node, path: str = "") -> dict[str, object]:
+    """Every leaf of a JSON document by its path, such as ``result.pairs[3].verdict``."""
+    if isinstance(node, dict):
+        items = [(f"{path}.{key}" if path else key, child) for key, child in node.items()]
+    elif isinstance(node, list):
+        items = [(f"{path}[{i}]", child) for i, child in enumerate(node)]
+    else:
+        return {path: node}
+    return {p: leaf for key, child in items for p, leaf in json_leaves(child, key).items()}
+
+
+def json_summary(old: str, new: str) -> list[str]:
+    """Verdict flips and the largest relative change of the numeric leaves of two JSON documents."""
+    try:
+        before, after = json_leaves(json.loads(old)), json_leaves(json.loads(new))
+    except json.JSONDecodeError:
+        return ["  no summary: a run did not print JSON"]
+    paired = [p for p in before if p in after]
+
+    def number(v) -> bool:
+        return isinstance(v, (int, float)) and not isinstance(v, bool)
+    changes = [(relative_change(before[p], after[p]), p) for p in paired if number(before[p]) and number(after[p])]
+    flips = [p for p in paired if p.rsplit(".", 1)[-1] in _VERDICT_KEYS and before[p] != after[p]]
+    largest, name = max(changes, default=(0.0, ""))
+    line = f"  {len(flips)} verdict flips; largest relative change {largest:.3e}"
+    lines = [line + (f" ({name})" if largest else "")]
+    lines += [f"  flipped: {p} ({before[p]!r} -> {after[p]!r})" for p in flips]
+    unpaired = len(before) + len(after) - 2 * len(paired)
+    return lines + ([f"  {unpaired} leaves on one side only"] if unpaired else [])
+
+
 def print_diff(ref: str, old: tuple[int, str, str], new: tuple[int, str, str]) -> None:
     """The first 40 lines of the stdout and the stderr diff of two runs."""
     for label, a, b in (("stdout", old[1], new[1]), ("stderr", old[2], new[2])):
@@ -245,6 +283,9 @@ def main(argv: list[str]) -> int:
             shown = " ".join(argv).replace(str(folder), "<tmp>")
             print(f"cli: DIFFERENT: meanlab {shown} (exit {old[0]} at {ref}, {new[0]} here)")
             print_diff(ref, old, new)
+            if "--json" in argv:
+                for line in json_summary(old[1], new[1]):
+                    print(line)
         before, after = source_lines(Path(tmp) / "src"), source_lines(ROOT / "src")
         print(f"source lines: {before} at {ref}, {after} here ({after - before:+d})")
     return 0 if same else 1

@@ -126,7 +126,7 @@ def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) 
     """Sample ``samples`` random_pd partners on rng_for(seed, i) and report each commutator.
 
     The partners are drawn first and evaluated as one stack; each report
-    is, to roundoff, the commutator_report of its pair.
+    is the commutator_report of its pair, bit for bit.
     """
     _validate_probe_kind(kind)
     if samples < 1:

@@ -29,7 +29,7 @@ import numpy as np
 
 from .errors import DomainError, FitFailure, IllConditioned
 from .matcore import (
-    HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _frobenius_each, _pow_arr,
+    HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _norms, _pow_arr,
     _sym, as_array, commutator_norm, pauli_basis,
 )
 from .means import WASSERSTEIN, MeanKind, _mean_arr, _transport_arr, kubo_ando_power, mean, power_parameter
@@ -148,7 +148,7 @@ def _fit(g: EpsFamily, data: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     degree = min(len(g.eps_grid) - 1, FIT_DEGREE_CAP)
     coeffs, _ = _poly_fit(data, g.eps_grid, degree)
     _, resid2 = _poly_fit(data, g.eps_grid, 2)
-    scale = np.maximum(1.0, _frobenius_each(data[:, :, None]).max(axis=0))
+    scale = np.maximum(1.0, _norms(data[:, :, None]).max(axis=0))
     # Written so that a NaN residual fails too.
     bad = ~(resid2 <= FIT_SANITY * scale)
     if bad.any():
@@ -398,7 +398,7 @@ def _wasserstein_expansion(grid, tol_scale: float) -> tuple[CheckReport, SeriesF
         ),
         CheckItem.bound(
             "mean c2 norm (tabulated: vanishes)",
-            float(np.linalg.norm(fit_mean.c2.mat)),
+            float(_norms(fit_mean.c2.mat)),
             c2_tol,
         ),
         CheckItem.bound(

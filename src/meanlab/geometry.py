@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _pow_arr, _sym
+from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pow_arr, _sym
 from .means import _bw_frame, _geometric_arr, _normalized_inner
 
 TAG_TRACE = "geometric-trace"
@@ -43,7 +43,7 @@ GEODESIC_BW = GeodesicKind(TAG_BW)
 def _d_bw_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     # ||A^(-1/2)(S - A)||_F for one pair, or for each pair of two (N, n, n) stacks.
     _, Aih, S = _bw_frame(Aarr, Barr)
-    return np.linalg.norm(Aih @ (S - Aarr), axis=(-2, -1))
+    return _norms(Aih @ (S - Aarr))
 
 
 def d_bw(A: PdMatrix, B: PdMatrix) -> float:

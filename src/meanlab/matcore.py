@@ -28,7 +28,10 @@ eigenvalues are the bits ``_eig_array`` returns.
 Four checks are decided here and nowhere else, each by one function for a
 matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
 ``_certified``), the Loewner order (``_order_violation``), Hermiticity
-(``_check_hermitian``) and relative size (``_rel_gap``).
+(``_check_hermitian``) and relative size (``_rel_gap``). They and every
+other Frobenius norm of a matrix in the package go through ``_norms``,
+which gives each matrix of a stack the bits it gets alone; every eigenvalue
+power goes through ``np.power``, as the preserver's scalar powers do.
 
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
 stored on value types are non-writeable copies, so instances can be shared
@@ -82,19 +85,16 @@ def _to_complex_array(entries) -> np.ndarray:
 
 def frobenius(entries) -> float:
     """Frobenius norm of an array or wrapped matrix."""
-    return float(np.linalg.norm(as_array(entries)))
+    return float(_norms(as_array(entries)))
 
 
 def _norms(X: np.ndarray):
-    # The Frobenius norm of one matrix, as frobenius takes it, or of each
-    # matrix of a stack.
-    return np.linalg.norm(X) if X.ndim == 2 else np.linalg.norm(X, axis=(-2, -1))
-
-
-def _frobenius_each(X: np.ndarray) -> np.ndarray:
-    # frobenius of each matrix of a stack, bit for bit: np.linalg.norm takes
-    # one matrix as BLAS dots of its flattened real and imaginary parts, and
-    # a (1, k) @ (k, 1) matmul runs the same dots with the same strides.
+    # The Frobenius norm of one matrix (or vector), or of each matrix of a
+    # stack with the bits it gets alone: np.linalg.norm takes one matrix as
+    # BLAS dots of its flattened real and imaginary parts, and a
+    # (1, k) @ (k, 1) matmul runs the same dots with the same strides.
+    if X.ndim <= 2:
+        return np.linalg.norm(X)
     flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
     re, im = flat.real, flat.imag
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
@@ -105,7 +105,7 @@ def commutator_norm(A, B):
     X = as_array(A)
     Y = as_array(B)
     C = X @ Y - Y @ X
-    return frobenius(C) if C.ndim == 2 else _frobenius_each(C)
+    return frobenius(C) if C.ndim == 2 else _norms(C)
 
 
 def _check_operands(A, B) -> None:
@@ -157,7 +157,7 @@ class HermitianMatrix:
         return float(np.trace(self.mat).real)
 
     def norm(self) -> float:
-        return float(np.linalg.norm(self.mat))
+        return float(_norms(self.mat))
 
     def __add__(self, other: "HermitianMatrix") -> "HermitianMatrix":
         return HermitianMatrix._wrap(self.mat + as_array(other))

@@ -368,7 +368,7 @@ def check_kubo_ando_axioms(
         raise DomainError(f"dimension must be at least 1, got {dim}")
     I = np.eye(dim)
     I_pd = identity_pd(dim)
-    v = float(np.linalg.norm(mean(kind, I_pd, I_pd).mat - I))
+    v = float(_norms(mean(kind, I_pd, I_pd).mat - I))
     checks = [
         AxiomCheck("normalization", samples, 0 if v <= AXIOM_NORMALIZATION_TOL else samples, worst((v,)))
     ]

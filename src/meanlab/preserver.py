@@ -22,7 +22,7 @@ from .errors import DimMismatch, DomainError, NotInCone
 from .expansion import DEFAULT_GRID, _fit, _pauli_stacks
 from .matcore import (
     HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _check_operands,
-    _frobenius_each, _norms, _sym, as_array, pauli_basis,
+    _norms, _sym, as_array, pauli_basis,
 )
 from .means import (
     TAG_ARITHMETIC,
@@ -72,13 +72,6 @@ class ScalarFunctional:
         return float(y) if y.ndim == 0 else y
 
 
-def _pow_each(x, p: float):
-    # x ** p by Python's pow, for a float or each value of an array, so that
-    # a stack's values match one matrix's bit for bit: numpy's vectorized
-    # power can differ from it in the last bit.
-    return np.reshape([v**p for v in np.ravel(x).tolist()], np.shape(x))
-
-
 def constant_functional(c: float) -> ScalarFunctional:
     c = float(c)
     if not (c > 0.0) or not math.isfinite(c):
@@ -106,7 +99,9 @@ def trace_power_functional(p: float) -> ScalarFunctional:
 
     def fn(X: np.ndarray):
         traces = np.trace(_certified_power(X, p), axis1=-2, axis2=-1).real
-        return _pow_each(traces / X.shape[-1], 1.0 / p)
+        # The outer power by np.power, as _pow_arr takes the eigenvalue
+        # powers, so one value and each value of a stack get the same bits.
+        return np.power(traces / X.shape[-1], 1.0 / p)
 
     return ScalarFunctional(fn, f"trace-power[p={p:g}]")
 
@@ -118,7 +113,7 @@ def phi_of(f: ScalarFunctional, p: float) -> ScalarFunctional:
     """
     p = power_parameter(p)
     return ScalarFunctional(
-        lambda X: _pow_each(f(_certified_power(X, 1.0 / p)), p),
+        lambda X: np.power(f(_certified_power(X, 1.0 / p)), p),
         f"phi[p={p:g}]({f.label})",
     )
 
@@ -200,16 +195,19 @@ def masa_split(X) -> tuple:
     The sign convention lives in G: s is signed so that s * G reproduces the
     traceless part exactly. X may be an (N, 2, 2) stack: t and s are then
     (N,) arrays and G an (N, 2, 2) array, zero where s = 0; each matrix
-    splits bit for bit as it would alone.
+    splits bit for bit as it would alone. DomainError on an entry that is
+    not finite.
     """
     arr = as_array(X)
     if arr.shape[-2:] != (2, 2) or arr.ndim not in (2, 3):
         raise DimMismatch("the affine model is defined on M2")
+    if not np.isfinite(arr).all():
+        raise DomainError("matrix entries must be finite")
     stack = arr.reshape(-1, 2, 2)
     t = np.trace(stack, axis1=-2, axis2=-1).real / 2.0
     D = stack - t[:, None, None] * np.eye(2)
-    s = _frobenius_each(D) / math.sqrt(2.0)
-    split = ~(s <= 1e-13 * np.maximum(1.0, _frobenius_each(stack)))
+    s = _norms(D) / math.sqrt(2.0)
+    split = ~(s <= 1e-13 * np.maximum(1.0, _norms(stack)))
     s = np.where(split, s, 0.0)
     G = np.zeros_like(D)
     if split.any():
@@ -243,12 +241,14 @@ def masa_eval(m: MasaFunctional, X):
 def _scalar_mean(kind: MeanKind, x, y):
     # The scalar mean of each kind _residual_arr admits, for two floats or
     # elementwise for two arrays: arithmetic, m_p, and otherwise Wasserstein.
+    # Powers by np.power, as everywhere, the same bits for a float and for
+    # each value of an array.
     if kind.tag == TAG_ARITHMETIC:
         return (x + y) / 2.0
     if kind.tag == TAG_POWER:
         p = kind.p
-        return _pow_each((_pow_each(x, p) + _pow_each(y, p)) / 2.0, 1.0 / p)
-    return _pow_each((np.sqrt(x) + np.sqrt(y)) / 2.0, 2)
+        return np.power((np.power(x, p) + np.power(y, p)) / 2.0, 1.0 / p)
+    return np.power((np.sqrt(x) + np.sqrt(y)) / 2.0, 2)
 
 
 def _residual_arr(f: ScalarFunctional, kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray):

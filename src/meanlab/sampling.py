@@ -3,14 +3,15 @@
 Every sampled battery draws sample i of a stream on its own generator,
 ``rng_for(seed, *stream, i)``: numpy's PCG64 seeded by the SeedSequence of
 the integers (seed, *stream, i). :func:`rng_batch` builds those generators
-for every i < count at once. It runs the SeedSequence algorithm itself, the
-seed_seq entropy mixing of O'Neill's PCG paper (hash each 32-bit word of
-entropy into a pool of four words, mix every pool word into every other,
-then hash the pool out into the generator's state), as uint32 array
-arithmetic over i. NEP 19 keeps SeedSequence's output stable across numpy
-versions, so the batch gives the bits ``rng_for`` gives;
-``tests/test_sampling.py`` checks the draws stream for stream, across
-seeds and streams of one and several words.
+for every i < count at once, and every battery seeds through it, at any
+count; ``rng_for`` stays the public way to build one generator alone. It
+runs the SeedSequence algorithm itself, the seed_seq entropy mixing of
+O'Neill's PCG paper (hash each 32-bit word of entropy into a pool of four
+words, mix every pool word into every other, then hash the pool out into
+the generator's state), as uint32 array arithmetic over i. NEP 19 keeps
+SeedSequence's output stable across numpy versions, so the batch gives the
+bits ``rng_for`` gives; ``tests/test_sampling.py`` checks the draws stream
+for stream, across seeds and streams of one and several words.
 """
 
 from __future__ import annotations
@@ -112,26 +113,18 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-# The batch hash costs a fixed ~150 us and one rng_for ~16 us, so fewer
-# draws than this are seeded one rng_for each (see CHANGES.md).
-_BATCH_FROM = 12
-
-
 def rng_batch(seed, *stream, count: int) -> Iterator[np.random.Generator]:
     """Yield rng_for(seed, *stream, i) for each i < count, seeded as one batch.
 
-    The SeedSequence hash runs at the call, once over every i (see the
-    module docstring); each generator is built when it is reached, its
-    PCG64 taking its row through a seed sequence that serves it, so only
-    the one in use is held. Fewer than ``_BATCH_FROM`` draws take rng_for
-    each. Arguments are taken with int() and checked as SeedSequence
-    checks them, so a negative one raises its ValueError at the call, even
-    at count 0.
+    The SeedSequence hash runs at the call, once over every i, whatever
+    count is (see the module docstring); each generator is built when it is
+    reached, its PCG64 taking its row through a seed sequence that serves
+    it, so only the one in use is held. Arguments are taken with int() and
+    checked as SeedSequence checks them, so a negative one raises its
+    ValueError at the call, even at count 0.
     """
     prefix = [w for n in (seed, *stream) for w in _words(int(n))]
     count = max(int(count), 0)
-    if count < _BATCH_FROM:
-        return (rng_for(seed, *stream, i) for i in range(count))
     entropy = np.empty((len(prefix) + 1, count), dtype=np.uint32)
     entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
     # i < 2**32 is a single word.

@@ -108,16 +108,16 @@ def test_probe_report_carries_the_evidence(pd):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_stacked_probe_matches_one_pair_at_a_time(kind, dim):
     # The probe evaluates its partners as one stack; each report must be the
-    # commutator_report of its pair, partners drawn as random_pd draws them.
+    # commutator_report of its pair exactly, partners drawn as random_pd
+    # draws them: the stacked kernels and norms give each pair its lone bits.
+    # 10 is criterion 9's sample count.
     A = random_pd(rng_for(17, dim), dim)
-    rep = probe_report(A, kind, samples=12, seed=4)
-    partners = draws(lambda rng: random_pd(rng, dim), 4, count=12)
-    singles = [commutator_report(kind, A, B) for B in partners]
-    for got, want in zip(rep.pairs, singles, strict=True):
-        assert abs(got.commutator_norm - want.commutator_norm) <= 1e-14 * want.commutator_norm
-        assert got.tolerance == pytest.approx(want.tolerance, rel=1e-15)
-        assert got.verdict == want.verdict
-    assert rep.failures == sum(r.verdict != "commutes" for r in singles)
+    for samples in (10, 12):
+        rep = probe_report(A, kind, samples=samples, seed=4)
+        partners = draws(lambda rng: random_pd(rng, dim), 4, count=samples)
+        singles = [commutator_report(kind, A, B, f"sample-{i}") for i, B in enumerate(partners)]
+        assert list(rep.pairs) == singles
+        assert rep.failures == sum(r.verdict != "commutes" for r in singles)
 
 
 def test_probe_counts_a_nan_norm_as_a_failure(monkeypatch):

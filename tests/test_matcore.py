@@ -33,6 +33,7 @@ from meanlab import (
     rng_for,
 )
 from meanlab import expansion, matcore
+from meanlab.geometry import _d_bw_arr
 from meanlab.matcore import _pow_arr, _sym
 from meanlab.sampling import _pd_gram, draws, pd_stacks, random_complex, stacked
 from meanlab.verification import _commuting_stacks, _weighted_pairs
@@ -777,3 +778,28 @@ def test_stacked_commutator_norm_equals_each_pair_bit_for_bit(dim):
     A, B = (np.array(side) for side in zip(*pairs))
     assert np.array_equal(commutator_norm(A, B), [commutator_norm(a, b) for a, b in pairs])
     assert np.array_equal(commutator_norm(A[0], B), [commutator_norm(A[0], b) for b in B])
+
+
+# Powers of ten from 1e-100 to 1e100, one per matrix in turn.
+_SCALES = 10.0 ** np.array([-100, -50, -8, 0, 8, 50, 100])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_every_quantity_built_on_a_norm_gives_a_stack_the_lone_bits(dim):
+    # Over 200 draws at scales 1e-100 to 1e100, each value of a stack is
+    # the one its matrix (or pair) gets alone. The commutator's operands
+    # take the square root of the scale, so that the commutator spans it.
+    s = np.resize(_SCALES, 200)[:, None, None]
+    X0, Y0 = (random_complex(rng_for(seed, dim), dim, 200) for seed in (22, 23))
+    A, B = (s * M for M in pd_stacks(21, dim=dim, k=2, count=200))
+    cases = {
+        "_norms": (matcore._norms, s * X0),
+        "pd_tolerance": (matcore.pd_tolerance, s * X0),
+        "_rel_gap": (matcore._rel_gap, s * X0, s * Y0),
+        "commutator_norm": (commutator_norm, np.sqrt(s) * X0, np.sqrt(s) * Y0),
+        "_d_bw_arr": (_d_bw_arr, A, B),
+    }
+    for name, (fn, *stacks) in cases.items():
+        got = fn(*stacks)
+        assert np.all(np.isfinite(got)), name
+        assert np.array_equal(got, [fn(*(X[i] for X in stacks)) for i in range(200)]), name

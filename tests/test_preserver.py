@@ -2,6 +2,7 @@
 and the coefficient solver for the preservation equation."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -78,8 +79,7 @@ def _weights(count):
 def test_stacked_residual_matches_each_pair_bit_for_bit(name, kind):
     # Every functional admits every kind the residual takes. The stacked
     # route runs the stacked kernels, which match the lone-matrix ones bit
-    # for bit, and Python's pow where a lone pair uses it, so the match is
-    # exact. The linear functional weighs each pair with its own W.
+    # for bit, and np.power, as a lone pair does, so the match is exact. The linear functional weighs each pair with its own W.
     pairs = draws(lambda rng: (random_pd(rng, 2), random_pd(rng, 2)), 7, count=20)
     W = _weights(len(pairs))
     if name == "linear":
@@ -94,17 +94,20 @@ def test_stacked_residual_matches_each_pair_bit_for_bit(name, kind):
 
 
 @pytest.mark.parametrize("p", [0.5, -0.5])
-def test_trace_power_residual_matches_the_python_float_route(p):
+def test_trace_power_residual_matches_the_np_power_route(p):
     # The functional's outer power and the scalar m_p are taken with
-    # Python's pow, value by value, as the lone-matrix route took them;
-    # numpy's vectorized power can differ from it in the last bit.
+    # np.power, as the eigenvalue powers are, for a stack as for one value;
+    # Python's pow can differ from it in the last bit.
     kind = kubo_ando_power(p)
     pairs = draws(lambda rng: (random_pd(rng, 2), random_pd(rng, 2)), 9, count=50)
 
     def f(X):
-        return (float(np.trace(mpow(X, p).mat).real) / X.dim) ** (1.0 / p)
+        return np.power(float(np.trace(mpow(X, p).mat).real) / X.dim, 1.0 / p)
 
-    want = [abs(f(mean(kind, A, B)) - ((f(A) ** p + f(B) ** p) / 2.0) ** (1.0 / p)) for A, B in pairs]
+    want = [
+        abs(f(mean(kind, A, B)) - np.power((np.power(f(A), p) + np.power(f(B), p)) / 2.0, 1.0 / p))
+        for A, B in pairs
+    ]
     assert np.array_equal(_residual_arr(trace_power_functional(p), kind, *stacked(pairs)), want)
 
 
@@ -354,6 +357,21 @@ def test_stacked_masa_eval_raises_not_in_cone_as_the_matrix_alone():
         masa_eval(m, X[5])
     with pytest.raises(NotInCone, match=f"^{re.escape(str(alone.value))}$"):
         masa_eval(m, X)
+
+
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)], ids=str)
+def test_masa_split_rejects_entries_that_are_not_finite(bad):
+    # Alone and as one matrix of a stack, with no numpy warning on the way:
+    # an infinite off-diagonal pair would otherwise split as the scalar I.
+    M = np.array([[1.0, bad], [np.conj(bad), 1.0]], dtype=complex)
+    X = _masa_stack()
+    X[5] = M
+    m = MasaFunctional(1.0, ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: masa_split(M), lambda: masa_eval(m, M), lambda: masa_split(X), lambda: masa_eval(m, X)):
+            with pytest.raises(DomainError, match="^matrix entries must be finite$"):
+                call()
 
 
 def test_criterion_5_makes_two_solves_per_coefficient_solve(monkeypatch):

@@ -9,12 +9,12 @@ import numpy as np
 import pytest
 
 from meanlab import GEOMETRIC, check_kubo_ando_axioms, means, rng_for
-from meanlab.sampling import _BATCH_FROM, random_invertible_hermitian, random_pd, rng_batch
+from meanlab.sampling import random_invertible_hermitian, random_pd, rng_batch
 
 
-# Below _BATCH_FROM the draws are seeded one rng_for each; from it on, as
-# one batch.
-@pytest.mark.parametrize("count", [0, 1, _BATCH_FROM - 1, _BATCH_FROM, 200])
+# Every count is seeded as one batch; 10 is criterion 9's, the smallest
+# batch a check battery draws.
+@pytest.mark.parametrize("count", [0, 1, 10, 11, 12, 200])
 @pytest.mark.parametrize("stream", [(), (61,), (5, 9), (2**40,)], ids=str)
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7])
 def test_batch_draws_what_rng_for_draws(seed, stream, count):

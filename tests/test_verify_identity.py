@@ -89,3 +89,50 @@ def test_every_listed_cli_run_exits_zero_or_one(tmp_path):
     bad = [(argv, code, err) for argv, (code, _, err) in zip(runs, results) if code not in (0, 1)]
     assert not bad
     assert {argv[0] for argv in runs} == {"mean", "expand", "preserver", "centrality", "geodesic", "dbw", "axioms"}
+
+
+def test_json_summary_pairs_numeric_leaves_by_path_and_names_flips():
+    old = '{"all_pass": true, "result": {"pairs": [{"gap": 2.0, "verdict": "commutes"}, {"gap": 4.0}]}, "n": 3}'
+    new = '{"all_pass": false, "result": {"pairs": [{"gap": 3.0, "verdict": "does_not_commute"}, {"gap": 4.0}]}, "n": 3}'
+    assert verify_identity.json_summary(old, new) == [
+        "  2 verdict flips; largest relative change 5.000e-01 (result.pairs[0].gap)",
+        "  flipped: all_pass (True -> False)",
+        "  flipped: result.pairs[0].verdict ('commutes' -> 'does_not_commute')",
+    ]
+    # A boolean is a verdict, not a number; an unpaired leaf is counted.
+    assert verify_identity.json_summary('{"checks": [{"passed": true}]}', '{"checks": [{"passed": true}], "x": 1}') == [
+        "  0 verdict flips; largest relative change 0.000e+00",
+        "  1 leaves on one side only",
+    ]
+    assert verify_identity.json_summary("meanlab dbw", "{}") == ["  no summary: a run did not print JSON"]
+
+
+def test_differing_json_runs_are_summarized_and_the_exit_status_is_kept(tmp_path, monkeypatch, capsys):
+    # Two runs differ by the same value; only the --json one gets a summary,
+    # and a difference still exits 1.
+    def unpack(ref, dest):
+        (dest / "src" / "meanlab").mkdir(parents=True)
+
+    def run_cli(src, runs, folder):
+        central = "true" if src == verify_identity.ROOT / "src" else "false"
+        out = f'{{"result": {{"central": {central}, "worst_gap": {1.5 if central == "true" else 1.0}}}}}'
+        return [(0, out, "") if "dbw" in argv else (0, "", "") for argv in runs]
+
+    monkeypatch.setattr(verify_identity, "unpack", unpack)
+    monkeypatch.setattr(verify_identity, "run_verify", lambda src, seed: (1, "{}", ""))
+    monkeypatch.setattr(verify_identity, "run_cli", run_cli)
+    assert verify_identity.main(["REF"]) == 1
+    # The summary lines of each differing run, after its header and diff.
+    summary, header = {}, None
+    for line in capsys.readouterr().out.splitlines():
+        if line.startswith("cli: DIFFERENT"):
+            header = line
+            summary[header] = []
+        elif header and line.startswith("  ") and not line.startswith("   "):
+            summary[header].append(line)
+    assert len(summary) == 2 * len(verify_identity.DIMS)
+    for header, lines in summary.items():
+        assert lines == ([
+            "  1 verdict flips; largest relative change 5.000e-01 (result.worst_gap)",
+            "  flipped: result.central (False -> True)",
+        ] if "--json" in header else [])
