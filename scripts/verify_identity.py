@@ -15,8 +15,9 @@ criterion, the items whose verdict flipped and the largest relative change
 Then every argv of ``cli_runs`` runs on each tree, all of them in one
 subprocess per tree, against seeded 2x2 and 3x3 matrix files the script
 writes itself: ``mean`` with its cross-checks, ``expand``, ``preserver``,
-the ``centrality`` probe, ``geodesic``, ``dbw`` and ``axioms``, each in text
-and in ``--json``. Exit code, standard output and standard error must match,
+the ``centrality`` probe, ``geodesic``, ``dbw``, ``axioms`` and one
+``verify`` usage error, each in text and in ``--json``, so that they share
+one CLI parser. Exit code, standard output and standard error must match,
 with ``elapsed_ms`` and the temporary directory masked. When a ``--json``
 run differs, a summary follows its diff: the largest relative change over
 the numeric leaves of the two documents, paired by JSON path, and every
@@ -64,12 +65,18 @@ PLAIN_RUNS = (
     ("preserver", "--functional", "trace-power", "--p", "0.5", "--pairs", "20"),
     ("preserver", "--functional", "constant", "--mean", "kubo-ando", "--p", "-0.5", "--pairs", "20"),
     ("preserver", "--functional", "linear", "--mean", "wasserstein", "--pairs", "20"),
+    # A usage error, so that the runs after it share a parser that has
+    # already refused an argv.
+    ("verify", "--criterion", "99"),
     ("axioms", "--kind", "geometric", "--samples", "10", "--dim", "2"),
     ("axioms", "--kind", "kubo-ando-power", "--p", "-0.5", "--samples", "10", "--dim", "3"),
     # One sample leaves the stack of odd-i transforms empty.
     ("axioms", "--kind", "geometric", "--samples", "1", "--dim", "3"),
     # A seed of three 32-bit words.
     ("axioms", "--kind", "harmonic", "--samples", "7", "--dim", "2", "--seed", "18446744073709551623"),
+    # Stacks of 40 at n = 4: the stacked Jacobi, and certificates proven by
+    # Cholesky.
+    ("axioms", "--kind", "harmonic", "--samples", "40", "--dim", "4"),
 )
 PAIR_RUNS = (
     ("mean", "--kind", "wasserstein"),

@@ -10,6 +10,7 @@ passes, 1 when any check fails, 2 on usage or input errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -355,7 +356,11 @@ def _cmd_verify(args) -> int:
     return _emit(args, "verify", params, reports=reports)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    # Built once per process: every default is immutable and each ``func``
+    # looks its collaborators up in this module's globals when it runs, so
+    # a parser shared by every ``main`` call parses as a fresh one would.
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--seed", type=int, default=0, help="seed for all sampled checks")
     common.add_argument("--json", action="store_true", help="emit a JSON report")
@@ -440,9 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     args._t0 = time.monotonic()

@@ -30,8 +30,17 @@ matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
 ``_certified``), the Loewner order (``_order_violation``), Hermiticity
 (``_check_hermitian``) and relative size (``_rel_gap``). They and every
 other Frobenius norm of a matrix in the package go through ``_norms``,
-which gives each matrix of a stack the bits it gets alone; every eigenvalue
-power goes through ``np.power``, as the preserver's scalar powers do.
+which gives each matrix of a stack the bits it gets alone, and takes a
+norm whose squares overflow again with the matrix scaled by a power of
+two; every eigenvalue power goes through ``np.power``, as the preserver's
+scalar powers do.
+
+A certificate whose value someone reads (``PdMatrix.certify``, ``mpow``,
+``_certify_stack``) is the exact lambda_min of the values-only kernels.
+``_certified`` checks results whose certificate nobody reads: a stack at
+n >= 3 is proven positive definite by a floating-point Cholesky
+factorization of M - tau I (``_cholesky_proof``), and only a matrix the
+proof leaves open takes the eigenvalue route, which decides it as before.
 
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
 stored on value types are non-writeable copies, so instances can be shared
@@ -73,6 +82,9 @@ JACOBI_OFF_RTOL = 1e-14
 # |p * log(lambda)| beyond this would overflow float64 in mpow.
 _POW_LOG_LIMIT = 700.0
 
+# The unit roundoff u of float64, for the error bounds of _cholesky_proof.
+_UNIT_ROUNDOFF = 2.0**-53
+
 
 def _to_complex_array(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=np.complex128)
@@ -92,12 +104,36 @@ def _norms(X: np.ndarray):
     # The Frobenius norm of one matrix (or vector), or of each matrix of a
     # stack with the bits it gets alone: np.linalg.norm takes one matrix as
     # BLAS dots of its flattened real and imaginary parts, and a
-    # (1, k) @ (k, 1) matmul runs the same dots with the same strides.
+    # (1, k) @ (k, 1) matmul runs the same dots with the same strides. The
+    # squares overflow once an entry passes about 1.3e154; only a norm that
+    # came out infinite is taken again, scaled (numpy has warned by then).
     if X.ndim <= 2:
-        return np.linalg.norm(X)
+        norm = np.linalg.norm(X)
+        return norm if math.isfinite(norm) else _rescaled_norms(X.reshape(1, 1, -1), norm[None])[0]
+    norms = _dot_norms(X)
+    return norms if math.isfinite(norms.sum()) else _rescaled_norms(X, norms)
+
+
+def _dot_norms(X: np.ndarray) -> np.ndarray:
+    # The matmul form of _norms over the last two axes of a stack.
     flat = X.reshape(*X.shape[:-2], 1, X.shape[-2] * X.shape[-1])
     re, im = flat.real, flat.imag
     return np.sqrt((re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0, 0])
+
+
+def _rescaled_norms(X: np.ndarray, norms: np.ndarray) -> np.ndarray:
+    # ``norms`` with each infinite one taken again: its matrix scaled by
+    # 2**-k, 2**k just above its largest real or imaginary part, normed by
+    # _dot_norms and scaled back. Powers of two scale exactly, so a matrix
+    # gets the same bits alone or in a stack; a norm past the largest float
+    # stays infinite, and so does one of a matrix with an infinite entry.
+    norms = np.array(norms, dtype=np.float64)
+    over = np.isinf(norms)
+    parts = X[over].view(np.float64)
+    _, k = np.frexp(np.abs(parts).max(axis=(-2, -1)))
+    with np.errstate(over="ignore"):
+        norms[over] = np.ldexp(_dot_norms(np.ldexp(parts, -k[:, None, None]).view(np.complex128)), k)
+    return norms
 
 
 def commutator_norm(A, B):
@@ -683,11 +719,58 @@ def _certify_stack(arr: np.ndarray) -> np.ndarray:
     return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
 
 
+def _cholesky_proof(M: np.ndarray) -> np.ndarray:
+    # For each matrix of a Hermitian stack (N, n, n): True where a proof
+    # shows lambda_min(M) > pd_tolerance(M). The proof is a floating-point
+    # Cholesky factorization of M - tau I that runs to completion (Rump,
+    # "Verification of positive definiteness", BIT 46, 2006; Higham,
+    # Accuracy and Stability of Numerical Algorithms, 2nd ed., 10.1). Its
+    # factor R has R*R = fl(M - tau I) + E with |E| <= gamma |R*| |R|, so
+    # lambda_min(M) > tau - (gamma / (1 - gamma) + u) tr(M), the u for the
+    # rounded shift. For real data gamma = gamma_(n+1), with
+    # gamma_k = k u / (1 - k u) (Higham, Theorem 10.3); complex data take
+    # gamma_(n+3), since a complex product errs by at most
+    # sqrt(5) u < gamma_3 (Brent, Percival & Zimmermann, Math. Comp. 76,
+    # 2007). Hence tau = pd_tolerance(M) + c u tr(M) (1 + 1e-3) with
+    # c = 2n + 2, at least the n + 4 needed for n >= 2; the 1e-3 covers the
+    # 1 / (1 - gamma) and the rounding of tau. The trace is taken over
+    # |m_ii|, equal to it wherever the factorization can succeed. A pivot
+    # that is not a finite positive number (NaN, inf, overflow) leaves its
+    # matrix unproven: the test fails closed.
+    N, n = M.shape[0], M.shape[-1]
+    diag = np.arange(n)
+    trace = np.abs(M[:, diag, diag].real).sum(axis=1)
+    tau = pd_tolerance(M) + (2 * n + 2) * _UNIT_ROUNDOFF * (1.0 + 1e-3) * trace
+    pivots = np.empty((N, n))
+    with np.errstate(all="ignore"):
+        A = M.copy()
+        A[:, diag, diag] -= tau[:, None]
+        for j in range(n):
+            # Column j of the lower factor, then the outer-product update
+            # of the trailing block.
+            pivots[:, j] = d = A[:, j, j].real
+            col = A[:, j + 1:, j] / np.sqrt(d)[:, None]
+            A[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()
+        return ((pivots > 0.0) & (pivots < np.inf)).all(axis=1)
+
+
 def _certified(arr: np.ndarray) -> np.ndarray:
     # A result or a stack of results, symmetrized, with each matrix
-    # certified as mean() certifies one.
+    # certified as mean() certifies one. No caller reads the certificate,
+    # so a stack at n >= 3 first takes _cholesky_proof, and only the
+    # matrices it leaves unproven go to _certify_stack, whose eigenvalues
+    # decide them as before: one that is not PD raises the same
+    # PositivityError. A lone matrix and a stack of 2x2s keep the
+    # eigenvalue route, which costs less there than the proof.
     M = _sym(arr)
-    _certify_stack(M)
+    n = M.shape[-1]
+    if M.ndim == 2 or n <= 2:
+        _certify_stack(M)
+        return M
+    flat = M.reshape(-1, n, n)
+    unproven = ~_cholesky_proof(flat)
+    if unproven.any():
+        _certify_stack(flat[unproven])
     return M
 
 

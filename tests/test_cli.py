@@ -7,6 +7,7 @@ tests cover the installed entry point and ``python -m meanlab``.
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -351,6 +352,41 @@ def test_tol_scale_must_be_positive_and_finite(capsys, value):
     assert main(["verify", "--criterion", "4", "--json", f"--tol-scale={value}"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "--tol-scale" in captured.err
+
+
+def test_the_parser_is_built_once_per_process():
+    from meanlab.cli import build_parser
+
+    assert build_parser() is build_parser()
+
+
+def test_calls_sharing_the_parser_match_fresh_calls(capsys, scalar_pair):
+    # A run with --p, a usage error, then runs that leave --p and --tol-scale
+    # at their defaults: through the one parser each prints what it prints
+    # with a parser built for it alone.
+    from meanlab.cli import build_parser
+
+    a, b = scalar_pair
+    runs = [
+        ["axioms", "--kind", "kubo-ando-power", "--p", "0.5", "--samples", "2", "--json", "--tol-scale", "2"],
+        ["axioms", "--kind", "nope", "--samples", "2"],
+        ["axioms", "--kind", "geometric", "--samples", "2", "--json"],
+        ["mean", "--kind", "harmonic", "--a", a, "--b", b, "--json"],
+    ]
+
+    def outputs(fresh):
+        got = []
+        for argv in runs:
+            if fresh:
+                build_parser.cache_clear()
+            code = main(argv)
+            captured = capsys.readouterr()
+            got.append((code, re.sub(r'"elapsed_ms": \d+', "", captured.out), captured.err))
+        return got
+
+    shared = outputs(fresh=False)
+    assert [code for code, _, _ in shared] == [0, 2, 0, 0]
+    assert shared == outputs(fresh=True)
 
 
 def test_json_output_is_deterministic(capsys):

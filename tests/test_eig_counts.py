@@ -5,7 +5,9 @@ it in each loaded module, and ``_eig_values``, the eigenvalues-only entry
 that certification and the order and invertibility checks take, with it.
 A call on a stack of N matrices counts as N eigendecompositions, whichever
 entry it goes through. A matrix frame A^(1/2), A^(-1/2) costs one
-eigendecomposition of A, and every result costs one more to certify.
+eigendecomposition of A, and every result costs one more to certify,
+except within a stack at n >= 3: its certificates are proven by a Cholesky
+factorization, with no eigendecomposition unless the proof fails.
 """
 
 import json
@@ -103,8 +105,9 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
         # A^(-1), then Q = A^(-1) # B (a frame and a square root), one certified point.
         (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 4),
         (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 3),
-        # d_bw(A, B), Q once, five certified points, four interval distances.
-        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 18),
+        # d_bw(A, B), Q once, five certified points, four interval distances;
+        # at n >= 3 the five points, one stack, are proven without an eig.
+        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 18 if dim == 2 else 13),
     ):
         eig_calls.clear()
         call()
@@ -113,8 +116,9 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_path, capsys):
-    # Both inputs certified (2), the point at t (4) and the accrual (18),
-    # whose own d_bw(A, B) scales the contract: a second one would make 26.
+    # Both inputs certified (2), the point at t (4) and the accrual (18, or
+    # 13 at n >= 3), whose own d_bw(A, B) scales the contract: a second one
+    # would make 26 (21).
     paths = []
     for name, M in zip("ab", _pair(dim)):
         paths.append(tmp_path / f"{name}.json")
@@ -122,7 +126,7 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
     eig_calls.clear()
     argv = ["geodesic", "--kind", "bw", "--a", str(paths[0]), "--b", str(paths[1]), "--check-metric"]
     assert main(argv) == 0
-    assert eig_calls == [dim] * 24
+    assert eig_calls == [dim] * (24 if dim == 2 else 19)
 
 
 # 50 partners certified, then per partner the mean's own eigendecompositions
@@ -130,7 +134,9 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
 # stack: A^(-1) and its frame for the Wasserstein mean (2, then the square
 # root per partner), A's frame for m_p (1, then two powers per partner) and
 # A^(-1) for the harmonic mean (1, then B^(-1) and the inverse of the sum).
-# Taking A's side once per partner would cost 250 for each kind.
+# Taking A's side once per partner would cost 250 for each kind. At n >= 3
+# the partners and the means are stacks, so their 100 certificates are
+# proven without an eigendecomposition.
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "kind, expected",
@@ -141,7 +147,7 @@ def test_eigendecompositions_per_probe(kind, expected, dim, eig_calls):
     A, _ = _pair(dim)
     eig_calls.clear()
     probe_report(A, kind, samples=50)
-    assert eig_calls == [dim] * expected
+    assert eig_calls == [dim] * (expected if dim == 2 else expected - 100)
 
 
 # Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and
@@ -192,6 +198,15 @@ def test_eigendecompositions_per_axiom_battery(eig_calls):
     # adds one mean (3). Evaluating per stack must not add or drop any.
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
     assert eig_calls == [2] * (8 * 41 + 3)
+
+
+def test_eigendecompositions_per_axiom_battery_at_dim_3(eig_calls):
+    # At n >= 3 every stacked certificate is proven by Cholesky: B, D, TA
+    # and TC (4) and the nine means (9) per sample, and T's for odd samples
+    # (4 of 8), leaving 28 per sample. A and C keep their eigenvalues, which
+    # the continuity checks read, and normalization's lone mean its 3.
+    check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=3)
+    assert eig_calls == [3] * (8 * 28 - 4 + 3)
 
 
 def test_eigenvalues_only_share_of_the_axiom_battery(values_calls):

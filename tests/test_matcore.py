@@ -385,9 +385,10 @@ def test_stacked_power_and_certification_reject_one_bad_matrix():
         matcore._certify_stack(indefinite)
     with pytest.raises(DomainError):
         _pow_arr(_stack_around(np.diag([1e10, 1.0])), 40.0)
-    # ||X||_F overflows, so no eigenvalue clears the tolerance, and the cube
-    # of 1e308 would overflow; numpy's overflow warnings are expected here.
-    huge = _stack_around(np.diag([1e308, 1e308]))
+    # ||X||_F exceeds the largest float, so no eigenvalue clears the
+    # tolerance, and the cube of 1.3e308 would overflow; numpy's overflow
+    # warnings are expected here.
+    huge = _stack_around(np.diag([1.3e308, 1.3e308]))
     with np.errstate(over="ignore"):
         with pytest.raises(PositivityError):
             matcore._certify_stack(huge)
@@ -803,3 +804,104 @@ def test_every_quantity_built_on_a_norm_gives_a_stack_the_lone_bits(dim):
         got = fn(*stacks)
         assert np.all(np.isfinite(got)), name
         assert np.array_equal(got, [fn(*(X[i] for X in stacks)) for i in range(200)]), name
+
+
+def _proof_corpus(n: int) -> np.ndarray:
+    # Seeded Hermitian matrices at size n for the Cholesky proof, LAPACK's
+    # eigvalsh as the oracle: random grams, graded grams, condition numbers
+    # 1e2 to 1e12 under complex unitary frames, each also at scales 1e-100
+    # and 1e100, and lambda_min placed at pd_tolerance * (1 -+ 10^-k) for
+    # k = 1..6 at scales 1 and 1e100.
+    rng = rng_for(77, n)
+    mats = [_pd_gram(random_complex(rng, n)) for _ in range(8)]
+    for step in (1.0, 2.0, 4.0):
+        D = np.diag(10.0 ** (-step * np.arange(n)))
+        mats.append(D @ _pd_gram(random_complex(rng, n)) @ D)
+    for cond in (1e2, 1e6, 1e10, 1e12):
+        Q = random_unitary(rng, n)
+        mats.append((Q * np.logspace(0.0, -math.log10(cond), n)) @ Q.conj().T)
+    mats += [s * M for s in (1e-100, 1e100) for M in list(mats)]
+    for scale in (1.0, 1e100):
+        for k in range(1, 7):
+            for sign in (-1.0, 1.0):
+                Q = random_unitary(rng, n)
+                rest = rng.uniform(1.0, 10.0, n - 1)
+                tol = matcore.PD_TOLERANCE * max(1.0, math.hypot(*rest))
+                lam = np.concatenate([[tol * (1.0 + sign * 10.0**-k)], rest])
+                mats.append(scale * ((Q * lam) @ Q.conj().T))
+    return _sym(np.array(mats, dtype=np.complex128))
+
+
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_cholesky_proof_accepts_only_what_the_oracle_certifies(n):
+    M = _proof_corpus(n)
+    proven = matcore._cholesky_proof(M)
+    lam = np.linalg.eigvalsh(M)[:, 0]
+    tol = matcore.pd_tolerance(M)
+    assert np.all(lam[proven] > tol[proven])
+    # Not vacuous: the random grams at scales 1 and 1e100, and a lambda_min
+    # placed a tenth above the tolerance, are proven; none placed below is.
+    base = 15
+    assert proven[:8].all() and proven[2 * base : 2 * base + 8].all()
+    placed = 3 * base
+    assert proven[[placed + 1, placed + 13]].all()
+    assert not proven[placed::2].any()
+    # The stacked decision is the decision each matrix gets alone.
+    assert np.array_equal(proven, [matcore._cholesky_proof(X[None])[0] for X in M])
+
+
+def test_cholesky_proof_fails_closed_on_nan_inf_and_overflow():
+    good = pd_stacks(31, dim=3, k=1, count=5)[0]
+    for bad in (np.nan, np.inf, -np.inf):
+        M = good.copy()
+        M[2, 0, 1] = M[2, 1, 0] = bad
+        M[3, 1, 1] = bad
+        assert matcore._cholesky_proof(M).tolist() == [True, True, False, False, True]
+    # The factor works at the square root of the scale, so 1e160 is
+    # proven; a trace past the largest float leaves a PD matrix unproven.
+    # numpy warns of the overflowing squares of their norms.
+    with np.errstate(over="ignore"):
+        assert matcore._cholesky_proof(1e160 * good[:1])[0]
+        assert not matcore._cholesky_proof(np.diag([1e308] * 3)[None].astype(complex))[0]
+
+
+@pytest.mark.parametrize("count", [6, 40])
+def test_certified_stack_raises_the_eigenvalue_route_error(count):
+    # One indefinite matrix in a stack at n = 3: the proof leaves it to the
+    # eigenvalue route, which raises the PositivityError that certifying the
+    # whole stack by its eigenvalues raises.
+    M = pd_stacks(32, dim=3, k=1, count=count)[0].copy()
+    Q = random_unitary(rng_for(33), 3)
+    M[count // 2] = (Q * np.array([-1e-3, 1.0, 2.0])) @ Q.conj().T
+    with pytest.raises(PositivityError) as whole:
+        matcore._certify_stack(_sym(M))
+    with pytest.raises(PositivityError) as proved:
+        matcore._certified(M)
+    assert str(proved.value) == str(whole.value)
+    rest = np.delete(M, count // 2, axis=0)
+    assert np.array_equal(matcore._certified(rest), _sym(rest))
+
+
+def test_overflowing_norms_are_taken_again_scaled():
+    # Squares of entries past about 1.3e154 overflow; the norm is then taken
+    # with the matrix scaled by a power of two, and the certificate holds.
+    # numpy warns of the overflowing squares first.
+    with np.errstate(over="ignore"):
+        P = PdMatrix.certify(HermitianMatrix(1e160 * np.diag([1.0, 2.0])))
+        assert P.min_eigenvalue == 1e160
+        assert P.norm() == pytest.approx(math.sqrt(5.0) * 1e160, rel=1e-15)
+    pairs = [(random_pd(rng_for(34, i), 2).mat, random_pd(rng_for(35, i), 2).mat) for i in range(6)]
+    A, B = (np.array(side) for side in zip(*pairs))
+    with np.errstate(over="ignore"):
+        big = commutator_norm(1e100 * A, 1e100 * B)
+        assert np.array_equal(big, [commutator_norm(1e100 * a, 1e100 * b) for a, b in pairs])
+    assert np.all(big > 1e200) and np.all(np.isfinite(big))
+    assert big == pytest.approx(1e200 * commutator_norm(A, B), rel=1e-14)
+    # A finite norm keeps its bits, alone or beside an overflowing one.
+    mixed = np.array([A[0], 1e160 * A[1]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(matcore._norms(mixed), [matcore._norms(X) for X in mixed])
+        assert matcore._norms(mixed)[0] == np.linalg.norm(A[0])
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert math.isinf(matcore._norms(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+        assert math.isinf(matcore._norms(np.full((2, 2), 1.7e308)))
