@@ -23,7 +23,13 @@ Every kernel has a values-only mode, reached through ``_eig_values``, for
 the callers that need no vectors: certification, the Loewner order and the
 congruence invertibility check. The closed forms then form only m -+ r
 (keeping the b = 0 sort) and the Jacobi kernels rotate A alone, so the
-eigenvalues are the bits ``_eig_array`` returns.
+eigenvalues are the bits ``_eig_array`` returns. Every 2x2 power, of a lone
+matrix or of a stack, takes that mode too and forms no eigenvectors: it is
+built from the eigenvalues and the closed form's pieces by the interpolation
+form f(A) = f(lambda_1) I + f[lambda_1, lambda_2] (A - lambda_1 I)
+(``_power2``). Only ``eig``, ``func_calc`` and the ``--via-function`` route
+(``_spectral_values``), and ``sampling``'s invertible Hermitian draws, still
+form 2x2 vectors, so the spectral route stays an independent cross-check.
 
 Four checks are decided here and nowhere else, each by one function for a
 matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
@@ -285,18 +291,20 @@ def _eig2_closed(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return np.array([lo, hi]), np.array([[w00, w01], [w10, w11]], dtype=np.complex128)
 
 
-def _eig2_values(arr: np.ndarray) -> np.ndarray:
-    # _eig2_closed's eigenvalues alone, by its arithmetic: the sorted
-    # diagonal when b = 0, else m -+ r as _rotation forms them. A separate
+def _eig2_values(arr: np.ndarray):
+    # _eig2_closed's eigenvalues alone, by its arithmetic, with the pieces
+    # _power2 builds a power from: the sorted diagonal and None when b = 0,
+    # else m -+ r as _rotation forms them and (b, h, m, |b|, r). A separate
     # name, since perfbench/tracing.py wraps _eig2_closed as a one-argument
     # function.
     (a, b), (_, d) = arr.tolist()
     a, d = a.real, d.real
     if b == 0.0:
-        return np.array([a, d] if a <= d else [d, a])
+        return np.array([a, d] if a <= d else [d, a]), None
     h, m = (a - d) / 2.0, (a + d) / 2.0
-    r = abs(complex(h, abs(b)))
-    return np.array([m - r, m + r])
+    babs = abs(b)
+    r = abs(complex(h, babs))
+    return np.array([m - r, m + r]), (b, h, m, babs, r)
 
 
 def _rotation(a: float, d: float, b: complex):
@@ -537,22 +545,28 @@ def _eig2_stack(arr: np.ndarray, vectors: bool = True):
     # _eig2_closed over a stack of 2x2 matrices: _rotation_stack, with b = 0
     # (no rotation, a swap when a > d) apart. Rows with b = 0 rotate a
     # stand-in b = 1 that is then dropped. Without ``vectors`` only m -+ r
-    # is formed, as _rotation_stack forms it, with the same b = 0 sort.
+    # is formed, as _rotation_stack forms it, with the same b = 0 sort, and
+    # the eigenvalues come with the pieces _power2_stack builds a power
+    # from: b, h, m, |b| and r (the last two of the stand-in where b = 0)
+    # and the mask of those rows.
     a, d = arr[:, 0, 0].real, arr[:, 1, 1].real
     b = arr[:, 0, 1]
     still = b == 0.0
+    re = np.where(still, 1.0, b.real)
     if vectors:
-        lo, hi, W = _rotation_stack(a, d, np.where(still, 1.0, b.real), b.imag)
+        lo, hi, W = _rotation_stack(a, d, re, b.imag)
     else:
         h, m = (a - d) / 2.0, (a + d) / 2.0
-        r = np.hypot(h, np.hypot(b.real, b.imag))
+        babs = np.hypot(re, b.imag)
+        r = np.hypot(h, babs)
         lo, hi = m - r, m + r
-    w = np.stack((lo, hi), axis=-1)
+    w = np.empty((len(arr), 2))
+    w[:, 0], w[:, 1] = lo, hi
     swap = a > d
     if still.any():
         w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
     if not vectors:
-        return w
+        return w, (b, h, m, babs, r, still)
     V = np.empty(arr.shape, dtype=np.complex128)
     # W's parts, column by column, as V[:, i, j] = (real, imaginary).
     V.view(np.float64).reshape(-1, 2, 2, 2)[:] = W.reshape(2, 2, 2, -1).transpose(3, 1, 0, 2)
@@ -581,10 +595,11 @@ def _eig(arr: np.ndarray, vectors: bool):
         return (w, np.ones(arr.shape, dtype=np.complex128)) if vectors else w
     if arr.ndim == 2:
         if n == 2:
-            return _eig2_closed(arr) if vectors else _eig2_values(arr)
+            return _eig2_closed(arr) if vectors else _eig2_values(arr)[0]
         return _eig_jacobi(arr, vectors)
     if n == 2:
-        return _eig2_stack(arr, vectors)
+        w, X = _eig2_stack(arr, vectors)
+        return (w, X) if vectors else w
     if len(arr) >= _LOOP_BELOW[vectors]:
         return _eig_jacobi_stack(arr, vectors)
     out = [_eig_jacobi(X, vectors) for X in arr]
@@ -681,19 +696,131 @@ def _power_guard(w: np.ndarray, p: float, certify: bool) -> None:
         raise DomainError(f"power {p} overflows at eigenvalue {over[0]:.3e}")
 
 
+# A 2x2 power from its eigenvalues alone, lambda_1,2 = m -+ r, by the
+# interpolation form f(A) = f_1 I + f[lambda_1, lambda_2] (A - lambda_1 I)
+# (Higham, Functions of Matrices, SIAM 2008), f_i = lambda_i ** p:
+# - P_00 = (f_1 (r - h) + f_2 (r + h)) / (2r) and P_11 the same with r -+ h
+#   swapped, positive combinations; the cancelling one of r -+ h is taken
+#   as |b| (|b| / (r + |h|)), as _rotation takes t.
+# - P_01 = q b for the divided difference q = f[lambda_1, lambda_2], taken
+#   as (f_2 - f_1) / (2r) while lambda_1 < lambda_2 / 2, where the
+#   difference cannot cancel badly, and otherwise without cancellation as
+#   sqrt(f_1) sqrt(f_2) sinh(p atanh(r / m)) / r (Higham & Lin, SIAM J.
+#   Matrix Anal. Appl. 32, 2011).
+# - h, |b|, r and b are first scaled by the power of two that takes r into
+#   [1/2, 1). That is exact, so the bits do not move, but f_i (r -+ h) can
+#   no longer overflow where the result does not (1e100 I at p = 2 did).
+# - b = 0 gives diag(a**p, d**p) exactly.
+# _power2 (a lone matrix, on Python scalars) and _power2_stack (as arrays)
+# take everything that does not depend on p once, and return the function
+# that maps f = w**p and p to the power. Both write every sum in one order
+# and take each transcendental through the same numpy ufunc, so they agree
+# bit for bit.
+
+
+def _power2(arr: np.ndarray, w: np.ndarray, pieces):
+    # The form for one 2x2 matrix, from _eig2_values' eigenvalues w and pieces.
+    lo, hi = w.tolist()
+    if pieces is None:
+        swap = arr[0, 0].real > arr[1, 1].real
+
+        def diagonal(f: np.ndarray, p: float) -> np.ndarray:
+            f1, f2 = f.tolist()
+            return np.array([[f2, 0.0], [0.0, f1]] if swap else [[f1, 0.0], [0.0, f2]], dtype=np.complex128)
+
+        return diagonal
+    b, h, m, babs, r = pieces
+    e = -math.frexp(r)[1]
+    hs, bs, rs = math.ldexp(h, e), math.ldexp(babs, e), math.ldexp(r, e)
+    bre, bim = math.ldexp(b.real, e), math.ldexp(b.imag, e)
+    g = rs + abs(hs)
+    t = bs * (bs / g)
+    x, y = (t, g) if h > 0.0 else (g, t)
+    r2 = 2.0 * rs
+    near = lo >= hi / 2.0
+    ath = float(np.arctanh(r / m)) if near else 0.0
+
+    def power(f: np.ndarray, p: float) -> np.ndarray:
+        f1, f2 = f.tolist()
+        if near:
+            q = math.sqrt(f1) * math.sqrt(f2) * float(np.sinh(p * ath)) / rs
+        else:
+            q = (f2 - f1) / r2
+        u = complex(q * bre, q * bim)
+        return np.array([[(f1 * x + f2 * y) / r2, u], [u.conjugate(), (f1 * y + f2 * x) / r2]], dtype=np.complex128)
+
+    return power
+
+
+def _power2_stack(arr: np.ndarray, w: np.ndarray, pieces):
+    # _power2 over a stack, from _eig2_stack's values-only eigenvalues and
+    # pieces, with one row per quantity and one column per matrix.
+    # XY[i, j] holds the weight of f_j in the numerator of P_ii. A matrix
+    # with b = 0 carries the stand-in b = 1 from _eig2_stack and takes the
+    # weights (1, 0) and (0, 1), in its diagonal's order, over 2r = 1, which
+    # give a**p and d**p exactly, and a zero off the diagonal. The atanh
+    # branch is taken only on the matrices that use it.
+    b, h, m, babs, r, still = pieces
+    lo, hi = w.T
+    hs, bs, rs, bre, bim = np.ldexp(np.array((h, babs, r, b.real, b.imag)), -np.frexp(r)[1])
+    g = rs + np.abs(hs)
+    tg = np.array((bs * (bs / g), g))
+    r2 = 2.0 * rs
+    xy = np.where(h > 0.0, tg, tg[::-1])
+    stills = still.any()
+    if stills:
+        swap = arr[still, 0, 0].real > arr[still, 1, 1].real
+        xy[:, still] = (~swap, swap)
+        r2[still] = 1.0
+    XY = np.array((xy, xy[::-1]))
+    near = (lo >= hi / 2.0) & ~still
+    nears = near.any()
+    if nears:
+        ath, rn = np.arctanh(r[near] / m[near]), rs[near]
+
+    def power(f: np.ndarray, p: float) -> np.ndarray:
+        fT = f.T
+        q = (fT[1] - fT[0]) / r2
+        if nears:
+            s = np.sqrt(f[near])
+            q[near] = s[:, 0] * s[:, 1] * np.sinh(p * ath) / rn
+        u, v = q * bre, q * bim
+        C = fT * XY
+        d0, d1 = (C[:, 0] + C[:, 1]) / r2
+        zero = np.zeros(q.shape)
+        parts = np.array((d0, zero, u, v, u, -v, d1, zero))
+        if stills:
+            parts[2:6, still] = 0.0
+        return np.ascontiguousarray(parts.T).view(np.complex128).reshape(arr.shape)
+
+    return power
+
+
 def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
     # Powers arr**p, one per p, from a single eigendecomposition of Hermitian
     # data assumed positive definite: one matrix, or each matrix of a stack.
-    # Fractional and negative powers raise when a spectrum computed here says
-    # otherwise; with ``certify`` every power does, and each result is paired
-    # with its exact certificate min(lambda_i ** p), one per matrix. One p
-    # gives one result, several give a tuple.
-    w, V = _eig_array(arr)
+    # At n = 2 that is the values-only closed form and each power is built
+    # from the eigenvalues alone (_power2, _power2_stack); larger matrices
+    # form V diag(lambda ** p) V*. Fractional and negative powers raise when
+    # a spectrum computed here says otherwise; with ``certify`` every power
+    # does, and each result is paired with its exact certificate
+    # min(lambda_i ** p), one per matrix. One p gives one result, several
+    # give a tuple.
+    if arr.shape[-1] == 2:
+        lone = arr.ndim == 2
+        w, pieces = _eig2_values(arr) if lone else _eig2_stack(arr, False)
+        power = (_power2 if lone else _power2_stack)(arr, w, pieces)
+    else:
+        w, V = _eig_array(arr)
+
+        def power(f: np.ndarray, p: float) -> np.ndarray:
+            return _apply_spectral(f, V)
+
     out = []
     for p in ps:
         _power_guard(w, p, certify)
         vals = np.power(w, p)
-        P = _apply_spectral(vals, V)
+        P = power(vals, p)
         out.append((P, vals.min(axis=-1)) if certify else P)
     return out[0] if len(out) == 1 else tuple(out)
 

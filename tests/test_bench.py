@@ -1,6 +1,8 @@
 """The summary of scripts/bench.py on synthetic result lines."""
 
 import importlib.util
+import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -45,3 +47,19 @@ def test_summary_counts_wins_per_pair_and_drops_a_broken_pair(bench):
 
 def test_quartiles_of_a_single_run(bench):
     assert bench.quartiles([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5}
+
+
+def test_oracle_ratio_reports_each_dim_for_one_seed(monkeypatch, capsys):
+    # One seed of scripts/oracle_ratio.py: a worst ratio per dim, each under
+    # the workload's tolerance factor, the dim-2 median and no raised call.
+    monkeypatch.setattr(sys, "path", list(sys.path))
+    spec = importlib.util.spec_from_file_location("oracle_ratio", SCRIPTS / "oracle_ratio.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    assert module.main(["--first", "0", "--last", "0"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    worst = [re.match(r"dim (\d): worst ratio ([\d.]+) at seed 0, item \d+ \(\S+\)$", line) for line in lines[:2]]
+    assert [m.group(1) for m in worst] == ["2", "4"]
+    assert all(0.0 < float(m.group(2)) < 256.0 for m in worst)
+    assert re.fullmatch(r"dim 2: median ratio [\d.]+ over 2400 calls", lines[2])
+    assert lines[3:] == ["calls that raised: 0"]

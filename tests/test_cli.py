@@ -92,6 +92,32 @@ def test_mean_cross_routes_agree_at_any_scale(capsys, matrix_file, route, dim, s
     assert code == 0, payload["checks"]
 
 
+def _spectral2(rng, lo, hi):
+    # U diag(lo, hi) U* for a unitary U with complex phases.
+    U = meanlab.random_unitary(rng, 2)
+    X = (U * np.array([lo, hi])) @ U.conj().T
+    return (X + X.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("spectra", ["clustered", "graded"])
+def test_via_function_checks_the_2x2_power_form_from_outside(capsys, matrix_file, spectra):
+    # The mean's 2x2 powers are built from the eigenvalues alone; the
+    # functional-calculus route takes eigenvectors. A clustered pair has
+    # lambda_2 / lambda_1 - 1 = 1e-9, a graded one is D M D with D =
+    # diag(1, 1e-5) and M well conditioned, so kappa is about 2e10.
+    rng = meanlab.rng_for(22)
+    if spectra == "clustered":
+        A, B = _spectral2(rng, 1.0, 1.0 + 1e-9), _spectral2(rng, 2.0, 2.0 * (1.0 + 1e-9))
+    else:
+        D = np.diag([1.0, 1e-5])
+        A, B = D @ _spectral2(rng, 1.0, 4.0) @ D, D @ _spectral2(rng, 1.0, 3.0) @ D
+        assert np.linalg.cond(A) > 1e10 and np.linalg.cond(B) > 1e10
+    argv = ["mean", *CROSS_ROUTES["via-function"], "--a", matrix_file("a.json", A), "--b", matrix_file("b.json", B)]
+    code, payload = run_json(capsys, argv)
+    assert code == 0
+    assert [(c["name"], c["passed"]) for c in payload["checks"]] == [("functional-calculus route agrees", True)]
+
+
 @pytest.mark.parametrize(
     "route, target",
     [("wasserstein", "wasserstein_alt"), ("via-function", "kubo_ando_from_function")],

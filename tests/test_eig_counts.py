@@ -1,17 +1,18 @@
 """Eigendecompositions per public call and per sampled criterion.
 
-Every meanlab module imports ``_eig_array`` by name, so the counter rebinds
-it in each loaded module, and ``_eig_values``, the eigenvalues-only entry
-that certification and the order and invertibility checks take, with it.
+The counter rebinds each of matcore's eigensolver kernels, which matcore
+reaches as module globals: the 2x2 closed form with vectors
+(``_eig2_closed``) or without (``_eig2_values``), the 2x2 stack, and the
+scalar and stacked Jacobi. So it sees every eigendecomposition, the 2x2
+powers that ``_pow_arr`` builds from the values-only closed form included.
 A call on a stack of N matrices counts as N eigendecompositions, whichever
-entry it goes through. A matrix frame A^(1/2), A^(-1/2) costs one
+kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify,
 except within a stack at n >= 3: its certificates are proven by a Cholesky
 factorization, with no eigendecomposition unless the proof fails.
 """
 
 import json
-import sys
 
 import pytest
 
@@ -42,32 +43,38 @@ from meanlab.cli import main
 from meanlab.verification import criterion_6, criterion_8, criterion_9, criterion_10
 
 
-def _count_eigs(monkeypatch, entry, calls):
-    # Rebind ``entry`` in every meanlab module that holds it with a wrapper
-    # appending the size of each matrix it solves to ``calls``.
-    original = getattr(matcore, entry)
+# matcore's eigensolver kernels. The 2x2 values route forms no vectors; the
+# others form them unless their second argument, ``vectors``, is False.
+KERNELS = ("_eig2_closed", "_eig2_values", "_eig2_stack", "_eig_jacobi", "_eig_jacobi_stack")
 
-    def counting(arr):
-        calls.extend([arr.shape[-1]] * (arr.shape[0] if arr.ndim == 3 else 1))
-        return original(arr)
 
-    for name, mod in list(sys.modules.items()):
-        if name.split(".")[0] == "meanlab" and getattr(mod, entry, None) is original:
-            monkeypatch.setattr(mod, entry, counting)
+def _count_eigs(monkeypatch, calls, values_only):
+    # Rebind each kernel in matcore with a wrapper appending the size of
+    # each matrix it solves to ``calls``; with ``values_only``, only of
+    # those it solves without vectors.
+    for entry in KERNELS:
+        original = getattr(matcore, entry)
+
+        def counting(arr, *mode, original=original, entry=entry):
+            vectors = entry != "_eig2_values" and (mode[0] if mode else True)
+            if not (values_only and vectors):
+                calls.extend([arr.shape[-1]] * (arr.shape[0] if arr.ndim == 3 else 1))
+            return original(arr, *mode)
+
+        monkeypatch.setattr(matcore, entry, counting)
 
 
 @pytest.fixture
 def eig_calls(monkeypatch):
     calls = []
-    for entry in ("_eig_array", "_eig_values"):
-        _count_eigs(monkeypatch, entry, calls)
+    _count_eigs(monkeypatch, calls, values_only=False)
     return calls
 
 
 @pytest.fixture
 def values_calls(monkeypatch):
     calls = []
-    _count_eigs(monkeypatch, "_eig_values", calls)
+    _count_eigs(monkeypatch, calls, values_only=True)
     return calls
 
 
@@ -95,6 +102,18 @@ def test_eigendecompositions_per_mean(kind, expected, dim, eig_calls):
     eig_calls.clear()
     mean(kind, A, B)
     assert eig_calls == [dim] * expected
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("kind, expected", MEAN_COUNTS, ids=lambda x: getattr(x, "label", str(x)))
+def test_eigenvalues_only_share_per_mean(kind, expected, dim, values_calls):
+    # A 2x2 power is built from the eigenvalues alone, so at dim 2 no
+    # eigendecomposition of a mean forms vectors; at dim 3 only the
+    # certificate goes without.
+    A, B = _pair(dim)
+    values_calls.clear()
+    mean(kind, A, B)
+    assert values_calls == [dim] * (expected if dim == 2 else 1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -210,10 +229,9 @@ def test_eigendecompositions_per_axiom_battery_at_dim_3(eig_calls):
 
 
 def test_eigenvalues_only_share_of_the_axiom_battery(values_calls):
-    # Of the 41 per sample, the certificates of A, C, B, D, TA and TC, of
-    # lo, hi, the transformed mean and the six shifted means (15), the
-    # invertibility of T (1) and the six order checks (6) need no vectors:
-    # 22. So does T's certificate for odd samples (4 of 8). Normalization's
-    # mean adds its certificate (1).
+    # Of the 41 per sample and normalization's 3, only the T of even
+    # samples (4 of 8), which pushes eigenvalues away from zero, needs
+    # vectors. Every other one is a certificate, an order or invertibility
+    # check, or a 2x2 power, which is built from the eigenvalues alone.
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
-    assert values_calls == [2] * (8 * 22 + 4 + 1)
+    assert values_calls == [2] * (8 * 41 + 3 - 4)

@@ -3,7 +3,9 @@ functional calculus built on it."""
 
 import json
 import math
+import re
 
+import mpmath as mp
 import numpy as np
 import pytest
 
@@ -287,7 +289,7 @@ def test_eigenvalues_only_equal_the_full_solve_bit_for_bit(n, rng):
     for stack in (arr, arr[:5]):
         assert np.array_equal(matcore._eig_values(stack), matcore._eig_array(stack)[0])
     if n == 2:
-        assert np.array_equal(matcore._eig2_stack(arr, False), matcore._eig2_stack(arr)[0])
+        assert np.array_equal(matcore._eig2_stack(arr, False)[0], matcore._eig2_stack(arr)[0])
     if n >= 3:
         assert np.array_equal(matcore._eig_jacobi_stack(arr, False), matcore._eig_jacobi_stack(arr)[0])
 
@@ -905,3 +907,121 @@ def test_overflowing_norms_are_taken_again_scaled():
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isinf(matcore._norms(np.array([[np.inf, 0.0], [0.0, 1.0]])))
         assert math.isinf(matcore._norms(np.full((2, 2), 1.7e308)))
+
+
+
+# 2x2 powers are built from the eigenvalues alone (matcore._power2); these
+# check the form against 50-digit mpmath, and the lone route against the
+# stacked one.
+TWO_BY_TWO_POWERS = (0.5, -0.5, 1.0 / 3.0, 0.3, -1.0, 2.0)
+
+
+def _spectral2(rng, lo, hi, scale=1.0):
+    # scale * U diag(lo, hi) U* for a unitary U with complex phases.
+    U = random_unitary(rng, 2)
+    return scale * _sym((U * np.array([lo, hi])) @ U.conj().T)
+
+
+def _two_by_two_corpus() -> np.ndarray:
+    # Clustered spectra, hi / lo - 1 from 1e-1 down to 1e-12; kappa from
+    # 1e2 to 1e12, ungraded and graded (D M D with M well conditioned and
+    # D = diag(1, 10^(-k/2))); scales 1e-100 and 1e100; the b = 0 rows I,
+    # a < d and a > d.
+    rng = rng_for(20)
+    mats = []
+    for k in range(1, 13):
+        mats += [_spectral2(rng, 1.0, 1.0 + 10.0**-k), _spectral2(rng, 3.0, 3.0 * (1.0 + 10.0**-k))]
+    for k in range(2, 13, 2):
+        D = np.diag([1.0, 10.0 ** (-k / 2)])
+        mats += [_spectral2(rng, 1.0, 10.0**k), D @ _spectral2(rng, 1.0, 4.0) @ D]
+    for scale in (1e-100, 1e100):
+        mats += [_spectral2(rng, 1.0, 1.5, scale), _spectral2(rng, 1.0, 1e3, scale)]
+    mats += [np.eye(2), np.diag([1.0, 5.0]), np.diag([5.0, 1.0])]
+    return np.array(mats, dtype=complex)
+
+
+def _mp_power(X, p):
+    # X ** p through mpmath's Hermitian eigensolver at 50 digits.
+    with mp.workdps(50):
+        M = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
+        E, Q = mp.eighe(M)
+        P = Q * mp.diag([e ** mp.mpf(p) for e in E]) * Q.transpose_conj()
+        return np.array([[complex(P[i, j]) for j in range(2)] for i in range(2)])
+
+
+def _relative_error(P, ref):
+    # ||P - ref||_F / ||ref||_F, both scaled first so that no square overflows.
+    s = np.abs(ref).max()
+    return np.linalg.norm((P - ref) / s) / np.linalg.norm(ref / s)
+
+
+@pytest.mark.filterwarnings("error")
+def test_2x2_powers_meet_mpmath_within_a_pinned_multiple_of_eps_kappa():
+    # Over the corpus and every p the worst error measured 1.58 eps kappa,
+    # where V diag(lambda ** p) V* measured 2.04.
+    corpus = _two_by_two_corpus()
+    worst = 0.0
+    for p in TWO_BY_TWO_POWERS:
+        for X, P in zip(corpus, _pow_arr(corpus, p)):
+            kappa = np.linalg.cond(X)
+            worst = max(worst, _relative_error(P, _mp_power(X, p)) / (np.finfo(float).eps * kappa))
+    assert worst <= 2.0
+
+
+def test_the_corpus_takes_both_branches_of_the_divided_difference():
+    # lambda_1 < lambda_2 / 2 takes the plain quotient, the rest atanh.
+    plain = near = 0
+    for X in _two_by_two_corpus():
+        w, pieces = matcore._eig2_values(X)
+        if pieces is not None:
+            plain += w[0] < w[1] / 2.0
+            near += not w[0] < w[1] / 2.0
+    assert plain >= 10 and near >= 20
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", TWO_BY_TWO_POWERS)
+def test_2x2_powers_of_a_stack_equal_the_lone_ones_bit_for_bit(p):
+    # The whole corpus, reversed, and a mixed stack of b = 0 rows, clustered
+    # and graded ones, each with its certificate, compared byte for byte
+    # (the sign of a zero included); then two powers at once.
+    corpus = _two_by_two_corpus()
+    for stack in (corpus, corpus[::-1], corpus[[-1, 0, 30, -3, 11, -2]]):
+        P, cert = _pow_arr(stack, p, certify=True)
+        for X, Pi, ci in zip(stack, P, cert):
+            Pl, cl = _pow_arr(X, p, certify=True)
+            assert Pi.tobytes() == Pl.tobytes() and ci == cl
+    both = _pow_arr(corpus, p, -p)
+    assert all(B.tobytes() == _pow_arr(corpus, q).tobytes() for B, q in zip(both, (p, -p)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-2.0, 1.0), (0.0, 1.0), (-1.0, -0.5), (-1.0, 1.0 + 1e-9)])
+def test_integer_powers_with_a_non_positive_eigenvalue_take_the_plain_quotient(lo, hi):
+    # _power_guard lets an integer p >= 0 through when lambda_1 <= 0; the
+    # atanh branch would take the square root of a negative f_1 there.
+    X = _spectral2(rng_for(21), lo, hi)
+    w, pieces = matcore._eig2_values(X)
+    assert pieces is not None and w[0] <= 0.0 and w[0] < w[1] / 2.0
+    for p in (0.0, 1.0, 2.0, 3.0):
+        want = np.linalg.matrix_power(X, int(p))
+        got = _pow_arr(X, p)
+        assert frobenius(got - want) <= 1e-14 * max(1.0, frobenius(want))
+        assert _pow_arr(X[None], p)[0].tobytes() == got.tobytes()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "arr, p, certify, error, message",
+    [
+        ([[0.5, 1.5], [1.5, 0.5]], 0.5, False, PositivityError, "power 0.5 of a matrix with minimum eigenvalue -1.000e+00"),
+        ([[1.0, 1.0], [1.0, 1.0]], 2.0, True, PositivityError, "power 2.0 of a matrix with minimum eigenvalue 0.000e+00"),
+        ([[1e10, 1e-3], [1e-3, 1.0]], 40.0, False, DomainError, "power 40.0 overflows at eigenvalue 1.000e+10"),
+    ],
+    ids=["fractional", "certified", "overflow"],
+)
+def test_2x2_power_guard_errors_keep_their_text(arr, p, certify, error, message):
+    X = np.asarray(arr, dtype=complex)
+    for operand in (X, _stack_around(X)):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            _pow_arr(operand, p, certify=certify)
