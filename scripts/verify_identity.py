@@ -9,8 +9,9 @@ directory. ``python -m meanlab verify --all --json --seed S`` then runs for
 S = 0 and 1 on that tree and on this working tree. Standard output is
 compared with ``elapsed_ms`` masked, together with standard error and the
 exit code. When a seed differs, a summary follows the diff: for each
-criterion, the items whose verdict flipped and the largest relative change
-|new - old| / |old| over its observed values.
+criterion, the items whose verdict flipped and the largest change of an
+observed value over its item's tolerance, |new - old| / tolerance, so that
+a roundoff-sized drift on a loose check ranks below a real one.
 
 Then every argv of ``cli_runs`` runs on each tree, all of them in one
 subprocess per tree, against seeded 2x2 and 3x3 matrix files the script
@@ -19,11 +20,16 @@ the ``centrality`` probe, ``geodesic``, ``dbw``, ``axioms`` and one
 ``verify`` usage error, each in text and in ``--json``, so that they share
 one CLI parser. Exit code, standard output and standard error must match,
 with ``elapsed_ms`` and the temporary directory masked. When a ``--json``
-run differs, a summary follows its diff: the largest relative change over
-the numeric leaves of the two documents, paired by JSON path, and every
-``passed``, ``all_pass``, ``verdict`` or ``central`` leaf that flipped. The
-exit status is 0 when every run matches and 1 on any difference; the
-temporary directory is removed either way.
+run differs, a summary follows its diff, over the numeric leaves of the two
+documents paired by JSON path: the largest change over a tolerance, for
+each leaf whose object carries a ``tolerance`` (a check's ``observed``, a
+probe's ``commutator_norm``), the largest relative change |new - old| /
+|old| over the other leaves, and every ``passed``, ``all_pass``,
+``verdict`` or ``central`` leaf that flipped. The entries of a
+``null_space`` basis are left out: any roundoff rotates a basis of a null
+space of dimension above one freely, and the checks on it are summarized
+as checks. The exit status is 0 when every run matches and 1 on any
+difference; the temporary directory is removed either way.
 
 Last, the script prints the number of source lines, as
 ``cat src/meanlab/*.py | wc -l`` counts them, at REF and here. A refactor
@@ -172,17 +178,22 @@ def source_lines(src: Path) -> int:
     return sum(path.read_bytes().count(b"\n") for path in (src / "meanlab").glob("*.py"))
 
 
-def relative_change(old: float, new: float) -> float:
-    """|new - old| / |old|: 0 when both are equal or both NaN, inf from an old 0 or one NaN."""
+def scaled_change(old: float, new: float, scale: float) -> float:
+    """|new - old| / scale: 0 when both are equal or both NaN, inf from a scale of 0 or one NaN."""
     if old == new or (math.isnan(old) and math.isnan(new)):
         return 0.0
-    if math.isnan(old) or math.isnan(new) or old == 0.0:
+    if math.isnan(old) or math.isnan(new) or scale == 0.0:
         return math.inf
-    return abs(new - old) / abs(old)
+    return abs(new - old) / abs(scale)
+
+
+def relative_change(old: float, new: float) -> float:
+    """|new - old| / |old|: 0 when both are equal or both NaN, inf from an old 0 or one NaN."""
+    return scaled_change(old, new, old)
 
 
 def summarize(old: dict, new: dict) -> list[str]:
-    """Per criterion of two ``verify --all --json`` payloads: verdict flips and the largest relative change."""
+    """Per criterion of two ``verify --all --json`` payloads: verdict flips and the largest change over tolerance."""
     lines = []
     new_reports = {r["title"]: r for r in new["reports"]}
     for report in old["reports"]:
@@ -193,9 +204,12 @@ def summarize(old: dict, new: dict) -> list[str]:
         before = {i["name"]: i for i in report["items"]}
         after = {i["name"]: i for i in new_reports.pop(title)["items"]}
         flips = [n for n in before if n in after and before[n]["passed"] != after[n]["passed"]]
-        changes = [(relative_change(before[n]["observed"], after[n]["observed"]), n) for n in before if n in after]
+        changes = [
+            (scaled_change(before[n]["observed"], after[n]["observed"], before[n]["tolerance"]), n)
+            for n in before if n in after
+        ]
         largest, name = max(changes, default=(0.0, ""))
-        line = f"{title}: {len(flips)} verdict flips; largest relative change {largest:.3e}"
+        line = f"{title}: {len(flips)} verdict flips; largest change over tolerance {largest:.3e}"
         lines.append(line + (f" ({name})" if largest else ""))
         lines.extend(f"  flipped: {n} ({before[n]['passed']} -> {after[n]['passed']})" for n in flips)
         lines.extend(f"  only at the ref: {n}" for n in before if n not in after)
@@ -220,20 +234,43 @@ def json_leaves(node, path: str = "") -> dict[str, object]:
 
 
 def json_summary(old: str, new: str) -> list[str]:
-    """Verdict flips and the largest relative change of the numeric leaves of two JSON documents."""
+    """Verdict flips and the largest changes of the numeric leaves of two JSON documents.
+
+    A leaf whose object carries a numeric ``tolerance`` is ranked by its
+    change over that tolerance, every other one by its relative change;
+    ``null_space`` entries are left out.
+    """
     try:
-        before, after = json_leaves(json.loads(old)), json_leaves(json.loads(new))
+        before, after = (
+            {p: v for p, v in json_leaves(json.loads(doc)).items() if "null_space[" not in p} for doc in (old, new)
+        )
     except json.JSONDecodeError:
         return ["  no summary: a run did not print JSON"]
     paired = [p for p in before if p in after]
 
     def number(v) -> bool:
         return isinstance(v, (int, float)) and not isinstance(v, bool)
-    changes = [(relative_change(before[p], after[p]), p) for p in paired if number(before[p]) and number(after[p])]
+
+    def tolerance(path: str):
+        # The tolerance beside a leaf, if its object has one.
+        head, _, key = path.rpartition(".")
+        tol = before.get(f"{head}.tolerance" if head else "tolerance")
+        return tol if key != "tolerance" and number(tol) else None
+
+    over_tol, relative = [], []
+    for p in paired:
+        if number(before[p]) and number(after[p]):
+            tol = tolerance(p)
+            if tol is None:
+                relative.append((relative_change(before[p], after[p]), p))
+            else:
+                over_tol.append((scaled_change(before[p], after[p], tol), p))
     flips = [p for p in paired if p.rsplit(".", 1)[-1] in _VERDICT_KEYS and before[p] != after[p]]
-    largest, name = max(changes, default=(0.0, ""))
-    line = f"  {len(flips)} verdict flips; largest relative change {largest:.3e}"
-    lines = [line + (f" ({name})" if largest else "")]
+    line = f"  {len(flips)} verdict flips"
+    for label, changes in (("largest change over tolerance", over_tol), ("largest relative change", relative)):
+        largest, name = max(changes, default=(0.0, ""))
+        line += f"; {label} {largest:.3e}" + (f" ({name})" if largest else "")
+    lines = [line]
     lines += [f"  flipped: {p} ({before[p]!r} -> {after[p]!r})" for p in flips]
     unpaired = len(before) + len(after) - 2 * len(paired)
     return lines + ([f"  {unpaired} leaves on one side only"] if unpaired else [])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import DomainError
 from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pow_arr, _sym
-from .means import _bw_frame, _geometric_arr, _normalized_inner
+from .means import _bw_frame, _bw_q2, _closed2, _geometric_arr, _normalized_inner
 
 TAG_TRACE = "geometric-trace"
 TAG_BW = "bures-wasserstein"
@@ -62,10 +62,13 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     """Point at parameter t on the chosen geodesic from A to B.
 
     The Bures-Wasserstein curve is
-    (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B, Q taken by the
-    geometric mean's array routine. A^(-1) and Q are symmetrized, unlike in
-    the Wasserstein mean, and uncertified: only the curve points are
-    certified. check_geodesic_metric computes Q once for all its points.
+    (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B. At n = 2, Q
+    takes the closed form sqrt(b/a) S' / sqrt(det S'), S' = adj(A)/a + B/b,
+    a and b the roots of det A and det B, with no inverse and no
+    eigendecomposition; larger Q are taken by the geometric mean's array
+    routine, with A^(-1) and Q symmetrized. Q is uncertified: only the curve
+    points are certified. check_geodesic_metric computes Q once for all its
+    points.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
@@ -84,7 +87,10 @@ def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) ->
     if kind.tag == TAG_TRACE:
         Ah, N = _normalized_inner(Aarr, Barr)
         return [Ah @ P @ Ah for P in np.reshape(_pow_arr(N, *ts), (len(ts),) + N.shape)]
-    Q = _sym(_geometric_arr(_sym(_pow_arr(Aarr, -1.0)), Barr))
+    if Aarr.shape[-1] == 2:
+        Q = _closed2(_bw_q2, Aarr, Barr)
+    else:
+        Q = _sym(_geometric_arr(_sym(_pow_arr(Aarr, -1.0)), Barr))
     AQ = Aarr @ Q + Q @ Aarr
     return [(1.0 - t) ** 2 * Aarr + t**2 * Barr + t * (1.0 - t) * AQ for t in ts]
 

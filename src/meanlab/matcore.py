@@ -673,27 +673,36 @@ def func_calc(A: PdMatrix, f: Callable[[float], float]) -> HermitianMatrix:
     return HermitianMatrix._wrap(_apply_spectral(vals, V))
 
 
-def _power_guard(w: np.ndarray, p: float, certify: bool) -> None:
+def _power_guard(w: np.ndarray, ps, certify: bool) -> None:
     # Raise when the ascending spectrum w (one row per matrix of a stack)
-    # does not take the power p: PositivityError for a lambda_min <= 0 under
-    # a fractional, negative or certified power, DomainError where
-    # |p log lambda| at a positive end would overflow. A lone matrix is
-    # checked on its two ends, a stack at once.
+    # does not take a power p of ps, checked in their order:
+    # PositivityError for a lambda_min <= 0 under a fractional, negative or
+    # certified power, DomainError where |p log lambda| at a positive end
+    # would overflow. What does not depend on p is taken once per call: the
+    # first lambda_min <= 0, and |log lambda| at the positive ends (a lone
+    # matrix's two, every matrix's at once for a stack) with their largest,
+    # so each p costs one product. Rounding is monotone, so |p| times that
+    # largest passes the limit exactly when some |p log lambda| does; only
+    # then are the ends searched, in order, for the eigenvalue to name.
     if w.ndim == 1:
-        if w[0] <= 0.0 and (certify or p != round(p) or p < 0.0):
-            raise PositivityError(f"power {p} of a matrix with minimum eigenvalue {w[0]:.3e}")
-        for lam in (w[0], w[-1]):
-            if lam > 0.0 and abs(p * math.log(lam)) > _POW_LOG_LIMIT:
-                raise DomainError(f"power {p} overflows at eigenvalue {lam:.3e}")
-        return
-    lows = w[:, 0][w[:, 0] <= 0.0]
-    if lows.size and (certify or p != round(p) or p < 0.0):
-        raise PositivityError(f"power {p} of a matrix with minimum eigenvalue {lows[0]:.3e}")
-    ends = w[:, [0, -1]]
-    ends = ends[ends > 0.0]
-    over = ends[np.abs(p * np.log(ends)) > _POW_LOG_LIMIT]
-    if over.size:
-        raise DomainError(f"power {p} overflows at eigenvalue {over[0]:.3e}")
+        lo, hi = float(w[0]), float(w[-1])
+        low = lo if lo <= 0.0 else None
+        ends = [lam for lam in (lo, hi) if lam > 0.0]
+        logs = [math.log(lam) for lam in ends]
+        reach = max(map(abs, logs), default=0.0)
+    else:
+        lows = w[:, 0] <= 0.0
+        low = w[:, 0][lows][0] if lows.any() else None
+        ends = w[:, [0, -1]]
+        ends = ends[ends > 0.0]
+        logs = np.log(ends)
+        reach = np.abs(logs).max(initial=0.0)
+    for p in ps:
+        if low is not None and (certify or p != round(p) or p < 0.0):
+            raise PositivityError(f"power {p} of a matrix with minimum eigenvalue {low:.3e}")
+        if abs(p) * reach > _POW_LOG_LIMIT:
+            over = [lam for lam, x in zip(ends, logs) if abs(p * x) > _POW_LOG_LIMIT]
+            raise DomainError(f"power {p} overflows at eigenvalue {over[0]:.3e}")
 
 
 # A 2x2 power from its eigenvalues alone, lambda_1,2 = m -+ r, by the
@@ -816,9 +825,9 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
         def power(f: np.ndarray, p: float) -> np.ndarray:
             return _apply_spectral(f, V)
 
+    _power_guard(w, ps, certify)
     out = []
     for p in ps:
-        _power_guard(w, p, certify)
         vals = np.power(w, p)
         P = power(vals, p)
         out.append((P, vals.min(axis=-1)) if certify else P)

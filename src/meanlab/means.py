@@ -13,18 +13,44 @@ spectral geometric mean and the Wasserstein mean
 
     A sigma_W B = (A + B + A Q + Q A)/4,    Q = A^(-1) # B.
 
+At n = 2 the geometric and Wasserstein means, and the Bures-Wasserstein
+geodesic's Q, take closed forms with no eigendecomposition. With
+a = sqrt(det A), b = sqrt(det B) and s = ab:
+
+    A # B = sqrt(ab) S / sqrt(det S),              S = A/a + B/b,
+    A sigma_W B = (A + B + (AB + BA + 2sI) / sqrt(tr AB + 2s)) / 4,
+    Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'),  S' = adj(A)/a + B/b.
+
+The first is Bhatia, Positive Definite Matrices (Princeton 2007),
+Prop. 4.1.12; det S >= 4 by Minkowski, so its root does not cancel. The
+second is (AB)^(1/2) + (BA)^(1/2) by Levinger's 2x2 square root
+M^(1/2) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)) (Math. Mag. 53,
+1980), with s taken from the two determinants, never from det(AB). The
+third needs no inverse. A square root whose argument (a determinant, or
+tr AB + 2s) is not finite and positive raises PositivityError.
+
+The harmonic and spectral geometric means keep their routes at n = 2:
+each closed variant measured raised the dim-2 worst ratio of
+scripts/oracle_ratio.py above its 1.1404 (harmonic by adjugates 1.2737, as
+2 A (A + B)^(-1) B 1.1643; spectral geometric with Q closed 1.1511-1.3219).
+geometry.d_bw keeps its frame too: its closed trace form
+tr A + tr B - 2 sqrt(tr AB + 2s) cancels near B = A. The --via-function
+route and wasserstein_alt (the T-form) keep the A^(+-1/2) frame on purpose,
+as independent cross-checks of the closed forms.
+
 Every public evaluation returns a freshly certified :class:`PdMatrix`.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .errors import DimMismatch, DomainError, NotKuboAndo
+from .errors import DimMismatch, DomainError, NotKuboAndo, PositivityError
 from .matcore import (
     HermitianMatrix,
     PdMatrix,
@@ -190,6 +216,116 @@ def _transport_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     return Aih @ S @ Ah
 
 
+# The 2x2 closed forms. A Hermitian [[p, z], [conj z, q]] enters as its
+# parts (p, q, Re z, Im z): Python floats for a lone pair, arrays that
+# broadcast for stacks (one A against a stack of B included). One body
+# serves both, with the routines of _LONE or _STACK passed in; every sum is
+# written in one order and every square root is correctly rounded in both
+# (math.sqrt, np.sqrt), so a stack gives each pair the bits it gets alone.
+# A matrix whose diagonal reaches _SCALE_FROM is first scaled by the power
+# of four that takes its larger diagonal entry into [1/2, 2), and the
+# result scaled back by the matching power of two. That is exact, so the
+# bits are those of the unscaled form, but det A no longer overflows where
+# the mean does not (entries past about 1.3e154: the A^(+-1/2) route took
+# the geometric mean of 1e160 diag(1, 2) and such pairs).
+_SCALE_FROM = 2.0**500
+
+
+def _root_lone(d: float) -> float:
+    # The square root of a determinant (or of tr AB + 2s), which must be
+    # finite and positive: PositivityError otherwise, never a NaN.
+    if not 0.0 < d < math.inf:
+        raise PositivityError(f"2x2 closed form needs a finite positive determinant, got {d:.3e}")
+    return math.sqrt(d)
+
+
+def _root_stack(d: np.ndarray) -> np.ndarray:
+    # _root_lone for each value of an array.
+    bad = ~((d > 0.0) & (d < np.inf))
+    if bad.any():
+        raise PositivityError(f"2x2 closed form needs a finite positive determinant, got {np.extract(bad, d)[0]:.3e}")
+    return np.sqrt(d)
+
+
+def _half_exponent_lone(p: float, q: float):
+    # k with 4^-k max(p, q) in [1/2, 2), or None below _SCALE_FROM.
+    top = max(p, q)
+    return None if top < _SCALE_FROM else math.frexp(top)[1] // 2
+
+
+def _half_exponent_stack(p: np.ndarray, q: np.ndarray):
+    # _half_exponent_lone for each matrix, 0 where it gives None; None when
+    # it does for every matrix.
+    top = np.maximum(p, q)
+    big = top >= _SCALE_FROM
+    return np.where(big, np.frexp(top)[1] // 2, 0) if big.any() else None
+
+
+# (checked square root, ldexp, half exponent) per route.
+_LONE = (_root_lone, math.ldexp, _half_exponent_lone)
+_STACK = (_root_stack, np.ldexp, _half_exponent_stack)
+
+
+def _normalized2(x, ops):
+    # The parts of 4^-k X, the root of its determinant, and k (0 unscaled).
+    root, ldexp, half_exponent = ops
+    k = half_exponent(x[0], x[1])
+    if k is None:
+        p, q, re, im = x
+        k = 0
+    else:
+        p, q, re, im = (ldexp(v, -2 * k) for v in x)
+    return (p, q, re, im), root(p * q - (re * re + im * im)), k
+
+
+def _geometric2(x, y, ops, inverse=False):
+    # A # B = sqrt(ab) S / sqrt(det S), S = A/a + B/b; with ``inverse``,
+    # Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'), S' = adj(A)/a + B/b.
+    # Checking the root of sqrt(ab)^2 / det S checks det S.
+    root, ldexp, _ = ops
+    (p, q, re, im), a, ka = _normalized2(x, ops)
+    (u, v, wr, wi), b, kb = _normalized2(y, ops)
+    if inverse:
+        p, q, re, im = q, p, -re, -im
+    S = (p / a + u / b, q / a + v / b, re / a + wr / b, im / a + wi / b)
+    c = root((b / a if inverse else a * b) / (S[0] * S[1] - (S[2] * S[2] + S[3] * S[3])))
+    m = kb - ka if inverse else ka + kb
+    return tuple(ldexp(c * s, m) for s in S)
+
+
+def _wasserstein2(x, y, ops):
+    # (A + B + R)/4 with R = (AB + BA + 2sI) / sqrt(tr AB + 2s), s = ab:
+    # for Hermitian A and B, AB + BA has diagonal 2(pu + t), 2(qv + t) with
+    # t = Re(z conj w), and corner (p + q) w + (u + v) z.
+    root, ldexp, _ = ops
+    (p, q, re, im), a, ka = _normalized2(x, ops)
+    (u, v, wr, wi), b, kb = _normalized2(y, ops)
+    s, t = a * b, re * wr + im * wi
+    pu, qv = p * u, q * v
+    d = root(pu + qv + 2.0 * (t + s))
+    ta, tb = p + q, u + v
+    R = (2.0 * (pu + t + s) / d, 2.0 * (qv + t + s) / d, (ta * wr + tb * re) / d, (ta * wi + tb * im) / d)
+    return tuple((xi + yi + ldexp(r, ka + kb)) / 4.0 for xi, yi, r in zip(x, y, R))
+
+
+def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
+    # A 2x2 closed form of one pair, on Python floats, or of each pair of
+    # two stacks that broadcast, as arrays; the result is exactly Hermitian.
+    if Aarr.ndim == 2 and Barr.ndim == 2:
+        (p, z), (_, q) = Aarr.tolist()
+        (u, w), (_, v) = Barr.tolist()
+        p, q, re, im = form((p.real, q.real, z.real, z.imag), (u.real, v.real, w.real, w.imag), _LONE)
+        return np.array([p, complex(re, im), complex(re, -im), q]).reshape(2, 2)
+    x, y = ((X[..., 0, 0].real, X[..., 1, 1].real, X[..., 0, 1].real, X[..., 0, 1].imag) for X in (Aarr, Barr))
+    p, q, re, im = np.broadcast_arrays(*form(x, y, _STACK))
+    zero = np.zeros(p.shape)
+    parts = np.stack((p, zero, re, im, re, -im, q, zero), axis=-1)
+    return parts.view(np.complex128).reshape(p.shape + (2, 2))
+
+
+_bw_q2 = functools.partial(_geometric2, inverse=True)
+
+
 def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     # The selected mean, unsymmetrized and uncertified, of one pair or of
     # each pair of two stacks (N, n, n).
@@ -198,6 +334,8 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
         return (Aarr + Barr) / 2.0
     if tag == TAG_HARMONIC:
         return _pow_arr((_pow_arr(Aarr, -1.0) + _pow_arr(Barr, -1.0)) / 2.0, -1.0)
+    if Aarr.shape[-1] == 2 and tag in (TAG_GEOMETRIC, TAG_WASSERSTEIN):
+        return _closed2(_geometric2 if tag == TAG_GEOMETRIC else _wasserstein2, Aarr, Barr)
     if tag == TAG_GEOMETRIC:
         return _geometric_arr(Aarr, Barr)
     if tag == TAG_POWER:

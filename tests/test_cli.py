@@ -118,6 +118,44 @@ def test_via_function_checks_the_2x2_power_form_from_outside(capsys, matrix_file
     assert [(c["name"], c["passed"]) for c in payload["checks"]] == [("functional-calculus route agrees", True)]
 
 
+# Hard 2x2 inputs for the closed forms, each kept where the cross-check
+# route is itself accurate: the T-form of the Wasserstein mean errs like
+# eps kappa^2 and the functional-calculus route of the geometric mean does
+# too, so at kappa per matrix of 1e6, graded or not, the T-form already
+# reads about 2e-11 against the 1e-11 tolerance (and raises from 1e8
+# graded on), and the functional-calculus route reads 4e-10 at 1e4
+# ungraded and 8e-10 at 1e8 graded against 1e-10, while the closed forms
+# stay within 2 eps and 0.08 eps kappa of 50-digit mpmath.
+@pytest.mark.parametrize(
+    "argv, spectra, kappa",
+    [
+        (["--kind", "wasserstein"], "clustered", 0),
+        (["--kind", "wasserstein"], "graded", 4),
+        (["--kind", "wasserstein"], "ungraded", 4),
+        (["--kind", "geometric", "--via-function"], "clustered", 0),
+        (["--kind", "geometric", "--via-function"], "graded", 6),
+        (["--kind", "geometric", "--via-function"], "ungraded", 3),
+    ],
+    ids=lambda x: x[1] if isinstance(x, list) else str(x),
+)
+def test_cross_routes_check_the_2x2_closed_forms_on_hard_inputs(capsys, matrix_file, argv, spectra, kappa):
+    # The Wasserstein mean and the geometric mean take closed forms at
+    # n = 2; the T-form and the functional-calculus route keep the
+    # A^(+-1/2) frame, so they check the forms from outside.
+    rng = meanlab.rng_for(29)
+    if spectra == "clustered":
+        A, B = _spectral2(rng, 1.0, 1.0 + 1e-9), _spectral2(rng, 2.0, 2.0 * (1.0 + 1e-9))
+    elif spectra == "graded":
+        D = np.diag([1.0, 10.0 ** (-kappa / 2)])
+        A, B = D @ _spectral2(rng, 1.0, 4.0) @ D, D @ _spectral2(rng, 1.0, 3.0) @ D
+    else:
+        A, B = _spectral2(rng, 1.0, 10.0**kappa), _spectral2(rng, 1.0, 10.0**kappa)
+    assert min(np.linalg.cond(A), np.linalg.cond(B)) > 10.0 ** (kappa - 1)
+    code, payload = run_json(capsys, ["mean", *argv, "--a", matrix_file("a.json", A), "--b", matrix_file("b.json", B)])
+    assert code == 0
+    assert [c["passed"] for c in payload["checks"]] == [True]
+
+
 @pytest.mark.parametrize(
     "route, target",
     [("wasserstein", "wasserstein_alt"), ("via-function", "kubo_ando_from_function")],

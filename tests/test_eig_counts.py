@@ -9,7 +9,10 @@ A call on a stack of N matrices counts as N eigendecompositions, whichever
 kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify,
 except within a stack at n >= 3: its certificates are proven by a Cholesky
-factorization, with no eigendecomposition unless the proof fails.
+factorization, with no eigendecomposition unless the proof fails. At
+n = 2 the geometric and Wasserstein means and the Bures-Wasserstein
+geodesic's Q take closed forms with no eigendecomposition at all; each pin
+below that names a count on the frame route subtracts what they save.
 """
 
 import json
@@ -83,6 +86,8 @@ def _pair(dim):
     return random_pd(rng, dim), random_pd(rng, dim)
 
 
+# Per mean, certificate included, on the frame route that every kind takes
+# at n >= 3.
 MEAN_COUNTS = [
     (ARITHMETIC, 1),
     (HARMONIC, 4),
@@ -93,6 +98,14 @@ MEAN_COUNTS = [
     (SPECTRAL_GEOMETRIC, 5),
     (WASSERSTEIN, 4),
 ]
+# The means that take a closed form at n = 2, where only the certificate
+# remains: 3 -> 1 and 4 -> 1. The harmonic and spectral geometric means
+# keep their routes.
+CLOSED_AT_DIM_2 = (GEOMETRIC, WASSERSTEIN)
+
+
+def _per_mean(kind, expected, dim):
+    return 1 if dim == 2 and kind in CLOSED_AT_DIM_2 else expected
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -101,7 +114,7 @@ def test_eigendecompositions_per_mean(kind, expected, dim, eig_calls):
     A, B = _pair(dim)
     eig_calls.clear()
     mean(kind, A, B)
-    assert eig_calls == [dim] * expected
+    assert eig_calls == [dim] * _per_mean(kind, expected, dim)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -113,7 +126,7 @@ def test_eigenvalues_only_share_per_mean(kind, expected, dim, values_calls):
     A, B = _pair(dim)
     values_calls.clear()
     mean(kind, A, B)
-    assert values_calls == [dim] * (expected if dim == 2 else 1)
+    assert values_calls == [dim] * (_per_mean(kind, expected, dim) if dim == 2 else 1)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -121,12 +134,14 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
     A, B = _pair(dim)
     for call, expected in (
         (lambda: d_bw(A, B), 2),
-        # A^(-1), then Q = A^(-1) # B (a frame and a square root), one certified point.
-        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 4),
+        # A^(-1), then Q = A^(-1) # B (a frame and a square root), one
+        # certified point; at n = 2, Q's closed form leaves the point alone.
+        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1 if dim == 2 else 4),
         (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 3),
-        # d_bw(A, B), Q once, five certified points, four interval distances;
-        # at n >= 3 the five points, one stack, are proven without an eig.
-        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 18 if dim == 2 else 13),
+        # d_bw(A, B), Q once (none at n = 2), five certified points, four
+        # interval distances; at n >= 3 the five points, one stack, are
+        # proven without an eig.
+        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 15 if dim == 2 else 13),
     ):
         eig_calls.clear()
         call()
@@ -135,9 +150,9 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_path, capsys):
-    # Both inputs certified (2), the point at t (4) and the accrual (18, or
-    # 13 at n >= 3), whose own d_bw(A, B) scales the contract: a second one
-    # would make 26 (21).
+    # Both inputs certified (2), the point at t (1, or 4 at n >= 3) and the
+    # accrual (15, or 13 at n >= 3), whose own d_bw(A, B) scales the
+    # contract: a second one would make 20 (21).
     paths = []
     for name, M in zip("ab", _pair(dim)):
         paths.append(tmp_path / f"{name}.json")
@@ -145,7 +160,7 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
     eig_calls.clear()
     argv = ["geodesic", "--kind", "bw", "--a", str(paths[0]), "--b", str(paths[1]), "--check-metric"]
     assert main(argv) == 0
-    assert eig_calls == [dim] * (24 if dim == 2 else 19)
+    assert eig_calls == [dim] * (18 if dim == 2 else 19)
 
 
 # 50 partners certified, then per partner the mean's own eigendecompositions
@@ -155,7 +170,8 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
 # A^(-1) for the harmonic mean (1, then B^(-1) and the inverse of the sum).
 # Taking A's side once per partner would cost 250 for each kind. At n >= 3
 # the partners and the means are stacks, so their 100 certificates are
-# proven without an eigendecomposition.
+# proven without an eigendecomposition. At n = 2 the Wasserstein mean's
+# closed form drops A's side and the square roots (52), leaving 100.
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "kind, expected",
@@ -166,7 +182,10 @@ def test_eigendecompositions_per_probe(kind, expected, dim, eig_calls):
     A, _ = _pair(dim)
     eig_calls.clear()
     probe_report(A, kind, samples=50)
-    assert eig_calls == [dim] * (expected if dim == 2 else expected - 100)
+    if dim == 2:
+        assert eig_calls == [dim] * (expected - (52 if kind in CLOSED_AT_DIM_2 else 0))
+    else:
+        assert eig_calls == [dim] * (expected - 100)
 
 
 # Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and
@@ -198,7 +217,16 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
 # geodesic call per point would cost 4203. Criterion 9's twelve probes, six
 # of the Wasserstein mean and six of m_0.5, cost 152 and 201 each (250 each
 # with A's side taken per partner, 3057 in all); the chains and the redraws
-# of its non-scalar matrices cost the rest.
+# of its non-scalar matrices cost the rest. Those are the counts on the
+# frame route. Every one of these criteria works at n = 2, where the closed
+# forms save 3 per Wasserstein or Bures-Wasserstein Q and 2 per geometric
+# mean: criterion 6's 100 Wasserstein means (300), criterion 8's 200 (600),
+# criterion 9's six Wasserstein probes (52 each, 312), and criterion 10's
+# 20 midpoint pairs (a geometric mean, a Q and a Wasserstein mean each,
+# 160) and 50 accrual pairs (a Q each, 150).
+CLOSED_FORM_SAVINGS = {criterion_6: 300, criterion_8: 600, criterion_9: 312, criterion_10: 310}
+
+
 @pytest.mark.parametrize(
     "criterion, expected",
     [(criterion_6, 1707), (criterion_8, 3700), (criterion_9, 2175), (criterion_10, 4003)],
@@ -206,17 +234,19 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
 )
 def test_eigendecompositions_per_sampled_criterion(criterion, expected, eig_calls):
     criterion(seed=0)
-    assert len(eig_calls) == expected
+    assert len(eig_calls) == expected - CLOSED_FORM_SAVINGS[criterion]
 
 
 def test_eigendecompositions_per_axiom_battery(eig_calls):
-    # Per sample: A, C, B and D certified (4), T drawn (1), lo and hi (3
-    # each, as geometric means), the order check (1), the invertibility of T
-    # (1), TA and TC certified (2), the transformed mean (3), six shifted
-    # means (18) and five order checks between them (5): 41. Normalization
-    # adds one mean (3). Evaluating per stack must not add or drop any.
+    # Per sample: A, C, B and D certified (4), T drawn (1), lo and hi (1
+    # each: the 2x2 geometric mean's closed form leaves the certificate),
+    # the order check (1), the invertibility of T (1), TA and TC certified
+    # (2), the transformed mean (1), six shifted means (6) and five order
+    # checks between them (5): 23, down from 41 on the frame route.
+    # Normalization adds one mean (1). Evaluating per stack must not add or
+    # drop any.
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
-    assert eig_calls == [2] * (8 * 41 + 3)
+    assert eig_calls == [2] * (8 * 23 + 1)
 
 
 def test_eigendecompositions_per_axiom_battery_at_dim_3(eig_calls):
@@ -229,9 +259,9 @@ def test_eigendecompositions_per_axiom_battery_at_dim_3(eig_calls):
 
 
 def test_eigenvalues_only_share_of_the_axiom_battery(values_calls):
-    # Of the 41 per sample and normalization's 3, only the T of even
+    # Of the 23 per sample and normalization's 1, only the T of even
     # samples (4 of 8), which pushes eigenvalues away from zero, needs
-    # vectors. Every other one is a certificate, an order or invertibility
-    # check, or a 2x2 power, which is built from the eigenvalues alone.
+    # vectors. Every other one is a certificate or an order or
+    # invertibility check.
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
-    assert values_calls == [2] * (8 * 41 + 3 - 4)
+    assert values_calls == [2] * (8 * 23 + 1 - 4)

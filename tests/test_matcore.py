@@ -1025,3 +1025,27 @@ def test_2x2_power_guard_errors_keep_their_text(arr, p, certify, error, message)
     for operand in (X, _stack_around(X)):
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             _pow_arr(operand, p, certify=certify)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize(
+    "ends, ps, certify, error, message",
+    [
+        ((-1.0, 2.0), (2.0, 0.5), False, PositivityError, "power 0.5 of a matrix with minimum eigenvalue -1.000e+00"),
+        ((0.0, 2.0), (1.0,), True, PositivityError, "power 1.0 of a matrix with minimum eigenvalue 0.000e+00"),
+        ((1e-10, 1e10), (0.5, -40.0), False, DomainError, "power -40.0 overflows at eigenvalue 1.000e-10"),
+        ((1.0, 1e20), (3.0, 36.0), False, DomainError, "power 36.0 overflows at eigenvalue 1.000e+20"),
+    ],
+    ids=["fractional", "certified", "overflow-at-lambda-min", "overflow-at-lambda-max"],
+)
+def test_power_guard_names_the_first_failing_power_and_its_eigenvalue(n, ends, ps, certify, error, message):
+    # The guard does its p-independent work once per call and builds the
+    # text only when a power fails: the first p of ps that fails, and the
+    # eigenvalue the per-power test would name (lambda_min before
+    # lambda_max), lone and inside a stack.
+    X = np.diag(np.linspace(*ends, n)).astype(complex)
+    good = random_pd(rng_for(3), n).mat
+    for operand in (X, np.array([good, X, good])):
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            _pow_arr(operand, *ps, certify=certify)

@@ -1,8 +1,11 @@
 """The change summary of scripts/verify_identity.py on synthetic payloads."""
 
 import importlib.util
+import json
 import math
 from pathlib import Path
+
+import pytest
 
 SCRIPT = Path(__file__).resolve().parent.parent / "scripts" / "verify_identity.py"
 _spec = importlib.util.spec_from_file_location("verify_identity", SCRIPT)
@@ -13,40 +16,59 @@ _spec.loader.exec_module(verify_identity)
 def _payload(*reports):
     return {
         "reports": [
-            {"title": title, "items": [{"name": n, "observed": v, "passed": ok} for n, v, ok in items]}
+            {
+                "title": title,
+                "items": [{"name": n, "observed": v, "tolerance": tol, "passed": ok} for n, v, tol, ok in items],
+            }
             for title, items in reports
         ]
     }
 
 
 def test_summary_names_flips_and_the_largest_relative_change():
+    # Changes rank by |new - old| over the item's tolerance: gap c's 0.1
+    # of its tolerance comes first, although gap d moved by 3 times its
+    # old value and gap c only by 1 time; both are roundoff next to a
+    # tolerance of 1e-11.
     old = _payload(
-        ("criterion 7", [("failures", 0.0, True)]),
-        ("criterion 8", [("gap a", 2.0e-15, True), ("gap b", 4.0e-15, True), ("gap c", 1.0, True)]),
+        ("criterion 7", [("failures", 0.0, 0.0, True)]),
+        ("criterion 8", [
+            ("gap a", 2.0e-15, 1e-11, True), ("gap b", 4.0e-15, 1e-11, True),
+            ("gap c", 1.0, 10.0, True), ("gap d", 1.0e-14, 1e-11, True),
+        ]),
     )
     new = _payload(
-        ("criterion 7", [("failures", 0.0, True)]),
-        ("criterion 8", [("gap a", 3.0e-15, True), ("gap b", 4.0e-15, True), ("gap c", 2.0, False)]),
+        ("criterion 7", [("failures", 0.0, 0.0, True)]),
+        ("criterion 8", [
+            ("gap a", 3.0e-15, 1e-11, True), ("gap b", 4.0e-15, 1e-11, True),
+            ("gap c", 2.0, 10.0, False), ("gap d", 4.0e-14, 1e-11, True),
+        ]),
     )
     assert verify_identity.summarize(old, new) == [
-        "criterion 7: 0 verdict flips; largest relative change 0.000e+00",
-        "criterion 8: 1 verdict flips; largest relative change 1.000e+00 (gap c)",
+        "criterion 7: 0 verdict flips; largest change over tolerance 0.000e+00",
+        "criterion 8: 1 verdict flips; largest change over tolerance 1.000e-01 (gap c)",
         "  flipped: gap c (True -> False)",
     ]
 
 
 def test_summary_reports_nan_zero_and_missing_items():
-    old = _payload(("criterion 9", [("floor", 2.5, True), ("bound", 0.0, True), ("gone", 1.0, True)]))
+    # A change on a zero tolerance, such as a failure count, is infinite.
+    old = _payload(("criterion 9", [("floor", 2.5, 1.0, True), ("bound", 0.0, 1e-10, True), ("gone", 1.0, 1.0, True)]))
     new = _payload(
-        ("criterion 9", [("floor", math.nan, False), ("bound", 0.0, True), ("new", 1.0, True)]),
+        ("criterion 9", [("floor", math.nan, 1.0, False), ("bound", 0.0, 1e-10, True), ("new", 1.0, 1.0, True)]),
         ("criterion 12", []),
     )
     assert verify_identity.summarize(old, new) == [
-        "criterion 9: 1 verdict flips; largest relative change inf (floor)",
+        "criterion 9: 1 verdict flips; largest change over tolerance inf (floor)",
         "  flipped: floor (True -> False)",
         "  only at the ref: gone",
         "  only here: new",
         "criterion 12: only here",
+    ]
+    count = [("criterion 7", [("failures", 0.0, 0.0, True)])]
+    assert verify_identity.summarize(_payload(*count), _payload(("criterion 7", [("failures", 1.0, 0.0, False)]))) == [
+        "criterion 7: 1 verdict flips; largest change over tolerance inf (failures)",
+        "  flipped: failures (True -> False)",
     ]
 
 
@@ -54,6 +76,9 @@ def test_relative_change():
     assert verify_identity.relative_change(2.0, 3.0) == 0.5
     assert verify_identity.relative_change(math.nan, math.nan) == 0.0
     assert verify_identity.relative_change(0.0, 1e-300) == math.inf
+    assert verify_identity.scaled_change(3.3e-14, 3.0e-15, 1e-11) == pytest.approx(3.0e-3)
+    assert verify_identity.scaled_change(1.0, 1.0, 0.0) == 0.0
+    assert verify_identity.scaled_change(1.0, math.nan, 1e-11) == math.inf
 
 
 def test_source_lines_count_newlines_as_wc_does(tmp_path):
@@ -100,14 +125,34 @@ def test_json_summary_pairs_numeric_leaves_by_path_and_names_flips():
     old = '{"all_pass": true, "result": {"pairs": [{"gap": 2.0, "verdict": "commutes"}, {"gap": 4.0}]}, "n": 3}'
     new = '{"all_pass": false, "result": {"pairs": [{"gap": 3.0, "verdict": "does_not_commute"}, {"gap": 4.0}]}, "n": 3}'
     assert verify_identity.json_summary(old, new) == [
-        "  2 verdict flips; largest relative change 5.000e-01 (result.pairs[0].gap)",
+        "  2 verdict flips; largest change over tolerance 0.000e+00;"
+        " largest relative change 5.000e-01 (result.pairs[0].gap)",
         "  flipped: all_pass (True -> False)",
         "  flipped: result.pairs[0].verdict ('commutes' -> 'does_not_commute')",
     ]
     # A boolean is a verdict, not a number; an unpaired leaf is counted.
     assert verify_identity.json_summary('{"checks": [{"passed": true}]}', '{"checks": [{"passed": true}], "x": 1}') == [
-        "  0 verdict flips; largest relative change 0.000e+00",
+        "  0 verdict flips; largest change over tolerance 0.000e+00; largest relative change 0.000e+00",
         "  1 leaves on one side only",
+    ]
+
+
+def test_json_summary_ranks_checks_by_tolerance_and_skips_null_space_bases():
+    # A check's observed value (and a probe's norm) ranks over the
+    # tolerance beside it, the tolerance itself and every other leaf by
+    # relative change; a null-space basis, which roundoff rotates freely,
+    # is left out, on either side.
+    old = json.dumps({
+        "checks": [{"expected": 0.0, "observed": 1.3e-14, "tolerance": 1e-11}],
+        "result": {"commutator_norm": 0.5, "tolerance": 1e-8, "masa": 1.9e-16, "null_space": [[0.7, -0.35]]},
+    })
+    new = json.dumps({
+        "checks": [{"expected": 0.0, "observed": 3.3e-14, "tolerance": 1e-11}],
+        "result": {"commutator_norm": 0.5, "tolerance": 2e-8, "masa": 8.3e-17, "null_space": [[0.1, 0.9], [0.2, 0.3]]},
+    })
+    assert verify_identity.json_summary(old, new) == [
+        "  0 verdict flips; largest change over tolerance 2.000e-03 (checks[0].observed);"
+        " largest relative change 1.000e+00 (result.tolerance)",
     ]
     assert verify_identity.json_summary("meanlab dbw", "{}") == ["  no summary: a run did not print JSON"]
 
@@ -138,6 +183,7 @@ def test_differing_json_runs_are_summarized_and_the_exit_status_is_kept(tmp_path
     assert len(summary) == 2 * len(verify_identity.DIMS)
     for header, lines in summary.items():
         assert lines == ([
-            "  1 verdict flips; largest relative change 5.000e-01 (result.worst_gap)",
+            "  1 verdict flips; largest change over tolerance 0.000e+00;"
+            " largest relative change 5.000e-01 (result.worst_gap)",
             "  flipped: result.central (False -> True)",
         ] if "--json" in header else [])
