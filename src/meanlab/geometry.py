@@ -11,13 +11,14 @@ distance accrual along a partition of the Bures-Wasserstein curve.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pow_arr, _sym
-from .means import _bw_frame, _bw_q2, _closed2, _geometric_arr, _normalized_inner
+from .means import _bw_frame, _bw_q2, _closed2, _geometric_arr, _normalized_inner, _pencil2, _power_f
 
 TAG_TRACE = "geometric-trace"
 TAG_BW = "bures-wasserstein"
@@ -68,7 +69,9 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     eigendecomposition; larger Q are taken by the geometric mean's array
     routine, with A^(-1) and Q symmetrized. Q is uncertified: only the curve
     points are certified. check_geodesic_metric computes Q once for all its
-    points.
+    points. The trace-metric curve takes, at n = 2, the pencil form
+    mu_1^t A + f[mu_1, mu_2] (B - mu_1 A) of means._pencil2, with no
+    eigendecomposition; larger matrices take the A^(+-1/2) frame and N^t.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
@@ -84,11 +87,13 @@ def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) ->
     # matrix for one pair, a stack for two stacks of pairs. Each pair's
     # frame (trace) or Q (Bures-Wasserstein) is taken once for all ts, and
     # each t enters as a float, so a lone point costs what it did alone.
+    if kind.tag == TAG_TRACE and Aarr.shape[-1] == 2:
+        return _closed2(functools.partial(_pencil2, [functools.partial(_power_f, t) for t in ts]), Aarr, Barr)
     if kind.tag == TAG_TRACE:
         Ah, N = _normalized_inner(Aarr, Barr)
         return [Ah @ P @ Ah for P in np.reshape(_pow_arr(N, *ts), (len(ts),) + N.shape)]
     if Aarr.shape[-1] == 2:
-        Q = _closed2(_bw_q2, Aarr, Barr)
+        (Q,) = _closed2(_bw_q2, Aarr, Barr)
     else:
         Q = _sym(_geometric_arr(_sym(_pow_arr(Aarr, -1.0)), Barr))
     AQ = Aarr @ Q + Q @ Aarr

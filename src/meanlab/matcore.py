@@ -673,27 +673,28 @@ def func_calc(A: PdMatrix, f: Callable[[float], float]) -> HermitianMatrix:
     return HermitianMatrix._wrap(_apply_spectral(vals, V))
 
 
-def _power_guard(w: np.ndarray, ps, certify: bool) -> None:
-    # Raise when the ascending spectrum w (one row per matrix of a stack)
-    # does not take a power p of ps, checked in their order:
-    # PositivityError for a lambda_min <= 0 under a fractional, negative or
-    # certified power, DomainError where |p log lambda| at a positive end
-    # would overflow. What does not depend on p is taken once per call: the
-    # first lambda_min <= 0, and |log lambda| at the positive ends (a lone
-    # matrix's two, every matrix's at once for a stack) with their largest,
-    # so each p costs one product. Rounding is monotone, so |p| times that
-    # largest passes the limit exactly when some |p log lambda| does; only
-    # then are the ends searched, in order, for the eigenvalue to name.
-    if w.ndim == 1:
-        lo, hi = float(w[0]), float(w[-1])
+def _power_guard(lo, hi, ps, certify: bool) -> None:
+    # Raise when spectra with smallest eigenvalue lo and largest hi (floats
+    # for one matrix, arrays for a stack) do not take a power p of ps, in
+    # their order: PositivityError for a lambda_min <= 0 under a fractional,
+    # negative or certified power, DomainError where |p log lambda| at a
+    # positive end would overflow. The first lambda_min <= 0 and the largest
+    # |log lambda| (for positive finite stacks, at the smallest lo or the
+    # largest hi, by math.log as for one matrix) are taken once, so each p
+    # costs one product; rounding is monotone, so that decides as each
+    # |p log lambda| would, and only a failure searches the ends, in order.
+    if not isinstance(lo, np.ndarray):
         low = lo if lo <= 0.0 else None
         ends = [lam for lam in (lo, hi) if lam > 0.0]
         logs = [math.log(lam) for lam in ends]
         reach = max(map(abs, logs), default=0.0)
+    elif lo.size and (bottom := float(lo.min())) > 0.0 and (top := float(hi.max())) < math.inf:
+        low, ends, logs = None, None, None
+        reach = max(abs(math.log(bottom)), abs(math.log(top)))
     else:
-        lows = w[:, 0] <= 0.0
-        low = w[:, 0][lows][0] if lows.any() else None
-        ends = w[:, [0, -1]]
+        lows = lo <= 0.0
+        low = lo[lows][0] if lows.any() else None
+        ends = np.stack((lo, hi), axis=-1)
         ends = ends[ends > 0.0]
         logs = np.log(ends)
         reach = np.abs(logs).max(initial=0.0)
@@ -701,6 +702,9 @@ def _power_guard(w: np.ndarray, ps, certify: bool) -> None:
         if low is not None and (certify or p != round(p) or p < 0.0):
             raise PositivityError(f"power {p} of a matrix with minimum eigenvalue {low:.3e}")
         if abs(p) * reach > _POW_LOG_LIMIT:
+            if ends is None:
+                ends = np.stack((lo, hi), axis=-1).ravel().tolist()
+                logs = [math.log(lam) for lam in ends]
             over = [lam for lam, x in zip(ends, logs) if abs(p * x) > _POW_LOG_LIMIT]
             raise DomainError(f"power {p} overflows at eigenvalue {over[0]:.3e}")
 
@@ -711,11 +715,12 @@ def _power_guard(w: np.ndarray, ps, certify: bool) -> None:
 # - P_00 = (f_1 (r - h) + f_2 (r + h)) / (2r) and P_11 the same with r -+ h
 #   swapped, positive combinations; the cancelling one of r -+ h is taken
 #   as |b| (|b| / (r + |h|)), as _rotation takes t.
-# - P_01 = q b for the divided difference q = f[lambda_1, lambda_2], taken
-#   as (f_2 - f_1) / (2r) while lambda_1 < lambda_2 / 2, where the
-#   difference cannot cancel badly, and otherwise without cancellation as
-#   sqrt(f_1) sqrt(f_2) sinh(p atanh(r / m)) / r (Higham & Lin, SIAM J.
-#   Matrix Anal. Appl. 32, 2011).
+# - P_01 = q b for the divided difference q = (f_2 - f_1) / (2r), the
+#   difference plain while lambda_1 < lambda_2 / 2, where it cannot cancel
+#   badly, and otherwise without cancellation as
+#   2 sqrt(f_1) sqrt(f_2) sinh(p atanh(r / m)) (Higham & Lin, SIAM J.
+#   Matrix Anal. Appl. 32, 2011): _power_difference, which means' pencil
+#   form shares.
 # - h, |b|, r and b are first scaled by the power of two that takes r into
 #   [1/2, 1). That is exact, so the bits do not move, but f_i (r -+ h) can
 #   no longer overflow where the result does not (1e100 I at p = 2 did).
@@ -725,6 +730,23 @@ def _power_guard(w: np.ndarray, ps, certify: bool) -> None:
 # that maps f = w**p and p to the power. Both write every sum in one order
 # and take each transcendental through the same numpy ufunc, so they agree
 # bit for bit.
+
+
+def _power_difference(f_lo: float, f_hi: float, p: float, near: bool, ath: float) -> float:
+    # f_hi - f_lo for f = lambda ** p at a 2x2 spectrum's ends lo <= hi by
+    # that rule; near is lo >= hi / 2 and ath = atanh((hi - lo) / (hi + lo)).
+    if near:
+        return 2.0 * math.sqrt(f_lo) * math.sqrt(f_hi) * float(np.sinh(p * ath))
+    return f_hi - f_lo
+
+
+def _power_difference_stack(f_lo, f_hi, p: float, near, ath):
+    # _power_difference for each matrix of a stack, ath given where near is
+    # set (None where it is set nowhere), so the sinh runs only there.
+    d = f_hi - f_lo
+    if ath is not None:
+        d[near] = 2.0 * np.sqrt(f_lo[near]) * np.sqrt(f_hi[near]) * np.sinh(p * ath)
+    return d
 
 
 def _power2(arr: np.ndarray, w: np.ndarray, pieces):
@@ -751,10 +773,7 @@ def _power2(arr: np.ndarray, w: np.ndarray, pieces):
 
     def power(f: np.ndarray, p: float) -> np.ndarray:
         f1, f2 = f.tolist()
-        if near:
-            q = math.sqrt(f1) * math.sqrt(f2) * float(np.sinh(p * ath)) / rs
-        else:
-            q = (f2 - f1) / r2
+        q = _power_difference(f1, f2, p, near, ath) / r2
         u = complex(q * bre, q * bim)
         return np.array([[(f1 * x + f2 * y) / r2, u], [u.conjugate(), (f1 * y + f2 * x) / r2]], dtype=np.complex128)
 
@@ -783,16 +802,11 @@ def _power2_stack(arr: np.ndarray, w: np.ndarray, pieces):
         r2[still] = 1.0
     XY = np.array((xy, xy[::-1]))
     near = (lo >= hi / 2.0) & ~still
-    nears = near.any()
-    if nears:
-        ath, rn = np.arctanh(r[near] / m[near]), rs[near]
+    ath = np.arctanh(r[near] / m[near]) if near.any() else None
 
     def power(f: np.ndarray, p: float) -> np.ndarray:
         fT = f.T
-        q = (fT[1] - fT[0]) / r2
-        if nears:
-            s = np.sqrt(f[near])
-            q[near] = s[:, 0] * s[:, 1] * np.sinh(p * ath) / rn
+        q = _power_difference_stack(fT[0], fT[1], p, near, ath) / r2
         u, v = q * bre, q * bim
         C = fT * XY
         d0, d1 = (C[:, 0] + C[:, 1]) / r2
@@ -825,7 +839,7 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
         def power(f: np.ndarray, p: float) -> np.ndarray:
             return _apply_spectral(f, V)
 
-    _power_guard(w, ps, certify)
+    _power_guard(*((float(w[0]), float(w[-1])) if w.ndim == 1 else (w[:, 0], w[:, -1])), ps, certify)
     out = []
     for p in ps:
         vals = np.power(w, p)

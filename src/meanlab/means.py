@@ -13,30 +13,24 @@ spectral geometric mean and the Wasserstein mean
 
     A sigma_W B = (A + B + A Q + Q A)/4,    Q = A^(-1) # B.
 
-At n = 2 the geometric and Wasserstein means, and the Bures-Wasserstein
-geodesic's Q, take closed forms with no eigendecomposition. With
+At n = 2 six routes take closed forms with no eigendecomposition. With
 a = sqrt(det A), b = sqrt(det B) and s = ab:
 
     A # B = sqrt(ab) S / sqrt(det S),              S = A/a + B/b,
     A sigma_W B = (A + B + (AB + BA + 2sI) / sqrt(tr AB + 2s)) / 4,
-    Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'),  S' = adj(A)/a + B/b.
+    Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'),  S' = adj(A)/a + B/b,
+    A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A).
 
-The first is Bhatia, Positive Definite Matrices (Princeton 2007),
-Prop. 4.1.12; det S >= 4 by Minkowski, so its root does not cancel. The
-second is (AB)^(1/2) + (BA)^(1/2) by Levinger's 2x2 square root
-M^(1/2) = (M + sqrt(det M) I) / sqrt(tr M + 2 sqrt(det M)) (Math. Mag. 53,
-1980), with s taken from the two determinants, never from det(AB). The
-third needs no inverse. A square root whose argument (a determinant, or
-tr AB + 2s) is not finite and positive raises PositivityError.
-
-The harmonic and spectral geometric means keep their routes at n = 2:
-each closed variant measured raised the dim-2 worst ratio of
-scripts/oracle_ratio.py above its 1.1404 (harmonic by adjugates 1.2737, as
-2 A (A + B)^(-1) B 1.1643; spectral geometric with Q closed 1.1511-1.3219).
-geometry.d_bw keeps its frame too: its closed trace form
-tr A + tr B - 2 sqrt(tr AB + 2s) cancels near B = A. The --via-function
-route and wasserstein_alt (the T-form) keep the A^(+-1/2) frame on purpose,
-as independent cross-checks of the closed forms.
+They are Bhatia, Positive Definite Matrices (Princeton 2007), Prop. 4.1.12;
+(AB)^(1/2) + (BA)^(1/2) by Levinger's 2x2 square root (Math. Mag. 53, 1980);
+the BW geodesic's Q with no inverse; and, for the harmonic mean, m_p and
+the trace-metric geodesic, the interpolation form of A^(1/2) f(N) A^(1/2)
+(Kubo & Ando, Math. Ann. 246, 1980; Higham, Functions of Matrices, 2008),
+mu_1 <= mu_2 the roots of det(B - mu A) = 0. The last stays within
+0.14 eps kappa of 50-digit mpmath, where the A^(+-1/2) frame errs like
+eps kappa^2. The spectral geometric and conventional power means and
+geometry.d_bw (whose trace form cancels near B = A) keep their frames, and
+so do --via-function and wasserstein_alt, as cross-checks.
 
 Every public evaluation returns a freshly certified :class:`PdMatrix`.
 """
@@ -46,6 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -63,6 +58,9 @@ from .matcore import (
     _norms,
     _order_violation,
     _pow_arr,
+    _power_difference,
+    _power_difference_stack,
+    _power_guard,
     _rel_gap,
     _spectral_values,
     _sym,
@@ -222,13 +220,14 @@ def _transport_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
 # serves both, with the routines of _LONE or _STACK passed in; every sum is
 # written in one order and every square root is correctly rounded in both
 # (math.sqrt, np.sqrt), so a stack gives each pair the bits it gets alone.
-# A matrix whose diagonal reaches _SCALE_FROM is first scaled by the power
-# of four that takes its larger diagonal entry into [1/2, 2), and the
-# result scaled back by the matching power of two. That is exact, so the
-# bits are those of the unscaled form, but det A no longer overflows where
-# the mean does not (entries past about 1.3e154: the A^(+-1/2) route took
-# the geometric mean of 1e160 diag(1, 2) and such pairs).
+# A matrix whose larger diagonal entry lies outside [2^-500, 2^500) is first
+# scaled by the power of four that takes it into [1/2, 2), and the result
+# scaled back by the matching power of two. That is exact, so the bits are
+# those of the unscaled form, but det A neither overflows (entries past
+# 1.3e154) nor underflows (below 1e-154) where the A^(+-1/2) route did not;
+# inside the range its rounding costs at most 2^-74 kappa relative.
 _SCALE_FROM = 2.0**500
+_TINY = np.finfo(float).tiny
 
 
 def _root_lone(d: float) -> float:
@@ -248,79 +247,185 @@ def _root_stack(d: np.ndarray) -> np.ndarray:
 
 
 def _half_exponent_lone(p: float, q: float):
-    # k with 4^-k max(p, q) in [1/2, 2), or None below _SCALE_FROM.
+    # k with 4^-k max(p, q) in [1/2, 2), or None while max(p, q) is in
+    # [1/_SCALE_FROM, _SCALE_FROM).
     top = max(p, q)
-    return None if top < _SCALE_FROM else math.frexp(top)[1] // 2
+    return None if 1.0 / _SCALE_FROM <= top < _SCALE_FROM else math.frexp(top)[1] // 2
 
 
 def _half_exponent_stack(p: np.ndarray, q: np.ndarray):
     # _half_exponent_lone for each matrix, 0 where it gives None; None when
     # it does for every matrix.
     top = np.maximum(p, q)
-    big = top >= _SCALE_FROM
-    return np.where(big, np.frexp(top)[1] // 2, 0) if big.any() else None
+    if 1.0 / _SCALE_FROM <= top.min(initial=1.0) and top.max(initial=1.0) < _SCALE_FROM:
+        return None
+    return np.where((top < 1.0 / _SCALE_FROM) | (top >= _SCALE_FROM), np.frexp(top)[1] // 2, 0)
 
 
-# (checked square root, ldexp, half exponent) per route.
-_LONE = (_root_lone, math.ldexp, _half_exponent_lone)
-_STACK = (_root_stack, np.ldexp, _half_exponent_stack)
+_ROOTS = "2x2 pencil form needs roots in the normal float range, got {:.3e} and {:.3e}"
+
+
+def _nodes_lone(q: float, shift: int, m: float):
+    # r = q 2^shift and the pencil's roots mu_1 = r/m <= mu_2 = r m, which
+    # must be normal floats: DomainError otherwise, never an overflow.
+    try:
+        r = math.ldexp(q, shift)
+    except OverflowError:
+        r = math.inf
+    mu1, mu2 = r / m, r * m
+    if not (_TINY <= mu1 and mu2 < math.inf):
+        raise DomainError(_ROOTS.format(mu1, mu2))
+    return r, mu1, mu2
+
+
+def _nodes_stack(q, shift, m):
+    # _nodes_lone for each pair, naming the first that fails. Only a scaled
+    # pair (shift an array) can leave the float range for certified input.
+    if isinstance(shift, np.ndarray):
+        with np.errstate(over="ignore"):
+            q = np.ldexp(q, shift)
+            mu1, mu2 = q / m, q * m
+    else:
+        mu1, mu2 = q / m, q * m
+    if not (_TINY <= mu1.min(initial=_TINY) and mu2.max(initial=0.0) < math.inf):
+        bad = ~((mu1 >= _TINY) & (mu2 < np.inf))
+        raise DomainError(_ROOTS.format(np.extract(bad, mu1)[0], np.extract(bad, mu2)[0]))
+    return q, mu1, mu2
+
+
+def _power_lone(lo: float, hi: float, z: float, e: float):
+    # lo ** e, hi ** e (guarded as _pow_arr guards them) and their
+    # difference by matcore's 2x2 rule, z = (hi - lo)/(hi + lo).
+    _power_guard(lo, hi, (e,), False)
+    f_lo, f_hi = np.power((lo, hi), e).tolist()
+    near = lo >= hi / 2.0
+    return f_lo, f_hi, _power_difference(f_lo, f_hi, e, near, float(np.arctanh(z)) if near else 0.0)
+
+
+def _power_stack(lo, hi, z, e: float):
+    # _power_lone for every pair.
+    _power_guard(lo, hi, (e,), False)
+    f_lo, f_hi = np.power(lo, e), np.power(hi, e)
+    near = lo >= hi / 2.0
+    return f_lo, f_hi, _power_difference_stack(f_lo, f_hi, e, near, np.arctanh(z[near]) if near.any() else None)
+
+
+# The routines one closed-form body calls, per route; quotient is d / gap,
+# or the derivative where gap is 0.
+_LONE = SimpleNamespace(
+    root=_root_lone, ldexp=math.ldexp, half_exponent=_half_exponent_lone, root0=lambda d: math.sqrt(max(d, 0.0)),
+    nodes=_nodes_lone, power=_power_lone, quotient=lambda d, gap, derivative: d / gap if gap else derivative,
+)
+_STACK = SimpleNamespace(
+    root=_root_stack, ldexp=np.ldexp, half_exponent=_half_exponent_stack, root0=lambda d: np.sqrt(np.maximum(d, 0.0)),
+    nodes=_nodes_stack, power=_power_stack,
+    quotient=lambda d, gap, derivative: np.divide(d, gap, out=derivative, where=gap != 0.0),
+)
 
 
 def _normalized2(x, ops):
     # The parts of 4^-k X, the root of its determinant, and k (0 unscaled).
-    root, ldexp, half_exponent = ops
-    k = half_exponent(x[0], x[1])
+    k = ops.half_exponent(x[0], x[1])
     if k is None:
         p, q, re, im = x
         k = 0
     else:
-        p, q, re, im = (ldexp(v, -2 * k) for v in x)
-    return (p, q, re, im), root(p * q - (re * re + im * im)), k
+        p, q, re, im = (ops.ldexp(v, -2 * k) for v in x)
+    return (p, q, re, im), ops.root(p * q - (re * re + im * im)), k
 
 
 def _geometric2(x, y, ops, inverse=False):
     # A # B = sqrt(ab) S / sqrt(det S), S = A/a + B/b; with ``inverse``,
     # Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'), S' = adj(A)/a + B/b.
     # Checking the root of sqrt(ab)^2 / det S checks det S.
-    root, ldexp, _ = ops
     (p, q, re, im), a, ka = _normalized2(x, ops)
     (u, v, wr, wi), b, kb = _normalized2(y, ops)
     if inverse:
         p, q, re, im = q, p, -re, -im
     S = (p / a + u / b, q / a + v / b, re / a + wr / b, im / a + wi / b)
-    c = root((b / a if inverse else a * b) / (S[0] * S[1] - (S[2] * S[2] + S[3] * S[3])))
+    c = ops.root((b / a if inverse else a * b) / (S[0] * S[1] - (S[2] * S[2] + S[3] * S[3])))
     m = kb - ka if inverse else ka + kb
-    return tuple(ldexp(c * s, m) for s in S)
+    return [tuple(ops.ldexp(c * s, m) for s in S)]
 
 
 def _wasserstein2(x, y, ops):
     # (A + B + R)/4 with R = (AB + BA + 2sI) / sqrt(tr AB + 2s), s = ab:
     # for Hermitian A and B, AB + BA has diagonal 2(pu + t), 2(qv + t) with
     # t = Re(z conj w), and corner (p + q) w + (u + v) z.
-    root, ldexp, _ = ops
     (p, q, re, im), a, ka = _normalized2(x, ops)
     (u, v, wr, wi), b, kb = _normalized2(y, ops)
     s, t = a * b, re * wr + im * wi
     pu, qv = p * u, q * v
-    d = root(pu + qv + 2.0 * (t + s))
+    d = ops.root(pu + qv + 2.0 * (t + s))
     ta, tb = p + q, u + v
     R = (2.0 * (pu + t + s) / d, 2.0 * (qv + t + s) / d, (ta * wr + tb * re) / d, (ta * wi + tb * im) / d)
-    return tuple((xi + yi + ldexp(r, ka + kb)) / 4.0 for xi, yi, r in zip(x, y, R))
+    return [tuple((xi + yi + ops.ldexp(r, ka + kb)) / 4.0 for xi, yi, r in zip(x, y, R))]
 
 
-def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
-    # A 2x2 closed form of one pair, on Python floats, or of each pair of
-    # two stacks that broadcast, as arrays; the result is exactly Hermitian.
+def _pencil2(fs, x, y, ops):
+    # A sigma_f B for each f of fs, which maps (mu_1, mu_2, mu_2 - mu_1, D/c,
+    # ops) to (f(mu_1), f[mu_1, mu_2]). mu = (b/a) m for the roots m of
+    # m^2 - c m + 1, c = tr(adj(A/a) B/b), and c^2 - 4 = -det(B/b - A/a)(c + 2)
+    # does not cancel and is >= 0 exactly (rounding below 0 is clamped), so
+    # m_2 = (c + D)/2, m_1 = 1/m_2 and mu_2 - mu_1 = (b/a) D.
+    (p, q, re, im), a, ka = _normalized2(x, ops)
+    (u, v, wr, wi), b, kb = _normalized2(y, ops)
+    p, q, re, im = p / a, q / a, re / a, im / a
+    u, v, wr, wi = u / b, v / b, wr / b, wi / b
+    c = q * u + p * v - 2.0 * (re * wr + im * wi)
+    d0, d1, dr, di = u - p, v - q, wr - re, wi - im
+    D = ops.root0(-(d0 * d1 - (dr * dr + di * di)) * (c + 2.0))
+    m = (c + D) / 2.0
+    r, mu1, mu2 = ops.nodes(b / a, 2 * (kb - ka), m)
+    gap, z = r * D, D / c
+    # B - mu_1 A = b (B/b - m_1 A/a), from the unit-determinant parts.
+    diff = tuple(ops.ldexp(b * (vb - va / m), 2 * kb) for va, vb in zip((p, q, re, im), (u, v, wr, wi)))
+    coefficients = [f(mu1, mu2, gap, z, ops) for f in fs]
+    return [tuple(f1 * xi + F * di for xi, di in zip(x, diff)) for f1, F in coefficients]
+
+
+def _power_f(t, mu1, mu2, gap, z, ops):
+    # f(x) = x ** t: the trace-metric geodesic at t.
+    f1, _, d = ops.power(mu1, mu2, z, t)
+    return f1, ops.quotient(d, gap, t * (f1 / mu1))
+
+
+def _power_mean_f(p, mu1, mu2, gap, z, ops):
+    # g_p through the chain s = x^p, k = (1 + s)/2, h = k^(1/p), each
+    # difference by the rule (k falls as mu rises for p < 0). The chain's
+    # quotients cancel to (h_2 - h_1)/(mu_2 - mu_1), so none that could
+    # overflow is formed; a zero gap takes g_p'(mu_1) = (h_1/mu_1)(s_1/k_1)/2.
+    s1, s2, ds = ops.power(mu1, mu2, z, p)
+    k1, k2 = (1.0 + s1) / 2.0, (1.0 + s2) / 2.0
+    up = p > 0
+    h_lo, h_hi, dh = ops.power(*((k1, k2) if up else (k2, k1)), (ds if up else -ds) / (2.0 * (k1 + k2)), 1.0 / p)
+    h1 = h_lo if up else h_hi
+    return h1, ops.quotient(dh if up else -dh, gap, (h1 / mu1) * (s1 / k1) / 2.0)
+
+
+def _harmonic_f(mu1, mu2, gap, z, ops):
+    # f(x) = 2x/(1 + x) = g_(-1)(x) and its exact f[mu_1, mu_2], divided in
+    # turn so that no finite root overflows them.
+    return 2.0 * (mu1 / (1.0 + mu1)), 2.0 / (1.0 + mu1) / (1.0 + mu2)
+
+
+def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray):
+    # The list of results of a 2x2 closed form (one, or one per function of
+    # _pencil2) of one pair, on Python floats, or of each pair of two stacks
+    # that broadcast, as arrays; each result is exactly Hermitian.
     if Aarr.ndim == 2 and Barr.ndim == 2:
         (p, z), (_, q) = Aarr.tolist()
         (u, w), (_, v) = Barr.tolist()
-        p, q, re, im = form((p.real, q.real, z.real, z.imag), (u.real, v.real, w.real, w.imag), _LONE)
-        return np.array([p, complex(re, im), complex(re, -im), q]).reshape(2, 2)
+        out = form((p.real, q.real, z.real, z.imag), (u.real, v.real, w.real, w.imag), _LONE)
+        return [np.array([p, complex(re, im), complex(re, -im), q]).reshape(2, 2) for p, q, re, im in out]
     x, y = ((X[..., 0, 0].real, X[..., 1, 1].real, X[..., 0, 1].real, X[..., 0, 1].imag) for X in (Aarr, Barr))
-    p, q, re, im = np.broadcast_arrays(*form(x, y, _STACK))
-    zero = np.zeros(p.shape)
-    parts = np.stack((p, zero, re, im, re, -im, q, zero), axis=-1)
-    return parts.view(np.complex128).reshape(p.shape + (2, 2))
+    mats = []
+    for parts in form(x, y, _STACK):
+        p, q, re, im = np.broadcast_arrays(*parts)
+        zero = np.zeros(p.shape)
+        parts = np.stack((p, zero, re, im, re, -im, q, zero), axis=-1)
+        mats.append(parts.view(np.complex128).reshape(p.shape + (2, 2)))
+    return mats
 
 
 _bw_q2 = functools.partial(_geometric2, inverse=True)
@@ -332,10 +437,13 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     tag = kind.tag
     if tag == TAG_ARITHMETIC:
         return (Aarr + Barr) / 2.0
+    if Aarr.shape[-1] == 2 and tag in (TAG_GEOMETRIC, TAG_WASSERSTEIN):
+        return _closed2(_geometric2 if tag == TAG_GEOMETRIC else _wasserstein2, Aarr, Barr)[0]
+    if Aarr.shape[-1] == 2 and tag in (TAG_HARMONIC, TAG_POWER):
+        f = _harmonic_f if tag == TAG_HARMONIC else functools.partial(_power_mean_f, kind.p)
+        return _closed2(functools.partial(_pencil2, (f,)), Aarr, Barr)[0]
     if tag == TAG_HARMONIC:
         return _pow_arr((_pow_arr(Aarr, -1.0) + _pow_arr(Barr, -1.0)) / 2.0, -1.0)
-    if Aarr.shape[-1] == 2 and tag in (TAG_GEOMETRIC, TAG_WASSERSTEIN):
-        return _closed2(_geometric2 if tag == TAG_GEOMETRIC else _wasserstein2, Aarr, Barr)
     if tag == TAG_GEOMETRIC:
         return _geometric_arr(Aarr, Barr)
     if tag == TAG_POWER:
@@ -354,14 +462,19 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
         AQ = Aarr @ _geometric_arr(_pow_arr(Aarr, -1.0), Barr)
         return (Aarr + Barr + AQ + AQ.conj().swapaxes(-1, -2)) / 4.0
     if tag == TAG_FROM_FUNCTION:
-        Ah, N = _normalized_inner(Aarr, Barr)
+        # The frame is of D A D and D B D, D = diag(A)^(-1/2), and the mean
+        # scaled back (the transformer equality): a graded pair keeps its
+        # accuracy. S holds the entries of D's congruence.
+        d = np.sqrt(np.diagonal(Aarr, axis1=-2, axis2=-1).real)
+        S = 1.0 / (d[..., :, None] * d[..., None, :])
+        Ah, N = _normalized_inner(Aarr * S, Barr * S)
         w, vals, V = _spectral_values(N, kind.f)
         for lam, y in zip(w.flat, vals.flat):
             if y <= 0.0:
                 raise DomainError(
                     f"representing function must stay positive, got {float(y)!r} at {lam!r}"
                 )
-        return Ah @ _apply_spectral(vals, V) @ Ah
+        return Ah @ _apply_spectral(vals, V) @ Ah / S
     raise DomainError(f"unknown mean tag {tag!r}")
 
 

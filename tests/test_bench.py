@@ -49,17 +49,42 @@ def test_quartiles_of_a_single_run(bench):
     assert bench.quartiles([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5}
 
 
-def test_oracle_ratio_reports_each_dim_for_one_seed(monkeypatch, capsys):
-    # One seed of scripts/oracle_ratio.py: a worst ratio per dim, each under
-    # the workload's tolerance factor, the dim-2 median and no raised call.
+def _oracle_ratio(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
     spec = importlib.util.spec_from_file_location("oracle_ratio", SCRIPTS / "oracle_ratio.py")
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
+    return module
+
+
+def test_oracle_ratio_reports_each_dim_for_one_seed(monkeypatch, capsys):
+    # One seed of scripts/oracle_ratio.py: a worst ratio per dim, each under
+    # the workload's tolerance factor, the dim-2 median, a worst ratio per
+    # dim and operation, in the workload's order, and no raised call.
+    module = _oracle_ratio(monkeypatch)
     assert module.main(["--first", "0", "--last", "0"]) == 0
     lines = capsys.readouterr().out.splitlines()
     worst = [re.match(r"dim (\d): worst ratio ([\d.]+) at seed 0, item \d+ \(\S+\)$", line) for line in lines[:2]]
     assert [m.group(1) for m in worst] == ["2", "4"]
     assert all(0.0 < float(m.group(2)) < 256.0 for m in worst)
     assert re.fullmatch(r"dim 2: median ratio [\d.]+ over 2400 calls", lines[2])
-    assert lines[3:] == ["calls that raised: 0"]
+    per_op = [re.fullmatch(r"dim (\d) (\S+): worst ratio ([\d.]+) at seed 0, item \d+", line) for line in lines[3:-1]]
+    ops = module.OPERATIONS
+    assert [(m.group(1), m.group(2)) for m in per_op] == [(d, op) for d in "24" for op in ops]
+    assert max(float(m.group(3)) for m in per_op) == max(float(m.group(2)) for m in worst)
+    assert lines[-1] == "calls that raised: 0"
+
+
+def test_oracle_ratio_against_mpmath_for_one_seed(monkeypatch, capsys):
+    # --reference mpmath judges the 200 dim-2 pairs of seed 0: one line per
+    # operation, in the workload's order, with the worst error over eps
+    # kappa and the mean error in eps. Every 2x2 route stays within a few
+    # eps kappa of 40-digit mpmath there.
+    module = _oracle_ratio(monkeypatch)
+    assert module.main(["--first", "0", "--last", "0", "--reference", "mpmath"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    pattern = r"dim 2 (\S+): worst ([\d.e+-]+) eps kappa at seed 0, pair \d+; mean ([\d.e+-]+) eps over 200 calls"
+    rows = [re.fullmatch(pattern, line) for line in lines[:-1]]
+    assert [m.group(1) for m in rows] == list(module.OPERATIONS)
+    assert all(float(m.group(2)) < 16.0 for m in rows)
+    assert lines[-1] == "calls that raised: 0"

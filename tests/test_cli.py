@@ -101,10 +101,13 @@ def _spectral2(rng, lo, hi):
 
 @pytest.mark.parametrize("spectra", ["clustered", "graded"])
 def test_via_function_checks_the_2x2_power_form_from_outside(capsys, matrix_file, spectra):
-    # The mean's 2x2 powers are built from the eigenvalues alone; the
-    # functional-calculus route takes eigenvectors. A clustered pair has
-    # lambda_2 / lambda_1 - 1 = 1e-9, a graded one is D M D with D =
-    # diag(1, 1e-5) and M well conditioned, so kappa is about 2e10.
+    # m_0.5 takes the pencil form at n = 2, from the roots of det(B - mu A)
+    # alone; the functional-calculus route takes eigenvectors in the frame
+    # of S A S, S = diag(A)^(-1/2). A clustered pair has lambda_2 / lambda_1
+    # - 1 = 1e-9, a graded one is D M D with D = diag(1, 1e-5) and M well
+    # conditioned, so kappa is about 1e10. On it the unscaled A^(+-1/2)
+    # frame errs 2.1e-10, against the check's 1e-10, where the scaled frame
+    # and the pencil form agree with 50-digit mpmath to 2 eps.
     rng = meanlab.rng_for(22)
     if spectra == "clustered":
         A, B = _spectral2(rng, 1.0, 1.0 + 1e-9), _spectral2(rng, 2.0, 2.0 * (1.0 + 1e-9))
@@ -119,13 +122,15 @@ def test_via_function_checks_the_2x2_power_form_from_outside(capsys, matrix_file
 
 
 # Hard 2x2 inputs for the closed forms, each kept where the cross-check
-# route is itself accurate: the T-form of the Wasserstein mean errs like
-# eps kappa^2 and the functional-calculus route of the geometric mean does
-# too, so at kappa per matrix of 1e6, graded or not, the T-form already
-# reads about 2e-11 against the 1e-11 tolerance (and raises from 1e8
-# graded on), and the functional-calculus route reads 4e-10 at 1e4
-# ungraded and 8e-10 at 1e8 graded against 1e-10, while the closed forms
-# stay within 2 eps and 0.08 eps kappa of 50-digit mpmath.
+# route is itself accurate. The T-form of the Wasserstein mean errs like
+# eps kappa^2: at kappa per matrix of 1e6, graded or not, it already reads
+# about 2e-11 against the 1e-11 tolerance, and raises from 1e8 graded on.
+# The functional-calculus route takes, at n = 2, the frame of S A S and
+# S B S with S = diag(A)^(-1/2), which undoes a grading, so it agrees to a
+# few eps on graded pairs up to 1e11; ungraded it errs like eps kappa^2
+# too, and reads 2.3e-10 to 4.7e-10 against 1e-10 at 1e4 (the geometric,
+# harmonic and m_-0.5 means) and 6e-9 at 1e6 (m_0.5). The closed forms stay
+# within 2 eps and 0.14 eps kappa of 50-digit mpmath.
 @pytest.mark.parametrize(
     "argv, spectra, kappa",
     [
@@ -135,13 +140,22 @@ def test_via_function_checks_the_2x2_power_form_from_outside(capsys, matrix_file
         (["--kind", "geometric", "--via-function"], "clustered", 0),
         (["--kind", "geometric", "--via-function"], "graded", 6),
         (["--kind", "geometric", "--via-function"], "ungraded", 3),
+        *(
+            (argv, spectra, kappa)
+            for argv in (
+                ["--kind", "kubo-ando-power", "--p", "0.5", "--via-function"],
+                ["--kind", "kubo-ando-power", "--p", "-0.5", "--via-function"],
+                ["--kind", "harmonic", "--via-function"],
+            )
+            for spectra, kappa in (("clustered", 0), ("graded", 10), ("ungraded", 3))
+        ),
     ],
-    ids=lambda x: x[1] if isinstance(x, list) else str(x),
+    ids=lambda x: "-".join(x[1::2]) if isinstance(x, list) else str(x),
 )
 def test_cross_routes_check_the_2x2_closed_forms_on_hard_inputs(capsys, matrix_file, argv, spectra, kappa):
-    # The Wasserstein mean and the geometric mean take closed forms at
-    # n = 2; the T-form and the functional-calculus route keep the
-    # A^(+-1/2) frame, so they check the forms from outside.
+    # The Wasserstein, geometric and harmonic means and m_p take closed
+    # forms at n = 2; the T-form and the functional-calculus route keep
+    # frames of A, so they check the forms from outside.
     rng = meanlab.rng_for(29)
     if spectra == "clustered":
         A, B = _spectral2(rng, 1.0, 1.0 + 1e-9), _spectral2(rng, 2.0, 2.0 * (1.0 + 1e-9))

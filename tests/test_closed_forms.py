@@ -1,14 +1,18 @@
-"""The 2x2 closed forms of the geometric and Wasserstein means and of the
-Bures-Wasserstein geodesic's Q = A^(-1) # B (``means._closed2``).
+"""The 2x2 closed forms (``means._closed2``): the geometric and Wasserstein
+means, the Bures-Wasserstein geodesic's Q = A^(-1) # B, and the pencil form
+A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A) of m_p, the harmonic
+mean and the trace-metric geodesic (``means._pencil2``).
 
 Each form is checked against 50-digit mpmath, whose references take the
 A^(+-1/2) frame through mpmath's Hermitian eigensolver and so share nothing
 with the forms; its lone route (Python floats) against its stacked route
 (arrays), bit for bit; its power-of-two prescaling against exact
-homogeneity; and its guard, which turns a determinant that is not finite
-and positive into PositivityError instead of a NaN.
+homogeneity; and its guards, which turn a determinant that is not finite
+and positive into PositivityError, and a power past _POW_LOG_LIMIT into
+DomainError, instead of a NaN.
 """
 
+import functools
 import re
 
 import mpmath as mp
@@ -17,22 +21,44 @@ import pytest
 
 from meanlab import (
     GEODESIC_BW,
+    GEODESIC_TRACE,
     GEOMETRIC,
+    HARMONIC,
     WASSERSTEIN,
+    DomainError,
     HermitianMatrix,
     PdMatrix,
     PositivityError,
+    kubo_ando_power,
     mean,
     random_unitary,
     rng_for,
 )
 from meanlab.geometry import _curve_points
 from meanlab.matcore import _sym
-from meanlab.means import _bw_q2, _closed2, _geometric2, _mean_arr, _wasserstein2
+from meanlab.means import (
+    P_MIN,
+    _bw_q2,
+    _closed2,
+    _geometric2,
+    _harmonic_f,
+    _mean_arr,
+    _pencil2,
+    _power_f,
+    _power_mean_f,
+    _wasserstein2,
+)
 from meanlab.sampling import pd_stacks
 
 EPS = np.finfo(float).eps
 FORMS = {"geometric": _geometric2, "wasserstein": _wasserstein2, "bw-q": _bw_q2}
+# The pencil form's functions: g_p for m_p, 2x/(1 + x), and x^t.
+PENCILS = {
+    "m_0.5": functools.partial(_power_mean_f, 0.5),
+    "m_-0.5": functools.partial(_power_mean_f, -0.5),
+    "harmonic": _harmonic_f,
+    "trace-0.3": functools.partial(_power_f, 0.3),
+}
 
 
 def _spectral2(rng, lo, hi):
@@ -58,7 +84,8 @@ def _corpus():
 def _mp_references(A, B):
     # A # B, the Wasserstein mean and A^(-1) # B at 50 digits, from the
     # frame of A and the square roots of A^(-1/2) B A^(-1/2) and
-    # A^(1/2) B A^(1/2).
+    # A^(1/2) B A^(1/2); and A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for
+    # each of PENCILS.
     def mpm(X):
         return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
 
@@ -76,11 +103,20 @@ def _mp_references(A, B):
         Aih = V * mp.diag([1 / mp.sqrt(e) for e in E]) * V.transpose_conj()
         S = spectral(Ah * Bm * Ah, mp.sqrt)
         T = Aih * S * Ah
-        G = Ah * spectral(Aih * Bm * Aih, mp.sqrt) * Ah
+        N = Aih * Bm * Aih
+        G = Ah * spectral(N, mp.sqrt) * Ah
+        half = mp.mpf(0.5)
+        fs = {
+            "m_0.5": lambda x: ((1 + x**half) / 2) ** 2,
+            "m_-0.5": lambda x: ((1 + x**-half) / 2) ** -2,
+            "harmonic": lambda x: 2 * x / (1 + x),
+            "trace-0.3": lambda x: x ** mp.mpf(0.3),
+        }
         return {
             "geometric": array(G),
             "wasserstein": array((Am + Bm + T + T.transpose_conj()) / 4),
             "bw-q": array(Aih * S * Aih),
+            **{name: array(Ah * spectral(N, f) * Ah) for name, f in fs.items()},
         }
 
 
@@ -103,9 +139,32 @@ def test_closed_forms_meet_mpmath_over_the_conditioning_corpus():
         refs = _mp_references(A, B)
         for name, form in FORMS.items():
             scale = EPS if name == "wasserstein" else EPS * kappa
-            worst[name] = max(worst[name], _relative_error(_closed2(form, A, B), refs[name]) / scale)
+            worst[name] = max(worst[name], _relative_error(_closed2(form, A, B)[0], refs[name]) / scale)
     assert worst["wasserstein"] <= 4.0
     assert worst["geometric"] <= 0.1 and worst["bw-q"] <= 0.1
+
+
+@pytest.mark.filterwarnings("error")
+def test_pencil_form_meets_mpmath_over_the_conditioning_corpus():
+    # Measured worst over the 160 pairs: 0.136 eps kappa (m_-0.5 and the
+    # harmonic mean), kappa the larger condition number of the pair, and
+    # 2.52 eps on the graded pairs. On the same corpus the A^(+-1/2) frame
+    # route erred up to 1.1e9 eps kappa (m_-0.5) and 2e10 eps on graded
+    # pairs (the harmonic mean), and raised PositivityError on 16 pairs for
+    # m_+-0.5 and the geodesic.
+    worst = dict.fromkeys(PENCILS, 0.0)
+    graded = dict.fromkeys(PENCILS, 0.0)
+    for i, (A, B) in enumerate(_corpus()):
+        kappa = max(np.linalg.cond(A), np.linalg.cond(B))
+        refs = _mp_references(A, B)
+        outs = _closed2(functools.partial(_pencil2, tuple(PENCILS.values())), A, B)
+        for name, P in zip(PENCILS, outs):
+            err = _relative_error(P, refs[name])
+            worst[name] = max(worst[name], err / (EPS * kappa))
+            if i % 2:
+                graded[name] = max(graded[name], err / EPS)
+    assert max(worst.values()) <= 0.2
+    assert max(graded.values()) <= 4.0
 
 
 def _special_pairs():
@@ -132,37 +191,86 @@ def test_stacked_closed_forms_equal_the_lone_ones_bit_for_bit(name):
     special = _special_pairs()
     A = np.concatenate([A, [a for a, _ in special]])
     B = np.concatenate([B, [b for _, b in special]])
-    stacked = _closed2(form, A, B)
+    (stacked,) = _closed2(form, A, B)
     assert stacked.shape == A.shape
     for a, b, X in zip(A, B, stacked):
-        assert _closed2(form, a, b).tobytes() == X.tobytes()
-    against = _closed2(form, A[0], B[:50])
-    assert against.tobytes() == np.array([_closed2(form, A[0], b) for b in B[:50]]).tobytes()
+        assert _closed2(form, a, b)[0].tobytes() == X.tobytes()
+    (against,) = _closed2(form, A[0], B[:50])
+    assert against.tobytes() == np.array([_closed2(form, A[0], b)[0] for b in B[:50]]).tobytes()
+
+
+# Pencil functions for the bit-for-bit test: the ends p = +-1 and +-P_MIN of
+# the power family, and t = 0 and 1 of the geodesic, besides PENCILS.
+PENCIL_EDGES = {
+    **PENCILS,
+    **{f"m_{p:g}": functools.partial(_power_mean_f, p) for p in (1.0, -1.0, P_MIN, -P_MIN)},
+    "trace-0-1": (functools.partial(_power_f, 0.0), functools.partial(_power_f, 1.0)),
+}
+
+
+def _near_pairs():
+    # B = (1 + delta) A for delta = 1e-1 ... 1e-15, where the roots of the
+    # pencil merge.
+    A = pd_stacks(0, 29, dim=2, k=1, count=15)[0]
+    return [(a, (1.0 + 10.0**-k) * a) for k, a in enumerate(A, start=1)]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(PENCIL_EDGES))
+def test_stacked_pencil_form_equals_the_lone_one_bit_for_bit(name):
+    # 2000 random pairs, the special ones and the merging ones, as two
+    # stacks, and one A against a stack of B; compared byte for byte, the
+    # sign of a zero included.
+    fs = PENCIL_EDGES[name]
+    fs = fs if isinstance(fs, tuple) else (fs,)
+    A, B = pd_stacks(0, 26, dim=2, k=2, count=2000)
+    special = _special_pairs() + _near_pairs()
+    A = np.concatenate([A, [a for a, _ in special]])
+    B = np.concatenate([B, [b for _, b in special]])
+    stacked = _closed2(functools.partial(_pencil2, fs), A, B)
+    for i, (a, b) in enumerate(zip(A, B)):
+        lone = _closed2(functools.partial(_pencil2, fs), a, b)
+        assert [X.tobytes() for X in lone] == [S[i].tobytes() for S in stacked]
+    against = _closed2(functools.partial(_pencil2, fs), A[0], B[:50])
+    for j, X in enumerate(against):
+        assert X.tobytes() == np.array([_closed2(functools.partial(_pencil2, fs), A[0], b)[j] for b in B[:50]]).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("stacked", [False, True])
 def test_prescaling_keeps_the_bits_of_exact_homogeneity(stacked):
-    # Diagonals from 2^500 up are scaled by a power of four first, so the
-    # squares in det A cannot overflow. Scaling by powers of two is exact,
-    # so A # B and the Wasserstein mean of (2^600 A, 2^600 B) are 2^600
-    # times those of (A, B) bit for bit, A # B of (2^600 A, B) is 2^300
-    # times, and Q is homogeneous of degree 0 jointly and -1/2 in A alone.
+    # Diagonals outside [2^-500, 2^500) are scaled by a power of four first,
+    # so det A neither overflows nor underflows. Scaling by powers of two is
+    # exact, so A # B, the Wasserstein mean and the pencil forms of
+    # (c A, c B) are c times those of (A, B) bit for bit, A # B of (c A, B)
+    # is sqrt(c) times, and Q is homogeneous of degree 0 jointly and -1/2
+    # in A alone; for c = 2^600 and c = 2^-540.
     A, B = pd_stacks(0, 27, dim=2, k=2, count=20)
     if not stacked:
         A, B = A[0], B[0]
-    c = 2.0**600
-    assert _closed2(_geometric2, c * A, c * B).tobytes() == (c * _closed2(_geometric2, A, B)).tobytes()
-    assert _closed2(_wasserstein2, c * A, c * B).tobytes() == (c * _closed2(_wasserstein2, A, B)).tobytes()
-    assert _closed2(_geometric2, c * A, B).tobytes() == (2.0**300 * _closed2(_geometric2, A, B)).tobytes()
-    assert _closed2(_bw_q2, c * A, c * B).tobytes() == _closed2(_bw_q2, A, B).tobytes()
-    assert _closed2(_bw_q2, c * A, B).tobytes() == (2.0**-300 * _closed2(_bw_q2, A, B)).tobytes()
+    fs = tuple(PENCILS.values())
+    for c, root in ((2.0**600, 2.0**300), (2.0**-540, 2.0**-270)):
+        for form, X, Y in (
+            (_geometric2, (c * A, c * B), c),
+            (_wasserstein2, (c * A, c * B), c),
+            (_geometric2, (c * A, B), root),
+            (_bw_q2, (c * A, c * B), 1.0),
+            (_bw_q2, (c * A, B), 1.0 / root),
+        ):
+            assert _closed2(form, *X)[0].tobytes() == (Y * _closed2(form, A, B)[0]).tobytes()
+        pencil = functools.partial(_pencil2, fs)
+        for X, Y in zip(_closed2(pencil, c * A, c * B), _closed2(pencil, A, B)):
+            assert X.tobytes() == (c * Y).tobytes()
 
 
 # The certificate's norm squares overflow and are taken again scaled; numpy
 # warns inside the first try.
 @pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
-@pytest.mark.parametrize("kind", [GEOMETRIC, WASSERSTEIN], ids=lambda k: k.label)
+@pytest.mark.parametrize(
+    "kind",
+    [GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5)],
+    ids=lambda k: k.label,
+)
 @pytest.mark.parametrize("scale", [1e160, 1e300])
 def test_means_of_huge_pairs_are_certified(kind, scale):
     # det A would overflow past entries of about 1.3e154; the A^(+-1/2)
@@ -172,6 +280,45 @@ def test_means_of_huge_pairs_are_certified(kind, scale):
     B = PdMatrix.certify(HermitianMatrix(scale * np.array([[2.0, 1.0], [1.0, 3.0]])))
     small = mean(kind, PdMatrix.certify(np.diag([1.0, 2.0])), PdMatrix.certify(np.array([[2.0, 1.0], [1.0, 3.0]])))
     assert np.allclose(mean(kind, A, B).mat / scale, small.mat, rtol=1e-14, atol=0.0)
+
+
+TINY_KINDS = [GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5), GEODESIC_TRACE]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", TINY_KINDS, ids=lambda k: k.label if hasattr(k, "label") else "trace-0.3")
+@pytest.mark.parametrize("scale", [1e-160, 1e-170, 2.0**-540, 1e-300], ids=["1e-160", "1e-170", "2^-540", "1e-300"])
+def test_means_of_tiny_pairs_keep_their_digits(kind, scale):
+    # Below about 1e-154 det A is subnormal and below 1e-162 it is 0, so
+    # without the prescaling these pairs raised PositivityError or lost
+    # digits. Too small to certify, so the routes are called directly,
+    # lone and stacked.
+    def call(A, B):
+        if kind is GEODESIC_TRACE:
+            return _curve_points(kind, A, B, (0.3,))[0]
+        return _mean_arr(kind, A, B)
+
+    A = np.diag([1.0, 2.0]).astype(complex)
+    B = np.array([[2.0, 1.0], [1.0, 3.0]], dtype=complex)
+    unit = call(A, B)
+    assert np.allclose(call(scale * A, scale * B) / scale, unit, rtol=1e-14, atol=0.0)
+    assert np.allclose(call(np.array([scale * A, A]), np.array([scale * B, B]))[0] / scale, unit, rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+@pytest.mark.filterwarnings("error")
+def test_harmonic_mean_of_pairs_far_apart_in_scale():
+    # (The certificate's norm square of B overflows and is taken again
+    # scaled; numpy warns inside the first try.)
+    # The roots mu = 1e306 and 1e305 of these pairs take no power, so the
+    # harmonic form needs no log limit: 2 (A^-1 + B^-1)^-1 is about 2A.
+    I = np.eye(2, dtype=complex)
+    assert np.allclose(_mean_arr(HARMONIC, 1e-153 * I, 1e153 * I), 2e-153 * I, rtol=1e-14, atol=0.0)
+    A = np.diag([1.0, 2.0])
+    B = 1e305 * np.array([[2.0, 1.0], [1.0, 3.0]])
+    H = mean(HARMONIC, PdMatrix.certify(A), PdMatrix.certify(B))
+    assert H.min_eigenvalue > 0.0
+    assert _relative_error(H.mat, 2.0 * np.linalg.inv(np.linalg.inv(A) + np.linalg.inv(B))) < 1e-15
 
 
 # Nearly singular: det rounds to 0 (a rank-one matrix), and below 0 (the
@@ -196,6 +343,55 @@ def test_a_nearly_singular_pair_raises_a_typed_error_never_a_nan(bad, det):
             lambda: _mean_arr(GEOMETRIC, A, B),
             lambda: _mean_arr(WASSERSTEIN, A, B),
             lambda: _curve_points(GEODESIC_BW, A, B, (0.25, 0.5)),
+            lambda: _mean_arr(HARMONIC, A, B),
+            lambda: _mean_arr(kubo_ando_power(0.5), A, B),
+            lambda: _mean_arr(kubo_ando_power(-0.5), A, B),
+            lambda: _curve_points(GEODESIC_TRACE, A, B, (0.25, 0.5)),
         ):
             with pytest.raises(PositivityError, match=message):
                 call()
+
+
+# Pairs whose pencil roots put a power past _POW_LOG_LIMIT = 700, with the
+# power and root _power_guard would name. A = I and B = 1e305 I give
+# mu = 1e305: |-1 log mu| = 702.3 for m_-1, and |1 log mu| for the geodesic
+# at t = 1 (the harmonic mean takes no power there). m_0.5 passes mu^0.5
+# (|p log mu| = 351) but k = (1 + mu^0.5)/2 = 1.58e152 fails its square
+# (|log k / p| = 700.8); m_-0.5 the same at mu = 1e-305, from A = 1e152 I
+# and B = 1e-153 I. Then, for each pencil kind, roots that leave the normal
+# float range, as the roots guard names them: mu = 1e315 overflows
+# (A = 1e-10 I, B = 1e305 I) and mu = 1e-310 is subnormal (A = 1e155 I,
+# B = 1e-155 I).
+I2 = np.eye(2, dtype=complex)
+PENCIL_CALLS = {
+    "harmonic": lambda A, B: _mean_arr(HARMONIC, A, B),
+    "m_0.5": lambda A, B: _mean_arr(kubo_ando_power(0.5), A, B),
+    "m_-0.5": lambda A, B: _mean_arr(kubo_ando_power(-0.5), A, B),
+    "trace": lambda A, B: _curve_points(GEODESIC_TRACE, A, B, (0.0, 0.3)),
+}
+ROOTS = "2x2 pencil form needs roots in the normal float range, got {}"
+OVERFLOWS = [
+    (lambda A, B: _mean_arr(kubo_ando_power(-1.0), A, B), I2, 1e305 * I2, "power -1.0 overflows at eigenvalue 1.000e+305"),
+    (lambda A, B: _curve_points(GEODESIC_TRACE, A, B, (0.5, 1.0)), I2, 1e305 * I2, "power 1.0 overflows at eigenvalue 1.000e+305"),
+    (lambda A, B: _mean_arr(kubo_ando_power(0.5), A, B), I2, 1e305 * I2, "power 2.0 overflows at eigenvalue 1.581e+152"),
+    (lambda A, B: _mean_arr(kubo_ando_power(-0.5), A, B), 1e152 * I2, 1e-153 * I2, "power -2.0 overflows at eigenvalue 1.581e+152"),
+    *((call, 1e-10 * I2, 1e305 * I2, ROOTS.format("inf and inf")) for call in PENCIL_CALLS.values()),
+    *((call, 1e155 * I2, 1e-155 * I2, ROOTS.format("1.000e-310 and 1.000e-310")) for call in PENCIL_CALLS.values()),
+]
+OVERFLOW_IDS = ["m_-1", "trace-t1", "m_0.5-k", "m_-0.5-k"]
+OVERFLOW_IDS += [f"{name}-{where}" for where in ("mu-overflow", "mu-subnormal") for name in PENCIL_CALLS]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("call, A, B, message", OVERFLOWS, ids=OVERFLOW_IDS)
+def test_a_power_or_root_out_of_range_raises_domain_error_never_a_nan(call, A, B, message):
+    # Lone, as the middle pair of a stack, and with A against a stack of B:
+    # DomainError in _power_guard's or the roots guard's words, with no
+    # numpy warning.
+    pattern = f"^{re.escape(message)}$"
+    with pytest.raises(DomainError, match=pattern):
+        call(A, B)
+    for As, Bs in ((np.array([2.0 * A, A, 3.0 * A]), np.array([2.0 * A, B, 3.0 * A])), (A, np.array([2.0 * A, B, B]))):
+        with pytest.raises(DomainError, match=pattern):
+            call(As, Bs)
+

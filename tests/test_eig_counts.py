@@ -10,9 +10,11 @@ kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify,
 except within a stack at n >= 3: its certificates are proven by a Cholesky
 factorization, with no eigendecomposition unless the proof fails. At
-n = 2 the geometric and Wasserstein means and the Bures-Wasserstein
-geodesic's Q take closed forms with no eigendecomposition at all; each pin
-below that names a count on the frame route subtracts what they save.
+n = 2 the geometric and Wasserstein means, the Bures-Wasserstein
+geodesic's Q, and by the pencil form the harmonic mean, m_p and the
+trace-metric geodesic take closed forms with no eigendecomposition at all;
+each pin below that names a count on the frame route subtracts what they
+save.
 """
 
 import json
@@ -99,9 +101,9 @@ MEAN_COUNTS = [
     (WASSERSTEIN, 4),
 ]
 # The means that take a closed form at n = 2, where only the certificate
-# remains: 3 -> 1 and 4 -> 1. The harmonic and spectral geometric means
-# keep their routes.
-CLOSED_AT_DIM_2 = (GEOMETRIC, WASSERSTEIN)
+# remains: 3 -> 1 and 4 -> 1. The conventional power and spectral
+# geometric means keep their routes.
+CLOSED_AT_DIM_2 = (GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5))
 
 
 def _per_mean(kind, expected, dim):
@@ -137,7 +139,9 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
         # A^(-1), then Q = A^(-1) # B (a frame and a square root), one
         # certified point; at n = 2, Q's closed form leaves the point alone.
         (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1 if dim == 2 else 4),
-        (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 3),
+        # A's frame and N^t, one certified point; at n = 2 the pencil
+        # form leaves the point alone.
+        (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 1 if dim == 2 else 3),
         # d_bw(A, B), Q once (none at n = 2), five certified points, four
         # interval distances; at n >= 3 the five points, one stack, are
         # proven without an eig.
@@ -170,8 +174,9 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
 # A^(-1) for the harmonic mean (1, then B^(-1) and the inverse of the sum).
 # Taking A's side once per partner would cost 250 for each kind. At n >= 3
 # the partners and the means are stacks, so their 100 certificates are
-# proven without an eigendecomposition. At n = 2 the Wasserstein mean's
-# closed form drops A's side and the square roots (52), leaving 100.
+# proven without an eigendecomposition. At n = 2 each kind's closed form
+# drops A's side and the rest of the mean's own (52 for the Wasserstein
+# mean, 101 for m_0.5 and the harmonic mean), leaving 100.
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "kind, expected",
@@ -182,15 +187,13 @@ def test_eigendecompositions_per_probe(kind, expected, dim, eig_calls):
     A, _ = _pair(dim)
     eig_calls.clear()
     probe_report(A, kind, samples=50)
-    if dim == 2:
-        assert eig_calls == [dim] * (expected - (52 if kind in CLOSED_AT_DIM_2 else 0))
-    else:
-        assert eig_calls == [dim] * (expected - 100)
+    assert eig_calls == [dim] * (100 if dim == 2 else expected - 100)
 
 
 # Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and
-# 0, and the m_p hypothesis commutator (4); p < 0 adds B^(-1) and B^(p+1).
-# The harmonic chain: A^(-1), B^(-1) and the inverse of their sum.
+# 0, and the m_p hypothesis commutator (4, of which the pencil form leaves
+# the certificate at n = 2); p < 0 adds B^(-1) and B^(p+1). The harmonic
+# chain: A^(-1), B^(-1) and the inverse of their sum.
 CHAIN_COUNTS = [
     pytest.param(remark1_identity_chain, (), 2, id="remark1"),
     pytest.param(remark2_identity_chain, (0.5,), 9, id="remark2-p0.5"),
@@ -205,7 +208,8 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
     A, B = _pair(dim)
     eig_calls.clear()
     chain(A, B, *args)
-    assert eig_calls == [dim] * expected
+    saved = 3 if dim == 2 and chain is remark2_identity_chain and args != (-1.0,) else 0
+    assert eig_calls == [dim] * (expected - saved)
 
 
 # Criterion 6 draws its 100 pairs once for all three kinds, and criterion 8
@@ -219,12 +223,17 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
 # with A's side taken per partner, 3057 in all); the chains and the redraws
 # of its non-scalar matrices cost the rest. Those are the counts on the
 # frame route. Every one of these criteria works at n = 2, where the closed
-# forms save 3 per Wasserstein or Bures-Wasserstein Q and 2 per geometric
-# mean: criterion 6's 100 Wasserstein means (300), criterion 8's 200 (600),
-# criterion 9's six Wasserstein probes (52 each, 312), and criterion 10's
-# 20 midpoint pairs (a geometric mean, a Q and a Wasserstein mean each,
-# 160) and 50 accrual pairs (a Q each, 150).
-CLOSED_FORM_SAVINGS = {criterion_6: 300, criterion_8: 600, criterion_9: 312, criterion_10: 310}
+# forms save 3 per Wasserstein mean, Bures-Wasserstein Q or m_p, 2 per
+# geometric mean and 2 per pair of the trace-metric curve:
+# - criterion 6: 100 Wasserstein means and 200 of m_+-0.5, and one lone
+#   m_0.5 (903);
+# - criterion 8: 200 Wasserstein means and 200 of m_p (1200);
+# - criterion 9: six Wasserstein probes (52 each), six m_0.5 probes (101
+#   each) and three m_p in the chains (927);
+# - criterion 10: 20 midpoint pairs (a geometric mean, a Q, a Wasserstein
+#   mean and a trace-metric curve each, 200) and 50 accrual pairs (a Q
+#   each, 150).
+CLOSED_FORM_SAVINGS = {criterion_6: 903, criterion_8: 1200, criterion_9: 927, criterion_10: 350}
 
 
 @pytest.mark.parametrize(
@@ -246,6 +255,16 @@ def test_eigendecompositions_per_axiom_battery(eig_calls):
     # Normalization adds one mean (1). Evaluating per stack must not add or
     # drop any.
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=2)
+    assert eig_calls == [2] * (8 * 23 + 1)
+
+
+@pytest.mark.parametrize(
+    "kind", [HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5)], ids=lambda k: k.label
+)
+def test_eigendecompositions_per_axiom_battery_of_the_pencil_kinds(kind, eig_calls):
+    # The harmonic mean and m_p take the pencil form at n = 2, so their
+    # battery costs what the geometric mean's does.
+    check_kubo_ando_axioms(kind, samples=8, dim=2)
     assert eig_calls == [2] * (8 * 23 + 1)
 
 
