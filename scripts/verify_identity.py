@@ -32,9 +32,12 @@ as checks. The exit status is 0 when every run matches and 1 on any
 difference; the temporary directory is removed either way.
 
 Last, the script prints the number of source lines, as
-``cat src/meanlab/*.py | wc -l`` counts them, at REF and here. A refactor
-should lower it; the count is only reported and never changes the exit
-status, since a change that moves bits on purpose may add lines.
+``cat src/meanlab/*.py | wc -l`` counts them, at REF and here, and after it
+the count at REF and here of each module whose count changed (0 on the side
+a module is missing from), so that a deletion can be listed with its lines.
+A refactor should lower the total; the counts are only reported and never
+change the exit status, since a change that moves bits on purpose may add
+lines.
 """
 
 from __future__ import annotations
@@ -173,9 +176,24 @@ def run_cli(src: Path, runs: list[list[str]], folder: Path) -> list[tuple[int, s
     return [(code, mask(out), mask(err)) for code, out, err in json.loads(proc.stdout)]
 
 
+def module_lines(src: Path) -> dict[str, int]:
+    """Newlines in each of the package's modules, by file name, as ``wc -l`` counts them."""
+    return {path.name: path.read_bytes().count(b"\n") for path in (src / "meanlab").glob("*.py")}
+
+
 def source_lines(src: Path) -> int:
     """Newlines in the package's modules, as ``cat src/meanlab/*.py | wc -l`` counts them."""
-    return sum(path.read_bytes().count(b"\n") for path in (src / "meanlab").glob("*.py"))
+    return sum(module_lines(src).values())
+
+
+def line_changes(before: dict[str, int], after: dict[str, int], ref: str) -> list[str]:
+    """One line per module whose count differs between ``before`` (at ``ref``) and ``after``, by name."""
+    lines = []
+    for name in sorted(before.keys() | after.keys()):
+        old, new = before.get(name, 0), after.get(name, 0)
+        if name not in before or name not in after or old != new:
+            lines.append(f"source lines, {name}: {old} at {ref}, {new} here ({new - old:+d})")
+    return lines
 
 
 def scaled_change(old: float, new: float, scale: float) -> float:
@@ -330,8 +348,11 @@ def main(argv: list[str]) -> int:
             if "--json" in argv:
                 for line in json_summary(old[1], new[1]):
                     print(line)
-        before, after = source_lines(Path(tmp) / "src"), source_lines(ROOT / "src")
-        print(f"source lines: {before} at {ref}, {after} here ({after - before:+d})")
+        before, after = module_lines(Path(tmp) / "src"), module_lines(ROOT / "src")
+        old, new = sum(before.values()), sum(after.values())
+        print(f"source lines: {old} at {ref}, {new} here ({new - old:+d})")
+        for line in line_changes(before, after, ref):
+            print(line)
     return 0 if same else 1
 
 

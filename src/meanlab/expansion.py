@@ -163,7 +163,8 @@ def _fit_stacks(g: EpsFamily, stacks, hermitian: bool = True) -> list:
     # its values over g, (npoints, r, c) stacks of one shape, in one solve.
     if hermitian:
         try:
-            _check_hermitian(np.array(stacks))
+            with np.errstate(invalid="ignore"):  # a non-finite family fails here, not in a numpy warning
+                _check_hermitian(np.array(stacks))
         except ValueError as exc:
             raise DomainError(f"family is not Hermitian on the grid ({exc}); use the general fit") from exc
     coeffs, resid2 = _fit(g, np.stack([S.reshape(len(S), -1) for S in stacks], axis=1))

@@ -23,13 +23,17 @@ Every kernel has a values-only mode, reached through ``_eig_values``, for
 the callers that need no vectors: certification, the Loewner order and the
 congruence invertibility check. The closed forms then form only m -+ r
 (keeping the b = 0 sort) and the Jacobi kernels rotate A alone, so the
-eigenvalues are the bits ``_eig_array`` returns. Every 2x2 power, of a lone
-matrix or of a stack, takes that mode too and forms no eigenvectors: it is
-built from the eigenvalues and the closed form's pieces by the interpolation
-form f(A) = f(lambda_1) I + f[lambda_1, lambda_2] (A - lambda_1 I)
-(``_power2``). Only ``eig``, ``func_calc`` and the ``--via-function`` route
-(``_spectral_values``), and ``sampling``'s invertible Hermitian draws, still
-form 2x2 vectors, so the spectral route stays an independent cross-check.
+eigenvalues are the bits ``_eig_array`` returns. Every 2x2 power takes that
+mode too and forms no eigenvectors: it is built from the eigenvalues and the
+closed form's pieces by the interpolation form f(A) = f(lambda_1) I +
+f[lambda_1, lambda_2] (A - lambda_1 I) (``_power2``). Like each closed-form
+mean of ``means``, it is one body, run on Python floats for a lone matrix
+and on arrays for a stack with the routines of ``_LONE`` or ``_STACK``,
+whose assembler builds every 2x2 result from its parts; so a stack gives
+each matrix the bits it gets alone. Only ``eig``, ``func_calc`` and the
+``--via-function`` route (``_spectral_values``), and ``sampling``'s
+invertible Hermitian draws, still form 2x2 vectors, so the spectral route
+stays an independent cross-check.
 
 Four checks are decided here and nowhere else, each by one function for a
 matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
@@ -57,7 +61,9 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
+from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -284,27 +290,25 @@ def _eig2_closed(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     a, d = a.real, d.real
     if b == 0.0:
         V = np.eye(2, dtype=np.complex128)
-        if a <= d:
-            return np.array([a, d]), V
-        return np.array([d, a]), V[:, ::-1].copy()
+        return (np.array([a, d]), V) if a <= d else (np.array([d, a]), V[:, ::-1].copy())
     lo, hi, w00, w10, w01, w11 = _rotation(a, d, b)
     return np.array([lo, hi]), np.array([[w00, w01], [w10, w11]], dtype=np.complex128)
 
 
 def _eig2_values(arr: np.ndarray):
-    # _eig2_closed's eigenvalues alone, by its arithmetic, with the pieces
-    # _power2 builds a power from: the sorted diagonal and None when b = 0,
-    # else m -+ r as _rotation forms them and (b, h, m, |b|, r). A separate
-    # name, since perfbench/tracing.py wraps _eig2_closed as a one-argument
-    # function.
+    # _eig2_closed's eigenvalues alone, m -+ r as _rotation forms them, with
+    # the pieces _power2 builds a power from: (b, h, m, |b|, r, b = 0, a > d),
+    # b = 0 taking the sorted diagonal and the stand-in b = 1, as a row of
+    # _eig2_stack does. A separate name, since perfbench/tracing.py wraps
+    # _eig2_closed as a one-argument function.
     (a, b), (_, d) = arr.tolist()
     a, d = a.real, d.real
-    if b == 0.0:
-        return np.array([a, d] if a <= d else [d, a]), None
     h, m = (a - d) / 2.0, (a + d) / 2.0
+    if b == 0.0:
+        return np.array([a, d] if a <= d else [d, a]), (1.0, h, m, 1.0, abs(complex(h, 1.0)), True, a > d)
     babs = abs(b)
     r = abs(complex(h, babs))
-    return np.array([m - r, m + r]), (b, h, m, babs, r)
+    return np.array([m - r, m + r]), (b, h, m, babs, r, False, False)
 
 
 def _rotation(a: float, d: float, b: complex):
@@ -546,18 +550,15 @@ def _eig2_stack(arr: np.ndarray, vectors: bool = True):
     # (no rotation, a swap when a > d) apart. Rows with b = 0 rotate a
     # stand-in b = 1 that is then dropped. Without ``vectors`` only m -+ r
     # is formed, as _rotation_stack forms it, with the same b = 0 sort, and
-    # the eigenvalues come with the pieces _power2_stack builds a power
-    # from: b, h, m, |b| and r (the last two of the stand-in where b = 0)
-    # and the mask of those rows.
+    # the eigenvalues come with _eig2_values' pieces, one array each.
     a, d = arr[:, 0, 0].real, arr[:, 1, 1].real
-    b = arr[:, 0, 1]
-    still = b == 0.0
-    re = np.where(still, 1.0, b.real)
+    still = arr[:, 0, 1] == 0.0
+    b = np.where(still, 1.0, arr[:, 0, 1])
     if vectors:
-        lo, hi, W = _rotation_stack(a, d, re, b.imag)
+        lo, hi, W = _rotation_stack(a, d, b.real, b.imag)
     else:
         h, m = (a - d) / 2.0, (a + d) / 2.0
-        babs = np.hypot(re, b.imag)
+        babs = np.hypot(b.real, b.imag)
         r = np.hypot(h, babs)
         lo, hi = m - r, m + r
     w = np.empty((len(arr), 2))
@@ -566,7 +567,7 @@ def _eig2_stack(arr: np.ndarray, vectors: bool = True):
     if still.any():
         w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
     if not vectors:
-        return w, (b, h, m, babs, r, still)
+        return w, (b, h, m, babs, r, still, swap)
     V = np.empty(arr.shape, dtype=np.complex128)
     # W's parts, column by column, as V[:, i, j] = (real, imaginary).
     V.view(np.float64).reshape(-1, 2, 2, 2)[:] = W.reshape(2, 2, 2, -1).transpose(3, 1, 0, 2)
@@ -679,18 +680,20 @@ def _power_guard(lo, hi, ps, certify: bool) -> None:
     # their order: PositivityError for a lambda_min <= 0 under a fractional,
     # negative or certified power, DomainError where |p log lambda| at a
     # positive end would overflow. The first lambda_min <= 0 and the largest
-    # |log lambda| (for positive finite stacks, at the smallest lo or the
-    # largest hi, by math.log as for one matrix) are taken once, so each p
+    # |log lambda| (for positive finite spectra, at the smallest lo or the
+    # largest hi, by math.log) are taken once, so each p
     # costs one product; rounding is monotone, so that decides as each
     # |p log lambda| would, and only a failure searches the ends, in order.
-    if not isinstance(lo, np.ndarray):
+    lone = not isinstance(lo, np.ndarray)
+    bottom, top = (lo, hi) if lone else (float(lo.min()), float(hi.max())) if lo.size else (0.0, 0.0)
+    if bottom > 0.0 and top < math.inf:
+        low, ends, logs = None, None, None
+        reach = max(abs(math.log(bottom)), abs(math.log(top)))
+    elif lone:
         low = lo if lo <= 0.0 else None
         ends = [lam for lam in (lo, hi) if lam > 0.0]
         logs = [math.log(lam) for lam in ends]
         reach = max(map(abs, logs), default=0.0)
-    elif lo.size and (bottom := float(lo.min())) > 0.0 and (top := float(hi.max())) < math.inf:
-        low, ends, logs = None, None, None
-        reach = max(abs(math.log(bottom)), abs(math.log(top)))
     else:
         lows = lo <= 0.0
         low = lo[lows][0] if lows.any() else None
@@ -719,127 +722,128 @@ def _power_guard(lo, hi, ps, certify: bool) -> None:
 #   difference plain while lambda_1 < lambda_2 / 2, where it cannot cancel
 #   badly, and otherwise without cancellation as
 #   2 sqrt(f_1) sqrt(f_2) sinh(p atanh(r / m)) (Higham & Lin, SIAM J.
-#   Matrix Anal. Appl. 32, 2011): _power_difference, which means' pencil
-#   form shares.
+#   Matrix Anal. Appl. 32, 2011): ``difference``, shared by _end_powers.
 # - h, |b|, r and b are first scaled by the power of two that takes r into
 #   [1/2, 1). That is exact, so the bits do not move, but f_i (r -+ h) can
 #   no longer overflow where the result does not (1e100 I at p = 2 did).
-# - b = 0 gives diag(a**p, d**p) exactly.
-# _power2 (a lone matrix, on Python scalars) and _power2_stack (as arrays)
-# take everything that does not depend on p once, and return the function
-# that maps f = w**p and p to the power. Both write every sum in one order
-# and take each transcendental through the same numpy ufunc, so they agree
-# bit for bit.
+# - b = 0 gives diag(a**p, d**p) exactly: outright for a lone matrix, and
+#   in a stack by the weights (1, 0) and (0, 1) in its diagonal's order over
+#   2r = 1, with a zero off the diagonal.
+# _power2 takes everything that does not depend on p once, and returns the
+# function that maps f = w**p and p to the power.
 
 
-def _power_difference(f_lo: float, f_hi: float, p: float, near: bool, ath: float) -> float:
-    # f_hi - f_lo for f = lambda ** p at a 2x2 spectrum's ends lo <= hi by
-    # that rule; near is lo >= hi / 2 and ath = atanh((hi - lo) / (hi + lo)).
-    if near:
-        return 2.0 * math.sqrt(f_lo) * math.sqrt(f_hi) * float(np.sinh(p * ath))
-    return f_hi - f_lo
+def _scaled_lone(h: float, babs: float, r: float, b: complex):
+    # h, |b|, r, Re b and Im b times the power of two that takes r into [1/2, 1).
+    e = -math.frexp(r)[1]
+    return math.ldexp(h, e), math.ldexp(babs, e), math.ldexp(r, e), math.ldexp(b.real, e), math.ldexp(b.imag, e)
 
 
 def _power_difference_stack(f_lo, f_hi, p: float, near, ath):
-    # _power_difference for each matrix of a stack, ath given where near is
-    # set (None where it is set nowhere), so the sinh runs only there.
+    # The difference for each matrix of a stack, the sinh only where near is set.
     d = f_hi - f_lo
     if ath is not None:
         d[near] = 2.0 * np.sqrt(f_lo[near]) * np.sqrt(f_hi[near]) * np.sinh(p * ath)
     return d
 
 
-def _power2(arr: np.ndarray, w: np.ndarray, pieces):
-    # The form for one 2x2 matrix, from _eig2_values' eigenvalues w and pieces.
-    lo, hi = w.tolist()
-    if pieces is None:
-        swap = arr[0, 0].real > arr[1, 1].real
+def _matrix_lone(p: float, q: float, re: float, im: float, im_low: float) -> np.ndarray:
+    # [[p, re + i im], [re + i im_low, q]]; im_low is -im, or 0.0 in a diagonal.
+    return np.array([p, complex(re, im), complex(re, im_low), q]).reshape(2, 2)
 
-        def diagonal(f: np.ndarray, p: float) -> np.ndarray:
-            f1, f2 = f.tolist()
-            return np.array([[f2, 0.0], [0.0, f1]] if swap else [[f1, 0.0], [0.0, f2]], dtype=np.complex128)
 
-        return diagonal
-    b, h, m, babs, r = pieces
-    e = -math.frexp(r)[1]
-    hs, bs, rs = math.ldexp(h, e), math.ldexp(babs, e), math.ldexp(r, e)
-    bre, bim = math.ldexp(b.real, e), math.ldexp(b.imag, e)
+def _matrix_stack(p, q, re, im, im_low) -> np.ndarray:
+    # _matrix_lone for parts that broadcast, as a stack of their shape.
+    shape = np.broadcast(p, q, re, im, im_low).shape
+    M = np.zeros(shape + (8,))
+    M[..., 0], M[..., 2], M[..., 3], M[..., 4], M[..., 5], M[..., 6] = p, re, im, re, im_low, q
+    return M.view(np.complex128).reshape(shape + (2, 2))
+
+
+# The routines a 2x2 body calls, per route: ``columns`` unpacks the columns
+# of an (N, 2) stack, or the two floats of a lone 1-D array; ``order`` gives
+# (x, y) where c holds, else (y, x); ``difference`` is f_hi - f_lo for
+# f = lambda ** p at a spectrum's ends lo <= hi by that rule, with near
+# lo >= hi / 2 and ath from ``atanh``, atanh((hi - lo) / (hi + lo)) where
+# near is set (None for a stack where it is set nowhere); ``matrix`` is the
+# assembler. The lone table takes builtins where one serves: a lone power is
+# on the hot path.
+_LONE = SimpleNamespace(
+    columns=np.ndarray.tolist, order=lambda c, x, y: (x, y) if c else (y, x), ldexp=math.ldexp, scaled=_scaled_lone,
+    atanh=lambda z, near: float(np.arctanh(z)) if near else 0.0, matrix=_matrix_lone,
+    difference=lambda fl, fh, p, near, a: 2.0 * math.sqrt(fl) * math.sqrt(fh) * float(np.sinh(p * a)) if near else fh - fl,
+)
+_STACK = SimpleNamespace(
+    columns=operator.attrgetter("T"), order=lambda c, x, y: (np.where(c, x, y), np.where(c, y, x)), ldexp=np.ldexp,
+    scaled=lambda h, babs, r, b: np.ldexp(np.array((h, babs, r, b.real, b.imag)), -np.frexp(r)[1]),
+    atanh=lambda z, near: np.arctanh(z[near]) if near.any() else None, difference=_power_difference_stack,
+    matrix=_matrix_stack,
+)
+
+
+def _power2(w, pieces, ops):
+    # The form for one 2x2 matrix or each matrix of a stack, from the
+    # values-only eigenvalues w and pieces of _eig2_values or _eig2_stack. A
+    # lone b = 0 matrix takes its diagonal outright; any other lone one
+    # carries still = False.
+    b, h, m, babs, r, still, swap = pieces
+    if still is True:
+        return lambda f, p: ops.matrix(*ops.columns(f)[::-1 if swap else 1], 0.0, 0.0, 0.0)
+    stills = still is not False and still.any()
+    lo, hi = ops.columns(w)
+    hs, bs, rs, bre, bim = ops.scaled(h, babs, r, b)
     g = rs + abs(hs)
-    t = bs * (bs / g)
-    x, y = (t, g) if h > 0.0 else (g, t)
+    x, y = ops.order(h > 0.0, bs * (bs / g), g)
     r2 = 2.0 * rs
     near = lo >= hi / 2.0
-    ath = float(np.arctanh(r / m)) if near else 0.0
-
-    def power(f: np.ndarray, p: float) -> np.ndarray:
-        f1, f2 = f.tolist()
-        q = _power_difference(f1, f2, p, near, ath) / r2
-        u = complex(q * bre, q * bim)
-        return np.array([[(f1 * x + f2 * y) / r2, u], [u.conjugate(), (f1 * y + f2 * x) / r2]], dtype=np.complex128)
-
-    return power
-
-
-def _power2_stack(arr: np.ndarray, w: np.ndarray, pieces):
-    # _power2 over a stack, from _eig2_stack's values-only eigenvalues and
-    # pieces, with one row per quantity and one column per matrix.
-    # XY[i, j] holds the weight of f_j in the numerator of P_ii. A matrix
-    # with b = 0 carries the stand-in b = 1 from _eig2_stack and takes the
-    # weights (1, 0) and (0, 1), in its diagonal's order, over 2r = 1, which
-    # give a**p and d**p exactly, and a zero off the diagonal. The atanh
-    # branch is taken only on the matrices that use it.
-    b, h, m, babs, r, still = pieces
-    lo, hi = w.T
-    hs, bs, rs, bre, bim = np.ldexp(np.array((h, babs, r, b.real, b.imag)), -np.frexp(r)[1])
-    g = rs + np.abs(hs)
-    tg = np.array((bs * (bs / g), g))
-    r2 = 2.0 * rs
-    xy = np.where(h > 0.0, tg, tg[::-1])
-    stills = still.any()
     if stills:
-        swap = arr[still, 0, 0].real > arr[still, 1, 1].real
-        xy[:, still] = (~swap, swap)
+        x[still], y[still] = ~swap[still], swap[still]
         r2[still] = 1.0
-    XY = np.array((xy, xy[::-1]))
-    near = (lo >= hi / 2.0) & ~still
-    ath = np.arctanh(r[near] / m[near]) if near.any() else None
+        near &= ~still
+    ath = ops.atanh(r / m, near)
 
     def power(f: np.ndarray, p: float) -> np.ndarray:
-        fT = f.T
-        q = _power_difference_stack(fT[0], fT[1], p, near, ath) / r2
+        f1, f2 = ops.columns(f)
+        q = ops.difference(f1, f2, p, near, ath) / r2
         u, v = q * bre, q * bim
-        C = fT * XY
-        d0, d1 = (C[:, 0] + C[:, 1]) / r2
-        zero = np.zeros(q.shape)
-        parts = np.array((d0, zero, u, v, u, -v, d1, zero))
+        v_low = -v
         if stills:
-            parts[2:6, still] = 0.0
-        return np.ascontiguousarray(parts.T).view(np.complex128).reshape(arr.shape)
+            u[still] = v[still] = v_low[still] = 0.0
+        return ops.matrix((f1 * x + f2 * y) / r2, (f1 * y + f2 * x) / r2, u, v, v_low)
 
     return power
+
+
+def _end_powers(lo, hi, z, e: float, ops):
+    # lo ** e, hi ** e for the ends lo <= hi of a 2x2 spectrum, or of each
+    # of a stack, guarded as _pow_arr guards them, and their difference by
+    # _power2's rule, z = (hi - lo) / (hi + lo).
+    _power_guard(lo, hi, (e,), False)
+    f_lo, f_hi = ops.columns(np.power((lo, hi), e).T)
+    return f_lo, f_hi, ops.difference(f_lo, f_hi, e, near := lo >= hi / 2.0, ops.atanh(z, near))
 
 
 def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
     # Powers arr**p, one per p, from a single eigendecomposition of Hermitian
     # data assumed positive definite: one matrix, or each matrix of a stack.
     # At n = 2 that is the values-only closed form and each power is built
-    # from the eigenvalues alone (_power2, _power2_stack); larger matrices
-    # form V diag(lambda ** p) V*. Fractional and negative powers raise when
-    # a spectrum computed here says otherwise; with ``certify`` every power
+    # from the eigenvalues alone (_power2); larger matrices form
+    # V diag(lambda ** p) V*. Fractional and negative powers raise when a
+    # spectrum computed here says otherwise; with ``certify`` every power
     # does, and each result is paired with its exact certificate
-    # min(lambda_i ** p), one per matrix. One p gives one result, several
-    # give a tuple.
+    # min(lambda_i ** p), one per matrix. One p gives one result, several a tuple.
     if arr.shape[-1] == 2:
         lone = arr.ndim == 2
         w, pieces = _eig2_values(arr) if lone else _eig2_stack(arr, False)
-        power = (_power2 if lone else _power2_stack)(arr, w, pieces)
+        power = _power2(w, pieces, _LONE if lone else _STACK)
     else:
         w, V = _eig_array(arr)
 
         def power(f: np.ndarray, p: float) -> np.ndarray:
             return _apply_spectral(f, V)
 
-    _power_guard(*((float(w[0]), float(w[-1])) if w.ndim == 1 else (w[:, 0], w[:, -1])), ps, certify)
+    ends = w.tolist() if w.ndim == 1 else w.T
+    _power_guard(ends[0], ends[-1], ps, certify)
     out = []
     for p in ps:
         vals = np.power(w, p)

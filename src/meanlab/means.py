@@ -13,7 +13,8 @@ spectral geometric mean and the Wasserstein mean
 
     A sigma_W B = (A + B + A Q + Q A)/4,    Q = A^(-1) # B.
 
-At n = 2 six routes take closed forms with no eigendecomposition. With
+At n = 2 six routes take closed forms with no eigendecomposition, each one
+body for a lone pair and for stacks on matcore's 2x2 layer. With
 a = sqrt(det A), b = sqrt(det B) and s = ab:
 
     A # B = sqrt(ab) S / sqrt(det S),              S = A/a + B/b,
@@ -45,6 +46,7 @@ from typing import Callable
 
 import numpy as np
 
+from . import matcore
 from .errors import DimMismatch, DomainError, NotKuboAndo, PositivityError
 from .matcore import (
     HermitianMatrix,
@@ -55,12 +57,10 @@ from .matcore import (
     _check_certificates,
     _check_operands,
     _congruences,
+    _end_powers,
     _norms,
     _order_violation,
     _pow_arr,
-    _power_difference,
-    _power_difference_stack,
-    _power_guard,
     _rel_gap,
     _spectral_values,
     _sym,
@@ -214,12 +214,13 @@ def _transport_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     return Aih @ S @ Ah
 
 
-# The 2x2 closed forms. A Hermitian [[p, z], [conj z, q]] enters as its
-# parts (p, q, Re z, Im z): Python floats for a lone pair, arrays that
-# broadcast for stacks (one A against a stack of B included). One body
-# serves both, with the routines of _LONE or _STACK passed in; every sum is
-# written in one order and every square root is correctly rounded in both
-# (math.sqrt, np.sqrt), so a stack gives each pair the bits it gets alone.
+# The 2x2 closed forms, on matcore's 2x2 layer: a Hermitian [[p, z],
+# [conj z, q]] enters as its parts (p, q, Re z, Im z), Python floats for a
+# lone pair and arrays that broadcast for stacks (one A against a stack of B
+# included), and one body per form runs on either with the routines of
+# _LONE or _STACK, matcore's tables plus the closed forms' own below. Every
+# sum is written in one order and every square root is correctly rounded in
+# both, so a stack gives each pair the bits it gets alone.
 # A matrix whose larger diagonal entry lies outside [2^-500, 2^500) is first
 # scaled by the power of four that takes it into [1/2, 2), and the result
 # scaled back by the matching power of two. That is exact, so the bits are
@@ -293,32 +294,14 @@ def _nodes_stack(q, shift, m):
     return q, mu1, mu2
 
 
-def _power_lone(lo: float, hi: float, z: float, e: float):
-    # lo ** e, hi ** e (guarded as _pow_arr guards them) and their
-    # difference by matcore's 2x2 rule, z = (hi - lo)/(hi + lo).
-    _power_guard(lo, hi, (e,), False)
-    f_lo, f_hi = np.power((lo, hi), e).tolist()
-    near = lo >= hi / 2.0
-    return f_lo, f_hi, _power_difference(f_lo, f_hi, e, near, float(np.arctanh(z)) if near else 0.0)
-
-
-def _power_stack(lo, hi, z, e: float):
-    # _power_lone for every pair.
-    _power_guard(lo, hi, (e,), False)
-    f_lo, f_hi = np.power(lo, e), np.power(hi, e)
-    near = lo >= hi / 2.0
-    return f_lo, f_hi, _power_difference_stack(f_lo, f_hi, e, near, np.arctanh(z[near]) if near.any() else None)
-
-
-# The routines one closed-form body calls, per route; quotient is d / gap,
-# or the derivative where gap is 0.
+# root0 clamps below 0; quotient is d / gap, or the derivative where gap is 0.
 _LONE = SimpleNamespace(
-    root=_root_lone, ldexp=math.ldexp, half_exponent=_half_exponent_lone, root0=lambda d: math.sqrt(max(d, 0.0)),
-    nodes=_nodes_lone, power=_power_lone, quotient=lambda d, gap, derivative: d / gap if gap else derivative,
+    **vars(matcore._LONE), root=_root_lone, root0=lambda d: math.sqrt(max(d, 0.0)), half_exponent=_half_exponent_lone,
+    nodes=_nodes_lone, quotient=lambda d, gap, derivative: d / gap if gap else derivative,
 )
 _STACK = SimpleNamespace(
-    root=_root_stack, ldexp=np.ldexp, half_exponent=_half_exponent_stack, root0=lambda d: np.sqrt(np.maximum(d, 0.0)),
-    nodes=_nodes_stack, power=_power_stack,
+    **vars(matcore._STACK), root=_root_stack, root0=lambda d: np.sqrt(np.maximum(d, 0.0)),
+    half_exponent=_half_exponent_stack, nodes=_nodes_stack,
     quotient=lambda d, gap, derivative: np.divide(d, gap, out=derivative, where=gap != 0.0),
 )
 
@@ -326,12 +309,8 @@ _STACK = SimpleNamespace(
 def _normalized2(x, ops):
     # The parts of 4^-k X, the root of its determinant, and k (0 unscaled).
     k = ops.half_exponent(x[0], x[1])
-    if k is None:
-        p, q, re, im = x
-        k = 0
-    else:
-        p, q, re, im = (ops.ldexp(v, -2 * k) for v in x)
-    return (p, q, re, im), ops.root(p * q - (re * re + im * im)), k
+    p, q, re, im = x if k is None else [ops.ldexp(v, -2 * k) for v in x]
+    return (p, q, re, im), ops.root(p * q - (re * re + im * im)), 0 if k is None else k
 
 
 def _geometric2(x, y, ops, inverse=False):
@@ -386,7 +365,7 @@ def _pencil2(fs, x, y, ops):
 
 def _power_f(t, mu1, mu2, gap, z, ops):
     # f(x) = x ** t: the trace-metric geodesic at t.
-    f1, _, d = ops.power(mu1, mu2, z, t)
+    f1, _, d = _end_powers(mu1, mu2, z, t, ops)
     return f1, ops.quotient(d, gap, t * (f1 / mu1))
 
 
@@ -395,10 +374,10 @@ def _power_mean_f(p, mu1, mu2, gap, z, ops):
     # difference by the rule (k falls as mu rises for p < 0). The chain's
     # quotients cancel to (h_2 - h_1)/(mu_2 - mu_1), so none that could
     # overflow is formed; a zero gap takes g_p'(mu_1) = (h_1/mu_1)(s_1/k_1)/2.
-    s1, s2, ds = ops.power(mu1, mu2, z, p)
+    s1, s2, ds = _end_powers(mu1, mu2, z, p, ops)
     k1, k2 = (1.0 + s1) / 2.0, (1.0 + s2) / 2.0
     up = p > 0
-    h_lo, h_hi, dh = ops.power(*((k1, k2) if up else (k2, k1)), (ds if up else -ds) / (2.0 * (k1 + k2)), 1.0 / p)
+    h_lo, h_hi, dh = _end_powers(*((k1, k2) if up else (k2, k1)), (ds if up else -ds) / (2.0 * (k1 + k2)), 1.0 / p, ops)
     h1 = h_lo if up else h_hi
     return h1, ops.quotient(dh if up else -dh, gap, (h1 / mu1) * (s1 / k1) / 2.0)
 
@@ -416,16 +395,11 @@ def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray):
     if Aarr.ndim == 2 and Barr.ndim == 2:
         (p, z), (_, q) = Aarr.tolist()
         (u, w), (_, v) = Barr.tolist()
-        out = form((p.real, q.real, z.real, z.imag), (u.real, v.real, w.real, w.imag), _LONE)
-        return [np.array([p, complex(re, im), complex(re, -im), q]).reshape(2, 2) for p, q, re, im in out]
-    x, y = ((X[..., 0, 0].real, X[..., 1, 1].real, X[..., 0, 1].real, X[..., 0, 1].imag) for X in (Aarr, Barr))
-    mats = []
-    for parts in form(x, y, _STACK):
-        p, q, re, im = np.broadcast_arrays(*parts)
-        zero = np.zeros(p.shape)
-        parts = np.stack((p, zero, re, im, re, -im, q, zero), axis=-1)
-        mats.append(parts.view(np.complex128).reshape(p.shape + (2, 2)))
-    return mats
+        x, y, ops = (p.real, q.real, z.real, z.imag), (u.real, v.real, w.real, w.imag), _LONE
+    else:
+        x, y = ((X[..., 0, 0].real, X[..., 1, 1].real, X[..., 0, 1].real, X[..., 0, 1].imag) for X in (Aarr, Barr))
+        ops = _STACK
+    return [ops.matrix(p, q, re, im, -im) for p, q, re, im in form(x, y, ops)]
 
 
 _bw_q2 = functools.partial(_geometric2, inverse=True)

@@ -2,6 +2,7 @@
 
 import importlib.util
 import re
+import shutil
 import sys
 from pathlib import Path
 
@@ -88,3 +89,22 @@ def test_oracle_ratio_against_mpmath_for_one_seed(monkeypatch, capsys):
     assert [m.group(1) for m in rows] == list(module.OPERATIONS)
     assert all(float(m.group(2)) < 16.0 for m in rows)
     assert lines[-1] == "calls that raised: 0"
+
+
+def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, capsys):
+    # One short round of scripts/ab_kernels.py, with this tree's source as
+    # the ref: a line per kernel with a min and a median on each side.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    spec = importlib.util.spec_from_file_location("ab_kernels", SCRIPTS / "ab_kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    monkeypatch.setattr(module, "unpack", lambda ref, dest: shutil.copytree(SCRIPTS.parent / "src", dest / "src"))
+    monkeypatch.setattr(module, "SPAN", 1e-4)
+    assert module.main(["REF", "--rounds", "1"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "1 rounds, alternating; microseconds per call"
+    number = r"(\d+\.\d\d)"
+    pattern = rf"(.+): REF min {number} median {number} us; here min {number} median {number} us; min [+-]\d+\.\d%"
+    rows = [re.fullmatch(pattern, line) for line in lines[1:]]
+    assert len(rows) == 10 and all(rows)
+    assert all(float(m.group(2)) == float(m.group(3)) > 0.0 for m in rows)

@@ -199,6 +199,21 @@ def test_stacked_closed_forms_equal_the_lone_ones_bit_for_bit(name):
     assert against.tobytes() == np.array([_closed2(form, A[0], b)[0] for b in B[:50]]).tobytes()
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("name", sorted(FORMS) + sorted(PENCILS))
+@pytest.mark.parametrize("a, d", [(2.0, 5.0), (3.0, 3.0), (5.0, 2.0)])
+def test_closed_forms_of_diagonal_pairs_have_unsigned_off_diagonal_parts(name, a, d):
+    # A diagonal pair's result has Re z = Im z = +0.0 (and so Re conj z),
+    # lone and stacked: no form turns a zero off the diagonal into -0.0.
+    form = FORMS.get(name) or functools.partial(_pencil2, (PENCILS.get(name),))
+    A = np.diag([a, d]).astype(complex)
+    B = np.diag([3.0, 1.0]).astype(complex)
+    for X, Y in ((A, B), (A[None], B[None]), (A, np.array([B, A]))):
+        for M in _closed2(form, X, Y):
+            parts = np.array([M[..., 0, 1].real, M[..., 0, 1].imag, M[..., 1, 0].real])
+            assert not np.signbit(parts).any() and not parts.any()
+
+
 # Pencil functions for the bit-for-bit test: the ends p = +-1 and +-P_MIN of
 # the power family, and t = 0 and 1 of the geodesic, besides PENCILS.
 PENCIL_EDGES = {

@@ -182,6 +182,7 @@ def test_non_hermitian_family_is_routed_to_the_general_fit():
     assert frobenius(fit.c1 - N) <= EXACT_TOL
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("value", [np.nan, np.inf])
 def test_a_non_finite_family_is_a_fit_failure(value):
     # A NaN residual must fail the sanity bound, not slip past it.

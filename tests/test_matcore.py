@@ -973,7 +973,7 @@ def test_the_corpus_takes_both_branches_of_the_divided_difference():
     plain = near = 0
     for X in _two_by_two_corpus():
         w, pieces = matcore._eig2_values(X)
-        if pieces is not None:
+        if not pieces[5]:  # b != 0
             plain += w[0] < w[1] / 2.0
             near += not w[0] < w[1] / 2.0
     assert plain >= 10 and near >= 20
@@ -996,13 +996,27 @@ def test_2x2_powers_of_a_stack_equal_the_lone_ones_bit_for_bit(p):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", TWO_BY_TWO_POWERS)
+@pytest.mark.parametrize("a, d", [(2.0, 5.0), (3.0, 3.0), (5.0, 2.0)])
+def test_2x2_powers_of_a_diagonal_matrix_are_the_diagonal_powers_byte_for_byte(a, d, p):
+    # diag(a, d) ** p is diag(a ** p, d ** p) with +0.0 in every zero part,
+    # the imaginary part of entry (1, 0) included: lone, in a stack of
+    # diagonal matrices, and beside a matrix with b != 0.
+    X = np.diag([a, d]).astype(complex)
+    want = np.diag([a**p, d**p]).astype(complex).tobytes()
+    assert _pow_arr(X, p).tobytes() == want
+    assert _pow_arr(np.array([X, X]), p)[1].tobytes() == want
+    assert _pow_arr(np.array([_spectral2(rng_for(22), 1.0, 4.0), X]), p)[1].tobytes() == want
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-2.0, 1.0), (0.0, 1.0), (-1.0, -0.5), (-1.0, 1.0 + 1e-9)])
 def test_integer_powers_with_a_non_positive_eigenvalue_take_the_plain_quotient(lo, hi):
     # _power_guard lets an integer p >= 0 through when lambda_1 <= 0; the
     # atanh branch would take the square root of a negative f_1 there.
     X = _spectral2(rng_for(21), lo, hi)
     w, pieces = matcore._eig2_values(X)
-    assert pieces is not None and w[0] <= 0.0 and w[0] < w[1] / 2.0
+    assert not pieces[5] and w[0] <= 0.0 and w[0] < w[1] / 2.0
     for p in (0.0, 1.0, 2.0, 3.0):
         want = np.linalg.matrix_power(X, int(p))
         got = _pow_arr(X, p)

@@ -101,8 +101,32 @@ def test_line_count_is_printed_and_leaves_the_exit_status_alone(tmp_path, monkey
     monkeypatch.setattr(verify_identity, "run_verify", lambda src, seed: (1, "{}", ""))
     monkeypatch.setattr(verify_identity, "run_cli", lambda src, runs, folder: [(0, "", "")] * len(runs))
     assert verify_identity.main(["REF"]) == 0
-    here = verify_identity.source_lines(verify_identity.ROOT / "src")
-    assert capsys.readouterr().out.splitlines()[-1] == f"source lines: 1 at REF, {here} here ({here - 1:+d})"
+    here = verify_identity.module_lines(verify_identity.ROOT / "src")
+    out = capsys.readouterr().out.splitlines()
+    total = sum(here.values())
+    at = out.index(f"source lines: 1 at REF, {total} here ({total - 1:+d})")
+    # Every module here is missing at the ref, and m.py is missing here.
+    assert len(out) == at + 1 + len(here) + 1
+    assert "source lines, m.py: 1 at REF, 0 here (-1)" in out[at + 1:]
+
+
+def test_line_changes_list_each_module_whose_count_moved(tmp_path):
+    # Counts per module on two temporary trees: an unchanged module is left
+    # out, a changed one and one on a single side are listed by name.
+    trees = {}
+    sides = {"ref": {"a.py": "x\n", "b.py": "x\ny\n", "c.py": "x\n"}, "here": {"a.py": "x\n", "b.py": "x\n", "d.py": "x\ny\nz\n"}}
+    for side, files in sides.items():
+        package = tmp_path / side / "meanlab"
+        package.mkdir(parents=True)
+        for name, text in files.items():
+            (package / name).write_text(text)
+        trees[side] = verify_identity.module_lines(tmp_path / side)
+    assert trees["ref"] == {"a.py": 1, "b.py": 2, "c.py": 1}
+    assert verify_identity.line_changes(trees["ref"], trees["here"], "REF") == [
+        "source lines, b.py: 2 at REF, 1 here (-1)",
+        "source lines, c.py: 1 at REF, 0 here (-1)",
+        "source lines, d.py: 0 at REF, 3 here (+3)",
+    ]
 
 
 def test_every_listed_cli_run_exits_zero_or_one(tmp_path):
