@@ -1,4 +1,4 @@
-"""Time the 2x2 kernels at a git ref and in the working tree, alternately, in one process.
+"""Time the 2x2 kernels and the n >= 3 Cholesky frame at a git ref and in the working tree, alternately, in one process.
 
 Usage, from anywhere inside the repository:
 
@@ -9,11 +9,22 @@ Its ``src/meanlab`` and this tree's are loaded into one process as two
 packages, ``meanlab_ref`` and ``meanlab_here``. Every round times each kernel
 on both sides in turn, the side that goes first alternating from round to
 round, so that the drift of a shared host falls on both sides alike; separate
-processes on such a host can differ by 2x. The kernels are the lone
-``_eig2_values``, the lone ``_pow_arr`` at 0.5 and at (0.5, -0.5) on a matrix
-with b != 0 and on one with b = 0, a certified lone power, stacked powers of
-20 and of 200 ``pd_stacks`` matrices, and ``_mean_arr`` m_0.5 of one pair and
-of 200. Both sides get the same input arrays.
+processes on such a host can differ by 2x. The kernels are:
+
+- at n = 2: the lone ``_eig2_values``, the lone ``_pow_arr`` at 0.5 and at
+  (0.5, -0.5) on a matrix with b != 0 and on one with b = 0, a certified
+  lone power, stacked powers of 20 and of 200 ``pd_stacks`` matrices, and
+  ``_mean_arr`` m_0.5 of one pair and of 200;
+- the lone ``_norms`` of a 4x4;
+- at n >= 3: ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
+  matrices and on a lone 4x4; ``_mean_arr`` of each kind the Cholesky frame
+  serves (harmonic, geometric, m_0.5, m_-0.5, Wasserstein and spectral
+  geometric) on 180 dim-3 pairs, the size of criterion 7's dim-3 mean stack
+  at 20 samples, and on one dim-4 pair; and ``check_kubo_ando_axioms`` at
+  dim 3 with 20 samples for criterion 7's four kinds.
+
+Both sides get the same input arrays. A kernel that one side lacks is timed
+on the other alone.
 
 For each kernel the script prints the min and the median time per call on
 each side, in microseconds, and the change of the min, here against REF. It
@@ -49,18 +60,21 @@ def load(src: Path, name: str):
 
 
 def inputs(pkg) -> dict:
-    """The arrays every kernel runs on, drawn with ``pkg``: seeded certified 2x2 pairs."""
+    """The arrays every kernel runs on, drawn with ``pkg``: seeded certified pairs at dims 2, 3 and 4."""
     A, B = pkg.sampling.pd_stacks(23, dim=2, k=2, count=200)
-    return {"X": A[0], "D": np.diag([2.0, 5.0]).astype(complex), "A": A, "B": B}
+    A3, B3 = pkg.sampling.pd_stacks(23, 3, dim=3, k=2, count=180)
+    A4, B4 = pkg.sampling.pd_stacks(23, 4, dim=4, k=2, count=1)
+    return {"X": A[0], "D": np.diag([2.0, 5.0]).astype(complex), "A": A, "B": B, "A3": A3, "B3": B3, "A4": A4[0], "B4": B4[0]}
 
 
 def kernels(pkg, data: dict) -> dict:
-    """Name -> argument-free callable, for each timed kernel of one side."""
+    """Name -> argument-free callable, for each timed kernel that ``pkg`` has."""
     matcore, means = pkg.matcore, pkg.means
     pow_arr, m05 = matcore._pow_arr, means.kubo_ando_power(0.5)
     X, D, A, B = data["X"], data["D"], data["A"], data["B"]
+    A3, B3, A4, B4 = data["A3"], data["B3"], data["A4"], data["B4"]
     A20 = A[:20]
-    return {
+    out = {
         "_eig2_values lone": lambda: matcore._eig2_values(X),
         "_pow_arr lone 0.5, b != 0": lambda: pow_arr(X, 0.5),
         "_pow_arr lone 0.5, b = 0": lambda: pow_arr(D, 0.5),
@@ -71,7 +85,24 @@ def kernels(pkg, data: dict) -> dict:
         "_pow_arr stack of 200, 0.5": lambda: pow_arr(A, 0.5),
         "_mean_arr m_0.5 lone": lambda: means._mean_arr(m05, X, B[0]),
         "_mean_arr m_0.5 on 200 pairs": lambda: means._mean_arr(m05, A, B),
+        "_norms lone 4x4": lambda: matcore._norms(A4),
     }
+    if hasattr(matcore, "_cholesky"):
+        with np.errstate(all="ignore"):
+            factors = {"stack of 180 3x3": matcore._cholesky(A3)[:3], "lone 4x4": matcore._cholesky(A4)[:3]}
+        for label, M in (("stack of 180 3x3", A3), ("lone 4x4", A4)):
+            out[f"_cholesky {label}"] = lambda M=M: matcore._cholesky(M)
+            out[f"_lower_inverse {label}"] = lambda parts=factors[label]: matcore._lower_inverse(*parts)
+    kinds = {
+        "harmonic": means.HARMONIC, "geometric": means.GEOMETRIC, "m_0.5": m05, "m_-0.5": means.kubo_ando_power(-0.5),
+        "wasserstein": means.WASSERSTEIN, "spectral-geometric": means.SPECTRAL_GEOMETRIC,
+    }
+    for name, kind in kinds.items():
+        out[f"_mean_arr {name} on 180 dim-3 pairs"] = lambda kind=kind: means._mean_arr(kind, A3, B3)
+        out[f"_mean_arr {name} lone dim 4"] = lambda kind=kind: means._mean_arr(kind, A4, B4)
+    for name in ("harmonic", "geometric", "m_0.5", "m_-0.5"):
+        out[f"axioms {name}, dim 3, 20 samples"] = lambda kind=kinds[name]: means.check_kubo_ando_axioms(kind, samples=20, dim=3)
+    return out
 
 
 def per_call(fn, number: int) -> float:
@@ -83,12 +114,15 @@ def per_call(fn, number: int) -> float:
 
 
 def compare(sides: dict, rounds: int, span: float = SPAN) -> dict:
-    """{kernel: {side: [seconds per call, one per round]}} for two sides' kernels, timed in turns."""
+    """{kernel: {side: [seconds per call, one per round]}} for two sides' kernels, timed in turns.
+
+    A kernel that a side lacks has no entry for that side.
+    """
     names = list(sides)
-    first = sides[names[0]]
+    every = {k: fn for side in names[::-1] for k, fn in sides[side].items()}
     # Calls per timing, from one untimed call of each kernel.
-    numbers = {k: max(1, int(span / max(per_call(fn, 1), 1e-7))) for k, fn in first.items()}
-    times = {k: {side: [] for side in names} for k in first}
+    numbers = {k: max(1, int(span / max(per_call(fn, 1), 1e-7))) for k, fn in every.items()}
+    times = {k: {side: [] for side in names if k in sides[side]} for k in every}
     for i in range(rounds):
         for side in names if i % 2 == 0 else names[::-1]:
             for k, fn in sides[side].items():
@@ -96,17 +130,35 @@ def compare(sides: dict, rounds: int, span: float = SPAN) -> dict:
     return times
 
 
+def layers(times: dict) -> dict:
+    """{kernel: {side: {min_us, median_us}, change_of_min}}, change None where a side lacks the kernel."""
+    out = {}
+    for k, by_side in times.items():
+        row = {side: {"min_us": min(t) * 1e6, "median_us": statistics.median(t) * 1e6} for side, t in by_side.items()}
+        both = "ref" in row and "here" in row
+        row["change_of_min"] = row["here"]["min_us"] / row["ref"]["min_us"] - 1.0 if both else None
+        out[k] = row
+    return out
+
+
 def report(times: dict, ref: str) -> list[str]:
     """One line per kernel: min and median in microseconds per side, and the change of the min."""
     lines = []
-    for k, by_side in times.items():
-        old, new = (by_side[side] for side in ("ref", "here"))
-        change = min(new) / min(old) - 1.0
-        lines.append(
-            f"{k}: {ref} min {min(old) * 1e6:.2f} median {statistics.median(old) * 1e6:.2f} us; "
-            f"here min {min(new) * 1e6:.2f} median {statistics.median(new) * 1e6:.2f} us; min {change:+.1%}"
-        )
+    for k, row in layers(times).items():
+        sides = [
+            f"{label} min {row[side]['min_us']:.2f} median {row[side]['median_us']:.2f} us" if side in row else f"{label} absent"
+            for side, label in (("ref", ref), ("here", "here"))
+        ]
+        change = "" if row["change_of_min"] is None else f"; min {row['change_of_min']:+.1%}"
+        lines.append(f"{k}: {sides[0]}; {sides[1]}{change}")
     return lines
+
+
+def time_layers(ref_src: Path, rounds: int, span: float = SPAN) -> dict:
+    """compare() of the package in ``ref_src`` against this tree's, on this tree's inputs."""
+    packages = {"ref": load(ref_src, "meanlab_ref"), "here": load(ROOT / "src", "meanlab_here")}
+    data = inputs(packages["here"])
+    return compare({side: kernels(pkg, data) for side, pkg in packages.items()}, rounds, span)
 
 
 def main(argv: list[str]) -> int:
@@ -120,9 +172,7 @@ def main(argv: list[str]) -> int:
         except RuntimeError as exc:
             print(exc, file=sys.stderr, end="")
             return 2
-        packages = {"ref": load(Path(tmp) / "src", "meanlab_ref"), "here": load(ROOT / "src", "meanlab_here")}
-        data = inputs(packages["here"])
-        times = compare({side: kernels(pkg, data) for side, pkg in packages.items()}, args.rounds, SPAN)
+        times = time_layers(Path(tmp) / "src", args.rounds, SPAN)
     print(f"{args.rounds} rounds, alternating; microseconds per call")
     for line in report(times, args.ref):
         print(line)

@@ -12,12 +12,14 @@ perfbench, REF first in even pairs and the working tree first in odd ones.
 
 The output holds every run's result line; for each workload and end-to-end
 metric, each side's median and quartiles, the relative change of the
-medians, and the pairs the working tree won (ties count for neither); and
-the provenance: REF's commit, HEAD, and the working tree's ``git diff
---stat`` against HEAD with its untracked files, so that an uncommitted change
-is not labelled with HEAD. Only the standard library is used. The exit status
-is 0 when every run succeeded with no failed operation, 1 otherwise, and 2
-on a usage error or an unknown REF.
+medians, and the pairs the working tree won (ties count for neither); the
+layer timings of ``ab_kernels.py`` (both packages in this process, timed in
+turns for its 25 rounds), as each side's min and median microseconds per
+call and the change of the min; and the provenance: REF's commit, HEAD, and
+the working tree's ``git diff --stat`` against HEAD with its untracked
+files, so that an uncommitted change is not labelled with HEAD. The exit
+status is 0 when every run succeeded with no failed operation, 1 otherwise,
+and 2 on a usage error or an unknown REF.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import ab_kernels
 from verify_identity import ROOT, unpack
 
 SIDES = ("ref", "worktree")
@@ -128,7 +131,8 @@ def main(argv: list[str]) -> int:
                     runs.append({"workload": workload, "pair": pair, "seed": pair + 1, "side": side, "result": result})
                     pass_s = result.get("metrics", {}).get("pass_s", {}).get("value")
                     print(f"{workload} pair {pair} {side}: pass_s {pass_s}", file=sys.stderr, flush=True)
-    doc = {"provenance": provenance, "summary": summarize(runs, spec["end_to_end"]), "runs": runs}
+        layers = ab_kernels.layers(ab_kernels.time_layers(Path(tmp) / "src", ab_kernels.ROUNDS))
+    doc = {"provenance": provenance, "summary": summarize(runs, spec["end_to_end"]), "layers": layers, "runs": runs}
     args.out.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
     ok = all("error" not in r["result"] and r["result"]["failed"] == 0 for r in runs)
     return 0 if ok else 1

@@ -4,8 +4,9 @@ d_bw(A, B) = ||A^(-1/2)(S - A)||_F with S = (A^(1/2) B A^(1/2))^(1/2) is a
 metric whose geodesic has the Wasserstein mean as midpoint. This transport
 form ||(T - I) A^(1/2)||_F, T the optimal map (Bhatia, Jain & Lim, Expo.
 Math. 37, 2019), equals sqrt(tr A + tr B - 2 tr S) without its cancellation.
-The trace-metric geodesic t -> A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2) has
-the geometric mean as midpoint. check_geodesic_metric verifies proportional
+The trace-metric geodesic t -> A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2),
+equal to L (L^(-1) B L^(-*))^t L* for A = L L*, has the geometric mean as
+midpoint. check_geodesic_metric verifies proportional
 distance accrual along a partition of the Bures-Wasserstein curve.
 """
 
@@ -17,8 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pow_arr, _sym
-from .means import _bw_frame, _bw_q2, _closed2, _geometric_arr, _normalized_inner, _pencil2, _power_f
+from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pow_arr
+from .means import _bw_frame, _cholesky_inner, _closed2, _pencil2, _power_f, _q_arr
 
 TAG_TRACE = "geometric-trace"
 TAG_BW = "bures-wasserstein"
@@ -66,12 +67,14 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B. At n = 2, Q
     takes the closed form sqrt(b/a) S' / sqrt(det S'), S' = adj(A)/a + B/b,
     a and b the roots of det A and det B, with no inverse and no
-    eigendecomposition; larger Q are taken by the geometric mean's array
-    routine, with A^(-1) and Q symmetrized. Q is uncertified: only the curve
-    points are certified. check_geodesic_metric computes Q once for all its
-    points. The trace-metric curve takes, at n = 2, the pencil form
+    eigendecomposition; at other n it is L^(-*) S L^(-1), symmetrized, on
+    the Cholesky frame A = L L* with S = (L* B L)^(1/2), from one
+    eigendecomposition. Q is uncertified: only the curve points are
+    certified. check_geodesic_metric computes Q once for all its points.
+    The trace-metric curve takes, at n = 2, the pencil form
     mu_1^t A + f[mu_1, mu_2] (B - mu_1 A) of means._pencil2, with no
-    eigendecomposition; larger matrices take the A^(+-1/2) frame and N^t.
+    eigendecomposition; at other n it is L N^t L* with N = L^(-1) B L^(-*),
+    from one.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
@@ -85,17 +88,16 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
 def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) -> list[np.ndarray]:
     # Uncertified points of the chosen geodesic, one entry per t of ts: a
     # matrix for one pair, a stack for two stacks of pairs. Each pair's
-    # frame (trace) or Q (Bures-Wasserstein) is taken once for all ts, and
-    # each t enters as a float, so a lone point costs what it did alone.
+    # pencil or Cholesky frame (trace) or Q (Bures-Wasserstein) is taken
+    # once for all ts, and each t enters as a float, so a lone point costs
+    # what it did alone.
     if kind.tag == TAG_TRACE and Aarr.shape[-1] == 2:
         return _closed2(functools.partial(_pencil2, [functools.partial(_power_f, t) for t in ts]), Aarr, Barr)
     if kind.tag == TAG_TRACE:
-        Ah, N = _normalized_inner(Aarr, Barr)
-        return [Ah @ P @ Ah for P in np.reshape(_pow_arr(N, *ts), (len(ts),) + N.shape)]
-    if Aarr.shape[-1] == 2:
-        (Q,) = _closed2(_bw_q2, Aarr, Barr)
-    else:
-        Q = _sym(_geometric_arr(_sym(_pow_arr(Aarr, -1.0)), Barr))
+        L, N = _cholesky_inner(Aarr, Barr)
+        Lh = L.conj().swapaxes(-1, -2)
+        return [L @ P @ Lh for P in np.reshape(_pow_arr(N, *ts), (len(ts),) + N.shape)]
+    Q = _q_arr(Aarr, Barr)
     AQ = Aarr @ Q + Q @ Aarr
     return [(1.0 - t) ** 2 * Aarr + t**2 * Barr + t * (1.0 - t) * AQ for t in ts]
 

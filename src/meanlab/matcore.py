@@ -52,6 +52,13 @@ n >= 3 is proven positive definite by a floating-point Cholesky
 factorization of M - tau I (``_cholesky_proof``), and only a matrix the
 proof leaves open takes the eigenvalue route, which decides it as before.
 
+That factorization is the one bespoke Cholesky (``_cholesky``): a column
+loop on real and imaginary parts, one body run on Python floats for a lone
+matrix and on arrays for a stack, so a stack gives each matrix the bits it
+gets alone. With a triangular inverse (``_lower_inverse``) it is also the
+frame A = L L* of the means at n >= 3 (``_cholesky_frame``), where a pivot
+that is not a finite positive number raises PositivityError.
+
 Matrices enter as anything ``np.asarray`` accepts; nested lists work. Arrays
 stored on value types are non-writeable copies, so instances can be shared
 freely.
@@ -115,12 +122,16 @@ def frobenius(entries) -> float:
 def _norms(X: np.ndarray):
     # The Frobenius norm of one matrix (or vector), or of each matrix of a
     # stack with the bits it gets alone: np.linalg.norm takes one matrix as
-    # BLAS dots of its flattened real and imaginary parts, and a
-    # (1, k) @ (k, 1) matmul runs the same dots with the same strides. The
-    # squares overflow once an entry passes about 1.3e154; only a norm that
-    # came out infinite is taken again, scaled (numpy has warned by then).
+    # BLAS dots of its flattened real and imaginary parts, np.vdot runs the
+    # same dots for a lone matrix without numpy's overflow warning, and a
+    # (1, k) @ (k, 1) matmul runs them for a stack with the same strides.
+    # The squares overflow once an entry passes about 1.3e154; only a norm
+    # that came out infinite is taken again, scaled (for a stack, numpy has
+    # warned by then).
     if X.ndim <= 2:
-        norm = np.linalg.norm(X)
+        x = X.ravel()
+        re, im = x.real, x.imag
+        norm = np.sqrt(np.vdot(re, re) + np.vdot(im, im))
         return norm if math.isfinite(norm) else _rescaled_norms(X.reshape(1, 1, -1), norm[None])[0]
     norms = _dot_norms(X)
     return norms if math.isfinite(norms.sum()) else _rescaled_norms(X, norms)
@@ -747,6 +758,17 @@ def _power_difference_stack(f_lo, f_hi, p: float, near, ath):
     return d
 
 
+_PIVOT = "Cholesky pivot {:.3e} is not a finite positive number"
+
+
+def _pivot_lone(d: float) -> float:
+    # The root of a lone Cholesky pivot, which must be a finite positive
+    # number: PositivityError otherwise, never a NaN.
+    if not 0.0 < d < math.inf:
+        raise PositivityError(_PIVOT.format(d))
+    return math.sqrt(d)
+
+
 def _matrix_lone(p: float, q: float, re: float, im: float, im_low: float) -> np.ndarray:
     # [[p, re + i im], [re + i im_low, q]]; im_low is -im, or 0.0 in a diagonal.
     return np.array([p, complex(re, im), complex(re, im_low), q]).reshape(2, 2)
@@ -766,18 +788,24 @@ def _matrix_stack(p, q, re, im, im_low) -> np.ndarray:
 # f = lambda ** p at a spectrum's ends lo <= hi by that rule, with near
 # lo >= hi / 2 and ath from ``atanh``, atanh((hi - lo) / (hi + lo)) where
 # near is set (None for a stack where it is set nowhere); ``matrix`` is the
-# assembler. The lone table takes builtins where one serves: a lone power is
-# on the hot path.
+# assembler. The Cholesky bodies at any n take two more: ``parts`` splits a
+# matrix into nested lists of the real and imaginary parts of its entries,
+# with the zero they are padded with, and ``pivot`` is the root of a pivot.
+# The lone table takes builtins where one serves: a lone power is on the hot
+# path.
 _LONE = SimpleNamespace(
     columns=np.ndarray.tolist, order=lambda c, x, y: (x, y) if c else (y, x), ldexp=math.ldexp, scaled=_scaled_lone,
     atanh=lambda z, near: float(np.arctanh(z)) if near else 0.0, matrix=_matrix_lone,
     difference=lambda fl, fh, p, near, a: 2.0 * math.sqrt(fl) * math.sqrt(fh) * float(np.sinh(p * a)) if near else fh - fl,
+    parts=lambda M: (M.real.tolist(), M.imag.tolist(), 0.0), pivot=_pivot_lone,
 )
 _STACK = SimpleNamespace(
     columns=operator.attrgetter("T"), order=lambda c, x, y: (np.where(c, x, y), np.where(c, y, x)), ldexp=np.ldexp,
     scaled=lambda h, babs, r, b: np.ldexp(np.array((h, babs, r, b.real, b.imag)), -np.frexp(r)[1]),
     atanh=lambda z, near: np.arctanh(z[near]) if near.any() else None, difference=_power_difference_stack,
     matrix=_matrix_stack,
+    parts=lambda M: (*([list(row) for row in X.transpose(1, 2, 0)] for X in (M.real, M.imag)), np.zeros(len(M))),
+    pivot=np.sqrt,
 )
 
 
@@ -873,13 +901,90 @@ def _certify_stack(arr: np.ndarray) -> np.ndarray:
     return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
 
 
+def _cholesky(M: np.ndarray):
+    # The lower factor L of a Hermitian M = L L*, by the outer-product column
+    # loop, for one matrix (Python floats) or each matrix of a stack ((N,)
+    # arrays, the caller under np.errstate): the real and imaginary parts of
+    # L as nested lists, the zero its upper triangle holds, and the pivots,
+    # the entries whose roots are L's diagonal. Only M's lower triangle is
+    # read. Every complex product is formed from real and imaginary parts in
+    # one order, so a stack gives each matrix the bits it gets alone. A lone
+    # pivot that is not a finite positive number raises PositivityError; a
+    # stack's are left to the caller.
+    ops = _LONE if M.ndim == 2 else _STACK
+    re, im, zero = ops.parts(M)
+    n = len(re)
+    pivots = []
+    for j in range(n):
+        pivots.append(re[j][j])
+        s = re[j][j] = ops.pivot(re[j][j])
+        im[j][j] = zero
+        for i in range(j + 1, n):
+            re[i][j], im[i][j] = re[i][j] / s, im[i][j] / s
+            re[j][i] = im[j][i] = zero
+        # The trailing block less column j times its conjugate transpose.
+        for i in range(j + 1, n):
+            xr, xi = re[i][j], im[i][j]
+            re[i][i] = re[i][i] - (xr * xr + xi * xi)
+            for k in range(j + 1, i):
+                yr, yi = re[k][j], im[k][j]
+                re[i][k], im[i][k] = re[i][k] - (xr * yr + xi * yi), im[i][k] - (xi * yr - xr * yi)
+    return re, im, zero, pivots
+
+
+def _lower_inverse(re, im, zero):
+    # X = L^(-1) for a factor of _cholesky, in its layout, row by row:
+    # X_ii = 1 / L_ii and X_ij = -(sum over k = j .. i - 1 of L_ik X_kj) / L_ii,
+    # summed in order of k, with X_jj real.
+    n = len(re)
+    xr, xi = [[zero] * n for _ in range(n)], [[zero] * n for _ in range(n)]
+    for i in range(n):
+        d = re[i][i]
+        xr[i][i] = 1.0 / d
+        for j in range(i):
+            sr, si = re[i][j] * xr[j][j], im[i][j] * xr[j][j]
+            for k in range(j + 1, i):
+                ar, ai, br, bi = re[i][k], im[i][k], xr[k][j], xi[k][j]
+                sr, si = sr + (ar * br - ai * bi), si + (ar * bi + ai * br)
+            xr[i][j], xi[i][j] = -(sr / d), -(si / d)
+    return xr, xi
+
+
+def _complex_rows(re, im) -> np.ndarray:
+    # The matrix, or the stack, whose entries have the real and imaginary
+    # parts of nested lists of Python floats, or of (N,) arrays.
+    R, I = np.array(re), np.array(im)
+    if R.ndim == 3:
+        R, I = R.transpose(2, 0, 1), I.transpose(2, 0, 1)
+    out = np.empty(R.shape, dtype=np.complex128)
+    out.real, out.imag = R, I
+    return out
+
+
+def _cholesky_frame(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # L and L^(-1) for A = L L*, one matrix or each matrix of a stack:
+    # PositivityError where a pivot is not a finite positive number (for a
+    # stack, the first such pivot of the first such matrix), never a NaN.
+    if arr.ndim == 2:
+        re, im, zero, _ = _cholesky(arr)
+    else:
+        with np.errstate(all="ignore"):
+            re, im, zero, pivots = _cholesky(arr)
+        pivots = np.array(pivots).T
+        bad = ~((pivots > 0.0) & (pivots < np.inf))
+        if bad.any():
+            raise PositivityError(_PIVOT.format(np.extract(bad, pivots)[0]))
+    return _complex_rows(re, im), _complex_rows(*_lower_inverse(re, im, zero))
+
+
 def _cholesky_proof(M: np.ndarray) -> np.ndarray:
     # For each matrix of a Hermitian stack (N, n, n): True where a proof
     # shows lambda_min(M) > pd_tolerance(M). The proof is a floating-point
-    # Cholesky factorization of M - tau I that runs to completion (Rump,
-    # "Verification of positive definiteness", BIT 46, 2006; Higham,
-    # Accuracy and Stability of Numerical Algorithms, 2nd ed., 10.1). Its
-    # factor R has R*R = fl(M - tau I) + E with |E| <= gamma |R*| |R|, so
+    # Cholesky factorization of M - tau I (_cholesky) that runs to
+    # completion (Rump, "Verification of positive definiteness", BIT 46,
+    # 2006; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    # 10.1). Its factor R has R*R = fl(M - tau I) + E with
+    # |E| <= gamma |R*| |R|, so
     # lambda_min(M) > tau - (gamma / (1 - gamma) + u) tr(M), the u for the
     # rounded shift. For real data gamma = gamma_(n+1), with
     # gamma_k = k u / (1 - k u) (Higham, Theorem 10.3); complex data take
@@ -891,21 +996,15 @@ def _cholesky_proof(M: np.ndarray) -> np.ndarray:
     # |m_ii|, equal to it wherever the factorization can succeed. A pivot
     # that is not a finite positive number (NaN, inf, overflow) leaves its
     # matrix unproven: the test fails closed.
-    N, n = M.shape[0], M.shape[-1]
+    n = M.shape[-1]
     diag = np.arange(n)
     trace = np.abs(M[:, diag, diag].real).sum(axis=1)
     tau = pd_tolerance(M) + (2 * n + 2) * _UNIT_ROUNDOFF * (1.0 + 1e-3) * trace
-    pivots = np.empty((N, n))
     with np.errstate(all="ignore"):
         A = M.copy()
         A[:, diag, diag] -= tau[:, None]
-        for j in range(n):
-            # Column j of the lower factor, then the outer-product update
-            # of the trailing block.
-            pivots[:, j] = d = A[:, j, j].real
-            col = A[:, j + 1:, j] / np.sqrt(d)[:, None]
-            A[:, j + 1:, j + 1:] -= col[:, :, None] * col[:, None, :].conj()
-        return ((pivots > 0.0) & (pivots < np.inf)).all(axis=1)
+        pivots = np.array(_cholesky(A)[3])
+    return ((pivots > 0.0) & (pivots < np.inf)).all(axis=0)
 
 
 def _certified(arr: np.ndarray) -> np.ndarray:

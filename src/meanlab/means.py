@@ -13,25 +13,40 @@ spectral geometric mean and the Wasserstein mean
 
     A sigma_W B = (A + B + A Q + Q A)/4,    Q = A^(-1) # B.
 
-At n = 2 six routes take closed forms with no eigendecomposition, each one
-body for a lone pair and for stacks on matcore's 2x2 layer. With
-a = sqrt(det A), b = sqrt(det B) and s = ab:
+At n = 2 seven routes take closed forms with no eigendecomposition, each
+one body for a lone pair and for stacks on matcore's 2x2 layer. With
+a = sqrt(det A), b = sqrt(det B), s = ab, rho = b/a and c = tr(adj(A/a) B/b):
 
     A # B = sqrt(ab) S / sqrt(det S),              S = A/a + B/b,
     A sigma_W B = (A + B + (AB + BA + 2sI) / sqrt(tr AB + 2s)) / 4,
     Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'),  S' = adj(A)/a + B/b,
+    2 (A^(-1) + B^(-1))^(-1) = 2 (rho A + B/rho) / (rho + c + 1/rho),
     A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A).
 
 They are Bhatia, Positive Definite Matrices (Princeton 2007), Prop. 4.1.12;
 (AB)^(1/2) + (BA)^(1/2) by Levinger's 2x2 square root (Math. Mag. 53, 1980);
-the BW geodesic's Q with no inverse; and, for the harmonic mean, m_p and
-the trace-metric geodesic, the interpolation form of A^(1/2) f(N) A^(1/2)
-(Kubo & Ando, Math. Ann. 246, 1980; Higham, Functions of Matrices, 2008),
-mu_1 <= mu_2 the roots of det(B - mu A) = 0. The last stays within
-0.14 eps kappa of 50-digit mpmath, where the A^(+-1/2) frame errs like
-eps kappa^2. The spectral geometric and conventional power means and
-geometry.d_bw (whose trace form cancels near B = A) keep their frames, and
-so do --via-function and wasserstein_alt, as cross-checks.
+the BW geodesic's Q with no inverse; the harmonic mean by the adjugate, a
+sum of positive definite matrices over a denominator of at least
+2 + rho + 1/rho; and, for m_p and the trace-metric geodesic, the
+interpolation form of A^(1/2) f(N) A^(1/2) (Kubo & Ando, Math. Ann. 246,
+1980; Higham, Functions of Matrices, 2008), mu_1 <= mu_2 the roots of
+det(B - mu A) = 0. The last stays within 0.14 eps kappa of 50-digit mpmath,
+where the A^(+-1/2) frame errs like eps kappa^2.
+
+At any other n the Kubo-Ando means, the Wasserstein mean and both geodesics
+take the Cholesky frame A = L L* (Iannazzo, Numer. Linear Algebra Appl. 23,
+2016), from matcore's bespoke factor and triangular inverse:
+
+    A sigma B = L f(N) L*,        N = L^(-1) B L^(-*),
+    2 (A^(-1) + B^(-1))^(-1) = 2 (R^(-1) A)* (R^(-1) B),  A + B = R R*,
+    Q = L^(-*) S L^(-1),  A Q = L S L^(-1),  S = (L* B L)^(1/2),
+
+so the geometric mean and m_p take one eigendecomposition of N (m_p both
+its powers from it), the Wasserstein mean one of L* B L, and the harmonic
+mean none. The spectral geometric mean is (Q^(1/2)) A (Q^(1/2)) on either
+route's Q. The conventional power mean and geometry.d_bw (whose trace form
+cancels near B = A) keep their spectral routes, and --via-function and
+wasserstein_alt keep the A^(+-1/2) frame, as cross-checks.
 
 Every public evaluation returns a freshly certified :class:`PdMatrix`.
 """
@@ -53,14 +68,17 @@ from .matcore import (
     PdMatrix,
     _apply_spectral,
     _certified,
+    _cholesky_frame,
     _certify_stack,
     _check_certificates,
     _check_operands,
     _congruences,
+    _eig_array,
     _end_powers,
     _norms,
     _order_violation,
     _pow_arr,
+    _power_guard,
     _rel_gap,
     _spectral_values,
     _sym,
@@ -190,15 +208,17 @@ def from_function(f: RepresentingFunction | Callable[[float], float], name: str 
     return MeanKind(TAG_FROM_FUNCTION, f=f)
 
 
-def _normalized_inner(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The Kubo-Ando frame: A^(1/2) and N = A^(-1/2) B A^(-1/2), from one eig of A.
-    Ah, Aih = _pow_arr(Aarr, 0.5, -0.5)
-    return Ah, _sym(Aih @ Barr @ Aih)
+def _cholesky_inner(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The Kubo-Ando frame at n >= 3: L and N = L^(-1) B L^(-*), A = L L*.
+    L, Li = _cholesky_frame(Aarr)
+    return L, _sym(Li @ Barr @ Li.conj().swapaxes(-1, -2))
 
 
-def _geometric_arr(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    Xh, N = _normalized_inner(X, Y)
-    return Xh @ _pow_arr(N, 0.5) @ Xh
+def _cholesky_bw(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    # The frame of Q = A^(-1) # B = L^(-*) S L^(-1) at n >= 3: L, L^(-1) and
+    # S = (L* B L)^(1/2), A = L L*, from one eigendecomposition.
+    L, Li = _cholesky_frame(Aarr)
+    return L, Li, _pow_arr(_sym(L.conj().swapaxes(-1, -2) @ Barr @ L), 0.5)
 
 
 def _bw_frame(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -266,13 +286,18 @@ def _half_exponent_stack(p: np.ndarray, q: np.ndarray):
 _ROOTS = "2x2 pencil form needs roots in the normal float range, got {:.3e} and {:.3e}"
 
 
+def _ldexp_lone(x: float, e: int) -> float:
+    # x 2^e, inf where that overflows.
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
 def _nodes_lone(q: float, shift: int, m: float):
     # r = q 2^shift and the pencil's roots mu_1 = r/m <= mu_2 = r m, which
     # must be normal floats: DomainError otherwise, never an overflow.
-    try:
-        r = math.ldexp(q, shift)
-    except OverflowError:
-        r = math.inf
+    r = _ldexp_lone(q, shift)
     mu1, mu2 = r / m, r * m
     if not (_TINY <= mu1 and mu2 < math.inf):
         raise DomainError(_ROOTS.format(mu1, mu2))
@@ -294,14 +319,41 @@ def _nodes_stack(q, shift, m):
     return q, mu1, mu2
 
 
+_RATIO = "2x2 harmonic form needs sqrt(det B / det A) and its inverse finite, got {:.3e} and {:.3e}"
+
+
+def _ratio_lone(q: float, qi: float, shift: int):
+    # rho = q 2^shift and 1/rho = qi 2^-shift, which must both be finite
+    # (one overflows where the other underflows to 0): DomainError
+    # otherwise, never an overflow. A subnormal one is kept.
+    rho, inv = _ldexp_lone(q, shift), _ldexp_lone(qi, -shift)
+    if not (rho < math.inf and inv < math.inf):
+        raise DomainError(_RATIO.format(rho, inv))
+    return rho, inv
+
+
+def _ratio_stack(q, qi, shift):
+    # _ratio_lone for each pair, naming the first that fails. Only a scaled
+    # pair (shift an array) can leave the float range for certified input.
+    if isinstance(shift, np.ndarray):
+        with np.errstate(over="ignore"):
+            rho, inv = np.ldexp(q, shift), np.ldexp(qi, -shift)
+    else:
+        rho, inv = q, qi
+    if not (rho.max(initial=0.0) < math.inf and inv.max(initial=0.0) < math.inf):
+        bad = ~((rho < np.inf) & (inv < np.inf))
+        raise DomainError(_RATIO.format(np.extract(bad, rho)[0], np.extract(bad, inv)[0]))
+    return rho, inv
+
+
 # root0 clamps below 0; quotient is d / gap, or the derivative where gap is 0.
 _LONE = SimpleNamespace(
     **vars(matcore._LONE), root=_root_lone, root0=lambda d: math.sqrt(max(d, 0.0)), half_exponent=_half_exponent_lone,
-    nodes=_nodes_lone, quotient=lambda d, gap, derivative: d / gap if gap else derivative,
+    nodes=_nodes_lone, ratio=_ratio_lone, quotient=lambda d, gap, derivative: d / gap if gap else derivative,
 )
 _STACK = SimpleNamespace(
     **vars(matcore._STACK), root=_root_stack, root0=lambda d: np.sqrt(np.maximum(d, 0.0)),
-    half_exponent=_half_exponent_stack, nodes=_nodes_stack,
+    half_exponent=_half_exponent_stack, nodes=_nodes_stack, ratio=_ratio_stack,
     quotient=lambda d, gap, derivative: np.divide(d, gap, out=derivative, where=gap != 0.0),
 )
 
@@ -382,10 +434,22 @@ def _power_mean_f(p, mu1, mu2, gap, z, ops):
     return h1, ops.quotient(dh if up else -dh, gap, (h1 / mu1) * (s1 / k1) / 2.0)
 
 
-def _harmonic_f(mu1, mu2, gap, z, ops):
-    # f(x) = 2x/(1 + x) = g_(-1)(x) and its exact f[mu_1, mu_2], divided in
-    # turn so that no finite root overflows them.
-    return 2.0 * (mu1 / (1.0 + mu1)), 2.0 / (1.0 + mu1) / (1.0 + mu2)
+def _harmonic2(x, y, ops):
+    # 2 (A^(-1) + B^(-1))^(-1) = 2 (rho A + B/rho) / (rho + c + 1/rho), with
+    # rho = b/a and c = tr(adj(A/a) B/b) >= 2: the numerator is a sum of
+    # positive definite matrices and the denominator is at least
+    # 2 + rho + 1/rho, so nothing cancels, and only rho and 1/rho need be
+    # finite. Each matrix is scaled by its coefficient, 2 rho / den or
+    # 2 (1/rho) / den, less than 2.
+    (p, q, re, im), a, ka = _normalized2(x, ops)
+    (u, v, wr, wi), b, kb = _normalized2(y, ops)
+    p, q, re, im = p / a, q / a, re / a, im / a
+    u, v, wr, wi = u / b, v / b, wr / b, wi / b
+    c = q * u + p * v - 2.0 * (re * wr + im * wi)
+    rho, inv = ops.ratio(b / a, a / b, 2 * (kb - ka))
+    den = rho + c + inv
+    ca, cb = 2.0 * (rho / den), 2.0 * (inv / den)
+    return [tuple(ca * xi + cb * yi for xi, yi in zip(x, y))]
 
 
 def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray):
@@ -403,52 +467,81 @@ def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray):
 
 
 _bw_q2 = functools.partial(_geometric2, inverse=True)
+_CLOSED2 = {TAG_GEOMETRIC: _geometric2, TAG_WASSERSTEIN: _wasserstein2, TAG_HARMONIC: _harmonic2}
+
+
+def _q_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
+    # Q = A^(-1) # B, Hermitian, of one pair or of each pair of two stacks:
+    # the closed form at n = 2, L^(-*) S L^(-1) on the Cholesky frame else.
+    if Aarr.shape[-1] == 2:
+        return _closed2(_bw_q2, Aarr, Barr)[0]
+    _, Li, S = _cholesky_bw(Aarr, Barr)
+    return _sym(Li.conj().swapaxes(-1, -2) @ S @ Li)
+
+
+def _power_mean_arr(N: np.ndarray, p: float) -> np.ndarray:
+    # g_p(N) = V diag(((1 + lambda^p)/2)^(1/p)) V*: (I + N^p)/2 has the
+    # eigenvectors of N, so one eigendecomposition serves both powers, each
+    # guarded as _pow_arr guards its own (k = (1 + lambda^p)/2 falls as
+    # lambda rises for p < 0).
+    w, V = _eig_array(N)
+    ends = w.tolist() if w.ndim == 1 else w.T
+    _power_guard(ends[0], ends[-1], (p,), False)
+    k = (1.0 + np.power(w, p)) / 2.0
+    ends = k.tolist() if k.ndim == 1 else k.T
+    _power_guard(*((ends[0], ends[-1]) if p > 0.0 else (ends[-1], ends[0])), (1.0 / p,), False)
+    return _apply_spectral(np.power(k, 1.0 / p), V)
 
 
 def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     # The selected mean, unsymmetrized and uncertified, of one pair or of
-    # each pair of two stacks (N, n, n).
+    # each pair of two stacks (N, n, n). The Kubo-Ando kinds and the
+    # Wasserstein mean take the 2x2 closed forms at n = 2 and the Cholesky
+    # frame A = L L* at any other n; the spectral geometric mean is built on
+    # Q = A^(-1) # B (_q_arr), and the conventional power mean and
+    # from-function means keep their spectral routes.
     tag = kind.tag
+    n = Aarr.shape[-1]
     if tag == TAG_ARITHMETIC:
         return (Aarr + Barr) / 2.0
-    if Aarr.shape[-1] == 2 and tag in (TAG_GEOMETRIC, TAG_WASSERSTEIN):
-        return _closed2(_geometric2 if tag == TAG_GEOMETRIC else _wasserstein2, Aarr, Barr)[0]
-    if Aarr.shape[-1] == 2 and tag in (TAG_HARMONIC, TAG_POWER):
-        f = _harmonic_f if tag == TAG_HARMONIC else functools.partial(_power_mean_f, kind.p)
-        return _closed2(functools.partial(_pencil2, (f,)), Aarr, Barr)[0]
-    if tag == TAG_HARMONIC:
-        return _pow_arr((_pow_arr(Aarr, -1.0) + _pow_arr(Barr, -1.0)) / 2.0, -1.0)
-    if tag == TAG_GEOMETRIC:
-        return _geometric_arr(Aarr, Barr)
-    if tag == TAG_POWER:
-        p = kind.p
-        Ah, N = _normalized_inner(Aarr, Barr)
-        inner = _sym((np.eye(N.shape[-1]) + _pow_arr(N, p)) / 2.0)
-        return Ah @ _pow_arr(inner, 1.0 / p) @ Ah
     if tag == TAG_CONVENTIONAL_POWER:
         p = kind.p
         S = (_pow_arr(Aarr, p) + _pow_arr(Barr, p)) / 2.0
         return _pow_arr(_sym(S), 1.0 / p)
     if tag == TAG_SPECTRAL_GEOMETRIC:
-        R = _pow_arr(_sym(_geometric_arr(_pow_arr(Aarr, -1.0), Barr)), 0.5)
+        R = _pow_arr(_q_arr(Aarr, Barr), 0.5)
         return R @ Aarr @ R
-    if tag == TAG_WASSERSTEIN:
-        AQ = Aarr @ _geometric_arr(_pow_arr(Aarr, -1.0), Barr)
-        return (Aarr + Barr + AQ + AQ.conj().swapaxes(-1, -2)) / 4.0
     if tag == TAG_FROM_FUNCTION:
-        # The frame is of D A D and D B D, D = diag(A)^(-1/2), and the mean
-        # scaled back (the transformer equality): a graded pair keeps its
-        # accuracy. S holds the entries of D's congruence.
+        # The A^(+-1/2) frame of D A D and D B D, D = diag(A)^(-1/2), and the
+        # mean scaled back (the transformer equality): a graded pair keeps
+        # its accuracy. S holds the entries of D's congruence.
         d = np.sqrt(np.diagonal(Aarr, axis1=-2, axis2=-1).real)
         S = 1.0 / (d[..., :, None] * d[..., None, :])
-        Ah, N = _normalized_inner(Aarr * S, Barr * S)
-        w, vals, V = _spectral_values(N, kind.f)
+        Ah, Aih = _pow_arr(Aarr * S, 0.5, -0.5)
+        w, vals, V = _spectral_values(_sym(Aih @ (Barr * S) @ Aih), kind.f)
         for lam, y in zip(w.flat, vals.flat):
             if y <= 0.0:
                 raise DomainError(
                     f"representing function must stay positive, got {float(y)!r} at {lam!r}"
                 )
         return Ah @ _apply_spectral(vals, V) @ Ah / S
+    if n == 2 and tag in _CLOSED2:
+        return _closed2(_CLOSED2[tag], Aarr, Barr)[0]
+    if n == 2 and tag == TAG_POWER:
+        return _closed2(functools.partial(_pencil2, (functools.partial(_power_mean_f, kind.p),)), Aarr, Barr)[0]
+    if tag == TAG_HARMONIC:
+        # 2 A (A + B)^(-1) B = 2 (R^(-1) A)* (R^(-1) B), A + B = R R*.
+        _, Ri = _cholesky_frame(Aarr + Barr)
+        return 2.0 * (Ri @ Aarr).conj().swapaxes(-1, -2) @ (Ri @ Barr)
+    if tag == TAG_WASSERSTEIN:
+        # A Q = L S L^(-1) = T, and Q A = T*.
+        L, Li, S = _cholesky_bw(Aarr, Barr)
+        T = L @ S @ Li
+        return (Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0
+    if tag in (TAG_GEOMETRIC, TAG_POWER):
+        L, N = _cholesky_inner(Aarr, Barr)
+        F = _pow_arr(N, 0.5) if tag == TAG_GEOMETRIC else _power_mean_arr(N, kind.p)
+        return L @ F @ L.conj().swapaxes(-1, -2)
     raise DomainError(f"unknown mean tag {tag!r}")
 
 
@@ -460,6 +553,14 @@ def _wasserstein_alt_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
 
 def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
     """Evaluate the selected mean at (A, B).
+
+    At n = 2 the geometric, harmonic, Wasserstein and m_p means take closed
+    forms with no eigendecomposition. At other n they take the Cholesky
+    frame A = L L*: L f(L^(-1) B L^(-*)) L* for the geometric mean and m_p,
+    from one eigendecomposition, 2 (R^(-1) A)* (R^(-1) B) with A + B = R R*
+    for the harmonic mean, from none, and (A + B + T + T*)/4 with
+    T = L (L* B L)^(1/2) L^(-1) for the Wasserstein mean, from one. The
+    certificate takes one more.
 
     Parameters
     ----------

@@ -106,5 +106,19 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     number = r"(\d+\.\d\d)"
     pattern = rf"(.+): REF min {number} median {number} us; here min {number} median {number} us; min [+-]\d+\.\d%"
     rows = [re.fullmatch(pattern, line) for line in lines[1:]]
-    assert len(rows) == 10 and all(rows)
+    assert len(rows) == 31 and all(rows)
     assert all(float(m.group(2)) == float(m.group(3)) > 0.0 for m in rows)
+    assert any(m.group(1) == "_cholesky lone 4x4" for m in rows)
+
+
+def test_ab_kernels_times_a_kernel_one_side_lacks_on_the_other_alone(monkeypatch):
+    # A kernel missing at the ref is timed here alone, with no change.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    spec = importlib.util.spec_from_file_location("ab_kernels", SCRIPTS / "ab_kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    times = module.compare({"ref": {"a": lambda: None}, "here": {"a": lambda: None, "b": lambda: None}}, 2, 1e-4)
+    assert set(times["b"]) == {"here"} and len(times["b"]["here"]) == 2
+    rows = module.layers(times)
+    assert rows["b"]["change_of_min"] is None and rows["a"]["change_of_min"] is not None
+    assert module.report(times, "REF")[1].startswith("b: REF absent; here min ")

@@ -1,7 +1,7 @@
-"""The 2x2 closed forms (``means._closed2``): the geometric and Wasserstein
-means, the Bures-Wasserstein geodesic's Q = A^(-1) # B, and the pencil form
-A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A) of m_p, the harmonic
-mean and the trace-metric geodesic (``means._pencil2``).
+"""The 2x2 closed forms (``means._closed2``): the geometric, Wasserstein
+and harmonic means, the Bures-Wasserstein geodesic's Q = A^(-1) # B, and
+the pencil form A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A) of m_p
+and the trace-metric geodesic (``means._pencil2``).
 
 Each form is checked against 50-digit mpmath, whose references take the
 A^(+-1/2) frame through mpmath's Hermitian eigensolver and so share nothing
@@ -41,7 +41,7 @@ from meanlab.means import (
     _bw_q2,
     _closed2,
     _geometric2,
-    _harmonic_f,
+    _harmonic2,
     _mean_arr,
     _pencil2,
     _power_f,
@@ -51,12 +51,11 @@ from meanlab.means import (
 from meanlab.sampling import pd_stacks
 
 EPS = np.finfo(float).eps
-FORMS = {"geometric": _geometric2, "wasserstein": _wasserstein2, "bw-q": _bw_q2}
-# The pencil form's functions: g_p for m_p, 2x/(1 + x), and x^t.
+FORMS = {"geometric": _geometric2, "wasserstein": _wasserstein2, "bw-q": _bw_q2, "harmonic": _harmonic2}
+# The pencil form's functions: g_p for m_p, and x^t.
 PENCILS = {
     "m_0.5": functools.partial(_power_mean_f, 0.5),
     "m_-0.5": functools.partial(_power_mean_f, -0.5),
-    "harmonic": _harmonic_f,
     "trace-0.3": functools.partial(_power_f, 0.3),
 }
 
@@ -85,7 +84,7 @@ def _mp_references(A, B):
     # A # B, the Wasserstein mean and A^(-1) # B at 50 digits, from the
     # frame of A and the square roots of A^(-1/2) B A^(-1/2) and
     # A^(1/2) B A^(1/2); and A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for
-    # each of PENCILS.
+    # each of PENCILS and for the harmonic mean, f(x) = 2x/(1 + x).
     def mpm(X):
         return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
 
@@ -133,25 +132,29 @@ def test_closed_forms_meet_mpmath_over_the_conditioning_corpus():
     # A^(+-1/2) frame route erred up to 2.6e7 eps kappa for the geometric
     # mean (its error grows like eps kappa^2), and of the 64 pairs with
     # kappa >= 1e8 it raised PositivityError on 16 and the T-form on 36.
+    # The harmonic form keeps the pins of the pencil form it replaced.
     worst = dict.fromkeys(FORMS, 0.0)
-    for A, B in _corpus():
+    graded = 0.0
+    for i, (A, B) in enumerate(_corpus()):
         kappa = max(np.linalg.cond(A), np.linalg.cond(B))
         refs = _mp_references(A, B)
         for name, form in FORMS.items():
-            scale = EPS if name == "wasserstein" else EPS * kappa
-            worst[name] = max(worst[name], _relative_error(_closed2(form, A, B)[0], refs[name]) / scale)
+            err = _relative_error(_closed2(form, A, B)[0], refs[name])
+            worst[name] = max(worst[name], err / (EPS if name == "wasserstein" else EPS * kappa))
+            if name == "harmonic" and i % 2:
+                graded = max(graded, err / EPS)
     assert worst["wasserstein"] <= 4.0
     assert worst["geometric"] <= 0.1 and worst["bw-q"] <= 0.1
+    assert worst["harmonic"] <= 0.2 and graded <= 4.0
 
 
 @pytest.mark.filterwarnings("error")
 def test_pencil_form_meets_mpmath_over_the_conditioning_corpus():
-    # Measured worst over the 160 pairs: 0.136 eps kappa (m_-0.5 and the
-    # harmonic mean), kappa the larger condition number of the pair, and
-    # 2.52 eps on the graded pairs. On the same corpus the A^(+-1/2) frame
-    # route erred up to 1.1e9 eps kappa (m_-0.5) and 2e10 eps on graded
-    # pairs (the harmonic mean), and raised PositivityError on 16 pairs for
-    # m_+-0.5 and the geodesic.
+    # Measured worst over the 160 pairs: 0.136 eps kappa (m_-0.5), kappa
+    # the larger condition number of the pair, and 2.52 eps on the graded
+    # pairs. On the same corpus the A^(+-1/2) frame route erred up to 1.1e9
+    # eps kappa (m_-0.5) and 2e10 eps on graded pairs (the harmonic mean),
+    # and raised PositivityError on 16 pairs for m_+-0.5 and the geodesic.
     worst = dict.fromkeys(PENCILS, 0.0)
     graded = dict.fromkeys(PENCILS, 0.0)
     for i, (A, B) in enumerate(_corpus()):
@@ -268,6 +271,7 @@ def test_prescaling_keeps_the_bits_of_exact_homogeneity(stacked):
         for form, X, Y in (
             (_geometric2, (c * A, c * B), c),
             (_wasserstein2, (c * A, c * B), c),
+            (_harmonic2, (c * A, c * B), c),
             (_geometric2, (c * A, B), root),
             (_bw_q2, (c * A, c * B), 1.0),
             (_bw_q2, (c * A, B), 1.0 / root),
@@ -278,9 +282,9 @@ def test_prescaling_keeps_the_bits_of_exact_homogeneity(stacked):
             assert X.tobytes() == (c * Y).tobytes()
 
 
-# The certificate's norm squares overflow and are taken again scaled; numpy
-# warns inside the first try.
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
+# The certificate's norm squares overflow and are taken again scaled, with
+# no numpy warning.
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "kind",
     [GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5)],
@@ -320,13 +324,10 @@ def test_means_of_tiny_pairs_keep_their_digits(kind, scale):
     assert np.allclose(call(np.array([scale * A, A]), np.array([scale * B, B]))[0] / scale, unit, rtol=1e-14, atol=0.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered in dot:RuntimeWarning")
 @pytest.mark.filterwarnings("error")
 def test_harmonic_mean_of_pairs_far_apart_in_scale():
-    # (The certificate's norm square of B overflows and is taken again
-    # scaled; numpy warns inside the first try.)
-    # The roots mu = 1e306 and 1e305 of these pairs take no power, so the
-    # harmonic form needs no log limit: 2 (A^-1 + B^-1)^-1 is about 2A.
+    # rho = sqrt(det B / det A) = 1e306 and 1.6e305 for these pairs, and
+    # the harmonic form takes no power: 2 (A^-1 + B^-1)^-1 is about 2A.
     I = np.eye(2, dtype=complex)
     assert np.allclose(_mean_arr(HARMONIC, 1e-153 * I, 1e153 * I), 2e-153 * I, rtol=1e-14, atol=0.0)
     A = np.diag([1.0, 2.0])
@@ -334,6 +335,23 @@ def test_harmonic_mean_of_pairs_far_apart_in_scale():
     H = mean(HARMONIC, PdMatrix.certify(A), PdMatrix.certify(B))
     assert H.min_eigenvalue > 0.0
     assert _relative_error(H.mat, 2.0 * np.linalg.inv(np.linalg.inv(A) + np.linalg.inv(B))) < 1e-15
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("a, b", [(1e-8, 1e300), (1e300, 1e-8)], ids=["mu-past-max", "mu-subnormal"])
+def test_harmonic_mean_of_pairs_whose_pencil_roots_leave_the_float_range(a, b):
+    # A = a diag(1, 2) and B = b [[2, 1], [1, 3]] are certified, and their
+    # harmonic mean is representable, but the pencil roots are not: mu_2 is
+    # past the largest float for the first pair and mu_1 is subnormal for
+    # the second, where the pencil form raised DomainError. The harmonic
+    # form needs only rho = 1.6e308 and 1.6e-308 and their inverses finite.
+    A = np.diag([a, 2.0 * a])
+    B = b * np.array([[2.0, 1.0], [1.0, 3.0]])
+    want = 2.0 * np.linalg.inv(np.linalg.inv(A) + np.linalg.inv(B))
+    H = mean(HARMONIC, PdMatrix.certify(A), PdMatrix.certify(B))
+    assert _relative_error(H.mat, want) < 1e-15
+    stacked = _mean_arr(HARMONIC, np.array([A, A]).astype(complex), np.array([B, B]).astype(complex))
+    assert stacked[0].tobytes() == _mean_arr(HARMONIC, A.astype(complex), B.astype(complex)).tobytes()
 
 
 # Nearly singular: det rounds to 0 (a rank-one matrix), and below 0 (the
@@ -370,39 +388,43 @@ def test_a_nearly_singular_pair_raises_a_typed_error_never_a_nan(bad, det):
 # Pairs whose pencil roots put a power past _POW_LOG_LIMIT = 700, with the
 # power and root _power_guard would name. A = I and B = 1e305 I give
 # mu = 1e305: |-1 log mu| = 702.3 for m_-1, and |1 log mu| for the geodesic
-# at t = 1 (the harmonic mean takes no power there). m_0.5 passes mu^0.5
-# (|p log mu| = 351) but k = (1 + mu^0.5)/2 = 1.58e152 fails its square
-# (|log k / p| = 700.8); m_-0.5 the same at mu = 1e-305, from A = 1e152 I
-# and B = 1e-153 I. Then, for each pencil kind, roots that leave the normal
-# float range, as the roots guard names them: mu = 1e315 overflows
-# (A = 1e-10 I, B = 1e305 I) and mu = 1e-310 is subnormal (A = 1e155 I,
-# B = 1e-155 I).
+# at t = 1. m_0.5 passes mu^0.5 (|p log mu| = 351) but
+# k = (1 + mu^0.5)/2 = 1.58e152 fails its square (|log k / p| = 700.8);
+# m_-0.5 the same at mu = 1e-305, from A = 1e152 I and B = 1e-153 I. Then,
+# for each pencil kind, roots that leave the normal float range, as the
+# roots guard names them: mu = 1e315 overflows (A = 1e-10 I, B = 1e305 I)
+# and mu = 1e-310 is subnormal (A = 1e155 I, B = 1e-155 I). The harmonic
+# form takes no root and no power, only rho = sqrt(det B / det A) and
+# 1/rho: rho = 1e315 overflows on the first pair, and on the second
+# rho = 1e-310 is kept but 1/rho overflows.
 I2 = np.eye(2, dtype=complex)
 PENCIL_CALLS = {
-    "harmonic": lambda A, B: _mean_arr(HARMONIC, A, B),
     "m_0.5": lambda A, B: _mean_arr(kubo_ando_power(0.5), A, B),
     "m_-0.5": lambda A, B: _mean_arr(kubo_ando_power(-0.5), A, B),
     "trace": lambda A, B: _curve_points(GEODESIC_TRACE, A, B, (0.0, 0.3)),
 }
 ROOTS = "2x2 pencil form needs roots in the normal float range, got {}"
+RATIO = "2x2 harmonic form needs sqrt(det B / det A) and its inverse finite, got {}"
 OVERFLOWS = [
     (lambda A, B: _mean_arr(kubo_ando_power(-1.0), A, B), I2, 1e305 * I2, "power -1.0 overflows at eigenvalue 1.000e+305"),
     (lambda A, B: _curve_points(GEODESIC_TRACE, A, B, (0.5, 1.0)), I2, 1e305 * I2, "power 1.0 overflows at eigenvalue 1.000e+305"),
     (lambda A, B: _mean_arr(kubo_ando_power(0.5), A, B), I2, 1e305 * I2, "power 2.0 overflows at eigenvalue 1.581e+152"),
     (lambda A, B: _mean_arr(kubo_ando_power(-0.5), A, B), 1e152 * I2, 1e-153 * I2, "power -2.0 overflows at eigenvalue 1.581e+152"),
+    (lambda A, B: _mean_arr(HARMONIC, A, B), 1e-10 * I2, 1e305 * I2, RATIO.format("inf and 1.000e-315")),
     *((call, 1e-10 * I2, 1e305 * I2, ROOTS.format("inf and inf")) for call in PENCIL_CALLS.values()),
+    (lambda A, B: _mean_arr(HARMONIC, A, B), 1e155 * I2, 1e-155 * I2, RATIO.format("1.000e-310 and inf")),
     *((call, 1e155 * I2, 1e-155 * I2, ROOTS.format("1.000e-310 and 1.000e-310")) for call in PENCIL_CALLS.values()),
 ]
 OVERFLOW_IDS = ["m_-1", "trace-t1", "m_0.5-k", "m_-0.5-k"]
-OVERFLOW_IDS += [f"{name}-{where}" for where in ("mu-overflow", "mu-subnormal") for name in PENCIL_CALLS]
+OVERFLOW_IDS += [f"{name}-{where}" for where in ("mu-overflow", "mu-subnormal") for name in ("harmonic", *PENCIL_CALLS)]
 
 
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("call, A, B, message", OVERFLOWS, ids=OVERFLOW_IDS)
 def test_a_power_or_root_out_of_range_raises_domain_error_never_a_nan(call, A, B, message):
     # Lone, as the middle pair of a stack, and with A against a stack of B:
-    # DomainError in _power_guard's or the roots guard's words, with no
-    # numpy warning.
+    # DomainError in _power_guard's, the roots guard's or the harmonic
+    # form's words, with no numpy warning.
     pattern = f"^{re.escape(message)}$"
     with pytest.raises(DomainError, match=pattern):
         call(A, B)

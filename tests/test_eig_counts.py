@@ -9,12 +9,14 @@ A call on a stack of N matrices counts as N eigendecompositions, whichever
 kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify,
 except within a stack at n >= 3: its certificates are proven by a Cholesky
-factorization, with no eigendecomposition unless the proof fails. At
-n = 2 the geometric and Wasserstein means, the Bures-Wasserstein
-geodesic's Q, and by the pencil form the harmonic mean, m_p and the
-trace-metric geodesic take closed forms with no eigendecomposition at all;
-each pin below that names a count on the frame route subtracts what they
-save.
+factorization, with no eigendecomposition unless the proof fails. The
+Kubo-Ando means, the Wasserstein mean and both geodesics take no frame of
+A at n >= 3: the Cholesky factor A = L L* replaces it, at no
+eigendecomposition, and the harmonic mean takes none at all. At n = 2 the
+geometric and Wasserstein means, the Bures-Wasserstein geodesic's Q, and
+by the pencil form m_p and the trace-metric geodesic take closed forms
+with no eigendecomposition at all, and so does the harmonic mean by its
+own.
 """
 
 import json
@@ -88,25 +90,33 @@ def _pair(dim):
     return random_pd(rng, dim), random_pd(rng, dim)
 
 
-# Per mean, certificate included, on the frame route that every kind takes
-# at n >= 3.
+# Per mean at n >= 3, certificate included: the harmonic mean takes the
+# Cholesky factor of A + B and its inverse; the geometric mean and m_p one
+# eigendecomposition of N = L^(-1) B L^(-*) (m_p both its powers from it);
+# the Wasserstein mean one of S = (L* B L)^(1/2); the spectral geometric
+# mean S and the root of Q = L^(-*) S L^(-1). The conventional power mean
+# keeps its three powers. On the A^(+-1/2) frame these were harmonic 4,
+# geometric 3, m_p 4, spectral geometric 5 and Wasserstein 4.
 MEAN_COUNTS = [
     (ARITHMETIC, 1),
-    (HARMONIC, 4),
+    (HARMONIC, 1),
     (conventional_power(0.5), 4),
-    (GEOMETRIC, 3),
-    (kubo_ando_power(0.5), 4),
-    (kubo_ando_power(-0.5), 4),
-    (SPECTRAL_GEOMETRIC, 5),
-    (WASSERSTEIN, 4),
+    (GEOMETRIC, 2),
+    (kubo_ando_power(0.5), 2),
+    (kubo_ando_power(-0.5), 2),
+    (SPECTRAL_GEOMETRIC, 3),
+    (WASSERSTEIN, 2),
 ]
 # The means that take a closed form at n = 2, where only the certificate
-# remains: 3 -> 1 and 4 -> 1. The conventional power and spectral
-# geometric means keep their routes.
+# remains; the spectral geometric mean's Q takes the closed form there,
+# which leaves the root of Q and the certificate. The conventional power
+# mean keeps its route.
 CLOSED_AT_DIM_2 = (GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5))
 
 
 def _per_mean(kind, expected, dim):
+    if dim == 2 and kind == SPECTRAL_GEOMETRIC:
+        return 2
     return 1 if dim == 2 and kind in CLOSED_AT_DIM_2 else expected
 
 
@@ -136,16 +146,16 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
     A, B = _pair(dim)
     for call, expected in (
         (lambda: d_bw(A, B), 2),
-        # A^(-1), then Q = A^(-1) # B (a frame and a square root), one
-        # certified point; at n = 2, Q's closed form leaves the point alone.
-        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1 if dim == 2 else 4),
-        # A's frame and N^t, one certified point; at n = 2 the pencil
-        # form leaves the point alone.
-        (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 1 if dim == 2 else 3),
+        # Q = L^(-*) S L^(-1) (the root S), one certified point; at n = 2,
+        # Q's closed form leaves the point alone.
+        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1 if dim == 2 else 2),
+        # N^t on the Cholesky frame, one certified point; at n = 2 the
+        # pencil form leaves the point alone.
+        (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 1 if dim == 2 else 2),
         # d_bw(A, B), Q once (none at n = 2), five certified points, four
         # interval distances; at n >= 3 the five points, one stack, are
         # proven without an eig.
-        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 15 if dim == 2 else 13),
+        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 15 if dim == 2 else 11),
     ):
         eig_calls.clear()
         call()
@@ -154,9 +164,9 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_path, capsys):
-    # Both inputs certified (2), the point at t (1, or 4 at n >= 3) and the
-    # accrual (15, or 13 at n >= 3), whose own d_bw(A, B) scales the
-    # contract: a second one would make 20 (21).
+    # Both inputs certified (2), the point at t (1, or 2 at n >= 3) and the
+    # accrual (15, or 11 at n >= 3), whose own d_bw(A, B) scales the
+    # contract: a second one would make 20 (17).
     paths = []
     for name, M in zip("ab", _pair(dim)):
         paths.append(tmp_path / f"{name}.json")
@@ -164,40 +174,43 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
     eig_calls.clear()
     argv = ["geodesic", "--kind", "bw", "--a", str(paths[0]), "--b", str(paths[1]), "--check-metric"]
     assert main(argv) == 0
-    assert eig_calls == [dim] * (18 if dim == 2 else 19)
+    assert eig_calls == [dim] * (18 if dim == 2 else 15)
 
 
 # 50 partners certified, then per partner the mean's own eigendecompositions
 # and its certificate. A's side of the mean is taken once for the whole
 # stack: A^(-1) and its frame for the Wasserstein mean (2, then the square
 # root per partner), A's frame for m_p (1, then two powers per partner) and
-# A^(-1) for the harmonic mean (1, then B^(-1) and the inverse of the sum).
-# Taking A's side once per partner would cost 250 for each kind. At n >= 3
-# the partners and the means are stacks, so their 100 certificates are
-# proven without an eigendecomposition. At n = 2 each kind's closed form
-# drops A's side and the rest of the mean's own (52 for the Wasserstein
-# mean, 101 for m_0.5 and the harmonic mean), leaving 100.
+# A^(-1) for the harmonic mean (1, then B^(-1) and the inverse of the sum):
+# 152, 201 and 201 on the A^(+-1/2) frame. Taking A's side once per partner
+# would cost 250 for each kind. At n >= 3 the partners and the means are
+# stacks, so their 100 certificates are proven without an
+# eigendecomposition, and the Cholesky frame leaves one eigendecomposition
+# per partner for the Wasserstein mean (S) and m_p (N), and none for the
+# harmonic mean. At n = 2 each kind's closed form drops A's side and the
+# rest of the mean's own, leaving 100.
 @pytest.mark.parametrize("dim", [2, 3])
 @pytest.mark.parametrize(
     "kind, expected",
-    [(WASSERSTEIN, 152), (kubo_ando_power(0.5), 201), (HARMONIC, 201)],
+    [(WASSERSTEIN, 50), (kubo_ando_power(0.5), 50), (HARMONIC, 0)],
     ids=lambda x: getattr(x, "label", str(x)),
 )
 def test_eigendecompositions_per_probe(kind, expected, dim, eig_calls):
     A, _ = _pair(dim)
     eig_calls.clear()
     probe_report(A, kind, samples=50)
-    assert eig_calls == [dim] * (100 if dim == 2 else expected - 100)
+    assert eig_calls == [dim] * (100 if dim == 2 else expected)
 
 
 # Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and
-# 0, and the m_p hypothesis commutator (4, of which the pencil form leaves
-# the certificate at n = 2); p < 0 adds B^(-1) and B^(p+1). The harmonic
-# chain: A^(-1), B^(-1) and the inverse of their sum.
+# 0 (5), and the m_p hypothesis commutator, which costs what mean() does
+# (1 by the pencil form at n = 2, 2 on the Cholesky frame); p < 0 adds
+# B^(-1) and B^(p+1). The harmonic chain: A^(-1), B^(-1) and the inverse of
+# their sum.
 CHAIN_COUNTS = [
     pytest.param(remark1_identity_chain, (), 2, id="remark1"),
-    pytest.param(remark2_identity_chain, (0.5,), 9, id="remark2-p0.5"),
-    pytest.param(remark2_identity_chain, (-0.5,), 11, id="remark2-p-0.5"),
+    pytest.param(remark2_identity_chain, (0.5,), 5, id="remark2-p0.5"),
+    pytest.param(remark2_identity_chain, (-0.5,), 7, id="remark2-p-0.5"),
     pytest.param(remark2_identity_chain, (-1.0,), 3, id="remark2-p-1"),
 ]
 
@@ -208,8 +221,8 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
     A, B = _pair(dim)
     eig_calls.clear()
     chain(A, B, *args)
-    saved = 3 if dim == 2 and chain is remark2_identity_chain and args != (-1.0,) else 0
-    assert eig_calls == [dim] * (expected - saved)
+    hypothesis = (1 if dim == 2 else 2) if chain is remark2_identity_chain and args != (-1.0,) else 0
+    assert eig_calls == [dim] * (expected + hypothesis)
 
 
 # Criterion 6 draws its 100 pairs once for all three kinds, and criterion 8
@@ -271,10 +284,12 @@ def test_eigendecompositions_per_axiom_battery_of_the_pencil_kinds(kind, eig_cal
 def test_eigendecompositions_per_axiom_battery_at_dim_3(eig_calls):
     # At n >= 3 every stacked certificate is proven by Cholesky: B, D, TA
     # and TC (4) and the nine means (9) per sample, and T's for odd samples
-    # (4 of 8), leaving 28 per sample. A and C keep their eigenvalues, which
-    # the continuity checks read, and normalization's lone mean its 3.
+    # (4 of 8). The geometric mean's Cholesky frame leaves one
+    # eigendecomposition (N^(1/2)) per mean, where the A^(+-1/2) frame took
+    # two: 19 per sample, down from 28. A and C keep their eigenvalues,
+    # which the continuity checks read, and normalization's lone mean its 2.
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=3)
-    assert eig_calls == [3] * (8 * 28 - 4 + 3)
+    assert eig_calls == [3] * (8 * 19 - 4 + 2)
 
 
 def test_eigenvalues_only_share_of_the_axiom_battery(values_calls):

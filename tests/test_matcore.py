@@ -10,6 +10,8 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    GEOMETRIC,
+    HARMONIC,
     ConvergenceFailure,
     DimMismatch,
     DomainError,
@@ -23,9 +25,11 @@ from meanlab import (
     frobenius,
     func_calc,
     identity_pd,
+    kubo_ando_power,
     loewner_leq,
     matrix_from_json,
     matrix_to_json,
+    mean,
     mpow,
     pauli_basis,
     pauli_pair,
@@ -907,6 +911,32 @@ def test_overflowing_norms_are_taken_again_scaled():
     with np.errstate(over="ignore", invalid="ignore"):
         assert math.isinf(matcore._norms(np.array([[np.inf, 0.0], [0.0, 1.0]])))
         assert math.isinf(matcore._norms(np.full((2, 2), 1.7e308)))
+
+
+@pytest.mark.filterwarnings("error")
+def test_huge_inputs_certify_and_average_without_a_numpy_warning():
+    # The lone norm's first try no longer warns when its squares overflow:
+    # PdMatrix.certify of diag(1e160, 2e160), and the Kubo-Ando means of a
+    # 3x3 pair at that scale, whose Cholesky frame works at the square root
+    # of the scale, give no RuntimeWarning.
+    P = PdMatrix.certify(np.diag([1e160, 2e160]))
+    assert P.min_eigenvalue == 1e160
+    A, B = (1e160 * M for M in pd_stacks(0, 36, dim=3, k=2, count=1))
+    A, B = PdMatrix.certify(A[0]), PdMatrix.certify(B[0])
+    for kind in (GEOMETRIC, HARMONIC, kubo_ando_power(-0.5)):
+        M = mean(kind, A, B)
+        assert M.min_eigenvalue > 0.0 and np.all(np.isfinite(M.mat))
+
+
+def test_the_lone_norm_keeps_the_bits_of_numpys_norm():
+    # np.vdot of the flattened real and imaginary parts gives the bits of
+    # np.linalg.norm at every size up to 10, and at scales 1e-100 to 1e100.
+    rng = rng_for(37)
+    for n in range(1, 11):
+        for scale in _SCALES:
+            X = scale * random_complex(rng, n)
+            assert matcore._norms(X) == np.linalg.norm(X)
+            assert matcore._norms(X.ravel()) == np.linalg.norm(X.ravel())
 
 
 
