@@ -21,7 +21,10 @@ processes on such a host can differ by 2x. The kernels are:
   serves (harmonic, geometric, m_0.5, m_-0.5, Wasserstein and spectral
   geometric) on 180 dim-3 pairs, the size of criterion 7's dim-3 mean stack
   at 20 samples, and on one dim-4 pair; and ``check_kubo_ando_axioms`` at
-  dim 3 with 20 samples for criterion 7's four kinds.
+  dim 3 with 20 samples for criterion 7's four kinds;
+- the Bures-Wasserstein distance ``_d_bw_arr`` of one pair at dims 2 and 4
+  and of 200 pairs at dims 2 and 3, and ``criterion_10``, whose work is
+  mostly distances.
 
 Both sides get the same input arrays. A kernel that one side lacks is timed
 on the other alone.
@@ -62,9 +65,12 @@ def load(src: Path, name: str):
 def inputs(pkg) -> dict:
     """The arrays every kernel runs on, drawn with ``pkg``: seeded certified pairs at dims 2, 3 and 4."""
     A, B = pkg.sampling.pd_stacks(23, dim=2, k=2, count=200)
-    A3, B3 = pkg.sampling.pd_stacks(23, 3, dim=3, k=2, count=180)
+    A3, B3 = pkg.sampling.pd_stacks(23, 3, dim=3, k=2, count=200)
     A4, B4 = pkg.sampling.pd_stacks(23, 4, dim=4, k=2, count=1)
-    return {"X": A[0], "D": np.diag([2.0, 5.0]).astype(complex), "A": A, "B": B, "A3": A3, "B3": B3, "A4": A4[0], "B4": B4[0]}
+    return {
+        "X": A[0], "D": np.diag([2.0, 5.0]).astype(complex), "A": A, "B": B, "A3": A3[:180], "B3": B3[:180],
+        "A3_200": A3, "B3_200": B3, "A4": A4[0], "B4": B4[0],
+    }
 
 
 def kernels(pkg, data: dict) -> dict:
@@ -102,6 +108,13 @@ def kernels(pkg, data: dict) -> dict:
         out[f"_mean_arr {name} lone dim 4"] = lambda kind=kind: means._mean_arr(kind, A4, B4)
     for name in ("harmonic", "geometric", "m_0.5", "m_-0.5"):
         out[f"axioms {name}, dim 3, 20 samples"] = lambda kind=kinds[name]: means.check_kubo_ando_axioms(kind, samples=20, dim=3)
+    d_bw = pkg.geometry._d_bw_arr
+    for label, pair in (
+        ("lone dim 2", (X, B[0])), ("lone dim 4", (A4, B4)),
+        ("on 200 dim-2 pairs", (A, B)), ("on 200 dim-3 pairs", (data["A3_200"], data["B3_200"])),
+    ):
+        out[f"_d_bw_arr {label}"] = lambda pair=pair: d_bw(*pair)
+    out["criterion_10"] = lambda: pkg.verification.criterion_10(seed=0)
     return out
 
 

@@ -32,7 +32,7 @@ from .matcore import (
     HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _norms, _pow_arr,
     _sym, as_array, commutator_norm, pauli_basis,
 )
-from .means import WASSERSTEIN, MeanKind, _mean_arr, _transport_arr, kubo_ando_power, mean, power_parameter
+from .means import WASSERSTEIN, MeanKind, _mean_arr, _q_arr, kubo_ando_power, mean, power_parameter
 from .report import CheckItem, CheckReport
 
 EPS_MAX = 0.2
@@ -385,7 +385,8 @@ def _wasserstein_expansion(grid, tol_scale: float) -> tuple[CheckReport, SeriesF
     A, B = _pauli_stacks(g.eps_grid)
     means = _certified(_mean_arr(WASSERSTEIN, A, B))
     fit_mean, fit_sqrt = _fit_stacks(g, [means, _pow_arr(means, 0.5)])
-    (fit_transport,) = _fit_stacks(g, [_transport_arr(A, B)], hermitian=False)
+    # The transport map T = QA, Q = A^(-1) # B.
+    (fit_transport,) = _fit_stacks(g, [_q_arr(A, B) @ A], hermitian=False)
 
     eps_comm = 0.4
     A, B = pauli_pair(eps_comm)

@@ -1,9 +1,11 @@
 """Bures-Wasserstein distance and two geodesic families on the PD cone.
 
-d_bw(A, B) = ||A^(-1/2)(S - A)||_F with S = (A^(1/2) B A^(1/2))^(1/2) is a
-metric whose geodesic has the Wasserstein mean as midpoint. This transport
-form ||(T - I) A^(1/2)||_F, T the optimal map (Bhatia, Jain & Lim, Expo.
-Math. 37, 2019), equals sqrt(tr A + tr B - 2 tr S) without its cancellation.
+d_bw(A, B) = sqrt(tr A + tr B - 2 tr S) with S = (A^(1/2) B A^(1/2))^(1/2)
+is a metric whose geodesic has the Wasserstein mean as midpoint. It equals
+the transport form ||(T - I) A^(1/2)||_F, T = A^(-1) # B the optimal map
+(Bhatia, Jain & Lim, Expo. Math. 37, 2019), which d_bw takes on the
+Cholesky frame at n >= 3, and at n = 2 a closed form of the trace form
+with its cancellation rewritten away; neither builds A^(+-1/2).
 The trace-metric geodesic t -> A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2),
 equal to L (L^(-1) B L^(-*))^t L* for A = L L*, has the geometric mean as
 midpoint. check_geodesic_metric verifies proportional
@@ -19,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError
 from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pow_arr
-from .means import _bw_frame, _cholesky_inner, _closed2, _pencil2, _power_f, _q_arr
+from .means import _bw_distance2, _cholesky_bw, _cholesky_inner, _closed2, _parts2, _pencil2, _power_f, _q_arr
 
 TAG_TRACE = "geometric-trace"
 TAG_BW = "bures-wasserstein"
@@ -43,18 +45,29 @@ GEODESIC_BW = GeodesicKind(TAG_BW)
 
 
 def _d_bw_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
-    # ||A^(-1/2)(S - A)||_F for one pair, or for each pair of two (N, n, n) stacks.
-    _, Aih, S = _bw_frame(Aarr, Barr)
-    return _norms(Aih @ (S - Aarr))
+    # d_bw of one pair, or of each pair of two (N, n, n) stacks: the closed
+    # form at n = 2, ||L^(-*)(S - L* L)||_F on the Cholesky frame else.
+    if Aarr.shape[-1] == 2:
+        return np.float64(_bw_distance2(*_parts2(Aarr, Barr)))
+    L, Li, S = _cholesky_bw(Aarr, Barr)
+    return _norms(Li.conj().swapaxes(-1, -2) @ (S - L.conj().swapaxes(-1, -2) @ L))
 
 
 def d_bw(A: PdMatrix, B: PdMatrix) -> float:
     """Bures-Wasserstein distance between PD matrices of equal dimension.
 
-    Computed as ||A^(-1/2)(S - A)||_F with S = (A^(1/2) B A^(1/2))^(1/2),
-    from the same two eigendecompositions as sqrt(tr A + tr B - 2 tr S).
+    d_bw(A, B)^2 = tr A + tr B - 2 tr S with S = (A^(1/2) B A^(1/2))^(1/2).
     That trace form cancels near B = A and turns eps-sized roundoff into
-    sqrt(eps) in the distance; the transport form keeps d_bw(A, A) at roundoff.
+    sqrt(eps) in the distance, so neither route takes it as written. At
+    n = 2, with a = sqrt(det A), b = sqrt(det B) and
+    c = tr(adj(A/a) B/b), it is
+    ((tr A - tr B)^2 + 4ab(c - 2)) / (tr A + tr B + 2 sqrt(tr AB + 2ab)),
+    c - 2 = -det(B/b - A/a) taken from the difference, with no
+    eigendecomposition; d_bw(A, A) is exactly 0 and d_bw(A, B) exactly
+    d_bw(B, A). At other n it is the transport form ||(Q - I) L||_F,
+    Q = A^(-1) # B, on the Cholesky frame A = L L*:
+    ||L^(-*)(S' - L* L)||_F with S' = (L* B L)^(1/2), from one
+    eigendecomposition.
     """
     _check_operands(A, B)
     return float(_d_bw_arr(A.mat, B.mat))

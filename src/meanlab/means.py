@@ -31,7 +31,8 @@ sum of positive definite matrices over a denominator of at least
 interpolation form of A^(1/2) f(N) A^(1/2) (Kubo & Ando, Math. Ann. 246,
 1980; Higham, Functions of Matrices, 2008), mu_1 <= mu_2 the roots of
 det(B - mu A) = 0. The last stays within 0.14 eps kappa of 50-digit mpmath,
-where the A^(+-1/2) frame errs like eps kappa^2.
+where the A^(+-1/2) frame errs like eps kappa^2. geometry.d_bw takes one
+more form on the same parts (_bw_distance2).
 
 At any other n the Kubo-Ando means, the Wasserstein mean and both geodesics
 take the Cholesky frame A = L L* (Iannazzo, Numer. Linear Algebra Appl. 23,
@@ -43,10 +44,11 @@ take the Cholesky frame A = L L* (Iannazzo, Numer. Linear Algebra Appl. 23,
 
 so the geometric mean and m_p take one eigendecomposition of N (m_p both
 its powers from it), the Wasserstein mean one of L* B L, and the harmonic
-mean none. The spectral geometric mean is (Q^(1/2)) A (Q^(1/2)) on either
-route's Q. The conventional power mean and geometry.d_bw (whose trace form
-cancels near B = A) keep their spectral routes, and --via-function and
-wasserstein_alt keep the A^(+-1/2) frame, as cross-checks.
+mean none; a pair whose L* B L would leave the float range is scaled
+jointly by a power of four first. The spectral geometric mean is
+(Q^(1/2)) A (Q^(1/2)) on either route's Q. The conventional power mean
+keeps its spectral route, and --via-function and wasserstein_alt keep the
+A^(+-1/2) frame, as cross-checks.
 
 Every public evaluation returns a freshly certified :class:`PdMatrix`.
 """
@@ -214,24 +216,53 @@ def _cholesky_inner(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.
     return L, _sym(Li @ Barr @ Li.conj().swapaxes(-1, -2))
 
 
+# L* B L has the scale of tr A tr B; a pair whose product of traces lies
+# outside [2^-_PAIR_RANGE, 2^_PAIR_RANGE] is scaled jointly first.
+_PAIR_RANGE = 500
+
+
+def _pair_exponent(Aarr: np.ndarray, Barr: np.ndarray):
+    # None when 2^e = tr A tr B, to within a factor 4, has |e| <= _PAIR_RANGE
+    # for the pair, or for every pair of stacks that broadcast; else k with
+    # tr A tr B 16^-k in [1/4, 8), one per pair as (..., 1, 1) for stacks
+    # (0 where |e| <= _PAIR_RANGE). A trace that is not a finite positive
+    # number has exponent 0 and is left to the factorization to refuse.
+    if Aarr.ndim == 2 and Barr.ndim == 2:
+        e = math.frexp(sum(Aarr.diagonal().real.tolist()))[1] + math.frexp(sum(Barr.diagonal().real.tolist()))[1]
+        return None if -_PAIR_RANGE <= e <= _PAIR_RANGE else e // 4
+    ta, tb = (np.diagonal(X, axis1=-2, axis2=-1).real.sum(axis=-1) for X in (Aarr, Barr))
+    e = np.frexp(ta)[1] + np.frexp(tb)[1]
+    out = np.abs(e) > _PAIR_RANGE
+    return np.where(out, e // 4, 0)[..., None, None] if out.any() else None
+
+
+def _ldexp(X: np.ndarray, e) -> np.ndarray:
+    # X 2^e as a complex matrix or stack, e an int or one per matrix: exact
+    # wherever an entry stays in the normal range.
+    return np.ldexp(np.ascontiguousarray(X, dtype=np.complex128).view(np.float64), e).view(np.complex128)
+
+
 def _cholesky_bw(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The frame of Q = A^(-1) # B = L^(-*) S L^(-1) at n >= 3: L, L^(-1) and
-    # S = (L* B L)^(1/2), A = L L*, from one eigendecomposition.
+    # S = (L* B L)^(1/2), A = L L*, from one eigendecomposition. Where
+    # _pair_exponent gives k, the frame is that of 4^-k A and 4^-k B, whose
+    # L* B L lies near 1, and L, L^(-1) and S are scaled back by 2^k, 2^-k
+    # and 4^k: exact, where L* B L itself would overflow (entries of A and B
+    # near 1e160) or underflow.
+    k = _pair_exponent(Aarr, Barr)
+    if k is not None:
+        Aarr, Barr = _ldexp(Aarr, -2 * k), _ldexp(Barr, -2 * k)
     L, Li = _cholesky_frame(Aarr)
-    return L, Li, _pow_arr(_sym(L.conj().swapaxes(-1, -2) @ Barr @ L), 0.5)
+    S = _pow_arr(_sym(L.conj().swapaxes(-1, -2) @ Barr @ L), 0.5)
+    return (L, Li, S) if k is None else (_ldexp(L, k), _ldexp(Li, -k), _ldexp(S, 2 * k))
 
 
 def _bw_frame(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     # The transport frame: A^(1/2), A^(-1/2) and S = (A^(1/2) B A^(1/2))^(1/2),
-    # from one eig of A and one of A^(1/2) B A^(1/2).
+    # from one eig of A and one of A^(1/2) B A^(1/2). Only the cross-checks
+    # that are defined on it take it: wasserstein_alt and the remark-1 chain.
     Ah, Aih = _pow_arr(Aarr, 0.5, -0.5)
     return Ah, Aih, _pow_arr(_sym(Ah @ Barr @ Ah), 0.5)
-
-
-def _transport_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
-    # T = A^(-1/2) S A^(1/2) on the transport frame.
-    Ah, Aih, S = _bw_frame(Aarr, Barr)
-    return Aih @ S @ Ah
 
 
 # The 2x2 closed forms, on matcore's 2x2 layer: a Hermitian [[p, z],
@@ -350,11 +381,12 @@ def _ratio_stack(q, qi, shift):
 _LONE = SimpleNamespace(
     **vars(matcore._LONE), root=_root_lone, root0=lambda d: math.sqrt(max(d, 0.0)), half_exponent=_half_exponent_lone,
     nodes=_nodes_lone, ratio=_ratio_lone, quotient=lambda d, gap, derivative: d / gap if gap else derivative,
+    maximum=max,
 )
 _STACK = SimpleNamespace(
     **vars(matcore._STACK), root=_root_stack, root0=lambda d: np.sqrt(np.maximum(d, 0.0)),
     half_exponent=_half_exponent_stack, nodes=_nodes_stack, ratio=_ratio_stack,
-    quotient=lambda d, gap, derivative: np.divide(d, gap, out=derivative, where=gap != 0.0),
+    quotient=lambda d, gap, derivative: np.divide(d, gap, out=derivative, where=gap != 0.0), maximum=np.maximum,
 )
 
 
@@ -452,17 +484,46 @@ def _harmonic2(x, y, ops):
     return [tuple(ca * xi + cb * yi for xi, yi in zip(x, y))]
 
 
+def _bw_distance2(x, y, ops):
+    # d_bw(A, B)^2 = tr A + tr B - 2 tr S with tr S = sqrt(tr AB + 2ab) for
+    # the 2x2 S = (A^(1/2) B A^(1/2))^(1/2), taken as
+    #     ((tr A - tr B)^2 + 4ab(c - 2)) / (tr A + tr B + 2 tr S):
+    # the trace form times its conjugate, over the conjugate, rewritten by
+    # tr A tr B - tr AB = tr(adj A B) = ab c. c - 2 = -det(B/b - A/a) >= 0
+    # is taken from the difference, as _pencil2 takes c^2 - 4, so nothing
+    # cancels near B = A and d(A, A) is 0 exactly; rounding below 0 is
+    # clamped. tr AB + 2ab is ab (tr(A/a B/b) + 2). Both matrices are taken
+    # to the larger one's scale 4^k, exact but for what underflows beside
+    # it, and d is scaled back by 2^k.
+    (p, q, re, im), a, ka = _normalized2(x, ops)
+    (u, v, wr, wi), b, kb = _normalized2(y, ops)
+    k = ops.maximum(ka, kb)
+    sa, sb = 2 * (ka - k), 2 * (kb - k)
+    ta, tb, s = ops.ldexp(p + q, sa), ops.ldexp(u + v, sb), ops.ldexp(a, sa) * ops.ldexp(b, sb)
+    p, q, re, im = p / a, q / a, re / a, im / a
+    u, v, wr, wi = u / b, v / b, wr / b, wi / b
+    d0, d1, dr, di = u - p, v - q, wr - re, wi - im
+    c2 = -(d0 * d1 - (dr * dr + di * di))
+    trace_s = ops.root0(s * (p * u + q * v + 2.0 * (re * wr + im * wi) + 2.0))
+    return ops.ldexp(ops.root0(((ta - tb) * (ta - tb) + 4.0 * (s * c2)) / (ta + tb + 2.0 * trace_s)), k)
+
+
+def _parts2(Aarr: np.ndarray, Barr: np.ndarray):
+    # The parts (p, q, Re z, Im z) of a 2x2 pair, Python floats for one pair
+    # and arrays for two stacks that broadcast, with the route table.
+    if Aarr.ndim == 2 and Barr.ndim == 2:
+        (p, z), (_, q) = Aarr.tolist()
+        (u, w), (_, v) = Barr.tolist()
+        return (p.real, q.real, z.real, z.imag), (u.real, v.real, w.real, w.imag), _LONE
+    x, y = ((X[..., 0, 0].real, X[..., 1, 1].real, X[..., 0, 1].real, X[..., 0, 1].imag) for X in (Aarr, Barr))
+    return x, y, _STACK
+
+
 def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray):
     # The list of results of a 2x2 closed form (one, or one per function of
     # _pencil2) of one pair, on Python floats, or of each pair of two stacks
     # that broadcast, as arrays; each result is exactly Hermitian.
-    if Aarr.ndim == 2 and Barr.ndim == 2:
-        (p, z), (_, q) = Aarr.tolist()
-        (u, w), (_, v) = Barr.tolist()
-        x, y, ops = (p.real, q.real, z.real, z.imag), (u.real, v.real, w.real, w.imag), _LONE
-    else:
-        x, y = ((X[..., 0, 0].real, X[..., 1, 1].real, X[..., 0, 1].real, X[..., 0, 1].imag) for X in (Aarr, Barr))
-        ops = _STACK
+    x, y, ops = _parts2(Aarr, Barr)
     return [ops.matrix(p, q, re, im, -im) for p, q, re, im in form(x, y, ops)]
 
 
@@ -546,8 +607,10 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
 
 
 def _wasserstein_alt_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
-    # wasserstein_alt, unsymmetrized and uncertified, of one pair or of stacks.
-    T = _transport_arr(Aarr, Barr)
+    # wasserstein_alt, unsymmetrized and uncertified, of one pair or of
+    # stacks, with T = A^(-1/2) S A^(1/2) on the transport frame.
+    Ah, Aih, S = _bw_frame(Aarr, Barr)
+    T = Aih @ S @ Ah
     return (Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0
 
 

@@ -11,7 +11,10 @@ Each re-routed quantity is checked against 50-digit mpmath, whose
 references take the A^(+-1/2) frame through mpmath's Hermitian eigensolver
 and so share nothing with the frame; its lone route against its stacked
 route, bit for bit; and the factor's guard, which turns a pivot that is not
-a finite positive number into PositivityError instead of a NaN.
+a finite positive number into PositivityError instead of a NaN. The
+Bures-Wasserstein distance, ||L^(-*)(S - L* L)||_F on the frame and a
+closed form at n = 2, is checked against the same references at n = 2, 3
+and 4.
 """
 
 import math
@@ -22,18 +25,23 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    GEODESIC_BW,
     GEODESIC_TRACE,
     GEOMETRIC,
     HARMONIC,
     SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
+    PdMatrix,
     PositivityError,
+    d_bw,
+    geodesic,
     kubo_ando_power,
+    mean,
     random_unitary,
     rng_for,
 )
 from meanlab import matcore
-from meanlab.geometry import _curve_points
+from meanlab.geometry import _curve_points, _d_bw_arr
 from meanlab.matcore import _sym
 from meanlab.means import _mean_arr, _q_arr
 from meanlab.sampling import pd_stacks
@@ -162,6 +170,85 @@ def test_the_frame_meets_mpmath_over_the_conditioning_corpus(n):
     for name in QUANTITIES:
         assert worst[name, False] <= UNGRADED_PINS[name], name
         assert worst[name, True] <= {**GRADED_PINS, **GRADED_Q_PINS}[name], name
+
+
+def _mp_d_bw(A, B):
+    # sqrt(tr A + tr B - 2 tr S), S = (A^(1/2) B A^(1/2))^(1/2), in 50-digit
+    # arithmetic, where the trace form's cancellation costs nothing.
+    def mpm(X):
+        return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
+
+    def root(M):
+        E, V = mp.eighe((M + M.transpose_conj()) / 2)
+        return V * mp.diag([mp.sqrt(e) for e in E]) * V.transpose_conj()
+
+    with mp.workdps(50):
+        Am, Bm = mpm(A), mpm(B)
+        Ah = root(Am)
+        S = root(Ah * Bm * Ah)
+        return mp.sqrt(mp.re(sum(Am[i, i] + Bm[i, i] - 2 * S[i, i] for i in range(Am.rows))))
+
+
+# The distance's pins, each the measured worst times 1.5. At n = 2 the
+# closed form's relative error over eps, ungraded and graded (measured 0.86
+# and 10.7; the A^(+-1/2) frame erred up to 1.7e9 and 4.5e5 eps there and
+# raised on 5 pairs). At n = 3 and 4 the frame's over eps kappa(A) kappa(B)
+# (measured ungraded 0.0041 / 0.0087, graded 0.0046 / 0.033; the A^(+-1/2)
+# frame 0.00097 / 0.00041 and 0.0019 / 0.011 on the pairs it answered,
+# 7.3e6 against 3.7e6 eps at worst ungraded at n = 3). Near pairs
+# B = A + delta E, kappa(A) = 1e4: the absolute error over
+# eps sqrt(tr A + tr B) (measured 10.4 at n = 2, where the frame read 1.2e5,
+# and 2.4e5 at n = 3 and 4, as the frame).
+D_BW_PINS = {2: (1.3, 16.0), 3: (0.013, 0.05), 4: (0.013, 0.05)}
+NEAR_PINS = {2: 16.0, 3: 3.6e5, 4: 3.6e5}
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_d_bw_meets_mpmath_over_the_conditioning_corpus(n):
+    # A pair may raise PositivityError only at n >= 3 and kappa >= 1e8, as
+    # the Q-based quantities above; at n = 2 every pair answers.
+    worst = {False: 0.0, True: 0.0}
+    for A, B, graded in _corpus(n):
+        kappa = np.linalg.cond(A) * np.linalg.cond(B)
+        want = _mp_d_bw(A, B)
+        try:
+            d = float(_d_bw_arr(A, B))
+        except PositivityError:
+            assert n >= 3 and max(np.linalg.cond(A), np.linalg.cond(B)) > 1e7
+            continue
+        scale = EPS if n == 2 else EPS * kappa
+        worst[graded] = max(worst[graded], float(abs(d - want) / want) / scale)
+    assert worst[False] <= D_BW_PINS[n][0] and worst[True] <= D_BW_PINS[n][1]
+    rng = rng_for(48, n)
+    near = 0.0
+    for delta in 10.0 ** -np.arange(2, 15):
+        A = _spectral(rng, n, 1e4)
+        B = _sym(A + delta * (_spectral(rng, n, 3.0) - 2.0 * np.eye(n)))
+        err = abs(float(_d_bw_arr(A, B)) - _mp_d_bw(A, B))
+        near = max(near, float(err) / (EPS * math.sqrt(np.trace(A).real + np.trace(B).real)))
+    assert near <= NEAR_PINS[n]
+
+
+@pytest.mark.filterwarnings("error")
+def test_q_quantities_at_entries_near_1e160():
+    # L* B L of such a pair would pass 1e308 (numpy's matmul overflow, then
+    # ConvergenceFailure); the pair is scaled jointly by a power of two
+    # first, so each quantity is its value at the unscaled pair, scaled.
+    A, B = pd_stacks(0, 36, dim=3, k=2, count=2)
+    big = [PdMatrix.certify(1e160 * X[0]) for X in (A, B)]
+    small = [PdMatrix.certify(X[0]) for X in (A, B)]
+    for call, power in (
+        (lambda P, R: mean(WASSERSTEIN, P, R).mat, 1),
+        (lambda P, R: mean(SPECTRAL_GEOMETRIC, P, R).mat, 1),
+        (lambda P, R: geodesic(GEODESIC_BW, P, R, 0.3).mat, 1),
+        (lambda P, R: d_bw(P, R), 0.5),
+    ):
+        got, want = call(*big), 1e160**power * call(*small)
+        assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+    for call, power in ((_q_arr, 0), (lambda P, R: _mean_arr(WASSERSTEIN, P, R), 1), (_d_bw_arr, 0.5)):
+        got, want = call(1e160 * A, 1e160 * B), 1e160**power * call(A, B)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.abs(want).max())
 
 
 def _special_pairs(n):

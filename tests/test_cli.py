@@ -206,6 +206,17 @@ def test_geodesic_midpoint_checks(capsys, scalar_pair):
     assert code == 0
 
 
+def test_geodesic_check_metric_on_a_pair_of_large_condition_number(capsys, matrix_file):
+    # The distances between the curve's points of diag(10, 2e12) and
+    # [[2, 1], [1, 3]] once raised through the A^(+-1/2) frame ("power 0.5
+    # of a matrix with minimum eigenvalue 0.000e+00", exit 2).
+    a = matrix_file("a.json", np.diag([10.0, 2e12]))
+    b = matrix_file("b.json", [[2.0, 1.0], [1.0, 3.0]])
+    code, payload = run_json(capsys, ["geodesic", "--kind", "bw", "--a", a, "--b", b, "--check-metric"])
+    assert code == 0
+    assert payload["all_pass"] is True
+
+
 def test_geodesic_check_metric_needs_the_bw_curve(capsys, scalar_pair):
     # The accrual check measures the Bures-Wasserstein curve, so it is
     # refused for the trace-metric point rather than run on the other curve.

@@ -10,11 +10,12 @@ kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one
 eigendecomposition of A, and every result costs one more to certify,
 except within a stack at n >= 3: its certificates are proven by a Cholesky
 factorization, with no eigendecomposition unless the proof fails. The
-Kubo-Ando means, the Wasserstein mean and both geodesics take no frame of
-A at n >= 3: the Cholesky factor A = L L* replaces it, at no
-eigendecomposition, and the harmonic mean takes none at all. At n = 2 the
-geometric and Wasserstein means, the Bures-Wasserstein geodesic's Q, and
-by the pencil form m_p and the trace-metric geodesic take closed forms
+Kubo-Ando means, the Wasserstein mean, both geodesics and the
+Bures-Wasserstein distance take no frame of A at n >= 3: the Cholesky
+factor A = L L* replaces it, at no eigendecomposition, and the harmonic
+mean takes none at all. At n = 2 the geometric and Wasserstein means, the
+Bures-Wasserstein geodesic's Q and the distance, and by the pencil form
+m_p and the trace-metric geodesic take closed forms
 with no eigendecomposition at all, and so does the harmonic mean by its
 own.
 """
@@ -145,17 +146,20 @@ def test_eigenvalues_only_share_per_mean(kind, expected, dim, values_calls):
 def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
     A, B = _pair(dim)
     for call, expected in (
-        (lambda: d_bw(A, B), 2),
+        # The closed form at n = 2; S = (L* B L)^(1/2) on the Cholesky frame
+        # at n >= 3. The A^(+-1/2) frame took 2 at both.
+        (lambda: d_bw(A, B), 0 if dim == 2 else 1),
         # Q = L^(-*) S L^(-1) (the root S), one certified point; at n = 2,
         # Q's closed form leaves the point alone.
         (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1 if dim == 2 else 2),
         # N^t on the Cholesky frame, one certified point; at n = 2 the
         # pencil form leaves the point alone.
         (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 1 if dim == 2 else 2),
-        # d_bw(A, B), Q once (none at n = 2), five certified points, four
-        # interval distances; at n >= 3 the five points, one stack, are
-        # proven without an eig.
-        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 15 if dim == 2 else 11),
+        # d_bw(A, B), Q once, five certified points and four interval
+        # distances: at n = 2 only the points (15 with the frame's
+        # distances); at n >= 3 the five points, one stack, are proven
+        # without an eig, and each distance and Q take one (11).
+        (lambda: check_geodesic_metric(A, B, [0.0, 0.25, 0.5, 0.75, 1.0]), 5 if dim == 2 else 6),
     ):
         eig_calls.clear()
         call()
@@ -165,8 +169,9 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_path, capsys):
     # Both inputs certified (2), the point at t (1, or 2 at n >= 3) and the
-    # accrual (15, or 11 at n >= 3), whose own d_bw(A, B) scales the
-    # contract: a second one would make 20 (17).
+    # accrual (5, or 6 at n >= 3), whose own d_bw(A, B) scales the
+    # contract: a second one would make 11 at n >= 3 (at n = 2 a distance
+    # takes none). The A^(+-1/2) frame's distances made 18 and 15.
     paths = []
     for name, M in zip("ab", _pair(dim)):
         paths.append(tmp_path / f"{name}.json")
@@ -174,7 +179,7 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
     eig_calls.clear()
     argv = ["geodesic", "--kind", "bw", "--a", str(paths[0]), "--b", str(paths[1]), "--check-metric"]
     assert main(argv) == 0
-    assert eig_calls == [dim] * (18 if dim == 2 else 15)
+    assert eig_calls == [dim] * (8 if dim == 2 else 10)
 
 
 # 50 partners certified, then per partner the mean's own eigendecompositions
@@ -244,9 +249,10 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
 # - criterion 9: six Wasserstein probes (52 each), six m_0.5 probes (101
 #   each) and three m_p in the chains (927);
 # - criterion 10: 20 midpoint pairs (a geometric mean, a Q, a Wasserstein
-#   mean and a trace-metric curve each, 200) and 50 accrual pairs (a Q
-#   each, 150).
-CLOSED_FORM_SAVINGS = {criterion_6: 903, criterion_8: 1200, criterion_9: 927, criterion_10: 350}
+#   mean and a trace-metric curve each, 200), 50 accrual pairs (a Q each,
+#   150) and 1251 distances by d_bw's closed form (2 each, 2502), which
+#   leaves only certificates (1151).
+CLOSED_FORM_SAVINGS = {criterion_6: 903, criterion_8: 1200, criterion_9: 927, criterion_10: 2852}
 
 
 @pytest.mark.parametrize(

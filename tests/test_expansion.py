@@ -37,7 +37,7 @@ from meanlab import (
 )
 from meanlab import HARMONIC, expansion
 from meanlab.matcore import _certified_power, _pow_arr
-from meanlab.means import _transport_arr
+from meanlab.means import _q_arr
 from meanlab.sampling import stacked
 
 SZ, SX, _U = pauli_basis()
@@ -323,7 +323,7 @@ def test_grid_stacked_families_equal_the_lone_ones(kind, eps):
     if kind.tag == WASSERSTEIN.tag:
         assert np.array_equal(_pow_arr(M, 0.5), [_pow_arr(X.mat, 0.5) for X in lone])
         A, B = stacked([pauli_pair(e) for e in eps])
-        assert np.array_equal(_transport_arr(A, B), [_transport_arr(a, b) for a, b in zip(A, B)])
+        assert np.array_equal(_q_arr(A, B) @ A, [_q_arr(a, b) @ a for a, b in zip(A, B)])
     else:
         want = [mpow(X, kind.p).mat for X in lone]
         assert np.array_equal(_certified_power(M, kind.p), want)

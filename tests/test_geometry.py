@@ -51,15 +51,19 @@ def test_distance_between_scalar_matrices(pd):
 
 
 def test_distance_is_symmetric(rng):
-    A = random_pd(rng, 2)
-    B = random_pd(rng, 2)
-    assert abs(d_bw(A, B) - d_bw(B, A)) <= ENDPOINT_TOL
+    # Exactly at n = 2: the closed form takes each term symmetrically.
+    for _ in range(20):
+        A = random_pd(rng, 2)
+        B = random_pd(rng, 2)
+        assert d_bw(A, B) == d_bw(B, A)
 
 
 def test_self_distance_is_roundoff_only(rng):
+    # At n = 2 no roundoff is left: c - 2 = -det(A/a - A/a) and
+    # tr A - tr A are 0 exactly. At n = 3 it is S - L* L.
     for _ in range(5):
-        A = random_pd(rng, 2)
-        assert d_bw(A, A) <= SELF_DISTANCE_TOL
+        assert d_bw(A := random_pd(rng, 2), A) == 0.0
+        assert d_bw(A := random_pd(rng, 3), A) <= SELF_DISTANCE_TOL
 
 
 def test_triangle_inequality_on_samples(rng):
@@ -243,12 +247,52 @@ def test_stacked_curve_points_match_each_geodesic(dim):
                 assert frobenius(P[i, j] - G) <= 1e-14 * frobenius(G)
 
 
-@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("dim", [2, 3, 4])
 def test_stacked_distance_matches_each_pair(dim):
+    # Byte for byte, and for one A against a stack of B.
     pairs = draws(lambda rng: (random_pd(rng, dim), random_pd(rng, dim)), 5, dim, count=12)
     A, B = stacked(pairs)
     want = np.array([d_bw(P, Q) for P, Q in pairs])
-    assert np.all(np.abs(_d_bw_arr(A, B) - want) <= 1e-14 * want)
+    assert _d_bw_arr(A, B).tobytes() == want.tobytes()
+    against = np.array([d_bw(pairs[0][0], Q) for _, Q in pairs])
+    assert _d_bw_arr(A[0], B).tobytes() == against.tobytes()
+
+
+def _scaled(X, e):
+    # X 2^e, exactly.
+    return np.ldexp(X.view(np.float64), e).view(np.complex128)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("k", [-400, -100, 100, 400])
+def test_distance_is_homogeneous_under_powers_of_four(dim, k):
+    # d(4^k A, 4^k B) = 2^k d(A, B) bit for bit, lone and stacked: at
+    # n = 2 each matrix is scaled by a power of four inside the form, and
+    # at n >= 3 a pair with k = +-400 is scaled jointly before L* B L
+    # (whose entries would pass 1e308 or fall below 1e-308).
+    A, B = stacked(draws(lambda rng: (random_pd(rng, dim), random_pd(rng, dim)), 8, dim, count=6))
+    want = np.ldexp(_d_bw_arr(A, B), k)
+    got = _d_bw_arr(_scaled(A, 2 * k), _scaled(B, 2 * k))
+    assert got.tobytes() == want.tobytes()
+    assert _d_bw_arr(_scaled(A[0], 2 * k), _scaled(B[0], 2 * k)) == want[0]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("dim", [2, 3])
+def test_extreme_scales_give_a_distance_and_no_nan(dim):
+    # A and B scaled apart by 2^ea and 2^eb, from 1e-301 to 1e301 and up
+    # to 2^2000 apart: every pair gets a finite distance with no numpy
+    # warning, lone and stacked, within the bounds
+    # |sqrt(tr A) - sqrt(tr B)| <= d <= sqrt(tr A + tr B).
+    A, B = stacked(draws(lambda rng: (random_pd(rng, dim), random_pd(rng, dim)), 9, dim, count=3))
+    for ea in (-1000, -520, -160, 0, 160, 520, 1000):
+        for eb in (-1000, -520, 0, 520, 1000):
+            As, Bs = _scaled(A, ea), _scaled(B, eb)
+            d = _d_bw_arr(As, Bs)
+            assert [_d_bw_arr(a, b) for a, b in zip(As, Bs)] == d.tolist()
+            ta, tb = (np.trace(X, axis1=-2, axis2=-1).real for X in (As, Bs))
+            lo, hi = np.abs(np.sqrt(ta) - np.sqrt(tb)), np.sqrt(ta + tb)
+            assert np.all((lo * (1.0 - 1e-12) <= d) & (d <= hi * (1.0 + 1e-12))), (ea, eb)
 
 
 def _mp_d_bw(A, B):
@@ -273,4 +317,14 @@ def test_near_pair_distance_against_mpmath(pd):
 
 def test_self_distance_at_large_condition_number(pd):
     A = pd(np.diag([10.0, 2e12]))
-    assert d_bw(A, A) <= 16.0 * np.finfo(float).eps * math.sqrt(2.0 * A.trace())
+    assert d_bw(A, A) == 0.0
+
+
+def test_distance_of_a_pair_of_large_condition_number_against_mpmath(pd):
+    # The pair whose geodesic accrual check once raised through the frame
+    # (tests/test_cli.py): its distance is within one rounding of 50 digits
+    # (measured 0.28 eps).
+    A = pd(np.diag([10.0, 2e12]))
+    B = pd([[2.0, 1.0], [1.0, 3.0]])
+    want = _mp_d_bw(A.mat, B.mat)
+    assert float(abs(d_bw(A, B) - want) / want) <= np.finfo(float).eps
