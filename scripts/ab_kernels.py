@@ -13,8 +13,12 @@ processes on such a host can differ by 2x. The kernels are:
 
 - at n = 2: the lone ``_eig2_values``, the lone ``_pow_arr`` at 0.5 and at
   (0.5, -0.5) on a matrix with b != 0 and on one with b = 0, a certified
-  lone power, stacked powers of 20 and of 200 ``pd_stacks`` matrices, and
-  ``_mean_arr`` m_0.5 of one pair and of 200;
+  lone power, stacked powers of 20 and of 200 ``pd_stacks`` matrices,
+  ``_mean_arr`` m_0.5 of one pair and of 200, and the lone geometric,
+  Wasserstein and harmonic ``_mean_arr``, which take the checked roots,
+  nodes and ratio of the closed forms;
+- ``PdMatrix.certify`` of a lone wrapped matrix at dims 2 and 4, which
+  checks the certificate as construction does;
 - the lone ``_norms`` of a 4x4;
 - at n >= 3: ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
   matrices and on a lone 4x4; ``_mean_arr`` of each kind the Cholesky frame
@@ -91,8 +95,14 @@ def kernels(pkg, data: dict) -> dict:
         "_pow_arr stack of 200, 0.5": lambda: pow_arr(A, 0.5),
         "_mean_arr m_0.5 lone": lambda: means._mean_arr(m05, X, B[0]),
         "_mean_arr m_0.5 on 200 pairs": lambda: means._mean_arr(m05, A, B),
+        "_mean_arr geometric lone": lambda: means._mean_arr(means.GEOMETRIC, X, B[0]),
+        "_mean_arr wasserstein lone": lambda: means._mean_arr(means.WASSERSTEIN, X, B[0]),
+        "_mean_arr harmonic lone": lambda: means._mean_arr(means.HARMONIC, X, B[0]),
         "_norms lone 4x4": lambda: matcore._norms(A4),
     }
+    for dim, M in ((2, X), (4, A4)):
+        H = matcore.HermitianMatrix._wrap(M)
+        out[f"PdMatrix.certify lone dim {dim}"] = lambda H=H: matcore.PdMatrix.certify(H)
     if hasattr(matcore, "_cholesky"):
         with np.errstate(all="ignore"):
             factors = {"stack of 180 3x3": matcore._cholesky(A3)[:3], "lone 4x4": matcore._cholesky(A4)[:3]}

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import DomainError, FitFailure, IllConditioned
 from .matcore import (
     HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _norms, _pow_arr,
-    _sym, as_array, commutator_norm, pauli_basis,
+    _require, _sym, as_array, commutator_norm, pauli_basis,
 )
 from .means import WASSERSTEIN, MeanKind, _mean_arr, _q_arr, kubo_ando_power, mean, power_parameter
 from .report import CheckItem, CheckReport
@@ -48,9 +48,7 @@ FIT_SANITY = 1e-2
 def _pauli_stacks(eps) -> tuple[np.ndarray, np.ndarray]:
     # The pairs (I + e sigma_z, I + e sigma_x), e in eps, as two (N, 2, 2) stacks.
     e = np.array(eps, dtype=float)[:, None, None]
-    bad = ~(np.abs(e) < 1.0)
-    if bad.any():
-        raise DomainError(f"the pair stays positive definite only for |eps| < 1, got {np.extract(bad, e)[0]}")
+    _require(np.abs(e) < 1.0, DomainError, "the pair stays positive definite only for |eps| < 1, got {}", e)
     sz, sx, _ = pauli_basis()
     I = np.eye(2, dtype=np.complex128)
     return _sym(I + e * sz.mat), _sym(I + e * sx.mat)
@@ -150,11 +148,8 @@ def _fit(g: EpsFamily, data: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     _, resid2 = _poly_fit(data, g.eps_grid, 2)
     scale = np.maximum(1.0, _norms(data[:, :, None]).max(axis=0))
     # Written so that a NaN residual fails too.
-    bad = ~(resid2 <= FIT_SANITY * scale)
-    if bad.any():
-        raise FitFailure(
-            f"degree-2 residual {np.extract(bad, resid2)[0]:.3e} exceeds the sanity bound on this grid"
-        )
+    ok = resid2 <= FIT_SANITY * scale
+    _require(ok, FitFailure, "degree-2 residual {:.3e} exceeds the sanity bound on this grid", resid2)
     return coeffs[:3], resid2
 
 

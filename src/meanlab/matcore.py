@@ -45,6 +45,14 @@ norm whose squares overflow again with the matrix scaled by a power of
 two; every eigenvalue power goes through ``np.power``, as the preserver's
 scalar powers do.
 
+Refusals over a value, or over each matrix or pair of a stack, go through
+``_require``: a typed MeanlabError (ValueError for a matrix that is not
+Hermitian) naming the value, for a stack its first failing entry. Each
+predicate fails on a NaN (masa_eval's sees none), and a hot caller tests
+``ok is True`` first, so a lone value that passes costs it no call.
+``_power_guard``, on the lone power's hot path, and the per-eigenvalue loops
+of the spectral route keep raises of their own.
+
 A certificate whose value someone reads (``PdMatrix.certify``, ``mpow``,
 ``_certify_stack``) is the exact lambda_min of the values-only kernels.
 ``_certified`` checks results whose certificate nobody reads: a stack at
@@ -70,7 +78,6 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -103,6 +110,18 @@ _POW_LOG_LIMIT = 700.0
 
 # The unit roundoff u of float64, for the error bounds of _cholesky_proof.
 _UNIT_ROUNDOFF = 2.0**-53
+
+
+def _require(ok, error: type[Exception], message: str, *values) -> None:
+    # The one refusal: raise error(message.format(*values)) unless ok holds,
+    # a bool for a lone value or an array with one entry per matrix, pair or
+    # pivot of a stack, where each array value is named by its first failing
+    # entry.
+    if ok is True:
+        return
+    ok = np.asarray(ok)
+    if not ok.all():
+        raise error(message.format(*(np.extract(~ok, v)[0].item() if isinstance(v, np.ndarray) else v for v in values)))
 
 
 def _to_complex_array(entries) -> np.ndarray:
@@ -238,10 +257,7 @@ def _check_hermitian(arr: np.ndarray) -> None:
     # for the matrix, or for each matrix of a stack; a NaN fails.
     asym = _norms(arr - arr.conj().swapaxes(-1, -2))
     ok = asym <= HERMITICITY_RTOL * np.maximum(1.0, _norms(arr))
-    if not ok.all():
-        raise ValueError(
-            f"matrix is not Hermitian: asymmetry {np.extract(~ok, asym)[0]:.3e} exceeds tolerance"
-        )
+    _require(ok, ValueError, "matrix is not Hermitian: asymmetry {:.3e} exceeds tolerance", asym)
 
 
 def pd_tolerance(entries):
@@ -268,12 +284,7 @@ class PdMatrix(HermitianMatrix):
             object.__setattr__(self, "mat", self.mat.mat)
         else:
             super().__post_init__()
-        lam = float(self.min_eigenvalue)
-        if not math.isfinite(lam) or lam <= pd_tolerance(self.mat):
-            raise PositivityError(
-                f"minimum eigenvalue {lam:.3e} does not clear the positivity tolerance"
-            )
-        object.__setattr__(self, "min_eigenvalue", lam)
+        object.__setattr__(self, "min_eigenvalue", _check_certificates(self.mat, float(self.min_eigenvalue)))
 
     @classmethod
     def certify(cls, matrix) -> "PdMatrix":
@@ -737,9 +748,9 @@ def _power_guard(lo, hi, ps, certify: bool) -> None:
 # - h, |b|, r and b are first scaled by the power of two that takes r into
 #   [1/2, 1). That is exact, so the bits do not move, but f_i (r -+ h) can
 #   no longer overflow where the result does not (1e100 I at p = 2 did).
-# - b = 0 gives diag(a**p, d**p) exactly: outright for a lone matrix, and
-#   in a stack by the weights (1, 0) and (0, 1) in its diagonal's order over
-#   2r = 1, with a zero off the diagonal.
+# - b = 0 gives diag(a**p, d**p) exactly, in its diagonal's order, with a
+#   zero off the diagonal: outright for a lone matrix, and in a stack by
+#   overwriting the form's rows, so a -0.0 eigenvalue keeps its sign.
 # _power2 takes everything that does not depend on p once, and returns the
 # function that maps f = w**p and p to the power.
 
@@ -759,14 +770,6 @@ def _power_difference_stack(f_lo, f_hi, p: float, near, ath):
 
 
 _PIVOT = "Cholesky pivot {:.3e} is not a finite positive number"
-
-
-def _pivot_lone(d: float) -> float:
-    # The root of a lone Cholesky pivot, which must be a finite positive
-    # number: PositivityError otherwise, never a NaN.
-    if not 0.0 < d < math.inf:
-        raise PositivityError(_PIVOT.format(d))
-    return math.sqrt(d)
 
 
 def _matrix_lone(p: float, q: float, re: float, im: float, im_low: float) -> np.ndarray:
@@ -792,21 +795,23 @@ def _matrix_stack(p, q, re, im, im_low) -> np.ndarray:
 # matrix into nested lists of the real and imaginary parts of its entries,
 # with the zero they are padded with, and ``pivot`` is the root of a pivot.
 # The lone table takes builtins where one serves: a lone power is on the hot
-# path.
-_LONE = SimpleNamespace(
+# path. A table is a class used as a namespace, never instantiated: CPython
+# specializes a call of a class's function, not of an instance's.
+_LONE = type("_LONE", (), dict(
     columns=np.ndarray.tolist, order=lambda c, x, y: (x, y) if c else (y, x), ldexp=math.ldexp, scaled=_scaled_lone,
     atanh=lambda z, near: float(np.arctanh(z)) if near else 0.0, matrix=_matrix_lone,
     difference=lambda fl, fh, p, near, a: 2.0 * math.sqrt(fl) * math.sqrt(fh) * float(np.sinh(p * a)) if near else fh - fl,
-    parts=lambda M: (M.real.tolist(), M.imag.tolist(), 0.0), pivot=_pivot_lone,
-)
-_STACK = SimpleNamespace(
+    parts=lambda M: (M.real.tolist(), M.imag.tolist(), 0.0), sqrt=math.sqrt,
+    pivot=lambda d: math.sqrt(d) if 0.0 < d < math.inf else _require(False, PositivityError, _PIVOT, d),
+))
+_STACK = type("_STACK", (), dict(
     columns=operator.attrgetter("T"), order=lambda c, x, y: (np.where(c, x, y), np.where(c, y, x)), ldexp=np.ldexp,
     scaled=lambda h, babs, r, b: np.ldexp(np.array((h, babs, r, b.real, b.imag)), -np.frexp(r)[1]),
     atanh=lambda z, near: np.arctanh(z[near]) if near.any() else None, difference=_power_difference_stack,
     matrix=_matrix_stack,
     parts=lambda M: (*([list(row) for row in X.transpose(1, 2, 0)] for X in (M.real, M.imag)), np.zeros(len(M))),
-    pivot=np.sqrt,
-)
+    pivot=np.sqrt, sqrt=np.sqrt,
+))
 
 
 def _power2(w, pieces, ops):
@@ -825,8 +830,6 @@ def _power2(w, pieces, ops):
     r2 = 2.0 * rs
     near = lo >= hi / 2.0
     if stills:
-        x[still], y[still] = ~swap[still], swap[still]
-        r2[still] = 1.0
         near &= ~still
     ath = ops.atanh(r / m, near)
 
@@ -835,9 +838,11 @@ def _power2(w, pieces, ops):
         q = ops.difference(f1, f2, p, near, ath) / r2
         u, v = q * bre, q * bim
         v_low = -v
+        P, Q = (f1 * x + f2 * y) / r2, (f1 * y + f2 * x) / r2
         if stills:
             u[still] = v[still] = v_low[still] = 0.0
-        return ops.matrix((f1 * x + f2 * y) / r2, (f1 * y + f2 * x) / r2, u, v, v_low)
+            P[still], Q[still] = np.where(swap, f2, f1)[still], np.where(swap, f1, f2)[still]
+        return ops.matrix(P, Q, u, v, v_low)
 
     return power
 
@@ -880,14 +885,13 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
     return out[0] if len(out) == 1 else tuple(out)
 
 
-def _check_certificates(arr: np.ndarray, lam: np.ndarray) -> np.ndarray:
-    # PdMatrix's construction check for each matrix of a stack: lam[i] must
-    # be finite and clear pd_tolerance(arr[i]). Returns lam.
-    bad = ~(np.isfinite(lam) & (lam > pd_tolerance(arr)))
-    if bad.any():
-        raise PositivityError(
-            f"minimum eigenvalue {np.extract(bad, lam)[0]:.3e} does not clear the positivity tolerance"
-        )
+def _check_certificates(arr: np.ndarray, lam):
+    # The certificate rule, which PdMatrix's construction applies: lam, a
+    # float for one matrix or an array for a stack, must be finite and clear
+    # pd_tolerance(arr), per matrix. Returns lam.
+    ok = (lam > pd_tolerance(arr)) & (lam < math.inf)
+    if ok is not True:
+        _require(ok, PositivityError, "minimum eigenvalue {:.3e} does not clear the positivity tolerance", lam)
     return lam
 
 
@@ -971,9 +975,7 @@ def _cholesky_frame(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         with np.errstate(all="ignore"):
             re, im, zero, pivots = _cholesky(arr)
         pivots = np.array(pivots).T
-        bad = ~((pivots > 0.0) & (pivots < np.inf))
-        if bad.any():
-            raise PositivityError(_PIVOT.format(np.extract(bad, pivots)[0]))
+        _require((pivots > 0.0) & (pivots < math.inf), PositivityError, _PIVOT, pivots)
     return _complex_rows(re, im), _complex_rows(*_lower_inverse(re, im, zero))
 
 

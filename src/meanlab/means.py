@@ -58,7 +58,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import asdict, dataclass, field
-from types import SimpleNamespace
 from typing import Callable
 
 import numpy as np
@@ -82,6 +81,7 @@ from .matcore import (
     _pow_arr,
     _power_guard,
     _rel_gap,
+    _require,
     _spectral_values,
     _sym,
     as_array,
@@ -269,9 +269,11 @@ def _bw_frame(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # [conj z, q]] enters as its parts (p, q, Re z, Im z), Python floats for a
 # lone pair and arrays that broadcast for stacks (one A against a stack of B
 # included), and one body per form runs on either with the routines of
-# _LONE or _STACK, matcore's tables plus the closed forms' own below. Every
-# sum is written in one order and every square root is correctly rounded in
-# both, so a stack gives each pair the bits it gets alone.
+# _LONE or _STACK, matcore's tables plus the closed forms' own below. So do
+# the checked quantities (_root, _nodes, _ratio), which refuse a pair
+# through matcore._require. Every sum is written in one order and every
+# square root is correctly rounded in both, so a stack gives each pair the
+# bits it gets alone.
 # A matrix whose larger diagonal entry lies outside [2^-500, 2^500) is first
 # scaled by the power of four that takes it into [1/2, 2), and the result
 # scaled back by the matching power of two. That is exact, so the bits are
@@ -279,23 +281,42 @@ def _bw_frame(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # 1.3e154) nor underflows (below 1e-154) where the A^(+-1/2) route did not;
 # inside the range its rounding costs at most 2^-74 kappa relative.
 _SCALE_FROM = 2.0**500
-_TINY = np.finfo(float).tiny
+# A float, so that a lone pair's comparisons with it give Python bools.
+_TINY = float(np.finfo(float).tiny)
+_DETERMINANT = "2x2 closed form needs a finite positive determinant, got {:.3e}"
+_ROOTS = "2x2 pencil form needs roots in the normal float range, got {:.3e} and {:.3e}"
+_RATIO = "2x2 harmonic form needs sqrt(det B / det A) and its inverse finite, got {:.3e} and {:.3e}"
 
 
-def _root_lone(d: float) -> float:
+def _root(d, ops):
     # The square root of a determinant (or of tr AB + 2s), which must be
     # finite and positive: PositivityError otherwise, never a NaN.
-    if not 0.0 < d < math.inf:
-        raise PositivityError(f"2x2 closed form needs a finite positive determinant, got {d:.3e}")
-    return math.sqrt(d)
+    ok = (d > 0.0) & (d < math.inf)
+    if ok is not True:
+        _require(ok, PositivityError, _DETERMINANT, d)
+    return ops.sqrt(d)
 
 
-def _root_stack(d: np.ndarray) -> np.ndarray:
-    # _root_lone for each value of an array.
-    bad = ~((d > 0.0) & (d < np.inf))
-    if bad.any():
-        raise PositivityError(f"2x2 closed form needs a finite positive determinant, got {np.extract(bad, d)[0]:.3e}")
-    return np.sqrt(d)
+def _nodes(q, shift, m, ops):
+    # r = q 2^shift and the pencil's roots mu_1 = r/m <= mu_2 = r m, which
+    # must be normal floats: DomainError otherwise, never an overflow.
+    r = ops.saturate(q, shift)
+    mu1, mu2 = r / m, r * m
+    ok = (_TINY <= mu1) & (mu2 < math.inf)
+    if ok is not True:
+        _require(ok, DomainError, _ROOTS, mu1, mu2)
+    return r, mu1, mu2
+
+
+def _ratio(q, qi, shift, ops):
+    # rho = q 2^shift and 1/rho = qi 2^-shift, which must both be finite
+    # (one overflows where the other underflows to 0): DomainError
+    # otherwise, never an overflow. A subnormal one is kept.
+    rho, inv = ops.saturate(q, shift), ops.saturate(qi, -shift)
+    ok = (rho < math.inf) & (inv < math.inf)
+    if ok is not True:
+        _require(ok, DomainError, _RATIO, rho, inv)
+    return rho, inv
 
 
 def _half_exponent_lone(p: float, q: float):
@@ -314,10 +335,7 @@ def _half_exponent_stack(p: np.ndarray, q: np.ndarray):
     return np.where((top < 1.0 / _SCALE_FROM) | (top >= _SCALE_FROM), np.frexp(top)[1] // 2, 0)
 
 
-_ROOTS = "2x2 pencil form needs roots in the normal float range, got {:.3e} and {:.3e}"
-
-
-def _ldexp_lone(x: float, e: int) -> float:
+def _saturate_lone(x: float, e: int) -> float:
     # x 2^e, inf where that overflows.
     try:
         return math.ldexp(x, e)
@@ -325,76 +343,28 @@ def _ldexp_lone(x: float, e: int) -> float:
         return math.inf
 
 
-def _nodes_lone(q: float, shift: int, m: float):
-    # r = q 2^shift and the pencil's roots mu_1 = r/m <= mu_2 = r m, which
-    # must be normal floats: DomainError otherwise, never an overflow.
-    r = _ldexp_lone(q, shift)
-    mu1, mu2 = r / m, r * m
-    if not (_TINY <= mu1 and mu2 < math.inf):
-        raise DomainError(_ROOTS.format(mu1, mu2))
-    return r, mu1, mu2
-
-
-def _nodes_stack(q, shift, m):
-    # _nodes_lone for each pair, naming the first that fails. Only a scaled
-    # pair (shift an array) can leave the float range for certified input.
-    if isinstance(shift, np.ndarray):
-        with np.errstate(over="ignore"):
-            q = np.ldexp(q, shift)
-            mu1, mu2 = q / m, q * m
-    else:
-        mu1, mu2 = q / m, q * m
-    if not (_TINY <= mu1.min(initial=_TINY) and mu2.max(initial=0.0) < math.inf):
-        bad = ~((mu1 >= _TINY) & (mu2 < np.inf))
-        raise DomainError(_ROOTS.format(np.extract(bad, mu1)[0], np.extract(bad, mu2)[0]))
-    return q, mu1, mu2
-
-
-_RATIO = "2x2 harmonic form needs sqrt(det B / det A) and its inverse finite, got {:.3e} and {:.3e}"
-
-
-def _ratio_lone(q: float, qi: float, shift: int):
-    # rho = q 2^shift and 1/rho = qi 2^-shift, which must both be finite
-    # (one overflows where the other underflows to 0): DomainError
-    # otherwise, never an overflow. A subnormal one is kept.
-    rho, inv = _ldexp_lone(q, shift), _ldexp_lone(qi, -shift)
-    if not (rho < math.inf and inv < math.inf):
-        raise DomainError(_RATIO.format(rho, inv))
-    return rho, inv
-
-
-def _ratio_stack(q, qi, shift):
-    # _ratio_lone for each pair, naming the first that fails. Only a scaled
-    # pair (shift an array) can leave the float range for certified input.
-    if isinstance(shift, np.ndarray):
-        with np.errstate(over="ignore"):
-            rho, inv = np.ldexp(q, shift), np.ldexp(qi, -shift)
-    else:
-        rho, inv = q, qi
-    if not (rho.max(initial=0.0) < math.inf and inv.max(initial=0.0) < math.inf):
-        bad = ~((rho < np.inf) & (inv < np.inf))
-        raise DomainError(_RATIO.format(np.extract(bad, rho)[0], np.extract(bad, inv)[0]))
-    return rho, inv
-
-
-# root0 clamps below 0; quotient is d / gap, or the derivative where gap is 0.
-_LONE = SimpleNamespace(
-    **vars(matcore._LONE), root=_root_lone, root0=lambda d: math.sqrt(max(d, 0.0)), half_exponent=_half_exponent_lone,
-    nodes=_nodes_lone, ratio=_ratio_lone, quotient=lambda d, gap, derivative: d / gap if gap else derivative,
-    maximum=max,
-)
-_STACK = SimpleNamespace(
-    **vars(matcore._STACK), root=_root_stack, root0=lambda d: np.sqrt(np.maximum(d, 0.0)),
-    half_exponent=_half_exponent_stack, nodes=_nodes_stack, ratio=_ratio_stack,
+# matcore's tables, extended: root0 clamps below 0; quotient is d / gap, or
+# the derivative where gap is 0; saturate is x 2^e, inf where that
+# overflows. nodes and ratio are the checked bodies above, called with the
+# table they run on; a stack's run with numpy's overflow warning off, as a
+# lone pair's Python floats do.
+_LONE = type("_LONE", (matcore._LONE,), dict(
+    root0=lambda d: math.sqrt(max(d, 0.0)), half_exponent=_half_exponent_lone,
+    quotient=lambda d, gap, derivative: d / gap if gap else derivative, maximum=max, saturate=_saturate_lone,
+    nodes=_nodes, ratio=_ratio,
+))
+_STACK = type("_STACK", (matcore._STACK,), dict(
+    root0=lambda d: np.sqrt(np.maximum(d, 0.0)), half_exponent=_half_exponent_stack,
     quotient=lambda d, gap, derivative: np.divide(d, gap, out=derivative, where=gap != 0.0), maximum=np.maximum,
-)
+    saturate=np.ldexp, nodes=np.errstate(over="ignore")(_nodes), ratio=np.errstate(over="ignore")(_ratio),
+))
 
 
 def _normalized2(x, ops):
     # The parts of 4^-k X, the root of its determinant, and k (0 unscaled).
     k = ops.half_exponent(x[0], x[1])
     p, q, re, im = x if k is None else [ops.ldexp(v, -2 * k) for v in x]
-    return (p, q, re, im), ops.root(p * q - (re * re + im * im)), 0 if k is None else k
+    return (p, q, re, im), _root(p * q - (re * re + im * im), ops), 0 if k is None else k
 
 
 def _geometric2(x, y, ops, inverse=False):
@@ -406,7 +376,7 @@ def _geometric2(x, y, ops, inverse=False):
     if inverse:
         p, q, re, im = q, p, -re, -im
     S = (p / a + u / b, q / a + v / b, re / a + wr / b, im / a + wi / b)
-    c = ops.root((b / a if inverse else a * b) / (S[0] * S[1] - (S[2] * S[2] + S[3] * S[3])))
+    c = _root((b / a if inverse else a * b) / (S[0] * S[1] - (S[2] * S[2] + S[3] * S[3])), ops)
     m = kb - ka if inverse else ka + kb
     return [tuple(ops.ldexp(c * s, m) for s in S)]
 
@@ -419,7 +389,7 @@ def _wasserstein2(x, y, ops):
     (u, v, wr, wi), b, kb = _normalized2(y, ops)
     s, t = a * b, re * wr + im * wi
     pu, qv = p * u, q * v
-    d = ops.root(pu + qv + 2.0 * (t + s))
+    d = _root(pu + qv + 2.0 * (t + s), ops)
     ta, tb = p + q, u + v
     R = (2.0 * (pu + t + s) / d, 2.0 * (qv + t + s) / d, (ta * wr + tb * re) / d, (ta * wi + tb * im) / d)
     return [tuple((xi + yi + ops.ldexp(r, ka + kb)) / 4.0 for xi, yi, r in zip(x, y, R))]
@@ -439,7 +409,7 @@ def _pencil2(fs, x, y, ops):
     d0, d1, dr, di = u - p, v - q, wr - re, wi - im
     D = ops.root0(-(d0 * d1 - (dr * dr + di * di)) * (c + 2.0))
     m = (c + D) / 2.0
-    r, mu1, mu2 = ops.nodes(b / a, 2 * (kb - ka), m)
+    r, mu1, mu2 = ops.nodes(b / a, 2 * (kb - ka), m, ops)
     gap, z = r * D, D / c
     # B - mu_1 A = b (B/b - m_1 A/a), from the unit-determinant parts.
     diff = tuple(ops.ldexp(b * (vb - va / m), 2 * kb) for va, vb in zip((p, q, re, im), (u, v, wr, wi)))
@@ -478,7 +448,7 @@ def _harmonic2(x, y, ops):
     p, q, re, im = p / a, q / a, re / a, im / a
     u, v, wr, wi = u / b, v / b, wr / b, wi / b
     c = q * u + p * v - 2.0 * (re * wr + im * wi)
-    rho, inv = ops.ratio(b / a, a / b, 2 * (kb - ka))
+    rho, inv = ops.ratio(b / a, a / b, 2 * (kb - ka), ops)
     den = rho + c + inv
     ca, cb = 2.0 * (rho / den), 2.0 * (inv / den)
     return [tuple(ca * xi + cb * yi for xi, yi in zip(x, y))]

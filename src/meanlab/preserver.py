@@ -22,7 +22,7 @@ from .errors import DimMismatch, DomainError, NotInCone
 from .expansion import DEFAULT_GRID, _fit, _pauli_stacks
 from .matcore import (
     HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _check_operands,
-    _norms, _sym, as_array, pauli_basis,
+    _norms, _require, _sym, as_array, pauli_basis,
 )
 from .means import (
     TAG_ARITHMETIC,
@@ -64,11 +64,7 @@ class ScalarFunctional:
 
     def __call__(self, A: PdMatrix | np.ndarray) -> float | np.ndarray:
         y = np.asarray(self.fn(as_array(A)), dtype=float)
-        bad = ~(np.isfinite(y) & (y > 0.0))
-        if bad.any():
-            raise DomainError(
-                f"functional {self.label} returned non-positive {float(np.extract(bad, y)[0])!r}"
-            )
+        _require(np.isfinite(y) & (y > 0.0), DomainError, "functional {} returned non-positive {!r}", self.label, y)
         return float(y) if y.ndim == 0 else y
 
 
@@ -230,10 +226,8 @@ def masa_eval(m: MasaFunctional, X):
     """
     arr = as_array(X)
     t, s, G = masa_split(arr if arr.ndim == 3 else arr[None])
-    bad = t - np.abs(s) <= 0.0
-    if bad.any():
-        i = int(bad.argmax())
-        raise NotInCone(f"matrix with eigenvalues {t[i] - abs(s[i]):.3e}, {t[i] + abs(s[i]):.3e}")
+    lo, hi = t - np.abs(s), t + np.abs(s)
+    _require(~(lo <= 0.0), NotInCone, "matrix with eigenvalues {:.3e}, {:.3e}", lo, hi)
     vals = m.c_I * t + m._coefficient(G) * s + (1.0 - m.c_I)
     return vals if arr.ndim == 3 else float(vals[0])
 

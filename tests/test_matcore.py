@@ -1026,6 +1026,16 @@ def test_2x2_powers_of_a_stack_equal_the_lone_ones_bit_for_bit(p):
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("p", [1.0, 3.0])
+def test_2x2_integer_powers_of_a_stack_keep_the_sign_of_a_zero_eigenvalue(p):
+    # A diagonal matrix with a -0.0 eigenvalue, in either diagonal order,
+    # beside one with b != 0: each row of the stack byte for byte as alone,
+    # the sign of the zero included.
+    Z = np.array([np.diag([-0.0, 1.0]), _spectral2(rng_for(22), 1.0, 4.0), np.diag([1.0, -0.0])], dtype=complex)
+    assert all(Zi.tobytes() == _pow_arr(X, p).tobytes() for X, Zi in zip(Z, _pow_arr(Z, p)))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("p", TWO_BY_TWO_POWERS)
 @pytest.mark.parametrize("a, d", [(2.0, 5.0), (3.0, 3.0), (5.0, 2.0)])
 def test_2x2_powers_of_a_diagonal_matrix_are_the_diagonal_powers_byte_for_byte(a, d, p):

@@ -1,0 +1,125 @@
+"""One refusal rule: typed errors over a value or a stack go through ``matcore._require``.
+
+A structural guard keeps ``np.extract``, which names the first failing entry
+of a stack, inside that routine. Each site built on it refuses a lone operand
+and a stack with that operand in the middle with the same error type and the
+same text, with no numpy warning.
+"""
+
+import ast
+import math
+import re
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import meanlab
+from meanlab import DomainError, FitFailure, NotInCone, PositivityError, expansion, matcore, preserver
+
+PACKAGE = Path(meanlab.__file__).resolve().parent
+
+
+def _extract_calls(tree: ast.Module) -> list[tuple[str | None, int]]:
+    # (innermost enclosing function, line) for each call of an ``extract``,
+    # as np.extract or as a bare imported name.
+    calls = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (isinstance(func, ast.Attribute) and func.attr == "extract") or (
+                    isinstance(func, ast.Name) and func.id == "extract"
+                ):
+                    calls.append((owner, child.lineno))
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(tree, None)
+    return calls
+
+
+def test_np_extract_is_called_only_inside_require():
+    outside = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        calls = _extract_calls(ast.parse(path.read_text(encoding="utf-8")))
+        if path.name == "matcore.py":
+            assert any(owner == "_require" for owner, _ in calls), "matcore._require no longer names a stack's entry"
+        lines = [line for owner, line in calls if not (path.name == "matcore.py" and owner == "_require")]
+        if lines:
+            outside[path.name] = lines
+    assert not outside, f"np.extract outside matcore._require, at {outside}; refuse through _require instead"
+
+
+def test_the_structural_guard_sees_a_call_outside_require():
+    tree = ast.parse("import numpy as np\ndef f(bad, x):\n    return np.extract(bad, x)[0]\n")
+    assert _extract_calls(tree) == [("f", 3)]
+
+
+I2 = np.eye(2, dtype=complex)
+NOT_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
+OUT_OF_CONE = I2 + 2.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+
+
+def _middle(bad: np.ndarray, good: np.ndarray) -> np.ndarray:
+    return np.array([good, bad, good])
+
+
+def _certificate_cases():
+    # PdMatrix's construction and _check_certificates share the rule: a
+    # lone certificate against a stack's, the bad one in the middle.
+    M = np.diag([2.0, 3.0]).astype(complex)
+    for lam in (0.0, -1.0, math.nan, math.inf):
+        yield (
+            f"certificate-{lam}", PositivityError,
+            lambda lam=lam: matcore.PdMatrix(matcore.HermitianMatrix._wrap(M), lam),
+            lambda lam=lam: matcore._check_certificates(_middle(M, M), np.array([2.0, lam, 2.0])),
+        )
+    yield (
+        "certificate-lone-check", PositivityError,
+        lambda: matcore._check_certificates(M, -1.0),
+        lambda: matcore._check_certificates(_middle(M, M), np.array([2.0, -1.0, 2.0])),
+    )
+
+
+def _functional_cases():
+    # The functional fails on 2I alone and as the middle of I, 2I, I.
+    for y in (0.0, -1.0, math.nan, math.inf):
+        f = preserver.ScalarFunctional(lambda X, y=y: np.where(X[..., 0, 0].real > 1.5, y, 1.0), "one bad")
+        yield f"functional-{y}", DomainError, lambda f=f: f(2.0 * I2), lambda f=f: f(_middle(2.0 * I2, I2))
+
+
+def _fit_data(k: float) -> np.ndarray:
+    # exp(k eps) I over the default grid, as _fit takes one family.
+    eps = np.array(expansion.DEFAULT_GRID.eps_grid)
+    return (np.exp(k * eps)[:, None] * I2.ravel()).reshape(len(eps), 1, 4)
+
+
+CASES = [
+    ("hermitian", ValueError, lambda: matcore._check_hermitian(NOT_HERMITIAN),
+     lambda: matcore._check_hermitian(_middle(NOT_HERMITIAN, I2))),
+    ("hermitian-nan", ValueError, lambda: matcore._check_hermitian(np.full((2, 2), complex(math.nan))),
+     lambda: matcore._check_hermitian(_middle(np.full((2, 2), complex(math.nan)), I2))),
+    ("hermitian-construction", ValueError, lambda: matcore.HermitianMatrix(NOT_HERMITIAN),
+     lambda: matcore._check_hermitian(_middle(NOT_HERMITIAN, I2)[None].repeat(2, axis=0))),
+    *_certificate_cases(),
+    *_functional_cases(),
+    *(
+        (f"pauli-{e}", DomainError, lambda e=e: expansion.pauli_pair(e), lambda e=e: expansion._pauli_stacks((0.1, e, 0.2)))
+        for e in (1.0, -1.5, math.nan, math.inf)
+    ),
+    ("fit-sanity", FitFailure, lambda: expansion._fit(expansion.DEFAULT_GRID, _fit_data(40.0)),
+     lambda: expansion._fit(expansion.DEFAULT_GRID, np.concatenate([_fit_data(1.0), _fit_data(40.0), _fit_data(1.0)], axis=1))),
+    ("masa", NotInCone, lambda: preserver.masa_eval(preserver.MasaFunctional(1.0), OUT_OF_CONE),
+     lambda: preserver.masa_eval(preserver.MasaFunctional(1.0), _middle(OUT_OF_CONE, I2))),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("error, lone, stacked", [case[1:] for case in CASES], ids=[case[0] for case in CASES])
+def test_a_stack_is_refused_in_the_words_of_its_failing_operand(error, lone, stacked):
+    with pytest.raises(error) as alone:
+        lone()
+    with pytest.raises(error, match=f"^{re.escape(str(alone.value))}$") as inside:
+        stacked()
+    assert type(inside.value) is type(alone.value)
