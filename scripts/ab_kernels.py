@@ -18,14 +18,17 @@ processes on such a host can differ by 2x. The kernels are:
   Wasserstein and harmonic ``_mean_arr``, which take the checked roots,
   nodes and ratio of the closed forms;
 - ``PdMatrix.certify`` of a lone wrapped matrix at dims 2 and 4, which
-  checks the certificate as construction does;
+  checks the certificate as construction does, and the public lone
+  geometric ``mean`` at dims 2 and 4, which certifies its result;
 - the lone ``_norms`` of a 4x4;
 - at n >= 3: ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
   matrices and on a lone 4x4; ``_mean_arr`` of each kind the Cholesky frame
   serves (harmonic, geometric, m_0.5, m_-0.5, Wasserstein and spectral
   geometric) on 180 dim-3 pairs, the size of criterion 7's dim-3 mean stack
-  at 20 samples, and on one dim-4 pair; and ``check_kubo_ando_axioms`` at
-  dim 3 with 20 samples for criterion 7's four kinds;
+  at 20 samples, and on one dim-4 pair; ``check_kubo_ando_axioms`` at
+  dim 3 with 20 samples for criterion 7's four kinds; and the stacked
+  ``_order_violation`` and ``_congruences`` of 180 dim-3 pairs, the
+  battery's yes/no questions;
 - the Bures-Wasserstein distance ``_d_bw_arr`` of one pair at dims 2 and 4
   and of 200 pairs at dims 2 and 3, and ``criterion_10``, whose work is
   mostly distances.
@@ -100,9 +103,11 @@ def kernels(pkg, data: dict) -> dict:
         "_mean_arr harmonic lone": lambda: means._mean_arr(means.HARMONIC, X, B[0]),
         "_norms lone 4x4": lambda: matcore._norms(A4),
     }
-    for dim, M in ((2, X), (4, A4)):
+    for dim, M, N in ((2, X, B[0]), (4, A4, B4)):
         H = matcore.HermitianMatrix._wrap(M)
         out[f"PdMatrix.certify lone dim {dim}"] = lambda H=H: matcore.PdMatrix.certify(H)
+        P, Q = matcore.PdMatrix.certify(M), matcore.PdMatrix.certify(N)
+        out[f"mean geometric lone dim {dim}"] = lambda P=P, Q=Q: means.mean(means.GEOMETRIC, P, Q)
     if hasattr(matcore, "_cholesky"):
         with np.errstate(all="ignore"):
             factors = {"stack of 180 3x3": matcore._cholesky(A3)[:3], "lone 4x4": matcore._cholesky(A4)[:3]}
@@ -116,6 +121,8 @@ def kernels(pkg, data: dict) -> dict:
     for name, kind in kinds.items():
         out[f"_mean_arr {name} on 180 dim-3 pairs"] = lambda kind=kind: means._mean_arr(kind, A3, B3)
         out[f"_mean_arr {name} lone dim 4"] = lambda kind=kind: means._mean_arr(kind, A4, B4)
+    out["_order_violation on 180 dim-3 pairs"] = lambda: matcore._order_violation(A3, A3 + B3)
+    out["_congruences on 180 dim-3 pairs"] = lambda: matcore._congruences(B3, A3)
     for name in ("harmonic", "geometric", "m_0.5", "m_-0.5"):
         out[f"axioms {name}, dim 3, 20 samples"] = lambda kind=kinds[name]: means.check_kubo_ando_axioms(kind, samples=20, dim=3)
     d_bw = pkg.geometry._d_bw_arr

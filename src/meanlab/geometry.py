@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .matcore import HermitianMatrix, PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pow_arr
+from .matcore import PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pd_result, _pow_arr, _sym
 from .means import _bw_distance2, _cholesky_bw, _cholesky_inner, _closed2, _parts2, _pencil2, _power_f, _q_arr
 
 TAG_TRACE = "geometric-trace"
@@ -87,41 +87,42 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     The trace-metric curve takes, at n = 2, the pencil form
     mu_1^t A + f[mu_1, mu_2] (B - mu_1 A) of means._pencil2, with no
     eigendecomposition; at other n it is L N^t L* with N = L^(-1) B L^(-*),
-    from one.
+    from one. The point is certified as ``means.mean`` certifies a mean.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"parameter must lie in [0, 1], got {t}")
     _check_operands(A, B)
-    P = _curve_points(kind, A.mat, B.mat, (t,))[0]
-    _check_hermitian(P)
-    return PdMatrix.certify(HermitianMatrix._wrap(P))
+    return _pd_result(_curve_points(kind, A.mat, B.mat, (t,))[0])
 
 
 def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) -> list[np.ndarray]:
-    # Uncertified points of the chosen geodesic, one entry per t of ts: a
-    # matrix for one pair, a stack for two stacks of pairs. Each pair's
-    # pencil or Cholesky frame (trace) or Q (Bures-Wasserstein) is taken
-    # once for all ts, and each t enters as a float, so a lone point costs
-    # what it did alone.
+    # Uncertified Hermitian points of the chosen geodesic, one entry per t
+    # of ts: a matrix for one pair, a stack for two stacks of pairs. Each
+    # pair's pencil or Cholesky frame (trace) or Q (Bures-Wasserstein) is
+    # taken once for all ts, and each t enters as a float, so a lone point
+    # costs what it did alone. The pencil form assembles each point exactly
+    # Hermitian; every other point is checked Hermitian to HERMITICITY_RTOL
+    # (a NaN fails), then symmetrized.
     if kind.tag == TAG_TRACE and Aarr.shape[-1] == 2:
         return _closed2(functools.partial(_pencil2, [functools.partial(_power_f, t) for t in ts]), Aarr, Barr)
     if kind.tag == TAG_TRACE:
         L, N = _cholesky_inner(Aarr, Barr)
         Lh = L.conj().swapaxes(-1, -2)
-        return [L @ P @ Lh for P in np.reshape(_pow_arr(N, *ts), (len(ts),) + N.shape)]
-    Q = _q_arr(Aarr, Barr)
-    AQ = Aarr @ Q + Q @ Aarr
-    return [(1.0 - t) ** 2 * Aarr + t**2 * Barr + t * (1.0 - t) * AQ for t in ts]
+        points = [L @ P @ Lh for P in np.reshape(_pow_arr(N, *ts), (len(ts),) + N.shape)]
+    else:
+        Q = _q_arr(Aarr, Barr)
+        AQ = Aarr @ Q + Q @ Aarr
+        points = [(1.0 - t) ** 2 * Aarr + t**2 * Barr + t * (1.0 - t) * AQ for t in ts]
+    for P in points:
+        _check_hermitian(P)
+    return [_sym(P) for P in points]
 
 
 def _certified_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) -> np.ndarray:
     # _curve_points at each of ts, with a leading axis for t, each point
-    # checked as geodesic checks one: Hermitian to HERMITICITY_RTOL (a NaN
-    # fails), then symmetrized and certified.
-    P = np.stack(_curve_points(kind, Aarr, Barr, ts))
-    _check_hermitian(P)
-    return _certified(P)
+    # certified as geodesic certifies one.
+    return _certified(np.stack(_curve_points(kind, Aarr, Barr, ts)))
 
 
 def _accrual(Aarr: np.ndarray, Barr: np.ndarray, partition):

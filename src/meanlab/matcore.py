@@ -50,15 +50,21 @@ Refusals over a value, or over each matrix or pair of a stack, go through
 Hermitian) naming the value, for a stack its first failing entry. Each
 predicate fails on a NaN (masa_eval's sees none), and a hot caller tests
 ``ok is True`` first, so a lone value that passes costs it no call.
-``_power_guard``, on the lone power's hot path, and the per-eigenvalue loops
-of the spectral route keep raises of their own.
+``_power_guard``, on the lone power's hot path, and the spectral route's
+loop over f keep raises of their own.
 
-A certificate whose value someone reads (``PdMatrix.certify``, ``mpow``,
-``_certify_stack``) is the exact lambda_min of the values-only kernels.
-``_certified`` checks results whose certificate nobody reads: a stack at
-n >= 3 is proven positive definite by a floating-point Cholesky
-factorization of M - tau I (``_cholesky_proof``), and only a matrix the
-proof leaves open takes the eigenvalue route, which decides it as before.
+Yes/no questions are answered by a proof, and an eigenvalue is read only
+when its value is asked for. A certificate that a caller reads
+(``PdMatrix.certify``, ``mpow``, ``_certify_stack``) is the exact lambda_min
+of the values-only kernels. Results are certified by ``_certificates``,
+through ``_certified`` for a stack and ``_pd_result`` for the PdMatrix of a
+lone ``mean``, ``wasserstein_alt`` or ``geodesic``. At n >= 3 it, the
+Loewner order (``_order_violation``) and the congruence invertibility check
+first try a floating-point Cholesky factorization of M - tau I
+(``_cholesky_proof``), whose floor includes Jacobi's own error, so a proven
+matrix gets the answer its eigenvalues would give; a lone result then reads
+its lambda_min on first access. Only a matrix the proof leaves open takes
+the eigenvalue route, which decides it as before.
 
 That factorization is the one bespoke Cholesky (``_cholesky``): a column
 loop on real and imaginary parts, one body run on Python floats for a lone
@@ -144,15 +150,16 @@ def _norms(X: np.ndarray):
     # BLAS dots of its flattened real and imaginary parts, np.vdot runs the
     # same dots for a lone matrix without numpy's overflow warning, and a
     # (1, k) @ (k, 1) matmul runs them for a stack with the same strides.
-    # The squares overflow once an entry passes about 1.3e154; only a norm
-    # that came out infinite is taken again, scaled (for a stack, numpy has
-    # warned by then).
+    # The squares overflow once an entry passes about 1.3e154, which a
+    # stack's matmul does with numpy's overflow warning off; only a norm that
+    # came out infinite is taken again, scaled.
     if X.ndim <= 2:
         x = X.ravel()
         re, im = x.real, x.imag
         norm = np.sqrt(np.vdot(re, re) + np.vdot(im, im))
         return norm if math.isfinite(norm) else _rescaled_norms(X.reshape(1, 1, -1), norm[None])[0]
-    norms = _dot_norms(X)
+    with np.errstate(over="ignore"):
+        norms = _dot_norms(X)
     return norms if math.isfinite(norms.sum()) else _rescaled_norms(X, norms)
 
 
@@ -275,6 +282,13 @@ class PdMatrix(HermitianMatrix):
     validated as HermitianMatrix does. Construction re-checks the certificate
     against the scaled tolerance, so a PdMatrix in hand is always safely
     invertible; :meth:`certify` goes from a plain matrix to a certified one.
+
+    The results of ``mean``, ``wasserstein_alt`` and ``geodesic`` are built
+    without a second validation. At n = 2 they carry their exact
+    lambda_min. At n >= 3 a Cholesky proof shows them positive definite,
+    with a margin that covers the eigensolver's error, and
+    ``min_eigenvalue`` is computed when first read, with the bits
+    :meth:`certify` gives, and kept.
     """
 
     min_eigenvalue: float
@@ -285,6 +299,15 @@ class PdMatrix(HermitianMatrix):
         else:
             super().__post_init__()
         object.__setattr__(self, "min_eigenvalue", _check_certificates(self.mat, float(self.min_eigenvalue)))
+
+    def __getattr__(self, name: str):
+        # Reached only for an attribute the instance lacks: the
+        # min_eigenvalue a proof left unread (_pd_result).
+        if name != "min_eigenvalue":
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        lam = _check_certificates(self.mat, float(_eig_values(self.mat)[0]))
+        object.__setattr__(self, "min_eigenvalue", lam)
+        return lam
 
     @classmethod
     def certify(cls, matrix) -> "PdMatrix":
@@ -676,8 +699,9 @@ def _spectral_values(arr: np.ndarray, f: Callable[[float], float]):
     w, V = _eig_array(arr)
     vals = np.empty(w.shape)
     for i, lam in enumerate(w.flat):
+        lam = float(lam)
         try:
-            y = float(f(float(lam)))
+            y = float(f(lam))
         except Exception as exc:
             raise DomainError(f"scalar function failed at eigenvalue {lam!r}: {exc}") from exc
         if not math.isfinite(y):
@@ -773,8 +797,10 @@ _PIVOT = "Cholesky pivot {:.3e} is not a finite positive number"
 
 
 def _matrix_lone(p: float, q: float, re: float, im: float, im_low: float) -> np.ndarray:
-    # [[p, re + i im], [re + i im_low, q]]; im_low is -im, or 0.0 in a diagonal.
-    return np.array([p, complex(re, im), complex(re, im_low), q]).reshape(2, 2)
+    # [[p, re + i im], [re + i im_low, q]]; im_low is -im, or 0.0 in a
+    # diagonal. Built 2-D, with no base array, since a result that a
+    # PdMatrix stores read-only must not be writable through a base.
+    return np.array([[p, complex(re, im)], [complex(re, im_low), q]])
 
 
 def _matrix_stack(p, q, re, im, im_low) -> np.ndarray:
@@ -895,13 +921,15 @@ def _check_certificates(arr: np.ndarray, lam):
     return lam
 
 
-def _certify_stack(arr: np.ndarray) -> np.ndarray:
+def _certify_stack(arr: np.ndarray):
     # PdMatrix.certify for a Hermitian matrix, or for each matrix of a stack
     # with any leading shape: its lambda_min, checked against its own
-    # tolerance. A lone matrix keeps the scalar kernel; deeper stacks are
-    # solved as one (N, n, n) stack.
+    # tolerance, a float for a lone matrix. A lone matrix keeps the scalar
+    # kernel; deeper stacks are solved as one (N, n, n) stack.
     n = arr.shape[-1]
-    w = _eig_values(arr if arr.ndim <= 3 else arr.reshape(-1, n, n))
+    if arr.ndim == 2:
+        return _check_certificates(arr, float(_eig_values(arr)[0]))
+    w = _eig_values(arr if arr.ndim == 3 else arr.reshape(-1, n, n))
     return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
 
 
@@ -979,54 +1007,86 @@ def _cholesky_frame(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return _complex_rows(re, im), _complex_rows(*_lower_inverse(re, im, zero))
 
 
-def _cholesky_proof(M: np.ndarray) -> np.ndarray:
-    # For each matrix of a Hermitian stack (N, n, n): True where a proof
-    # shows lambda_min(M) > pd_tolerance(M). The proof is a floating-point
-    # Cholesky factorization of M - tau I (_cholesky) that runs to
-    # completion (Rump, "Verification of positive definiteness", BIT 46,
-    # 2006; Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
-    # 10.1). Its factor R has R*R = fl(M - tau I) + E with
+def _cholesky_proof(M: np.ndarray, floor):
+    # Whether a proof shows lambda_min(M) > floor + 2 JACOBI_OFF_RTOL tr(M),
+    # for a Hermitian matrix (a bool) or for each matrix of a stack (N, n, n)
+    # (an array), floor a float or one per matrix. The proof is a
+    # floating-point Cholesky factorization of M - tau I (_cholesky) that
+    # runs to completion (Rump, "Verification of positive definiteness", BIT
+    # 46, 2006; Higham, Accuracy and Stability of Numerical Algorithms, 2nd
+    # ed., 10.1). Its factor R has R*R = fl(M - tau I) + E with
     # |E| <= gamma |R*| |R|, so
     # lambda_min(M) > tau - (gamma / (1 - gamma) + u) tr(M), the u for the
     # rounded shift. For real data gamma = gamma_(n+1), with
     # gamma_k = k u / (1 - k u) (Higham, Theorem 10.3); complex data take
     # gamma_(n+3), since a complex product errs by at most
     # sqrt(5) u < gamma_3 (Brent, Percival & Zimmermann, Math. Comp. 76,
-    # 2007). Hence tau = pd_tolerance(M) + c u tr(M) (1 + 1e-3) with
-    # c = 2n + 2, at least the n + 4 needed for n >= 2; the 1e-3 covers the
-    # 1 / (1 - gamma) and the rounding of tau. The trace is taken over
-    # |m_ii|, equal to it wherever the factorization can succeed. A pivot
+    # 2007). Hence tau adds c u tr(M) (1 + 1e-3) with c = 2n + 2, at least
+    # the n + 4 needed for n >= 2; the 1e-3 covers the 1 / (1 - gamma) and
+    # the rounding of tau. The trace is taken over |m_ii|, equal to it
+    # wherever the factorization can succeed. The margin
+    # 2 JACOBI_OFF_RTOL tr(M) >= 2 JACOBI_OFF_RTOL ||M||_F is Jacobi's own
+    # error, so a proven matrix's eigenvalues clear the floor too. A pivot
     # that is not a finite positive number (NaN, inf, overflow) leaves its
     # matrix unproven: the test fails closed.
     n = M.shape[-1]
     diag = np.arange(n)
-    trace = np.abs(M[:, diag, diag].real).sum(axis=1)
-    tau = pd_tolerance(M) + (2 * n + 2) * _UNIT_ROUNDOFF * (1.0 + 1e-3) * trace
+    shift = (2 * n + 2) * _UNIT_ROUNDOFF * (1.0 + 1e-3) + 2.0 * JACOBI_OFF_RTOL
+    A = M.copy()
+    if M.ndim == 2:
+        d = M.diagonal().real.tolist()
+        tau = floor + shift * sum(map(abs, d))
+        A[diag, diag] = [x - tau for x in d]
+        try:
+            _cholesky(A)
+        except PositivityError:
+            return False
+        return True
     with np.errstate(all="ignore"):
-        A = M.copy()
+        tau = floor + shift * np.abs(M[:, diag, diag].real).sum(axis=1)
         A[:, diag, diag] -= tau[:, None]
         pivots = np.array(_cholesky(A)[3])
     return ((pivots > 0.0) & (pivots < np.inf)).all(axis=0)
 
 
-def _certified(arr: np.ndarray) -> np.ndarray:
-    # A result or a stack of results, symmetrized, with each matrix
-    # certified as mean() certifies one. No caller reads the certificate,
-    # so a stack at n >= 3 first takes _cholesky_proof, and only the
-    # matrices it leaves unproven go to _certify_stack, whose eigenvalues
-    # decide them as before: one that is not PD raises the same
-    # PositivityError. A lone matrix and a stack of 2x2s keep the
-    # eigenvalue route, which costs less there than the proof.
-    M = _sym(arr)
+def _certificates(M: np.ndarray):
+    # The certificate rule for a Hermitian matrix or stack M, each matrix
+    # decided as PdMatrix.certify decides it. At n >= 3 _cholesky_proof goes
+    # first, and only a matrix it leaves open reads its eigenvalues
+    # (_certify_stack), which raise the same PositivityError; at n <= 2 the
+    # closed form costs less than the proof. Returns lambda_min where it was
+    # read for a lone matrix, else None.
     n = M.shape[-1]
-    if M.ndim == 2 or n <= 2:
-        _certify_stack(M)
-        return M
+    if n <= 2:
+        return _certify_stack(M)
+    if M.ndim == 2:
+        return None if _cholesky_proof(M, pd_tolerance(M)) else _certify_stack(M)
     flat = M.reshape(-1, n, n)
-    unproven = ~_cholesky_proof(flat)
+    unproven = ~_cholesky_proof(flat, pd_tolerance(flat))
     if unproven.any():
         _certify_stack(flat[unproven])
+    return None
+
+
+def _certified(M: np.ndarray) -> np.ndarray:
+    # A Hermitian result or stack of results, returned with each matrix
+    # certified as mean() certifies one (_certificates).
+    _certificates(M)
     return M
+
+
+def _pd_result(M: np.ndarray) -> PdMatrix:
+    # The PdMatrix of a lone result that its route returned Hermitian
+    # (assembled exactly so, or symmetrized), certified by _certificates
+    # with no second validation: a proven one reads its lambda_min on
+    # first access (PdMatrix.__getattr__).
+    M.setflags(write=False)
+    out = object.__new__(PdMatrix)
+    object.__setattr__(out, "mat", M)
+    lam = _certificates(M)
+    if lam is not None:
+        object.__setattr__(out, "min_eigenvalue", lam)
+    return out
 
 
 def _certified_power(X: np.ndarray, p: float) -> np.ndarray:
@@ -1068,19 +1128,35 @@ def _congruences(C, *mats) -> tuple[np.ndarray, ...]:
             raise DimMismatch(
                 f"congruence shapes differ: {Carr.shape} vs {Xarr.shape}"
             )
+    # Invertible means lambda_min(G) > 1e-24 lambda_max(G) for G = C*C. At
+    # n >= 3 a proof of lambda_min(G) > 1e-24 ||G||_F >= 1e-24 lambda_max
+    # decides it; only an unproven G with a finite norm reads its
+    # eigenvalues, and a NaN or infinite one fails.
     Ch = Carr.conj().swapaxes(-1, -2)
-    w = _eig_values(_sym(Ch @ Carr))
-    if np.any(w[..., 0] <= (1e-12) ** 2 * w[..., -1]):
-        raise SingularError("congruence transform is numerically singular")
+    G = _sym(Ch @ Carr)
+    floor = 1e-24 * _norms(G)
+    ok = np.array(_cholesky_proof(G, floor) if G.shape[-1] > 2 else np.zeros(floor.shape, dtype=bool))
+    todo = ~ok & (floor < math.inf)
+    if todo.any():
+        w = _eig_values(G[todo])
+        ok[todo] = w[:, 0] > (1e-12) ** 2 * w[:, -1]
+    _require(ok, SingularError, "congruence transform is numerically singular")
     return tuple(Carr @ Xarr @ Ch for Xarr in arrs)
 
 
 def _order_violation(M1: np.ndarray, M2: np.ndarray):
     # How far M1 <= M2 fails, for one pair or each pair of two stacks: the
     # most negative eigenvalue of M2 - M1, negated; 0 where none is negative,
-    # NaN kept.
-    w = _eig_values(_sym(M2 - M1))
-    return np.maximum(0.0, -w[..., 0])
+    # NaN kept. At n >= 3 a difference that _cholesky_proof shows positive
+    # definite has 0 with no eigenvalue read, as its eigenvalues would give.
+    D = _sym(M2 - M1)
+    if D.shape[-1] <= 2:
+        return np.maximum(0.0, -_eig_values(D)[..., 0])
+    out = np.zeros(D.shape[:-2])
+    todo = ~np.array(_cholesky_proof(D, 0.0))
+    if todo.any():
+        out[todo] = np.maximum(0.0, -_eig_values(D[todo])[:, 0])
+    return out
 
 
 def loewner_leq(A, B) -> bool:

@@ -72,12 +72,14 @@ from .matcore import (
     _cholesky_frame,
     _certify_stack,
     _check_certificates,
+    _cholesky_proof,
     _check_operands,
     _congruences,
     _eig_array,
     _end_powers,
     _norms,
     _order_violation,
+    _pd_result,
     _pow_arr,
     _power_guard,
     _rel_gap,
@@ -87,6 +89,7 @@ from .matcore import (
     as_array,
     identity_pd,
     loewner_leq,
+    pd_tolerance,
 )
 from .report import worst
 from .sampling import _invertible_hermitian, _pd_gram, complex_draws
@@ -525,12 +528,15 @@ def _power_mean_arr(N: np.ndarray, p: float) -> np.ndarray:
 
 
 def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
-    # The selected mean, unsymmetrized and uncertified, of one pair or of
-    # each pair of two stacks (N, n, n). The Kubo-Ando kinds and the
-    # Wasserstein mean take the 2x2 closed forms at n = 2 and the Cholesky
-    # frame A = L L* at any other n; the spectral geometric mean is built on
-    # Q = A^(-1) # B (_q_arr), and the conventional power mean and
-    # from-function means keep their spectral routes.
+    # The selected mean, Hermitian and uncertified, of one pair of Hermitian
+    # matrices or of each pair of two stacks (N, n, n). The Kubo-Ando kinds
+    # and the Wasserstein mean take the 2x2 closed forms at n = 2 and the
+    # Cholesky frame A = L L* at any other n; the spectral geometric mean is
+    # built on Q = A^(-1) # B (_q_arr), and the conventional power mean and
+    # from-function means keep their spectral routes. The route decides the
+    # symmetrization: the closed forms, the 2x2 power's assembler and the
+    # arithmetic mean assemble a result exactly Hermitian, which _sym would
+    # give back bit for bit, and every other route symmetrizes its own.
     tag = kind.tag
     n = Aarr.shape[-1]
     if tag == TAG_ARITHMETIC:
@@ -538,10 +544,11 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     if tag == TAG_CONVENTIONAL_POWER:
         p = kind.p
         S = (_pow_arr(Aarr, p) + _pow_arr(Barr, p)) / 2.0
-        return _pow_arr(_sym(S), 1.0 / p)
+        P = _pow_arr(_sym(S), 1.0 / p)
+        return P if n == 2 else _sym(P)
     if tag == TAG_SPECTRAL_GEOMETRIC:
         R = _pow_arr(_q_arr(Aarr, Barr), 0.5)
-        return R @ Aarr @ R
+        return _sym(R @ Aarr @ R)
     if tag == TAG_FROM_FUNCTION:
         # The A^(+-1/2) frame of D A D and D B D, D = diag(A)^(-1/2), and the
         # mean scaled back (the transformer equality): a graded pair keeps
@@ -550,12 +557,8 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
         S = 1.0 / (d[..., :, None] * d[..., None, :])
         Ah, Aih = _pow_arr(Aarr * S, 0.5, -0.5)
         w, vals, V = _spectral_values(_sym(Aih @ (Barr * S) @ Aih), kind.f)
-        for lam, y in zip(w.flat, vals.flat):
-            if y <= 0.0:
-                raise DomainError(
-                    f"representing function must stay positive, got {float(y)!r} at {lam!r}"
-                )
-        return Ah @ _apply_spectral(vals, V) @ Ah / S
+        _require(vals > 0.0, DomainError, "representing function must stay positive, got {!r} at {!r}", vals, w)
+        return _sym(Ah @ _apply_spectral(vals, V) @ Ah / S)
     if n == 2 and tag in _CLOSED2:
         return _closed2(_CLOSED2[tag], Aarr, Barr)[0]
     if n == 2 and tag == TAG_POWER:
@@ -563,25 +566,25 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     if tag == TAG_HARMONIC:
         # 2 A (A + B)^(-1) B = 2 (R^(-1) A)* (R^(-1) B), A + B = R R*.
         _, Ri = _cholesky_frame(Aarr + Barr)
-        return 2.0 * (Ri @ Aarr).conj().swapaxes(-1, -2) @ (Ri @ Barr)
+        return _sym(2.0 * (Ri @ Aarr).conj().swapaxes(-1, -2) @ (Ri @ Barr))
     if tag == TAG_WASSERSTEIN:
         # A Q = L S L^(-1) = T, and Q A = T*.
         L, Li, S = _cholesky_bw(Aarr, Barr)
         T = L @ S @ Li
-        return (Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0
+        return _sym((Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0)
     if tag in (TAG_GEOMETRIC, TAG_POWER):
         L, N = _cholesky_inner(Aarr, Barr)
         F = _pow_arr(N, 0.5) if tag == TAG_GEOMETRIC else _power_mean_arr(N, kind.p)
-        return L @ F @ L.conj().swapaxes(-1, -2)
+        return _sym(L @ F @ L.conj().swapaxes(-1, -2))
     raise DomainError(f"unknown mean tag {tag!r}")
 
 
 def _wasserstein_alt_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
-    # wasserstein_alt, unsymmetrized and uncertified, of one pair or of
+    # wasserstein_alt, symmetrized and uncertified, of one pair or of
     # stacks, with T = A^(-1/2) S A^(1/2) on the transport frame.
     Ah, Aih, S = _bw_frame(Aarr, Barr)
     T = Aih @ S @ Ah
-    return (Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0
+    return _sym((Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0)
 
 
 def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
@@ -593,7 +596,9 @@ def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
     from one eigendecomposition, 2 (R^(-1) A)* (R^(-1) B) with A + B = R R*
     for the harmonic mean, from none, and (A + B + T + T*)/4 with
     T = L (L* B L)^(1/2) L^(-1) for the Wasserstein mean, from one. The
-    certificate takes one more.
+    certificate takes one more at n = 2, and none at n >= 3, where a
+    Cholesky proof certifies the result and its ``min_eigenvalue`` is
+    computed when first read.
 
     Parameters
     ----------
@@ -608,8 +613,7 @@ def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
         here would indicate a genuine numerical breakdown, not a soft warning.
     """
     _check_operands(A, B)
-    out = _mean_arr(kind, A.mat, B.mat)
-    return PdMatrix.certify(HermitianMatrix._wrap(out))
+    return _pd_result(_mean_arr(kind, A.mat, B.mat))
 
 
 def wasserstein_alt(A: PdMatrix, B: PdMatrix) -> PdMatrix:
@@ -619,7 +623,7 @@ def wasserstein_alt(A: PdMatrix, B: PdMatrix) -> PdMatrix:
     routes can be compared against each other.
     """
     _check_operands(A, B)
-    return PdMatrix.certify(HermitianMatrix._wrap(_wasserstein_alt_arr(A.mat, B.mat)))
+    return _pd_result(_wasserstein_alt_arr(A.mat, B.mat))
 
 
 def kubo_ando_from_function(f, A: PdMatrix, B: PdMatrix, name: str = "f") -> PdMatrix:
@@ -735,18 +739,25 @@ def check_kubo_ando_axioms(
     F = complex_draws(rng_seed, dim=dim, k=5, count=samples)
     T = _transforms(F[:, 4])
     A, C = _pd_gram(F[:, 0]), _pd_gram(F[:, 1])
-    lam_A, lam_C = _certify_stack(np.array([A, C]))
+    ks = (1, 2, 4, 8, 16, 32)
+    # Each lambda_min of A and C must clear the tolerance of its matrix and
+    # of every shift by I/k. ||X + tI||_F grows with t, so at n >= 3 one
+    # proof above pd_tolerance(X + I) answers every k, and only the
+    # matrices it leaves open read their eigenvalues, raising as before.
+    AC = np.concatenate([A, C])
+    if dim > 2:
+        AC = AC[~_cholesky_proof(AC, pd_tolerance(AC + I))]
+    if len(AC):
+        lam = _certify_stack(AC)
+        for k in ks:
+            _check_certificates(AC + I / k, lam)
     G1, G2 = F[:, 2], F[:, 3]
-    B, D, TA, TC = _certified(np.concatenate([
+    B, D, TA, TC = _certified(_sym(np.concatenate([
         A + G1.conj().swapaxes(-1, -2) @ G1 + 0.05 * I,
         C + G2.conj().swapaxes(-1, -2) @ G2 + 0.05 * I,
         *_congruences(T, A, C),
-    ])).reshape(4, samples, dim, dim)
-    ks = (1, 2, 4, 8, 16, 32)
+    ]))).reshape(4, samples, dim, dim)
     As, Cs = [A + I / k for k in ks], [C + I / k for k in ks]
-    for Ak, Ck in zip(As, Cs):
-        _check_certificates(Ak, lam_A)
-        _check_certificates(Ck, lam_C)
 
     # The nine means of every sample as one stack, certified as one: lo,
     # hi, the transformed mean and the six shifted means. T's invertibility

@@ -192,7 +192,7 @@ def masa_split(X) -> tuple:
     traceless part exactly. X may be an (N, 2, 2) stack: t and s are then
     (N,) arrays and G an (N, 2, 2) array, zero where s = 0; each matrix
     splits bit for bit as it would alone. DomainError on an entry that is
-    not finite.
+    not finite, and on a t or s that overflows.
     """
     arr = as_array(X)
     if arr.shape[-2:] != (2, 2) or arr.ndim not in (2, 3):
@@ -200,9 +200,11 @@ def masa_split(X) -> tuple:
     if not np.isfinite(arr).all():
         raise DomainError("matrix entries must be finite")
     stack = arr.reshape(-1, 2, 2)
-    t = np.trace(stack, axis1=-2, axis2=-1).real / 2.0
-    D = stack - t[:, None, None] * np.eye(2)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t = np.trace(stack, axis1=-2, axis2=-1).real / 2.0
+        D = stack - t[:, None, None] * np.eye(2)
     s = _norms(D) / math.sqrt(2.0)
+    _require(np.isfinite(t) & np.isfinite(s), DomainError, "affine coordinates overflow: t = {:.3e}, s = {:.3e}", t, s)
     split = ~(s <= 1e-13 * np.maximum(1.0, _norms(stack)))
     s = np.where(split, s, 0.0)
     G = np.zeros_like(D)

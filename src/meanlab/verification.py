@@ -33,7 +33,7 @@ from .expansion import (
 )
 from .geometry import GEODESIC_BW, GEODESIC_TRACE, _accrual, _certified_points, _d_bw_arr, d_bw
 from .matcore import (
-    PdMatrix, _certified, _check_hermitian, _norms, commutator_norm, frobenius, identity_pd, pauli_basis,
+    PdMatrix, _certified, _check_hermitian, _norms, _sym, commutator_norm, frobenius, identity_pd, pauli_basis,
 )
 from .means import (
     ARITHMETIC,
@@ -263,7 +263,7 @@ def _commuting_stacks(seed, stream):
     V = _unitary_factor(np.array(Z))[:, None]
     pairs = (V * np.array(d)[..., None, :]) @ V.conj().swapaxes(-1, -2)
     _check_hermitian(pairs)
-    return _certified(pairs[:, 0]), _certified(pairs[:, 1])
+    return _certified(_sym(pairs[:, 0])), _certified(_sym(pairs[:, 1]))
 
 
 def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:

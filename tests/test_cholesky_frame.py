@@ -316,7 +316,7 @@ def test_the_frame_and_the_proof_share_one_factor(monkeypatch):
     monkeypatch.setattr(matcore, "_cholesky", counting)
     matcore._cholesky_frame(A[0])
     matcore._cholesky_frame(A)
-    assert matcore._cholesky_proof(A).all()
+    assert matcore._cholesky_proof(A, matcore.pd_tolerance(A)).all()
     assert calls == [(3, 3), (4, 3, 3), (4, 3, 3)]
 
 

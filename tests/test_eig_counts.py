@@ -7,9 +7,10 @@ scalar and stacked Jacobi. So it sees every eigendecomposition, the 2x2
 powers that ``_pow_arr`` builds from the values-only closed form included.
 A call on a stack of N matrices counts as N eigendecompositions, whichever
 kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one
-eigendecomposition of A, and every result costs one more to certify,
-except within a stack at n >= 3: its certificates are proven by a Cholesky
-factorization, with no eigendecomposition unless the proof fails. The
+eigendecomposition of A, and every result at n = 2 costs one more to
+certify. At n >= 3 a result's certificate, lone or stacked, is proven by a
+Cholesky factorization, with no eigendecomposition unless the proof fails,
+and so are the order and invertibility checks of the axiom battery. The
 Kubo-Ando means, the Wasserstein mean, both geodesics and the
 Bures-Wasserstein distance take no frame of A at n >= 3: the Cholesky
 factor A = L L* replaces it, at no eigendecomposition, and the harmonic
@@ -91,34 +92,38 @@ def _pair(dim):
     return random_pd(rng, dim), random_pd(rng, dim)
 
 
-# Per mean at n >= 3, certificate included: the harmonic mean takes the
-# Cholesky factor of A + B and its inverse; the geometric mean and m_p one
-# eigendecomposition of N = L^(-1) B L^(-*) (m_p both its powers from it);
-# the Wasserstein mean one of S = (L* B L)^(1/2); the spectral geometric
-# mean S and the root of Q = L^(-*) S L^(-1). The conventional power mean
-# keeps its three powers. On the A^(+-1/2) frame these were harmonic 4,
-# geometric 3, m_p 4, spectral geometric 5 and Wasserstein 4.
+# Per mean at n >= 3, where a Cholesky proof certifies the result with no
+# eigendecomposition: the harmonic mean takes the Cholesky factor of A + B
+# and its inverse; the geometric mean and m_p one eigendecomposition of
+# N = L^(-1) B L^(-*) (m_p both its powers from it); the Wasserstein mean
+# one of S = (L* B L)^(1/2); the spectral geometric mean S and the root of
+# Q = L^(-*) S L^(-1). The conventional power mean keeps its three powers.
+# With an eigenvalue certificate these were one more each, and on the
+# A^(+-1/2) frame harmonic 4, geometric 3, m_p 4, spectral geometric 5 and
+# Wasserstein 4.
 MEAN_COUNTS = [
-    (ARITHMETIC, 1),
-    (HARMONIC, 1),
-    (conventional_power(0.5), 4),
-    (GEOMETRIC, 2),
-    (kubo_ando_power(0.5), 2),
-    (kubo_ando_power(-0.5), 2),
-    (SPECTRAL_GEOMETRIC, 3),
-    (WASSERSTEIN, 2),
+    (ARITHMETIC, 0),
+    (HARMONIC, 0),
+    (conventional_power(0.5), 3),
+    (GEOMETRIC, 1),
+    (kubo_ando_power(0.5), 1),
+    (kubo_ando_power(-0.5), 1),
+    (SPECTRAL_GEOMETRIC, 2),
+    (WASSERSTEIN, 1),
 ]
 # The means that take a closed form at n = 2, where only the certificate
 # remains; the spectral geometric mean's Q takes the closed form there,
 # which leaves the root of Q and the certificate. The conventional power
-# mean keeps its route.
+# mean keeps its route, and its certificate.
 CLOSED_AT_DIM_2 = (GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5))
 
 
 def _per_mean(kind, expected, dim):
     if dim == 2 and kind == SPECTRAL_GEOMETRIC:
         return 2
-    return 1 if dim == 2 and kind in CLOSED_AT_DIM_2 else expected
+    if dim == 2:
+        return 1 if kind in CLOSED_AT_DIM_2 else expected + 1
+    return expected
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -134,11 +139,16 @@ def test_eigendecompositions_per_mean(kind, expected, dim, eig_calls):
 @pytest.mark.parametrize("kind, expected", MEAN_COUNTS, ids=lambda x: getattr(x, "label", str(x)))
 def test_eigenvalues_only_share_per_mean(kind, expected, dim, values_calls):
     # A 2x2 power is built from the eigenvalues alone, so at dim 2 no
-    # eigendecomposition of a mean forms vectors; at dim 3 only the
-    # certificate goes without.
+    # eigendecomposition of a mean forms vectors; at dim 3 every one does,
+    # since the certificate is proven, and its value left unread.
     A, B = _pair(dim)
     values_calls.clear()
-    mean(kind, A, B)
+    M = mean(kind, A, B)
+    assert values_calls == [dim] * (_per_mean(kind, expected, dim) if dim == 2 else 0)
+    # Reading the certificate at dim 3 takes the one values-only
+    # eigendecomposition that an eager certificate took, once.
+    M.min_eigenvalue
+    M.min_eigenvalue
     assert values_calls == [dim] * (_per_mean(kind, expected, dim) if dim == 2 else 1)
 
 
@@ -149,12 +159,12 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
         # The closed form at n = 2; S = (L* B L)^(1/2) on the Cholesky frame
         # at n >= 3. The A^(+-1/2) frame took 2 at both.
         (lambda: d_bw(A, B), 0 if dim == 2 else 1),
-        # Q = L^(-*) S L^(-1) (the root S), one certified point; at n = 2,
-        # Q's closed form leaves the point alone.
-        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1 if dim == 2 else 2),
-        # N^t on the Cholesky frame, one certified point; at n = 2 the
-        # pencil form leaves the point alone.
-        (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 1 if dim == 2 else 2),
+        # Q = L^(-*) S L^(-1) (the root S), one point, proven; at n = 2,
+        # Q's closed form leaves the point's certificate alone.
+        (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1),
+        # N^t on the Cholesky frame, one point, proven; at n = 2 the
+        # pencil form leaves the point's certificate alone.
+        (lambda: geodesic(GEODESIC_TRACE, A, B, 0.3), 1),
         # d_bw(A, B), Q once, five certified points and four interval
         # distances: at n = 2 only the points (15 with the frame's
         # distances); at n >= 3 the five points, one stack, are proven
@@ -168,10 +178,12 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_path, capsys):
-    # Both inputs certified (2), the point at t (1, or 2 at n >= 3) and the
-    # accrual (5, or 6 at n >= 3), whose own d_bw(A, B) scales the
-    # contract: a second one would make 11 at n >= 3 (at n = 2 a distance
-    # takes none). The A^(+-1/2) frame's distances made 18 and 15.
+    # Both inputs certified (2), the point at t (1: its certificate at
+    # n = 2, Q's root, proven, at n >= 3) and the accrual (5, or 6 at
+    # n >= 3), whose own d_bw(A, B) scales the contract: a second one would
+    # make 10 at n >= 3 (at n = 2 a distance takes none). An eigenvalue
+    # certificate of the point made 10 at n >= 3, and the A^(+-1/2) frame's
+    # distances 18 and 15.
     paths = []
     for name, M in zip("ab", _pair(dim)):
         paths.append(tmp_path / f"{name}.json")
@@ -179,7 +191,7 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
     eig_calls.clear()
     argv = ["geodesic", "--kind", "bw", "--a", str(paths[0]), "--b", str(paths[1]), "--check-metric"]
     assert main(argv) == 0
-    assert eig_calls == [dim] * (8 if dim == 2 else 10)
+    assert eig_calls == [dim] * (8 if dim == 2 else 9)
 
 
 # 50 partners certified, then per partner the mean's own eigendecompositions
@@ -209,7 +221,8 @@ def test_eigendecompositions_per_probe(kind, expected, dim, eig_calls):
 
 # Remark 1: A's frame and S. Remark 2, 0 < |p| < 1: B^|p|, F at 1, h, 2h and
 # 0 (5), and the m_p hypothesis commutator, which costs what mean() does
-# (1 by the pencil form at n = 2, 2 on the Cholesky frame); p < 0 adds
+# (1 by the pencil form at n = 2, 1 on the Cholesky frame, its certificate
+# proven; 2 with an eigenvalue certificate); p < 0 adds
 # B^(-1) and B^(p+1). The harmonic chain: A^(-1), B^(-1) and the inverse of
 # their sum.
 CHAIN_COUNTS = [
@@ -226,7 +239,7 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
     A, B = _pair(dim)
     eig_calls.clear()
     chain(A, B, *args)
-    hypothesis = (1 if dim == 2 else 2) if chain is remark2_identity_chain and args != (-1.0,) else 0
+    hypothesis = 1 if chain is remark2_identity_chain and args != (-1.0,) else 0
     assert eig_calls == [dim] * (expected + hypothesis)
 
 
@@ -290,12 +303,15 @@ def test_eigendecompositions_per_axiom_battery_of_the_pencil_kinds(kind, eig_cal
 def test_eigendecompositions_per_axiom_battery_at_dim_3(eig_calls):
     # At n >= 3 every stacked certificate is proven by Cholesky: B, D, TA
     # and TC (4) and the nine means (9) per sample, and T's for odd samples
-    # (4 of 8). The geometric mean's Cholesky frame leaves one
-    # eigendecomposition (N^(1/2)) per mean, where the A^(+-1/2) frame took
-    # two: 19 per sample, down from 28. A and C keep their eigenvalues,
-    # which the continuity checks read, and normalization's lone mean its 2.
+    # (4 of 8). So are A and C, above the tolerance of A + I, which covers
+    # every shift A + I/k (2), T's invertibility (1) and the six order
+    # checks (6). The geometric mean's Cholesky frame leaves one
+    # eigendecomposition (N^(1/2)) per mean, and T's draw one for even
+    # samples: 10 per sample, down from 19 with those nine checks by
+    # eigenvalues and 28 on the A^(+-1/2) frame. Normalization's lone mean
+    # takes 1, its certificate proven (2 before).
     check_kubo_ando_axioms(GEOMETRIC, samples=8, dim=3)
-    assert eig_calls == [3] * (8 * 19 - 4 + 2)
+    assert eig_calls == [3] * (8 * 10 - 4 + 1)
 
 
 def test_eigenvalues_only_share_of_the_axiom_battery(values_calls):

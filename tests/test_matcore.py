@@ -841,9 +841,9 @@ def _proof_corpus(n: int) -> np.ndarray:
 @pytest.mark.parametrize("n", [3, 4, 6])
 def test_cholesky_proof_accepts_only_what_the_oracle_certifies(n):
     M = _proof_corpus(n)
-    proven = matcore._cholesky_proof(M)
-    lam = np.linalg.eigvalsh(M)[:, 0]
     tol = matcore.pd_tolerance(M)
+    proven = matcore._cholesky_proof(M, tol)
+    lam = np.linalg.eigvalsh(M)[:, 0]
     assert np.all(lam[proven] > tol[proven])
     # Not vacuous: the random grams at scales 1 and 1e100, and a lambda_min
     # placed a tenth above the tolerance, are proven; none placed below is.
@@ -852,23 +852,33 @@ def test_cholesky_proof_accepts_only_what_the_oracle_certifies(n):
     placed = 3 * base
     assert proven[[placed + 1, placed + 13]].all()
     assert not proven[placed::2].any()
-    # The stacked decision is the decision each matrix gets alone.
-    assert np.array_equal(proven, [matcore._cholesky_proof(X[None])[0] for X in M])
+    # The stacked decision is the decision each matrix gets in a stack of
+    # one, and alone on Python floats.
+    assert np.array_equal(proven, [matcore._cholesky_proof(X[None], t)[0] for X, t in zip(M, tol)])
+    assert np.array_equal(proven, [matcore._cholesky_proof(X, t) for X, t in zip(M, tol)])
 
 
+def _proof(M):
+    # _cholesky_proof against the certificate's own tolerance.
+    return matcore._cholesky_proof(M, matcore.pd_tolerance(M))
+
+
+@pytest.mark.filterwarnings("error")
 def test_cholesky_proof_fails_closed_on_nan_inf_and_overflow():
     good = pd_stacks(31, dim=3, k=1, count=5)[0]
     for bad in (np.nan, np.inf, -np.inf):
         M = good.copy()
         M[2, 0, 1] = M[2, 1, 0] = bad
         M[3, 1, 1] = bad
-        assert matcore._cholesky_proof(M).tolist() == [True, True, False, False, True]
+        assert _proof(M).tolist() == [True, True, False, False, True]
+        assert [_proof(X) for X in M] == [True, True, False, False, True]
     # The factor works at the square root of the scale, so 1e160 is
     # proven; a trace past the largest float leaves a PD matrix unproven.
-    # numpy warns of the overflowing squares of their norms.
-    with np.errstate(over="ignore"):
-        assert matcore._cholesky_proof(1e160 * good[:1])[0]
-        assert not matcore._cholesky_proof(np.diag([1e308] * 3)[None].astype(complex))[0]
+    # No numpy warning escapes, the overflowing squares of their norms
+    # included.
+    assert _proof(1e160 * good[:1])[0] and _proof(1e160 * good[0])
+    huge = np.diag([1e308] * 3).astype(complex)
+    assert not _proof(huge[None])[0] and not _proof(huge)
 
 
 @pytest.mark.parametrize("count", [6, 40])
@@ -888,29 +898,140 @@ def test_certified_stack_raises_the_eigenvalue_route_error(count):
     assert np.array_equal(matcore._certified(rest), _sym(rest))
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_a_proven_matrix_gets_the_eigenvalue_routes_answer(n):
+    # On the corpus, lambda_min at pd_tolerance * (1 -+ 10^-k) included,
+    # every matrix the proof passes against a floor is passed by the
+    # eigenvalues as well: its certificate, read lazily, clears the
+    # tolerance; its order violation is 0; its Gram test of invertibility
+    # holds. Only the unproven ones differ from a proof's answer.
+    M = _proof_corpus(n)
+    tol, norms = matcore.pd_tolerance(M), matcore._norms(M)
+    w = matcore._eig_values(M)
+    certified = matcore._cholesky_proof(M, tol)
+    assert np.all(w[certified, 0] > tol[certified])
+    for X in M[certified]:
+        P = matcore._pd_result(X.copy())
+        assert "min_eigenvalue" not in vars(P)
+        assert P.min_eigenvalue == matcore._certify_stack(X)
+    ordered = matcore._cholesky_proof(M, 0.0)
+    assert ordered[certified].all() and np.all(np.maximum(0.0, -w[ordered, 0]) == 0.0)
+    assert np.array_equal(matcore._order_violation(np.zeros_like(M), M), np.maximum(0.0, -w[:, 0]))
+    invertible = matcore._cholesky_proof(M, 1e-24 * norms)
+    assert np.all(w[invertible, 0] > 1e-24 * w[invertible, -1])
+    # Not vacuous: each proof passes the random grams at scale 1.
+    assert certified[:8].all() and ordered[:8].all() and invertible[:8].all()
+
+
+def _lean(M):
+    # _pd_result of a copy, which it makes read-only.
+    return matcore._pd_result(np.array(M, dtype=complex))
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_lazily_read_certificate_is_the_eager_one_bit_for_bit(n):
+    # At n = 2 the certificate is read at construction; at n >= 3 the proof
+    # leaves it unread until asked, and it then has the bits PdMatrix.certify
+    # gives, once, for the means, wasserstein_alt and both geodesics.
+    from meanlab import GEODESIC_BW, GEODESIC_TRACE, SPECTRAL_GEOMETRIC, WASSERSTEIN, geodesic
+    from meanlab import ARITHMETIC, conventional_power, wasserstein_alt
+
+    A, B = (PdMatrix.certify(X[0]) for X in pd_stacks(0, 48, n, dim=n, k=2, count=1))
+    kinds = (ARITHMETIC, HARMONIC, GEOMETRIC, WASSERSTEIN, SPECTRAL_GEOMETRIC, kubo_ando_power(-0.5), conventional_power(0.5))
+    results = [mean(kind, A, B) for kind in kinds] + [wasserstein_alt(A, B)]
+    results += [geodesic(kind, A, B, 0.3) for kind in (GEODESIC_BW, GEODESIC_TRACE)]
+    for M in results:
+        assert ("min_eigenvalue" in vars(M)) == (n == 2)
+        eager = PdMatrix.certify(M.mat.copy()).min_eigenvalue
+        assert M.min_eigenvalue == eager and vars(M)["min_eigenvalue"] == eager
+        assert not M.mat.flags.writeable and M.mat.base is None
+    # The dataclass's __repr__ and __eq__ read the field, lazily too.
+    M, N = mean(GEOMETRIC, A, B), mean(GEOMETRIC, A, B)
+    assert repr(M) == repr(PdMatrix.certify(M.mat.copy()))
+    assert M == M and N.min_eigenvalue == M.min_eigenvalue
+    with pytest.raises(AttributeError, match="no attribute 'matrix'"):
+        M.matrix
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_a_matrix_the_proof_leaves_open_is_decided_by_its_eigenvalues(n):
+    # An indefinite matrix and one whose lambda_min clears the tolerance by
+    # 1e-14 tr, less than the proof's margin for Jacobi's error but more
+    # than its rounding bound: the proof leaves both open, so the first
+    # raises the PositivityError PdMatrix.certify raises, in its words, and
+    # the second is certified with its eager lambda_min.
+    Q = random_unitary(rng_for(49, n), n)
+    tail = np.arange(2.0, n + 1.0)
+    bad = (Q * np.concatenate([[-1e-3], tail])) @ Q.conj().T
+    with pytest.raises(PositivityError) as eager:
+        PdMatrix.certify(bad)
+    with pytest.raises(PositivityError, match=f"^{re.escape(str(eager.value))}$"):
+        _lean(_sym(bad))
+    tol = matcore.PD_TOLERANCE * math.hypot(*tail)
+    close = _sym((Q * np.concatenate([[tol + 1e-14 * (tol + tail.sum())], tail])) @ Q.conj().T)
+    assert not matcore._cholesky_proof(close, matcore.pd_tolerance(close))
+    P = _lean(close)
+    assert vars(P)["min_eigenvalue"] == PdMatrix.certify(close).min_eigenvalue
+    with pytest.raises(PositivityError, match=f"^{re.escape(str(eager.value))}$"):
+        matcore._certified(_sym(bad))
+
+
+def test_every_order_and_congruence_stack_of_verify_all_is_decided_alike(monkeypatch):
+    # verify --all at seeds 0 and 1: each matrix the proofs of the axiom
+    # battery pass (M2 - M1 of every order check, C*C of every invertibility
+    # check, at n = 3) is passed by its eigenvalues as well.
+    import contextlib
+    import io
+
+    from meanlab import means
+    from meanlab.cli import main
+
+    orders, grams = [], []
+
+    def order(M1, M2, real=means._order_violation):
+        orders.append(_sym(M2 - M1))
+        return real(M1, M2)
+
+    def congruences(C, *mats, real=means._congruences):
+        grams.append(_sym(C.conj().swapaxes(-1, -2) @ C))
+        return real(C, *mats)
+
+    monkeypatch.setattr(means, "_order_violation", order)
+    monkeypatch.setattr(means, "_congruences", congruences)
+    for seed in (0, 1):
+        with contextlib.redirect_stdout(io.StringIO()):
+            main(["verify", "--all", "--json", "--seed", str(seed)])
+    D = np.concatenate([X for X in orders if X.shape[-1] >= 3])
+    G = np.concatenate([X for X in grams if X.shape[-1] >= 3])
+    assert len(D) and len(G)
+    ordered = matcore._cholesky_proof(D, 0.0)
+    assert ordered.all() and np.all(np.maximum(0.0, -matcore._eig_values(D)[:, 0]) == 0.0)
+    invertible = matcore._cholesky_proof(G, 1e-24 * matcore._norms(G))
+    w = matcore._eig_values(G)
+    assert invertible.all() and np.all(w[:, 0] > 1e-24 * w[:, -1])
+
+
+@pytest.mark.filterwarnings("error")
 def test_overflowing_norms_are_taken_again_scaled():
     # Squares of entries past about 1.3e154 overflow; the norm is then taken
     # with the matrix scaled by a power of two, and the certificate holds.
-    # numpy warns of the overflowing squares first.
-    with np.errstate(over="ignore"):
-        P = PdMatrix.certify(HermitianMatrix(1e160 * np.diag([1.0, 2.0])))
-        assert P.min_eigenvalue == 1e160
-        assert P.norm() == pytest.approx(math.sqrt(5.0) * 1e160, rel=1e-15)
+    # Neither a lone norm nor a stack's warns of the overflowing squares.
+    P = PdMatrix.certify(HermitianMatrix(1e160 * np.diag([1.0, 2.0])))
+    assert P.min_eigenvalue == 1e160
+    assert P.norm() == pytest.approx(math.sqrt(5.0) * 1e160, rel=1e-15)
     pairs = [(random_pd(rng_for(34, i), 2).mat, random_pd(rng_for(35, i), 2).mat) for i in range(6)]
     A, B = (np.array(side) for side in zip(*pairs))
-    with np.errstate(over="ignore"):
-        big = commutator_norm(1e100 * A, 1e100 * B)
-        assert np.array_equal(big, [commutator_norm(1e100 * a, 1e100 * b) for a, b in pairs])
+    big = commutator_norm(1e100 * A, 1e100 * B)
+    assert np.array_equal(big, [commutator_norm(1e100 * a, 1e100 * b) for a, b in pairs])
     assert np.all(big > 1e200) and np.all(np.isfinite(big))
     assert big == pytest.approx(1e200 * commutator_norm(A, B), rel=1e-14)
     # A finite norm keeps its bits, alone or beside an overflowing one.
     mixed = np.array([A[0], 1e160 * A[1]])
-    with np.errstate(over="ignore"):
-        assert np.array_equal(matcore._norms(mixed), [matcore._norms(X) for X in mixed])
-        assert matcore._norms(mixed)[0] == np.linalg.norm(A[0])
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert math.isinf(matcore._norms(np.array([[np.inf, 0.0], [0.0, 1.0]])))
-        assert math.isinf(matcore._norms(np.full((2, 2), 1.7e308)))
+    assert np.array_equal(matcore._norms(mixed), [matcore._norms(X) for X in mixed])
+    assert matcore._norms(mixed)[0] == np.linalg.norm(A[0])
+    assert math.isinf(matcore._norms(np.array([[np.inf, 0.0], [0.0, 1.0]])))
+    assert math.isinf(matcore._norms(np.full((2, 2), 1.7e308)))
+    assert np.isinf(matcore._norms(np.full((3, 2, 2), 1.7e308))).all()
 
 
 @pytest.mark.filterwarnings("error")

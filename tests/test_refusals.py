@@ -15,7 +15,10 @@ import numpy as np
 import pytest
 
 import meanlab
-from meanlab import DomainError, FitFailure, NotInCone, PositivityError, expansion, matcore, preserver
+from meanlab import (
+    DomainError, FitFailure, NotInCone, PdMatrix, PositivityError, SingularError, expansion, from_function, matcore, means,
+    preserver,
+)
 
 PACKAGE = Path(meanlab.__file__).resolve().parent
 
@@ -59,6 +62,12 @@ def test_the_structural_guard_sees_a_call_outside_require():
 I2 = np.eye(2, dtype=complex)
 NOT_HERMITIAN = np.array([[1.0, 2.0], [0.0, 1.0]], dtype=complex)
 OUT_OF_CONE = I2 + 2.0 * np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
+# Its trace overflows.
+HUGE = np.diag([1.7e308, 1.7e308]).astype(complex)
+# A representing function that turns negative past 2, and a partner whose
+# pencil with I reaches 4.
+DROPPING = from_function(lambda x: 2.0 - x, "2 - x")
+SPREAD = np.diag([1.0, 4.0]).astype(complex)
 
 
 def _middle(bad: np.ndarray, good: np.ndarray) -> np.ndarray:
@@ -112,6 +121,17 @@ CASES = [
      lambda: expansion._fit(expansion.DEFAULT_GRID, np.concatenate([_fit_data(1.0), _fit_data(40.0), _fit_data(1.0)], axis=1))),
     ("masa", NotInCone, lambda: preserver.masa_eval(preserver.MasaFunctional(1.0), OUT_OF_CONE),
      lambda: preserver.masa_eval(preserver.MasaFunctional(1.0), _middle(OUT_OF_CONE, I2))),
+    *(
+        (f"masa-overflow-{name}", DomainError, lambda f=f: f(HUGE), lambda f=f: f(_middle(HUGE, I2)))
+        for name, f in (("split", preserver.masa_split), ("eval", lambda X: preserver.masa_eval(preserver.MasaFunctional(1.0), X)))
+    ),
+    *(
+        (f"congruence-nan-{n}", SingularError, lambda n=n: matcore.congruence(np.full((n, n), math.nan), np.eye(n)),
+         lambda n=n: matcore._congruences(_middle(np.full((n, n), complex(math.nan)), np.eye(n)), _middle(np.eye(n), np.eye(n))))
+        for n in (2, 3)
+    ),
+    ("from-function-positivity", DomainError, lambda: means.mean(DROPPING, PdMatrix.certify(I2), PdMatrix.certify(SPREAD)),
+     lambda: means._mean_arr(DROPPING, _middle(I2, I2), _middle(SPREAD, I2))),
 ]
 
 
@@ -123,3 +143,17 @@ def test_a_stack_is_refused_in_the_words_of_its_failing_operand(error, lone, sta
     with pytest.raises(error, match=f"^{re.escape(str(alone.value))}$") as inside:
         stacked()
     assert type(inside.value) is type(alone.value)
+
+
+@pytest.mark.filterwarnings("error")
+def test_refusals_name_their_values_as_python_floats():
+    # numpy 2's scalar repr (np.float64(4.0)) stays out of the texts.
+    A = PdMatrix.certify(SPREAD)
+    with pytest.raises(DomainError, match=r"^scalar function failed at eigenvalue 1\.0: math domain error$"):
+        matcore.func_calc(A, lambda x: math.log(x - 2.0))
+    with pytest.raises(DomainError, match=r"^scalar function returned non-finite value at 4\.0$"):
+        matcore.func_calc(A, lambda x: math.inf if x > 2.0 else 1.0)
+    with pytest.raises(DomainError, match=r"^representing function must stay positive, got -2\.0 at 4\.0$"):
+        means.mean(DROPPING, PdMatrix.certify(I2), A)
+    with pytest.raises(DomainError, match=r"^affine coordinates overflow: t = inf, s = nan$"):
+        preserver.masa_split(HUGE)
