@@ -20,7 +20,11 @@ processes on such a host can differ by 2x. The kernels are:
 - ``PdMatrix.certify`` of a lone wrapped matrix at dims 2 and 4, which
   checks the certificate as construction does, and the public lone
   geometric ``mean`` at dims 2 and 4, which certifies its result;
-- the lone ``_norms`` of a 4x4;
+- the lone 2x2 certificate, ``_pd_result`` of a closed-form geometric
+  mean, and the lone ``_norms`` of a 2x2 and of a 4x4;
+- ``rng_batch`` at counts 1 and 200: the SeedSequence hash every sampled
+  battery seeds through, which runs at the call (each generator is built
+  only when its turn comes, so none is);
 - at n >= 3: ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
   matrices and on a lone 4x4; ``_mean_arr`` of each kind the Cholesky frame
   serves (harmonic, geometric, m_0.5, m_-0.5, Wasserstein and spectral
@@ -76,7 +80,7 @@ def inputs(pkg) -> dict:
     A4, B4 = pkg.sampling.pd_stacks(23, 4, dim=4, k=2, count=1)
     return {
         "X": A[0], "D": np.diag([2.0, 5.0]).astype(complex), "A": A, "B": B, "A3": A3[:180], "B3": B3[:180],
-        "A3_200": A3, "B3_200": B3, "A4": A4[0], "B4": B4[0],
+        "A3_200": A3, "B3_200": B3, "A4": A4[0], "B4": B4[0], "G": pkg.means._mean_arr(pkg.means.GEOMETRIC, A[0], B[0]),
     }
 
 
@@ -101,7 +105,11 @@ def kernels(pkg, data: dict) -> dict:
         "_mean_arr geometric lone": lambda: means._mean_arr(means.GEOMETRIC, X, B[0]),
         "_mean_arr wasserstein lone": lambda: means._mean_arr(means.WASSERSTEIN, X, B[0]),
         "_mean_arr harmonic lone": lambda: means._mean_arr(means.HARMONIC, X, B[0]),
+        "_pd_result lone 2x2": lambda: matcore._pd_result(data["G"]),
+        "_norms lone 2x2": lambda: matcore._norms(X),
         "_norms lone 4x4": lambda: matcore._norms(A4),
+        "rng_batch count 1": lambda: pkg.sampling.rng_batch(7, 3, count=1),
+        "rng_batch count 200": lambda: pkg.sampling.rng_batch(7, 3, count=200),
     }
     for dim, M, N in ((2, X, B[0]), (4, A4, B4)):
         H = matcore.HermitianMatrix._wrap(M)

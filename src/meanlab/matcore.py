@@ -58,7 +58,8 @@ when its value is asked for. A certificate that a caller reads
 (``PdMatrix.certify``, ``mpow``, ``_certify_stack``) is the exact lambda_min
 of the values-only kernels. Results are certified by ``_certificates``,
 through ``_certified`` for a stack and ``_pd_result`` for the PdMatrix of a
-lone ``mean``, ``wasserstein_alt`` or ``geodesic``. At n >= 3 it, the
+lone ``mean``, ``wasserstein_alt`` or ``geodesic``, a lone 2x2 on the Python
+floats of its entries (``_eig2_values`` and ``_norms``). At n >= 3 it, the
 Loewner order (``_order_violation``) and the congruence invertibility check
 first try a floating-point Cholesky factorization of M - tau I
 (``_cholesky_proof``), whose floor includes Jacobi's own error, so a proven
@@ -147,16 +148,23 @@ def frobenius(entries) -> float:
 def _norms(X: np.ndarray):
     # The Frobenius norm of one matrix (or vector), or of each matrix of a
     # stack with the bits it gets alone: np.linalg.norm takes one matrix as
-    # BLAS dots of its flattened real and imaginary parts, np.vdot runs the
-    # same dots for a lone matrix without numpy's overflow warning, and a
-    # (1, k) @ (k, 1) matmul runs them for a stack with the same strides.
-    # The squares overflow once an entry passes about 1.3e154, which a
-    # stack's matmul does with numpy's overflow warning off; only a norm that
-    # came out infinite is taken again, scaled.
+    # BLAS dots of its flattened real and imaginary parts. A lone 2x2 runs
+    # them on Python floats as OpenBLAS's 4-entry ddot sums, (x0^2 + x2^2) +
+    # (x1^2 + x3^2), giving a float; np.vdot runs them for another lone
+    # matrix, summed as floats, and a (1, k) @ (k, 1) matmul for a stack
+    # with the same strides, numpy's overflow warning off. The squares
+    # overflow once an entry passes about 1.3e154; only a norm that came out
+    # infinite is taken again, scaled.
+    if X.shape == (2, 2):
+        (a, b), (c, d) = X.tolist()
+        re = (a.real * a.real + c.real * c.real) + (b.real * b.real + d.real * d.real)
+        im = (a.imag * a.imag + c.imag * c.imag) + (b.imag * b.imag + d.imag * d.imag)
+        norm = math.sqrt(re + im)
+        return norm if math.isfinite(norm) else float(_rescaled_norms(X.reshape(1, 1, -1), [norm])[0])
     if X.ndim <= 2:
         x = X.ravel()
         re, im = x.real, x.imag
-        norm = np.sqrt(np.vdot(re, re) + np.vdot(im, im))
+        norm = np.sqrt(float(np.vdot(re, re)) + float(np.vdot(im, im)))
         return norm if math.isfinite(norm) else _rescaled_norms(X.reshape(1, 1, -1), norm[None])[0]
     with np.errstate(over="ignore"):
         norms = _dot_norms(X)
@@ -269,9 +277,10 @@ def _check_hermitian(arr: np.ndarray) -> None:
 
 def pd_tolerance(entries):
     """Certification threshold PD_TOLERANCE * max(1, ||X||_F), for a matrix or each matrix of a stack."""
-    # A lone matrix takes Python's max, which costs a fifth of np.maximum's.
+    # A lone matrix takes Python's max, which costs a fifth of np.maximum's;
+    # its norm is a float (np.float64 is one).
     norm = _norms(as_array(entries))
-    return PD_TOLERANCE * (max(1.0, float(norm)) if norm.ndim == 0 else np.maximum(1.0, norm))
+    return PD_TOLERANCE * (max(1.0, float(norm)) if isinstance(norm, float) else np.maximum(1.0, norm))
 
 
 @dataclass(frozen=True)
@@ -341,8 +350,9 @@ def _eig2_closed(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig2_values(arr: np.ndarray):
-    # _eig2_closed's eigenvalues alone, m -+ r as _rotation forms them, with
-    # the pieces _power2 builds a power from: (b, h, m, |b|, r, b = 0, a > d),
+    # _eig2_closed's eigenvalues alone, m -+ r as _rotation forms them, as a
+    # list of two Python floats (the certificate needs no array), with the
+    # pieces _power2 builds a power from: (b, h, m, |b|, r, b = 0, a > d),
     # b = 0 taking the sorted diagonal and the stand-in b = 1, as a row of
     # _eig2_stack does. A separate name, since perfbench/tracing.py wraps
     # _eig2_closed as a one-argument function.
@@ -350,10 +360,10 @@ def _eig2_values(arr: np.ndarray):
     a, d = a.real, d.real
     h, m = (a - d) / 2.0, (a + d) / 2.0
     if b == 0.0:
-        return np.array([a, d] if a <= d else [d, a]), (1.0, h, m, 1.0, abs(complex(h, 1.0)), True, a > d)
+        return [a, d] if a <= d else [d, a], (1.0, h, m, 1.0, abs(complex(h, 1.0)), True, a > d)
     babs = abs(b)
     r = abs(complex(h, babs))
-    return np.array([m - r, m + r]), (b, h, m, babs, r, False, False)
+    return [m - r, m + r], (b, h, m, babs, r, False, False)
 
 
 def _rotation(a: float, d: float, b: complex):
@@ -595,17 +605,20 @@ def _eig2_stack(arr: np.ndarray, vectors: bool = True):
     # (no rotation, a swap when a > d) apart. Rows with b = 0 rotate a
     # stand-in b = 1 that is then dropped. Without ``vectors`` only m -+ r
     # is formed, as _rotation_stack forms it, with the same b = 0 sort, and
-    # the eigenvalues come with _eig2_values' pieces, one array each.
+    # the eigenvalues come with _eig2_values' pieces, one array each. Near
+    # the largest float they overflow to infinities without numpy's warning,
+    # as Python floats do.
     a, d = arr[:, 0, 0].real, arr[:, 1, 1].real
     still = arr[:, 0, 1] == 0.0
     b = np.where(still, 1.0, arr[:, 0, 1])
-    if vectors:
-        lo, hi, W = _rotation_stack(a, d, b.real, b.imag)
-    else:
-        h, m = (a - d) / 2.0, (a + d) / 2.0
-        babs = np.hypot(b.real, b.imag)
-        r = np.hypot(h, babs)
-        lo, hi = m - r, m + r
+    with np.errstate(over="ignore"):
+        if vectors:
+            lo, hi, W = _rotation_stack(a, d, b.real, b.imag)
+        else:
+            h, m = (a - d) / 2.0, (a + d) / 2.0
+            babs = np.hypot(b.real, b.imag)
+            r = np.hypot(h, babs)
+            lo, hi = m - r, m + r
     w = np.empty((len(arr), 2))
     w[:, 0], w[:, 1] = lo, hi
     swap = a > d
@@ -641,7 +654,7 @@ def _eig(arr: np.ndarray, vectors: bool):
         return (w, np.ones(arr.shape, dtype=np.complex128)) if vectors else w
     if arr.ndim == 2:
         if n == 2:
-            return _eig2_closed(arr) if vectors else _eig2_values(arr)[0]
+            return _eig2_closed(arr) if vectors else np.array(_eig2_values(arr)[0])
         return _eig_jacobi(arr, vectors)
     if n == 2:
         w, X = _eig2_stack(arr, vectors)
@@ -840,16 +853,16 @@ _STACK = type("_STACK", (), dict(
 ))
 
 
-def _power2(w, pieces, ops):
-    # The form for one 2x2 matrix or each matrix of a stack, from the
-    # values-only eigenvalues w and pieces of _eig2_values or _eig2_stack. A
-    # lone b = 0 matrix takes its diagonal outright; any other lone one
-    # carries still = False.
+def _power2(ends, pieces, ops):
+    # The form for one 2x2 matrix or each matrix of a stack, from the ends
+    # lo <= hi of the values-only spectrum (floats or arrays) and the pieces
+    # of _eig2_values or _eig2_stack. A lone b = 0 matrix takes its diagonal
+    # outright; any other lone one carries still = False.
     b, h, m, babs, r, still, swap = pieces
     if still is True:
         return lambda f, p: ops.matrix(*ops.columns(f)[::-1 if swap else 1], 0.0, 0.0, 0.0)
     stills = still is not False and still.any()
-    lo, hi = ops.columns(w)
+    lo, hi = ends
     hs, bs, rs, bre, bim = ops.scaled(h, babs, r, b)
     g = rs + abs(hs)
     x, y = ops.order(h > 0.0, bs * (bs / g), g)
@@ -894,14 +907,15 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
     if arr.shape[-1] == 2:
         lone = arr.ndim == 2
         w, pieces = _eig2_values(arr) if lone else _eig2_stack(arr, False)
-        power = _power2(w, pieces, _LONE if lone else _STACK)
+        ends = w if lone else w.T
+        power = _power2(ends, pieces, _LONE if lone else _STACK)
     else:
         w, V = _eig_array(arr)
+        ends = w.tolist() if w.ndim == 1 else w.T
 
         def power(f: np.ndarray, p: float) -> np.ndarray:
             return _apply_spectral(f, V)
 
-    ends = w.tolist() if w.ndim == 1 else w.T
     _power_guard(ends[0], ends[-1], ps, certify)
     out = []
     for p in ps:
@@ -1054,9 +1068,12 @@ def _certificates(M: np.ndarray):
     # decided as PdMatrix.certify decides it. At n >= 3 _cholesky_proof goes
     # first, and only a matrix it leaves open reads its eigenvalues
     # (_certify_stack), which raise the same PositivityError; at n <= 2 the
-    # closed form costs less than the proof. Returns lambda_min where it was
+    # closed form costs less than the proof, and a lone 2x2 takes it and its
+    # norm on Python floats, with no array. Returns lambda_min where it was
     # read for a lone matrix, else None.
     n = M.shape[-1]
+    if M.shape == (2, 2):
+        return _check_certificates(M, _eig2_values(M)[0][0])
     if n <= 2:
         return _certify_stack(M)
     if M.ndim == 2:
@@ -1135,7 +1152,7 @@ def _congruences(C, *mats) -> tuple[np.ndarray, ...]:
     Ch = Carr.conj().swapaxes(-1, -2)
     G = _sym(Ch @ Carr)
     floor = 1e-24 * _norms(G)
-    ok = np.array(_cholesky_proof(G, floor) if G.shape[-1] > 2 else np.zeros(floor.shape, dtype=bool))
+    ok = np.array(_cholesky_proof(G, floor) if G.shape[-1] > 2 else np.zeros(np.shape(floor), dtype=bool))
     todo = ~ok & (floor < math.inf)
     if todo.any():
         w = _eig_values(G[todo])

@@ -54,44 +54,54 @@ def _words(n: int) -> list[int]:
     return words
 
 
+@functools.cache
+def _hash_constants(init: int, mult: int, steps: int) -> np.ndarray:
+    # The constants of ``steps`` hashes in a row, as a (steps + 1, 1) uint32
+    # column: hash k xors its value with entry k and multiplies it by entry
+    # k + 1, the constant stepped once.
+    consts = [init]
+    for _ in range(steps):
+        consts.append(consts[-1] * mult & _MASK32)
+    return np.array(consts, dtype=np.uint32)[:, None]
+
+
+def _hash(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    # Each row of ``values`` hashed with the next row of constants.
+    value = (values ^ consts[:-1]) * consts[1:]
+    return value ^ (value >> 16)
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = x * _MIX_L - y * _MIX_R
+    return r ^ (r >> 16)
+
+
 def _seed_states(entropy: np.ndarray) -> np.ndarray:
     # SeedSequence(words).generate_state(4, np.uint64) for each column of
     # the (L, count) uint32 entropy: the pool of four words hashed from the
     # first words (zeros past the end), each pool word mixed into every
     # other, each word past the fourth mixed into every pool word, then
     # eight words hashed out of the pool and paired little-endian. The hash
-    # constants step the same way whatever the data, so one pass serves
-    # every column; uint32 arithmetic wraps as the C code does.
-    const = _INIT_A
-
-    def hashmix(value):
-        nonlocal const
-        value = value ^ const
-        const = const * _MULT_A & _MASK32
-        value = value * const
-        return value ^ (value >> 16)
-
-    def mix(x, y):
-        r = x * _MIX_L - y * _MIX_R
-        return r ^ (r >> 16)
-
-    zeros = np.zeros(entropy.shape[1], dtype=np.uint32)
-    pool = [hashmix(entropy[i] if i < len(entropy) else zeros) for i in range(_POOL_SIZE)]
+    # constants step the same way whatever the data, so they are taken once
+    # per entropy length and one pass serves every column, each source
+    # word's hashes as one (3, count) or (4, count) step and the eight
+    # output words as one (8, count) step; uint32 arithmetic wraps as the C
+    # code does.
+    extra = max(len(entropy) - _POOL_SIZE, 0)
+    consts = _hash_constants(_INIT_A, _MULT_A, _POOL_SIZE * (_POOL_SIZE + extra))
+    pool = np.zeros((_POOL_SIZE, entropy.shape[1]), dtype=np.uint32)
+    pool[: len(entropy)] = entropy[:_POOL_SIZE]
+    pool = _hash(pool, consts[: _POOL_SIZE + 1])
+    at = _POOL_SIZE
     for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+        dst = [k for k in range(_POOL_SIZE) if k != src]
+        pool[dst] = _mix(pool[dst], _hash(pool[src], consts[at : at + _POOL_SIZE]))
+        at += _POOL_SIZE - 1
     for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = mix(pool[dst], hashmix(word))
-    state = np.empty((entropy.shape[1], 2 * _POOL_SIZE), dtype=np.uint32)
-    const = _INIT_B
-    for k in range(2 * _POOL_SIZE):
-        value = pool[k % _POOL_SIZE] ^ const
-        const = const * _MULT_B & _MASK32
-        value = value * const
-        state[:, k] = value ^ (value >> 16)
-    return state.astype("<u4").view("<u8").astype(np.uint64)
+        pool = _mix(pool, _hash(word, consts[at : at + _POOL_SIZE + 1]))
+        at += _POOL_SIZE
+    state = _hash(np.concatenate((pool, pool)), _hash_constants(_INIT_B, _MULT_B, 2 * _POOL_SIZE))
+    return np.ascontiguousarray(state.T, dtype="<u4").view("<u8").astype(np.uint64)
 
 
 @functools.cache

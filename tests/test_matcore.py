@@ -923,6 +923,47 @@ def test_a_proven_matrix_gets_the_eigenvalue_routes_answer(n):
     assert certified[:8].all() and ordered[:8].all() and invertible[:8].all()
 
 
+def _decision(certify, X):
+    # What a certificate route says of X: its lambda_min, or its refusal's text.
+    try:
+        return float(certify(X))
+    except PositivityError as exc:
+        return str(exc)
+
+
+def test_a_lone_and_a_stacked_2x2_certificate_decide_alike():
+    # On the corpus, lambda_min at pd_tolerance * (1 -+ 10^-k) for
+    # k = 1..6 at scales 1 and 1e100 included, the lone certificate on
+    # Python floats passes what a stack of one passes, with its lambda_min,
+    # and refuses the rest with the same PositivityError; so does
+    # PdMatrix.certify, and a whole stack names its first refused matrix.
+    M = _proof_corpus(2)
+    lone = [_decision(matcore._certificates, X) for X in M]
+    assert lone == [_decision(lambda X: matcore._certify_stack(X[None])[0], X) for X in M]
+    assert lone == [_decision(lambda X: PdMatrix.certify(X).min_eigenvalue, X) for X in M]
+    assert lone == [_decision(lambda X: matcore._pd_result(X.copy()).min_eigenvalue, X) for X in M]
+    refused = [d for d in lone if isinstance(d, str)]
+    with pytest.raises(PositivityError, match=re.escape(refused[0])):
+        matcore._certified(M)
+    # Not vacuous: a lambda_min placed a tenth below the tolerance is
+    # refused and one placed a tenth above passes, at both scales.
+    placed = 45
+    assert isinstance(lone[placed], str) and isinstance(lone[placed + 12], str)
+    assert isinstance(lone[placed + 1], float) and isinstance(lone[placed + 13], float)
+
+
+def test_a_lazily_read_2x2_certificate_is_the_eager_one():
+    # A lone 2x2 result reads its lambda_min at construction, from the
+    # values-only closed form on Python floats; read lazily it has the
+    # same bits.
+    for X in _proof_corpus(2):
+        X = X.copy()
+        X.setflags(write=False)
+        lazy = object.__new__(PdMatrix)
+        object.__setattr__(lazy, "mat", X)
+        assert _decision(lambda _: lazy.min_eigenvalue, X) == _decision(lambda X: matcore._pd_result(X).min_eigenvalue, X)
+
+
 def _lean(M):
     # _pd_result of a copy, which it makes read-only.
     return matcore._pd_result(np.array(M, dtype=complex))
@@ -1058,6 +1099,72 @@ def test_the_lone_norm_keeps_the_bits_of_numpys_norm():
             X = scale * random_complex(rng, n)
             assert matcore._norms(X) == np.linalg.norm(X)
             assert matcore._norms(X.ravel()) == np.linalg.norm(X.ravel())
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_lone_norm_whose_squares_overflow_in_their_sum_does_not_warn():
+    # Each dot of X's real or imaginary parts is finite, their sum is not:
+    # the lone norm takes it again, scaled, with no numpy warning, at n = 2
+    # and for X with a third diagonal entry; PdMatrix.certify too.
+    X = np.array([[0.9e154, 0.85e154j], [-0.85e154j, 0.9e154]])
+    X3 = np.zeros((3, 3), dtype=complex)
+    X3[:2, :2], X3[2, 2] = X, 0.3e154
+    for M in (X, X3):
+        assert frobenius(M) == matcore._norms(M[None])[0] == pytest.approx(np.linalg.norm(M / 1e154) * 1e154, rel=1e-15)
+        assert PdMatrix.certify(M).min_eigenvalue == pytest.approx(5e152, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error")
+def test_a_2x2_stack_near_the_largest_float_raises_without_a_numpy_warning():
+    # diag(1.3e308, 1.3e308) in a stack: its diagonal mean overflows, as it
+    # does on Python floats, with no numpy warning, and the stack raises
+    # the typed errors the lone matrix raises.
+    huge = np.diag([1.3e308, 1.3e308]).astype(complex)
+    stack = np.array([np.eye(2, dtype=complex), huge])
+    for call, error in ((matcore._certify_stack, PositivityError), (lambda X: _pow_arr(X, 3.0), DomainError)):
+        with pytest.raises(error) as alone:
+            call(huge)
+        with pytest.raises(error) as stacked:
+            call(stack)
+        assert str(stacked.value) == str(alone.value)
+
+
+def _two_by_two_norm_corpus() -> list:
+    # General complex 2x2 matrices (not only Hermitian) at scales 1e-300 to
+    # 1e300, with signed zeros, subnormal, infinite and NaN entries put in.
+    rng = rng_for(38)
+    mats = [s * random_complex(rng, 2) for s in 10.0 ** np.array([-300, -160, -150, -8, 0, 8, 150, 154, 160, 300]) for _ in range(40)]
+    for special in (0.0, -0.0, 5e-324, -3e-310, 2.2e-308, np.inf, -np.inf, np.nan):
+        for k in range(8):
+            X = random_complex(rng, 2)
+            X.view(np.float64).reshape(8)[k] = special
+            mats.append(X)
+    mats += [np.zeros((2, 2), complex), -0.0 * np.ones((2, 2), complex), np.full((2, 2), 1.7e308 + 1.7e308j)]
+    return mats
+
+
+@pytest.mark.filterwarnings("error")
+def test_the_lone_2x2_norm_on_python_floats_has_the_bits_of_numpys_norm():
+    # A lone 2x2 is normed on Python floats, (x0^2 + x2^2) + (x1^2 + x3^2)
+    # for the real and the imaginary parts, with the bits of np.linalg.norm
+    # (OpenBLAS's 4-entry ddot) wherever that norm is finite, and with the
+    # bits a stack of one gets where its squares overflow; infinite entries
+    # give inf and NaN ones NaN. It is a Python float.
+    for X in _two_by_two_norm_corpus():
+        got = matcore._norms(X)
+        assert type(got) is float
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = np.linalg.norm(X)
+        stacked = matcore._norms(X[None])[0]
+        if math.isnan(want):
+            assert math.isnan(got) and math.isnan(stacked)
+        elif math.isfinite(want) or np.isinf(X).any():
+            assert got == want == stacked
+        else:
+            k = math.frexp(np.abs(X.view(np.float64)).max())[1]
+            with np.errstate(over="ignore"):
+                scaled = np.ldexp(np.linalg.norm(X * 2.0**-k), k)
+            assert got == stacked == pytest.approx(scaled, rel=1e-15)
 
 
 
