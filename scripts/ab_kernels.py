@@ -18,8 +18,10 @@ processes on such a host can differ by 2x. The kernels are:
   Wasserstein and harmonic ``_mean_arr``, which take the checked roots,
   nodes and ratio of the closed forms;
 - ``PdMatrix.certify`` of a lone wrapped matrix at dims 2 and 4, which
-  checks the certificate as construction does, and the public lone
-  geometric ``mean`` at dims 2 and 4, which certifies its result;
+  certifies it as a result is certified, the same at dim 4 with its
+  ``min_eigenvalue`` then read (at n >= 3 a proof leaves it unread until
+  then), and the public lone geometric ``mean`` at dims 2 and 4, which
+  certifies its result;
 - the lone 2x2 certificate, ``_pd_result`` of a closed-form geometric
   mean, and the lone ``_norms`` of a 2x2 and of a 4x4;
 - ``rng_batch`` at counts 1 and 200: the SeedSequence hash every sampled
@@ -116,6 +118,8 @@ def kernels(pkg, data: dict) -> dict:
         out[f"PdMatrix.certify lone dim {dim}"] = lambda H=H: matcore.PdMatrix.certify(H)
         P, Q = matcore.PdMatrix.certify(M), matcore.PdMatrix.certify(N)
         out[f"mean geometric lone dim {dim}"] = lambda P=P, Q=Q: means.mean(means.GEOMETRIC, P, Q)
+    H4 = matcore.HermitianMatrix._wrap(A4)
+    out["PdMatrix.certify(H).min_eigenvalue lone dim 4"] = lambda: matcore.PdMatrix.certify(H4).min_eigenvalue
     if hasattr(matcore, "_cholesky"):
         with np.errstate(all="ignore"):
             factors = {"stack of 180 3x3": matcore._cholesky(A3)[:3], "lone 4x4": matcore._cholesky(A4)[:3]}

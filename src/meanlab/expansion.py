@@ -101,9 +101,9 @@ class SeriesFit:
     residual_bound: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GeneralSeriesFit:
-    """Series coefficients for families that need not stay Hermitian."""
+    """Series coefficients for families that need not stay Hermitian; equal by identity."""
 
     c0: np.ndarray
     c1: np.ndarray

@@ -1,9 +1,9 @@
 """Hermitian and positive definite matrix core.
 
 Value types (:class:`HermitianMatrix`, :class:`PdMatrix`, :class:`Spectrum`)
-are frozen dataclasses wrapping complex128 arrays; a PdMatrix is a
-HermitianMatrix carrying its certificate (it has no ``.matrix`` field). The
-eigensolver is local to the package. One 2x2 closed form, computed without
+are frozen dataclasses wrapping complex128 arrays, equal and hashed by
+identity; a PdMatrix is a HermitianMatrix carrying its certificate (it has
+no ``.matrix`` field). The eigensolver is local to the package. One 2x2 closed form, computed without
 cancellation, solves 2x2 matrices outright and is the rotation of the cyclic
 complex Jacobi iteration used for larger sizes, which runs on Python complex
 scalars and exploits Hermitian symmetry. Eigenvector phases are deterministic: the first
@@ -16,24 +16,24 @@ vectorized copy of the closed form, a stack of larger ones a stacked Jacobi
 that vectorizes over the matrices and matches the scalar one bit for bit; a
 2-D input always stays on the scalar kernels, which cost far less than a
 stack of one, and so does each matrix of a stack at n >= 3 smaller than a
-crossover measured per mode (``_LOOP_BELOW``). Powers and the congruence
+measured crossover (``_LOOP_BELOW``). Powers and the congruence
 invertibility check guard every matrix of a stack.
 
-Every kernel has a values-only mode, reached through ``_eig_values``, for
-the callers that need no vectors: certification, the Loewner order and the
-congruence invertibility check. The closed forms then form only m -+ r
-(keeping the b = 0 sort) and the Jacobi kernels rotate A alone, so the
-eigenvalues are the bits ``_eig_array`` returns. Every 2x2 power takes that
-mode too and forms no eigenvectors: it is built from the eigenvalues and the
-closed form's pieces by the interpolation form f(A) = f(lambda_1) I +
-f[lambda_1, lambda_2] (A - lambda_1 I) (``_power2``). Like each closed-form
-mean of ``means``, it is one body, run on Python floats for a lone matrix
-and on arrays for a stack with the routines of ``_LONE`` or ``_STACK``,
-whose assembler builds every 2x2 result from its parts; so a stack gives
-each matrix the bits it gets alone. Only ``eig``, ``func_calc`` and the
-``--via-function`` route (``_spectral_values``), and ``sampling``'s
-invertible Hermitian draws, still form 2x2 vectors, so the spectral route
-stays an independent cross-check.
+Jacobi has one mode: it always rotates the vectors. The 2x2 closed form
+also has a values-only mode, which ``_eig_values`` takes for the callers
+that need no vectors (at other sizes it reads the full solve's
+eigenvalues): it forms only m -+ r, keeping the b = 0 sort, the bits
+``_eig_array`` returns. Every 2x2 power takes that mode too and forms no
+eigenvectors: it is built from the eigenvalues and the closed form's pieces
+by the interpolation form f(A) = f(lambda_1) I + f[lambda_1, lambda_2]
+(A - lambda_1 I) (``_power2``). Like each closed-form mean of ``means``, it
+is one body, run on Python floats for a lone matrix and on arrays for a
+stack with the routines of ``_LONE`` or ``_STACK``, whose assembler builds
+every 2x2 result from its parts; so a stack gives each matrix the bits it
+gets alone. Only ``eig``, ``func_calc`` and the ``--via-function`` route
+(``_spectral_values``), and ``sampling``'s invertible Hermitian draws,
+still form 2x2 vectors, so the spectral route stays an independent
+cross-check.
 
 Four checks are decided here and nowhere else, each by one function for a
 matrix or a stack: positivity (``pd_tolerance``, ``_check_certificates``,
@@ -55,15 +55,16 @@ loop over f keep raises of their own.
 
 Yes/no questions are answered by a proof, and an eigenvalue is read only
 when its value is asked for. A certificate that a caller reads
-(``PdMatrix.certify``, ``mpow``, ``_certify_stack``) is the exact lambda_min
-of the values-only kernels. Results are certified by ``_certificates``,
-through ``_certified`` for a stack and ``_pd_result`` for the PdMatrix of a
-lone ``mean``, ``wasserstein_alt`` or ``geodesic``, a lone 2x2 on the Python
-floats of its entries (``_eig2_values`` and ``_norms``). At n >= 3 it, the
+(``PdMatrix.min_eigenvalue``, ``mpow``, ``_certify_stack``) is the exact
+lambda_min of the eigensolver. Matrices are certified by ``_certificates``,
+through ``_certified`` for a stack and ``_pd_result`` for a lone PdMatrix,
+that of ``PdMatrix.certify`` or of a lone ``mean``, ``wasserstein_alt`` or
+``geodesic``: a lone 2x2 on the Python floats of its entries
+(``_eig2_values`` and ``_norms``). At n >= 3 it, the
 Loewner order (``_order_violation``) and the congruence invertibility check
 first try a floating-point Cholesky factorization of M - tau I
 (``_cholesky_proof``), whose floor includes Jacobi's own error, so a proven
-matrix gets the answer its eigenvalues would give; a lone result then reads
+matrix gets the answer its eigenvalues would give; a lone PdMatrix then reads
 its lambda_min on first access. Only a matrix the proof leaves open takes
 the eigenvalue route, which decides it as before.
 
@@ -214,13 +215,15 @@ def as_array(X) -> np.ndarray:
     return np.asarray(X, dtype=np.complex128)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HermitianMatrix:
     """A validated Hermitian matrix.
 
     Construction symmetrizes to (M + M*)/2 after checking that the input was
     already Hermitian to within ``HERMITICITY_RTOL`` relative to
     max(1, ||M||_F). The stored array is complex128 and non-writeable.
+    Instances compare and hash by identity, as every value type holding an
+    array here does: an elementwise ``==`` has no truth value.
     """
 
     mat: np.ndarray
@@ -283,7 +286,7 @@ def pd_tolerance(entries):
     return PD_TOLERANCE * (max(1.0, float(norm)) if isinstance(norm, float) else np.maximum(1.0, norm))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PdMatrix(HermitianMatrix):
     """A HermitianMatrix carrying its certificate ``min_eigenvalue``; there is no ``.matrix``.
 
@@ -292,12 +295,13 @@ class PdMatrix(HermitianMatrix):
     against the scaled tolerance, so a PdMatrix in hand is always safely
     invertible; :meth:`certify` goes from a plain matrix to a certified one.
 
-    The results of ``mean``, ``wasserstein_alt`` and ``geodesic`` are built
-    without a second validation. At n = 2 they carry their exact
-    lambda_min. At n >= 3 a Cholesky proof shows them positive definite,
-    with a margin that covers the eigensolver's error, and
-    ``min_eigenvalue`` is computed when first read, with the bits
-    :meth:`certify` gives, and kept.
+    :meth:`certify` and the results of ``mean``, ``wasserstein_alt`` and
+    ``geodesic`` take one route, the latter without a second validation. At
+    n = 2 they carry their exact lambda_min. At n >= 3 a Cholesky proof
+    shows them positive definite, with a margin that covers the
+    eigensolver's error, and ``min_eigenvalue`` is computed when first read,
+    as the least eigenvalue of the full solve, and kept; a matrix the proof
+    leaves open reads it at once.
     """
 
     min_eigenvalue: float
@@ -314,18 +318,18 @@ class PdMatrix(HermitianMatrix):
         # min_eigenvalue a proof left unread (_pd_result).
         if name != "min_eigenvalue":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        lam = _check_certificates(self.mat, float(_eig_values(self.mat)[0]))
+        lam = _certify_stack(self.mat)
         object.__setattr__(self, "min_eigenvalue", lam)
         return lam
 
     @classmethod
     def certify(cls, matrix) -> "PdMatrix":
-        """Validate, diagonalize and certify, raising PositivityError when not PD."""
+        """Validate, then certify as a result is certified, raising PositivityError when not PD."""
         H = matrix if isinstance(matrix, HermitianMatrix) else HermitianMatrix(matrix)
-        return cls(H, float(_eig_values(H.mat)[0]))
+        return _pd_result(H.mat)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalues in ascending order with matching orthonormal columns."""
 
@@ -447,26 +451,25 @@ def _jacobi_plan(n: int) -> list[tuple[int, int, list[int]]]:
     ]
 
 
-def _eig_jacobi(arr: np.ndarray, vectors: bool = True):
+def _eig_jacobi(arr: np.ndarray):
     # Cyclic complex Jacobi on Python scalars: sweep all upper pairs, rotate
     # each embedded 2x2 block onto its closed-form eigenvalues, accumulate the
     # rotations. Like the 2x2 closed form it reads the diagonal and the upper
     # triangle; every rotation keeps the lower triangle the exact conjugate,
     # so only rows and columns p and q outside the block are computed.
     # Quadratic convergence makes the 100 sweep budget generous for the sizes
-    # this package touches. Without ``vectors`` no rotation is accumulated
-    # and only the eigenvalues are returned, the same bits.
+    # this package touches.
     n = arr.shape[0]
     A = arr.tolist()
     for i in range(n):
         A[i][i] = A[i][i].real
         for j in range(i):
             A[i][j] = A[j][i].conjugate()
-    V = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)] if vectors else []
+    V = [[1.0 + 0j if i == j else 0j for j in range(n)] for i in range(n)]
     # hypot scales, so neither norm overflows or underflows on extreme inputs.
     fro = math.hypot(*[abs(z) for row in A for z in row])
     if fro == 0.0:
-        return (np.zeros(n), np.eye(n, dtype=np.complex128)) if vectors else np.zeros(n)
+        return np.zeros(n), np.eye(n, dtype=np.complex128)
     thresh = JACOBI_OFF_RTOL * fro
     skip = thresh / n
     plan = _jacobi_plan(n)
@@ -504,8 +507,6 @@ def _eig_jacobi(arr: np.ndarray, vectors: bool = True):
     # largest-modulus entry is made real and positive.
     order = sorted(range(n), key=lambda i: A[i][i])
     w = np.array([A[j][j] for j in order])
-    if not vectors:
-        return w
     cols = []
     for j in order:
         col = [Vk[j] for Vk in V]
@@ -515,7 +516,7 @@ def _eig_jacobi(arr: np.ndarray, vectors: bool = True):
     return w, np.array(cols).T.copy()
 
 
-def _eig_jacobi_stack(arr: np.ndarray, vectors: bool = True):
+def _eig_jacobi_stack(arr: np.ndarray):
     # _eig_jacobi over a stack (N, n, n), vectorized over the matrices, not
     # the rotations: Z[j, 0 or 1, i] holds the real or imaginary parts of
     # entry (i, j) of A for i < n and of V for i >= n, one (N,) array per
@@ -526,17 +527,15 @@ def _eig_jacobi_stack(arr: np.ndarray, vectors: bool = True):
     # them, keep their bits. So each matrix comes out as _eig_jacobi gives
     # it, bit for bit (up to the sign of a zero); only the norms behind its
     # thresholds are np.hypot chains, which can differ from math.hypot in
-    # the last bit. Without ``vectors`` Z holds A alone, the plan rotates
-    # no V rows, and only the eigenvalues are returned.
+    # the last bit.
     N, n = arr.shape[0], arr.shape[-1]
     diag, (iu, ju) = np.arange(n), np.triu_indices(n, 1)
     upper = arr[:, iu, ju].T
-    Z = np.zeros((n, 2, 2 * n if vectors else n, N))
+    Z = np.zeros((n, 2, 2 * n, N))
     Z[diag, 0, diag] = arr[:, diag, diag].real.T
     Z[ju, 0, iu] = Z[iu, 0, ju] = upper.real
     Z[ju, 1, iu], Z[iu, 1, ju] = upper.imag, -upper.imag
-    if vectors:
-        Z[diag, 0, n + diag] = 1.0
+    Z[diag, 0, n + diag] = 1.0
     thresh = JACOBI_OFF_RTOL * np.hypot.reduce(np.hypot(Z[:, 0, :n], Z[:, 1, :n]).reshape(n * n, N))
     skip = thresh / n
     for _ in range(JACOBI_MAX_SWEEPS):
@@ -544,7 +543,7 @@ def _eig_jacobi_stack(arr: np.ndarray, vectors: bool = True):
         live = ~(math.sqrt(2.0) * np.hypot.reduce(np.hypot(U[:, 0], U[:, 1])) <= thresh)
         if not live.any():
             break
-        for p, q, every, some in _stack_plan(n, vectors):
+        for p, q, every, some in _stack_plan(n):
             turn = live & (np.hypot(Z[q, 0, p], Z[q, 1, p]) > skip)
             m = np.count_nonzero(turn)
             if not m:
@@ -567,8 +566,6 @@ def _eig_jacobi_stack(arr: np.ndarray, vectors: bool = True):
     # in ascending order, u = conj(piv) / |piv| for the first
     # largest-modulus entry piv of each, and each entry times u.
     w = Z[diag, 0, diag].T
-    if not vectors:
-        return np.sort(w, axis=1, kind="stable")
     order = np.argsort(w, axis=1, kind="stable")[:, None, :]
     VR, VI = (np.take_along_axis(Z[:, k, n:].transpose(2, 1, 0), order, axis=2) for k in (0, 1))
     mod = np.hypot(VR, VI)
@@ -582,19 +579,18 @@ def _eig_jacobi_stack(arr: np.ndarray, vectors: bool = True):
 
 
 @functools.lru_cache
-def _stack_plan(n: int, vectors: bool) -> list[tuple]:
+def _stack_plan(n: int) -> list[tuple]:
     # _jacobi_plan(n) with, per pair, the indices of Z that _eig_jacobi_stack
-    # rotates: columns p and q of A's other rows and, with ``vectors``, of V;
-    # A's other rows in columns p and q; rows p and q of A in those columns,
-    # their mirror; and the off-diagonal of the block. The first three give
-    # (part, column, row) axes. Each set comes twice, to be completed by a
-    # slice over every matrix and, with a trailing axis, by an index array
-    # of some.
+    # rotates: columns p and q of A's other rows and of V; A's other rows in
+    # columns p and q; rows p and q of A in those columns, their mirror; and
+    # the off-diagonal of the block. The first three give (part, column, row)
+    # axes. Each set comes twice, to be completed by a slice over every
+    # matrix and, with a trailing axis, by an index array of some.
     part = np.array([0, 1])[:, None, None]
     plan = []
     for p, q, rest in _jacobi_plan(n):
         pq, k = np.array([p, q])[:, None], np.array(rest)
-        rows = np.array(rest + (list(range(n, 2 * n)) if vectors else []))
+        rows = np.array(rest + list(range(n, 2 * n)))
         every = ((pq, part, rows), (pq, part, k), (k, part, pq), (pq[::-1], part[:, 0, 0], pq))
         plan.append((p, q, every, tuple(tuple(a[..., None] for a in ix) for ix in every)))
     return plan
@@ -637,49 +633,39 @@ def _eig2_stack(arr: np.ndarray, vectors: bool = True):
 
 # Below this many matrices a stack at n >= 3 runs the scalar Jacobi once per
 # matrix: the stacked kernel pays a fixed cost per pair and sweep that a
-# small stack does not earn back. One crossover per mode, keyed by whether
-# vectors are wanted, measured at n = 3 and 4 (see CHANGES.md).
-_LOOP_BELOW = {True: 20, False: 32}
+# small stack does not earn back. Measured at n = 3 and 4 (see CHANGES.md).
+_LOOP_BELOW = 20
 
 
-def _eig(arr: np.ndarray, vectors: bool):
-    # _eig_array, or with ``vectors`` False _eig_values: the kernels in the
-    # matching mode. A lone matrix keeps the scalar kernels, which cost far
-    # less than a stack of one; a stack of 2x2s runs the vectorized closed
-    # form; a stack of larger ones the stacked Jacobi, or below the
+def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # One Hermitian matrix, or a stack (N, n, n) giving (N, n) eigenvalues and
+    # (N, n, n) vectors. A lone matrix keeps the scalar kernels, which cost
+    # far less than a stack of one; a stack of 2x2s runs the vectorized
+    # closed form; a stack of larger ones the stacked Jacobi, or below the
     # crossover the scalar one per matrix. Both routes give the same bits.
     n = arr.shape[-1]
     if n == 1:
-        w = arr[..., 0].real.copy()
-        return (w, np.ones(arr.shape, dtype=np.complex128)) if vectors else w
+        return arr[..., 0].real.copy(), np.ones(arr.shape, dtype=np.complex128)
     if arr.ndim == 2:
-        if n == 2:
-            return _eig2_closed(arr) if vectors else np.array(_eig2_values(arr)[0])
-        return _eig_jacobi(arr, vectors)
+        return _eig2_closed(arr) if n == 2 else _eig_jacobi(arr)
     if n == 2:
-        w, X = _eig2_stack(arr, vectors)
-        return (w, X) if vectors else w
-    if len(arr) >= _LOOP_BELOW[vectors]:
-        return _eig_jacobi_stack(arr, vectors)
-    out = [_eig_jacobi(X, vectors) for X in arr]
-    if not vectors:
-        return np.array(out).reshape(arr.shape[:-1])
+        return _eig2_stack(arr)
+    if len(arr) >= _LOOP_BELOW:
+        return _eig_jacobi_stack(arr)
+    out = [_eig_jacobi(X) for X in arr]
     return (
         np.array([w for w, _ in out]).reshape(arr.shape[:-1]),
         np.array([V for _, V in out], dtype=np.complex128).reshape(arr.shape),
     )
 
 
-def _eig_array(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # One Hermitian matrix, or a stack (N, n, n) giving (N, n) eigenvalues and
-    # (N, n, n) vectors.
-    return _eig(arr, True)
-
-
 def _eig_values(arr: np.ndarray) -> np.ndarray:
-    # _eig_array's eigenvalues alone, bit for bit, for callers that would
-    # throw the vectors away: no kernel forms or rotates them.
-    return _eig(arr, False)
+    # _eig_array's eigenvalues alone, bit for bit: at n = 2 the closed
+    # form's values-only mode, which forms no vectors; at any other n the
+    # eigenvalues of _eig_array.
+    if arr.shape[-1] == 2:
+        return np.array(_eig2_values(arr)[0]) if arr.ndim == 2 else _eig2_stack(arr, False)[0]
+    return _eig_array(arr)[0]
 
 
 def eig(X) -> Spectrum:
@@ -936,10 +922,10 @@ def _check_certificates(arr: np.ndarray, lam):
 
 
 def _certify_stack(arr: np.ndarray):
-    # PdMatrix.certify for a Hermitian matrix, or for each matrix of a stack
-    # with any leading shape: its lambda_min, checked against its own
-    # tolerance, a float for a lone matrix. A lone matrix keeps the scalar
-    # kernel; deeper stacks are solved as one (N, n, n) stack.
+    # The eigenvalue certificate of a Hermitian matrix, or of each matrix of
+    # a stack with any leading shape: its lambda_min, checked against its
+    # own tolerance, a float for a lone matrix. A lone matrix keeps the
+    # scalar kernel; deeper stacks are solved as one (N, n, n) stack.
     n = arr.shape[-1]
     if arr.ndim == 2:
         return _check_certificates(arr, float(_eig_values(arr)[0]))
@@ -1065,7 +1051,7 @@ def _cholesky_proof(M: np.ndarray, floor):
 
 def _certificates(M: np.ndarray):
     # The certificate rule for a Hermitian matrix or stack M, each matrix
-    # decided as PdMatrix.certify decides it. At n >= 3 _cholesky_proof goes
+    # decided as its eigenvalues decide it. At n >= 3 _cholesky_proof goes
     # first, and only a matrix it leaves open reads its eigenvalues
     # (_certify_stack), which raise the same PositivityError; at n <= 2 the
     # closed form costs less than the proof, and a lone 2x2 takes it and its

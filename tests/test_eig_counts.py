@@ -7,10 +7,11 @@ scalar and stacked Jacobi. So it sees every eigendecomposition, the 2x2
 powers that ``_pow_arr`` builds from the values-only closed form included.
 A call on a stack of N matrices counts as N eigendecompositions, whichever
 kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one
-eigendecomposition of A, and every result at n = 2 costs one more to
-certify. At n >= 3 a result's certificate, lone or stacked, is proven by a
-Cholesky factorization, with no eigendecomposition unless the proof fails,
-and so are the order and invertibility checks of the axiom battery. The
+eigendecomposition of A, and every result or input at n = 2 costs one more
+to certify. At n >= 3 a certificate, lone or stacked, a result's or that of
+``PdMatrix.certify``, is proven by a Cholesky factorization, with no
+eigendecomposition unless the proof fails or its value is read, and so are
+the order and invertibility checks of the axiom battery. The
 Kubo-Ando means, the Wasserstein mean, both geodesics and the
 Bures-Wasserstein distance take no frame of A at n >= 3: the Cholesky
 factor A = L L* replaces it, at no eigendecomposition, and the harmonic
@@ -33,6 +34,7 @@ from meanlab import (
     HARMONIC,
     SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
+    PdMatrix,
     check_geodesic_metric,
     check_kubo_ando_axioms,
     conventional_power,
@@ -53,7 +55,8 @@ from meanlab.verification import criterion_6, criterion_8, criterion_9, criterio
 
 
 # matcore's eigensolver kernels. The 2x2 values route forms no vectors; the
-# others form them unless their second argument, ``vectors``, is False.
+# 2x2 stack forms them unless its second argument, ``vectors``, is False;
+# the rest always do.
 KERNELS = ("_eig2_closed", "_eig2_values", "_eig2_stack", "_eig_jacobi", "_eig_jacobi_stack")
 
 
@@ -140,16 +143,16 @@ def test_eigendecompositions_per_mean(kind, expected, dim, eig_calls):
 def test_eigenvalues_only_share_per_mean(kind, expected, dim, values_calls):
     # A 2x2 power is built from the eigenvalues alone, so at dim 2 no
     # eigendecomposition of a mean forms vectors; at dim 3 every one does,
-    # since the certificate is proven, and its value left unread.
+    # since the certificate is proven, and its value left unread. Reading
+    # it at dim 3 takes one full eigendecomposition, as Jacobi has no
+    # values-only mode.
     A, B = _pair(dim)
     values_calls.clear()
     M = mean(kind, A, B)
     assert values_calls == [dim] * (_per_mean(kind, expected, dim) if dim == 2 else 0)
-    # Reading the certificate at dim 3 takes the one values-only
-    # eigendecomposition that an eager certificate took, once.
     M.min_eigenvalue
     M.min_eigenvalue
-    assert values_calls == [dim] * (_per_mean(kind, expected, dim) if dim == 2 else 1)
+    assert values_calls == [dim] * (_per_mean(kind, expected, dim) if dim == 2 else 0)
 
 
 @pytest.mark.parametrize("dim", [2, 3])
@@ -178,12 +181,12 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_path, capsys):
-    # Both inputs certified (2), the point at t (1: its certificate at
-    # n = 2, Q's root, proven, at n >= 3) and the accrual (5, or 6 at
-    # n >= 3), whose own d_bw(A, B) scales the contract: a second one would
-    # make 10 at n >= 3 (at n = 2 a distance takes none). An eigenvalue
-    # certificate of the point made 10 at n >= 3, and the A^(+-1/2) frame's
-    # distances 18 and 15.
+    # Both inputs certified (2 at n = 2; proven, 0, at n >= 3), the point at
+    # t (1: its certificate at n = 2, Q's root, proven, at n >= 3) and the
+    # accrual (5, or 6 at n >= 3), whose own d_bw(A, B) scales the contract:
+    # a second one would make 8 at n >= 3 (at n = 2 a distance takes none).
+    # Eigenvalue certificates of the inputs made 9 at n >= 3, and of the
+    # point too 10; the A^(+-1/2) frame's distances 18 and 15.
     paths = []
     for name, M in zip("ab", _pair(dim)):
         paths.append(tmp_path / f"{name}.json")
@@ -191,7 +194,7 @@ def test_eigendecompositions_per_geodesic_check_metric_run(dim, eig_calls, tmp_p
     eig_calls.clear()
     argv = ["geodesic", "--kind", "bw", "--a", str(paths[0]), "--b", str(paths[1]), "--check-metric"]
     assert main(argv) == 0
-    assert eig_calls == [dim] * (8 if dim == 2 else 9)
+    assert eig_calls == [dim] * (8 if dim == 2 else 7)
 
 
 # 50 partners certified, then per partner the mean's own eigendecompositions
@@ -276,6 +279,21 @@ CLOSED_FORM_SAVINGS = {criterion_6: 903, criterion_8: 1200, criterion_9: 927, cr
 def test_eigendecompositions_per_sampled_criterion(criterion, expected, eig_calls):
     criterion(seed=0)
     assert len(eig_calls) == expected - CLOSED_FORM_SAVINGS[criterion]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_pd_matrix_certify_proves_at_n_3_and_up(n, eig_calls):
+    # PdMatrix.certify decides as a result's certificate is decided: a PD
+    # input is proven with no eigendecomposition. Its min_eigenvalue, read
+    # later, takes one, once, and is the least eigenvalue of the full
+    # solve, bit for bit. (The inputs the proof refuses or leaves open are
+    # in test_matcore's proof tests.)
+    X = random_pd(rng_for(12, n), n).mat
+    eig_calls.clear()
+    P = PdMatrix.certify(X)
+    assert eig_calls == [] and "min_eigenvalue" not in vars(P)
+    lam, again = P.min_eigenvalue, P.min_eigenvalue
+    assert eig_calls == [n] and lam == again == float(matcore._eig_array(X)[0][0])
 
 
 def test_eigendecompositions_per_axiom_battery(eig_calls):

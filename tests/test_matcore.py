@@ -198,6 +198,19 @@ def test_stacked_closed_form_matches_the_scalar_one(scale, rng):
         assert np.all(np.abs(Vs - Vc) <= 4 * eps * np.abs(Vc))
 
 
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_stacked_jacobi_equals_the_scalar_one_byte_for_byte(n):
+    # On seeded PD stacks, 100 matrices at each of seeds 0-2, the stacked
+    # kernel gives each matrix the bytes the scalar kernel gives it alone,
+    # eigenvalues and vectors, signs of zero included.
+    for seed in range(3):
+        (A,) = pd_stacks(seed, 62, n, dim=n, k=1, count=100)
+        w, V = matcore._eig_jacobi_stack(A)
+        for X, ws, Vs in zip(A, w, V):
+            wc, Vc = matcore._eig_jacobi(X)
+            assert ws.tobytes() == wc.tobytes() and Vs.tobytes() == Vc.tobytes()
+
+
 def _assert_matches_one_at_a_time(arr):
     # The stacked Jacobi against the scalar one, run per matrix: bit for
     # bit, else within 4 ulp as the 2x2 stack is held. The kernel is called
@@ -285,8 +298,8 @@ def _values_cases(rng, n):
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_eigenvalues_only_equal_the_full_solve_bit_for_bit(n, rng):
     # Each lone matrix on the scalar kernels; the 43-matrix stack on the
-    # stacked ones (past both crossovers); its first five on the scalar
-    # loop at n >= 3; and each stacked kernel called in both modes.
+    # stacked ones (past the crossover); its first five on the scalar loop
+    # at n >= 3; and the 2x2 stack called in both modes.
     arr = _values_cases(rng, n)
     for X in arr:
         assert np.array_equal(matcore._eig_values(X), matcore._eig_array(X)[0])
@@ -294,20 +307,16 @@ def test_eigenvalues_only_equal_the_full_solve_bit_for_bit(n, rng):
         assert np.array_equal(matcore._eig_values(stack), matcore._eig_array(stack)[0])
     if n == 2:
         assert np.array_equal(matcore._eig2_stack(arr, False)[0], matcore._eig2_stack(arr)[0])
-    if n >= 3:
-        assert np.array_equal(matcore._eig_jacobi_stack(arr, False), matcore._eig_jacobi_stack(arr)[0])
 
 
-# Rotations over the 40 random_pd draws of rng_for(16, n): the count every
-# route and mode must turn, pinned so that a change of the rotation rule
-# shows.
+# Rotations over the 40 random_pd draws of rng_for(16, n): the count both
+# routes must turn, pinned so that a change of the rotation rule shows.
 ROTATIONS = {3: 399, 4: 935}
 
 
 @pytest.mark.parametrize("n", [3, 4])
-def test_eigenvalues_only_rotate_as_often_as_the_full_solve(n, monkeypatch):
-    # A rotation counts once per matrix it turns: scalar and stacked Jacobi,
-    # with and without vectors.
+def test_scalar_and_stacked_jacobi_rotate_alike(n, monkeypatch):
+    # A rotation counts once per matrix it turns: scalar and stacked Jacobi.
     rng = rng_for(16, n)
     arr = np.array([random_pd(rng, n).mat for _ in range(40)])
     count = [0]
@@ -324,32 +333,28 @@ def test_eigenvalues_only_rotate_as_often_as_the_full_solve(n, monkeypatch):
     monkeypatch.setattr(matcore, "_rotation", scalar)
     monkeypatch.setattr(matcore, "_rotation_stack", stacked)
     counts = []
-    for vectors in (True, False):
-        for route in (lambda: [matcore._eig_jacobi(X, vectors) for X in arr],
-                      lambda: matcore._eig_jacobi_stack(arr, vectors)):
-            count[0] = 0
-            route()
-            counts.append(count[0])
-    assert counts == [ROTATIONS[n]] * 4
+    for route in (lambda: [matcore._eig_jacobi(X) for X in arr], lambda: matcore._eig_jacobi_stack(arr)):
+        count[0] = 0
+        route()
+        counts.append(count[0])
+    assert counts == [ROTATIONS[n]] * 2
 
 
-@pytest.mark.parametrize("vectors", [True, False])
-def test_small_stacks_loop_over_the_scalar_jacobi(vectors, rng, monkeypatch):
-    # Below the crossover of its mode a stack at n >= 3 never reaches the
-    # stacked kernel; at the crossover it does.
-    below = matcore._LOOP_BELOW[vectors]
-    entry = matcore._eig_array if vectors else matcore._eig_values
+def test_small_stacks_loop_over_the_scalar_jacobi(rng, monkeypatch):
+    # Below the crossover a stack at n >= 3 never reaches the stacked
+    # kernel; at the crossover it does.
+    below = matcore._LOOP_BELOW
     kernel, sizes = matcore._eig_jacobi_stack, []
 
-    def stacked(arr, mode):
+    def stacked(arr):
         sizes.append(len(arr))
-        return kernel(arr, mode)
+        return kernel(arr)
 
     monkeypatch.setattr(matcore, "_eig_jacobi_stack", stacked)
     arr = np.array([random_pd(rng, 3).mat for _ in range(below)])
-    entry(arr[:-1])
+    matcore._eig_array(arr[:-1])
     assert sizes == []
-    entry(arr)
+    matcore._eig_array(arr)
     assert sizes == [below]
 
 
@@ -568,6 +573,31 @@ def test_pd_matrix_is_a_certified_hermitian_matrix(rng):
     assert PdMatrix.certify(A.mat.tolist()).min_eigenvalue == A.min_eigenvalue
     with pytest.raises(ValueError):
         PdMatrix([[2.0, 1.0], [0.0, 2.0]], 1.0)
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_value_types_compare_and_hash_by_identity(dim):
+    # Two distinct objects holding equal arrays are unequal, with no
+    # "truth value of an array is ambiguous" raised; each equals itself and
+    # hashes. The value types holding a HermitianMatrix compare through it.
+    from meanlab.expansion import GeneralSeriesFit, SeriesFit
+    from meanlab.preserver import MasaFunctional
+
+    I = np.eye(dim)
+    H = HermitianMatrix(I)
+    sz = pauli_basis()[0]
+    pairs = [
+        (HermitianMatrix(I), HermitianMatrix(I)),
+        (PdMatrix.certify(I), PdMatrix.certify(I)),
+        (eig(I), eig(I)),
+        (GeneralSeriesFit(I, I, I, 0.0), GeneralSeriesFit(I.copy(), I, I, 0.0)),
+        (SeriesFit(H, H, H, 0.0), SeriesFit(HermitianMatrix(I), H, H, 0.0)),
+        (MasaFunctional(1.0, ((sz, 0.5),)), MasaFunctional(1.0, ((sz, 0.5),))),
+    ]
+    for A, B in pairs:
+        assert (A == B) is False and (A != B) is True
+        assert (A == A) is True
+        assert isinstance(hash(A), int) and hash(A) == hash(A)
 
 
 def test_mpow_rejects_a_false_certificate():
@@ -972,8 +1002,9 @@ def _lean(M):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_a_lazily_read_certificate_is_the_eager_one_bit_for_bit(n):
     # At n = 2 the certificate is read at construction; at n >= 3 the proof
-    # leaves it unread until asked, and it then has the bits PdMatrix.certify
-    # gives, once, for the means, wasserstein_alt and both geodesics.
+    # leaves it unread until asked, and it then has the bits of the
+    # eigenvalue certificate (_certify_stack), once, for the means,
+    # wasserstein_alt and both geodesics.
     from meanlab import GEODESIC_BW, GEODESIC_TRACE, SPECTRAL_GEOMETRIC, WASSERSTEIN, geodesic
     from meanlab import ARITHMETIC, conventional_power, wasserstein_alt
 
@@ -983,10 +1014,10 @@ def test_a_lazily_read_certificate_is_the_eager_one_bit_for_bit(n):
     results += [geodesic(kind, A, B, 0.3) for kind in (GEODESIC_BW, GEODESIC_TRACE)]
     for M in results:
         assert ("min_eigenvalue" in vars(M)) == (n == 2)
-        eager = PdMatrix.certify(M.mat.copy()).min_eigenvalue
+        eager = matcore._certify_stack(M.mat.copy())
         assert M.min_eigenvalue == eager and vars(M)["min_eigenvalue"] == eager
         assert not M.mat.flags.writeable and M.mat.base is None
-    # The dataclass's __repr__ and __eq__ read the field, lazily too.
+    # The dataclass's __repr__ reads the field, lazily too.
     M, N = mean(GEOMETRIC, A, B), mean(GEOMETRIC, A, B)
     assert repr(M) == repr(PdMatrix.certify(M.mat.copy()))
     assert M == M and N.min_eigenvalue == M.min_eigenvalue
@@ -999,22 +1030,23 @@ def test_a_matrix_the_proof_leaves_open_is_decided_by_its_eigenvalues(n):
     # An indefinite matrix and one whose lambda_min clears the tolerance by
     # 1e-14 tr, less than the proof's margin for Jacobi's error but more
     # than its rounding bound: the proof leaves both open, so the first
-    # raises the PositivityError PdMatrix.certify raises, in its words, and
-    # the second is certified with its eager lambda_min.
+    # raises the eigenvalue route's PositivityError, in the words it always
+    # had, and the second is certified with its eager lambda_min, lone
+    # (PdMatrix.certify or a result) or stacked.
     Q = random_unitary(rng_for(49, n), n)
     tail = np.arange(2.0, n + 1.0)
-    bad = (Q * np.concatenate([[-1e-3], tail])) @ Q.conj().T
-    with pytest.raises(PositivityError) as eager:
-        PdMatrix.certify(bad)
-    with pytest.raises(PositivityError, match=f"^{re.escape(str(eager.value))}$"):
-        _lean(_sym(bad))
+    bad = _sym((Q * np.concatenate([[-1e-3], tail])) @ Q.conj().T)
+    lam = float(matcore._eig_array(bad)[0][0])
+    message = f"minimum eigenvalue {lam:.3e} does not clear the positivity tolerance"
+    for certify in (PdMatrix.certify, _lean, matcore._certified):
+        with pytest.raises(PositivityError, match=f"^{re.escape(message)}$"):
+            certify(bad)
     tol = matcore.PD_TOLERANCE * math.hypot(*tail)
     close = _sym((Q * np.concatenate([[tol + 1e-14 * (tol + tail.sum())], tail])) @ Q.conj().T)
     assert not matcore._cholesky_proof(close, matcore.pd_tolerance(close))
-    P = _lean(close)
-    assert vars(P)["min_eigenvalue"] == PdMatrix.certify(close).min_eigenvalue
-    with pytest.raises(PositivityError, match=f"^{re.escape(str(eager.value))}$"):
-        matcore._certified(_sym(bad))
+    lam = float(matcore._eig_array(close)[0][0])
+    assert vars(_lean(close))["min_eigenvalue"] == vars(PdMatrix.certify(close))["min_eigenvalue"] == lam
+    assert np.array_equal(matcore._certified(close), close)
 
 
 def test_every_order_and_congruence_stack_of_verify_all_is_decided_alike(monkeypatch):
