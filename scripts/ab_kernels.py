@@ -37,7 +37,11 @@ processes on such a host can differ by 2x. The kernels are:
   battery's yes/no questions;
 - the Bures-Wasserstein distance ``_d_bw_arr`` of one pair at dims 2 and 4
   and of 200 pairs at dims 2 and 3, and ``criterion_10``, whose work is
-  mostly distances.
+  mostly distances;
+- the public lone dim-2 ``geodesic`` on the Bures-Wasserstein curve, the
+  spectral geometric ``mean`` and the conventional power ``mean`` at
+  p = 0.5, each certified, and ``_certified_points`` of that curve on 50
+  dim-2 pairs at 5 values of t.
 
 Both sides get the same input arrays. A kernel that one side lacks is timed
 on the other alone.
@@ -144,6 +148,15 @@ def kernels(pkg, data: dict) -> dict:
     ):
         out[f"_d_bw_arr {label}"] = lambda pair=pair: d_bw(*pair)
     out["criterion_10"] = lambda: pkg.verification.criterion_10(seed=0)
+    geometry = pkg.geometry
+    P, Q = matcore.PdMatrix.certify(X), matcore.PdMatrix.certify(B[0])
+    out["geodesic bw lone dim 2"] = lambda: geometry.geodesic(geometry.GEODESIC_BW, P, Q, 0.3)
+    out["mean spectral-geometric lone dim 2"] = lambda: means.mean(means.SPECTRAL_GEOMETRIC, P, Q)
+    out["mean conventional-power 0.5 lone dim 2"] = lambda: means.mean(means.conventional_power(0.5), P, Q)
+    ts = (0.0, 0.25, 0.5, 0.75, 1.0)
+    out["_certified_points bw on 50 dim-2 pairs, 5 ts"] = lambda: geometry._certified_points(
+        geometry.GEODESIC_BW, A[:50], B[:50], ts
+    )
     return out
 
 

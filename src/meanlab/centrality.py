@@ -18,7 +18,7 @@ is F(1) = 0 for F = L A R - R A L. The harmonic mean, p = -1, has its own.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from .means import (
     _mean_arr,
     kubo_ando_power,
 )
-from .report import worst
+from .report import json_fields, worst
 from .sampling import pd_stacks
 
 # Separates true identities (observed <= 1e-11) from generic failure
@@ -97,7 +97,7 @@ class CommutatorReport:
         return "commutes" if self.commutator_norm <= self.tolerance else "does_not_commute"
 
     def to_json(self) -> dict:
-        return {**asdict(self), "verdict": self.verdict}
+        return {**json_fields(self), "verdict": self.verdict}
 
 
 def commutator_report(kind: MeanKind, A: PdMatrix, B: PdMatrix, pair_id: str = "pair") -> CommutatorReport:
@@ -189,7 +189,7 @@ class ChainReport:
         raise KeyError(name)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "gaps": dict(self.gaps)}
+        return {**json_fields(self), "gaps": dict(self.gaps)}
 
 
 def _chain(A: PdMatrix, B: PdMatrix, label: str, case: str, gaps, derivative_error=None) -> ChainReport:

@@ -5,7 +5,11 @@ is a metric whose geodesic has the Wasserstein mean as midpoint. It equals
 the transport form ||(T - I) A^(1/2)||_F, T = A^(-1) # B the optimal map
 (Bhatia, Jain & Lim, Expo. Math. 37, 2019), which d_bw takes on the
 Cholesky frame at n >= 3, and at n = 2 a closed form of the trace form
-with its cancellation rewritten away; neither builds A^(+-1/2).
+with its cancellation rewritten away; neither builds A^(+-1/2). The
+geodesic's points (1 - t)^2 A + t^2 B + t (1 - t)(AT + TA) take T on the
+same frame at n >= 3, and at n = 2 T's closed form and the points on the
+2x2 parts, with no eigendecomposition; they never take the Wasserstein
+mean's own form, which their midpoint is checked against.
 The trace-metric geodesic t -> A^(1/2) (A^(-1/2) B A^(-1/2))^t A^(1/2),
 equal to L (L^(-1) B L^(-*))^t L* for A = L L*, has the geometric mean as
 midpoint. check_geodesic_metric verifies proportional
@@ -21,7 +25,7 @@ import numpy as np
 
 from .errors import DomainError
 from .matcore import PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pd_result, _pow_arr, _sym
-from .means import _bw_distance2, _cholesky_bw, _cholesky_inner, _closed2, _parts2, _pencil2, _power_f, _q_arr
+from .means import _bw_distance2, _bw_points2, _cholesky_bw, _cholesky_inner, _closed2, _parts2, _pencil2, _power_f, _q_arr
 
 TAG_TRACE = "geometric-trace"
 TAG_BW = "bures-wasserstein"
@@ -80,10 +84,12 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     (1-t)^2 A + t^2 B + t(1-t)(A Q + Q A) with Q = A^(-1) # B. At n = 2, Q
     takes the closed form sqrt(b/a) S' / sqrt(det S'), S' = adj(A)/a + B/b,
     a and b the roots of det A and det B, with no inverse and no
-    eigendecomposition; at other n it is L^(-*) S L^(-1), symmetrized, on
-    the Cholesky frame A = L L* with S = (L* B L)^(1/2), from one
-    eigendecomposition. Q is uncertified: only the curve points are
-    certified. check_geodesic_metric computes Q once for all its points.
+    eigendecomposition, and the point is formed on the 2x2 parts, exactly
+    Hermitian; at other n Q is L^(-*) S L^(-1), symmetrized, on the
+    Cholesky frame A = L L* with S = (L* B L)^(1/2), from one
+    eigendecomposition, and the point is checked Hermitian and
+    symmetrized. Q is uncertified: only the curve points are certified.
+    check_geodesic_metric computes Q once for all its points.
     The trace-metric curve takes, at n = 2, the pencil form
     mu_1^t A + f[mu_1, mu_2] (B - mu_1 A) of means._pencil2, with no
     eigendecomposition; at other n it is L N^t L* with N = L^(-1) B L^(-*),
@@ -101,11 +107,13 @@ def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) ->
     # of ts: a matrix for one pair, a stack for two stacks of pairs. Each
     # pair's pencil or Cholesky frame (trace) or Q (Bures-Wasserstein) is
     # taken once for all ts, and each t enters as a float, so a lone point
-    # costs what it did alone. The pencil form assembles each point exactly
-    # Hermitian; every other point is checked Hermitian to HERMITICITY_RTOL
-    # (a NaN fails), then symmetrized.
+    # costs what it did alone. At n = 2 both closed forms assemble each
+    # point exactly Hermitian; every other point is checked Hermitian to
+    # HERMITICITY_RTOL (a NaN fails), then symmetrized.
     if kind.tag == TAG_TRACE and Aarr.shape[-1] == 2:
         return _closed2(functools.partial(_pencil2, [functools.partial(_power_f, t) for t in ts]), Aarr, Barr)
+    if Aarr.shape[-1] == 2:
+        return _closed2(functools.partial(_bw_points2, ts), Aarr, Barr)
     if kind.tag == TAG_TRACE:
         L, N = _cholesky_inner(Aarr, Barr)
         Lh = L.conj().swapaxes(-1, -2)

@@ -30,7 +30,9 @@ by the interpolation form f(A) = f(lambda_1) I + f[lambda_1, lambda_2]
 is one body, run on Python floats for a lone matrix and on arrays for a
 stack with the routines of ``_LONE`` or ``_STACK``, whose assembler builds
 every 2x2 result from its parts; so a stack gives each matrix the bits it
-gets alone. Only ``eig``, ``func_calc`` and the ``--via-function`` route
+gets alone. ``_power_parts`` runs the same power from parts to parts, so
+that powers compose (the conventional power mean) with no array between
+them and the bits of the arrays. Only ``eig``, ``func_calc`` and the ``--via-function`` route
 (``_spectral_values``), and ``sampling``'s invertible Hermitian draws,
 still form 2x2 vectors, so the spectral route stays an independent
 cross-check.
@@ -59,8 +61,8 @@ when its value is asked for. A certificate that a caller reads
 lambda_min of the eigensolver. Matrices are certified by ``_certificates``,
 through ``_certified`` for a stack and ``_pd_result`` for a lone PdMatrix,
 that of ``PdMatrix.certify`` or of a lone ``mean``, ``wasserstein_alt`` or
-``geodesic``: a lone 2x2 on the Python floats of its entries
-(``_eig2_values`` and ``_norms``). At n >= 3 it, the
+``geodesic``: a lone 2x2 on the Python floats of one read of its entries
+(``_eig2_parts`` and ``_norm2``). At n >= 3 it, the
 Loewner order (``_order_violation``) and the congruence invertibility check
 first try a floating-point Cholesky factorization of M - tau I
 (``_cholesky_proof``), whose floor includes Jacobi's own error, so a proven
@@ -157,11 +159,7 @@ def _norms(X: np.ndarray):
     # overflow once an entry passes about 1.3e154; only a norm that came out
     # infinite is taken again, scaled.
     if X.shape == (2, 2):
-        (a, b), (c, d) = X.tolist()
-        re = (a.real * a.real + c.real * c.real) + (b.real * b.real + d.real * d.real)
-        im = (a.imag * a.imag + c.imag * c.imag) + (b.imag * b.imag + d.imag * d.imag)
-        norm = math.sqrt(re + im)
-        return norm if math.isfinite(norm) else float(_rescaled_norms(X.reshape(1, 1, -1), [norm])[0])
+        return _norm2(X.tolist(), X)
     if X.ndim <= 2:
         x = X.ravel()
         re, im = x.real, x.imag
@@ -170,6 +168,15 @@ def _norms(X: np.ndarray):
     with np.errstate(over="ignore"):
         norms = _dot_norms(X)
     return norms if math.isfinite(norms.sum()) else _rescaled_norms(X, norms)
+
+
+def _norm2(rows, X: np.ndarray) -> float:
+    # _norms of a lone 2x2 X from its entries ``rows`` (X.tolist()).
+    (a, b), (c, d) = rows
+    re = (a.real * a.real + c.real * c.real) + (b.real * b.real + d.real * d.real)
+    im = (a.imag * a.imag + c.imag * c.imag) + (b.imag * b.imag + d.imag * d.imag)
+    norm = math.sqrt(re + im)
+    return norm if math.isfinite(norm) else float(_rescaled_norms(X.reshape(1, 1, -1), [norm])[0])
 
 
 def _dot_norms(X: np.ndarray) -> np.ndarray:
@@ -354,14 +361,19 @@ def _eig2_closed(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _eig2_values(arr: np.ndarray):
-    # _eig2_closed's eigenvalues alone, m -+ r as _rotation forms them, as a
-    # list of two Python floats (the certificate needs no array), with the
-    # pieces _power2 builds a power from: (b, h, m, |b|, r, b = 0, a > d),
-    # b = 0 taking the sorted diagonal and the stand-in b = 1, as a row of
-    # _eig2_stack does. A separate name, since perfbench/tracing.py wraps
+    # _eig2_closed's eigenvalues alone, from the lone matrix's entries
+    # (_eig2_parts). A separate name, since perfbench/tracing.py wraps
     # _eig2_closed as a one-argument function.
     (a, b), (_, d) = arr.tolist()
-    a, d = a.real, d.real
+    return _eig2_parts(a.real, d.real, b)
+
+
+def _eig2_parts(a: float, d: float, b: complex):
+    # The eigenvalues of [[a, b], [conj b, d]], m -+ r as _rotation forms
+    # them, as a list of two Python floats (the certificate needs no array),
+    # with the pieces _power2 builds a power from: (b, h, m, |b|, r, b = 0,
+    # a > d), b = 0 taking the sorted diagonal and the stand-in b = 1, as a
+    # row of _eig2_stack does.
     h, m = (a - d) / 2.0, (a + d) / 2.0
     if b == 0.0:
         return [a, d] if a <= d else [d, a], (1.0, h, m, 1.0, abs(complex(h, 1.0)), True, a > d)
@@ -597,16 +609,21 @@ def _stack_plan(n: int) -> list[tuple]:
 
 
 def _eig2_stack(arr: np.ndarray, vectors: bool = True):
-    # _eig2_closed over a stack of 2x2 matrices: _rotation_stack, with b = 0
-    # (no rotation, a swap when a > d) apart. Rows with b = 0 rotate a
-    # stand-in b = 1 that is then dropped. Without ``vectors`` only m -+ r
-    # is formed, as _rotation_stack forms it, with the same b = 0 sort, and
-    # the eigenvalues come with _eig2_values' pieces, one array each. Near
-    # the largest float they overflow to infinities without numpy's warning,
-    # as Python floats do.
-    a, d = arr[:, 0, 0].real, arr[:, 1, 1].real
-    still = arr[:, 0, 1] == 0.0
-    b = np.where(still, 1.0, arr[:, 0, 1])
+    # _eig2_closed over a stack of 2x2 matrices, from their entries
+    # (_eig2_stack_parts).
+    return _eig2_stack_parts(arr[:, 0, 0].real, arr[:, 1, 1].real, arr[:, 0, 1], vectors)
+
+
+def _eig2_stack_parts(a: np.ndarray, d: np.ndarray, b: np.ndarray, vectors: bool = True):
+    # The eigenvalues (N, 2) and vectors (N, 2, 2) of the matrices
+    # [[a, b], [conj b, d]]: _rotation_stack, with b = 0 (no rotation, a swap
+    # when a > d) apart. Rows with b = 0 rotate a stand-in b = 1 that is then
+    # dropped. Without ``vectors`` only m -+ r is formed, as _rotation_stack
+    # forms it, with the same b = 0 sort, and the eigenvalues come with
+    # _eig2_parts' pieces, one array each. Near the largest float they
+    # overflow to infinities without numpy's warning, as Python floats do.
+    still = b == 0.0
+    b = np.where(still, 1.0, b)
     with np.errstate(over="ignore"):
         if vectors:
             lo, hi, W = _rotation_stack(a, d, b.real, b.imag)
@@ -615,14 +632,14 @@ def _eig2_stack(arr: np.ndarray, vectors: bool = True):
             babs = np.hypot(b.real, b.imag)
             r = np.hypot(h, babs)
             lo, hi = m - r, m + r
-    w = np.empty((len(arr), 2))
+    w = np.empty((len(a), 2))
     w[:, 0], w[:, 1] = lo, hi
     swap = a > d
     if still.any():
         w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
     if not vectors:
         return w, (b, h, m, babs, r, still, swap)
-    V = np.empty(arr.shape, dtype=np.complex128)
+    V = np.empty((len(a), 2, 2), dtype=np.complex128)
     # W's parts, column by column, as V[:, i, j] = (real, imaginary).
     V.view(np.float64).reshape(-1, 2, 2, 2)[:] = W.reshape(2, 2, 2, -1).transpose(3, 1, 0, 2)
     if still.any():
@@ -839,14 +856,16 @@ _STACK = type("_STACK", (), dict(
 ))
 
 
-def _power2(ends, pieces, ops):
+def _power2(ends, pieces, ops, matrix):
     # The form for one 2x2 matrix or each matrix of a stack, from the ends
     # lo <= hi of the values-only spectrum (floats or arrays) and the pieces
-    # of _eig2_values or _eig2_stack. A lone b = 0 matrix takes its diagonal
+    # of _eig2_parts or _eig2_stack_parts, assembled by ``matrix``: the
+    # table's, or _parts for the parts (P, Q, Re, Im, Im of the lower
+    # corner) it would be built from. A lone b = 0 matrix takes its diagonal
     # outright; any other lone one carries still = False.
     b, h, m, babs, r, still, swap = pieces
     if still is True:
-        return lambda f, p: ops.matrix(*ops.columns(f)[::-1 if swap else 1], 0.0, 0.0, 0.0)
+        return lambda f, p: matrix(*ops.columns(f)[::-1 if swap else 1], 0.0, 0.0, 0.0)
     stills = still is not False and still.any()
     lo, hi = ends
     hs, bs, rs, bre, bim = ops.scaled(h, babs, r, b)
@@ -867,7 +886,7 @@ def _power2(ends, pieces, ops):
         if stills:
             u[still] = v[still] = v_low[still] = 0.0
             P[still], Q[still] = np.where(swap, f2, f1)[still], np.where(swap, f1, f2)[still]
-        return ops.matrix(P, Q, u, v, v_low)
+        return matrix(P, Q, u, v, v_low)
 
     return power
 
@@ -893,8 +912,8 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
     if arr.shape[-1] == 2:
         lone = arr.ndim == 2
         w, pieces = _eig2_values(arr) if lone else _eig2_stack(arr, False)
-        ends = w if lone else w.T
-        power = _power2(ends, pieces, _LONE if lone else _STACK)
+        ends, ops = (w, _LONE) if lone else (w.T, _STACK)
+        power = _power2(ends, pieces, ops, ops.matrix)
     else:
         w, V = _eig_array(arr)
         ends = w.tolist() if w.ndim == 1 else w.T
@@ -911,11 +930,37 @@ def _pow_arr(arr: np.ndarray, *ps: float, certify: bool = False):
     return out[0] if len(out) == 1 else tuple(out)
 
 
-def _check_certificates(arr: np.ndarray, lam):
+def _parts(*parts):
+    # _power2's assembler for the parts themselves.
+    return parts
+
+
+def _power_parts(x, p: float):
+    # _pow_arr(X, p) of the 2x2 Hermitian X with parts x = (X_00, X_11,
+    # Re X_01, Im X_01), Python floats for a lone matrix or arrays for a
+    # stack (0-d ones, a lone matrix beside a stack, taken as a stack of
+    # one), as the parts that _pow_arr assembles, with its bits: the same
+    # values-only spectrum, guard and form, and no array in between.
+    a, d, re, im = x
+    if isinstance(a, float):
+        w, pieces = _eig2_parts(a, d, complex(re, im))
+        ends, ops = w, _LONE
+    else:
+        a, d, re, im = np.atleast_1d(a, d, re, im)
+        b = np.empty(re.shape, dtype=np.complex128)
+        b.real, b.imag = re, im
+        w, pieces = _eig2_stack_parts(a, d, b, False)
+        ends, ops = w.T, _STACK
+    _power_guard(ends[0], ends[-1], (p,), False)
+    return _power2(ends, pieces, ops, _parts)(np.power(w, p), p)
+
+
+def _check_certificates(arr: np.ndarray, lam, tolerance=None):
     # The certificate rule, which PdMatrix's construction applies: lam, a
     # float for one matrix or an array for a stack, must be finite and clear
-    # pd_tolerance(arr), per matrix. Returns lam.
-    ok = (lam > pd_tolerance(arr)) & (lam < math.inf)
+    # pd_tolerance(arr), per matrix, or ``tolerance`` where the caller has
+    # it. Returns lam.
+    ok = (lam > (pd_tolerance(arr) if tolerance is None else tolerance)) & (lam < math.inf)
     if ok is not True:
         _require(ok, PositivityError, "minimum eigenvalue {:.3e} does not clear the positivity tolerance", lam)
     return lam
@@ -1055,11 +1100,14 @@ def _certificates(M: np.ndarray):
     # first, and only a matrix it leaves open reads its eigenvalues
     # (_certify_stack), which raise the same PositivityError; at n <= 2 the
     # closed form costs less than the proof, and a lone 2x2 takes it and its
-    # norm on Python floats, with no array. Returns lambda_min where it was
-    # read for a lone matrix, else None.
+    # norm on the Python floats of one read of its entries, with no array.
+    # Returns lambda_min where it was read for a lone matrix, else None.
     n = M.shape[-1]
     if M.shape == (2, 2):
-        return _check_certificates(M, _eig2_values(M)[0][0])
+        rows = M.tolist()
+        (a, b), (_, d) = rows
+        tolerance = PD_TOLERANCE * max(1.0, _norm2(rows, M))
+        return _check_certificates(M, _eig2_parts(a.real, d.real, b)[0][0], tolerance)
     if n <= 2:
         return _certify_stack(M)
     if M.ndim == 2:

@@ -13,26 +13,34 @@ spectral geometric mean and the Wasserstein mean
 
     A sigma_W B = (A + B + A Q + Q A)/4,    Q = A^(-1) # B.
 
-At n = 2 seven routes take closed forms with no eigendecomposition, each
+At n = 2 nine routes take closed forms with no eigendecomposition, each
 one body for a lone pair and for stacks on matcore's 2x2 layer. With
-a = sqrt(det A), b = sqrt(det B), s = ab, rho = b/a and c = tr(adj(A/a) B/b):
+a = sqrt(det A), b = sqrt(det B), s = ab, rho = b/a, c = tr(adj(A/a) B/b)
+and e = sqrt(det Q) = (det B / det A)^(1/4):
 
     A # B = sqrt(ab) S / sqrt(det S),              S = A/a + B/b,
     A sigma_W B = (A + B + (AB + BA + 2sI) / sqrt(tr AB + 2s)) / 4,
     Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'),  S' = adj(A)/a + B/b,
+    Q^(1/2) A Q^(1/2) = (e^2 A + e (AQ + QA) + B) / (tr Q + 2e),
+    gamma(t) = (1 - t)^2 A + t^2 B + t (1 - t)(AQ + QA),
     2 (A^(-1) + B^(-1))^(-1) = 2 (rho A + B/rho) / (rho + c + 1/rho),
     A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A).
 
 They are Bhatia, Positive Definite Matrices (Princeton 2007), Prop. 4.1.12;
 (AB)^(1/2) + (BA)^(1/2) by Levinger's 2x2 square root (Math. Mag. 53, 1980);
-the BW geodesic's Q with no inverse; the harmonic mean by the adjugate, a
-sum of positive definite matrices over a denominator of at least
-2 + rho + 1/rho; and, for m_p and the trace-metric geodesic, the
-interpolation form of A^(1/2) f(N) A^(1/2) (Kubo & Ando, Math. Ann. 246,
-1980; Higham, Functions of Matrices, 2008), mu_1 <= mu_2 the roots of
-det(B - mu A) = 0. The last stays within 0.14 eps kappa of 50-digit mpmath,
-where the A^(+-1/2) frame errs like eps kappa^2. geometry.d_bw takes one
-more form on the same parts (_bw_distance2).
+the BW geodesic's Q with no inverse, and on it the spectral geometric mean,
+by the 2x2 Q^(1/2) = (Q + eI) / sqrt(tr Q + 2e) and QAQ = B, and the BW
+geodesic's points (Bhatia, Jain & Lim, Expo. Math. 37, 2019), which keep
+their own formula, so that the midpoint checks the Wasserstein mean; the
+harmonic mean by the adjugate, a sum of positive definite matrices over a
+denominator of at least 2 + rho + 1/rho; and, for m_p and the trace-metric
+geodesic, the interpolation form of A^(1/2) f(N) A^(1/2) (Kubo & Ando,
+Math. Ann. 246, 1980; Higham, Functions of Matrices, 2008), mu_1 <= mu_2
+the roots of det(B - mu A) = 0. The last stays within 0.14 eps kappa of
+50-digit mpmath, where the A^(+-1/2) frame errs like eps kappa^2.
+geometry.d_bw takes one more form on the same parts (_bw_distance2), and
+the conventional power mean composes its three 2x2 powers on the parts
+(matcore._power_parts), with the bits of the arrays.
 
 At any other n the Kubo-Ando means, the Wasserstein mean and both geodesics
 take the Cholesky frame A = L L* (Iannazzo, Numer. Linear Algebra Appl. 23,
@@ -46,8 +54,8 @@ so the geometric mean and m_p take one eigendecomposition of N (m_p both
 its powers from it), the Wasserstein mean one of L* B L, and the harmonic
 mean none; a pair whose L* B L would leave the float range is scaled
 jointly by a power of four first. The spectral geometric mean is
-(Q^(1/2)) A (Q^(1/2)) on either route's Q. The conventional power mean
-keeps its spectral route, and --via-function and wasserstein_alt keep the
+(Q^(1/2)) A (Q^(1/2)) on that Q. The conventional power mean keeps its
+spectral route, and --via-function and wasserstein_alt keep the
 A^(+-1/2) frame, as cross-checks.
 
 Every public evaluation returns a freshly certified :class:`PdMatrix`.
@@ -57,7 +65,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -82,6 +90,7 @@ from .matcore import (
     _pd_result,
     _pow_arr,
     _power_guard,
+    _power_parts,
     _rel_gap,
     _require,
     _spectral_values,
@@ -91,7 +100,7 @@ from .matcore import (
     loewner_leq,
     pd_tolerance,
 )
-from .report import worst
+from .report import json_fields, worst
 from .sampling import _invertible_hermitian, _pd_gram, complex_draws
 
 # Power parameters are kept away from 0, where g_p degenerates.
@@ -370,18 +379,56 @@ def _normalized2(x, ops):
     return (p, q, re, im), _root(p * q - (re * re + im * im), ops), 0 if k is None else k
 
 
-def _geometric2(x, y, ops, inverse=False):
+def _geometric_parts(x, y, ops, inverse):
     # A # B = sqrt(ab) S / sqrt(det S), S = A/a + B/b; with ``inverse``,
     # Q = A^(-1) # B = sqrt(b/a) S' / sqrt(det S'), S' = adj(A)/a + B/b.
-    # Checking the root of sqrt(ab)^2 / det S checks det S.
+    # Checking the root of sqrt(ab)^2 / det S checks det S. Returns the
+    # parts with ab (b/a) of the normalized roots and the exponent m of the
+    # result's scale 2^m, so that sqrt(det Q) = sqrt(b/a) 2^m.
     (p, q, re, im), a, ka = _normalized2(x, ops)
     (u, v, wr, wi), b, kb = _normalized2(y, ops)
     if inverse:
         p, q, re, im = q, p, -re, -im
     S = (p / a + u / b, q / a + v / b, re / a + wr / b, im / a + wi / b)
-    c = _root((b / a if inverse else a * b) / (S[0] * S[1] - (S[2] * S[2] + S[3] * S[3])), ops)
+    ratio = b / a if inverse else a * b
+    c = _root(ratio / (S[0] * S[1] - (S[2] * S[2] + S[3] * S[3])), ops)
     m = kb - ka if inverse else ka + kb
-    return [tuple(ops.ldexp(c * s, m) for s in S)]
+    return tuple(ops.ldexp(c * s, m) for s in S), ratio, m
+
+
+def _geometric2(x, y, ops, inverse=False):
+    # A # B, or Q = A^(-1) # B with ``inverse`` (_geometric_parts).
+    return [_geometric_parts(x, y, ops, inverse)[0]]
+
+
+def _anticommutator2(x, y):
+    # The parts of XY + YX for Hermitian X and Y: diagonal 2(pu + t) and
+    # 2(qv + t), t = Re(z conj w), and corner (p + q) w + (u + v) z.
+    p, q, re, im = x
+    u, v, wr, wi = y
+    t = re * wr + im * wi
+    ta, tb = p + q, u + v
+    return 2.0 * (p * u + t), 2.0 * (q * v + t), ta * wr + tb * re, ta * wi + tb * im
+
+
+def _spectral_geometric2(x, y, ops):
+    # Q^(1/2) A Q^(1/2) = (e^2 A + e (AQ + QA) + B) / (tr Q + 2e), since the
+    # 2x2 Q^(1/2) = (Q + eI) / sqrt(tr Q + 2e), e = sqrt(det Q), and QAQ = B.
+    # e = (det B / det A)^(1/4) is taken from the checked normalized roots,
+    # and e^2 A + e (AQ + QA) as (e A + AQ + QA) times e / (tr Q + 2e) <= 1/4,
+    # so that e^2 never overflows or underflows where the result does not.
+    Q, ratio, m = _geometric_parts(x, y, ops, True)
+    e = ops.ldexp(ops.sqrt(ratio), m)
+    den = (Q[0] + Q[1]) + 2.0 * e
+    w = e / den
+    return [tuple(w * (e * xi + k) + yi / den for xi, yi, k in zip(x, y, _anticommutator2(x, Q)))]
+
+
+def _bw_points2(ts, x, y, ops):
+    # The Bures-Wasserstein geodesic (1 - t)^2 A + t^2 B + t(1 - t)(AQ + QA)
+    # at each t of ts, with Q = A^(-1) # B and its anticommutator taken once.
+    K = _anticommutator2(x, _bw_q2(x, y, ops)[0])
+    return [tuple((1.0 - t) ** 2 * xi + t**2 * yi + t * (1.0 - t) * k for xi, yi, k in zip(x, y, K)) for t in ts]
 
 
 def _wasserstein2(x, y, ops):
@@ -501,7 +548,10 @@ def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray):
 
 
 _bw_q2 = functools.partial(_geometric2, inverse=True)
-_CLOSED2 = {TAG_GEOMETRIC: _geometric2, TAG_WASSERSTEIN: _wasserstein2, TAG_HARMONIC: _harmonic2}
+_CLOSED2 = {
+    TAG_GEOMETRIC: _geometric2, TAG_WASSERSTEIN: _wasserstein2, TAG_HARMONIC: _harmonic2,
+    TAG_SPECTRAL_GEOMETRIC: _spectral_geometric2,
+}
 
 
 def _q_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
@@ -530,25 +580,28 @@ def _power_mean_arr(N: np.ndarray, p: float) -> np.ndarray:
 def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     # The selected mean, Hermitian and uncertified, of one pair of Hermitian
     # matrices or of each pair of two stacks (N, n, n). The Kubo-Ando kinds
-    # and the Wasserstein mean take the 2x2 closed forms at n = 2 and the
-    # Cholesky frame A = L L* at any other n; the spectral geometric mean is
-    # built on Q = A^(-1) # B (_q_arr), and the conventional power mean and
-    # from-function means keep their spectral routes. The route decides the
-    # symmetrization: the closed forms, the 2x2 power's assembler and the
-    # arithmetic mean assemble a result exactly Hermitian, which _sym would
-    # give back bit for bit, and every other route symmetrizes its own.
+    # and the Wasserstein and spectral geometric means take the 2x2 closed
+    # forms at n = 2 and the Cholesky frame A = L L* at any other n, where
+    # the spectral geometric mean is built on Q = A^(-1) # B (_q_arr); the
+    # conventional power mean composes its powers on the 2x2 parts, and
+    # keeps its spectral route at other n, as from-function means do. The
+    # route decides the symmetrization: the closed forms, the 2x2 power's
+    # assembler and the arithmetic mean assemble a result exactly Hermitian,
+    # which _sym would give back bit for bit, and every other route
+    # symmetrizes its own.
     tag = kind.tag
     n = Aarr.shape[-1]
     if tag == TAG_ARITHMETIC:
         return (Aarr + Barr) / 2.0
+    if tag == TAG_CONVENTIONAL_POWER and n == 2:
+        # The three powers on the 2x2 parts: the sum of two exactly Hermitian
+        # powers is exactly Hermitian, so it has the bits _sym gives it below.
+        x, y, ops = _parts2(Aarr, Barr)
+        S = [(u + v) / 2.0 for u, v in zip(_power_parts(x, kind.p)[:4], _power_parts(y, kind.p))]
+        return ops.matrix(*_power_parts(S, 1.0 / kind.p))
     if tag == TAG_CONVENTIONAL_POWER:
-        p = kind.p
-        S = (_pow_arr(Aarr, p) + _pow_arr(Barr, p)) / 2.0
-        P = _pow_arr(_sym(S), 1.0 / p)
-        return P if n == 2 else _sym(P)
-    if tag == TAG_SPECTRAL_GEOMETRIC:
-        R = _pow_arr(_q_arr(Aarr, Barr), 0.5)
-        return _sym(R @ Aarr @ R)
+        S = (_pow_arr(Aarr, kind.p) + _pow_arr(Barr, kind.p)) / 2.0
+        return _sym(_pow_arr(_sym(S), 1.0 / kind.p))
     if tag == TAG_FROM_FUNCTION:
         # The A^(+-1/2) frame of D A D and D B D, D = diag(A)^(-1/2), and the
         # mean scaled back (the transformer equality): a graded pair keeps
@@ -572,6 +625,9 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
         L, Li, S = _cholesky_bw(Aarr, Barr)
         T = L @ S @ Li
         return _sym((Aarr + Barr + T + T.conj().swapaxes(-1, -2)) / 4.0)
+    if tag == TAG_SPECTRAL_GEOMETRIC:
+        R = _pow_arr(_q_arr(Aarr, Barr), 0.5)
+        return _sym(R @ Aarr @ R)
     if tag in (TAG_GEOMETRIC, TAG_POWER):
         L, N = _cholesky_inner(Aarr, Barr)
         F = _pow_arr(N, 0.5) if tag == TAG_GEOMETRIC else _power_mean_arr(N, kind.p)
@@ -590,15 +646,18 @@ def _wasserstein_alt_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
 def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
     """Evaluate the selected mean at (A, B).
 
-    At n = 2 the geometric, harmonic, Wasserstein and m_p means take closed
-    forms with no eigendecomposition. At other n they take the Cholesky
-    frame A = L L*: L f(L^(-1) B L^(-*)) L* for the geometric mean and m_p,
-    from one eigendecomposition, 2 (R^(-1) A)* (R^(-1) B) with A + B = R R*
-    for the harmonic mean, from none, and (A + B + T + T*)/4 with
-    T = L (L* B L)^(1/2) L^(-1) for the Wasserstein mean, from one. The
-    certificate takes one more at n = 2, and none at n >= 3, where a
-    Cholesky proof certifies the result and its ``min_eigenvalue`` is
-    computed when first read.
+    At n = 2 the geometric, harmonic, Wasserstein, spectral geometric and
+    m_p means take closed forms with no eigendecomposition, and the
+    conventional power mean its three 2x2 powers, one each. At other n the
+    Kubo-Ando and Wasserstein means take the Cholesky frame A = L L*:
+    L f(L^(-1) B L^(-*)) L* for the geometric mean and m_p, from one
+    eigendecomposition, 2 (R^(-1) A)* (R^(-1) B) with A + B = R R* for the
+    harmonic mean, from none, and (A + B + T + T*)/4 with
+    T = L (L* B L)^(1/2) L^(-1) for the Wasserstein mean, from one; the
+    spectral geometric mean takes Q^(1/2) A Q^(1/2) on that frame's Q, from
+    two. The certificate takes one more at n = 2, and none at n >= 3,
+    where a Cholesky proof certifies the result and its ``min_eigenvalue``
+    is computed when first read.
 
     Parameters
     ----------
@@ -662,7 +721,7 @@ class AxiomCheck:
         return self.failures == 0
 
     def to_json(self) -> dict:
-        return {**asdict(self), "passed": self.passed}
+        return {**json_fields(self), "passed": self.passed}
 
 
 @dataclass(frozen=True)
@@ -679,7 +738,7 @@ class AxiomReport:
         return all(c.passed for c in self.checks)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "all_pass": self.all_pass, "checks": [c.to_json() for c in self.checks]}
+        return {**json_fields(self), "all_pass": self.all_pass, "checks": [c.to_json() for c in self.checks]}
 
 
 def _transforms(M: np.ndarray) -> np.ndarray:

@@ -12,8 +12,9 @@ perturbed pair (I + eps sigma_z, I + eps sigma_x) imposes on
 
 from __future__ import annotations
 
+import functools
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -32,7 +33,7 @@ from .means import (
     _mean_arr,
     power_parameter,
 )
-from .report import CheckItem, CheckReport, worst
+from .report import CheckItem, CheckReport, json_fields, worst
 
 # Entrywise tolerance when matching a derived direction to a stored one.
 DIRECTION_MATCH_TOL = 1e-9
@@ -290,7 +291,7 @@ class CoefficientSolveReport:
     masa_crosscheck: float
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return json_fields(self)
 
     def contract_report(self, tol_scale: float = 1.0) -> CheckReport:
         """The forced-constancy contract as pass/fail items."""
@@ -319,6 +320,14 @@ class CoefficientSolveReport:
             ),
         )
         return CheckReport(f"forced constancy, {self.kind}", items)
+
+
+@functools.cache
+def _masa_probe() -> MasaFunctional:
+    # solve_coefficients' cross-check functional, built (and its directions
+    # validated) once: it is immutable and the same for every kind.
+    sz, sx, U = pauli_basis()
+    return MasaFunctional(0.6, ((sz, 0.5), (sx, 0.3), (U, 0.8 / math.sqrt(2.0))))
 
 
 def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
@@ -379,17 +388,10 @@ def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
     kappa = a[1] / (2.0 * sig[1]) if sig[1] != 0.0 else math.inf
 
     # Cross-check: the affine model evaluated through masa_eval must agree
-    # with the linear form assembled from the same trace pairings.
-    probe = MasaFunctional(
-        0.6,
-        (
-            (sz, 0.5),
-            (sx, 0.3),
-            (U, 0.8 / math.sqrt(2.0)),
-        ),
-    )
-    # The three keys are canonical as given, so the stored coefficients are
+    # with the linear form assembled from the same trace pairings. The
+    # three keys are canonical as given, so the stored coefficients are
     # read in order; the 18 matrices are evaluated as one stack.
+    probe = _masa_probe()
     (_, c_z), (_, c_x), (_, c_u) = probe.directions
     v_L, v_A, v_B = masa_eval(probe, mats).reshape(3, -1)
     via_masa = v_L - (v_A + v_B) / 2.0

@@ -1,14 +1,20 @@
 """Check bookkeeping shared by the verification batteries and the CLI.
 
-A report's JSON is its dataclass fields, through ``dataclasses.asdict``,
-plus the verdicts it derives from them (``passed``, ``all_pass``,
-``verdict``); keys are never listed by hand a second time.
+A report's JSON is its dataclass fields, taken shallowly (``json_fields``)
+with each field of nested reports through their own ``to_json``, plus the
+verdicts it derives from them (``passed``, ``all_pass``, ``verdict``); keys
+are never listed by hand a second time.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
+
+
+def json_fields(report) -> dict:
+    """A dataclass's fields by name, shallowly: the values themselves, not copies as ``dataclasses.asdict`` makes."""
+    return {f.name: getattr(report, f.name) for f in fields(report)}
 
 
 def worst(values) -> float:
@@ -71,7 +77,7 @@ class CheckItem:
         return cls(name, float(threshold), float(observed), float(threshold), ok, "floor")
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return json_fields(self)
 
     def line(self) -> str:
         tag = "PASS" if self.passed else "FAIL"
@@ -99,7 +105,7 @@ class CheckReport:
         return all(item.passed for item in self.items)
 
     def to_json(self) -> dict:
-        return {**asdict(self), "all_pass": self.all_pass}
+        return {**json_fields(self), "items": [item.to_json() for item in self.items], "all_pass": self.all_pass}
 
     def lines(self) -> list[str]:
         head = "PASS" if self.all_pass else "FAIL"

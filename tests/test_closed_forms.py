@@ -1,7 +1,9 @@
-"""The 2x2 closed forms (``means._closed2``): the geometric, Wasserstein
-and harmonic means, the Bures-Wasserstein geodesic's Q = A^(-1) # B, and
-the pencil form A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A) of m_p
-and the trace-metric geodesic (``means._pencil2``).
+"""The 2x2 closed forms (``means._closed2``): the geometric, Wasserstein,
+harmonic and spectral geometric means, the Bures-Wasserstein geodesic's
+Q = A^(-1) # B and its points, the pencil form
+A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A) of m_p and the
+trace-metric geodesic (``means._pencil2``), and the conventional power mean
+on the parts of its three 2x2 powers.
 
 Each form is checked against 50-digit mpmath, whose references take the
 A^(+-1/2) frame through mpmath's Hermitian eigensolver and so share nothing
@@ -24,20 +26,27 @@ from meanlab import (
     GEODESIC_TRACE,
     GEOMETRIC,
     HARMONIC,
+    SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
     DomainError,
+    GeodesicKind,
     HermitianMatrix,
     PdMatrix,
     PositivityError,
+    conventional_power,
+    geodesic,
     kubo_ando_power,
     mean,
     random_unitary,
     rng_for,
 )
-from meanlab.geometry import _curve_points
-from meanlab.matcore import _sym
+from meanlab import means
+from meanlab.geometry import _certified_points, _curve_points
+from meanlab.matcore import _pow_arr, _sym
 from meanlab.means import (
     P_MIN,
+    TAG_WASSERSTEIN,
+    _bw_points2,
     _bw_q2,
     _closed2,
     _geometric2,
@@ -46,12 +55,19 @@ from meanlab.means import (
     _pencil2,
     _power_f,
     _power_mean_f,
+    _spectral_geometric2,
     _wasserstein2,
 )
 from meanlab.sampling import pd_stacks
 
 EPS = np.finfo(float).eps
-FORMS = {"geometric": _geometric2, "wasserstein": _wasserstein2, "bw-q": _bw_q2, "harmonic": _harmonic2}
+FORMS = {
+    "geometric": _geometric2, "wasserstein": _wasserstein2, "bw-q": _bw_q2, "harmonic": _harmonic2,
+    "spectral-geometric": _spectral_geometric2,
+}
+# The Bures-Wasserstein geodesic's points, one result per t.
+BW_TS = (0.1, 0.3, 0.5, 0.9)
+BW_POINTS = functools.partial(_bw_points2, BW_TS)
 # The pencil form's functions: g_p for m_p, and x^t.
 PENCILS = {
     "m_0.5": functools.partial(_power_mean_f, 0.5),
@@ -81,10 +97,12 @@ def _corpus():
 
 
 def _mp_references(A, B):
-    # A # B, the Wasserstein mean and A^(-1) # B at 50 digits, from the
+    # A # B, the Wasserstein mean and Q = A^(-1) # B at 50 digits, from the
     # frame of A and the square roots of A^(-1/2) B A^(-1/2) and
-    # A^(1/2) B A^(1/2); and A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for
-    # each of PENCILS and for the harmonic mean, f(x) = 2x/(1 + x).
+    # A^(1/2) B A^(1/2); Q^(1/2) A Q^(1/2) by the root of Q, and the BW
+    # geodesic (1 - t)^2 A + t^2 B + t (1 - t)(AQ + QA) at each of BW_TS;
+    # and A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for each of PENCILS and for
+    # the harmonic mean, f(x) = 2x/(1 + x).
     def mpm(X):
         return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
 
@@ -104,6 +122,10 @@ def _mp_references(A, B):
         T = Aih * S * Ah
         N = Aih * Bm * Aih
         G = Ah * spectral(N, mp.sqrt) * Ah
+        Q = Aih * S * Aih
+        Qh = spectral(Q, mp.sqrt)
+        K = Am * Q + Q * Am
+        ts = [mp.mpf(t) for t in BW_TS]
         half = mp.mpf(0.5)
         fs = {
             "m_0.5": lambda x: ((1 + x**half) / 2) ** 2,
@@ -114,7 +136,9 @@ def _mp_references(A, B):
         return {
             "geometric": array(G),
             "wasserstein": array((Am + Bm + T + T.transpose_conj()) / 4),
-            "bw-q": array(Aih * S * Aih),
+            "bw-q": array(Q),
+            "spectral-geometric": array(Qh * Am * Qh),
+            "bw-points": [array((1 - t) ** 2 * Am + t**2 * Bm + t * (1 - t) * K) for t in ts],
             **{name: array(Ah * spectral(N, f) * Ah) for name, f in fs.items()},
         }
 
@@ -132,20 +156,28 @@ def test_closed_forms_meet_mpmath_over_the_conditioning_corpus():
     # A^(+-1/2) frame route erred up to 2.6e7 eps kappa for the geometric
     # mean (its error grows like eps kappa^2), and of the 64 pairs with
     # kappa >= 1e8 it raised PositivityError on 16 and the T-form on 36.
-    # The harmonic form keeps the pins of the pencil form it replaced.
-    worst = dict.fromkeys(FORMS, 0.0)
+    # The harmonic form keeps the pins of the pencil form it replaced. The
+    # spectral geometric form, (c^2 A + c (AQ + QA) + B) / (tr Q + 2c) on
+    # Q's, measured 0.0264 eps kappa, where Q's root on the spectral route
+    # gave 0.0353. The BW geodesic's points on Q's closed form, at BW_TS,
+    # measured 0.0263 eps kappa: worse than the 0.0115 of the matrix
+    # products (AQ + QA by matmul, then symmetrized) they replaced, and
+    # pinned there.
+    worst = dict.fromkeys([*FORMS, "bw-points"], 0.0)
     graded = 0.0
     for i, (A, B) in enumerate(_corpus()):
         kappa = max(np.linalg.cond(A), np.linalg.cond(B))
         refs = _mp_references(A, B)
-        for name, form in FORMS.items():
-            err = _relative_error(_closed2(form, A, B)[0], refs[name])
-            worst[name] = max(worst[name], err / (EPS if name == "wasserstein" else EPS * kappa))
+        for name, form in {**FORMS, "bw-points": BW_POINTS}.items():
+            for P, ref in zip(_closed2(form, A, B), refs[name] if name == "bw-points" else [refs[name]]):
+                err = _relative_error(P, ref)
+                worst[name] = max(worst[name], err / (EPS if name == "wasserstein" else EPS * kappa))
             if name == "harmonic" and i % 2:
                 graded = max(graded, err / EPS)
     assert worst["wasserstein"] <= 4.0
     assert worst["geometric"] <= 0.1 and worst["bw-q"] <= 0.1
     assert worst["harmonic"] <= 0.2 and graded <= 4.0
+    assert worst["spectral-geometric"] <= 0.03 and worst["bw-points"] <= 0.03
 
 
 @pytest.mark.filterwarnings("error")
@@ -184,31 +216,32 @@ def _special_pairs():
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", sorted(FORMS))
+@pytest.mark.parametrize("name", sorted(FORMS) + ["bw-points"])
 def test_stacked_closed_forms_equal_the_lone_ones_bit_for_bit(name):
     # 2000 random pairs and the special ones, as two stacks, and one A
     # against a stack of B; compared byte for byte, the sign of a zero
-    # included.
-    form = FORMS[name]
+    # included, for each result (one per t for the BW geodesic's points).
+    form = FORMS.get(name, BW_POINTS)
     A, B = pd_stacks(0, 26, dim=2, k=2, count=2000)
     special = _special_pairs()
     A = np.concatenate([A, [a for a, _ in special]])
     B = np.concatenate([B, [b for _, b in special]])
-    (stacked,) = _closed2(form, A, B)
-    assert stacked.shape == A.shape
-    for a, b, X in zip(A, B, stacked):
-        assert _closed2(form, a, b)[0].tobytes() == X.tobytes()
-    (against,) = _closed2(form, A[0], B[:50])
-    assert against.tobytes() == np.array([_closed2(form, A[0], b)[0] for b in B[:50]]).tobytes()
+    stacked = _closed2(form, A, B)
+    assert all(X.shape == A.shape for X in stacked)
+    for i, (a, b) in enumerate(zip(A, B)):
+        assert [X.tobytes() for X in _closed2(form, a, b)] == [X[i].tobytes() for X in stacked]
+    against = _closed2(form, A[0], B[:50])
+    for j, X in enumerate(against):
+        assert X.tobytes() == np.array([_closed2(form, A[0], b)[j] for b in B[:50]]).tobytes()
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("name", sorted(FORMS) + sorted(PENCILS))
+@pytest.mark.parametrize("name", sorted(FORMS) + sorted(PENCILS) + ["bw-points"])
 @pytest.mark.parametrize("a, d", [(2.0, 5.0), (3.0, 3.0), (5.0, 2.0)])
 def test_closed_forms_of_diagonal_pairs_have_unsigned_off_diagonal_parts(name, a, d):
     # A diagonal pair's result has Re z = Im z = +0.0 (and so Re conj z),
     # lone and stacked: no form turns a zero off the diagonal into -0.0.
-    form = FORMS.get(name) or functools.partial(_pencil2, (PENCILS.get(name),))
+    form = FORMS.get(name) or (BW_POINTS if name == "bw-points" else functools.partial(_pencil2, (PENCILS[name],)))
     A = np.diag([a, d]).astype(complex)
     B = np.diag([3.0, 1.0]).astype(complex)
     for X, Y in ((A, B), (A[None], B[None]), (A, np.array([B, A]))):
@@ -275,11 +308,17 @@ def test_prescaling_keeps_the_bits_of_exact_homogeneity(stacked):
             (_geometric2, (c * A, B), root),
             (_bw_q2, (c * A, c * B), 1.0),
             (_bw_q2, (c * A, B), 1.0 / root),
+            (_spectral_geometric2, (c * A, c * B), c),
         ):
             assert _closed2(form, *X)[0].tobytes() == (Y * _closed2(form, A, B)[0]).tobytes()
-        pencil = functools.partial(_pencil2, fs)
-        for X, Y in zip(_closed2(pencil, c * A, c * B), _closed2(pencil, A, B)):
-            assert X.tobytes() == (c * Y).tobytes()
+        for form in (functools.partial(_pencil2, fs), BW_POINTS):
+            for X, Y in zip(_closed2(form, c * A, c * B), _closed2(form, A, B)):
+                assert X.tobytes() == (c * Y).tobytes()
+
+
+def _public(kind, A, B):
+    # The certified mean, or the geodesic's point at t = 0.3.
+    return geodesic(kind, A, B, 0.3) if isinstance(kind, GeodesicKind) else mean(kind, A, B)
 
 
 # The certificate's norm squares overflow and are taken again scaled, with
@@ -287,7 +326,7 @@ def test_prescaling_keeps_the_bits_of_exact_homogeneity(stacked):
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     "kind",
-    [GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5)],
+    [GEOMETRIC, WASSERSTEIN, HARMONIC, SPECTRAL_GEOMETRIC, kubo_ando_power(0.5), kubo_ando_power(-0.5), GEODESIC_BW],
     ids=lambda k: k.label,
 )
 @pytest.mark.parametrize("scale", [1e160, 1e300])
@@ -297,11 +336,14 @@ def test_means_of_huge_pairs_are_certified(kind, scale):
     # mean raised PositivityError there.
     A = PdMatrix.certify(HermitianMatrix(scale * np.diag([1.0, 2.0])))
     B = PdMatrix.certify(HermitianMatrix(scale * np.array([[2.0, 1.0], [1.0, 3.0]])))
-    small = mean(kind, PdMatrix.certify(np.diag([1.0, 2.0])), PdMatrix.certify(np.array([[2.0, 1.0], [1.0, 3.0]])))
-    assert np.allclose(mean(kind, A, B).mat / scale, small.mat, rtol=1e-14, atol=0.0)
+    small = _public(kind, PdMatrix.certify(np.diag([1.0, 2.0])), PdMatrix.certify(np.array([[2.0, 1.0], [1.0, 3.0]])))
+    assert np.allclose(_public(kind, A, B).mat / scale, small.mat, rtol=1e-14, atol=0.0)
 
 
-TINY_KINDS = [GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5), GEODESIC_TRACE]
+TINY_KINDS = [
+    GEOMETRIC, WASSERSTEIN, HARMONIC, SPECTRAL_GEOMETRIC, kubo_ando_power(0.5), kubo_ando_power(-0.5), GEODESIC_TRACE,
+    GEODESIC_BW,
+]
 
 
 @pytest.mark.filterwarnings("error")
@@ -313,7 +355,7 @@ def test_means_of_tiny_pairs_keep_their_digits(kind, scale):
     # digits. Too small to certify, so the routes are called directly,
     # lone and stacked.
     def call(A, B):
-        if kind is GEODESIC_TRACE:
+        if isinstance(kind, GeodesicKind):
             return _curve_points(kind, A, B, (0.3,))[0]
         return _mean_arr(kind, A, B)
 
@@ -432,3 +474,43 @@ def test_a_power_or_root_out_of_range_raises_domain_error_never_a_nan(call, A, B
         with pytest.raises(DomainError, match=pattern):
             call(As, Bs)
 
+
+
+@pytest.mark.parametrize("p", [0.5, -0.5, 1.0, -1.0, 0.3])
+def test_conventional_power_mean_at_n_2_has_the_bits_of_its_three_powers(p):
+    # ((A^p + B^p)/2)^(1/p) on the parts of its 2x2 powers, byte for byte
+    # the three _pow_arr calls composed by hand, symmetrization included:
+    # lone, stacked, and one A against a stack of B.
+    A, B = pd_stacks(0, 31, dim=2, k=2, count=300)
+    special = _special_pairs()
+    A = np.concatenate([A, [a for a, _ in special]])
+    B = np.concatenate([B, [b for _, b in special]])
+    kind = conventional_power(p)
+
+    def by_hand(X, Y):
+        return _pow_arr(_sym((_pow_arr(X, p) + _pow_arr(Y, p)) / 2.0), 1.0 / p)
+
+    assert _mean_arr(kind, A, B).tobytes() == by_hand(A, B).tobytes()
+    for a, b in zip(A, B):
+        assert _mean_arr(kind, a, b).tobytes() == by_hand(a, b).tobytes()
+    assert _mean_arr(kind, A[0], B[:50]).tobytes() == by_hand(A[0], B[:50]).tobytes()
+
+
+def test_the_bw_geodesic_at_n_2_does_not_take_the_wasserstein_form(monkeypatch):
+    # Criterion 10 compares the geodesic's midpoint with the Wasserstein
+    # mean, so the point must come by its own formula: with the Wasserstein
+    # form refused, lone points and stacked certified points still run.
+    A, B = (PdMatrix.certify(X[0]) for X in pd_stacks(0, 32, dim=2, k=2, count=1))
+    want = geodesic(GEODESIC_BW, A, B, 0.5).mat
+
+    def refused(*args):
+        raise AssertionError("the Wasserstein form was called")
+
+    monkeypatch.setattr(means, "_wasserstein2", refused)
+    monkeypatch.setitem(means._CLOSED2, TAG_WASSERSTEIN, refused)
+    assert geodesic(GEODESIC_BW, A, B, 0.5).mat.tobytes() == want.tobytes()
+    As, Bs = pd_stacks(0, 33, dim=2, k=2, count=20)
+    points = _certified_points(GEODESIC_BW, As, Bs, (0.0, 0.5, 1.0))
+    assert points.shape == (3, 20, 2, 2)
+    with pytest.raises(AssertionError, match="Wasserstein form"):
+        _mean_arr(WASSERSTEIN, As, Bs)

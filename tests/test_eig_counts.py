@@ -15,11 +15,12 @@ the order and invertibility checks of the axiom battery. The
 Kubo-Ando means, the Wasserstein mean, both geodesics and the
 Bures-Wasserstein distance take no frame of A at n >= 3: the Cholesky
 factor A = L L* replaces it, at no eigendecomposition, and the harmonic
-mean takes none at all. At n = 2 the geometric and Wasserstein means, the
-Bures-Wasserstein geodesic's Q and the distance, and by the pencil form
-m_p and the trace-metric geodesic take closed forms
-with no eigendecomposition at all, and so does the harmonic mean by its
-own.
+mean takes none at all. At n = 2 the geometric, Wasserstein and spectral
+geometric means, the Bures-Wasserstein geodesic and distance, and by the
+pencil form m_p and the trace-metric geodesic take closed forms with no
+eigendecomposition at all, and so does the harmonic mean by its own. The
+conventional power mean's three 2x2 powers each take the values-only
+closed form, on the matrices' parts.
 """
 
 import json
@@ -54,10 +55,13 @@ from meanlab.cli import main
 from meanlab.verification import criterion_6, criterion_8, criterion_9, criterion_10
 
 
-# matcore's eigensolver kernels. The 2x2 values route forms no vectors; the
-# 2x2 stack forms them unless its second argument, ``vectors``, is False;
-# the rest always do.
-KERNELS = ("_eig2_closed", "_eig2_values", "_eig2_stack", "_eig_jacobi", "_eig_jacobi_stack")
+# matcore's eigensolver kernels. The 2x2 kernels take a matrix's entries
+# (a, d, b): a lone one's floats, which forms no vectors, or a stack's
+# arrays, which forms them unless its fourth argument, ``vectors``, is
+# False; the readers _eig2_values and _eig2_stack call them, and so do the
+# 2x2 certificate and the powers built on parts. The rest take the matrix
+# and always form vectors.
+KERNELS = ("_eig2_closed", "_eig2_parts", "_eig2_stack_parts", "_eig_jacobi", "_eig_jacobi_stack")
 
 
 def _count_eigs(monkeypatch, calls, values_only):
@@ -67,11 +71,15 @@ def _count_eigs(monkeypatch, calls, values_only):
     for entry in KERNELS:
         original = getattr(matcore, entry)
 
-        def counting(arr, *mode, original=original, entry=entry):
-            vectors = entry != "_eig2_values" and (mode[0] if mode else True)
+        def counting(arr, *rest, original=original, entry=entry):
+            if entry.startswith("_eig2_") and entry != "_eig2_closed":
+                vectors = entry == "_eig2_stack_parts" and (rest[2] if len(rest) > 2 else True)
+                size, count = 2, 1 if entry == "_eig2_parts" else len(arr)
+            else:
+                vectors, size, count = True, arr.shape[-1], arr.shape[0] if arr.ndim == 3 else 1
             if not (values_only and vectors):
-                calls.extend([arr.shape[-1]] * (arr.shape[0] if arr.ndim == 3 else 1))
-            return original(arr, *mode)
+                calls.extend([size] * count)
+            return original(arr, *rest)
 
         monkeypatch.setattr(matcore, entry, counting)
 
@@ -115,15 +123,14 @@ MEAN_COUNTS = [
     (WASSERSTEIN, 1),
 ]
 # The means that take a closed form at n = 2, where only the certificate
-# remains; the spectral geometric mean's Q takes the closed form there,
-# which leaves the root of Q and the certificate. The conventional power
-# mean keeps its route, and its certificate.
-CLOSED_AT_DIM_2 = (GEOMETRIC, WASSERSTEIN, HARMONIC, kubo_ando_power(0.5), kubo_ando_power(-0.5))
+# remains: the spectral geometric mean's is (c^2 A + c (AQ + QA) + B) /
+# (tr Q + 2c) on Q's closed form, where the root of Q took one more. The
+# conventional power mean keeps its three powers, built on the matrices'
+# parts, and its certificate.
+CLOSED_AT_DIM_2 = (GEOMETRIC, WASSERSTEIN, HARMONIC, SPECTRAL_GEOMETRIC, kubo_ando_power(0.5), kubo_ando_power(-0.5))
 
 
 def _per_mean(kind, expected, dim):
-    if dim == 2 and kind == SPECTRAL_GEOMETRIC:
-        return 2
     if dim == 2:
         return 1 if kind in CLOSED_AT_DIM_2 else expected + 1
     return expected
@@ -163,7 +170,7 @@ def test_eigendecompositions_per_distance_and_geodesic(dim, eig_calls):
         # at n >= 3. The A^(+-1/2) frame took 2 at both.
         (lambda: d_bw(A, B), 0 if dim == 2 else 1),
         # Q = L^(-*) S L^(-1) (the root S), one point, proven; at n = 2,
-        # Q's closed form leaves the point's certificate alone.
+        # the point's closed form on Q's leaves its certificate alone.
         (lambda: geodesic(GEODESIC_BW, A, B, 0.3), 1),
         # N^t on the Cholesky frame, one point, proven; at n = 2 the
         # pencil form leaves the point's certificate alone.

@@ -127,11 +127,12 @@ def test_functional_checks_every_value_of_a_stack(bad):
 @pytest.mark.parametrize("kind", [kubo_ando_power(0.5), WASSERSTEIN], ids=lambda k: k.label)
 def test_solve_canonicalizes_each_direction_once(kind, monkeypatch):
     # Matrices canonicalized, a stack counted per matrix: three directions
-    # at construction of the probe functional, then one per matrix of the
-    # cross-check's stack (3 per grid point, 6 points), split in one call:
-    # 21. Looking the probe's three coefficients up by direction would make
-    # 24; canonicalizing masa_split's key again per evaluation, and looking
-    # the three up per grid point, 57.
+    # at construction of the probe functional, which is built once for all
+    # solves, then one per matrix of the cross-check's stack (3 per grid
+    # point, 6 points), split in one call: 21, and 18 for every later solve.
+    # Looking the probe's three coefficients up by direction would make 24;
+    # canonicalizing masa_split's key again per evaluation, and looking the
+    # three up per grid point, 57.
     calls = []
     original = preserver._canonical
 
@@ -140,8 +141,12 @@ def test_solve_canonicalizes_each_direction_once(kind, monkeypatch):
         return original(arr)
 
     monkeypatch.setattr(preserver, "_canonical", counting)
+    preserver._masa_probe.cache_clear()
     solve_coefficients(kind)
     assert calls == [1, 1, 1, 18]
+    calls.clear()
+    solve_coefficients(kind)
+    assert calls == [18]
 
 
 def test_constant_functional_rejects_nonpositive():

@@ -88,6 +88,11 @@ def test_report_json_is_its_fields_plus_what_it_derives(name):
     blob = rep.to_json()
     assert set(blob) == {f.name for f in fields(rep)} | derived
     json.dumps(blob, sort_keys=True)
+    # Taken shallowly: each field's own value, not a copy, but for the
+    # fields whose nested reports or pairs the JSON re-forms.
+    for f in fields(rep):
+        if f.name not in ("items", "checks", "gaps"):
+            assert blob[f.name] is getattr(rep, f.name)
 
 
 def test_probe_report_has_no_json_of_its_own():
