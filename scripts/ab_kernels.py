@@ -41,7 +41,13 @@ processes on such a host can differ by 2x. The kernels are:
 - the public lone dim-2 ``geodesic`` on the Bures-Wasserstein curve, the
   spectral geometric ``mean`` and the conventional power ``mean`` at
   p = 0.5, each certified, and ``_certified_points`` of that curve on 50
-  dim-2 pairs at 5 values of t.
+  dim-2 pairs at 5 values of t;
+- the power family's criteria, ``criterion_1``, ``criterion_2`` and
+  ``criterion_5``, which take every p from one stacked pass, and beside
+  them the one-kind calls of those stacked passes, ``solve_coefficients``
+  of the Wasserstein mean and ``check_power_mean_expansion`` at p = 0.5;
+  and one ``centrality_probe`` of m_0.5 at 50 samples, as criterion 9 runs
+  it, on a non-scalar dim-2 matrix.
 
 Both sides get the same input arrays. A kernel that one side lacks is timed
 on the other alone.
@@ -157,6 +163,11 @@ def kernels(pkg, data: dict) -> dict:
     out["_certified_points bw on 50 dim-2 pairs, 5 ts"] = lambda: geometry._certified_points(
         geometry.GEODESIC_BW, A[:50], B[:50], ts
     )
+    for n in (1, 2, 5):
+        out[f"criterion_{n}"] = lambda n=n: pkg.verification.CRITERIA[n](seed=0)
+    out["solve_coefficients wasserstein"] = lambda: pkg.preserver.solve_coefficients(means.WASSERSTEIN)
+    out["check_power_mean_expansion 0.5"] = lambda: pkg.expansion.check_power_mean_expansion(0.5)
+    out["centrality_probe m_0.5, 50 samples"] = lambda: pkg.centrality.centrality_probe(P, m05, 50, 0)
     return out
 
 

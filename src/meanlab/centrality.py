@@ -83,6 +83,11 @@ def arith_mean_commutator(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> float:
     return float(_arith_commutator_arr(kind, A.mat, B.mat))
 
 
+def _commutes(norm, tol):
+    # The verdict rule, for one pair or elementwise for a probe's partners.
+    return norm <= tol
+
+
 @dataclass(frozen=True)
 class CommutatorReport:
     """Single-pair verdict on the mean-vs-arithmetic commutation hypothesis."""
@@ -94,7 +99,7 @@ class CommutatorReport:
 
     @property
     def verdict(self) -> str:
-        return "commutes" if self.commutator_norm <= self.tolerance else "does_not_commute"
+        return "commutes" if _commutes(self.commutator_norm, self.tolerance) else "does_not_commute"
 
     def to_json(self) -> dict:
         return {**json_fields(self), "verdict": self.verdict}
@@ -122,21 +127,25 @@ class ProbeReport:
     pairs: tuple[CommutatorReport, ...]
 
 
+def _probe(A: PdMatrix, kind: MeanKind, samples: int, seed: int):
+    # The commutator norms and tolerances of a probe's partners, drawn from
+    # rng_for(seed, i) first and evaluated as one stack.
+    _validate_probe_kind(kind)
+    if samples < 1:
+        raise DomainError("at least one sample is required")
+    (B,) = pd_stacks(seed, dim=A.dim, k=1, count=samples)
+    return _arith_commutator_arr(kind, A.mat, B), _comm_tol(A.norm(), _norms(B))
+
+
 def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) -> ProbeReport:
     """Sample ``samples`` random_pd partners on rng_for(seed, i) and report each commutator.
 
     The partners are drawn first and evaluated as one stack; each report
     is the commutator_report of its pair, bit for bit.
     """
-    _validate_probe_kind(kind)
-    if samples < 1:
-        raise DomainError("at least one sample is required")
-    (B,) = pd_stacks(seed, dim=A.dim, k=1, count=samples)
-    norms = _arith_commutator_arr(kind, A.mat, B)
-    tols = _comm_tol(A.norm(), _norms(B))
+    norms, tols = _probe(A, kind, samples, seed)
     pairs = tuple(
-        CommutatorReport(f"sample-{i}", kind.label, float(c), float(t))
-        for i, (c, t) in enumerate(zip(norms, tols))
+        CommutatorReport(f"sample-{i}", kind.label, c, t) for i, (c, t) in enumerate(zip(norms.tolist(), tols.tolist()))
     )
     failures = sum(r.verdict != "commutes" for r in pairs)
     return ProbeReport(
@@ -154,9 +163,10 @@ def centrality_probe(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int =
     """True iff the commutation hypothesis held for every sampled partner.
 
     In M2 this is a centrality test: scalars pass, and any non-scalar A
-    fails against some sampled partner.
+    fails against some sampled partner. It decides from the stacked norms
+    and tolerances of probe_report, by the same rule, with no report.
     """
-    return probe_report(A, kind, samples, seed).central
+    return bool(_commutes(*_probe(A, kind, samples, seed)).all())
 
 
 @dataclass(frozen=True)

@@ -28,7 +28,7 @@ from .errors import DomainError, MeanlabError
 from .expansion import (
     DEFAULT_GRID,
     EpsFamily,
-    _power_mean_expansion,
+    _power_mean_expansions,
     _wasserstein_expansion,
 )
 from .geometry import (
@@ -125,24 +125,18 @@ def _emit(args, command: str, parameters: dict, checks=(), result=None, reports=
     """Print the report, also to --out, and return the exit code.
 
     Subcommands report check items and an optional result; verify passes
-    whole criterion ``reports`` instead.
+    whole criterion ``reports`` instead. Only the form that is printed,
+    JSON or text, is built.
     """
-    if reports is None:
-        items = tuple(checks)
-        all_pass = all(item.passed for item in items)
-        body = {"checks": [item.to_json() for item in items]}
-        lines = [f"meanlab {command}"]
-        if result is not None:
-            body["result"] = result
-            lines.append(json.dumps(result, sort_keys=True))
-        lines.extend(item.line() for item in items)
-        lines.append("all checks passed" if all_pass else "CHECK FAILURES PRESENT")
-    else:
-        all_pass = all(rep.all_pass for rep in reports)
-        body = {"reports": [rep.to_json() for rep in reports]}
-        lines = [line for rep in reports for line in rep.lines()]
-        lines.append("all criteria passed" if all_pass else "CRITERIA FAILURES PRESENT")
+    items = tuple(checks)
+    all_pass = all(rep.all_pass for rep in reports) if reports is not None else all(item.passed for item in items)
     if args.json:
+        if reports is not None:
+            body = {"reports": [rep.to_json() for rep in reports]}
+        else:
+            body = {"checks": [item.to_json() for item in items]}
+            if result is not None:
+                body["result"] = result
         payload = {
             "schema": SCHEMA,
             "command": command,
@@ -152,8 +146,13 @@ def _emit(args, command: str, parameters: dict, checks=(), result=None, reports=
             **body,
         }
         text = json.dumps(payload, indent=2, sort_keys=True)
+    elif reports is not None:
+        lines = [line for rep in reports for line in rep.lines()]
+        text = "\n".join([*lines, "all criteria passed" if all_pass else "CRITERIA FAILURES PRESENT"])
     else:
-        text = "\n".join(lines)
+        lines = [f"meanlab {command}", *([] if result is None else [json.dumps(result, sort_keys=True)])]
+        lines.extend(item.line() for item in items)
+        text = "\n".join([*lines, "all checks passed" if all_pass else "CHECK FAILURES PRESENT"])
     print(text)
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:
@@ -210,7 +209,7 @@ def _cmd_expand(args) -> int:
     if kind == WASSERSTEIN:
         report, fit = _wasserstein_expansion(grid, args.tol_scale)
     else:
-        report, fit = _power_mean_expansion(kind.p, grid, args.tol_scale)
+        ((report, fit),) = _power_mean_expansions((kind.p,), grid, args.tol_scale)
     result = {
         "title": report.title,
         "c0": matrix_to_json(fit.c0),

@@ -3,8 +3,8 @@
 Matrix families indexed by eps are fitted entrywise by least squares on a
 scaled Vandermonde system, built with its condition number once per process
 for each grid and degree (an lru_cache keyed by the grid's tuple); the
-families of one check are evaluated over the grid as one stack and fitted in
-one solve. Coefficients c0, c1, c2 come from a fit of degree
+families of one check, or of the power-mean checks of several p, are
+evaluated over the grid as one stack and fitted in one solve. Coefficients c0, c1, c2 come from a fit of degree
 min(npoints - 1, 5): the extra orders absorb the cubic and higher tail that
 would otherwise bias c2 by roughly 0.17 per unit of third-order coefficient
 on the default grid, far above the 1e-4 tolerance used here. The quoted
@@ -29,10 +29,10 @@ import numpy as np
 
 from .errors import DomainError, FitFailure, IllConditioned
 from .matcore import (
-    HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _norms, _pow_arr,
+    HermitianMatrix, PdMatrix, _certified, _certified_powers, _check_hermitian, _norms, _pow_arr,
     _require, _sym, as_array, commutator_norm, pauli_basis,
 )
-from .means import WASSERSTEIN, MeanKind, _mean_arr, _q_arr, kubo_ando_power, mean, power_parameter
+from .means import WASSERSTEIN, _mean_arr, _means_arr, _q_arr, kubo_ando_power, mean, power_parameter
 from .report import CheckItem, CheckReport
 
 EPS_MAX = 0.2
@@ -45,20 +45,25 @@ FIT_DEGREE_CAP = 5
 FIT_SANITY = 1e-2
 
 
-def _pauli_stacks(eps) -> tuple[np.ndarray, np.ndarray]:
-    # The pairs (I + e sigma_z, I + e sigma_x), e in eps, as two (N, 2, 2) stacks.
+@functools.lru_cache(maxsize=64)
+def _pauli_stacks(eps: tuple[float, ...]) -> tuple[np.ndarray, np.ndarray]:
+    # The pairs (I + e sigma_z, I + e sigma_x), e in eps, as two read-only
+    # (N, 2, 2) stacks, built once per process for each tuple eps.
     e = np.array(eps, dtype=float)[:, None, None]
     _require(np.abs(e) < 1.0, DomainError, "the pair stays positive definite only for |eps| < 1, got {}", e)
     sz, sx, _ = pauli_basis()
     I = np.eye(2, dtype=np.complex128)
-    return _sym(I + e * sz.mat), _sym(I + e * sx.mat)
+    stacks = _sym(I + e * sz.mat), _sym(I + e * sx.mat)
+    for S in stacks:
+        S.setflags(write=False)
+    return stacks
 
 
 def pauli_pair(eps: float) -> tuple[PdMatrix, PdMatrix]:
     """The pair (I + eps sigma_z, I + eps sigma_x) with exact certificates."""
     eps = float(eps)
     cert = 1.0 - abs(eps)
-    return tuple(PdMatrix(HermitianMatrix._wrap(X[0]), cert) for X in _pauli_stacks([eps]))
+    return tuple(PdMatrix(HermitianMatrix._wrap(X[0]), cert) for X in _pauli_stacks((eps,)))
 
 
 @dataclass(frozen=True)
@@ -122,35 +127,36 @@ def _vandermonde(grid: tuple[float, ...], degree: int) -> tuple[np.ndarray, floa
     return V, float(np.linalg.cond(V))
 
 
-def _poly_fit(data: np.ndarray, grid: tuple[float, ...], degree: int) -> tuple[list[np.ndarray], np.ndarray]:
+def _poly_fit(data: np.ndarray, grid: tuple[float, ...], degree: int) -> tuple[np.ndarray, np.ndarray]:
     # Least squares of one degree through data (npoints, F, E), F families
-    # of E entries, on the cached V: the coefficients per order, (F, E)
-    # each, and each family's worst Frobenius residual over the grid. One
-    # lstsq gives each column the bits a solve of it alone gives; each
-    # family's residual takes its own product with V, as a fit of it alone.
+    # of E entries, on the cached V: the coefficients of the scaled abscissa
+    # per order, (degree + 1, F, E), and each family's worst Frobenius
+    # residual over the grid. One lstsq gives each column the bits a solve
+    # of it alone gives; each family's residual takes its own product with
+    # V, as a fit of it alone.
     V, cond = _vandermonde(grid, degree)
     if cond > COND_LIMIT:
         raise IllConditioned(f"Vandermonde condition {cond:.3e} exceeds {COND_LIMIT:.0e}")
     n, F, E = data.shape
     coef = np.linalg.lstsq(V, data.reshape(n, F * E), rcond=None)[0].reshape(-1, F, E)
     resid = np.linalg.norm(V @ coef.transpose(1, 0, 2) - data.transpose(1, 0, 2), axis=2).max(axis=1)
-    smax = grid[-1]
-    return [coef[k] / smax**k for k in range(degree + 1)], resid
+    return coef, resid
 
 
 def _fit(g: EpsFamily, data: np.ndarray) -> tuple[list[np.ndarray], np.ndarray]:
     # The series of each family of data (npoints, F, E) over g: c0, c1 and
-    # c2, (F, E) each, from the fit of degree min(npoints - 1, 5), and each
-    # family's degree-2 residual, checked against FIT_SANITY times the
-    # family's largest sample norm.
+    # c2, (F, E) each, from the fit of degree min(npoints - 1, 5) scaled
+    # back to eps, and each family's degree-2 residual, checked against
+    # FIT_SANITY times the family's largest sample norm.
     degree = min(len(g.eps_grid) - 1, FIT_DEGREE_CAP)
-    coeffs, _ = _poly_fit(data, g.eps_grid, degree)
+    coef, _ = _poly_fit(data, g.eps_grid, degree)
     _, resid2 = _poly_fit(data, g.eps_grid, 2)
     scale = np.maximum(1.0, _norms(data[:, :, None]).max(axis=0))
     # Written so that a NaN residual fails too.
     ok = resid2 <= FIT_SANITY * scale
     _require(ok, FitFailure, "degree-2 residual {:.3e} exceeds the sanity bound on this grid", resid2)
-    return coeffs[:3], resid2
+    smax = g.eps_grid[-1]
+    return [coef[k] / smax**k for k in range(3)], resid2
 
 
 def _fit_stacks(g: EpsFamily, stacks, hermitian: bool = True) -> list:
@@ -168,9 +174,10 @@ def _fit_stacks(g: EpsFamily, stacks, hermitian: bool = True) -> list:
     return [fit(*(wrap(c[f].reshape(shape)) for c in coeffs), float(r)) for f, r in enumerate(resid2)]
 
 
-def _grid_means(kind: MeanKind, eps) -> np.ndarray:
-    # mean(kind, *pauli_pair(e)).mat for each e in eps, as one certified stack.
-    return _certified(_mean_arr(kind, *_pauli_stacks(eps)))
+def _grid_means(kinds, eps) -> np.ndarray:
+    # mean(kind, *pauli_pair(e)).mat for each kind of kinds and e in eps, as
+    # one certified (K, N, 2, 2) stack, every m_p from one pencil.
+    return _certified(np.stack(_means_arr(kinds, *_pauli_stacks(eps))))
 
 
 def fit_series(family: Callable[[float], object], grid=DEFAULT_GRID) -> SeriesFit:
@@ -280,7 +287,7 @@ def check_unitary_invariance(p: float, eps: float) -> float:
     """Frobenius norm of [U, A_eps m_p B_eps]; an exact identity, near zero."""
     p = power_parameter(p)
     _, _, U = pauli_basis()
-    return float(commutator_norm(U, _grid_means(kubo_ando_power(p), (float(eps),)))[0])
+    return float(commutator_norm(U, _grid_means((kubo_ando_power(p),), (float(eps),))[0])[0])
 
 
 def _maxabs(arr: np.ndarray) -> float:
@@ -294,69 +301,53 @@ def check_power_mean_expansion(p: float, grid=DEFAULT_GRID, tol_scale: float = 1
     in "(derived)" pin the values this package derives independently. The
     second-order entries of the two disagree, so one of each pair fails by
     construction; both are reported on purpose. ``tol_scale`` multiplies
-    every tolerance.
+    every tolerance. This is the one-p call of the stacked check that
+    criterion 2 runs over the whole family, with the same bits.
     """
-    return _power_mean_expansion(p, grid, tol_scale)[0]
+    return _power_mean_expansions((p,), grid, tol_scale)[0][0]
 
 
-def _power_mean_expansion(p: float, grid, tol_scale: float) -> tuple[CheckReport, SeriesFit]:
-    # The check's report together with its fit of the mean family.
-    p = power_parameter(p)
+def _power_mean_expansions(ps, grid, tol_scale: float) -> list[tuple[CheckReport, SeriesFit]]:
+    # Each p's check report together with its fit of the mean family: the
+    # means over the grid from one pencil, their p-th powers from one
+    # eigendecomposition of each mean, and the 2 |ps| families in one fit.
+    ps = [power_parameter(p) for p in ps]
     c1_tol = C1_TOL * tol_scale
     c2_tol = C2_TOL * tol_scale
     g = _coerce_grid(grid)
-    kind = kubo_ando_power(p)
     sz, sx, _ = pauli_basis()
     w_half = (sz.mat + sx.mat) / 2.0
     eye = np.eye(2)
 
-    # The means over the grid as one stack, and their p-th powers; both
-    # families are fitted in one solve.
-    means = _grid_means(kind, g.eps_grid)
-    fit_mean, fit_pow = _fit_stacks(g, [means, _certified_power(means, p)])
-    tr_half = float(np.trace(fit_pow.c2.mat).real) / 2.0
-
-    items = (
-        CheckItem.bound(
-            "mean c1 deviation from (sigma_z + sigma_x)/2",
-            _maxabs(fit_mean.c1.mat - w_half),
-            c1_tol,
-        ),
-        CheckItem.bound(
-            f"mean c2 deviation from ({power_mean_c2_tabulated(p):+.6f}) I (tabulated)",
-            _maxabs(fit_mean.c2.mat - power_mean_c2_tabulated(p) * eye),
-            c2_tol,
-        ),
-        CheckItem.bound(
-            f"mean c2 deviation from g_p''(1) I = ({gp_d2(p, 1.0):+.6f}) I (derived)",
-            _maxabs(fit_mean.c2.mat - gp_d2(p, 1.0) * eye),
-            c2_tol,
-        ),
-        CheckItem.bound(
-            "p-th power c2 is a real multiple of I",
-            _maxabs(fit_pow.c2.mat - tr_half * eye),
-            c2_tol,
-        ),
-        CheckItem.compare(
-            "p-th power c2 trace/2 vs consolidated bracket (tabulated)",
-            pth_power_c2_consolidated(p),
-            tr_half,
-            c2_tol,
-        ),
-        CheckItem.compare(
-            "p-th power c2 trace/2 vs in-proof bracket (tabulated)",
-            pth_power_c2_inproof(p),
-            tr_half,
-            c2_tol,
-        ),
-        CheckItem.compare(
-            "p-th power c2 trace/2 vs composed p(p-1)/2 (derived)",
-            pth_power_c2_composed(p),
-            tr_half,
-            c2_tol,
-        ),
-    )
-    return CheckReport(f"power-mean expansion, p = {p:g}", items), fit_mean
+    means = _grid_means([kubo_ando_power(p) for p in ps], g.eps_grid)
+    powers = _certified_powers(means.reshape(-1, 2, 2), ps, np.arange(len(ps) * len(g.eps_grid)).reshape(len(ps), -1))
+    fits = _fit_stacks(g, [S for pair in zip(means, powers) for S in pair])
+    out = []
+    for p, fit_mean, fit_pow in zip(ps, fits[0::2], fits[1::2]):
+        tr_half = float(np.trace(fit_pow.c2.mat).real) / 2.0
+        tab, d2 = power_mean_c2_tabulated(p), gp_d2(p, 1.0)
+        items = (
+            CheckItem.bound("mean c1 deviation from (sigma_z + sigma_x)/2", _maxabs(fit_mean.c1.mat - w_half), c1_tol),
+            CheckItem.bound(
+                f"mean c2 deviation from ({tab:+.6f}) I (tabulated)", _maxabs(fit_mean.c2.mat - tab * eye), c2_tol
+            ),
+            CheckItem.bound(
+                f"mean c2 deviation from g_p''(1) I = ({d2:+.6f}) I (derived)",
+                _maxabs(fit_mean.c2.mat - d2 * eye),
+                c2_tol,
+            ),
+            CheckItem.bound("p-th power c2 is a real multiple of I", _maxabs(fit_pow.c2.mat - tr_half * eye), c2_tol),
+            *(
+                CheckItem.compare(f"p-th power c2 trace/2 vs {name}", reference(p), tr_half, c2_tol)
+                for name, reference in (
+                    ("consolidated bracket (tabulated)", pth_power_c2_consolidated),
+                    ("in-proof bracket (tabulated)", pth_power_c2_inproof),
+                    ("composed p(p-1)/2 (derived)", pth_power_c2_composed),
+                )
+            ),
+        )
+        out.append((CheckReport(f"power-mean expansion, p = {p:g}", items), fit_mean))
+    return out
 
 
 def check_wasserstein_expansion(grid=DEFAULT_GRID, tol_scale: float = 1.0) -> CheckReport:

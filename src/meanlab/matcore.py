@@ -454,13 +454,15 @@ def _rotate(X: np.ndarray, W: np.ndarray) -> np.ndarray:
     return P[:, 0] + P[:, 1]
 
 
-def _jacobi_plan(n: int) -> list[tuple[int, int, list[int]]]:
-    # The cyclic order of the upper pairs (p, q), each with the other indices.
-    return [
-        (p, q, [k for k in range(n) if k != p and k != q])
+@functools.cache
+def _jacobi_plan(n: int) -> tuple[tuple[int, int, tuple[int, ...]], ...]:
+    # The cyclic order of the upper pairs (p, q), each with the other indices,
+    # built once per n.
+    return tuple(
+        (p, q, tuple(k for k in range(n) if k != p and k != q))
         for p in range(n - 1)
         for q in range(p + 1, n)
-    ]
+    )
 
 
 def _eig_jacobi(arr: np.ndarray):
@@ -602,7 +604,7 @@ def _stack_plan(n: int) -> list[tuple]:
     plan = []
     for p, q, rest in _jacobi_plan(n):
         pq, k = np.array([p, q])[:, None], np.array(rest)
-        rows = np.array(rest + list(range(n, 2 * n)))
+        rows = np.array(rest + tuple(range(n, 2 * n)))
         every = ((pq, part, rows), (pq, part, k), (k, part, pq), (pq[::-1], part[:, 0, 0], pq))
         plan.append((p, q, every, tuple(tuple(a[..., None] for a in ix) for ix in every)))
     return plan
@@ -1141,11 +1143,28 @@ def _pd_result(M: np.ndarray) -> PdMatrix:
 
 
 def _certified_power(X: np.ndarray, p: float) -> np.ndarray:
-    # X**p for one matrix or each matrix of a stack, symmetrized and
-    # certified as mpow certifies it.
+    # X**p for one matrix or each matrix of a stack, Hermitian and certified
+    # as mpow certifies it: symmetrized at n >= 3, while a 2x2 power is
+    # assembled exactly Hermitian (_power2), which _sym would give back.
     P, cert = _pow_arr(X, p, certify=True)
-    P = _sym(P)
+    P = _sym(P) if X.shape[-1] > 2 else P
     _check_certificates(P, cert)
+    return P
+
+
+def _certified_powers(X: np.ndarray, ps, rows) -> np.ndarray:
+    # _certified_power(X[rows[k]], ps[k]) for each k, stacked, from one
+    # eigendecomposition of each matrix of the stack X: each distinct p is
+    # taken of the whole stack once, and each k gathers its own rows.
+    distinct = tuple(dict.fromkeys(ps))
+    out = _pow_arr(X, *distinct, certify=True)
+    rows = np.asarray(rows)
+    if len(distinct) > 1:
+        # The powers joined, row r of the d-th distinct p's at d len(X) + r.
+        out = [np.concatenate(parts) for parts in zip(*out)]
+        rows = rows + len(X) * np.array([distinct.index(p) for p in ps])[:, None]
+    P = _sym(out[0][rows]) if X.shape[-1] > 2 else out[0][rows]
+    _check_certificates(P, out[1][rows])
     return P
 
 

@@ -563,6 +563,21 @@ def _q_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     return _sym(Li.conj().swapaxes(-1, -2) @ S @ Li)
 
 
+def _power_means2(ps, Aarr: np.ndarray, Barr: np.ndarray) -> list[np.ndarray]:
+    # m_p for each p of ps, of a 2x2 pair or of each pair of two stacks, from
+    # one pencil: its roots and B - mu_1 A are taken once, and each p gets
+    # the bits it gets alone.
+    return _closed2(functools.partial(_pencil2, [functools.partial(_power_mean_f, p) for p in ps]), Aarr, Barr)
+
+
+def _means_arr(kinds, Aarr: np.ndarray, Barr: np.ndarray) -> list[np.ndarray]:
+    # _mean_arr of each kind of kinds; at n = 2 every m_p among them comes
+    # from one pencil (_power_means2).
+    ps = [kind.p for kind in kinds if kind.tag == TAG_POWER] if Aarr.shape[-1] == 2 else []
+    pencil = iter(_power_means2(ps, Aarr, Barr) if ps else ())
+    return [next(pencil) if ps and kind.tag == TAG_POWER else _mean_arr(kind, Aarr, Barr) for kind in kinds]
+
+
 def _power_mean_arr(N: np.ndarray, p: float) -> np.ndarray:
     # g_p(N) = V diag(((1 + lambda^p)/2)^(1/p)) V*: (I + N^p)/2 has the
     # eigenvectors of N, so one eigendecomposition serves both powers, each
@@ -615,7 +630,7 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     if n == 2 and tag in _CLOSED2:
         return _closed2(_CLOSED2[tag], Aarr, Barr)[0]
     if n == 2 and tag == TAG_POWER:
-        return _closed2(functools.partial(_pencil2, (functools.partial(_power_mean_f, kind.p),)), Aarr, Barr)[0]
+        return _power_means2((kind.p,), Aarr, Barr)[0]
     if tag == TAG_HARMONIC:
         # 2 A (A + B)^(-1) B = 2 (R^(-1) A)* (R^(-1) B), A + B = R R*.
         _, Ri = _cholesky_frame(Aarr + Barr)

@@ -7,7 +7,7 @@ model phi(tI + sG) = c_I t + c_G s + (1 - c_I) on the maximal Abelian
 subalgebra spanned by I and a traceless self-adjoint unitary G, residual
 evaluation, and the small linear solve that extracts the constraints the
 perturbed pair (I + eps sigma_z, I + eps sigma_x) imposes on
-(c_I, c_sigma_z, c_sigma_x, c_U).
+(c_I, c_sigma_z, c_sigma_x, c_U), for one mean or for several as one stack.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .errors import DimMismatch, DomainError, NotInCone
 from .expansion import DEFAULT_GRID, _fit, _pauli_stacks
 from .matcore import (
-    HermitianMatrix, PdMatrix, _certified, _certified_power, _check_hermitian, _check_operands,
+    HermitianMatrix, PdMatrix, _certified, _certified_power, _certified_powers, _check_hermitian, _check_operands,
     _norms, _require, _sym, as_array, pauli_basis,
 )
 from .means import (
@@ -31,6 +31,7 @@ from .means import (
     TAG_WASSERSTEIN,
     MeanKind,
     _mean_arr,
+    _means_arr,
     power_parameter,
 )
 from .report import CheckItem, CheckReport, json_fields, worst
@@ -339,79 +340,89 @@ def solve_coefficients(kind: MeanKind) -> CoefficientSolveReport:
     coordinates t = tr(M)/2 and s = tr(G M)/2 in its own subalgebra, the
     affine model turns the equation into a linear form in the four unknowns,
     and the eps and eps^2 coefficients of that form (fitted over ``DEFAULT_GRID``)
-    are the two constraint rows.
+    are the two constraint rows. This is the one-kind call of the stacked
+    solve that criterion 5 runs over all its kinds, with the same bits;
+    DomainError for any other kind, before any work is done.
     """
-    if kind.tag == TAG_POWER:
-        outer = float(kind.p)
-        second_ref = (outer - 1.0) ** 2 / 4.0
-    elif kind.tag == TAG_WASSERSTEIN:
-        outer = 0.5
-        second_ref = 1.0 / 16.0
-    else:
-        raise DomainError(f"solve_coefficients supports m_p and the Wasserstein mean, not {kind.label}")
+    return _coefficient_solves((kind,))[0]
 
+
+def _coefficient_solves(kinds) -> list[CoefficientSolveReport]:
+    # solve_coefficients of each kind of kinds as one stack: the grid's pair
+    # once, every m_p from one pencil, the outer powers of the pair and of
+    # each kind's means from one eigendecomposition of each matrix, the 4K
+    # coordinates in one fit, one masa_eval and one stacked SVD.
+    for kind in kinds:
+        if kind.tag not in (TAG_POWER, TAG_WASSERSTEIN):
+            raise DomainError(f"solve_coefficients supports m_p and the Wasserstein mean, not {kind.label}")
+    # The outer power: p for m_p, 1/2 for the Wasserstein mean.
+    outers = [float(kind.p) if kind.tag == TAG_POWER else 0.5 for kind in kinds]
+    K, N = len(kinds), len(DEFAULT_GRID.eps_grid)
     sz, sx, U = pauli_basis()
 
-    # The grid's pairs as two stacks and their means; then the outer power
-    # of each mean and each matrix of the pairs, certified as mean and mpow
-    # certify one, and its trace-pairing coordinates.
+    # The grid's pairs as two stacks and each kind's means; then the outer
+    # power of each matrix of the pairs and of each kind's means, certified
+    # as mpow and mean certify one, and their trace-pairing coordinates,
+    # (K, N) each.
     A, B = _pauli_stacks(DEFAULT_GRID.eps_grid)
-    M = _certified(_mean_arr(kind, A, B))
-    mats = _certified_power(np.concatenate([M, A, B]), outer)
-    t_L, t_A, t_B = np.trace(mats, axis1=-2, axis2=-1).real.reshape(3, -1) / 2.0
-    paulis = np.array([U.mat, sz.mat, sx.mat])[:, None]
-    s_L, s_A, s_B = np.trace(paulis @ mats.reshape(3, -1, 2, 2), axis1=-2, axis2=-1).real / 2.0
+    M = _certified(np.concatenate(_means_arr(kinds, A, B)))
+    # Kind k's outer power takes the 2N rows of the grid's pairs and the N of its own means.
+    rows = [[*range(2 * N), *range((k + 2) * N, (k + 3) * N)] for k in range(K)]
+    mats = _certified_powers(np.concatenate([A, B, M]), outers, rows).reshape(K, 3, N, 2, 2)
+    t_A, t_B, t_L = np.trace(mats, axis1=-2, axis2=-1).real.swapaxes(0, 1) / 2.0
+    paulis = np.array([sz.mat, sx.mat, U.mat])[:, None]
+    s_A, s_B, s_L = (np.trace(paulis @ mats, axis1=-2, axis2=-1).real / 2.0).swapaxes(0, 1)
 
-    # The four coordinates as four 1x1 families of one solve: each column
-    # gets the coefficients and the residual a fit of it alone gets.
+    # The four coordinates of each kind as 1x1 families of one solve: each
+    # column gets the coefficients and the residual a fit of it alone gets.
+    # Their eps and eps^2 coefficients make each kind's two constraint rows.
     delta_t = t_L - (t_A + t_B) / 2.0
-    data = np.stack([delta_t, s_L, s_A, s_B], axis=1).astype(complex)[:, :, None]
+    data = np.stack([delta_t, s_L, s_A, s_B], axis=1).reshape(4 * K, N).T.astype(complex)[:, :, None]
     coeffs, resid = _fit(DEFAULT_GRID, data)
-    k, sig, a, b = np.array(coeffs)[:, :, 0].real.T.tolist()
-    fit_residual = float(resid.max())
-
-    rows = (
-        (k[1], -a[1] / 2.0, -b[1] / 2.0, sig[1]),
-        (k[2], -a[2] / 2.0, -b[2] / 2.0, sig[2]),
-    )
-    M = np.array(rows)
-    _, svals, Vt = np.linalg.svd(M)
-    smax = float(svals[0]) if len(svals) else 0.0
-    # Rows are fitted coefficients of order-one trace coordinates; a singular
-    # value at or below the row-vanishing threshold is fit noise, not a
-    # constraint, so it is cut absolutely rather than relative to smax.
-    cut = max(NULLSPACE_RTOL * smax, C_I_FORCE_TOL)
-    rank = int(np.sum(svals > cut))
-    null = Vt[rank:]
-    proj = float(np.linalg.norm(null[:, 0])) if null.size else 0.0
-
-    kappa = a[1] / (2.0 * sig[1]) if sig[1] != 0.0 else math.inf
+    fitted = np.array(coeffs)[:, :, 0].real.reshape(3, K, 4).transpose(1, 2, 0).tolist()
+    constraints = [tuple((k[o], -a[o] / 2.0, -b[o] / 2.0, sig[o]) for o in (1, 2)) for k, sig, a, b in fitted]
+    _, svals, Vt = np.linalg.svd(np.array(constraints))
 
     # Cross-check: the affine model evaluated through masa_eval must agree
     # with the linear form assembled from the same trace pairings. The
     # three keys are canonical as given, so the stored coefficients are
-    # read in order; the 18 matrices are evaluated as one stack.
+    # read in order; the 3KN matrices are evaluated as one stack.
     probe = _masa_probe()
     (_, c_z), (_, c_x), (_, c_u) = probe.directions
-    v_L, v_A, v_B = masa_eval(probe, mats).reshape(3, -1)
+    v_A, v_B, v_L = masa_eval(probe, mats.reshape(-1, 2, 2)).reshape(K, 3, N).swapaxes(0, 1)
     via_masa = v_L - (v_A + v_B) / 2.0
     direct = probe.c_I * delta_t + c_u * s_L - (c_z * s_A + c_x * s_B) / 2.0
     gaps = np.abs(via_masa - direct).tolist()
+    fit_residuals = resid.reshape(K, 4).max(axis=1).tolist()
 
-    return CoefficientSolveReport(
-        kind=kind.label,
-        outer_power=outer,
-        grid=DEFAULT_GRID.eps_grid,
-        unknowns=("c_I", "c_sigma_z", "c_sigma_x", "c_U"),
-        rows=rows,
-        kappa_observed=float(kappa),
-        kappa_expected=KAPPA_EXPECTED,
-        second_order_coefficient=k[2],
-        second_order_reference=second_ref,
-        null_dim=int(null.shape[0]),
-        null_space=tuple(tuple(float(x) for x in v) for v in null),
-        c_i_projection=proj,
-        c_i_forced=proj <= C_I_FORCE_TOL,
-        fit_residual=fit_residual,
-        masa_crosscheck=worst(gaps),
-    )
+    reports = []
+    for i, kind in enumerate(kinds):
+        k, sig, a, _ = fitted[i]
+        smax = float(svals[i][0])
+        # Rows are fitted coefficients of order-one trace coordinates; a
+        # singular value at or below the row-vanishing threshold is fit
+        # noise, not a constraint, so it is cut absolutely rather than
+        # relative to smax.
+        cut = max(NULLSPACE_RTOL * smax, C_I_FORCE_TOL)
+        rank = int(np.sum(svals[i] > cut))
+        null = Vt[i][rank:]
+        proj = float(np.linalg.norm(null[:, 0])) if null.size else 0.0
+        kappa = a[1] / (2.0 * sig[1]) if sig[1] != 0.0 else math.inf
+        reports.append(CoefficientSolveReport(
+            kind=kind.label,
+            outer_power=outers[i],
+            grid=DEFAULT_GRID.eps_grid,
+            unknowns=("c_I", "c_sigma_z", "c_sigma_x", "c_U"),
+            rows=constraints[i],
+            kappa_observed=float(kappa),
+            kappa_expected=KAPPA_EXPECTED,
+            second_order_coefficient=k[2],
+            second_order_reference=(outers[i] - 1.0) ** 2 / 4.0 if kind.tag == TAG_POWER else 1.0 / 16.0,
+            null_dim=int(null.shape[0]),
+            null_space=tuple(tuple(float(x) for x in v) for v in null),
+            c_i_projection=proj,
+            c_i_forced=proj <= C_I_FORCE_TOL,
+            fit_residual=fit_residuals[i],
+            masa_crosscheck=worst(gaps[i]),
+        ))
+    return reports

@@ -23,7 +23,7 @@ from .expansion import (
     DEFAULT_GRID,
     _fit_stacks,
     _grid_means,
-    check_power_mean_expansion,
+    _power_mean_expansions,
     check_wasserstein_expansion,
     gp_d1,
     gp_d2,
@@ -47,11 +47,11 @@ from .means import (
     kubo_ando_power,
 )
 from .preserver import (
+    _coefficient_solves,
     _residual_arr,
     constant_functional,
     linear_functional,
     preserver_residual,
-    solve_coefficients,
     trace_power_functional,
 )
 from .report import CheckItem, CheckReport, least, worst
@@ -76,14 +76,16 @@ _CD2_STEP = 1e-4
 
 
 def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
-    """Perturbed means commute with the symmetrizing unitary U."""
+    """Perturbed means commute with the symmetrizing unitary U.
+
+    Every m_p of ``P_VALUES`` over the pinned pairs comes from one pencil,
+    certified and commuted with U as one stack.
+    """
     tol = 1e-11 * tol_scale
     _, _, U = pauli_basis()
-    items = []
-    for p in P_VALUES:
-        gap = worst(commutator_norm(U, _grid_means(kubo_ando_power(p), (0.1, 0.3, 0.5))).tolist())
-        items.append(CheckItem.bound(f"[U, A m_p B] vanishes, p = {p:g}", gap, tol))
-    gap = worst(commutator_norm(U, _grid_means(WASSERSTEIN, (0.1, 0.4))).tolist())
+    gaps = commutator_norm(U, _grid_means([kubo_ando_power(p) for p in P_VALUES], (0.1, 0.3, 0.5))).tolist()
+    items = [CheckItem.bound(f"[U, A m_p B] vanishes, p = {p:g}", worst(gap), tol) for p, gap in zip(P_VALUES, gaps)]
+    gap = worst(commutator_norm(U, _grid_means((WASSERSTEIN,), (0.1, 0.4))[0]).tolist())
     items.append(CheckItem.bound("[U, Wasserstein mean] vanishes", gap, tol))
     return CheckReport("criterion 1: unitary commutation of perturbed means", tuple(items))
 
@@ -91,11 +93,13 @@ def criterion_1(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
 def criterion_2(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     """Power-mean expansion coefficients against the tabulated displays.
 
-    Items 0 and 1 of the expansion check, renamed.
+    Items 0 and 1 of the expansion check, renamed, for every p of
+    ``P_VALUES`` from one stacked check: one pencil, one eigendecomposition
+    of each mean and one fit of all twelve families.
     """
     items = []
-    for p in P_VALUES:
-        c1, c2 = check_power_mean_expansion(p, tol_scale=tol_scale).items[:2]
+    for p, (check, _) in zip(P_VALUES, _power_mean_expansions(P_VALUES, DEFAULT_GRID, tol_scale)):
+        c1, c2 = check.items[:2]
         items.append(replace(c1, name=f"c1 = (sigma_z + sigma_x)/2, p = {p:g}"))
         items.append(replace(c2, name=f"c2 = (p/2 + 1/(4p) - 3/4) I (tabulated), p = {p:g}"))
     return CheckReport("criterion 2: power-mean expansion coefficients", tuple(items))
@@ -151,38 +155,22 @@ def criterion_4(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
 
 
 def criterion_5(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
-    """Forced constancy: the coefficient solve must pin c_I to zero."""
+    """Forced constancy: the coefficient solve must pin c_I to zero.
+
+    The eight solves (each p of ``P_VALUES``, the Wasserstein mean and
+    p = 1) run as one stack: one pencil, one eigendecomposition of each
+    grid matrix, one fit and one SVD, each report as solve_coefficients
+    gives it.
+    """
     tol = 1e-6 * tol_scale
-    items = []
-    for p in P_VALUES:
-        rep = solve_coefficients(kubo_ando_power(p))
-        items.append(
-            CheckItem.bound(
-                f"c_I forced to zero in the null space, p = {p:g}",
-                rep.c_i_projection,
-                tol,
-            )
-        )
-    rep = solve_coefficients(WASSERSTEIN)
-    items.append(
-        CheckItem.bound("c_I forced to zero in the null space, Wasserstein", rep.c_i_projection, tol)
-    )
-    rep1 = solve_coefficients(kubo_ando_power(1.0))
-    items.append(
-        CheckItem.bound(
-            "second-order constraint row vanishes, p = 1",
-            frobenius(np.array(rep1.rows[1])),
-            tol,
-        )
-    )
-    items.append(
-        CheckItem.compare(
-            "c_I unconstrained at p = 1 (null-space projection)",
-            1.0,
-            rep1.c_i_projection,
-            0.5,
-        )
-    )
+    *reps, rep1 = _coefficient_solves([kubo_ando_power(p) for p in P_VALUES] + [WASSERSTEIN, kubo_ando_power(1.0)])
+    names = [f"p = {p:g}" for p in P_VALUES] + ["Wasserstein"]
+    items = [
+        CheckItem.bound(f"c_I forced to zero in the null space, {name}", rep.c_i_projection, tol)
+        for name, rep in zip(names, reps)
+    ]
+    items.append(CheckItem.bound("second-order constraint row vanishes, p = 1", frobenius(np.array(rep1.rows[1])), tol))
+    items.append(CheckItem.compare("c_I unconstrained at p = 1 (null-space projection)", 1.0, rep1.c_i_projection, 0.5))
     return CheckReport("criterion 5: forced constancy of the affine model", tuple(items))
 
 
@@ -427,7 +415,7 @@ def criterion_11(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     """Degree-2 residual scales like eps_max cubed for the power family."""
     kind = kubo_ando_power(0.5)
     base, doubled = (
-        _fit_stacks(g, [_grid_means(kind, g.eps_grid)])[0] for g in (DEFAULT_GRID, DEFAULT_GRID.scaled(2.0))
+        _fit_stacks(g, [_grid_means((kind,), g.eps_grid)[0]])[0] for g in (DEFAULT_GRID, DEFAULT_GRID.scaled(2.0))
     )
     factor = doubled.residual_bound / base.residual_bound
     item = CheckItem.compare(

@@ -106,14 +106,15 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     number = r"(\d+\.\d\d)"
     pattern = rf"(.+): REF min {number} median {number} us; here min {number} median {number} us; min [+-]\d+\.\d%"
     rows = [re.fullmatch(pattern, line) for line in lines[1:]]
-    assert len(rows) == 54 and all(rows)
+    assert len(rows) == 60 and all(rows)
     assert all(float(m.group(2)) == float(m.group(3)) > 0.0 for m in rows)
     names = {"_cholesky lone 4x4", "_d_bw_arr on 200 dim-3 pairs", "criterion_10", "PdMatrix.certify lone dim 2"}
     names |= {"mean geometric lone dim 4", "_order_violation on 180 dim-3 pairs", "_congruences on 180 dim-3 pairs"}
     names |= {"_pd_result lone 2x2", "_norms lone 2x2", "rng_batch count 1", "rng_batch count 200"}
     names |= {"PdMatrix.certify(H).min_eigenvalue lone dim 4", "geodesic bw lone dim 2"}
     names |= {"mean spectral-geometric lone dim 2", "mean conventional-power 0.5 lone dim 2"}
-    names |= {"_certified_points bw on 50 dim-2 pairs, 5 ts"}
+    names |= {"_certified_points bw on 50 dim-2 pairs, 5 ts", "criterion_1", "criterion_2", "criterion_5"}
+    names |= {"solve_coefficients wasserstein", "check_power_mean_expansion 0.5", "centrality_probe m_0.5, 50 samples"}
     assert names | {"_mean_arr harmonic lone"} <= {m.group(1) for m in rows}
 
 

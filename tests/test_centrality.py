@@ -121,7 +121,8 @@ def test_stacked_probe_matches_one_pair_at_a_time(kind, dim):
 
 
 def test_probe_counts_a_nan_norm_as_a_failure(monkeypatch):
-    # Every partner commutes with a scalar, so one NaN norm is the one failure.
+    # Every partner commutes with a scalar, so one NaN norm is the one
+    # failure, in the report and in centrality_probe's stacked verdict.
     real = centrality._arith_commutator_arr
 
     def nan_at_three(kind, A, B):
@@ -134,6 +135,19 @@ def test_probe_counts_a_nan_norm_as_a_failure(monkeypatch):
     assert rep.failures == 1
     assert math.isnan(rep.worst_gap)
     assert not rep.central
+    assert not centrality_probe(identity_pd(2), WASSERSTEIN, samples=10, seed=0)
+
+
+@pytest.mark.parametrize("kind", [WASSERSTEIN, kubo_ando_power(0.5), HARMONIC], ids=lambda k: k.label)
+def test_centrality_probe_decides_as_the_report_with_no_report(kind, monkeypatch):
+    # Criterion 9's probes: a scalar, then its ten non-scalar draws. The
+    # verdict comes from the stacked norms and tolerances, with no
+    # CommutatorReport built, and agrees with the report's.
+    As = [identity_pd(2), *draws(verification._non_scalar_pd, 0, 90, count=10)]
+    want = [probe_report(A, kind, 50, i).central for i, A in enumerate(As)]
+    monkeypatch.setattr(centrality, "CommutatorReport", lambda *a: pytest.fail("built a report"))
+    assert [centrality_probe(A, kind, 50, i) for i, A in enumerate(As)] == want
+    assert want[0] and not any(want[1:])
 
 
 def test_probe_kind_validation(pd):

@@ -5,6 +5,7 @@ input error. Commands run in-process through main(argv); subprocess smoke
 tests cover the installed entry point and ``python -m meanlab``.
 """
 
+import functools
 import json
 import os
 import re
@@ -18,6 +19,7 @@ import pytest
 import meanlab
 from meanlab import HermitianMatrix, matrix_to_json
 from meanlab.cli import main
+from meanlab.report import CheckItem
 
 SCHEMA = "meanlab-report/1"
 
@@ -476,6 +478,25 @@ def test_calls_sharing_the_parser_match_fresh_calls(capsys, scalar_pair):
     shared = outputs(fresh=False)
     assert [code for code, _, _ in shared] == [0, 2, 0, 0]
     assert shared == outputs(fresh=True)
+
+
+@pytest.mark.parametrize("json_mode", [True, False], ids=["json", "text"])
+def test_emit_builds_only_the_printed_form(capsys, monkeypatch, scalar_pair, json_mode):
+    # --json builds no text line and dumps only the payload; text mode
+    # builds no item JSON and dumps only the result header. The output is
+    # the same either way.
+    a, b = scalar_pair
+    argv = ["mean", "--kind", "wasserstein", "--a", a, "--b", b, *(["--json"] if json_mode else [])]
+    assert main(argv) == 0
+    want = capsys.readouterr().out
+    dumped, real = [], json.dumps
+    monkeypatch.setattr(json, "dumps", lambda obj, **k: dumped.append(obj) or real(obj, **k))
+    unused = "line" if json_mode else "to_json"
+    monkeypatch.setattr(CheckItem, unused, lambda self: pytest.fail(f"built the unprinted {unused}"))
+    assert main(argv) == 0
+    mask = functools.partial(re.sub, r'"elapsed_ms": \d+', '"elapsed_ms": 0')
+    assert mask(capsys.readouterr().out) == mask(want)
+    assert len(dumped) == 1 and ("schema" in dumped[0]) == json_mode
 
 
 def test_json_output_is_deterministic(capsys):

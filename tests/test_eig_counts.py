@@ -50,9 +50,9 @@ from meanlab import (
     remark2_identity_chain,
     rng_for,
 )
-from meanlab import matcore
+from meanlab import matcore, means
 from meanlab.cli import main
-from meanlab.verification import criterion_6, criterion_8, criterion_9, criterion_10
+from meanlab.verification import CRITERIA, criterion_6, criterion_8, criterion_9, criterion_10
 
 
 # matcore's eigensolver kernels. The 2x2 kernels take a matrix's entries
@@ -286,6 +286,23 @@ CLOSED_FORM_SAVINGS = {criterion_6: 903, criterion_8: 1200, criterion_9: 927, cr
 def test_eigendecompositions_per_sampled_criterion(criterion, expected, eig_calls):
     criterion(seed=0)
     assert len(eig_calls) == expected - CLOSED_FORM_SAVINGS[criterion]
+
+
+# The power family's criteria on their grids. Criterion 5's eight solves
+# on the 6-point grid certify their 48 means, then take the outer powers of
+# the grid's 12 matrices and of those 48 means, one eigendecomposition each
+# (108); a solve per kind took 24 each (192). Criterion 2 certifies its 36
+# means and takes their p-th powers (72), and criterion 1 certifies its 18
+# means of m_p and 2 Wasserstein means (20). Each takes every m_p of its
+# kinds from one pencil: criterion 5 has p = 1 besides the six of P_VALUES.
+@pytest.mark.parametrize("criterion, eigs, pencil", [(1, 20, 6), (2, 72, 6), (5, 108, 7)])
+def test_power_family_criteria_take_one_pencil(criterion, eigs, pencil, eig_calls, monkeypatch):
+    sizes = []
+    real = means._pencil2
+    monkeypatch.setattr(means, "_pencil2", lambda fs, *rest: sizes.append(len(fs)) or real(fs, *rest))
+    CRITERIA[criterion]()
+    assert len(eig_calls) == eigs
+    assert sizes == [pencil]
 
 
 @pytest.mark.parametrize("n", [3, 4])

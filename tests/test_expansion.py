@@ -7,6 +7,8 @@ Closed forms used as oracles here:
 which makes the harmonic c2 exactly -I/2.
 """
 
+import json
+
 import numpy as np
 import pytest
 
@@ -316,7 +318,7 @@ def test_grid_stacked_families_equal_the_lone_ones(kind, eps):
     # The mean, its p-th power (its square root and the transport map for
     # the Wasserstein mean) and [U, mean] over a grid, bit for bit the
     # values of one pauli_pair at a time.
-    M = expansion._grid_means(kind, eps)
+    (M,) = expansion._grid_means((kind,), eps)
     lone = [mean(kind, *pauli_pair(e)) for e in eps]
     assert np.array_equal(M, [X.mat for X in lone])
     assert np.array_equal(commutator_norm(_U, M), [commutator_norm(_U, X) for X in lone])
@@ -345,3 +347,17 @@ def test_each_vandermonde_is_built_and_conditioned_once(monkeypatch):
     assert sorted(conditioned) == [(6, 3), (6, 3), (6, 6), (6, 6)]
     V, _ = expansion._vandermonde(DEFAULT_GRID.eps_grid, 5)
     assert not V.flags.writeable
+
+
+@pytest.mark.parametrize("grid", [DEFAULT_GRID, DEFAULT_GRID.scaled(2.0)], ids=["default", "doubled"])
+def test_stacked_expansions_equal_the_one_p_checks(grid):
+    # Criterion 2's stacked check gives each p the report and the fit, bit
+    # for bit, that the check of that p alone gives.
+    for p, (rep, fit) in zip(P_VALUES, expansion._power_mean_expansions(P_VALUES, grid, 1.0)):
+        assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(
+            check_power_mean_expansion(p, grid).to_json(), sort_keys=True
+        )
+        ((_, lone),) = expansion._power_mean_expansions((p,), grid, 1.0)
+        for c, lone_c in zip((fit.c0, fit.c1, fit.c2), (lone.c0, lone.c1, lone.c2)):
+            assert np.array_equal(c.mat, lone_c.mat)
+        assert fit.residual_bound == lone.residual_bound

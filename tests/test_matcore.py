@@ -225,6 +225,16 @@ def _assert_matches_one_at_a_time(arr):
             assert np.all(np.abs(Vs - Vc) <= 4 * eps * np.abs(Vc))
 
 
+def test_jacobi_plan_is_built_once_per_size_and_immutable():
+    for n in (3, 4):
+        plan = matcore._jacobi_plan(n)
+        assert plan is matcore._jacobi_plan(n)
+        assert isinstance(plan, tuple) and all(isinstance(rest, tuple) for _, _, rest in plan)
+        assert list(plan) == [
+            (p, q, tuple(k for k in range(n) if k not in (p, q))) for p in range(n - 1) for q in range(p + 1, n)
+        ]
+
+
 @pytest.mark.parametrize("dim", [3, 4])
 def test_stacked_jacobi_matches_the_scalar_one(dim, rng):
     # Indefinite and PD inputs, the latter at scales from 1e-200 to 1e200.
@@ -655,6 +665,13 @@ def test_pauli_pair_rejects_large_eps():
     # A grid's pairs are built as stacks; one point outside fails them all.
     with pytest.raises(DomainError, match="got -1.5$"):
         expansion._pauli_stacks((0.1, -1.5, 0.2))
+
+
+def test_grid_pairs_are_built_once_per_grid_and_read_only():
+    grid = expansion.DEFAULT_GRID.eps_grid
+    A, B = expansion._pauli_stacks(grid)
+    assert expansion._pauli_stacks(grid)[0] is A
+    assert not (A.flags.writeable or B.flags.writeable)
 
 
 @pytest.mark.parametrize("eps", [0.01, 0.1, 0.3, 0.5, -0.7, 0.999])
@@ -1274,13 +1291,16 @@ def test_the_corpus_takes_both_branches_of_the_divided_difference():
 def test_2x2_powers_of_a_stack_equal_the_lone_ones_bit_for_bit(p):
     # The whole corpus, reversed, and a mixed stack of b = 0 rows, clustered
     # and graded ones, each with its certificate, compared byte for byte
-    # (the sign of a zero included); then two powers at once.
+    # (the sign of a zero included); then two powers at once. Each is
+    # exactly Hermitian, as _sym gives it back, so the certified powers
+    # need not symmetrize it.
     corpus = _two_by_two_corpus()
     for stack in (corpus, corpus[::-1], corpus[[-1, 0, 30, -3, 11, -2]]):
         P, cert = _pow_arr(stack, p, certify=True)
+        assert P.tobytes() == _sym(P).tobytes()
         for X, Pi, ci in zip(stack, P, cert):
             Pl, cl = _pow_arr(X, p, certify=True)
-            assert Pi.tobytes() == Pl.tobytes() and ci == cl
+            assert Pi.tobytes() == Pl.tobytes() == _sym(Pl).tobytes() and ci == cl
     both = _pow_arr(corpus, p, -p)
     assert all(B.tobytes() == _pow_arr(corpus, q).tobytes() for B, q in zip(both, (p, -p)))
 

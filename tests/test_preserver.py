@@ -1,6 +1,7 @@
 """Scalar functionals on the positive cone, the diagonal-subalgebra model,
 and the coefficient solver for the preservation equation."""
 
+import json
 import re
 import warnings
 
@@ -40,6 +41,7 @@ from meanlab import (
 )
 from meanlab.preserver import _residual_arr
 from meanlab.sampling import draws, stacked
+from meanlab.verification import P_VALUES
 
 SZ, SX, U = pauli_basis()
 I2 = np.eye(2, dtype=complex)
@@ -380,10 +382,35 @@ def test_masa_split_rejects_entries_that_are_not_finite(bad):
 
 
 def test_criterion_5_makes_two_solves_per_coefficient_solve(monkeypatch):
-    # Eight solves, each fitting its four coordinates in one lstsq at degree
-    # 5 and one at degree 2: 16. One fit per coordinate would make 64.
+    # The eight solves run as one stack, fitting all 32 coordinates in one
+    # lstsq at degree 5 and one at degree 2: 2. A solve per kind made 16,
+    # each of (6, 4), and one fit per coordinate would make 64.
     calls = []
     lstsq = np.linalg.lstsq
     monkeypatch.setattr(np.linalg, "lstsq", lambda V, b, **k: calls.append(b.shape) or lstsq(V, b, **k))
     CRITERIA[5]()
-    assert calls == [(6, 4)] * 16
+    assert calls == [(6, 32)] * 2
+
+
+CRITERION_5_KINDS = [kubo_ando_power(p) for p in P_VALUES] + [WASSERSTEIN, kubo_ando_power(1.0)]
+
+
+def test_stacked_solves_equal_the_one_kind_solves():
+    # Criterion 5's stacked solve gives each kind the report, bit for bit,
+    # that solve_coefficients gives it alone.
+    for kind, rep in zip(CRITERION_5_KINDS, preserver._coefficient_solves(CRITERION_5_KINDS)):
+        assert json.dumps(rep.to_json(), sort_keys=True) == json.dumps(solve_coefficients(kind).to_json(), sort_keys=True)
+
+
+@pytest.mark.parametrize(
+    "solve",
+    [
+        lambda: solve_coefficients(HARMONIC),
+        lambda: preserver._coefficient_solves([kubo_ando_power(0.5), WASSERSTEIN, GEOMETRIC]),
+    ],
+    ids=["one-kind", "stacked"],
+)
+def test_solves_refuse_an_unsupported_kind_before_any_work(monkeypatch, solve):
+    monkeypatch.setattr(preserver, "_pauli_stacks", lambda eps: pytest.fail("the solve began its work"))
+    with pytest.raises(DomainError, match="supports m_p and the Wasserstein mean"):
+        solve()
