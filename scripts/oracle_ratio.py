@@ -14,12 +14,13 @@ its seed, item index and operation, and for dim 2 the median ratio; then the
 worst ratio per dim and operation; then the number of calls that raised.
 
 With ``--reference mpmath`` the LAPACK references, which take the same
-A^(+-1/2) frame as several of meanlab's routes, are replaced by 40-digit
-mpmath ones built on ``mpmath.eigh``. Only the dim-2 pairs are judged: each
-seed's pairs come from ``perfbench/inputs.py``'s generator as the workload
-draws them, and each operation runs once per pair as the workload calls it.
-Per operation the script prints the worst error over eps * kappa, kappa
-the larger condition number of the pair, with its seed and pair index, and
+A^(+-1/2) frame as several of meanlab's routes, are replaced by the 50-digit
+mpmath ones of ``tests/mp_oracle.py``, and the dim-2 and dim-4 pairs are
+judged: each seed's pairs come from ``perfbench/inputs.py``'s generator as
+the workload draws them, and each operation runs once per pair as the
+workload calls it. Per dim and operation the script prints the worst error
+over eps * kappa, kappa the larger condition number of the pair, at dim 4
+also over eps * kappa(A) kappa(B), each with its seed and pair index, and
 the mean error in eps, then the number of calls that raised. Errors are
 relative to the reference's Frobenius norm, and d_bw's to sqrt(tr A + tr B)
 as in the workload. The perfbench modules are only imported, never changed.
@@ -38,11 +39,12 @@ from types import SimpleNamespace
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
-for _path in (ROOT / "src", ROOT / "perfbench"):
+for _path in (ROOT / "src", ROOT / "perfbench", ROOT / "tests"):
     if str(_path) not in sys.path:
         sys.path.insert(0, str(_path))
 
 import inputs  # noqa: E402
+import mp_oracle  # noqa: E402
 import oracle  # noqa: E402
 import workloads  # noqa: E402
 
@@ -50,7 +52,6 @@ EPS = float(np.finfo(float).eps)
 # The workload runs the operations of oracle.REFERENCE, in that order, on
 # each pair in turn.
 OPERATIONS = tuple(oracle.REFERENCE)
-MP_DIGITS = 40
 
 
 def meanlab_modules() -> SimpleNamespace:
@@ -75,9 +76,9 @@ def seed_ratios(ml, seed: int) -> tuple[list[tuple[int, int, float]], int]:
     return rows, failed
 
 
-def meanlab_calls(ml) -> dict:
-    """Each operation as the single-calls workload calls it, taking (A, B, t)."""
-    m, g = ml.means, ml.geometry
+def mp_operations(ml) -> dict:
+    """Each operation as the single-calls workload calls it, and its tests/mp_oracle.py reference, both taking (A, B, t)."""
+    m, g, ref = ml.means, ml.geometry, mp_oracle.reference
     kinds = {
         "arithmetic": m.ARITHMETIC,
         "harmonic": m.HARMONIC,
@@ -88,82 +89,45 @@ def meanlab_calls(ml) -> dict:
         "spectral-geometric": m.SPECTRAL_GEOMETRIC,
         "wasserstein": m.WASSERSTEIN,
     }
-    calls = {name: (lambda A, B, t, k=kind: m.mean(k, A, B)) for name, kind in kinds.items()}
-    calls.update({
-        "d_bw": lambda A, B, t: g.d_bw(A, B),
-        "geodesic_trace": lambda A, B, t: g.geodesic(g.GEODESIC_TRACE, A, B, t),
-        "geodesic_bw": lambda A, B, t: g.geodesic(g.GEODESIC_BW, A, B, t),
-        "wasserstein_alt": lambda A, B, t: m.wasserstein_alt(A, B),
+    # The oracle names a mean by its kind's tag and takes its p.
+    ops = {
+        name: (lambda A, B, t, k=kind: m.mean(k, A, B), lambda a, b, t, k=kind: ref(a, b, k.tag, *([k.p] if k.p else [])))
+        for name, kind in kinds.items()
+    }
+    ops.update({
+        "d_bw": (lambda A, B, t: g.d_bw(A, B), lambda a, b, t: float(ref(a, b, "d_bw"))),
+        "geodesic_trace": (lambda A, B, t: g.geodesic(g.GEODESIC_TRACE, A, B, t), lambda a, b, t: ref(a, b, "geodesic_trace", t)),
+        "geodesic_bw": (lambda A, B, t: g.geodesic(g.GEODESIC_BW, A, B, t), lambda a, b, t: ref(a, b, "geodesic_bw", t)),
+        "wasserstein_alt": (lambda A, B, t: m.wasserstein_alt(A, B), lambda a, b, t: ref(a, b, "wasserstein")),
     })
-    return calls
+    return ops
 
 
-def mp_references(a: np.ndarray, b: np.ndarray, t: float) -> dict:
-    """Every operation at (a, b, t) in MP_DIGITS-digit arithmetic, rounded to complex128 (d_bw to float)."""
-    import mpmath as mp
-
-    def spectral(X, f):
-        E, V = mp.eigh((X + X.transpose_conj()) / 2)
-        return V * mp.diag([f(e) for e in E]) * V.transpose_conj()
-
-    def g(p):
-        return lambda x: ((1 + x**p) / 2) ** (1 / p)
-
-    with mp.workdps(MP_DIGITS):
-        A, B = (mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()]) for X in (a, b))
-        t, half = mp.mpf(t), mp.mpf(0.5)
-        Ah, Aih = spectral(A, mp.sqrt), spectral(A, lambda e: 1 / mp.sqrt(e))
-        N = Aih * B * Aih
-        E, V = mp.eigh((N + N.transpose_conj()) / 2)
-
-        def kubo_ando(f):
-            return Ah * V * mp.diag([f(e) for e in E]) * V.transpose_conj() * Ah
-
-        S = spectral(Ah * B * Ah, mp.sqrt)
-        Q = Aih * S * Aih
-        R = spectral(Q, mp.sqrt)
-        W = (A + B + A * Q + Q * A) / 4
-        refs = {
-            "arithmetic": (A + B) / 2,
-            "harmonic": 2 * mp.inverse(mp.inverse(A) + mp.inverse(B)),
-            "geometric": kubo_ando(mp.sqrt),
-            "kubo-ando-power_p0.5": kubo_ando(g(half)),
-            "kubo-ando-power_p-0.5": kubo_ando(g(-half)),
-            "conventional-power_p0.5": spectral((spectral(A, mp.sqrt) + spectral(B, mp.sqrt)) / 2, lambda e: e * e),
-            "spectral-geometric": R * A * R,
-            "wasserstein": W,
-            "geodesic_trace": kubo_ando(lambda e: e**t),
-            "geodesic_bw": (1 - t) ** 2 * A + t**2 * B + t * (1 - t) * (A * Q + Q * A),
-            "wasserstein_alt": W,
-        }
-        out = {name: np.array([[complex(M[i, j]) for j in range(2)] for i in range(2)]) for name, M in refs.items()}
-        trace = sum(A[i, i].real + B[i, i].real - 2 * S[i, i].real for i in range(2))
-        out["d_bw"] = float(mp.sqrt(max(trace, 0)))
-    return out
-
-
-def seed_mp_errors(ml, seed: int) -> tuple[list[tuple[str, int, float, float]], int]:
-    """(operation, pair, err / (eps kappa), err / eps) for each dim-2 call of one seed, and the calls that raised."""
-    pairs = inputs.make_pairs(np.random.default_rng(seed), 2, workloads.PAIRS[2])
-    calls = meanlab_calls(ml)
+def seed_mp_errors(ml, seed: int) -> tuple[list[tuple], int]:
+    """(dim, operation, pair, err / (eps kappa), err / (eps kappa(A) kappa(B)), err / eps) for each call of one
+    seed, kappa = max(kappa(A), kappa(B)), and the number of calls that raised."""
+    rng = np.random.default_rng(seed)
+    by_dim = {dim: inputs.make_pairs(rng, dim, count) for dim, count in workloads.PAIRS.items()}
+    ops = mp_operations(ml)
     rows, failed = [], 0
-    for index, p in enumerate(pairs):
-        A = ml.matcore.PdMatrix.certify(ml.matcore.HermitianMatrix(p.a))
-        B = ml.matcore.PdMatrix.certify(ml.matcore.HermitianMatrix(p.b))
-        kappa = max(np.linalg.cond(p.a), np.linalg.cond(p.b))
-        refs = mp_references(p.a, p.b, p.t)
-        for name in OPERATIONS:
-            try:
-                out = calls[name](A, B, p.t)
-            except ml.errors.MeanlabError:
-                failed += 1
-                continue
-            ref = refs[name]
-            if name == "d_bw":
-                err = abs(out - ref) / np.sqrt(np.trace(p.a).real + np.trace(p.b).real)
-            else:
-                err = float(np.linalg.norm(out.mat - ref) / np.linalg.norm(ref))
-            rows.append((name, index, err / (EPS * kappa), err / EPS))
+    for dim, pairs in by_dim.items():
+        for index, p in enumerate(pairs):
+            A = ml.matcore.PdMatrix.certify(ml.matcore.HermitianMatrix(p.a))
+            B = ml.matcore.PdMatrix.certify(ml.matcore.HermitianMatrix(p.b))
+            ka, kb = np.linalg.cond(p.a), np.linalg.cond(p.b)
+            for name in OPERATIONS:
+                call, reference = ops[name]
+                try:
+                    out = call(A, B, p.t)
+                except ml.errors.MeanlabError:
+                    failed += 1
+                    continue
+                ref = reference(p.a, p.b, p.t)
+                if name == "d_bw":
+                    err = abs(out - ref) / np.sqrt(np.trace(p.a).real + np.trace(p.b).real)
+                else:
+                    err = float(np.linalg.norm(out.mat - ref) / np.linalg.norm(ref))
+                rows.append((dim, name, index, err / (EPS * max(ka, kb)), err / (EPS * ka * kb), err / EPS))
     return rows, failed
 
 
@@ -193,21 +157,24 @@ def report_lapack(ml, seeds) -> int:
 
 
 def report_mpmath(ml, seeds) -> int:
-    worst: dict[str, tuple[float, int, int]] = {}
-    errors: dict[str, list[float]] = {name: [] for name in OPERATIONS}
+    worst: dict[tuple, tuple[float, int, int]] = {}
+    errors: dict[tuple, list[float]] = {}
     failed = 0
     for seed in seeds:
         rows, raised = seed_mp_errors(ml, seed)
         failed += raised
-        for name, index, ratio, err in rows:
-            errors[name].append(err)
-            if name not in worst or ratio > worst[name][0]:
-                worst[name] = (ratio, seed, index)
-    for name in OPERATIONS:
-        if name in worst:
-            ratio, seed, index = worst[name]
-            print(f"dim 2 {name}: worst {ratio:.4g} eps kappa at seed {seed}, pair {index}; "
-                  f"mean {statistics.fmean(errors[name]):.3g} eps over {len(errors[name])} calls")
+        for dim, name, index, ratio, product, err in rows:
+            errors.setdefault((dim, name), []).append(err)
+            for key, value in (((dim, name), ratio), ((dim, name, "product"), product)):
+                if key not in worst or value > worst[key][0]:
+                    worst[key] = (value, seed, index)
+    for dim, name in sorted(errors, key=lambda k: (k[0], OPERATIONS.index(k[1]))):
+        ratio, seed, index = worst[dim, name]
+        line = f"dim {dim} {name}: worst {ratio:.4g} eps kappa at seed {seed}, pair {index}; "
+        if dim != 2:
+            product, seed, index = worst[dim, name, "product"]
+            line += f"worst {product:.4g} eps kappa(A) kappa(B) at seed {seed}, pair {index}; "
+        print(line + f"mean {statistics.fmean(errors[dim, name]):.3g} eps over {len(errors[dim, name])} calls")
     return failed
 
 
@@ -216,7 +183,7 @@ def main(argv: list[str]) -> int:
     parser.add_argument("--first", type=int, default=0, help="first seed (default 0)")
     parser.add_argument("--last", type=int, default=39, help="last seed, inclusive (default 39)")
     parser.add_argument("--reference", choices=("lapack", "mpmath"), default="lapack",
-                        help="judge against perfbench's LAPACK oracle (default) or 40-digit mpmath at dim 2")
+                        help="judge against perfbench's LAPACK oracle (default) or 50-digit mpmath at dims 2 and 4")
     args = parser.parse_args(argv)
     report = report_mpmath if args.reference == "mpmath" else report_lapack
     failed = report(meanlab_modules(), range(args.first, args.last + 1))

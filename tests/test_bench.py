@@ -77,17 +77,27 @@ def test_oracle_ratio_reports_each_dim_for_one_seed(monkeypatch, capsys):
 
 
 def test_oracle_ratio_against_mpmath_for_one_seed(monkeypatch, capsys):
-    # --reference mpmath judges the 200 dim-2 pairs of seed 0: one line per
-    # operation, in the workload's order, with the worst error over eps
-    # kappa and the mean error in eps. Every 2x2 route stays within a few
-    # eps kappa of 40-digit mpmath there.
+    # --reference mpmath judges the 200 dim-2 and 10 dim-4 pairs of seed 0:
+    # one line per dim and operation, in the workload's order, with the
+    # worst error over eps kappa, at dim 4 also over eps kappa(A) kappa(B),
+    # and the mean error in eps. Every 2x2 route stays within a few eps
+    # kappa of 50-digit mpmath there. At dim 4 the worst measured 5.445 eps
+    # kappa and 2.985 eps kappa(A) kappa(B), both the spectral geometric
+    # mean; the bounds are 1.5 times those.
     module = _oracle_ratio(monkeypatch)
     assert module.main(["--first", "0", "--last", "0", "--reference", "mpmath"]) == 0
     lines = capsys.readouterr().out.splitlines()
+    ops = list(module.OPERATIONS)
     pattern = r"dim 2 (\S+): worst ([\d.e+-]+) eps kappa at seed 0, pair \d+; mean ([\d.e+-]+) eps over 200 calls"
-    rows = [re.fullmatch(pattern, line) for line in lines[:-1]]
-    assert [m.group(1) for m in rows] == list(module.OPERATIONS)
+    rows = [re.fullmatch(pattern, line) for line in lines[:len(ops)]]
+    assert [m.group(1) for m in rows] == ops
     assert all(float(m.group(2)) < 16.0 for m in rows)
+    pattern = (r"dim 4 (\S+): worst ([\d.e+-]+) eps kappa at seed 0, pair \d+; worst ([\d.e+-]+) eps kappa\(A\) "
+               r"kappa\(B\) at seed 0, pair \d+; mean [\d.e+-]+ eps over 10 calls")
+    rows = [re.fullmatch(pattern, line) for line in lines[len(ops):-1]]
+    assert [m.group(1) for m in rows] == ops
+    assert max(float(m.group(2)) for m in rows) <= 8.2
+    assert max(float(m.group(3)) for m in rows) <= 4.5
     assert lines[-1] == "calls that raised: 0"
 
 

@@ -7,20 +7,19 @@ inverse are bespoke: one column loop that the positivity proof shares, and
 a triangular inverse, each one body for a lone matrix (Python floats) and
 for a stack (arrays).
 
-Each re-routed quantity is checked against 50-digit mpmath, whose
-references take the A^(+-1/2) frame through mpmath's Hermitian eigensolver
-and so share nothing with the frame; its lone route against its stacked
-route, bit for bit; and the factor's guard, which turns a pivot that is not
-a finite positive number into PositivityError instead of a NaN. The
-Bures-Wasserstein distance, ||L^(-*)(S - L* L)||_F on the frame and a
-closed form at n = 2, is checked against the same references at n = 2, 3
-and 4.
+Each re-routed quantity is checked against the 50-digit mpmath references
+of ``mp_oracle.py``, which take the A^(+-1/2) frame through mpmath's
+Hermitian eigensolver and so share nothing with the frame; its lone route
+against its stacked route, bit for bit; and the factor's guard, which turns
+a pivot that is not a finite positive number into PositivityError instead
+of a NaN. The Bures-Wasserstein distance, ||L^(-*)(S - L* L)||_F on the
+frame and a closed form at n = 2, is checked against the same references at
+n = 2, 3 and 4.
 """
 
 import math
 import re
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -37,7 +36,6 @@ from meanlab import (
     geodesic,
     kubo_ando_power,
     mean,
-    random_unitary,
     rng_for,
 )
 from meanlab import matcore
@@ -45,6 +43,8 @@ from meanlab.geometry import _curve_points, _d_bw_arr
 from meanlab.matcore import _sym
 from meanlab.means import _mean_arr, _q_arr
 from meanlab.sampling import pd_stacks
+
+from mp_oracle import reference, relative_error, spectral
 
 EPS = np.finfo(float).eps
 QUANTITIES = {
@@ -57,13 +57,14 @@ QUANTITIES = {
     "bw-q": _q_arr,
     "trace-0.3": lambda A, B: _curve_points(GEODESIC_TRACE, A, B, (0.3,))[0],
 }
+# The oracle's name and parameters for the quantities it names otherwise.
+REFERENCES = {"m_0.5": ("kubo-ando-power", 0.5), "m_-0.5": ("kubo-ando-power", -0.5), "trace-0.3": ("geodesic_trace", 0.3)}
 CONDITIONS = (1e2, 1e4, 1e6, 1e8, 1e10)
 
 
 def _spectral(rng, n, kappa):
     # U diag(1 ... kappa) U* for a unitary U with complex phases.
-    U = random_unitary(rng, n)
-    return _sym((U * np.logspace(0.0, math.log10(kappa), n)) @ U.conj().T)
+    return spectral(rng, np.logspace(0.0, math.log10(kappa), n))
 
 
 def _corpus(n):
@@ -78,50 +79,6 @@ def _corpus(n):
             pairs.append((_spectral(rng, n, kappa), _spectral(rng, n, kappa), False))
             pairs.append((_sym(D @ _spectral(rng, n, 4.0) @ D), _sym(D @ _spectral(rng, n, 3.0) @ D), True))
     return pairs
-
-
-def _mp_references(A, B):
-    # Every quantity of QUANTITIES at (A, B) in 50-digit arithmetic, on the
-    # A^(+-1/2) frame: A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for the
-    # Kubo-Ando kinds and the trace geodesic, and Q = A^(-1/2) S A^(-1/2)
-    # with S = (A^(1/2) B A^(1/2))^(1/2) for the rest.
-    n = A.shape[0]
-
-    def mpm(X):
-        return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
-
-    def spectral(M, f):
-        E, V = mp.eighe((M + M.transpose_conj()) / 2)
-        return V * mp.diag([f(e) for e in E]) * V.transpose_conj()
-
-    def array(M):
-        return np.array([[complex(M[i, j]) for j in range(n)] for i in range(n)])
-
-    def g(p):
-        return lambda x: ((1 + x**p) / 2) ** (1 / p)
-
-    with mp.workdps(50):
-        Am, Bm = mpm(A), mpm(B)
-        Ah, Aih = spectral(Am, mp.sqrt), spectral(Am, lambda e: 1 / mp.sqrt(e))
-        N = Aih * Bm * Aih
-        Q = Aih * spectral(Ah * Bm * Ah, mp.sqrt) * Aih
-        R = spectral(Q, mp.sqrt)
-        half = mp.mpf(0.5)
-        refs = {
-            "geometric": spectral(N, mp.sqrt),
-            "m_0.5": spectral(N, g(half)),
-            "m_-0.5": spectral(N, g(-half)),
-            "harmonic": spectral(N, lambda x: 2 * x / (1 + x)),
-            "trace-0.3": spectral(N, lambda x: x ** mp.mpf(0.3)),
-        }
-        refs = {name: Ah * F * Ah for name, F in refs.items()}
-        refs.update({"wasserstein": (Am + Bm + Am * Q + Q * Am) / 4, "spectral-geometric": R * Am * R, "bw-q": Q})
-        return {name: array(M) for name, M in refs.items()}
-
-
-def _relative_error(P, ref):
-    s = np.abs(ref).max()
-    return np.linalg.norm((P - ref) / s) / np.linalg.norm(ref / s)
 
 
 # Each pin is the measured worst over both sizes times 1.5: the error over
@@ -157,7 +114,6 @@ def test_the_frame_meets_mpmath_over_the_conditioning_corpus(n):
     worst = {}
     for A, B, graded in _corpus(n):
         kappa = np.linalg.cond(A) * np.linalg.cond(B)
-        refs = _mp_references(A, B)
         for name, call in QUANTITIES.items():
             try:
                 P = call(A, B)
@@ -166,27 +122,11 @@ def test_the_frame_meets_mpmath_over_the_conditioning_corpus(n):
                 continue
             scale = EPS if graded and name in GRADED_PINS else EPS * kappa
             key = (name, graded)
-            worst[key] = max(worst.get(key, 0.0), _relative_error(P, refs[name]) / scale)
+            ref = reference(A, B, *REFERENCES.get(name, (name,)))
+            worst[key] = max(worst.get(key, 0.0), relative_error(P, ref) / scale)
     for name in QUANTITIES:
         assert worst[name, False] <= UNGRADED_PINS[name], name
         assert worst[name, True] <= {**GRADED_PINS, **GRADED_Q_PINS}[name], name
-
-
-def _mp_d_bw(A, B):
-    # sqrt(tr A + tr B - 2 tr S), S = (A^(1/2) B A^(1/2))^(1/2), in 50-digit
-    # arithmetic, where the trace form's cancellation costs nothing.
-    def mpm(X):
-        return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
-
-    def root(M):
-        E, V = mp.eighe((M + M.transpose_conj()) / 2)
-        return V * mp.diag([mp.sqrt(e) for e in E]) * V.transpose_conj()
-
-    with mp.workdps(50):
-        Am, Bm = mpm(A), mpm(B)
-        Ah = root(Am)
-        S = root(Ah * Bm * Ah)
-        return mp.sqrt(mp.re(sum(Am[i, i] + Bm[i, i] - 2 * S[i, i] for i in range(Am.rows))))
 
 
 # The distance's pins, each the measured worst times 1.5. At n = 2 the
@@ -211,7 +151,7 @@ def test_d_bw_meets_mpmath_over_the_conditioning_corpus(n):
     worst = {False: 0.0, True: 0.0}
     for A, B, graded in _corpus(n):
         kappa = np.linalg.cond(A) * np.linalg.cond(B)
-        want = _mp_d_bw(A, B)
+        want = reference(A, B, "d_bw")
         try:
             d = float(_d_bw_arr(A, B))
         except PositivityError:
@@ -225,7 +165,7 @@ def test_d_bw_meets_mpmath_over_the_conditioning_corpus(n):
     for delta in 10.0 ** -np.arange(2, 15):
         A = _spectral(rng, n, 1e4)
         B = _sym(A + delta * (_spectral(rng, n, 3.0) - 2.0 * np.eye(n)))
-        err = abs(float(_d_bw_arr(A, B)) - _mp_d_bw(A, B))
+        err = abs(float(_d_bw_arr(A, B)) - reference(A, B, "d_bw"))
         near = max(near, float(err) / (EPS * math.sqrt(np.trace(A).real + np.trace(B).real)))
     assert near <= NEAR_PINS[n]
 

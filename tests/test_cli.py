@@ -21,6 +21,8 @@ from meanlab import HermitianMatrix, matrix_to_json
 from meanlab.cli import main
 from meanlab.report import CheckItem
 
+from mp_oracle import spectral
+
 SCHEMA = "meanlab-report/1"
 
 
@@ -94,13 +96,6 @@ def test_mean_cross_routes_agree_at_any_scale(capsys, matrix_file, route, dim, s
     assert code == 0, payload["checks"]
 
 
-def _spectral2(rng, lo, hi):
-    # U diag(lo, hi) U* for a unitary U with complex phases.
-    U = meanlab.random_unitary(rng, 2)
-    X = (U * np.array([lo, hi])) @ U.conj().T
-    return (X + X.conj().T) / 2.0
-
-
 @pytest.mark.parametrize("spectra", ["clustered", "graded"])
 def test_via_function_checks_the_2x2_power_form_from_outside(capsys, matrix_file, spectra):
     # m_0.5 takes the pencil form at n = 2, from the roots of det(B - mu A)
@@ -112,10 +107,10 @@ def test_via_function_checks_the_2x2_power_form_from_outside(capsys, matrix_file
     # and the pencil form agree with 50-digit mpmath to 2 eps.
     rng = meanlab.rng_for(22)
     if spectra == "clustered":
-        A, B = _spectral2(rng, 1.0, 1.0 + 1e-9), _spectral2(rng, 2.0, 2.0 * (1.0 + 1e-9))
+        A, B = spectral(rng, (1.0, 1.0 + 1e-9)), spectral(rng, (2.0, 2.0 * (1.0 + 1e-9)))
     else:
         D = np.diag([1.0, 1e-5])
-        A, B = D @ _spectral2(rng, 1.0, 4.0) @ D, D @ _spectral2(rng, 1.0, 3.0) @ D
+        A, B = D @ spectral(rng, (1.0, 4.0)) @ D, D @ spectral(rng, (1.0, 3.0)) @ D
         assert np.linalg.cond(A) > 1e10 and np.linalg.cond(B) > 1e10
     argv = ["mean", *CROSS_ROUTES["via-function"], "--a", matrix_file("a.json", A), "--b", matrix_file("b.json", B)]
     code, payload = run_json(capsys, argv)
@@ -160,12 +155,12 @@ def test_cross_routes_check_the_2x2_closed_forms_on_hard_inputs(capsys, matrix_f
     # frames of A, so they check the forms from outside.
     rng = meanlab.rng_for(29)
     if spectra == "clustered":
-        A, B = _spectral2(rng, 1.0, 1.0 + 1e-9), _spectral2(rng, 2.0, 2.0 * (1.0 + 1e-9))
+        A, B = spectral(rng, (1.0, 1.0 + 1e-9)), spectral(rng, (2.0, 2.0 * (1.0 + 1e-9)))
     elif spectra == "graded":
         D = np.diag([1.0, 10.0 ** (-kappa / 2)])
-        A, B = D @ _spectral2(rng, 1.0, 4.0) @ D, D @ _spectral2(rng, 1.0, 3.0) @ D
+        A, B = D @ spectral(rng, (1.0, 4.0)) @ D, D @ spectral(rng, (1.0, 3.0)) @ D
     else:
-        A, B = _spectral2(rng, 1.0, 10.0**kappa), _spectral2(rng, 1.0, 10.0**kappa)
+        A, B = spectral(rng, (1.0, 10.0**kappa)), spectral(rng, (1.0, 10.0**kappa))
     assert min(np.linalg.cond(A), np.linalg.cond(B)) > 10.0 ** (kappa - 1)
     code, payload = run_json(capsys, ["mean", *argv, "--a", matrix_file("a.json", A), "--b", matrix_file("b.json", B)])
     assert code == 0

@@ -5,19 +5,18 @@ A sigma_f B = f(mu_1) A + f[mu_1, mu_2] (B - mu_1 A) of m_p and the
 trace-metric geodesic (``means._pencil2``), and the conventional power mean
 on the parts of its three 2x2 powers.
 
-Each form is checked against 50-digit mpmath, whose references take the
-A^(+-1/2) frame through mpmath's Hermitian eigensolver and so share nothing
-with the forms; its lone route (Python floats) against its stacked route
-(arrays), bit for bit; its power-of-two prescaling against exact
-homogeneity; and its guards, which turn a determinant that is not finite
-and positive into PositivityError, and a power past _POW_LOG_LIMIT into
-DomainError, instead of a NaN.
+Each form is checked against the 50-digit mpmath references of
+``mp_oracle.py``, which take the A^(+-1/2) frame through mpmath's Hermitian
+eigensolver and so share nothing with the forms; its lone route (Python
+floats) against its stacked route (arrays), bit for bit; its power-of-two
+prescaling against exact homogeneity; and its guards, which turn a
+determinant that is not finite and positive into PositivityError, and a
+power past _POW_LOG_LIMIT into DomainError, instead of a NaN.
 """
 
 import functools
 import re
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -37,7 +36,6 @@ from meanlab import (
     geodesic,
     kubo_ando_power,
     mean,
-    random_unitary,
     rng_for,
 )
 from meanlab import means
@@ -60,6 +58,8 @@ from meanlab.means import (
 )
 from meanlab.sampling import pd_stacks
 
+from mp_oracle import reference, relative_error, spectral
+
 EPS = np.finfo(float).eps
 FORMS = {
     "geometric": _geometric2, "wasserstein": _wasserstein2, "bw-q": _bw_q2, "harmonic": _harmonic2,
@@ -76,12 +76,6 @@ PENCILS = {
 }
 
 
-def _spectral2(rng, lo, hi):
-    # U diag(lo, hi) U* for a unitary U with complex phases.
-    U = random_unitary(rng, 2)
-    return _sym((U * np.array([lo, hi])) @ U.conj().T)
-
-
 def _corpus():
     # 8 pairs per cell; kappa per matrix 1e2 ... 1e11, ungraded
     # (U diag(1, kappa) U*) and graded (D M D with M well conditioned and
@@ -91,61 +85,16 @@ def _corpus():
     for k in range(2, 12):
         D = np.diag([1.0, 10.0 ** (-k / 2)])
         for _ in range(8):
-            pairs.append((_spectral2(rng, 1.0, 10.0**k), _spectral2(rng, 1.0, 10.0**k)))
-            pairs.append((D @ _spectral2(rng, 1.0, 4.0) @ D, D @ _spectral2(rng, 1.0, 3.0) @ D))
+            pairs.append((spectral(rng, (1.0, 10.0**k)), spectral(rng, (1.0, 10.0**k))))
+            pairs.append((D @ spectral(rng, (1.0, 4.0)) @ D, D @ spectral(rng, (1.0, 3.0)) @ D))
     return pairs
 
 
 def _mp_references(A, B):
-    # A # B, the Wasserstein mean and Q = A^(-1) # B at 50 digits, from the
-    # frame of A and the square roots of A^(-1/2) B A^(-1/2) and
-    # A^(1/2) B A^(1/2); Q^(1/2) A Q^(1/2) by the root of Q, and the BW
-    # geodesic (1 - t)^2 A + t^2 B + t (1 - t)(AQ + QA) at each of BW_TS;
-    # and A^(1/2) f(A^(-1/2) B A^(-1/2)) A^(1/2) for each of PENCILS and for
-    # the harmonic mean, f(x) = 2x/(1 + x).
-    def mpm(X):
-        return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
-
-    def spectral(M, f):
-        E, V = mp.eighe(M)
-        return V * mp.diag([f(e) for e in E]) * V.transpose_conj()
-
-    def array(M):
-        return np.array([[complex(M[i, j]) for j in range(2)] for i in range(2)])
-
-    with mp.workdps(50):
-        Am, Bm = mpm(A), mpm(B)
-        E, V = mp.eighe(Am)
-        Ah = V * mp.diag([mp.sqrt(e) for e in E]) * V.transpose_conj()
-        Aih = V * mp.diag([1 / mp.sqrt(e) for e in E]) * V.transpose_conj()
-        S = spectral(Ah * Bm * Ah, mp.sqrt)
-        T = Aih * S * Ah
-        N = Aih * Bm * Aih
-        G = Ah * spectral(N, mp.sqrt) * Ah
-        Q = Aih * S * Aih
-        Qh = spectral(Q, mp.sqrt)
-        K = Am * Q + Q * Am
-        ts = [mp.mpf(t) for t in BW_TS]
-        half = mp.mpf(0.5)
-        fs = {
-            "m_0.5": lambda x: ((1 + x**half) / 2) ** 2,
-            "m_-0.5": lambda x: ((1 + x**-half) / 2) ** -2,
-            "harmonic": lambda x: 2 * x / (1 + x),
-            "trace-0.3": lambda x: x ** mp.mpf(0.3),
-        }
-        return {
-            "geometric": array(G),
-            "wasserstein": array((Am + Bm + T + T.transpose_conj()) / 4),
-            "bw-q": array(Q),
-            "spectral-geometric": array(Qh * Am * Qh),
-            "bw-points": [array((1 - t) ** 2 * Am + t**2 * Bm + t * (1 - t) * K) for t in ts],
-            **{name: array(Ah * spectral(N, f) * Ah) for name, f in fs.items()},
-        }
-
-
-def _relative_error(P, ref):
-    s = np.abs(ref).max()
-    return np.linalg.norm((P - ref) / s) / np.linalg.norm(ref / s)
+    # The 50-digit reference of each form, each pencil and BW_TS's points.
+    pencils = {"m_0.5": ("kubo-ando-power", 0.5), "m_-0.5": ("kubo-ando-power", -0.5), "trace-0.3": ("geodesic_trace", 0.3)}
+    refs = {name: reference(A, B, *pencils.get(name, (name,))) for name in [*FORMS, *pencils]}
+    return {**refs, "bw-points": [reference(A, B, "geodesic_bw", t) for t in BW_TS]}
 
 
 @pytest.mark.filterwarnings("error")
@@ -170,7 +119,7 @@ def test_closed_forms_meet_mpmath_over_the_conditioning_corpus():
         refs = _mp_references(A, B)
         for name, form in {**FORMS, "bw-points": BW_POINTS}.items():
             for P, ref in zip(_closed2(form, A, B), refs[name] if name == "bw-points" else [refs[name]]):
-                err = _relative_error(P, ref)
+                err = relative_error(P, ref)
                 worst[name] = max(worst[name], err / (EPS if name == "wasserstein" else EPS * kappa))
             if name == "harmonic" and i % 2:
                 graded = max(graded, err / EPS)
@@ -194,7 +143,7 @@ def test_pencil_form_meets_mpmath_over_the_conditioning_corpus():
         refs = _mp_references(A, B)
         outs = _closed2(functools.partial(_pencil2, tuple(PENCILS.values())), A, B)
         for name, P in zip(PENCILS, outs):
-            err = _relative_error(P, refs[name])
+            err = relative_error(P, refs[name])
             worst[name] = max(worst[name], err / (EPS * kappa))
             if i % 2:
                 graded[name] = max(graded[name], err / EPS)
@@ -206,7 +155,7 @@ def _special_pairs():
     # Off-diagonal b = 0 on either side or both, scalar matrices, commuting
     # pairs (B a polynomial in A), and graded or ill-conditioned ones.
     rng = rng_for(25)
-    A = _spectral2(rng, 1.0, 7.0)
+    A = spectral(rng, (1.0, 7.0))
     D = np.diag([3.0, 0.5]).astype(complex)
     pairs = [
         (D, A), (A, D), (D, np.diag([0.25, 9.0]).astype(complex)), (2.0 * np.eye(2), 5.0 * np.eye(2)),
@@ -376,7 +325,7 @@ def test_harmonic_mean_of_pairs_far_apart_in_scale():
     B = 1e305 * np.array([[2.0, 1.0], [1.0, 3.0]])
     H = mean(HARMONIC, PdMatrix.certify(A), PdMatrix.certify(B))
     assert H.min_eigenvalue > 0.0
-    assert _relative_error(H.mat, 2.0 * np.linalg.inv(np.linalg.inv(A) + np.linalg.inv(B))) < 1e-15
+    assert relative_error(H.mat, 2.0 * np.linalg.inv(np.linalg.inv(A) + np.linalg.inv(B))) < 1e-15
 
 
 @pytest.mark.filterwarnings("error")
@@ -391,7 +340,7 @@ def test_harmonic_mean_of_pairs_whose_pencil_roots_leave_the_float_range(a, b):
     B = b * np.array([[2.0, 1.0], [1.0, 3.0]])
     want = 2.0 * np.linalg.inv(np.linalg.inv(A) + np.linalg.inv(B))
     H = mean(HARMONIC, PdMatrix.certify(A), PdMatrix.certify(B))
-    assert _relative_error(H.mat, want) < 1e-15
+    assert relative_error(H.mat, want) < 1e-15
     stacked = _mean_arr(HARMONIC, np.array([A, A]).astype(complex), np.array([B, B]).astype(complex))
     assert stacked[0].tobytes() == _mean_arr(HARMONIC, A.astype(complex), B.astype(complex)).tobytes()
 

@@ -1,12 +1,12 @@
 """Bures-Wasserstein distance and the two geodesic constructions.
 
 Scalar pairs give exact oracles: for aI and bI in dimension two the distance
-is sqrt(2) |sqrt(b) - sqrt(a)| and both geodesics are scalar curves.
+is sqrt(2) |sqrt(b) - sqrt(a)| and both geodesics are scalar curves. Hard
+pairs are checked against the 50-digit mpmath distance of ``mp_oracle.py``.
 """
 
 import math
 
-import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -33,6 +33,8 @@ from meanlab import (
 from meanlab import geometry, verification
 from meanlab.geometry import _accrual, _certified_points, _d_bw_arr
 from meanlab.sampling import draws, stacked
+
+from mp_oracle import reference
 
 ENDPOINT_TOL = 1e-11
 MIDPOINT_TOL = 1e-10
@@ -295,23 +297,10 @@ def test_extreme_scales_give_a_distance_and_no_nan(dim):
             assert np.all((lo * (1.0 - 1e-12) <= d) & (d <= hi * (1.0 + 1e-12))), (ea, eb)
 
 
-def _mp_d_bw(A, B):
-    # The trace form at 50 digits, where its cancellation costs nothing.
-    def mat(X):
-        return mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
-
-    with mp.workdps(50):
-        Am, Bm = mat(A), mat(B)
-        Ah = mp.sqrtm(Am)
-        S = mp.sqrtm(Ah * Bm * Ah)
-        radicand = sum(Am[i, i] + Bm[i, i] - 2 * S[i, i] for i in range(Am.rows))
-        return mp.sqrt(mp.re(radicand))
-
-
 def test_near_pair_distance_against_mpmath(pd):
     A = pd([[2.0, 0.5 - 0.25j], [0.5 + 0.25j, 1.0]])
     B = pd(A.mat + 1e-6 * np.array([[1.0, 0.5j], [-0.5j, -0.75]]))
-    want = _mp_d_bw(A.mat, B.mat)
+    want = reference(A.mat, B.mat, "d_bw")
     assert float(abs(d_bw(A, B) - want) / want) <= 1e-8
 
 
@@ -326,5 +315,5 @@ def test_distance_of_a_pair_of_large_condition_number_against_mpmath(pd):
     # (measured 0.28 eps).
     A = pd(np.diag([10.0, 2e12]))
     B = pd([[2.0, 1.0], [1.0, 3.0]])
-    want = _mp_d_bw(A.mat, B.mat)
+    want = reference(A.mat, B.mat, "d_bw")
     assert float(abs(d_bw(A, B) - want) / want) <= np.finfo(float).eps

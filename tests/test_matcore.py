@@ -1,11 +1,11 @@
 """Core matrix layer: certified wrappers, the bespoke eigensolver, and the
-functional calculus built on it."""
+functional calculus built on it. The 2x2 powers are checked against the
+50-digit mpmath references of ``mp_oracle.py``."""
 
 import json
 import math
 import re
 
-import mpmath as mp
 import numpy as np
 import pytest
 
@@ -43,6 +43,8 @@ from meanlab.geometry import _d_bw_arr
 from meanlab.matcore import _pow_arr, _sym
 from meanlab.sampling import _pd_gram, draws, pd_stacks, random_complex, stacked
 from meanlab.verification import _commuting_stacks, _weighted_pairs
+
+from mp_oracle import reference, relative_error, spectral
 
 ORACLE_TOL = 1e-12
 ROUND_TRIP_TOL = 1e-12
@@ -127,12 +129,6 @@ JACOBI_DIMS = [3, 4, 8]
 # The edge cases that apply to the 2x2 closed form as well.
 EIG_DIMS = [2] + JACOBI_DIMS
 JACOBI_TOL = 1e-13
-
-
-def _with_spectrum(rng, spectrum) -> np.ndarray:
-    U = random_unitary(rng, len(spectrum))
-    arr = (U * np.asarray(spectrum, dtype=float)) @ U.conj().T
-    return (arr + arr.conj().T) / 2.0
 
 
 def _assert_solves(arr, eigh_oracle):
@@ -253,7 +249,7 @@ def test_stacked_jacobi_solves_unlike_matrices_side_by_side(rng):
     arr = np.array([
         np.zeros((3, 3)),
         np.diag([3.0, 1.0, 2.0]),
-        _with_spectrum(rng, [1.0, 1.0, 5.0]),
+        spectral(rng, [1.0, 1.0, 5.0]),
         graded[:, None] * H * graded,
         phases[:, None] * H * phases.conj(),
     ], dtype=complex)
@@ -481,13 +477,13 @@ def test_jacobi_zero_matrix(dim):
 
 @pytest.mark.parametrize("dim", EIG_DIMS)
 def test_jacobi_exactly_repeated_eigenvalues(dim, rng, eigh_oracle):
-    _assert_solves(_with_spectrum(rng, [1.0, 1.0] + [5.0] * (dim - 2)), eigh_oracle)
+    _assert_solves(spectral(rng, [1.0, 1.0] + [5.0] * (dim - 2)), eigh_oracle)
 
 
 @pytest.mark.parametrize("dim", EIG_DIMS)
 def test_jacobi_tight_cluster(dim, rng, eigh_oracle):
     spectrum = [1.0, 1.0 + 1e-12] + [float(k) for k in range(2, dim)]
-    _assert_solves(_with_spectrum(rng, spectrum), eigh_oracle)
+    _assert_solves(spectral(rng, spectrum), eigh_oracle)
 
 
 @pytest.mark.parametrize("dim", EIG_DIMS)
@@ -1223,12 +1219,6 @@ def test_the_lone_2x2_norm_on_python_floats_has_the_bits_of_numpys_norm():
 TWO_BY_TWO_POWERS = (0.5, -0.5, 1.0 / 3.0, 0.3, -1.0, 2.0)
 
 
-def _spectral2(rng, lo, hi, scale=1.0):
-    # scale * U diag(lo, hi) U* for a unitary U with complex phases.
-    U = random_unitary(rng, 2)
-    return scale * _sym((U * np.array([lo, hi])) @ U.conj().T)
-
-
 def _two_by_two_corpus() -> np.ndarray:
     # Clustered spectra, hi / lo - 1 from 1e-1 down to 1e-12; kappa from
     # 1e2 to 1e12, ungraded and graded (D M D with M well conditioned and
@@ -1237,29 +1227,14 @@ def _two_by_two_corpus() -> np.ndarray:
     rng = rng_for(20)
     mats = []
     for k in range(1, 13):
-        mats += [_spectral2(rng, 1.0, 1.0 + 10.0**-k), _spectral2(rng, 3.0, 3.0 * (1.0 + 10.0**-k))]
+        mats += [spectral(rng, (1.0, 1.0 + 10.0**-k)), spectral(rng, (3.0, 3.0 * (1.0 + 10.0**-k)))]
     for k in range(2, 13, 2):
         D = np.diag([1.0, 10.0 ** (-k / 2)])
-        mats += [_spectral2(rng, 1.0, 10.0**k), D @ _spectral2(rng, 1.0, 4.0) @ D]
+        mats += [spectral(rng, (1.0, 10.0**k)), D @ spectral(rng, (1.0, 4.0)) @ D]
     for scale in (1e-100, 1e100):
-        mats += [_spectral2(rng, 1.0, 1.5, scale), _spectral2(rng, 1.0, 1e3, scale)]
+        mats += [scale * spectral(rng, (1.0, 1.5)), scale * spectral(rng, (1.0, 1e3))]
     mats += [np.eye(2), np.diag([1.0, 5.0]), np.diag([5.0, 1.0])]
     return np.array(mats, dtype=complex)
-
-
-def _mp_power(X, p):
-    # X ** p through mpmath's Hermitian eigensolver at 50 digits.
-    with mp.workdps(50):
-        M = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in X.tolist()])
-        E, Q = mp.eighe(M)
-        P = Q * mp.diag([e ** mp.mpf(p) for e in E]) * Q.transpose_conj()
-        return np.array([[complex(P[i, j]) for j in range(2)] for i in range(2)])
-
-
-def _relative_error(P, ref):
-    # ||P - ref||_F / ||ref||_F, both scaled first so that no square overflows.
-    s = np.abs(ref).max()
-    return np.linalg.norm((P - ref) / s) / np.linalg.norm(ref / s)
 
 
 @pytest.mark.filterwarnings("error")
@@ -1271,7 +1246,7 @@ def test_2x2_powers_meet_mpmath_within_a_pinned_multiple_of_eps_kappa():
     for p in TWO_BY_TWO_POWERS:
         for X, P in zip(corpus, _pow_arr(corpus, p)):
             kappa = np.linalg.cond(X)
-            worst = max(worst, _relative_error(P, _mp_power(X, p)) / (np.finfo(float).eps * kappa))
+            worst = max(worst, relative_error(P, reference(X, X, "power", p)) / (np.finfo(float).eps * kappa))
     assert worst <= 2.0
 
 
@@ -1311,7 +1286,7 @@ def test_2x2_integer_powers_of_a_stack_keep_the_sign_of_a_zero_eigenvalue(p):
     # A diagonal matrix with a -0.0 eigenvalue, in either diagonal order,
     # beside one with b != 0: each row of the stack byte for byte as alone,
     # the sign of the zero included.
-    Z = np.array([np.diag([-0.0, 1.0]), _spectral2(rng_for(22), 1.0, 4.0), np.diag([1.0, -0.0])], dtype=complex)
+    Z = np.array([np.diag([-0.0, 1.0]), spectral(rng_for(22), (1.0, 4.0)), np.diag([1.0, -0.0])], dtype=complex)
     assert all(Zi.tobytes() == _pow_arr(X, p).tobytes() for X, Zi in zip(Z, _pow_arr(Z, p)))
 
 
@@ -1326,7 +1301,7 @@ def test_2x2_powers_of_a_diagonal_matrix_are_the_diagonal_powers_byte_for_byte(a
     want = np.diag([a**p, d**p]).astype(complex).tobytes()
     assert _pow_arr(X, p).tobytes() == want
     assert _pow_arr(np.array([X, X]), p)[1].tobytes() == want
-    assert _pow_arr(np.array([_spectral2(rng_for(22), 1.0, 4.0), X]), p)[1].tobytes() == want
+    assert _pow_arr(np.array([spectral(rng_for(22), (1.0, 4.0)), X]), p)[1].tobytes() == want
 
 
 @pytest.mark.filterwarnings("error")
@@ -1334,7 +1309,7 @@ def test_2x2_powers_of_a_diagonal_matrix_are_the_diagonal_powers_byte_for_byte(a
 def test_integer_powers_with_a_non_positive_eigenvalue_take_the_plain_quotient(lo, hi):
     # _power_guard lets an integer p >= 0 through when lambda_1 <= 0; the
     # atanh branch would take the square root of a negative f_1 there.
-    X = _spectral2(rng_for(21), lo, hi)
+    X = spectral(rng_for(21), (lo, hi))
     w, pieces = matcore._eig2_values(X)
     assert not pieces[5] and w[0] <= 0.0 and w[0] < w[1] / 2.0
     for p in (0.0, 1.0, 2.0, 3.0):
