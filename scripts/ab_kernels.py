@@ -24,9 +24,11 @@ processes on such a host can differ by 2x. The kernels are:
   certifies its result;
 - the lone 2x2 certificate, ``_pd_result`` of a closed-form geometric
   mean, and the lone ``_norms`` of a 2x2 and of a 4x4;
-- ``rng_batch`` at counts 1 and 200: the SeedSequence hash every sampled
-  battery seeds through, which runs at the call (each generator is built
-  only when its turn comes, so none is);
+- ``rng_batch`` at counts 1 and 200, and the seeding of 10 streams of 50
+  at once, criterion 9's probe partners: one ``rng_batches`` call, or at a
+  ref without it one ``rng_batch`` per stream. That is the SeedSequence
+  hash every sampled battery seeds through, which runs at the call (each
+  generator is built only when its turn comes, so none is);
 - at n >= 3: ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
   matrices and on a lone 4x4; ``_mean_arr`` of each kind the Cholesky frame
   serves (harmonic, geometric, m_0.5, m_-0.5, Wasserstein and spectral
@@ -46,14 +48,18 @@ processes on such a host can differ by 2x. The kernels are:
   ``criterion_5``, which take every p from one stacked pass, and beside
   them the one-kind calls of those stacked passes, ``solve_coefficients``
   of the Wasserstein mean and ``check_power_mean_expansion`` at p = 0.5;
-  and one ``centrality_probe`` of m_0.5 at 50 samples, as criterion 9 runs
-  it, on a non-scalar dim-2 matrix.
+  and one ``centrality_probe`` of m_0.5 at 50 samples on a non-scalar
+  dim-2 matrix, beside ``criterion_9``, which runs its twelve probes as one
+  stack, and ``criterion_8``, whose commuting pairs come from raw normals.
 
 Both sides get the same input arrays. A kernel that one side lacks is timed
 on the other alone.
 
 For each kernel the script prints the min and the median time per call on
-each side, in microseconds, and the change of the min, here against REF. It
+each side, in microseconds, the change of the min, here against REF, and
+the median over rounds of the ratio here / REF of the two sides' times in
+that round: a round times both sides within a fraction of a second, so the
+ratio cancels the drift of a shared host that can move a min by 10%. It
 only measures; the exit status is 0, and 2 on a usage error or an unknown REF.
 """
 
@@ -65,6 +71,7 @@ import statistics
 import sys
 import tempfile
 import time
+from operator import truediv
 from pathlib import Path
 
 import numpy as np
@@ -123,6 +130,11 @@ def kernels(pkg, data: dict) -> dict:
         "rng_batch count 1": lambda: pkg.sampling.rng_batch(7, 3, count=1),
         "rng_batch count 200": lambda: pkg.sampling.rng_batch(7, 3, count=200),
     }
+    streams = [((seed,), 50) for seed in range(10)]
+    if hasattr(pkg.sampling, "rng_batches"):
+        out["seed hash, 10 streams of 50"] = lambda: pkg.sampling.rng_batches(*streams)
+    else:
+        out["seed hash, 10 streams of 50"] = lambda: [pkg.sampling.rng_batch(*p, count=n) for p, n in streams]
     for dim, M, N in ((2, X, B[0]), (4, A4, B4)):
         H = matcore.HermitianMatrix._wrap(M)
         out[f"PdMatrix.certify lone dim {dim}"] = lambda H=H: matcore.PdMatrix.certify(H)
@@ -163,7 +175,7 @@ def kernels(pkg, data: dict) -> dict:
     out["_certified_points bw on 50 dim-2 pairs, 5 ts"] = lambda: geometry._certified_points(
         geometry.GEODESIC_BW, A[:50], B[:50], ts
     )
-    for n in (1, 2, 5):
+    for n in (1, 2, 5, 8, 9):
         out[f"criterion_{n}"] = lambda n=n: pkg.verification.CRITERIA[n](seed=0)
     out["solve_coefficients wasserstein"] = lambda: pkg.preserver.solve_coefficients(means.WASSERSTEIN)
     out["check_power_mean_expansion 0.5"] = lambda: pkg.expansion.check_power_mean_expansion(0.5)
@@ -197,25 +209,32 @@ def compare(sides: dict, rounds: int, span: float = SPAN) -> dict:
 
 
 def layers(times: dict) -> dict:
-    """{kernel: {side: {min_us, median_us}, change_of_min}}, change None where a side lacks the kernel."""
+    """{kernel: {side: {min_us, median_us}, change_of_min, median_ratio}}.
+
+    ``median_ratio`` is the median over rounds of here / ref; it and the
+    change are None where a side lacks the kernel.
+    """
     out = {}
     for k, by_side in times.items():
         row = {side: {"min_us": min(t) * 1e6, "median_us": statistics.median(t) * 1e6} for side, t in by_side.items()}
         both = "ref" in row and "here" in row
         row["change_of_min"] = row["here"]["min_us"] / row["ref"]["min_us"] - 1.0 if both else None
+        row["median_ratio"] = statistics.median(map(truediv, by_side["here"], by_side["ref"])) if both else None
         out[k] = row
     return out
 
 
 def report(times: dict, ref: str) -> list[str]:
-    """One line per kernel: min and median in microseconds per side, and the change of the min."""
+    """One line per kernel: min and median in microseconds per side, the change of the min and the median ratio."""
     lines = []
     for k, row in layers(times).items():
         sides = [
             f"{label} min {row[side]['min_us']:.2f} median {row[side]['median_us']:.2f} us" if side in row else f"{label} absent"
             for side, label in (("ref", ref), ("here", "here"))
         ]
-        change = "" if row["change_of_min"] is None else f"; min {row['change_of_min']:+.1%}"
+        change = ""
+        if row["change_of_min"] is not None:
+            change = f"; min {row['change_of_min']:+.1%}; median ratio {row['median_ratio']:.3f}"
         lines.append(f"{k}: {sides[0]}; {sides[1]}{change}")
     return lines
 

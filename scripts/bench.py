@@ -15,7 +15,8 @@ metric, each side's median and quartiles, the relative change of the
 medians, and the pairs the working tree won (ties count for neither); the
 layer timings of ``ab_kernels.py`` (both packages in this process, timed in
 turns for its 25 rounds), as each side's min and median microseconds per
-call and the change of the min; and the provenance: REF's commit, HEAD, and
+call, the change of the min and the median over rounds of the ratio
+here / REF; and the provenance: REF's commit, HEAD, and
 the working tree's ``git diff --stat`` against HEAD with its untracked
 files, so that an uncommitted change is not labelled with HEAD. The exit
 status is 0 when every run succeeded with no failed operation, 1 otherwise,

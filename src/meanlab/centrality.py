@@ -19,6 +19,7 @@ is F(1) = 0 for F = L A R - R A L. The harmonic mean, p = -1, has its own.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .means import (
     kubo_ando_power,
 )
 from .report import json_fields, worst
-from .sampling import pd_stacks
+from .sampling import complex_draws, pd_grams, rng_batches
 
 # Separates true identities (observed <= 1e-11) from generic failure
 # (observed >= 1e-3) by orders of magnitude.
@@ -88,6 +89,11 @@ def _commutes(norm, tol):
     return norm <= tol
 
 
+def _central(norms, tols) -> bool:
+    # The probe's verdict from its partners' norms and tolerances.
+    return bool(_commutes(norms, tols).all())
+
+
 @dataclass(frozen=True)
 class CommutatorReport:
     """Single-pair verdict on the mean-vs-arithmetic commutation hypothesis."""
@@ -127,23 +133,49 @@ class ProbeReport:
     pairs: tuple[CommutatorReport, ...]
 
 
-def _probe(A: PdMatrix, kind: MeanKind, samples: int, seed: int):
-    # The commutator norms and tolerances of a probe's partners, drawn from
-    # rng_for(seed, i) first and evaluated as one stack.
-    _validate_probe_kind(kind)
+def _probes(cases, samples: int) -> list:
+    # The commutator norms and tolerances of each (A, kind, seed) case's
+    # partners, A an array and the partners the random_pd draws on
+    # rng_for(seed, i) for i < samples. Every kind is validated before any
+    # draw. The partners of each distinct (dim, seed) are drawn once, every
+    # stream hashed as one batch, and certified as one stack per dim; each
+    # (kind, dim) group of cases then takes one _arith_commutator_arr, A
+    # repeated along the stack where the group has more than one case.
+    for _, kind, _ in cases:
+        _validate_probe_kind(kind)
     if samples < 1:
         raise DomainError("at least one sample is required")
-    (B,) = pd_stacks(seed, dim=A.dim, k=1, count=samples)
-    return _arith_commutator_arr(kind, A.mat, B), _comm_tol(A.norm(), _norms(B))
+    case_keys = [(A.shape[-1], seed) for A, _, seed in cases]
+    keys = list(dict.fromkeys(case_keys))
+    batches = dict(zip(keys, rng_batches(*(((seed,), samples) for _, seed in keys))))
+    partners = {}
+    for dim in dict.fromkeys(d for d, _ in keys):
+        mine = [key for key in keys if key[0] == dim]
+        (B,) = pd_grams(complex_draws(chain.from_iterable(batches[key] for key in mine), dim, 1))
+        shape = (len(mine), samples)
+        partners.update(zip(mine, zip(B.reshape(shape + B.shape[1:]), _norms(B).reshape(shape))))
+    groups = {}
+    for j, ((_, kind, _), (dim, _)) in enumerate(zip(cases, case_keys)):
+        groups.setdefault((kind.label, dim), []).append(j)
+    out = [None] * len(cases)
+    for members in groups.values():
+        A = [cases[j][0] for j in members]
+        A = A[0] if len(A) == 1 else np.repeat(np.array(A), samples, axis=0)
+        B = np.concatenate([partners[case_keys[j]][0] for j in members])
+        norms = _arith_commutator_arr(cases[members[0]][1], A, B).reshape(len(members), samples)
+        for j, row in zip(members, norms):
+            out[j] = row, _comm_tol(_norms(cases[j][0]), partners[case_keys[j]][1])
+    return out
 
 
 def probe_report(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int = 0) -> ProbeReport:
     """Sample ``samples`` random_pd partners on rng_for(seed, i) and report each commutator.
 
-    The partners are drawn first and evaluated as one stack; each report
-    is the commutator_report of its pair, bit for bit.
+    The one-case call of the stacked probe: the partners are drawn first
+    and evaluated as one stack; each report is the commutator_report of its
+    pair, bit for bit.
     """
-    norms, tols = _probe(A, kind, samples, seed)
+    ((norms, tols),) = _probes([(A.mat, kind, seed)], samples)
     pairs = tuple(
         CommutatorReport(f"sample-{i}", kind.label, c, t) for i, (c, t) in enumerate(zip(norms.tolist(), tols.tolist()))
     )
@@ -163,10 +195,12 @@ def centrality_probe(A: PdMatrix, kind: MeanKind, samples: int = 50, seed: int =
     """True iff the commutation hypothesis held for every sampled partner.
 
     In M2 this is a centrality test: scalars pass, and any non-scalar A
-    fails against some sampled partner. It decides from the stacked norms
-    and tolerances of probe_report, by the same rule, with no report.
+    fails against some sampled partner. It is the one-case call of the
+    stacked probe that criterion 9 runs over all its cases at once, and
+    decides from the stacked norms and tolerances of probe_report, by the
+    same rule, with no report.
     """
-    return bool(_commutes(*_probe(A, kind, samples, seed)).all())
+    return _central(*_probes([(A.mat, kind, seed)], samples)[0])
 
 
 @dataclass(frozen=True)

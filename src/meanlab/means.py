@@ -101,7 +101,7 @@ from .matcore import (
     pd_tolerance,
 )
 from .report import json_fields, worst
-from .sampling import _invertible_hermitian, _pd_gram, complex_draws
+from .sampling import _invertible_hermitian, _pd_gram, complex_draws, rng_batch
 
 # Power parameters are kept away from 0, where g_p degenerates.
 P_MIN = 1e-6
@@ -810,7 +810,7 @@ def check_kubo_ando_axioms(
         AxiomCheck("normalization", samples, 0 if v <= AXIOM_NORMALIZATION_TOL else samples, worst((v,)))
     ]
 
-    F = complex_draws(rng_seed, dim=dim, k=5, count=samples)
+    F = complex_draws(rng_batch(rng_seed, count=samples), dim, 5)
     T = _transforms(F[:, 4])
     A, C = _pd_gram(F[:, 0]), _pd_gram(F[:, 1])
     ks = (1, 2, 4, 8, 16, 32)

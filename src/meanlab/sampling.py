@@ -2,13 +2,15 @@
 
 Every sampled battery draws sample i of a stream on its own generator,
 ``rng_for(seed, *stream, i)``: numpy's PCG64 seeded by the SeedSequence of
-the integers (seed, *stream, i). :func:`rng_batch` builds those generators
-for every i < count at once, and every battery seeds through it, at any
-count; ``rng_for`` stays the public way to build one generator alone. It
-runs the SeedSequence algorithm itself, the seed_seq entropy mixing of
-O'Neill's PCG paper (hash each 32-bit word of entropy into a pool of four
-words, mix every pool word into every other, then hash the pool out into
-the generator's state), as uint32 array arithmetic over i. NEP 19 keeps
+the integers (seed, *stream, i). :func:`rng_batches` builds those generators
+for every i < count of several streams at once, and every battery seeds
+through it, a criterion all its streams in one call; :func:`rng_batch` is
+its one-stream call, and ``rng_for`` stays the public way to build one
+generator alone. It runs the SeedSequence algorithm itself, the seed_seq
+entropy mixing of O'Neill's PCG paper (hash each 32-bit word of entropy
+into a pool of four words, mix every pool word into every other, then hash
+the pool out into the generator's state), as uint32 array arithmetic over
+the columns (seed, *stream, i), one pass per entropy length. NEP 19 keeps
 SeedSequence's output stable across numpy versions, so the batch gives the
 bits ``rng_for`` gives; ``tests/test_sampling.py`` checks the draws stream
 for stream, across seeds and streams of one and several words.
@@ -123,24 +125,40 @@ def _seed_state_type() -> type:
     return SeedState
 
 
-def rng_batch(seed, *stream, count: int) -> Iterator[np.random.Generator]:
-    """Yield rng_for(seed, *stream, i) for each i < count, seeded as one batch.
+def rng_batches(*batches) -> list[Iterator[np.random.Generator]]:
+    """For each (prefix, count) of ``batches``, an iterator of rng_for(*prefix, i) for each i < count.
 
-    The SeedSequence hash runs at the call, once over every i, whatever
-    count is (see the module docstring); each generator is built when it is
-    reached, its PCG64 taking its row through a seed sequence that serves
-    it, so only the one in use is held. Arguments are taken with int() and
-    checked as SeedSequence checks them, so a negative one raises its
-    ValueError at the call, even at count 0.
+    The SeedSequence hash runs at the call, once per entropy length over
+    the columns of every batch of that length (see the module docstring);
+    each generator is built when it is reached, its PCG64 taking its row
+    through a seed sequence that serves it, so only the one in use is held.
+    Arguments are taken with int() and checked as SeedSequence checks them,
+    so a negative one raises its ValueError at the call, before any
+    generator is built, even at count 0.
     """
-    prefix = [w for n in (seed, *stream) for w in _words(int(n))]
-    count = max(int(count), 0)
-    entropy = np.empty((len(prefix) + 1, count), dtype=np.uint32)
-    entropy[:-1] = np.array(prefix, dtype=np.uint32)[:, None]
-    # i < 2**32 is a single word.
-    entropy[-1] = np.arange(count)
+    prefixes = [[w for n in prefix for w in _words(int(n))] for prefix, _ in batches]
+    counts = [max(int(count), 0) for _, count in batches]
+    states = [None] * len(batches)
+    for length in dict.fromkeys(map(len, prefixes)):
+        members = [j for j, prefix in enumerate(prefixes) if len(prefix) == length]
+        entropy = np.empty((length + 1, sum(counts[j] for j in members)), dtype=np.uint32)
+        at = 0
+        for j in members:
+            entropy[:-1, at : at + counts[j]] = np.array(prefixes[j], dtype=np.uint32)[:, None]
+            # i < 2**32 is a single word.
+            entropy[-1, at : at + counts[j]] = np.arange(counts[j])
+            at += counts[j]
+        rows = _seed_states(entropy)
+        for j in members:
+            states[j], rows = rows[: counts[j]], rows[counts[j] :]
     seeded = _seed_state_type()
-    return (np.random.Generator(np.random.PCG64(seeded(s))) for s in _seed_states(entropy))
+    return [(np.random.Generator(np.random.PCG64(seeded(s))) for s in batch) for batch in states]
+
+
+def rng_batch(seed, *stream, count: int) -> Iterator[np.random.Generator]:
+    """Yield rng_for(seed, *stream, i) for each i < count: rng_batches of the one batch."""
+    (batch,) = rng_batches(((seed, *stream), count))
+    return batch
 
 
 def random_complex(rng: np.random.Generator, dim: int, *lead: int) -> np.ndarray:
@@ -155,13 +173,13 @@ def _complex(Z: np.ndarray) -> np.ndarray:
     return Z[..., 0, :, :] + 1j * Z[..., 1, :, :]
 
 
-def complex_draws(seed, *stream, dim: int, k: int, count: int) -> np.ndarray:
-    """(count, k, dim, dim): draw i is random_complex(rng_for(seed, *stream, i), dim, k).
+def complex_draws(rngs, dim: int, k: int) -> np.ndarray:
+    """(count, k, dim, dim): draw i is random_complex(rng, dim, k) on the i-th of the generators ``rngs``.
 
     Each generator draws its normals as random_complex does, and the complex
     matrices are then formed once for the whole stack, the same bits.
     """
-    Z = np.array([rng.standard_normal((k, 2, dim, dim)) for rng in rng_batch(seed, *stream, count=count)])
+    Z = np.array([rng.standard_normal((k, 2, dim, dim)) for rng in rngs])
     return _complex(Z.reshape(-1, k, 2, dim, dim))
 
 
@@ -190,15 +208,18 @@ def random_pd(rng: np.random.Generator, dim: int) -> PdMatrix:
     return PdMatrix.certify(HermitianMatrix._wrap(_pd_gram(random_complex(rng, dim))))
 
 
-def pd_stacks(seed, *stream, dim: int, k: int, count: int) -> tuple[np.ndarray, ...]:
-    """k certified (count, dim, dim) stacks: draw i is k random_pd draws on rng_for(seed, *stream, i).
+def pd_grams(F: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The k certified (count, dim, dim) stacks of M*M + PD_FLOOR*I over (count, k, dim, dim) factors F.
 
-    Each draw takes its k factors at once with complex_draws,
-    which gives the factors k single draws would, so every matrix is the
-    one random_pd returns; each stack is certified as one.
+    With F from complex_draws every matrix is the one random_pd returns on
+    its generator, drawn k times; each stack is certified as one.
     """
-    F = complex_draws(seed, *stream, dim=dim, k=k, count=count)
-    return tuple(_certified(_pd_gram(F[:, j])) for j in range(k))
+    return tuple(_certified(_pd_gram(F[:, j])) for j in range(F.shape[1]))
+
+
+def pd_stacks(seed, *stream, dim: int, k: int, count: int) -> tuple[np.ndarray, ...]:
+    """k certified (count, dim, dim) stacks: draw i is k random_pd draws on rng_for(seed, *stream, i)."""
+    return pd_grams(complex_draws(rng_batch(seed, *stream, count=count), dim, k))
 
 
 def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:

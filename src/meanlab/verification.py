@@ -14,11 +14,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .centrality import (
-    centrality_probe,
-    remark1_identity_chain,
-    remark2_identity_chain,
-)
+from .centrality import _central, _probes, remark1_identity_chain, remark2_identity_chain
 from .expansion import (
     DEFAULT_GRID,
     _fit_stacks,
@@ -55,16 +51,7 @@ from .preserver import (
     trace_power_functional,
 )
 from .report import CheckItem, CheckReport, least, worst
-from .sampling import (
-    _pd_gram,
-    _unitary_factor,
-    complex_draws,
-    draws,
-    pd_stacks,
-    random_complex,
-    random_pd,
-    rng_batch,
-)
+from .sampling import _complex, _pd_gram, _unitary_factor, complex_draws, pd_grams, random_pd, rng_batch, rng_batches
 
 P_VALUES = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
 
@@ -174,19 +161,23 @@ def criterion_5(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     return CheckReport("criterion 5: forced constancy of the affine model", tuple(items))
 
 
-def _weighted_pairs(seed):
+def _weighted_pairs(rngs):
     # Criterion 6's 100 linear cases as stacks: a trace-normalized PSD
     # weight W = G*G / tr(G*G) for f = tr(W .), then a certified pair. Draw
-    # i takes G, then the pair's factors as random_pd takes them, from
-    # rng_for(seed, 61, i).
-    G, FA, FB = complex_draws(seed, 61, dim=2, k=3, count=100).swapaxes(0, 1)
+    # i takes G, then the pair's factors as random_pd takes them, from the
+    # i-th generator of ``rngs``, rng_for(seed, 61, i).
+    G, FA, FB = complex_draws(rngs, 2, 3).swapaxes(0, 1)
     W = G.conj().swapaxes(-1, -2) @ G
     W = W / np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
     return W, _certified(_pd_gram(FA)), _certified(_pd_gram(FB))
 
 
 def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
-    """Residual separation: constants preserve, a genuine functional does not."""
+    """Residual separation: constants preserve, a genuine functional does not.
+
+    Its two streams, 60 for the constant cases and 61 for the linear ones,
+    are seeded as one batch.
+    """
     const_tol = 1e-13 * tol_scale
     linear_tol = 1e-12 * tol_scale
     # Separation thresholds are not tolerances; they stay fixed.
@@ -197,7 +188,8 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         ("m_-0.5", kubo_ando_power(-0.5)),
         ("Wasserstein", WASSERSTEIN),
     )
-    A, B = pd_stacks(seed, 60, dim=2, k=2, count=100)
+    constant, linear = rng_batches(((seed, 60), 100), ((seed, 61), 100))
+    A, B = pd_grams(complex_draws(constant, 2, 2))
     items = []
     for name, kind in kinds:
         residual = worst(_residual_arr(f_const, kind, A, B).tolist())
@@ -213,7 +205,7 @@ def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         )
     )
 
-    W, A, B = _weighted_pairs(seed)
+    W, A, B = _weighted_pairs(linear)
     residual = worst(_residual_arr(linear_functional(W), ARITHMETIC, A, B).tolist())
     items.append(
         CheckItem.bound("positive linear functionals preserve the arithmetic mean", residual, linear_tol)
@@ -240,25 +232,34 @@ def criterion_7(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     return CheckReport("criterion 7: Kubo-Ando axiom battery", tuple(items))
 
 
-def _commuting_stacks(seed, stream):
-    # 100 commuting pairs (V diag(d1) V*, V diag(d2) V*) as two certified
-    # stacks. Draw i takes V's Gaussian factor, then d1 and d2, from
-    # rng_for(seed, stream, i); the factors then go through one stacked QR.
-    Z, d = [], []
-    for rng in rng_batch(seed, stream, count=100):
-        Z.append(random_complex(rng, 2))
-        d.append(rng.uniform(0.5, 3.0, size=(2, 2)))
-    V = _unitary_factor(np.array(Z))[:, None]
+def _commuting_stacks(*batches):
+    # For each batch of generators, its commuting pairs
+    # (V diag(d1) V*, V diag(d2) V*) as two certified stacks, a pair per
+    # generator. Each generator draws V's normals, then d1 and d2; the
+    # normals of every batch form their complex matrices at once, as
+    # complex_draws forms them, and go through one stacked QR, and every
+    # pair is certified in one stack.
+    Z, d, ends = [], [], []
+    for batch in batches:
+        for rng in batch:
+            Z.append(rng.standard_normal((2, 2, 2)))
+            d.append(rng.uniform(0.5, 3.0, size=(2, 2)))
+        ends.append(len(Z))
+    V = _unitary_factor(_complex(np.array(Z)))[:, None]
     pairs = (V * np.array(d)[..., None, :]) @ V.conj().swapaxes(-1, -2)
     _check_hermitian(pairs)
-    return _certified(_sym(pairs[:, 0])), _certified(_sym(pairs[:, 1]))
+    pairs = _certified(_sym(pairs))
+    return [tuple(np.ascontiguousarray(P.swapaxes(0, 1))) for P in np.split(pairs, ends[:-1])]
 
 
 def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     """Commuting-case coincidences and the two Wasserstein formulas.
 
-    Each set of 100 pairs is drawn first and certified as two stacks; its
-    means are taken over the stacks, every result certified as ``mean`` does.
+    Its three streams of 100 pairs, 80 and 81 commuting and 82 generic, are
+    seeded as one batch and drawn first; the commuting pairs of both
+    streams are built and certified as one stack, the generic ones as two.
+    The means are taken over the stacks, every result certified as
+    ``mean`` does.
     """
     tol_c = 1e-10 * tol_scale
     tol_w = 1e-11 * tol_scale
@@ -266,7 +267,8 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     def gap(X, Y) -> float:
         return worst(_norms(X - Y).tolist())
 
-    A, B = _commuting_stacks(seed, 80)
+    powers, halves, generic = rng_batches(((seed, 80), 100), ((seed, 81), 100), ((seed, 82), 100))
+    (A, B), commuting = _commuting_stacks(powers, halves)
     items = []
     for p in (0.5, -0.5):
         ka = _certified(_mean_arr(kubo_ando_power(p), A, B))
@@ -274,24 +276,38 @@ def criterion_8(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
         items.append(
             CheckItem.bound(f"m_p vs conventional power on commuting pairs, p = {p:g}", gap(ka, cp), tol_c)
         )
-    A, B = _commuting_stacks(seed, 81)
+    A, B = commuting
     W = _certified(_mean_arr(WASSERSTEIN, A, B))
     cp = _certified(_mean_arr(conventional_power(0.5), A, B))
     items.append(
         CheckItem.bound("Wasserstein vs conventional power 1/2 on commuting pairs", gap(W, cp), tol_c)
     )
-    A, B = pd_stacks(seed, 82, dim=2, k=2, count=100)
+    A, B = pd_grams(complex_draws(generic, 2, 2))
     W = _certified(_mean_arr(WASSERSTEIN, A, B))
     alt = _certified(_wasserstein_alt_arr(A, B))
     items.append(CheckItem.bound("two Wasserstein formulas agree", gap(W, alt), tol_w))
     return CheckReport("criterion 8: mean coincidences", tuple(items))
 
 
-def _non_scalar_pd(rng):
-    # A 2x2 draw at least 0.05 from the scalars, redrawn from rng until it is.
-    A = random_pd(rng, 2)
-    while frobenius(A.mat - (A.trace() / 2.0) * np.eye(2)) < 0.05:
-        A = random_pd(rng, 2)
+# Criterion 9 draws its non-scalar matrices at least this far (Frobenius)
+# from the scalars.
+_SCALAR_GAP = 0.05
+
+
+def _scalar_gap(A):
+    # ||A - (tr A / 2) I||_F of a 2x2 matrix, or of each matrix of a stack.
+    return _norms(A - (np.trace(A, axis1=-2, axis2=-1).real / 2.0)[..., None, None] * np.eye(2))
+
+
+def _non_scalar_stack(rngs) -> np.ndarray:
+    # A 2x2 random_pd draw on each generator of the list ``rngs``, drawn and
+    # certified as one stack; a row within _SCALAR_GAP of the scalars is
+    # redrawn from its own generator, a random_pd draw at a time, until it
+    # is not.
+    (A,) = pd_grams(complex_draws(rngs, 2, 1))
+    for i in np.flatnonzero(_scalar_gap(A) < _SCALAR_GAP):
+        while _scalar_gap(A[i]) < _SCALAR_GAP:
+            A[i] = random_pd(rngs[i], 2).mat
     return A
 
 
@@ -304,33 +320,30 @@ def _chains(A: PdMatrix, B: PdMatrix, ps):
 
 
 def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
-    """Centrality probes and the identity chains on pinned pair classes."""
+    """Centrality probes and the identity chains on pinned pair classes.
+
+    The twelve probes, a scalar against the partners of ``seed`` for the
+    Wasserstein mean and for m_0.5, then ten non-scalar draws of stream 90
+    against those of seed + i, the kinds alternating, run as one stacked
+    probe: the partners of each distinct seed are drawn and certified
+    once, and every verdict is the one centrality_probe gives its case.
+    """
     small = 1e-11 * tol_scale
     # Separation threshold, not a tolerance; stays fixed.
     large = 1e-3
     deriv_tol = 1e-5 * tol_scale
     sz, sx, _ = pauli_basis()
-    scalar = PdMatrix.certify(3.0 * np.eye(2))
+    scalar = PdMatrix.certify(3.0 * np.eye(2)).mat
+    kinds = (WASSERSTEIN, kubo_ando_power(0.5))
+    cases = [(scalar, kind, seed) for kind in kinds]
+    drawn = _non_scalar_stack(list(rng_batch(seed, 90, count=10)))
+    cases += [(A, kinds[i % 2], seed + i) for i, A in enumerate(drawn)]
+    central = [_central(*probe) for probe in _probes(cases, 50)]
     items = [
-        CheckItem.bound(
-            "scalar passes the probe, Wasserstein",
-            0.0 if centrality_probe(scalar, WASSERSTEIN, 50, seed) else 1.0,
-            0.0,
-        ),
-        CheckItem.bound(
-            "scalar passes the probe, m_0.5",
-            0.0 if centrality_probe(scalar, kubo_ando_power(0.5), 50, seed) else 1.0,
-            0.0,
-        ),
+        CheckItem.bound("scalar passes the probe, Wasserstein", 0.0 if central[0] else 1.0, 0.0),
+        CheckItem.bound("scalar passes the probe, m_0.5", 0.0 if central[1] else 1.0, 0.0),
+        CheckItem.compare("non-scalar matrices failing the probe (of 10)", 10.0, float(central[2:].count(False)), 0.0),
     ]
-    fails = 0
-    for i, A in enumerate(draws(_non_scalar_pd, seed, 90, count=10)):
-        kind = WASSERSTEIN if i % 2 == 0 else kubo_ando_power(0.5)
-        if not centrality_probe(A, kind, 50, seed + i):
-            fails += 1
-    items.append(
-        CheckItem.compare("non-scalar matrices failing the probe (of 10)", 10.0, float(fails), 0.0)
-    )
 
     Ac = PdMatrix.certify(np.diag([1.0, 4.0]))
     Bc = PdMatrix.certify(np.diag([9.0, 16.0]))
@@ -365,7 +378,11 @@ def criterion_9(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
 
 
 def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
-    """Metric and geodesic properties of the Bures-Wasserstein structure."""
+    """Metric and geodesic properties of the Bures-Wasserstein structure.
+
+    Its three streams, 100 for the triples, 101 for the curve pairs and 102
+    for the accrual pairs, are seeded as one batch.
+    """
     sym_tol = 1e-11 * tol_scale
     tri_slack = 1e-10 * tol_scale
     end_tol = 1e-11 * tol_scale
@@ -373,7 +390,8 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     add_rtol = 1e-8 * tol_scale
     exact_tol = 1e-12 * tol_scale
 
-    A, B, C = pd_stacks(seed, 100, dim=2, k=3, count=200)
+    triples, pairs, accrual = rng_batches(((seed, 100), 200), ((seed, 101), 20), ((seed, 102), 50))
+    A, B, C = pd_grams(complex_draws(triples, 2, 3))
     dab = _d_bw_arr(A, B)
     sym = np.abs(dab - _d_bw_arr(B, A))
     ident = _d_bw_arr(A, A)
@@ -385,7 +403,7 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     ]
 
     # Both curves at t = 0, 1 and 1/2 over the 20 pairs, from one frame or Q per pair.
-    A, B = pd_stacks(seed, 101, dim=2, k=2, count=20)
+    A, B = pd_grams(complex_draws(pairs, 2, 2))
     end_gaps, mids = [], []
     for geo, kind, name in (
         (GEODESIC_TRACE, GEOMETRIC, "trace-metric midpoint is the geometric mean"),
@@ -400,7 +418,7 @@ def criterion_10(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:
     items += mids
 
     partition = (0.0, 0.25, 0.5, 0.75, 1.0)
-    deviation, total = _accrual(*pd_stacks(seed, 102, dim=2, k=2, count=50), partition)
+    deviation, total = _accrual(*pd_grams(complex_draws(accrual, 2, 2)), partition)
     ratio = worst((deviation / total).tolist())
     items.append(CheckItem.bound("distance accrues proportionally along the curve", ratio, add_rtol))
 

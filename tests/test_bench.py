@@ -46,6 +46,18 @@ def test_summary_counts_wins_per_pair_and_drops_a_broken_pair(bench):
     assert rss["worktree_wins"] == 0 and rss["change"] == 0.0
 
 
+def test_layers_take_the_median_of_the_per_round_ratios(monkeypatch):
+    # Rounds where here took 1, 3 and 4 against REF's 2, 2 and 2: the
+    # ratios are 0.5, 1.5 and 2.0, their median 1.5, while the change of
+    # the min reads -50%.
+    monkeypatch.syspath_prepend(str(SCRIPTS))
+    spec = importlib.util.spec_from_file_location("ab_kernels", SCRIPTS / "ab_kernels.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    row = module.layers({"k": {"ref": [2.0, 2.0, 2.0], "here": [1.0, 3.0, 4.0]}})["k"]
+    assert row["median_ratio"] == 1.5 and row["change_of_min"] == -0.5
+
+
 def test_quartiles_of_a_single_run(bench):
     assert bench.quartiles([2.5]) == {"median": 2.5, "q1": 2.5, "q3": 2.5}
 
@@ -114,10 +126,12 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "1 rounds, alternating; microseconds per call"
     number = r"(\d+\.\d\d)"
-    pattern = rf"(.+): REF min {number} median {number} us; here min {number} median {number} us; min [+-]\d+\.\d%"
+    pattern = (rf"(.+): REF min {number} median {number} us; here min {number} median {number} us; "
+               r"min [+-]\d+\.\d%; median ratio (\d+\.\d{3})")
     rows = [re.fullmatch(pattern, line) for line in lines[1:]]
-    assert len(rows) == 60 and all(rows)
+    assert len(rows) == 63 and all(rows)
     assert all(float(m.group(2)) == float(m.group(3)) > 0.0 for m in rows)
+    assert all(float(m.group(6)) > 0.0 for m in rows)
     names = {"_cholesky lone 4x4", "_d_bw_arr on 200 dim-3 pairs", "criterion_10", "PdMatrix.certify lone dim 2"}
     names |= {"mean geometric lone dim 4", "_order_violation on 180 dim-3 pairs", "_congruences on 180 dim-3 pairs"}
     names |= {"_pd_result lone 2x2", "_norms lone 2x2", "rng_batch count 1", "rng_batch count 200"}
@@ -125,6 +139,7 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     names |= {"mean spectral-geometric lone dim 2", "mean conventional-power 0.5 lone dim 2"}
     names |= {"_certified_points bw on 50 dim-2 pairs, 5 ts", "criterion_1", "criterion_2", "criterion_5"}
     names |= {"solve_coefficients wasserstein", "check_power_mean_expansion 0.5", "centrality_probe m_0.5, 50 samples"}
+    names |= {"criterion_8", "criterion_9", "seed hash, 10 streams of 50"}
     assert names | {"_mean_arr harmonic lone"} <= {m.group(1) for m in rows}
 
 
@@ -138,4 +153,5 @@ def test_ab_kernels_times_a_kernel_one_side_lacks_on_the_other_alone(monkeypatch
     assert set(times["b"]) == {"here"} and len(times["b"]["here"]) == 2
     rows = module.layers(times)
     assert rows["b"]["change_of_min"] is None and rows["a"]["change_of_min"] is not None
+    assert rows["b"]["median_ratio"] is None and rows["a"]["median_ratio"] > 0.0
     assert module.report(times, "REF")[1].startswith("b: REF absent; here min ")

@@ -19,11 +19,13 @@ from meanlab import (
     SPECTRAL_GEOMETRIC,
     WASSERSTEIN,
     DomainError,
+    PdMatrix,
     arith_mean_commutator,
     centrality_probe,
     comm_tol,
     commutator_norm,
     commutator_report,
+    frobenius,
     identity_pd,
     kubo_ando_power,
     mean,
@@ -35,7 +37,7 @@ from meanlab import (
     remark2_identity_chain,
     rng_for,
 )
-from meanlab.sampling import draws
+from meanlab.sampling import draws, pd_stacks, rng_batch
 
 SZ, SX, U = pauli_basis()
 I2 = np.eye(2, dtype=complex)
@@ -143,11 +145,68 @@ def test_centrality_probe_decides_as_the_report_with_no_report(kind, monkeypatch
     # Criterion 9's probes: a scalar, then its ten non-scalar draws. The
     # verdict comes from the stacked norms and tolerances, with no
     # CommutatorReport built, and agrees with the report's.
-    As = [identity_pd(2), *draws(verification._non_scalar_pd, 0, 90, count=10)]
+    drawn = verification._non_scalar_stack(list(rng_batch(0, 90, count=10)))
+    As = [identity_pd(2), *map(PdMatrix.certify, drawn)]
     want = [probe_report(A, kind, 50, i).central for i, A in enumerate(As)]
     monkeypatch.setattr(centrality, "CommutatorReport", lambda *a: pytest.fail("built a report"))
     assert [centrality_probe(A, kind, 50, i) for i, A in enumerate(As)] == want
     assert want[0] and not any(want[1:])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_stacked_probe_equals_each_case_alone(dim):
+    # Mixed kinds, a repeated seed, a repeated matrix and a lone-case kind,
+    # at dim and at the other dim in the same call: every case's norms and
+    # tolerances have the bytes of its one-case call, which probe_report
+    # and centrality_probe make.
+    other = 5 - dim
+    A, B, C = (random_pd(rng_for(18, dim, j), dim).mat for j in range(3))
+    D = random_pd(rng_for(18, other), other).mat
+    m05, mneg = kubo_ando_power(0.5), kubo_ando_power(-0.5)
+    cases = [
+        (A, WASSERSTEIN, 3), (B, m05, 3), (C, WASSERSTEIN, 4), (A, m05, 5), (identity_pd(dim).mat, WASSERSTEIN, 3),
+        (B, HARMONIC, 4), (D, m05, 3), (C, mneg, 3), (D, m05, 6), (A, WASSERSTEIN, 3),
+    ]
+    stacked = centrality._probes(cases, 12)
+    for case, (norms, tols) in zip(cases, stacked, strict=True):
+        ((want_norms, want_tols),) = centrality._probes([case], 12)
+        assert norms.tobytes() == want_norms.tobytes() and tols.tobytes() == want_tols.tobytes()
+        assert norms.shape == tols.shape == (12,)
+
+
+@pytest.mark.parametrize("bad", [GEOMETRIC, kubo_ando_power(1.0)], ids=lambda k: k.label)
+def test_stacked_probe_refuses_an_unsupported_kind_before_a_draw(bad, monkeypatch):
+    # The unsupported kind sits last, after supported cases: nothing is
+    # hashed or drawn before the refusal.
+    monkeypatch.setattr(centrality, "rng_batches", lambda *a: pytest.fail("drew partners"))
+    A = identity_pd(2).mat
+    with pytest.raises(DomainError):
+        centrality._probes([(A, WASSERSTEIN, 0), (A, kubo_ando_power(0.5), 1), (A, bad, 2)], 5)
+
+
+def _non_scalar_pd(rng, gap):
+    # One draw at a time: random_pd redrawn from rng until it is at least
+    # ``gap`` from the scalars.
+    A = random_pd(rng, 2)
+    while frobenius(A.mat - (A.trace() / 2.0) * np.eye(2)) < gap:
+        A = random_pd(rng, 2)
+    return A.mat
+
+
+@pytest.mark.parametrize("redraw", [False, True])
+def test_non_scalar_stack_redraws_as_one_draw_at_a_time(redraw, monkeypatch):
+    # Criterion 9's ten non-scalar matrices, drawn and certified as one
+    # stack, against random_pd draws one at a time. No draw of stream 90
+    # at seed 0 falls within 0.05 of the scalars, so a gap of 3.0, past
+    # the distance of about a third of the draws, makes the redraws happen.
+    gap = 3.0 if redraw else verification._SCALAR_GAP
+    monkeypatch.setattr(verification, "_SCALAR_GAP", gap)
+    got = verification._non_scalar_stack(list(rng_batch(0, 90, count=10)))
+    want = [_non_scalar_pd(rng_for(0, 90, i), gap) for i in range(10)]
+    assert got.shape == (10, 2, 2) and all(np.array_equal(g, w) for g, w in zip(got, want))
+    first = pd_stacks(0, 90, dim=2, k=1, count=10)[0]
+    redrawn = sum(not np.array_equal(g, f) for g, f in zip(got, first))
+    assert 0 < redrawn < 10 if redraw else redrawn == 0
 
 
 def test_probe_kind_validation(pd):

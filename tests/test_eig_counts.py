@@ -50,7 +50,7 @@ from meanlab import (
     remark2_identity_chain,
     rng_for,
 )
-from meanlab import matcore, means
+from meanlab import matcore, means, sampling
 from meanlab.cli import main
 from meanlab.verification import CRITERIA, criterion_6, criterion_8, criterion_9, criterion_10
 
@@ -261,11 +261,14 @@ def test_eigendecompositions_per_identity_chain(chain, args, expected, dim, eig_
 # frame (trace, 5 per pair) or one Q (Bures-Wasserstein, 6 per pair); a
 # geodesic call per point would cost 4203. Criterion 9's twelve probes, six
 # of the Wasserstein mean and six of m_0.5, cost 152 and 201 each (250 each
-# with A's side taken per partner, 3057 in all); the chains and the redraws
-# of its non-scalar matrices cost the rest. Those are the counts on the
-# frame route. Every one of these criteria works at n = 2, where the closed
-# forms save 3 per Wasserstein mean, Bures-Wasserstein Q or m_p, 2 per
-# geometric mean and 2 per pair of the trace-metric curve:
+# with A's side taken per partner, 3057 in all), less 100: the two scalar
+# probes and the first non-scalar one all probe against ``seed``, and its
+# 50 partners are drawn and certified once, not three times (2175 before);
+# the chains and the redraws of its non-scalar matrices cost the rest.
+# Those are the counts on the frame route. Every one of these criteria
+# works at n = 2, where the closed forms save 3 per Wasserstein mean,
+# Bures-Wasserstein Q or m_p, 2 per geometric mean and 2 per pair of the
+# trace-metric curve:
 # - criterion 6: 100 Wasserstein means and 200 of m_+-0.5, and one lone
 #   m_0.5 (903);
 # - criterion 8: 200 Wasserstein means and 200 of m_p (1200);
@@ -280,12 +283,28 @@ CLOSED_FORM_SAVINGS = {criterion_6: 903, criterion_8: 1200, criterion_9: 927, cr
 
 @pytest.mark.parametrize(
     "criterion, expected",
-    [(criterion_6, 1707), (criterion_8, 3700), (criterion_9, 2175), (criterion_10, 4003)],
+    [(criterion_6, 1707), (criterion_8, 3700), (criterion_9, 2075), (criterion_10, 4003)],
     ids=lambda x: getattr(x, "__name__", str(x)),
 )
 def test_eigendecompositions_per_sampled_criterion(criterion, expected, eig_calls):
     criterion(seed=0)
     assert len(eig_calls) == expected - CLOSED_FORM_SAVINGS[criterion]
+
+
+# Each sampled criterion seeds all its streams in one call, one
+# SeedSequence hash per entropy length: criteria 6, 8 and 10 have streams
+# (seed, stream) only. Criterion 9 hashes its non-scalar draws' stream
+# (seed, 90), then the partner streams of its probes' ten distinct seeds,
+# one word each at seed 0, in one call. Before, each stream had its own
+# hash: 2, 3, 13 and 3.
+@pytest.mark.parametrize("criterion, hashes", [(criterion_6, 1), (criterion_8, 1), (criterion_9, 2), (criterion_10, 1)],
+                         ids=lambda x: getattr(x, "__name__", str(x)))
+def test_seed_hashes_per_sampled_criterion(criterion, hashes, monkeypatch):
+    calls = []
+    real = sampling._seed_states
+    monkeypatch.setattr(sampling, "_seed_states", lambda entropy: calls.append(entropy.shape) or real(entropy))
+    criterion(seed=0)
+    assert len(calls) == hashes
 
 
 # The power family's criteria on their grids. Criterion 5's eight solves

@@ -41,7 +41,7 @@ from meanlab import (
 from meanlab import expansion, matcore
 from meanlab.geometry import _d_bw_arr
 from meanlab.matcore import _pow_arr, _sym
-from meanlab.sampling import _pd_gram, draws, pd_stacks, random_complex, stacked
+from meanlab.sampling import _pd_gram, draws, pd_stacks, random_complex, rng_batch, stacked
 from meanlab.verification import _commuting_stacks, _weighted_pairs
 
 from mp_oracle import reference, relative_error, spectral
@@ -738,7 +738,7 @@ def test_criterion_6_stacks_equal_random_pd_draws(seed):
     # Stream 60 holds the pairs of the constant cases, stream 61 the linear
     # cases: a weight factor G first, then the pair.
     A, B = pd_stacks(seed, 60, dim=2, k=2, count=100)
-    W, C, D = _weighted_pairs(seed)
+    W, C, D = _weighted_pairs(rng_batch(seed, 61, count=100))
     for i in range(100):
         rng = rng_for(seed, 60, i)
         assert np.array_equal(A[i], random_pd(rng, 2).mat) and np.array_equal(B[i], random_pd(rng, 2).mat)
@@ -750,16 +750,20 @@ def test_criterion_6_stacks_equal_random_pd_draws(seed):
 
 
 @pytest.mark.parametrize("seed", [0, 1])
-@pytest.mark.parametrize("stream", [80, 81])
-def test_criterion_8_commuting_stacks_equal_each_draw(seed, stream):
-    # One stacked QR and (V * d) @ V* over the stack against a unitary and
-    # V diag(d) V* per draw, bit for bit.
-    A, B = _commuting_stacks(seed, stream)
-    for i in range(100):
-        rng = rng_for(seed, stream, i)
-        V = random_unitary(rng, 2)
-        for d, got in ((rng.uniform(0.5, 3.0, size=2), A[i]), (rng.uniform(0.5, 3.0, size=2), B[i])):
-            assert np.array_equal(got, HermitianMatrix(V @ np.diag(d) @ V.conj().T).mat)
+def test_criterion_8_commuting_stacks_equal_each_draw(seed):
+    # Streams 80 and 81 in one call: one stacked QR, (V * d) @ V* and one
+    # certification over both against a unitary and V diag(d) V* per draw,
+    # bit for bit, each stream's pairs in its own two stacks.
+    streams = (80, 81)
+    got = _commuting_stacks(*(rng_batch(seed, stream, count=100) for stream in streams))
+    assert len(got) == 2
+    for stream, (A, B) in zip(streams, got):
+        assert A.shape == B.shape == (100, 2, 2) and A.flags.c_contiguous and B.flags.c_contiguous
+        for i in range(100):
+            rng = rng_for(seed, stream, i)
+            V = random_unitary(rng, 2)
+            for d, X in ((rng.uniform(0.5, 3.0, size=2), A[i]), (rng.uniform(0.5, 3.0, size=2), B[i])):
+                assert np.array_equal(X, HermitianMatrix(V @ np.diag(d) @ V.conj().T).mat)
 
 
 def test_stacked_puts_each_position_of_the_draws_in_one_stack():
