@@ -30,7 +30,9 @@ processes on such a host can differ by 2x. The kernels are:
   hash every sampled battery seeds through, which runs at the call (each
   generator is built only when its turn comes, so none is);
 - at n >= 3: ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
-  matrices and on a lone 4x4; ``_mean_arr`` of each kind the Cholesky frame
+  matrices and on a lone 4x4, ``_cholesky`` with the split of the matrix
+  into the parts it reads; the lone 4x4's certificate proof
+  (``_cholesky_proof``) at its ``pd_tolerance``; ``_mean_arr`` of each kind the Cholesky frame
   serves (harmonic, geometric, m_0.5, m_-0.5, Wasserstein and spectral
   geometric) on 180 dim-3 pairs, the size of criterion 7's dim-3 mean stack
   at 20 samples, and on one dim-4 pair; ``check_kubo_ando_axioms`` at
@@ -40,9 +42,11 @@ processes on such a host can differ by 2x. The kernels are:
 - the Bures-Wasserstein distance ``_d_bw_arr`` of one pair at dims 2 and 4
   and of 200 pairs at dims 2 and 3, and ``criterion_10``, whose work is
   mostly distances;
-- the public lone dim-2 ``geodesic`` on the Bures-Wasserstein curve, the
-  spectral geometric ``mean`` and the conventional power ``mean`` at
-  p = 0.5, each certified, and ``_certified_points`` of that curve on 50
+- the public lone dim-2 calls, each certified: ``geodesic`` on both
+  curves at t = 0.3; ``mean`` of the arithmetic, harmonic, Wasserstein,
+  spectral geometric, m_0.5 and m_-0.5 kinds and of the conventional power
+  mean at p = 0.5; and ``wasserstein_alt``; and ``_certified_points`` of the
+  Bures-Wasserstein curve on 50
   dim-2 pairs at 5 values of t;
 - the power family's criteria, ``criterion_1``, ``criterion_2`` and
   ``criterion_5``, which take every p from one stacked pass, and beside
@@ -67,6 +71,7 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import inspect
 import statistics
 import sys
 import tempfile
@@ -143,11 +148,20 @@ def kernels(pkg, data: dict) -> dict:
     H4 = matcore.HermitianMatrix._wrap(A4)
     out["PdMatrix.certify(H).min_eigenvalue lone dim 4"] = lambda: matcore.PdMatrix.certify(H4).min_eigenvalue
     if hasattr(matcore, "_cholesky"):
+        # The factor of M, from M's parts where _cholesky takes them.
+        if "ops" in inspect.signature(matcore._cholesky).parameters:
+            def cholesky(M):
+                ops = matcore._LONE if M.ndim == 2 else matcore._STACK
+                return matcore._cholesky(*ops.parts(M), ops)
+        else:
+            cholesky = matcore._cholesky
         with np.errstate(all="ignore"):
-            factors = {"stack of 180 3x3": matcore._cholesky(A3)[:3], "lone 4x4": matcore._cholesky(A4)[:3]}
+            factors = {"stack of 180 3x3": cholesky(A3)[:3], "lone 4x4": cholesky(A4)[:3]}
         for label, M in (("stack of 180 3x3", A3), ("lone 4x4", A4)):
-            out[f"_cholesky {label}"] = lambda M=M: matcore._cholesky(M)
+            out[f"_cholesky {label}"] = lambda M=M: cholesky(M)
             out[f"_lower_inverse {label}"] = lambda parts=factors[label]: matcore._lower_inverse(*parts)
+        tol4 = matcore.pd_tolerance(A4)
+        out["_cholesky_proof lone 4x4"] = lambda: matcore._cholesky_proof(A4, tol4)
     kinds = {
         "harmonic": means.HARMONIC, "geometric": means.GEOMETRIC, "m_0.5": m05, "m_-0.5": means.kubo_ando_power(-0.5),
         "wasserstein": means.WASSERSTEIN, "spectral-geometric": means.SPECTRAL_GEOMETRIC,
@@ -169,8 +183,12 @@ def kernels(pkg, data: dict) -> dict:
     geometry = pkg.geometry
     P, Q = matcore.PdMatrix.certify(X), matcore.PdMatrix.certify(B[0])
     out["geodesic bw lone dim 2"] = lambda: geometry.geodesic(geometry.GEODESIC_BW, P, Q, 0.3)
-    out["mean spectral-geometric lone dim 2"] = lambda: means.mean(means.SPECTRAL_GEOMETRIC, P, Q)
+    out["geodesic trace lone dim 2"] = lambda: geometry.geodesic(geometry.GEODESIC_TRACE, P, Q, 0.3)
+    for name, kind in {"arithmetic": means.ARITHMETIC, **kinds}.items():
+        if name != "geometric":
+            out[f"mean {name} lone dim 2"] = lambda kind=kind: means.mean(kind, P, Q)
     out["mean conventional-power 0.5 lone dim 2"] = lambda: means.mean(means.conventional_power(0.5), P, Q)
+    out["wasserstein_alt lone dim 2"] = lambda: means.wasserstein_alt(P, Q)
     ts = (0.0, 0.25, 0.5, 0.75, 1.0)
     out["_certified_points bw on 50 dim-2 pairs, 5 ts"] = lambda: geometry._certified_points(
         geometry.GEODESIC_BW, A[:50], B[:50], ts

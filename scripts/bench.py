@@ -12,7 +12,11 @@ perfbench, REF first in even pairs and the working tree first in odd ones.
 
 The output holds every run's result line; for each workload and end-to-end
 metric, each side's median and quartiles, the relative change of the
-medians, and the pairs the working tree won (ties count for neither); the
+medians, and the pairs the working tree won (ties count for neither); for
+each workload, each side's median count of operations ``attempted`` in a
+run, which grows with the passes a run makes: perfbench keeps every pass's
+latencies, so ``peak_rss_mb`` grows with them, and a faster tree makes
+more passes in the same ``run_seconds``; the
 layer timings of ``ab_kernels.py`` (both packages in this process, timed in
 turns for its 25 rounds), as each side's min and median microseconds per
 call, the change of the min and the median over rounds of the ratio
@@ -67,18 +71,24 @@ def quartiles(values: list[float]) -> dict:
 
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict:
-    """Per workload and end-to-end metric: both sides' quartiles, the change and the pairs won."""
+    """Per workload and end-to-end metric: both sides' quartiles, the change and the pairs won.
+
+    Each workload also has ``attempted``: each side's median count of
+    operations attempted in a run, over its complete pairs.
+    """
     out = {}
     for workload in dict.fromkeys(r["workload"] for r in runs):
         by_pair: dict[int, dict] = {}
         for r in runs:
             if r["workload"] == workload and "metrics" in r["result"]:
-                by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]["metrics"]
+                by_pair.setdefault(r["pair"], {})[r["side"]] = r["result"]
         pairs = [p for p in by_pair.values() if len(p) == 2]
         rows = {}
+        if pairs:
+            rows["attempted"] = {s: statistics.median(p[s]["attempted"] for p in pairs) for s in SIDES}
         for m in metrics if pairs else ():
             name, lower = m["name"], m["better"] == "lower"
-            values = {s: [p[s][name]["value"] for p in pairs] for s in SIDES}
+            values = {s: [p[s]["metrics"][name]["value"] for p in pairs] for s in SIDES}
             ref, new = quartiles(values["ref"]), quartiles(values["worktree"])
             wins = sum((b < a) if lower else (b > a) for a, b in zip(values["ref"], values["worktree"]))
             rows[name] = {

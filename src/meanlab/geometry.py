@@ -18,17 +18,13 @@ distance accrual along a partition of the Bures-Wasserstein curve.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError
 from .matcore import PdMatrix, _certified, _check_hermitian, _check_operands, _norms, _pd_result, _pow_arr, _sym
-from .means import _bw_distance2, _bw_points2, _cholesky_bw, _cholesky_inner, _closed2, _parts2, _pencil2, _power_f, _q_arr
-
-TAG_TRACE = "geometric-trace"
-TAG_BW = "bures-wasserstein"
+from .means import TAG_BW, TAG_TRACE, _bw_distance2, _cholesky_bw, _cholesky_inner, _lone2, _parts2, _q_arr, _routed2
 
 
 @dataclass(frozen=True)
@@ -93,12 +89,16 @@ def geodesic(kind: GeodesicKind, A: PdMatrix, B: PdMatrix, t: float) -> PdMatrix
     The trace-metric curve takes, at n = 2, the pencil form
     mu_1^t A + f[mu_1, mu_2] (B - mu_1 A) of means._pencil2, with no
     eigendecomposition; at other n it is L N^t L* with N = L^(-1) B L^(-*),
-    from one. The point is certified as ``means.mean`` certifies a mean.
+    from one. The point is certified as ``means.mean`` certifies a mean: at
+    n = 2 from the parts its route computed, built into the one read-only
+    array with no read of it back.
     """
     t = float(t)
     if not (0.0 <= t <= 1.0):
         raise DomainError(f"parameter must lie in [0, 1], got {t}")
     _check_operands(A, B)
+    if A.dim == 2:
+        return _lone2(kind.tag, t, A.mat, B.mat)
     return _pd_result(_curve_points(kind, A.mat, B.mat, (t,))[0])
 
 
@@ -110,10 +110,8 @@ def _curve_points(kind: GeodesicKind, Aarr: np.ndarray, Barr: np.ndarray, ts) ->
     # costs what it did alone. At n = 2 both closed forms assemble each
     # point exactly Hermitian; every other point is checked Hermitian to
     # HERMITICITY_RTOL (a NaN fails), then symmetrized.
-    if kind.tag == TAG_TRACE and Aarr.shape[-1] == 2:
-        return _closed2(functools.partial(_pencil2, [functools.partial(_power_f, t) for t in ts]), Aarr, Barr)
     if Aarr.shape[-1] == 2:
-        return _closed2(functools.partial(_bw_points2, ts), Aarr, Barr)
+        return _routed2(kind.tag, ts, Aarr, Barr)
     if kind.tag == TAG_TRACE:
         L, N = _cholesky_inner(Aarr, Barr)
         Lh = L.conj().swapaxes(-1, -2)

@@ -61,8 +61,9 @@ when its value is asked for. A certificate that a caller reads
 lambda_min of the eigensolver. Matrices are certified by ``_certificates``,
 through ``_certified`` for a stack and ``_pd_result`` for a lone PdMatrix,
 that of ``PdMatrix.certify`` or of a lone ``mean``, ``wasserstein_alt`` or
-``geodesic``: a lone 2x2 on the Python floats of one read of its entries
-(``_eig2_parts`` and ``_norm2``). At n >= 3 it, the
+``geodesic``: a lone 2x2 on the Python floats of its entries
+(``_eig2_parts`` and ``_norm2``), read once from the array, or taken from
+the parts a 2x2 route built it from (``_pd_parts``). At n >= 3 it, the
 Loewner order (``_order_violation``) and the congruence invertibility check
 first try a floating-point Cholesky factorization of M - tau I
 (``_cholesky_proof``), whose floor includes Jacobi's own error, so a proven
@@ -980,18 +981,18 @@ def _certify_stack(arr: np.ndarray):
     return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
 
 
-def _cholesky(M: np.ndarray):
+def _cholesky(re, im, zero, ops):
     # The lower factor L of a Hermitian M = L L*, by the outer-product column
-    # loop, for one matrix (Python floats) or each matrix of a stack ((N,)
-    # arrays, the caller under np.errstate): the real and imaginary parts of
-    # L as nested lists, the zero its upper triangle holds, and the pivots,
-    # the entries whose roots are L's diagonal. Only M's lower triangle is
+    # loop, from M's parts as ``ops.parts`` gives them: nested lists of
+    # Python floats for one matrix (_LONE) or of (N,) arrays for each matrix
+    # of a stack (_STACK, the caller under np.errstate), which the loop
+    # overwrites with L's. Returns the real and imaginary parts of L, the
+    # zero its upper triangle holds, and the pivots, the entries whose roots
+    # are L's diagonal. Only the real diagonal and the lower triangle are
     # read. Every complex product is formed from real and imaginary parts in
     # one order, so a stack gives each matrix the bits it gets alone. A lone
     # pivot that is not a finite positive number raises PositivityError; a
     # stack's are left to the caller.
-    ops = _LONE if M.ndim == 2 else _STACK
-    re, im, zero = ops.parts(M)
     n = len(re)
     pivots = []
     for j in range(n):
@@ -1045,10 +1046,10 @@ def _cholesky_frame(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # PositivityError where a pivot is not a finite positive number (for a
     # stack, the first such pivot of the first such matrix), never a NaN.
     if arr.ndim == 2:
-        re, im, zero, _ = _cholesky(arr)
+        re, im, zero, _ = _cholesky(*_LONE.parts(arr), _LONE)
     else:
         with np.errstate(all="ignore"):
-            re, im, zero, pivots = _cholesky(arr)
+            re, im, zero, pivots = _cholesky(*_STACK.parts(arr), _STACK)
         pivots = np.array(pivots).T
         _require((pivots > 0.0) & (pivots < math.inf), PositivityError, _PIVOT, pivots)
     return _complex_rows(re, im), _complex_rows(*_lower_inverse(re, im, zero))
@@ -1075,25 +1076,38 @@ def _cholesky_proof(M: np.ndarray, floor):
     # 2 JACOBI_OFF_RTOL tr(M) >= 2 JACOBI_OFF_RTOL ||M||_F is Jacobi's own
     # error, so a proven matrix's eigenvalues clear the floor too. A pivot
     # that is not a finite positive number (NaN, inf, overflow) leaves its
-    # matrix unproven: the test fails closed.
+    # matrix unproven: the test fails closed. The shift is made on the parts
+    # that _cholesky reads, so M itself is neither copied nor written.
     n = M.shape[-1]
-    diag = np.arange(n)
     shift = (2 * n + 2) * _UNIT_ROUNDOFF * (1.0 + 1e-3) + 2.0 * JACOBI_OFF_RTOL
-    A = M.copy()
     if M.ndim == 2:
-        d = M.diagonal().real.tolist()
-        tau = floor + shift * sum(map(abs, d))
-        A[diag, diag] = [x - tau for x in d]
+        re, im, zero = _LONE.parts(M)
+        tau = floor + shift * sum([abs(re[i][i]) for i in range(n)])
+        for i in range(n):
+            re[i][i] -= tau
         try:
-            _cholesky(A)
+            _cholesky(re, im, zero, _LONE)
         except PositivityError:
             return False
         return True
     with np.errstate(all="ignore"):
+        re, im, zero = _STACK.parts(M)
+        diag = np.arange(n)
         tau = floor + shift * np.abs(M[:, diag, diag].real).sum(axis=1)
-        A[:, diag, diag] -= tau[:, None]
-        pivots = np.array(_cholesky(A)[3])
+        for i in range(n):
+            re[i][i] = re[i][i] - tau
+        pivots = np.array(_cholesky(re, im, zero, _STACK)[3])
     return ((pivots > 0.0) & (pivots < np.inf)).all(axis=0)
+
+
+def _certificate2(rows, M: np.ndarray) -> float:
+    # The certificate of a lone 2x2 M from its entries ``rows``: M.tolist(),
+    # or the rows M was built from (_pd_parts), the same numbers. lambda_min
+    # (_eig2_parts) and the norm (_norm2) are taken on those Python floats,
+    # with no array but M, so a lone 2x2 certificate has one route.
+    (a, b), (_, d) = rows
+    tolerance = PD_TOLERANCE * max(1.0, _norm2(rows, M))
+    return _check_certificates(M, _eig2_parts(a.real, d.real, b)[0][0], tolerance)
 
 
 def _certificates(M: np.ndarray):
@@ -1101,15 +1115,12 @@ def _certificates(M: np.ndarray):
     # decided as its eigenvalues decide it. At n >= 3 _cholesky_proof goes
     # first, and only a matrix it leaves open reads its eigenvalues
     # (_certify_stack), which raise the same PositivityError; at n <= 2 the
-    # closed form costs less than the proof, and a lone 2x2 takes it and its
-    # norm on the Python floats of one read of its entries, with no array.
-    # Returns lambda_min where it was read for a lone matrix, else None.
+    # closed form costs less than the proof, and a lone 2x2 takes it on the
+    # Python floats of one read of its entries (_certificate2). Returns
+    # lambda_min where it was read for a lone matrix, else None.
     n = M.shape[-1]
     if M.shape == (2, 2):
-        rows = M.tolist()
-        (a, b), (_, d) = rows
-        tolerance = PD_TOLERANCE * max(1.0, _norm2(rows, M))
-        return _check_certificates(M, _eig2_parts(a.real, d.real, b)[0][0], tolerance)
+        return _certificate2(M.tolist(), M)
     if n <= 2:
         return _certify_stack(M)
     if M.ndim == 2:
@@ -1131,12 +1142,25 @@ def _certified(M: np.ndarray) -> np.ndarray:
 def _pd_result(M: np.ndarray) -> PdMatrix:
     # The PdMatrix of a lone result that its route returned Hermitian
     # (assembled exactly so, or symmetrized), certified by _certificates
-    # with no second validation: a proven one reads its lambda_min on
-    # first access (PdMatrix.__getattr__).
+    # with no second validation.
+    return _pd_wrap(M, _certificates(M))
+
+
+def _pd_parts(p: float, q: float, re: float, im: float, im_low: float) -> PdMatrix:
+    # _pd_result of a lone 2x2 result given as the parts its route computed:
+    # the array _matrix_lone(p, q, re, im, im_low) builds, built from the
+    # rows its certificate reads (_certificate2), so it is never read back.
+    rows = [[p, complex(re, im)], [complex(re, im_low), q]]
+    M = np.array(rows)
+    return _pd_wrap(M, _certificate2(rows, M))
+
+
+def _pd_wrap(M: np.ndarray, lam) -> PdMatrix:
+    # M, made read-only, as a PdMatrix with its lambda_min; with None, a
+    # proven one, it reads lambda_min on first access (PdMatrix.__getattr__).
     M.setflags(write=False)
     out = object.__new__(PdMatrix)
     object.__setattr__(out, "mat", M)
-    lam = _certificates(M)
     if lam is not None:
         object.__setattr__(out, "min_eigenvalue", lam)
     return out

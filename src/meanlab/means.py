@@ -14,7 +14,10 @@ spectral geometric mean and the Wasserstein mean
     A sigma_W B = (A + B + A Q + Q A)/4,    Q = A^(-1) # B.
 
 At n = 2 nine routes take closed forms with no eigendecomposition, each
-one body for a lone pair and for stacks on matcore's 2x2 layer. With
+one body for a lone pair and for stacks on matcore's 2x2 layer, and the
+routes of the means and geodesics are one table keyed by tag (_ROUTES2),
+whose results come as parts: assembled for a stack, and for a lone pair
+certified on those floats as they are built into the result. With
 a = sqrt(det A), b = sqrt(det B), s = ab, rho = b/a, c = tr(adj(A/a) B/b)
 and e = sqrt(det Q) = (det B / det A)^(1/4):
 
@@ -87,6 +90,7 @@ from .matcore import (
     _end_powers,
     _norms,
     _order_violation,
+    _pd_parts,
     _pd_result,
     _pow_arr,
     _power_guard,
@@ -129,6 +133,10 @@ TAG_CONVENTIONAL_POWER = "conventional-power"
 TAG_SPECTRAL_GEOMETRIC = "spectral-geometric"
 TAG_WASSERSTEIN = "wasserstein"
 TAG_FROM_FUNCTION = "from-function"
+# The geodesics' tags (geometry.GeodesicKind), keys of the 2x2 route table
+# beside the means'.
+TAG_TRACE = "geometric-trace"
+TAG_BW = "bures-wasserstein"
 
 KUBO_ANDO_TAGS = frozenset(
     {TAG_ARITHMETIC, TAG_HARMONIC, TAG_GEOMETRIC, TAG_POWER, TAG_FROM_FUNCTION}
@@ -281,7 +289,9 @@ def _bw_frame(Aarr: np.ndarray, Barr: np.ndarray) -> tuple[np.ndarray, np.ndarra
 # [conj z, q]] enters as its parts (p, q, Re z, Im z), Python floats for a
 # lone pair and arrays that broadcast for stacks (one A against a stack of B
 # included), and one body per form runs on either with the routines of
-# _LONE or _STACK, matcore's tables plus the closed forms' own below. So do
+# _LONE or _STACK, matcore's tables plus the closed forms' own below. Each
+# result leaves as the parts (p, q, Re z, Im z, -Im z) of an exactly
+# Hermitian matrix, the lower corner's Im last. So do
 # the checked quantities (_root, _nodes, _ratio), which refuse a pair
 # through matcore._require. Every sum is written in one order and every
 # square root is correctly rounded in both, so a stack gives each pair the
@@ -398,7 +408,8 @@ def _geometric_parts(x, y, ops, inverse):
 
 def _geometric2(x, y, ops, inverse=False):
     # A # B, or Q = A^(-1) # B with ``inverse`` (_geometric_parts).
-    return [_geometric_parts(x, y, ops, inverse)[0]]
+    p, q, re, im = _geometric_parts(x, y, ops, inverse)[0]
+    return [(p, q, re, im, -im)]
 
 
 def _anticommutator2(x, y):
@@ -421,14 +432,16 @@ def _spectral_geometric2(x, y, ops):
     e = ops.ldexp(ops.sqrt(ratio), m)
     den = (Q[0] + Q[1]) + 2.0 * e
     w = e / den
-    return [tuple(w * (e * xi + k) + yi / den for xi, yi, k in zip(x, y, _anticommutator2(x, Q)))]
+    p, q, re, im = (w * (e * xi + k) + yi / den for xi, yi, k in zip(x, y, _anticommutator2(x, Q)))
+    return [(p, q, re, im, -im)]
 
 
 def _bw_points2(ts, x, y, ops):
     # The Bures-Wasserstein geodesic (1 - t)^2 A + t^2 B + t(1 - t)(AQ + QA)
     # at each t of ts, with Q = A^(-1) # B and its anticommutator taken once.
-    K = _anticommutator2(x, _bw_q2(x, y, ops)[0])
-    return [tuple((1.0 - t) ** 2 * xi + t**2 * yi + t * (1.0 - t) * k for xi, yi, k in zip(x, y, K)) for t in ts]
+    K = _anticommutator2(x, _geometric_parts(x, y, ops, True)[0])
+    points = (tuple((1.0 - t) ** 2 * xi + t**2 * yi + t * (1.0 - t) * k for xi, yi, k in zip(x, y, K)) for t in ts)
+    return [(p, q, re, im, -im) for p, q, re, im in points]
 
 
 def _wasserstein2(x, y, ops):
@@ -442,7 +455,8 @@ def _wasserstein2(x, y, ops):
     d = _root(pu + qv + 2.0 * (t + s), ops)
     ta, tb = p + q, u + v
     R = (2.0 * (pu + t + s) / d, 2.0 * (qv + t + s) / d, (ta * wr + tb * re) / d, (ta * wi + tb * im) / d)
-    return [tuple((xi + yi + ops.ldexp(r, ka + kb)) / 4.0 for xi, yi, r in zip(x, y, R))]
+    p, q, re, im = ((xi + yi + ops.ldexp(r, ka + kb)) / 4.0 for xi, yi, r in zip(x, y, R))
+    return [(p, q, re, im, -im)]
 
 
 def _pencil2(fs, x, y, ops):
@@ -464,7 +478,8 @@ def _pencil2(fs, x, y, ops):
     # B - mu_1 A = b (B/b - m_1 A/a), from the unit-determinant parts.
     diff = tuple(ops.ldexp(b * (vb - va / m), 2 * kb) for va, vb in zip((p, q, re, im), (u, v, wr, wi)))
     coefficients = [f(mu1, mu2, gap, z, ops) for f in fs]
-    return [tuple(f1 * xi + F * di for xi, di in zip(x, diff)) for f1, F in coefficients]
+    results = (tuple(f1 * xi + F * di for xi, di in zip(x, diff)) for f1, F in coefficients)
+    return [(p, q, re, im, -im) for p, q, re, im in results]
 
 
 def _power_f(t, mu1, mu2, gap, z, ops):
@@ -501,7 +516,8 @@ def _harmonic2(x, y, ops):
     rho, inv = ops.ratio(b / a, a / b, 2 * (kb - ka), ops)
     den = rho + c + inv
     ca, cb = 2.0 * (rho / den), 2.0 * (inv / den)
-    return [tuple(ca * xi + cb * yi for xi, yi in zip(x, y))]
+    p, q, re, im = (ca * xi + cb * yi for xi, yi in zip(x, y))
+    return [(p, q, re, im, -im)]
 
 
 def _bw_distance2(x, y, ops):
@@ -540,18 +556,57 @@ def _parts2(Aarr: np.ndarray, Barr: np.ndarray):
 
 
 def _closed2(form, Aarr: np.ndarray, Barr: np.ndarray):
-    # The list of results of a 2x2 closed form (one, or one per function of
+    # The list of results of a 2x2 form (one, or one per function of
     # _pencil2) of one pair, on Python floats, or of each pair of two stacks
-    # that broadcast, as arrays; each result is exactly Hermitian.
+    # that broadcast, as arrays, each assembled from its parts by the
+    # table's ``matrix``.
     x, y, ops = _parts2(Aarr, Barr)
-    return [ops.matrix(p, q, re, im, -im) for p, q, re, im in form(x, y, ops)]
+    return [ops.matrix(*parts) for parts in form(x, y, ops)]
+
+
+def _conventional_power2(ps, x, y, ops):
+    # ((A^p + B^p)/2)^(1/p) for each p of ps, its three 2x2 powers composed
+    # on the parts (matcore._power_parts), with the lower corner's Im as
+    # _power2 writes it: the sum of two exactly Hermitian powers is exactly
+    # Hermitian, so it has the bits that _sym gives the spectral route's.
+    out = []
+    for p in ps:
+        S = [(u + v) / 2.0 for u, v in zip(_power_parts(x, p)[:4], _power_parts(y, p))]
+        out.append(_power_parts(S, 1.0 / p))
+    return out
 
 
 _bw_q2 = functools.partial(_geometric2, inverse=True)
-_CLOSED2 = {
-    TAG_GEOMETRIC: _geometric2, TAG_WASSERSTEIN: _wasserstein2, TAG_HARMONIC: _harmonic2,
-    TAG_SPECTRAL_GEOMETRIC: _spectral_geometric2,
+# The 2x2 routes, one per tag of a mean or geodesic that has one:
+# route(params, x, y, ops) gives, from the parts of a pair (_parts2), the
+# parts (P, Q, Re, Im, Im of the lower corner) of one result per parameter,
+# a p of m_p or of the conventional power mean or a t of a geodesic, or of
+# the one result of a form that takes none. A lone pair's certified result
+# is built from its parts (_lone2); a stack's are assembled (_closed2).
+_ROUTES2 = {
+    TAG_GEOMETRIC: lambda _, x, y, ops: _geometric2(x, y, ops),
+    TAG_WASSERSTEIN: lambda _, x, y, ops: _wasserstein2(x, y, ops),
+    TAG_HARMONIC: lambda _, x, y, ops: _harmonic2(x, y, ops),
+    TAG_SPECTRAL_GEOMETRIC: lambda _, x, y, ops: _spectral_geometric2(x, y, ops),
+    TAG_POWER: lambda ps, x, y, ops: _pencil2([functools.partial(_power_mean_f, p) for p in ps], x, y, ops),
+    TAG_CONVENTIONAL_POWER: _conventional_power2,
+    TAG_TRACE: lambda ts, x, y, ops: _pencil2([functools.partial(_power_f, t) for t in ts], x, y, ops),
+    TAG_BW: _bw_points2,
 }
+
+
+def _routed2(tag: str, params, Aarr: np.ndarray, Barr: np.ndarray) -> list[np.ndarray]:
+    # The results of the 2x2 route of tag, one per parameter (or one), of
+    # one pair or of each pair of two stacks that broadcast.
+    return _closed2(functools.partial(_ROUTES2[tag], params), Aarr, Barr)
+
+
+def _lone2(tag: str, param, Aarr: np.ndarray, Barr: np.ndarray) -> PdMatrix:
+    # The certified result of the 2x2 route of tag at param for one pair,
+    # from the parts the route computed (matcore._pd_parts): the array and
+    # the certificate of _pd_result(_routed2(tag, (param,), Aarr, Barr)[0]).
+    x, y, ops = _parts2(Aarr, Barr)
+    return _pd_parts(*_ROUTES2[tag]((param,), x, y, ops)[0])
 
 
 def _q_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
@@ -563,18 +618,12 @@ def _q_arr(Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     return _sym(Li.conj().swapaxes(-1, -2) @ S @ Li)
 
 
-def _power_means2(ps, Aarr: np.ndarray, Barr: np.ndarray) -> list[np.ndarray]:
-    # m_p for each p of ps, of a 2x2 pair or of each pair of two stacks, from
-    # one pencil: its roots and B - mu_1 A are taken once, and each p gets
-    # the bits it gets alone.
-    return _closed2(functools.partial(_pencil2, [functools.partial(_power_mean_f, p) for p in ps]), Aarr, Barr)
-
-
 def _means_arr(kinds, Aarr: np.ndarray, Barr: np.ndarray) -> list[np.ndarray]:
     # _mean_arr of each kind of kinds; at n = 2 every m_p among them comes
-    # from one pencil (_power_means2).
+    # from one pencil, whose roots and B - mu_1 A are taken once, and each p
+    # gets the bits it gets alone.
     ps = [kind.p for kind in kinds if kind.tag == TAG_POWER] if Aarr.shape[-1] == 2 else []
-    pencil = iter(_power_means2(ps, Aarr, Barr) if ps else ())
+    pencil = iter(_routed2(TAG_POWER, ps, Aarr, Barr) if ps else ())
     return [next(pencil) if ps and kind.tag == TAG_POWER else _mean_arr(kind, Aarr, Barr) for kind in kinds]
 
 
@@ -594,26 +643,21 @@ def _power_mean_arr(N: np.ndarray, p: float) -> np.ndarray:
 
 def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
     # The selected mean, Hermitian and uncertified, of one pair of Hermitian
-    # matrices or of each pair of two stacks (N, n, n). The Kubo-Ando kinds
-    # and the Wasserstein and spectral geometric means take the 2x2 closed
-    # forms at n = 2 and the Cholesky frame A = L L* at any other n, where
-    # the spectral geometric mean is built on Q = A^(-1) # B (_q_arr); the
-    # conventional power mean composes its powers on the 2x2 parts, and
-    # keeps its spectral route at other n, as from-function means do. The
-    # route decides the symmetrization: the closed forms, the 2x2 power's
-    # assembler and the arithmetic mean assemble a result exactly Hermitian,
-    # which _sym would give back bit for bit, and every other route
-    # symmetrizes its own.
+    # matrices or of each pair of two stacks (N, n, n). At n = 2 every kind
+    # but the arithmetic and from-function means takes its 2x2 route
+    # (_ROUTES2); at any other n the Kubo-Ando kinds and the Wasserstein and
+    # spectral geometric means take the Cholesky frame A = L L*, where the
+    # spectral geometric mean is built on Q = A^(-1) # B (_q_arr), and the
+    # conventional power mean keeps its spectral route, as from-function
+    # means do. The route decides the symmetrization: the 2x2 routes and the
+    # arithmetic mean assemble a result exactly Hermitian, which _sym would
+    # give back bit for bit, and every other route symmetrizes its own.
     tag = kind.tag
     n = Aarr.shape[-1]
     if tag == TAG_ARITHMETIC:
         return (Aarr + Barr) / 2.0
-    if tag == TAG_CONVENTIONAL_POWER and n == 2:
-        # The three powers on the 2x2 parts: the sum of two exactly Hermitian
-        # powers is exactly Hermitian, so it has the bits _sym gives it below.
-        x, y, ops = _parts2(Aarr, Barr)
-        S = [(u + v) / 2.0 for u, v in zip(_power_parts(x, kind.p)[:4], _power_parts(y, kind.p))]
-        return ops.matrix(*_power_parts(S, 1.0 / kind.p))
+    if n == 2 and tag in _ROUTES2:
+        return _routed2(tag, (kind.p,), Aarr, Barr)[0]
     if tag == TAG_CONVENTIONAL_POWER:
         S = (_pow_arr(Aarr, kind.p) + _pow_arr(Barr, kind.p)) / 2.0
         return _sym(_pow_arr(_sym(S), 1.0 / kind.p))
@@ -627,10 +671,6 @@ def _mean_arr(kind: MeanKind, Aarr: np.ndarray, Barr: np.ndarray) -> np.ndarray:
         w, vals, V = _spectral_values(_sym(Aih @ (Barr * S) @ Aih), kind.f)
         _require(vals > 0.0, DomainError, "representing function must stay positive, got {!r} at {!r}", vals, w)
         return _sym(Ah @ _apply_spectral(vals, V) @ Ah / S)
-    if n == 2 and tag in _CLOSED2:
-        return _closed2(_CLOSED2[tag], Aarr, Barr)[0]
-    if n == 2 and tag == TAG_POWER:
-        return _power_means2((kind.p,), Aarr, Barr)[0]
     if tag == TAG_HARMONIC:
         # 2 A (A + B)^(-1) B = 2 (R^(-1) A)* (R^(-1) B), A + B = R R*.
         _, Ri = _cholesky_frame(Aarr + Barr)
@@ -674,6 +714,13 @@ def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
     where a Cholesky proof certifies the result and its ``min_eigenvalue``
     is computed when first read.
 
+    At n = 2 every kind but the arithmetic and from-function means takes
+    its route in one table keyed by tag (``_ROUTES2``), whose parts of the
+    result (P, Q, Re, Im and the lower corner's Im) are certified on
+    those Python floats and built into the one read-only array
+    (``matcore._pd_parts``): the bits, certificate and refusals of
+    certifying the array the route would assemble, with no read of it back.
+
     Parameters
     ----------
     kind : MeanKind
@@ -687,6 +734,8 @@ def mean(kind: MeanKind, A: PdMatrix, B: PdMatrix) -> PdMatrix:
         here would indicate a genuine numerical breakdown, not a soft warning.
     """
     _check_operands(A, B)
+    if kind.tag in _ROUTES2 and A.dim == 2:
+        return _lone2(kind.tag, kind.p, A.mat, B.mat)
     return _pd_result(_mean_arr(kind, A.mat, B.mat))
 
 

@@ -24,17 +24,17 @@ def bench(monkeypatch):
     return module
 
 
-def _run(pair, side, pass_s, rss=40.0):
+def _run(pair, side, pass_s, rss=40.0, attempted=2520):
     metrics = {"pass_s": {"value": pass_s, "unit": "s"}, "peak_rss_mb": {"value": rss, "unit": "MB"}}
-    return {"workload": "w", "pair": pair, "side": side, "result": {"failed": 0, "metrics": metrics}}
+    return {"workload": "w", "pair": pair, "side": side, "result": {"attempted": attempted, "failed": 0, "metrics": metrics}}
 
 
 def test_summary_counts_wins_per_pair_and_drops_a_broken_pair(bench):
     runs = [
         _run(0, "ref", 1.0), _run(0, "worktree", 0.5),
         _run(1, "worktree", 1.0), _run(1, "ref", 1.0),  # a tie counts for neither side
-        _run(2, "ref", 1.2), _run(2, "worktree", 0.8, rss=41.0),
-        _run(3, "ref", 9.0), {"workload": "w", "pair": 3, "side": "worktree", "result": {"error": "exit 2"}},
+        _run(2, "ref", 1.2), _run(2, "worktree", 0.8, rss=41.0, attempted=5040),
+        _run(3, "ref", 9.0, attempted=1), {"workload": "w", "pair": 3, "side": "worktree", "result": {"error": "exit 2"}},
     ]
     row = bench.summarize(runs, METRICS)["w"]["pass_s"]
     assert row["pairs"] == 3
@@ -44,6 +44,10 @@ def test_summary_counts_wins_per_pair_and_drops_a_broken_pair(bench):
     assert row["bound"] == 0.15
     rss = bench.summarize(runs, METRICS)["w"]["peak_rss_mb"]
     assert rss["worktree_wins"] == 0 and rss["change"] == 0.0
+    # The median count of operations attempted in a run, per side, over the
+    # complete pairs only: pair 3's ref run is left out.
+    assert bench.summarize(runs, METRICS)["w"]["attempted"] == {"ref": 2520, "worktree": 2520}
+    assert bench.summarize([*runs[:2], *runs[4:6]], METRICS)["w"]["attempted"] == {"ref": 2520, "worktree": 3780}
 
 
 def test_layers_take_the_median_of_the_per_round_ratios(monkeypatch):
@@ -129,7 +133,7 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     pattern = (rf"(.+): REF min {number} median {number} us; here min {number} median {number} us; "
                r"min [+-]\d+\.\d%; median ratio (\d+\.\d{3})")
     rows = [re.fullmatch(pattern, line) for line in lines[1:]]
-    assert len(rows) == 63 and all(rows)
+    assert len(rows) == 71 and all(rows)
     assert all(float(m.group(2)) == float(m.group(3)) > 0.0 for m in rows)
     assert all(float(m.group(6)) > 0.0 for m in rows)
     names = {"_cholesky lone 4x4", "_d_bw_arr on 200 dim-3 pairs", "criterion_10", "PdMatrix.certify lone dim 2"}
@@ -139,7 +143,9 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     names |= {"mean spectral-geometric lone dim 2", "mean conventional-power 0.5 lone dim 2"}
     names |= {"_certified_points bw on 50 dim-2 pairs, 5 ts", "criterion_1", "criterion_2", "criterion_5"}
     names |= {"solve_coefficients wasserstein", "check_power_mean_expansion 0.5", "centrality_probe m_0.5, 50 samples"}
-    names |= {"criterion_8", "criterion_9", "seed hash, 10 streams of 50"}
+    names |= {"criterion_8", "criterion_9", "seed hash, 10 streams of 50", "_cholesky_proof lone 4x4"}
+    names |= {f"mean {kind} lone dim 2" for kind in ("arithmetic", "harmonic", "wasserstein", "m_0.5", "m_-0.5")}
+    names |= {"geodesic trace lone dim 2", "wasserstein_alt lone dim 2"}
     assert names | {"_mean_arr harmonic lone"} <= {m.group(1) for m in rows}
 
 

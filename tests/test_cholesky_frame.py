@@ -244,20 +244,23 @@ def test_the_factor_and_its_inverse(n):
 
 
 def test_the_frame_and_the_proof_share_one_factor(monkeypatch):
-    # _cholesky_frame and _cholesky_proof both run matcore._cholesky.
+    # _cholesky_frame and _cholesky_proof, lone and stacked, all run
+    # matcore._cholesky, on parts: n rows, and a zero of shape () for a
+    # lone matrix or (N,) for a stack of N.
     (A,) = pd_stacks(0, 46, dim=3, k=1, count=4)
     calls = []
     original = matcore._cholesky
 
-    def counting(M):
-        calls.append(M.shape)
-        return original(M)
+    def counting(re, im, zero, ops):
+        calls.append((len(re), np.shape(zero)))
+        return original(re, im, zero, ops)
 
     monkeypatch.setattr(matcore, "_cholesky", counting)
     matcore._cholesky_frame(A[0])
     matcore._cholesky_frame(A)
     assert matcore._cholesky_proof(A, matcore.pd_tolerance(A)).all()
-    assert calls == [(3, 3), (4, 3, 3), (4, 3, 3)]
+    assert matcore._cholesky_proof(A[0], matcore.pd_tolerance(A[0]))
+    assert calls == [(3, ()), (3, (4,)), (3, (4,)), (3, ())]
 
 
 # Hand-made inputs whose factorization must stop: an indefinite matrix (the

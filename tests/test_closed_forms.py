@@ -11,7 +11,9 @@ eigensolver and so share nothing with the forms; its lone route (Python
 floats) against its stacked route (arrays), bit for bit; its power-of-two
 prescaling against exact homogeneity; and its guards, which turn a
 determinant that is not finite and positive into PositivityError, and a
-power past _POW_LOG_LIMIT into DomainError, instead of a NaN.
+power past _POW_LOG_LIMIT into DomainError, instead of a NaN. A lone public
+result, certified from the parts its route computed, is checked against
+the certified array of that route, bit for bit.
 """
 
 import functools
@@ -21,6 +23,7 @@ import numpy as np
 import pytest
 
 from meanlab import (
+    ARITHMETIC,
     GEODESIC_BW,
     GEODESIC_TRACE,
     GEOMETRIC,
@@ -30,6 +33,7 @@ from meanlab import (
     DomainError,
     GeodesicKind,
     HermitianMatrix,
+    MeanlabError,
     PdMatrix,
     PositivityError,
     conventional_power,
@@ -40,7 +44,7 @@ from meanlab import (
 )
 from meanlab import means
 from meanlab.geometry import _certified_points, _curve_points
-from meanlab.matcore import _pow_arr, _sym
+from meanlab.matcore import _pd_result, _pow_arr, _sym
 from meanlab.means import (
     P_MIN,
     TAG_WASSERSTEIN,
@@ -456,10 +460,68 @@ def test_the_bw_geodesic_at_n_2_does_not_take_the_wasserstein_form(monkeypatch):
         raise AssertionError("the Wasserstein form was called")
 
     monkeypatch.setattr(means, "_wasserstein2", refused)
-    monkeypatch.setitem(means._CLOSED2, TAG_WASSERSTEIN, refused)
+    monkeypatch.setitem(means._ROUTES2, TAG_WASSERSTEIN, refused)
     assert geodesic(GEODESIC_BW, A, B, 0.5).mat.tobytes() == want.tobytes()
     As, Bs = pd_stacks(0, 33, dim=2, k=2, count=20)
     points = _certified_points(GEODESIC_BW, As, Bs, (0.0, 0.5, 1.0))
     assert points.shape == (3, 20, 2, 2)
     with pytest.raises(AssertionError, match="Wasserstein form"):
         _mean_arr(WASSERSTEIN, As, Bs)
+
+
+# Every kind with a 2x2 route, and the arithmetic mean, which stays on
+# arrays: numpy's complex division by 2.0 forms a real part as
+# (x + y 0) 0.5, so -0.0 comes out +0.0, which arithmetic on the parts
+# would not give.
+PUBLIC_KINDS = [
+    ARITHMETIC, HARMONIC, GEOMETRIC, kubo_ando_power(0.5), kubo_ando_power(-0.5), conventional_power(0.5),
+    conventional_power(-0.5), SPECTRAL_GEOMETRIC, WASSERSTEIN, GEODESIC_TRACE, GEODESIC_BW,
+]
+
+
+def _outcome(call):
+    # A call's result as the bytes of its array, whether that array is
+    # read-only with no base, and the bits of its min_eigenvalue; or its
+    # refusal's type and text.
+    try:
+        P = call()
+    except MeanlabError as exc:
+        return type(exc), str(exc)
+    return P.mat.tobytes(), P.mat.flags.writeable, P.mat.base is None, P.min_eigenvalue.hex()
+
+
+def _parts_route_pairs():
+    # Random pairs; the special ones of _special_pairs (b = 0 on either side
+    # or both, where the conventional power mean writes +0.0 in the lower
+    # corner and the closed forms -0.0, scalar and commuting pairs); and
+    # those pairs scaled by 2^520 and 2^-520, past _SCALE_FROM, and by
+    # 1e300, whose norm squares overflow.
+    A, B = pd_stacks(0, 34, dim=2, k=2, count=40)
+    pairs = list(zip(A, B)) + _special_pairs()[:12]
+    return pairs + [(c * a, c * b) for c in (2.0**520, 2.0**-520, 1e300) for a, b in pairs[::4]]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", PUBLIC_KINDS, ids=lambda k: k.label)
+def test_a_lone_2x2_result_is_the_array_routes_certified_array(kind):
+    # mean and geodesic hand a lone 2x2 route's parts to matcore._pd_parts,
+    # which certifies them on those floats. Their result, at t = 0, 0.3 and
+    # 1 for a geodesic, is _pd_result of the array route bit for bit (the
+    # array's bytes, read-only with no base, and min_eigenvalue), or both
+    # refuse with the same error: the pairs at 2^-520 miss the tolerance.
+    refused = 0
+    for a, b in _parts_route_pairs():
+        A, B = HermitianMatrix._wrap(a), HermitianMatrix._wrap(b)
+        if isinstance(kind, GeodesicKind):
+            calls = [
+                (lambda t=t: geodesic(kind, A, B, t), lambda t=t: _pd_result(_curve_points(kind, A.mat, B.mat, (t,))[0]))
+                for t in (0.0, 0.3, 1.0)
+            ]
+        else:
+            calls = [(lambda: mean(kind, A, B), lambda: _pd_result(_mean_arr(kind, A.mat, B.mat)))]
+        for public, array_route in calls:
+            got = _outcome(public)
+            assert got == _outcome(array_route)
+            assert len(got) == 2 or got[1:3] == (False, True)
+            refused += len(got) == 2
+    assert refused > 0

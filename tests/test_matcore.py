@@ -928,6 +928,53 @@ def test_cholesky_proof_fails_closed_on_nan_inf_and_overflow():
     assert not _proof(huge[None])[0] and not _proof(huge)
 
 
+def _proof_on_a_copy(M, floor) -> bool:
+    # The reference for the lone proof: _cholesky on the parts of a copy of
+    # M whose diagonal is assigned M's, each less tau.
+    n = M.shape[-1]
+    shift = (2 * n + 2) * matcore._UNIT_ROUNDOFF * (1.0 + 1e-3) + 2.0 * matcore.JACOBI_OFF_RTOL
+    d = M.diagonal().real.tolist()
+    tau = floor + shift * sum(map(abs, d))
+    A = M.copy()
+    A[np.arange(n), np.arange(n)] = [x - tau for x in d]
+    try:
+        matcore._cholesky(*matcore._LONE.parts(A), matcore._LONE)
+    except PositivityError:
+        return False
+    return True
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [3, 4, 6])
+def test_the_lone_proof_shifts_the_parts_as_a_shifted_copy_would(n):
+    # The lone proof shifts the diagonal of the parts _cholesky reads, with
+    # no copy of M. Over both matrices of each pair of the frame's corpus
+    # (tests/test_cholesky_frame.py), the proof corpus with lambda_min at
+    # pd_tolerance * (1 -+ 10^-k), and matrices with a NaN or an infinite
+    # entry on or off the diagonal, it decides as the reference does,
+    # against the certificate's tolerance and against 0, and leaves M as it
+    # was; a NaN or an infinity fails closed.
+    from test_cholesky_frame import _corpus as frame_corpus
+
+    mats = [X for A, B, _ in frame_corpus(n) for X in (A, B)] + list(_proof_corpus(n))
+    bad = []
+    for value in (np.nan, np.inf, -np.inf):
+        for i, j in ((0, 1), (n - 1, n - 2), (1, 1)):
+            M = mats[0].copy()
+            M[i, j] = M[j, i] = value
+            bad.append(M)
+    decided = []
+    for M in mats + bad:
+        before = M.tobytes()
+        for floor in (matcore.pd_tolerance(M), 0.0):
+            decided.append(matcore._cholesky_proof(M, floor))
+            assert decided[-1] is _proof_on_a_copy(M, floor)
+        assert M.tobytes() == before
+    assert not any(decided[-2 * len(bad):])
+    # Not vacuous: the proof passes some matrices and leaves others open.
+    assert any(decided) and not all(decided[: -2 * len(bad)])
+
+
 @pytest.mark.parametrize("count", [6, 40])
 def test_certified_stack_raises_the_eigenvalue_route_error(count):
     # One indefinite matrix in a stack at n = 3: the proof leaves it to the

@@ -16,9 +16,10 @@ import pytest
 
 import meanlab
 from meanlab import (
-    DomainError, FitFailure, NotInCone, PdMatrix, PositivityError, SingularError, expansion, from_function, matcore, means,
-    preserver,
+    GEODESIC_BW, GEODESIC_TRACE, DomainError, FitFailure, GeodesicKind, MeanlabError, NotInCone, PdMatrix, PositivityError,
+    SingularError, expansion, from_function, geodesic, matcore, means, preserver,
 )
+from meanlab.geometry import _curve_points
 
 PACKAGE = Path(meanlab.__file__).resolve().parent
 
@@ -157,3 +158,69 @@ def test_refusals_name_their_values_as_python_floats():
         means.mean(DROPPING, PdMatrix.certify(I2), A)
     with pytest.raises(DomainError, match=r"^affine coordinates overflow: t = inf, s = nan$"):
         preserver.masa_split(HUGE)
+
+
+def _refusal(call):
+    # The type and text of the error a call raises.
+    with pytest.raises(MeanlabError) as caught:
+        call()
+    return type(caught.value), str(caught.value)
+
+
+def _at_tolerance(factor: float) -> np.ndarray:
+    # diag(1, lambda) with lambda at pd_tolerance * factor, its norm 1 to
+    # the last bit: each kind's mean of the matrix with itself, and each
+    # geodesic's point at t = 0, is the matrix to within a few ulps.
+    return np.diag([1.0, matcore.PD_TOLERANCE * factor]).astype(complex)
+
+
+def _routes(kind, a, b):
+    # A lone 2x2 result by the public call, which certifies the parts of
+    # its route (matcore._pd_parts), and by _pd_result of the array route;
+    # a geodesic's at t = 0.
+    A, B = matcore.HermitianMatrix._wrap(a), matcore.HermitianMatrix._wrap(b)
+    if isinstance(kind, GeodesicKind):
+        return lambda: geodesic(kind, A, B, 0.0), lambda: matcore._pd_result(_curve_points(kind, a, b, (0.0,))[0])
+    return lambda: means.mean(kind, A, B), lambda: matcore._pd_result(means._mean_arr(kind, a, b))
+
+
+SINGULAR = np.array([[1.0, 1.0], [1.0, 1.0]], dtype=complex)
+ROUTED_KINDS = [
+    means.HARMONIC, means.GEOMETRIC, means.kubo_ando_power(0.5), means.kubo_ando_power(-0.5),
+    means.conventional_power(0.5), means.SPECTRAL_GEOMETRIC, means.WASSERSTEIN, GEODESIC_TRACE, GEODESIC_BW,
+]
+MISSED = _at_tolerance(1.0 - 1e-3)
+PARTS_REFUSALS = [
+    # A result whose lambda_min misses pd_tolerance by a part in 1e3.
+    *((f"tolerance-{kind.label}", kind, MISSED, MISSED, PositivityError, "minimum eigenvalue 9.99")
+      for kind in ROUTED_KINDS),
+    # The harmonic form's ratio, the pencil's roots and a determinant.
+    ("harmonic-ratio", means.HARMONIC, 1e-10 * I2, 1e305 * I2, DomainError, "2x2 harmonic form"),
+    ("pencil-roots-m_0.5", means.kubo_ando_power(0.5), 1e-10 * I2, 1e305 * I2, DomainError, "2x2 pencil form"),
+    ("pencil-roots-trace", GEODESIC_TRACE, 1e155 * I2, 1e-155 * I2, DomainError, "2x2 pencil form"),
+    ("determinant-geometric", means.GEOMETRIC, SINGULAR, I2, PositivityError, "2x2 closed form"),
+    ("determinant-bw", GEODESIC_BW, I2, SINGULAR, PositivityError, "2x2 closed form"),
+]
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "kind, a, b, error, text", [case[1:] for case in PARTS_REFUSALS], ids=[case[0] for case in PARTS_REFUSALS]
+)
+def test_the_parts_route_refuses_in_the_words_of_the_array_route(kind, a, b, error, text):
+    # The parts route raises the error type and text that the array route
+    # raises, with no numpy warning.
+    parts_route, array_route = _routes(kind, a, b)
+    got = _refusal(parts_route)
+    assert got == _refusal(array_route)
+    assert got[0] is error and got[1].startswith(text)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("kind", ROUTED_KINDS, ids=lambda kind: kind.label)
+def test_the_parts_route_certifies_just_above_the_tolerance(kind):
+    # A part in 1e3 above pd_tolerance, both routes certify, with one array
+    # and one lambda_min.
+    X = _at_tolerance(1.0 + 1e-3)
+    P, Q = (route() for route in _routes(kind, X, X))
+    assert P.mat.tobytes() == Q.mat.tobytes() and P.min_eigenvalue.hex() == Q.min_eigenvalue.hex()
