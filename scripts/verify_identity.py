@@ -31,6 +31,16 @@ space of dimension above one freely, and the checks on it are summarized
 as checks. The exit status is 0 when every run matches and 1 on any
 difference; the temporary directory is removed either way.
 
+Then every public call of the benchmark's ``single-calls`` workload
+(``perfbench/workloads.py``, imported from this tree for both sides, so that
+both get the same inputs) runs once on each tree, at seeds 1, 2 and 3, and
+each output is compared byte for byte: a result's ``.mat`` bytes, its
+read-only flag, whether it owns its data, and at n = 2 the bits of its
+``min_eigenvalue``; the bits of a ``d_bw`` float; the type and text of a
+refusal. These are the lone calls that ``verify --all`` never makes. Each
+differing output is named by its seed, its index in the workload and its
+dimension, and any difference exits 1.
+
 Last, the script prints the number of source lines, as
 ``cat src/meanlab/*.py | wc -l`` counts them, at REF and here, and after it
 the count at REF and here of each module whose count changed (0 on the side
@@ -44,6 +54,7 @@ from __future__ import annotations
 
 import difflib
 import io
+import itertools
 import json
 import math
 import os
@@ -118,6 +129,34 @@ json.dump(results, sys.stdout)
 """
 
 
+# The seeds of the single-calls comparison, and how many differing outputs are listed.
+SINGLE_CALL_SEEDS = (1, 2, 3)
+_LISTED = 10
+
+# Runs the single-calls workload's items once per seed read from stdin and
+# prints, as JSON, one [seed, records] pair per seed: a record per output.
+_SINGLE_CALLS = """
+import json, sys
+import meanlab
+from workloads import SingleCalls
+out = []
+for seed in json.load(sys.stdin):
+    records = []
+    for _, call, dim in SingleCalls(meanlab, seed, {}).items:
+        r = call()
+        if isinstance(r, Exception):
+            records.append([dim, f"{type(r).__name__}: {r}"])
+        elif isinstance(r, float):
+            records.append([dim, float(r).hex()])
+        else:
+            M = r.mat
+            lam = float(r.min_eigenvalue).hex() if dim == 2 else None
+            records.append([dim, M.tobytes().hex(), M.flags.writeable, M.base is None, lam])
+    out.append([seed, records])
+json.dump(out, sys.stdout)
+"""
+
+
 def run_verify(src: Path, seed: int) -> tuple[int, str, str]:
     """Exit code, masked stdout and stderr of one verify run on a source tree."""
     env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
@@ -174,6 +213,29 @@ def run_cli(src: Path, runs: list[list[str]], folder: Path) -> list[tuple[int, s
     def mask(text: str) -> str:
         return _ELAPSED.sub('"elapsed_ms": 0', text.replace(str(folder), "<tmp>"))
     return [(code, mask(out), mask(err)) for code, out, err in json.loads(proc.stdout)]
+
+
+def run_single_calls(src: Path) -> list:
+    """[seed, records] for each of SINGLE_CALL_SEEDS: every single-calls output on a source tree."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join((str(src), str(ROOT / "perfbench"))), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-c", _SINGLE_CALLS], input=json.dumps(SINGLE_CALL_SEEDS),
+        capture_output=True, text=True, env=env, cwd=src, check=True,
+    )
+    return json.loads(proc.stdout)
+
+
+def single_call_changes(old: list, new: list) -> tuple[int, list[str]]:
+    """The number of outputs compared, and one line per output that differs between two run_single_calls results."""
+    compared, lines = 0, []
+    for (seed, before), (_, after) in zip(old, new):
+        pairs = list(itertools.zip_longest(before, after))
+        compared += len(pairs)
+        lines += [
+            f"single-calls: DIFFERENT: seed {seed}, call {i} (dim {(a or b)[0]}): {a!r} at the ref, {b!r} here"
+            for i, (a, b) in enumerate(pairs) if a != b
+        ]
+    return compared, lines
 
 
 def module_lines(src: Path) -> dict[str, int]:
@@ -348,6 +410,14 @@ def main(argv: list[str]) -> int:
             if "--json" in argv:
                 for line in json_summary(old[1], new[1]):
                     print(line)
+        compared, lines = single_call_changes(run_single_calls(Path(tmp) / "src"), run_single_calls(ROOT / "src"))
+        seeds = ", ".join(map(str, SINGLE_CALL_SEEDS))
+        print(f"single-calls: {compared - len(lines)} of {compared} outputs identical (seeds {seeds})")
+        for line in lines[:_LISTED]:
+            print(line)
+        if len(lines) > _LISTED:
+            print(f"single-calls: {len(lines) - _LISTED} more differ")
+        same = same and not lines
         before, after = module_lines(Path(tmp) / "src"), module_lines(ROOT / "src")
         old, new = sum(before.values()), sum(after.values())
         print(f"source lines: {old} at {ref}, {new} here ({new - old:+d})")

@@ -180,6 +180,17 @@ def _grid_means(kinds, eps) -> np.ndarray:
     return _certified(np.stack(_means_arr(kinds, *_pauli_stacks(eps))))
 
 
+def _fit_family(family: Callable[[float], object], grid, hermitian: bool = True):
+    # fit_series, or fit_series_general without ``hermitian``: DomainError at
+    # the first grid point whose value changes shape, before any fit.
+    g = _coerce_grid(grid)
+    values = [as_array(family(e)) for e in g.eps_grid]
+    for e, X in zip(g.eps_grid, values):
+        if X.shape != values[0].shape:
+            raise DomainError(f"family value at eps = {e!r} has shape {X.shape}, not {values[0].shape}")
+    return _fit_stacks(g, [np.array(values)], hermitian)[0]
+
+
 def fit_series(family: Callable[[float], object], grid=DEFAULT_GRID) -> SeriesFit:
     """Least-squares series fit of a Hermitian-valued family.
 
@@ -197,14 +208,12 @@ def fit_series(family: Callable[[float], object], grid=DEFAULT_GRID) -> SeriesFi
         ``residual_bound`` is the worst Frobenius residual of the degree-2
         fit over the grid.
     """
-    g = _coerce_grid(grid)
-    return _fit_stacks(g, [np.array([as_array(family(e)) for e in g.eps_grid])])[0]
+    return _fit_family(family, grid)
 
 
 def fit_series_general(family: Callable[[float], object], grid=DEFAULT_GRID) -> GeneralSeriesFit:
     """As fit_series, for families with non-Hermitian values."""
-    g = _coerce_grid(grid)
-    return _fit_stacks(g, [np.array([as_array(family(e)) for e in g.eps_grid])], hermitian=False)[0]
+    return _fit_family(family, grid, hermitian=False)
 
 
 def _gp_args(p: float, x: float) -> tuple[float, float]:

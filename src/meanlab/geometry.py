@@ -139,6 +139,8 @@ def _accrual(Aarr: np.ndarray, Barr: np.ndarray, partition):
         raise DomainError("partition must be sorted with at least two points")
     if ts[0] != 0.0 or ts[-1] != 1.0:
         raise DomainError("partition must start at 0 and end at 1")
+    if any(t != t for t in ts):  # sorted from 0 to 1, only a NaN can lie outside [0, 1]
+        raise DomainError("parameter must lie in [0, 1], got nan")
     total = _d_bw_arr(Aarr, Barr)
     P = _certified_points(GEODESIC_BW, Aarr, Barr, ts)
     n = Aarr.shape[-1]

@@ -128,8 +128,6 @@ def _require(ok, error: type[Exception], message: str, *values) -> None:
     # a bool for a lone value or an array with one entry per matrix, pair or
     # pivot of a stack, where each array value is named by its first failing
     # entry.
-    if ok is True:
-        return
     ok = np.asarray(ok)
     if not ok.all():
         raise error(message.format(*(np.extract(~ok, v)[0].item() if isinstance(v, np.ndarray) else v for v in values)))
@@ -206,6 +204,7 @@ def commutator_norm(A, B):
     """Frobenius norm of AB - BA for two arrays or wrapped matrices; per matrix for a stack."""
     X = as_array(A)
     Y = as_array(B)
+    _check_sizes(X, Y)
     C = X @ Y - Y @ X
     return frobenius(C) if C.ndim == 2 else _norms(C)
 
@@ -214,6 +213,14 @@ def _check_operands(A, B) -> None:
     # DimMismatch unless the two operands of a two-matrix call share a dimension.
     if A.dim != B.dim:
         raise DimMismatch(f"operands have dimensions {A.dim} and {B.dim}")
+
+
+def _check_sizes(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    # _check_operands for arrays, a scalar, a matrix or a stack each: two
+    # stacks must share a shape. Returns X.
+    if X.ndim and Y.ndim and (X.shape[-1] != Y.shape[-1] or (min(X.ndim, Y.ndim) > 2 and X.shape != Y.shape)):
+        raise DimMismatch(f"operands have shapes {X.shape} and {Y.shape}")
+    return X
 
 
 def as_array(X) -> np.ndarray:
@@ -744,36 +751,28 @@ def _power_guard(lo, hi, ps, certify: bool) -> None:
     # for one matrix, arrays for a stack) do not take a power p of ps, in
     # their order: PositivityError for a lambda_min <= 0 under a fractional,
     # negative or certified power, DomainError where |p log lambda| at a
-    # positive end would overflow. The first lambda_min <= 0 and the largest
-    # |log lambda| (for positive finite spectra, at the smallest lo or the
-    # largest hi, by math.log) are taken once, so each p
-    # costs one product; rounding is monotone, so that decides as each
-    # |p log lambda| would, and only a failure searches the ends, in order.
+    # positive end would overflow. For positive finite spectra the largest
+    # |log lambda|, at the smallest lo or the largest hi, is taken once, so
+    # each p costs one product; rounding is monotone, so that decides as
+    # each |p log lambda| would. Any other outcome searches the ends as
+    # Python floats, (lo, hi) matrix by matrix: the first lambda_min <= 0 (a
+    # NaN skipped), else the first positive end whose |p log lambda| overflows.
     lone = not isinstance(lo, np.ndarray)
-    bottom, top = (lo, hi) if lone else (float(lo.min()), float(hi.max())) if lo.size else (0.0, 0.0)
+    bottom, top = (lo, hi) if lone else (float(lo.min()), float(hi.max())) if lo.size else (1.0, 1.0)
     if bottom > 0.0 and top < math.inf:
-        low, ends, logs = None, None, None
         reach = max(abs(math.log(bottom)), abs(math.log(top)))
-    elif lone:
-        low = lo if lo <= 0.0 else None
-        ends = [lam for lam in (lo, hi) if lam > 0.0]
-        logs = [math.log(lam) for lam in ends]
-        reach = max(map(abs, logs), default=0.0)
-    else:
-        lows = lo <= 0.0
-        low = lo[lows][0] if lows.any() else None
-        ends = np.stack((lo, hi), axis=-1)
-        ends = ends[ends > 0.0]
-        logs = np.log(ends)
-        reach = np.abs(logs).max(initial=0.0)
+        for p in ps:
+            if abs(p) * reach > _POW_LOG_LIMIT:
+                break
+        else:
+            return
+    ends = [lo, hi] if lone else np.stack((lo, hi), axis=-1).ravel().tolist()
+    low = next((lam for lam in ends[::2] if lam <= 0.0), None)
     for p in ps:
         if low is not None and (certify or p != round(p) or p < 0.0):
             raise PositivityError(f"power {p} of a matrix with minimum eigenvalue {low:.3e}")
-        if abs(p) * reach > _POW_LOG_LIMIT:
-            if ends is None:
-                ends = np.stack((lo, hi), axis=-1).ravel().tolist()
-                logs = [math.log(lam) for lam in ends]
-            over = [lam for lam, x in zip(ends, logs) if abs(p * x) > _POW_LOG_LIMIT]
+        over = [lam for lam in ends if lam > 0.0 and abs(p * math.log(lam)) > _POW_LOG_LIMIT]
+        if over:
             raise DomainError(f"power {p} overflows at eigenvalue {over[0]:.3e}")
 
 
@@ -972,13 +971,11 @@ def _check_certificates(arr: np.ndarray, lam, tolerance=None):
 def _certify_stack(arr: np.ndarray):
     # The eigenvalue certificate of a Hermitian matrix, or of each matrix of
     # a stack with any leading shape: its lambda_min, checked against its
-    # own tolerance, a float for a lone matrix. A lone matrix keeps the
-    # scalar kernel; deeper stacks are solved as one (N, n, n) stack.
+    # own tolerance, a float for a lone matrix. Any stack, a lone matrix as
+    # a stack of one, is solved as one (N, n, n) stack.
     n = arr.shape[-1]
-    if arr.ndim == 2:
-        return _check_certificates(arr, float(_eig_values(arr)[0]))
-    w = _eig_values(arr if arr.ndim == 3 else arr.reshape(-1, n, n))
-    return _check_certificates(arr, w[..., 0].reshape(arr.shape[:-2]))
+    lam = _eig_values(arr.reshape(-1, n, n))[:, 0]
+    return _check_certificates(arr, float(lam[0]) if arr.ndim == 2 else lam.reshape(arr.shape[:-2]))
 
 
 def _cholesky(re, im, zero, ops):
@@ -1260,6 +1257,7 @@ def loewner_leq(A, B) -> bool:
     difference may dip that far below zero and still count.
     """
     X, Y = as_array(A), as_array(B)
+    _check_sizes(X, Y)
     return bool(_order_violation(X, Y) <= LOEWNER_TOL * max(1.0, frobenius(Y - X)))
 
 

@@ -850,8 +850,8 @@ def check_kubo_ando_axioms(
     dim = int(dim)
     if samples < 1:
         raise DomainError("at least one sample is required")
-    if dim < 1:
-        raise DomainError(f"dimension must be at least 1, got {dim}")
+    # The draws refuse a dim below 1.
+    F = complex_draws(rng_batch(rng_seed, count=samples), dim, 5)
     I = np.eye(dim)
     I_pd = identity_pd(dim)
     v = float(_norms(mean(kind, I_pd, I_pd).mat - I))
@@ -859,7 +859,6 @@ def check_kubo_ando_axioms(
         AxiomCheck("normalization", samples, 0 if v <= AXIOM_NORMALIZATION_TOL else samples, worst((v,)))
     ]
 
-    F = complex_draws(rng_batch(rng_seed, count=samples), dim, 5)
     T = _transforms(F[:, 4])
     A, C = _pd_gram(F[:, 0]), _pd_gram(F[:, 1])
     ks = (1, 2, 4, 8, 16, 32)

@@ -23,7 +23,7 @@ from .errors import DimMismatch, DomainError, NotInCone
 from .expansion import DEFAULT_GRID, _fit, _pauli_stacks
 from .matcore import (
     HermitianMatrix, PdMatrix, _certified, _certified_power, _certified_powers, _check_hermitian, _check_operands,
-    _norms, _require, _sym, as_array, pauli_basis,
+    _check_sizes, _norms, _require, _sym, as_array, pauli_basis,
 )
 from .means import (
     TAG_ARITHMETIC,
@@ -84,10 +84,12 @@ def linear_functional(W) -> ScalarFunctional:
     the matrices of an (N, n, n) stack one each.
     """
     Warr = as_array(W)
+    if Warr.ndim < 2 or Warr.shape[-1] != Warr.shape[-2]:
+        raise DimMismatch(f"weight has shape {Warr.shape}, not that of a square matrix or a stack of them")
     _check_hermitian(Warr)
     Warr = _sym(Warr)
     return ScalarFunctional(
-        lambda X: np.trace(Warr @ X, axis1=-2, axis2=-1).real, "linear[tr(W.)]"
+        lambda X: np.trace(_check_sizes(Warr, X) @ X, axis1=-2, axis2=-1).real, "linear[tr(W.)]"
     )
 
 

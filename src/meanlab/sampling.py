@@ -23,6 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
+from .errors import DomainError
 from .matcore import HermitianMatrix, PdMatrix, _apply_spectral, _certified, _eig_array, _sym
 
 # Random PD draws get at least this much identity added, keeping condition
@@ -165,7 +166,7 @@ def random_complex(rng: np.random.Generator, dim: int, *lead: int) -> np.ndarray
     """Complex Gaussian dim x dim matrices, the real part drawn before the
     imaginary one; with ``lead`` a stack of that shape, drawn in order, so
     each matrix equals the one a call per matrix would draw."""
-    return _complex(rng.standard_normal(lead + (2, dim, dim)))
+    return complex_draws([rng], dim, int(np.prod(lead))).reshape(lead + (dim, dim))
 
 
 def _complex(Z: np.ndarray) -> np.ndarray:
@@ -179,6 +180,8 @@ def complex_draws(rngs, dim: int, k: int) -> np.ndarray:
     Each generator draws its normals as random_complex does, and the complex
     matrices are then formed once for the whole stack, the same bits.
     """
+    if dim < 1:
+        raise DomainError(f"dimension must be at least 1, got {dim}")
     Z = np.array([rng.standard_normal((k, 2, dim, dim)) for rng in rngs])
     return _complex(Z.reshape(-1, k, 2, dim, dim))
 

@@ -51,7 +51,7 @@ from .preserver import (
     trace_power_functional,
 )
 from .report import CheckItem, CheckReport, least, worst
-from .sampling import _complex, _pd_gram, _unitary_factor, complex_draws, pd_grams, random_pd, rng_batch, rng_batches
+from .sampling import _complex, _unitary_factor, complex_draws, pd_grams, random_pd, rng_batch, rng_batches
 
 P_VALUES = (-0.9, -0.5, -0.1, 0.1, 0.5, 0.9)
 
@@ -166,10 +166,10 @@ def _weighted_pairs(rngs):
     # weight W = G*G / tr(G*G) for f = tr(W .), then a certified pair. Draw
     # i takes G, then the pair's factors as random_pd takes them, from the
     # i-th generator of ``rngs``, rng_for(seed, 61, i).
-    G, FA, FB = complex_draws(rngs, 2, 3).swapaxes(0, 1)
+    F = complex_draws(rngs, 2, 3)
+    G = F[:, 0]
     W = G.conj().swapaxes(-1, -2) @ G
-    W = W / np.trace(W, axis1=-2, axis2=-1).real[:, None, None]
-    return W, _certified(_pd_gram(FA)), _certified(_pd_gram(FB))
+    return W / np.trace(W, axis1=-2, axis2=-1).real[:, None, None], *pd_grams(F[:, 1:])
 
 
 def criterion_6(seed: int = 0, tol_scale: float = 1.0) -> CheckReport:

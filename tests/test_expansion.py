@@ -163,6 +163,22 @@ def test_scaled_grid():
     assert fam.eps_grid == tuple(e / 2.0 for e in DEFAULT_GRID.eps_grid)
 
 
+def test_a_family_whose_shape_changes_is_refused_at_that_grid_point():
+    # The grid given as a plain list, in no order, fits as its EpsFamily
+    # does; a value of another shape is named by its grid point, by both
+    # fits, where stacking the values would raise numpy's ValueError.
+    grid = [0.04, 0.01, 0.1, 0.02]
+    family = lambda e: HermitianMatrix((1.0 + e + e * e) * I2)  # noqa: E731
+    listed, wrapped = fit_series(family, grid), fit_series(family, EpsFamily(tuple(grid)))
+    for field in ("c0", "c1", "c2"):
+        assert getattr(listed, field).mat.tobytes() == getattr(wrapped, field).mat.tobytes()
+    assert listed.residual_bound == wrapped.residual_bound
+    grown = lambda e: np.eye(2 if e < 0.03 else 3)  # noqa: E731
+    for fit in (fit_series, fit_series_general):
+        with pytest.raises(DomainError, match=r"^family value at eps = 0\.04 has shape \(3, 3\), not \(2, 2\)$"):
+            fit(grown, grid)
+
+
 def test_ill_conditioned_grid_is_refused():
     wide = EpsFamily((1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4))
     with pytest.raises(IllConditioned):

@@ -173,6 +173,10 @@ def test_partition_validation(rng):
         check_geodesic_metric(A, B, (0.1, 0.5, 1.0))
     with pytest.raises(DomainError):
         check_geodesic_metric(A, B, (0.0, 0.5, 0.9))
+    # A NaN passes the order and endpoint checks; it is refused as geodesic
+    # refuses a NaN t, before any point is formed.
+    with pytest.raises(DomainError, match=r"^parameter must lie in \[0, 1\], got nan$"):
+        check_geodesic_metric(A, B, (0.0, math.nan, 1.0))
 
 
 @settings(max_examples=40, deadline=None)

@@ -5,6 +5,7 @@ functional calculus built on it. The 2x2 powers are checked against the
 import json
 import math
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -793,8 +794,15 @@ def test_json_rejects_malformed():
         (lambda: matrix_from_json({"dim": 2, "re": [[1.0]]}), ValueError, "do not match dim 2"),
         (lambda: matrix_from_json({"dim": 1, "re": [[math.nan]]}), ValueError, "must be finite"),
         (lambda: func_calc(identity_pd(2), lambda x: 1.0 / 0.0), DomainError, "scalar function failed"),
+        (lambda: commutator_norm(np.eye(2), np.eye(3)), DimMismatch, r"^operands have shapes \(2, 2\) and \(3, 3\)$"),
+        (lambda: commutator_norm(np.zeros((3, 2, 2)), np.zeros((4, 2, 2))), DimMismatch,
+         r"^operands have shapes \(3, 2, 2\) and \(4, 2, 2\)$"),
+        (lambda: loewner_leq(np.eye(2), np.eye(3)), DimMismatch, r"^operands have shapes \(2, 2\) and \(3, 3\)$"),
     ],
-    ids=["congruence-shapes", "json-not-an-object", "json-shape", "json-non-finite", "func-calc-raises"],
+    ids=[
+        "congruence-shapes", "json-not-an-object", "json-shape", "json-non-finite", "func-calc-raises",
+        "commutator-sizes", "commutator-stack-lengths", "loewner-sizes",
+    ],
 )
 def test_matcore_error_branches(call, error, message):
     with pytest.raises(error, match=message):
@@ -1146,6 +1154,45 @@ def test_every_order_and_congruence_stack_of_verify_all_is_decided_alike(monkeyp
     invertible = matcore._cholesky_proof(G, 1e-24 * matcore._norms(G))
     w = matcore._eig_values(G)
     assert invertible.all() and np.all(w[:, 0] > 1e-24 * w[:, -1])
+
+
+def test_every_site_that_asks_the_proof_decides_as_the_eigenvalues(monkeypatch):
+    # With a proof that proves nothing, every site that asks it (the
+    # certificates, the order and invertibility checks, and the axiom
+    # battery's shifted A and C) reads the eigenvalues instead, and every
+    # output keeps its bytes: criterion 7's four kinds at dim 3 (20 samples,
+    # seeds 0 and 1), and at dim 4 the mean of seven kinds and the
+    # certificate of each matrix, with min_eigenvalue.
+    from meanlab import means
+    from meanlab.means import (
+        ARITHMETIC, SPECTRAL_GEOMETRIC, WASSERSTEIN, check_kubo_ando_axioms, conventional_power,
+    )
+
+    axiom_kinds = (HARMONIC, GEOMETRIC, kubo_ando_power(0.5), kubo_ando_power(-0.5))
+    kinds = (
+        ARITHMETIC, HARMONIC, GEOMETRIC, kubo_ando_power(0.5), conventional_power(0.5), SPECTRAL_GEOMETRIC, WASSERSTEIN,
+    )
+
+    def outputs():
+        out = [check_kubo_ando_axioms(kind, samples=20, rng_seed=seed, dim=3).to_json()
+               for kind in axiom_kinds for seed in (0, 1)]
+        for a, b in zip(*pd_stacks(36, dim=4, k=2, count=10)):
+            A, B = PdMatrix.certify(a), PdMatrix.certify(b)
+            for M in [A] + [mean(kind, A, B) for kind in kinds]:
+                out.append((M.mat.tobytes(), M.min_eigenvalue.hex()))
+        return out
+
+    proven = outputs()
+    sites = set()
+
+    def unproven(M, floor):
+        sites.add(sys._getframe(1).f_code.co_name)
+        return False if M.ndim == 2 else np.zeros(len(M), dtype=bool)
+
+    monkeypatch.setattr(matcore, "_cholesky_proof", unproven)
+    monkeypatch.setattr(means, "_cholesky_proof", unproven)
+    assert outputs() == proven
+    assert sites == {"_certificates", "_order_violation", "_congruences", "check_kubo_ando_axioms"}
 
 
 @pytest.mark.filterwarnings("error")

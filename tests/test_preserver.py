@@ -280,8 +280,15 @@ def test_masa_validation():
         (lambda: masa_split(np.eye(3)), DimMismatch, "defined on M2"),
         (lambda: solve_coefficients(HARMONIC), DomainError, "supports m_p and the Wasserstein mean"),
         (lambda: solve_coefficients(GEOMETRIC), DomainError, "supports m_p and the Wasserstein mean"),
+        (lambda: linear_functional(np.ones((2, 3))), DimMismatch, r"^weight has shape \(2, 3\), not that of a square"),
+        (lambda: linear_functional(np.eye(3))(np.eye(2)), DimMismatch, r"^operands have shapes \(3, 3\) and \(2, 2\)$"),
+        (lambda: linear_functional(np.stack([np.eye(2)] * 3))(np.stack([np.eye(2)] * 4)), DimMismatch,
+         r"^operands have shapes \(3, 2, 2\) and \(4, 2, 2\)$"),
     ],
-    ids=["direction-outside-m2", "split-outside-m2", "solve-harmonic", "solve-geometric"],
+    ids=[
+        "direction-outside-m2", "split-outside-m2", "solve-harmonic", "solve-geometric",
+        "linear-weight-not-square", "linear-sizes", "linear-stack-lengths",
+    ],
 )
 def test_preserver_error_branches(call, error, message):
     with pytest.raises(error, match=message):

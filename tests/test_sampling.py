@@ -9,7 +9,9 @@ of one word and of several.
 import numpy as np
 import pytest
 
-from meanlab import GEOMETRIC, WASSERSTEIN, PdMatrix, centrality_probe, check_kubo_ando_axioms, kubo_ando_power
+from meanlab import (
+    GEOMETRIC, WASSERSTEIN, DomainError, PdMatrix, centrality_probe, check_kubo_ando_axioms, kubo_ando_power,
+)
 from meanlab import means, rng_for, sampling, verification
 from meanlab.sampling import random_invertible_hermitian, random_pd, rng_batch, rng_batches
 
@@ -56,6 +58,27 @@ def test_batch_rejects_a_negative_argument_as_rng_for_does(args, monkeypatch):
     with pytest.raises(ValueError, match=f"^{expected.value}$"):
         rng_batches(((0,), 4), (args, 0))
     assert calls == []
+
+
+@pytest.mark.parametrize("dim", [0, -1])
+def test_samplers_refuse_a_dimension_below_one(dim):
+    # As check_kubo_ando_axioms does, in the words it uses, before any draw:
+    # the generator's state is where it started.
+    rng = np.random.default_rng(5)
+    state = rng.bit_generator.state
+    calls = [
+        lambda: random_pd(rng, dim),
+        lambda: sampling.random_hermitian(rng, dim),
+        lambda: sampling.random_unitary(rng, dim),
+        lambda: random_invertible_hermitian(rng, dim),
+        lambda: sampling.complex_draws([rng], dim, 2),
+        lambda: sampling.pd_stacks(0, dim=dim, k=2, count=3),
+        lambda: check_kubo_ando_axioms(GEOMETRIC, samples=2, dim=dim),
+    ]
+    for call in calls:
+        with pytest.raises(DomainError, match=f"^dimension must be at least 1, got {dim}$"):
+            call()
+    assert rng.bit_generator.state == state
 
 
 def test_batches_draw_what_rng_for_draws(monkeypatch):

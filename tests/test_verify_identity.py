@@ -100,6 +100,7 @@ def test_line_count_is_printed_and_leaves_the_exit_status_alone(tmp_path, monkey
     monkeypatch.setattr(verify_identity, "unpack", unpack)
     monkeypatch.setattr(verify_identity, "run_verify", lambda src, seed: (1, "{}", ""))
     monkeypatch.setattr(verify_identity, "run_cli", lambda src, runs, folder: [(0, "", "")] * len(runs))
+    monkeypatch.setattr(verify_identity, "run_single_calls", lambda src: [])
     assert verify_identity.main(["REF"]) == 0
     here = verify_identity.module_lines(verify_identity.ROOT / "src")
     out = capsys.readouterr().out.splitlines()
@@ -195,6 +196,7 @@ def test_differing_json_runs_are_summarized_and_the_exit_status_is_kept(tmp_path
     monkeypatch.setattr(verify_identity, "unpack", unpack)
     monkeypatch.setattr(verify_identity, "run_verify", lambda src, seed: (1, "{}", ""))
     monkeypatch.setattr(verify_identity, "run_cli", run_cli)
+    monkeypatch.setattr(verify_identity, "run_single_calls", lambda src: [])
     assert verify_identity.main(["REF"]) == 1
     # The summary lines of each differing run, after its header and diff.
     summary, header = {}, None
@@ -211,3 +213,54 @@ def test_differing_json_runs_are_summarized_and_the_exit_status_is_kept(tmp_path
             " largest relative change 5.000e-01 (result.worst_gap)",
             "  flipped: result.central (False -> True)",
         ] if "--json" in header else [])
+
+
+def test_a_changed_single_call_output_is_reported_and_fails(tmp_path, monkeypatch, capsys):
+    # verify and the CLI runs match; one lone output of seed 2 differs in
+    # its min_eigenvalue bits, another is a refusal on one side only. Each
+    # is named by seed, call and dim, and the status is 1.
+    def unpack(ref, dest):
+        (dest / "src" / "meanlab").mkdir(parents=True)
+
+    def run_single_calls(src):
+        here = src == verify_identity.ROOT / "src"
+        lam = (0.75).hex() if here else (0.5).hex()
+        second = [4, "PositivityError: not PD"] if here else [4, "aa", False, True, None]
+        first = [2, "00ff", False, True, (0.5).hex()]
+        return [
+            [seed, [first[:4] + [lam] if seed == 2 else first, second if seed == 3 else [2, (1.5).hex()]]]
+            for seed in verify_identity.SINGLE_CALL_SEEDS
+        ]
+
+    monkeypatch.setattr(verify_identity, "unpack", unpack)
+    monkeypatch.setattr(verify_identity, "run_verify", lambda src, seed: (1, "{}", ""))
+    monkeypatch.setattr(verify_identity, "run_cli", lambda src, runs, folder: [(0, "", "")] * len(runs))
+    monkeypatch.setattr(verify_identity, "run_single_calls", run_single_calls)
+    assert verify_identity.main(["REF"]) == 1
+    out = [line for line in capsys.readouterr().out.splitlines() if line.startswith("single-calls")]
+    assert out == [
+        "single-calls: 4 of 6 outputs identical (seeds 1, 2, 3)",
+        "single-calls: DIFFERENT: seed 2, call 0 (dim 2): [2, '00ff', False, True, '0x1.0000000000000p-1'] at the ref,"
+        " [2, '00ff', False, True, '0x1.8000000000000p-1'] here",
+        "single-calls: DIFFERENT: seed 3, call 1 (dim 4): [4, 'aa', False, True, None] at the ref,"
+        " [4, 'PositivityError: not PD'] here",
+    ]
+
+
+def test_single_call_records_are_the_outputs_bytes(tmp_path):
+    # The records of one tree at one seed: one per workload item, a dim-2
+    # result with its matrix bytes, read-only and owning its data, and its
+    # min_eigenvalue bits; a dim-4 one without them; d_bw as a float's bits.
+    records = dict(verify_identity.run_single_calls(SCRIPT.parent.parent / "src"))
+    assert sorted(records) == list(verify_identity.SINGLE_CALL_SEEDS)
+    first = records[1]
+    assert {record[0] for record in first} == {2, 4}
+    for record in first:
+        if len(record) == 5:
+            dim, data, writeable, owner, lam = record
+            assert len(bytes.fromhex(data)) == 16 * dim * dim and not writeable and owner
+            assert (lam is None) == (dim == 4)
+            if lam is not None:
+                float.fromhex(lam)
+        else:
+            float.fromhex(record[1])
