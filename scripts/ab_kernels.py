@@ -11,7 +11,8 @@ on both sides in turn, the side that goes first alternating from round to
 round, so that the drift of a shared host falls on both sides alike; separate
 processes on such a host can differ by 2x. The kernels are:
 
-- at n = 2: the lone ``_eig2_values``, the lone ``_pow_arr`` at 0.5 and at
+- at n = 2: the lone ``_eig2_values``, ``_eig2_stack`` without vectors on
+  stacks of 20 and of 200 and with vectors on 200, the lone ``_pow_arr`` at 0.5 and at
   (0.5, -0.5) on a matrix with b != 0 and on one with b = 0, a certified
   lone power, stacked powers of 20 and of 200 ``pd_stacks`` matrices,
   ``_mean_arr`` m_0.5 of one pair and of 200, and the lone geometric,
@@ -29,7 +30,8 @@ processes on such a host can differ by 2x. The kernels are:
   ref without it one ``rng_batch`` per stream. That is the SeedSequence
   hash every sampled battery seeds through, which runs at the call (each
   generator is built only when its turn comes, so none is);
-- at n >= 3: ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
+- at n >= 3: the lone Jacobi ``_eig_jacobi`` on a 4x4 and the stacked
+  ``_eig_jacobi_stack`` on 180 3x3 matrices; ``_cholesky`` and ``_lower_inverse`` on a stack of 180 3x3
   matrices and on a lone 4x4, ``_cholesky`` with the split of the matrix
   into the parts it reads; the lone 4x4's certificate proof
   (``_cholesky_proof``) at its ``pd_tolerance``; ``_mean_arr`` of each kind the Cholesky frame
@@ -117,6 +119,11 @@ def kernels(pkg, data: dict) -> dict:
     A20 = A[:20]
     out = {
         "_eig2_values lone": lambda: matcore._eig2_values(X),
+        "_eig2_stack values of 20": lambda: matcore._eig2_stack(A20, False),
+        "_eig2_stack values of 200": lambda: matcore._eig2_stack(A, False),
+        "_eig2_stack vectors of 200": lambda: matcore._eig2_stack(A),
+        "_eig_jacobi lone 4x4": lambda: matcore._eig_jacobi(A4),
+        "_eig_jacobi_stack on 180 3x3": lambda: matcore._eig_jacobi_stack(A3),
         "_pow_arr lone 0.5, b != 0": lambda: pow_arr(X, 0.5),
         "_pow_arr lone 0.5, b = 0": lambda: pow_arr(D, 0.5),
         "_pow_arr lone (0.5, -0.5), b != 0": lambda: pow_arr(X, 0.5, -0.5),

@@ -182,12 +182,15 @@ def _grid_means(kinds, eps) -> np.ndarray:
 
 def _fit_family(family: Callable[[float], object], grid, hermitian: bool = True):
     # fit_series, or fit_series_general without ``hermitian``: DomainError at
-    # the first grid point whose value changes shape, before any fit.
+    # the first grid point whose value changes shape, or, for fit_series, is
+    # not a square matrix, before any fit.
     g = _coerce_grid(grid)
     values = [as_array(family(e)) for e in g.eps_grid]
     for e, X in zip(g.eps_grid, values):
         if X.shape != values[0].shape:
             raise DomainError(f"family value at eps = {e!r} has shape {X.shape}, not {values[0].shape}")
+        if hermitian and (X.ndim != 2 or X.shape[0] != X.shape[1]):
+            raise DomainError(f"family value at eps = {e!r} has shape {X.shape}, not that of a square matrix")
     return _fit_stacks(g, [np.array(values)], hermitian)[0]
 
 

@@ -12,7 +12,9 @@ powers, congruences and the Loewner order test all route through it.
 
 The private array layer also takes stacks of shape (N, n, n), for batteries
 that evaluate many samples at once. A stack of 2x2 matrices runs a
-vectorized copy of the closed form, a stack of larger ones a stacked Jacobi
+vectorized copy of the closed form (``_rotation_stack``, one body for both
+of its modes, with or without vectors, neither of which warns near the
+largest float), a stack of larger ones a stacked Jacobi
 that vectorizes over the matrices and matches the scalar one bit for bit; a
 2-D input always stays on the scalar kernels, which cost far less than a
 stack of one, and so does each matrix of a stack at n >= 3 smaller than a
@@ -22,8 +24,11 @@ invertibility check guard every matrix of a stack.
 Jacobi has one mode: it always rotates the vectors. The 2x2 closed form
 also has a values-only mode, which ``_eig_values`` takes for the callers
 that need no vectors (at other sizes it reads the full solve's
-eigenvalues): it forms only m -+ r, keeping the b = 0 sort, the bits
-``_eig_array`` returns. Every 2x2 power takes that mode too and forms no
+eigenvalues): it stops after m -+ r, keeping the b = 0 sort, the bits
+``_eig_array`` returns. m -+ r is formed in three bodies, pinned to the
+same bits: the lone ``_eig2_parts`` (every lone certificate and power),
+``_rotation`` (lone Jacobi's step) and ``_rotation_stack``. Every 2x2
+power takes that mode too and forms no
 eigenvectors: it is built from the eigenvalues and the closed form's pieces
 by the interpolation form f(A) = f(lambda_1) I + f[lambda_1, lambda_2]
 (A - lambda_1 I) (``_power2``). Like each closed-form mean of ``means``, it
@@ -237,16 +242,20 @@ class HermitianMatrix:
     Construction symmetrizes to (M + M*)/2 after checking that the input was
     already Hermitian to within ``HERMITICITY_RTOL`` relative to
     max(1, ||M||_F). The stored array is complex128 and non-writeable.
-    Instances compare and hash by identity, as every value type holding an
-    array here does: an elementwise ``==`` has no truth value.
+    Entries past about half the largest float, whose (M + M*)/2 overflows,
+    are refused with DomainError. Instances compare and hash by identity, as
+    every value type holding an array here does: an elementwise ``==`` has
+    no truth value.
     """
 
     mat: np.ndarray
 
     def __post_init__(self) -> None:
         arr = _to_complex_array(self.mat)
-        _check_hermitian(arr)
-        sym = _sym(arr)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _check_hermitian(arr)
+            sym = _sym(arr)
+        _require(np.isfinite(sym).all(), DomainError, "matrix entries overflow when symmetrized: (M + M*)/2 is infinite")
         sym.setflags(write=False)
         object.__setattr__(self, "mat", sym)
 
@@ -418,17 +427,21 @@ def _rotation(a: float, d: float, b: complex):
     return m - r, m + r, w00, w10, w01, w11
 
 
-def _rotation_stack(a: np.ndarray, d: np.ndarray, re: np.ndarray, im: np.ndarray):
+def _rotation_stack(a: np.ndarray, d: np.ndarray, re: np.ndarray, im: np.ndarray, vectors: bool = True):
     # _rotation over (N,) arrays: real a and d, b = re + i im != 0, its
     # branches as masks. Every complex product and quotient is formed from
     # real and imaginary parts as Python forms it, and every modulus with
     # hypot, so each row matches _rotation bit for bit (up to the sign of a
     # zero). Returns lo, hi and the rotation as one (8, N) array: the real
-    # and imaginary parts of w00, w10, w01 and w11.
+    # and imaginary parts of w00, w10, w01 and w11; without ``vectors``,
+    # lo, hi and the pieces (h, m, |b|, r) in its place, with no t formed.
     babs = np.hypot(re, im)
     h = (a - d) / 2.0
     m = (a + d) / 2.0
     r = np.hypot(h, babs)
+    lo, hi = m - r, m + r
+    if not vectors:
+        return lo, hi, (h, m, babs, r)
     # r + max(h, 0) is r + h wherever that branch is taken, and never 0.
     t = np.where(h > 0.0, babs * (babs / (r + np.maximum(h, 0.0))), r - h)
     nrm = np.hypot(babs, t)
@@ -440,7 +453,7 @@ def _rotation_stack(a: np.ndarray, d: np.ndarray, re: np.ndarray, im: np.ndarray
     yes = np.array((t, zero, -re, im, babs, zero, tur, -tui)).reshape(2, 4, -1)
     no = np.array((-tur, -tui, babs, zero, re, im, t, zero)).reshape(2, 4, -1)
     first = np.array((t >= babs, babs >= t))[:, None]
-    return m - r, m + r, np.where(first, yes, no).reshape(8, -1) / nrm
+    return lo, hi, np.where(first, yes, no).reshape(8, -1) / nrm
 
 
 # Which part of a rotation W multiplies xr, yr, xi and yi in each of ur, vr,
@@ -626,33 +639,27 @@ def _eig2_stack(arr: np.ndarray, vectors: bool = True):
 
 def _eig2_stack_parts(a: np.ndarray, d: np.ndarray, b: np.ndarray, vectors: bool = True):
     # The eigenvalues (N, 2) and vectors (N, 2, 2) of the matrices
-    # [[a, b], [conj b, d]]: _rotation_stack, with b = 0 (no rotation, a swap
-    # when a > d) apart. Rows with b = 0 rotate a stand-in b = 1 that is then
-    # dropped. Without ``vectors`` only m -+ r is formed, as _rotation_stack
-    # forms it, with the same b = 0 sort, and the eigenvalues come with
-    # _eig2_parts' pieces, one array each. Near the largest float they
-    # overflow to infinities without numpy's warning, as Python floats do.
+    # [[a, b], [conj b, d]]: _rotation_stack in either mode, with b = 0 (no
+    # rotation, a swap when a > d) apart. Rows with b = 0 rotate a stand-in
+    # b = 1 that is then dropped. Without ``vectors`` the eigenvalues come
+    # with _eig2_parts' pieces, one array each. Near the largest float they
+    # overflow to infinities or NaNs without numpy's warning, as Python
+    # floats do.
     still = b == 0.0
     b = np.where(still, 1.0, b)
-    with np.errstate(over="ignore"):
-        if vectors:
-            lo, hi, W = _rotation_stack(a, d, b.real, b.imag)
-        else:
-            h, m = (a - d) / 2.0, (a + d) / 2.0
-            babs = np.hypot(b.real, b.imag)
-            r = np.hypot(h, babs)
-            lo, hi = m - r, m + r
+    with np.errstate(over="ignore", invalid="ignore"):
+        lo, hi, W = _rotation_stack(a, d, b.real, b.imag, vectors)
     w = np.empty((len(a), 2))
     w[:, 0], w[:, 1] = lo, hi
     swap = a > d
-    if still.any():
+    if np.count_nonzero(still):
         w[still] = np.stack((np.where(swap, d, a), np.where(swap, a, d)), axis=-1)[still]
     if not vectors:
-        return w, (b, h, m, babs, r, still, swap)
+        return w, (b, *W, still, swap)
     V = np.empty((len(a), 2, 2), dtype=np.complex128)
     # W's parts, column by column, as V[:, i, j] = (real, imaginary).
     V.view(np.float64).reshape(-1, 2, 2, 2)[:] = W.reshape(2, 2, 2, -1).transpose(3, 1, 0, 2)
-    if still.any():
+    if np.count_nonzero(still):
         E = np.eye(2, dtype=np.complex128)
         V[still] = np.where(swap[:, None, None], E[:, ::-1], E)[still]
     return w, V
@@ -1254,10 +1261,12 @@ def loewner_leq(A, B) -> bool:
     """Test A <= B in the Loewner order.
 
     The tolerance is LOEWNER_TOL scaled by max(1, ||B - A||_F); the
-    difference may dip that far below zero and still count.
+    difference may dip that far below zero and still count. Each operand is
+    a matrix or a scalar (0 <= M); a stack is refused with DimMismatch.
     """
     X, Y = as_array(A), as_array(B)
     _check_sizes(X, Y)
+    _require(max(X.ndim, Y.ndim) <= 2, DimMismatch, "operands have shapes {} and {}", X.shape, Y.shape)
     return bool(_order_violation(X, Y) <= LOEWNER_TOL * max(1.0, frobenius(Y - X)))
 
 

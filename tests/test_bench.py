@@ -133,7 +133,7 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     pattern = (rf"(.+): REF min {number} median {number} us; here min {number} median {number} us; "
                r"min [+-]\d+\.\d%; median ratio (\d+\.\d{3})")
     rows = [re.fullmatch(pattern, line) for line in lines[1:]]
-    assert len(rows) == 71 and all(rows)
+    assert len(rows) == 76 and all(rows)
     assert all(float(m.group(2)) == float(m.group(3)) > 0.0 for m in rows)
     assert all(float(m.group(6)) > 0.0 for m in rows)
     names = {"_cholesky lone 4x4", "_d_bw_arr on 200 dim-3 pairs", "criterion_10", "PdMatrix.certify lone dim 2"}
@@ -146,6 +146,8 @@ def test_ab_kernels_times_every_kernel_on_both_sides_in_one_round(monkeypatch, c
     names |= {"criterion_8", "criterion_9", "seed hash, 10 streams of 50", "_cholesky_proof lone 4x4"}
     names |= {f"mean {kind} lone dim 2" for kind in ("arithmetic", "harmonic", "wasserstein", "m_0.5", "m_-0.5")}
     names |= {"geodesic trace lone dim 2", "wasserstein_alt lone dim 2"}
+    names |= {"_eig2_stack values of 20", "_eig2_stack values of 200", "_eig2_stack vectors of 200"}
+    names |= {"_eig_jacobi lone 4x4", "_eig_jacobi_stack on 180 3x3"}
     assert names | {"_mean_arr harmonic lone"} <= {m.group(1) for m in rows}
 
 

@@ -2,8 +2,9 @@
 
 The counter rebinds each of matcore's eigensolver kernels, which matcore
 reaches as module globals: the 2x2 closed form with vectors
-(``_eig2_closed``) or without (``_eig2_values``), the 2x2 stack, and the
-scalar and stacked Jacobi. So it sees every eigendecomposition, the 2x2
+(``_eig2_closed``) or without (``_eig2_parts``, which ``_eig2_values``
+reads), the 2x2 stack (``_eig2_stack_parts``), and the scalar and stacked
+Jacobi. So it sees every eigendecomposition, the 2x2
 powers that ``_pow_arr`` builds from the values-only closed form included.
 A call on a stack of N matrices counts as N eigendecompositions, whichever
 kernel solves it. A matrix frame A^(1/2), A^(-1/2) costs one

@@ -179,6 +179,18 @@ def test_a_family_whose_shape_changes_is_refused_at_that_grid_point():
             fit(grown, grid)
 
 
+def test_a_family_whose_values_are_not_square_matrices_is_refused_by_the_hermitian_fit():
+    # A scalar, a vector and a 2x3 matrix are named with their first grid
+    # point; the general fit still takes each of them.
+    grid = [0.01, 0.02, 0.04, 0.1]
+    for value, shape in ((lambda e: 1.0 + e, r"\(\)"), (lambda e: np.array([1.0, e]), r"\(2,\)"),
+                         (lambda e: np.full((2, 3), 1.0 + e), r"\(2, 3\)")):
+        with pytest.raises(DomainError, match=rf"^family value at eps = 0\.01 has shape {shape}, not that of a square matrix$"):
+            fit_series(value, grid)
+        general = fit_series_general(value, grid)
+        assert np.allclose(general.c0, value(0.0), atol=1e-12)
+
+
 def test_ill_conditioned_grid_is_refused():
     wide = EpsFamily((1e-9, 1e-8, 1e-7, 1e-6, 1e-5, 1e-4))
     with pytest.raises(IllConditioned):

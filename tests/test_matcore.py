@@ -17,6 +17,7 @@ from meanlab import (
     DimMismatch,
     DomainError,
     HermitianMatrix,
+    MeanlabError,
     PdMatrix,
     PositivityError,
     SingularError,
@@ -78,6 +79,20 @@ def test_hermiticity_check_runs_per_matrix_of_a_stack():
             matcore._check_hermitian(stack)
         with pytest.raises(ValueError, match="not Hermitian"):
             matcore._check_hermitian(stack[None].repeat(2, axis=0))
+
+
+@pytest.mark.filterwarnings("error")
+def test_hermitian_refuses_entries_whose_symmetrization_overflows():
+    # (M + M*)/2 overflows past about 8.99e307; the finite input is refused
+    # with DomainError, a ValueError too, and no numpy warning, where the
+    # stored matrix would hold inf + nan i. Halved, it is stored finite.
+    huge = [np.array([[1.7e308, 1.0], [1.0, -1.7e308]]), np.array([[1.0, 1e308j, 0.0], [-1e308j, 1.0, 0.0], [0.0, 0.0, 1.7e308]])]
+    assert issubclass(DomainError, MeanlabError) and issubclass(DomainError, ValueError)
+    for arr in huge:
+        with pytest.raises(DomainError, match=r"^matrix entries overflow when symmetrized"):
+            HermitianMatrix(arr)
+        H = HermitianMatrix(arr / 2.0)
+        assert np.isfinite(H.mat).all() and np.isfinite(eig(H).eigenvalues).all()
 
 
 def test_hermitian_storage_is_immutable():
@@ -183,16 +198,44 @@ def _closed_form_cases(rng) -> np.ndarray:
 @pytest.mark.parametrize("scale", [1.0, 1e200, 1e-200])
 def test_stacked_closed_form_matches_the_scalar_one(scale, rng):
     # The vectorized closed form runs on stacks, the scalar one on lone 2x2
-    # inputs; they agree within 4 ulp, eigenvalues relative to the larger
-    # one in modulus and each vector entry relative to its own modulus.
+    # inputs; they agree on the eigenvalues bit for bit, and on each vector
+    # entry within 4 ulp relative to its own modulus.
     arr = _closed_form_cases(rng) * scale
     w, V = matcore._eig2_stack(arr)
     assert w.shape == (len(arr), 2) and V.shape == arr.shape
     eps = np.finfo(float).eps
     for X, ws, Vs in zip(arr, w, V):
         wc, Vc = matcore._eig2_closed(X)
-        assert np.all(np.abs(ws - wc) <= 4 * np.spacing(np.max(np.abs(wc))))
+        assert ws.tobytes() == wc.tobytes()
         assert np.all(np.abs(Vs - Vc) <= 4 * eps * np.abs(Vc))
+
+
+def test_every_site_that_forms_the_2x2_eigenvalues_gives_the_same_bits(rng):
+    # m -+ r is formed by the lone _eig2_parts and _rotation and by the
+    # stacked _rotation_stack; _eig2_closed and both modes of _eig2_stack
+    # read them. Each gives each matrix the same eigenvalue bits, signs of
+    # zero included, and the two values-only routes the same pieces
+    # (h, m, |b|, r): on indefinite draws, PD draws from 1e-300 to 1e300,
+    # b = 0 diagonals in both orders, with -0.0 and with equal entries, and
+    # two graded matrices whose small eigenvalue cancels.
+    arr = [random_hermitian(rng, 2).mat for _ in range(200)]
+    arr += [random_pd(rng, 2).mat * 10.0**s for s in range(-300, 301, 100) for _ in range(30)]
+    arr += [np.diag(diag) for diag in ([1.0, 2.0], [2.0, 1.0], [-0.0, 1.0], [1.0, -0.0], [0.0, -0.0], [1.5, 1.5])]
+    arr += [[[1e8, 9999.0], [9999.0, 1.0]], [[1e16, 1e8], [1e8, 3.0]]]
+    arr = np.array(arr, dtype=complex)
+    assert len(arr) == 418
+    values, (_, *pieces, _, _) = matcore._eig2_stack(arr, False)
+    stacked = {"values": values, "vectors": matcore._eig2_stack(arr)[0]}
+    for i, X in enumerate(arr):
+        (a, b), (_, d) = X.tolist()
+        parts, lone_pieces = matcore._eig2_parts(a.real, d.real, b)
+        sites = {"_eig2_parts": parts, "_eig2_closed": matcore._eig2_closed(X)[0]}
+        if b != 0.0:
+            sites["_rotation"] = matcore._rotation(a.real, d.real, b)[:2]
+        sites.update((f"_eig2_stack {mode}", w[i]) for mode, w in stacked.items())
+        bits = {site: np.array(w, dtype=float).tobytes() for site, w in sites.items()}
+        assert len(set(bits.values())) == 1, (i, sites)
+        assert np.array(lone_pieces[1:5]).tobytes() == np.array([p[i] for p in pieces]).tobytes(), i
 
 
 @pytest.mark.parametrize("n", [3, 4, 6])
@@ -632,6 +675,8 @@ def test_loewner_orders_scalar_multiples(rng):
     double = HermitianMatrix(2.0 * A.mat)
     assert loewner_leq(A, double)
     assert not loewner_leq(double, A)
+    # A scalar operand, as the Ando certificate asks 0 <= M.
+    assert loewner_leq(0, A) and not loewner_leq(0, -1.0 * A.mat)
 
 
 def test_loewner_is_reflexive(rng):
@@ -798,10 +843,13 @@ def test_json_rejects_malformed():
         (lambda: commutator_norm(np.zeros((3, 2, 2)), np.zeros((4, 2, 2))), DimMismatch,
          r"^operands have shapes \(3, 2, 2\) and \(4, 2, 2\)$"),
         (lambda: loewner_leq(np.eye(2), np.eye(3)), DimMismatch, r"^operands have shapes \(2, 2\) and \(3, 3\)$"),
+        (lambda: loewner_leq(np.eye(2)[None].repeat(3, axis=0), 2.0 * np.eye(2)[None].repeat(3, axis=0)), DimMismatch,
+         r"^operands have shapes \(3, 2, 2\) and \(3, 2, 2\)$"),
+        (lambda: loewner_leq(0, np.eye(2)[None].repeat(3, axis=0)), DimMismatch, r"^operands have shapes \(\) and \(3, 2, 2\)$"),
     ],
     ids=[
         "congruence-shapes", "json-not-an-object", "json-shape", "json-non-finite", "func-calc-raises",
-        "commutator-sizes", "commutator-stack-lengths", "loewner-sizes",
+        "commutator-sizes", "commutator-stack-lengths", "loewner-sizes", "loewner-stacks", "loewner-zero-and-stack",
     ],
 )
 def test_matcore_error_branches(call, error, message):
@@ -1270,6 +1318,10 @@ def test_a_2x2_stack_near_the_largest_float_raises_without_a_numpy_warning():
         with pytest.raises(error) as stacked:
             call(stack)
         assert str(stacked.value) == str(alone.value)
+    # A row whose a - d overflows keeps its diagonal, with vectors or without.
+    split = np.array([np.eye(2), np.diag([1e308, -1e308])], dtype=complex)
+    for vectors in (True, False):
+        assert np.array_equal(matcore._eig2_stack(split, vectors)[0][1], [-1e308, 1e308])
 
 
 def _two_by_two_norm_corpus() -> list:
