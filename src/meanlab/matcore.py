@@ -12,14 +12,13 @@ powers, congruences and the Loewner order test all route through it.
 
 The private array layer also takes stacks of shape (N, n, n), for batteries
 that evaluate many samples at once. A stack of 2x2 matrices runs a
-vectorized copy of the closed form (``_rotation_stack``, one body for both
-of its modes, with or without vectors, neither of which warns near the
-largest float), a stack of larger ones a stacked Jacobi
-that vectorizes over the matrices and matches the scalar one bit for bit; a
-2-D input always stays on the scalar kernels, which cost far less than a
-stack of one, and so does each matrix of a stack at n >= 3 smaller than a
-measured crossover (``_LOOP_BELOW``). Powers and the congruence
-invertibility check guard every matrix of a stack.
+vectorized copy of the closed form, one body (``_rotation_stack``) for
+both modes, neither warning near the largest float; a stack of larger ones
+a stacked Jacobi that vectorizes over the matrices and matches the scalar
+one bit for bit; a 2-D input always stays on the scalar kernels, which
+cost far less than a stack of one, and so does each matrix of a stack at
+n >= 3 smaller than a measured crossover (``_LOOP_BELOW``). Powers and the
+congruence invertibility check guard every matrix of a stack.
 
 Jacobi has one mode: it always rotates the vectors. The 2x2 closed form
 also has a values-only mode, which ``_eig_values`` takes for the callers
@@ -439,9 +438,8 @@ def _rotation_stack(a: np.ndarray, d: np.ndarray, re: np.ndarray, im: np.ndarray
     h = (a - d) / 2.0
     m = (a + d) / 2.0
     r = np.hypot(h, babs)
-    lo, hi = m - r, m + r
     if not vectors:
-        return lo, hi, (h, m, babs, r)
+        return m - r, m + r, (h, m, babs, r)
     # r + max(h, 0) is r + h wherever that branch is taken, and never 0.
     t = np.where(h > 0.0, babs * (babs / (r + np.maximum(h, 0.0))), r - h)
     nrm = np.hypot(babs, t)
@@ -453,7 +451,7 @@ def _rotation_stack(a: np.ndarray, d: np.ndarray, re: np.ndarray, im: np.ndarray
     yes = np.array((t, zero, -re, im, babs, zero, tur, -tui)).reshape(2, 4, -1)
     no = np.array((-tur, -tui, babs, zero, re, im, t, zero)).reshape(2, 4, -1)
     first = np.array((t >= babs, babs >= t))[:, None]
-    return lo, hi, np.where(first, yes, no).reshape(8, -1) / nrm
+    return m - r, m + r, np.where(first, yes, no).reshape(8, -1) / nrm
 
 
 # Which part of a rotation W multiplies xr, yr, xi and yi in each of ur, vr,
