@@ -141,8 +141,6 @@ def _to_complex_array(entries) -> np.ndarray:
     arr = np.asarray(entries, dtype=np.complex128)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] < 1:
         raise ValueError(f"expected a square matrix, got shape {arr.shape}")
-    if not np.all(np.isfinite(arr.view(np.float64))):
-        raise ValueError("matrix entries must be finite")
     return arr
 
 
@@ -251,10 +249,13 @@ class HermitianMatrix:
 
     def __post_init__(self) -> None:
         arr = _to_complex_array(self.mat)
+        # (M + M*)/2 is finite only if M is, so one test on it serves both.
         with np.errstate(over="ignore", invalid="ignore"):
-            _check_hermitian(arr)
             sym = _sym(arr)
-        _require(np.isfinite(sym).all(), DomainError, "matrix entries overflow when symmetrized: (M + M*)/2 is infinite")
+            if not np.isfinite(sym).all():
+                _require(np.isfinite(arr).all(), ValueError, "matrix entries must be finite")
+                raise DomainError("matrix entries overflow when symmetrized: (M + M*)/2 is infinite")
+            _check_hermitian(arr)
         sym.setflags(write=False)
         object.__setattr__(self, "mat", sym)
 
